@@ -151,14 +151,7 @@ PipelineRow measureWorkload(const Workload &W, const BenchArgs &Args) {
                  W.Name.c_str(), RecRun.Error.c_str());
     std::abort();
   }
-  TraceSummary S;
-  S.Ok = RecRun.Ok;
-  S.Output = RecRun.Output;
-  S.StatementsExecuted = RecRun.StatementsExecuted;
-  for (const auto &[Name, Value] : RecRun.Counters.all())
-    if (Name.rfind("tool.", 0) != 0)
-      S.Counters[Name] = Value;
-  Writer.finish(S);
+  Writer.finish(summaryOf(RecRun));
   const std::vector<uint8_t> &Trace = Writer.buffer();
 
   std::vector<ReplayJob> Jobs = sixReplayJobs(Trace);

@@ -175,14 +175,7 @@ WorkloadRow measureWorkload(const Workload &W, const BenchArgs &Args) {
                    W.Name.c_str(), Run.Error.c_str());
       std::abort();
     }
-    TraceSummary S;
-    S.Ok = Run.Ok;
-    S.Output = Run.Output;
-    S.StatementsExecuted = Run.StatementsExecuted;
-    for (const auto &[Name, Value] : Run.Counters.all())
-      if (Name.rfind("tool.", 0) != 0)
-        S.Counters[Name] = Value;
-    Writer.finish(S);
+    Writer.finish(summaryOf(Run));
     Traces[P] = Writer.buffer();
   }
 

@@ -12,18 +12,13 @@
 //             fair baseline sharding must beat: it already overlaps
 //             detection with execution, sharding adds lane parallelism;
 //   shards=K  K location-partitioned detector workers, K in {1,2,4,8},
-//             with the vm/detector split, backpressure stalls, and the
-//             broadcast amplification of the best run per K.
+//             with the vm/detector split and backpressure stalls of the
+//             best run per K.
 //
-// Broadcast amplification — deliveries per emitted event — is the
-// structural overhead sharding pays. In legacy broadcast mode sync
-// edges replicate into every lane ((routed + broadcast x K) / (routed +
-// broadcast)) so the HB replicas and filter generations stay coherent;
-// in split-state mode (the default, DESIGN.md Sec. 13) each sync edge
-// applies once to the shared SyncClockTable and the ratio is 1.0 by
-// construction — the dedicated lock-heavy A/B row below records the
-// before/after. The speedup headline divides the
-// detection-heavy sync time by the best sharded time; a workload is
+// Each sync edge applies once to the shared SyncClockTable (DESIGN.md
+// Sec. 13), so lanes receive one delivery per emitted event. The speedup
+// headline divides the detection-heavy sync time by the best sharded
+// time; a workload is
 // detection-heavy when the async run's detector busy time is at least
 // 25% of the sync wall-clock, exactly like bench_async_pipeline.
 //
@@ -67,7 +62,6 @@ struct ShardLeg {
   double VmS = 0;      ///< Producer side of the best run.
   double DetS = 0;     ///< Slowest lane's busy time in the best run.
   uint64_t Stalls = 0; ///< Backpressure stalls, summed over lanes.
-  double Amplification = 1.0; ///< Deliveries per emitted event.
 };
 
 struct ShardRow {
@@ -163,65 +157,10 @@ ShardRow measureWorkload(const Workload &W, const BenchArgs &Args) {
         Leg.VmS = R.VmSeconds;
         Leg.DetS = R.DetectorSeconds;
         Leg.Stalls = R.AsyncStalls;
-        // Split-state (the default): each sync edge is one shared-table
-        // application, so the ratio is 1.0 by construction; only a
-        // legacy --no-sync-table run would show fan-out here.
-        uint64_t Emitted = R.ShardRoutedEvents + R.ShardBroadcastEvents;
-        uint64_t Delivered =
-            R.ShardRoutedEvents + R.ShardBroadcastCopies +
-            (R.ShardHorizonAdvances || R.ShardSyncPublishes
-                 ? R.ShardBroadcastEvents
-                 : 0);
-        Leg.Amplification =
-            Emitted ? static_cast<double>(Delivered) / Emitted : 1.0;
       }
     }
   }
   return Row;
-}
-
-/// One leg of the lock-heavy sync-amplification A/B (legacy broadcast
-/// vs the split-state SyncClockTable, DESIGN.md Sec. 13).
-struct AmpLeg {
-  double WallS = 0;
-  double Amplification = 1.0;
-  uint64_t BroadcastCopies = 0;
-  uint64_t HorizonAdvances = 0;
-  uint64_t TableReads = 0;
-  uint64_t SyncPublishes = 0;
-};
-
-AmpLeg measureAmplification(const InstrumentedProgram &IP, uint64_t Seed,
-                            int Iters, size_t Shards, bool SyncTable) {
-  VmOptions Opts;
-  Opts.Seed = Seed;
-  Opts.DetectShards = Shards;
-  Opts.SyncTable = SyncTable;
-  AmpLeg Leg;
-  for (int I = 0; I < Iters; ++I) {
-    Timer T;
-    VmResult R = runProgram(*IP.Prog, IP.Tool, Opts);
-    double Sec = T.seconds();
-    if (!R.Ok) {
-      std::fprintf(stderr, "amplification leg failed: %s\n", R.Error.c_str());
-      std::abort();
-    }
-    if (Leg.WallS == 0 || Sec < Leg.WallS)
-      Leg.WallS = Sec;
-    // Fan-out accounting is schedule-invariant; any iteration will do.
-    // Split-state mode applies each sync edge once to the shared table
-    // (one delivery); legacy mode replays it in every lane.
-    uint64_t Emitted = R.ShardRoutedEvents + R.ShardBroadcastEvents;
-    uint64_t Delivered = R.ShardRoutedEvents + R.ShardBroadcastCopies +
-                         (SyncTable ? R.ShardBroadcastEvents : 0);
-    Leg.Amplification =
-        Emitted ? static_cast<double>(Delivered) / Emitted : 1.0;
-    Leg.BroadcastCopies = R.ShardBroadcastCopies;
-    Leg.HorizonAdvances = R.ShardHorizonAdvances;
-    Leg.TableReads = R.ShardTableReads;
-    Leg.SyncPublishes = R.ShardSyncPublishes;
-  }
-  return Leg;
 }
 
 double geomeanOf(const std::vector<double> &Vals) {
@@ -243,36 +182,14 @@ int main(int Argc, char **Argv) {
   for (const Workload &W : standardSuite(Args.Scale))
     Rows.push_back(measureWorkload(W, Args));
 
-  // Lock-heavy sync-amplification A/B (the split-state headline): tomcat
-  // is the suite's most lock-dominated workload, so at 4 shards the
-  // legacy path replays every sync edge 4x while the SyncClockTable
-  // applies it once and stages compact markers — amplification drops
-  // from ~1+3*(broadcast share) to ~1.0.
-  constexpr size_t kAmpShards = 4;
-  Workload LockHeavy = workloadByName("tomcat", Args.Scale);
-  ParseResult LockPR = parseProgram(LockHeavy.Source);
-  if (!LockPR.ok()) {
-    std::fprintf(stderr, "tomcat failed to parse: %s\n",
-                 LockPR.Error.c_str());
-    std::abort();
-  }
-  InstrumentedProgram LockIP = instrumentFastTrack(*LockPR.Prog);
-  LockIP.Prog->internSymbols();
-  int AmpIters =
-      std::max(3, Args.Opts.Iterations > 0 ? Args.Opts.Iterations : 1);
-  AmpLeg Broadcast = measureAmplification(LockIP, Args.Opts.Seed, AmpIters,
-                                          kAmpShards, false);
-  AmpLeg SyncTable = measureAmplification(LockIP, Args.Opts.Seed, AmpIters,
-                                          kAmpShards, true);
-
   TablePrinter Table("Sharded detection: end-to-end seconds by shard count");
   Table.addRow({"Program", "Sync", "Async", "S1", "S2", "S4", "S8",
-                "BestX", "Amp8", "Stall8"});
+                "BestX", "Stall8"});
   std::vector<double> HeavySpeedups[kNumShardCounts], HeavyBest;
   for (const ShardRow &R : Rows) {
     if (R.Skipped) {
       Table.addRow({R.Workload, TablePrinter::num(R.SyncS, 4), "-", "-", "-",
-                    "-", "-", "skip", "-", "-"});
+                    "-", "-", "skip", "-"});
       continue;
     }
     Table.addRow(
@@ -282,7 +199,6 @@ int main(int Argc, char **Argv) {
          TablePrinter::num(R.Legs[2].WallS, 4),
          TablePrinter::num(R.Legs[3].WallS, 4),
          TablePrinter::num(R.bestSpeedup(), 2) + (R.DetectionHeavy ? "" : "*"),
-         TablePrinter::num(R.Legs[3].Amplification, 2),
          std::to_string(R.Legs[3].Stalls)});
     if (R.DetectionHeavy) {
       for (size_t S = 0; S < kNumShardCounts; ++S)
@@ -298,35 +214,18 @@ int main(int Argc, char **Argv) {
                 TablePrinter::num(geomeanOf(HeavySpeedups[1]), 2),
                 TablePrinter::num(geomeanOf(HeavySpeedups[2]), 2),
                 TablePrinter::num(geomeanOf(HeavySpeedups[3]), 2),
-                TablePrinter::num(GeoBest, 2), "", ""});
+                TablePrinter::num(GeoBest, 2), ""});
   Table.print(std::cout);
   std::cout << "(* = not detection-heavy: async detector busy time < 25% of "
                "the sync run; excluded from the geomeans. skip = sync run "
                "under the 5 ms timing floor. cores="
             << Cores << ")\n";
 
-  TablePrinter Amp("Lock-heavy sync amplification: tomcat at 4 shards");
-  Amp.addRow({"SyncState", "Wall", "Amp", "Copies", "Markers", "TblReads",
-              "Publishes"});
-  Amp.addRow({"broadcast", TablePrinter::num(Broadcast.WallS, 4),
-              TablePrinter::num(Broadcast.Amplification, 3),
-              std::to_string(Broadcast.BroadcastCopies),
-              std::to_string(Broadcast.HorizonAdvances),
-              std::to_string(Broadcast.TableReads),
-              std::to_string(Broadcast.SyncPublishes)});
-  Amp.addRow({"sync-table", TablePrinter::num(SyncTable.WallS, 4),
-              TablePrinter::num(SyncTable.Amplification, 3),
-              std::to_string(SyncTable.BroadcastCopies),
-              std::to_string(SyncTable.HorizonAdvances),
-              std::to_string(SyncTable.TableReads),
-              std::to_string(SyncTable.SyncPublishes)});
-  Amp.print(std::cout);
-
   std::string Json = "{\"bench\":\"detect_shards\"," + benchMetaJson() +
                      ",\"unit\":\"seconds\",\"cores\":" +
                      std::to_string(Cores) +
                      // One core serializes the lanes onto one CPU:
-                     // ~1.0x (or below: broadcast overhead) is the
+                     // ~1.0x (or below: routing overhead) is the
                      // structural floor, not a sharding regression.
                      ",\"serialization_floor\":" +
                      (Cores == 1 ? "true" : "false") + ",\"workloads\":{";
@@ -349,11 +248,10 @@ int main(int Argc, char **Argv) {
         const ShardLeg &L = R.Legs[S];
         std::snprintf(Buf, sizeof(Buf),
                       "%s\"%zu\":{\"wall_s\":%.6f,\"vm_s\":%.6f,"
-                      "\"det_s\":%.6f,\"stalls\":%llu,"
-                      "\"broadcast_amplification\":%.3f,\"speedup\":%.3f}",
+                      "\"det_s\":%.6f,\"stalls\":%llu,\"speedup\":%.3f}",
                       S ? "," : "", kShardCounts[S], L.WallS, L.VmS, L.DetS,
                       static_cast<unsigned long long>(L.Stalls),
-                      L.Amplification, R.speedupAt(S));
+                      R.speedupAt(S));
         Json += Buf;
       }
       Json += "}";
@@ -361,26 +259,9 @@ int main(int Argc, char **Argv) {
     Json += "}";
     First = false;
   }
-  char AmpBuf[512];
-  std::snprintf(
-      AmpBuf, sizeof(AmpBuf),
-      "},\"lock_heavy_amplification\":{\"workload\":\"tomcat\","
-      "\"shards\":%zu,\"broadcast\":{\"wall_s\":%.6f,"
-      "\"amplification\":%.3f,\"copies\":%llu},"
-      "\"sync_table\":{\"wall_s\":%.6f,\"amplification\":%.3f,"
-      "\"copies\":%llu,\"horizon_advances\":%llu,\"table_reads\":%llu,"
-      "\"publishes\":%llu}}",
-      kAmpShards, Broadcast.WallS, Broadcast.Amplification,
-      static_cast<unsigned long long>(Broadcast.BroadcastCopies),
-      SyncTable.WallS, SyncTable.Amplification,
-      static_cast<unsigned long long>(SyncTable.BroadcastCopies),
-      static_cast<unsigned long long>(SyncTable.HorizonAdvances),
-      static_cast<unsigned long long>(SyncTable.TableReads),
-      static_cast<unsigned long long>(SyncTable.SyncPublishes));
-  Json += AmpBuf;
   char Tail[256];
   std::snprintf(Tail, sizeof(Tail),
-                ",\"geomean_speedup_heavy\":{\"1\":%.3f,\"2\":%.3f,"
+                "},\"geomean_speedup_heavy\":{\"1\":%.3f,\"2\":%.3f,"
                 "\"4\":%.3f,\"8\":%.3f,\"best\":%.3f}}",
                 geomeanOf(HeavySpeedups[0]), geomeanOf(HeavySpeedups[1]),
                 geomeanOf(HeavySpeedups[2]), geomeanOf(HeavySpeedups[3]),

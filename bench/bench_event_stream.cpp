@@ -111,14 +111,7 @@ StreamRow measureWorkload(const Workload &W, const BenchArgs &Args) {
                  Rec.Error.c_str());
     std::abort();
   }
-  TraceSummary S;
-  S.Ok = Rec.Ok;
-  S.Output = Rec.Output;
-  S.StatementsExecuted = Rec.StatementsExecuted;
-  for (const auto &[Name, Value] : Rec.Counters.all())
-    if (Name.rfind("tool.", 0) != 0)
-      S.Counters[Name] = Value;
-  Writer.finish(S);
+  Writer.finish(summaryOf(Rec));
 
   TraceReader Counter;
   if (!Counter.open(Writer.buffer().data(), Writer.buffer().size())) {

@@ -6,10 +6,7 @@
 
 #include "events/Replay.h"
 
-#include "events/DetectorSink.h"
-
 #include <atomic>
-#include <memory>
 #include <thread>
 
 using namespace bigfoot;
@@ -65,77 +62,15 @@ ReplayResult bigfoot::replayTrace(TraceReader &Reader,
   }
 
   R.Tool = Tool.Name;
-  DetectorConfig Cfg = Tool;
-  Cfg.CheckFilter = Opts.CheckFilter;
-
-  if (Opts.DetectShards > 0) {
-    // Sharded replay: the fan-out sink owns the detector replicas (and
-    // the oracle lane); the merge reconstructs single-detector results
-    // byte for byte (DESIGN.md Sec. 12).
-    ShardedSink::Options SO;
-    SO.Shards = Opts.DetectShards;
-    SO.RingBatches = Opts.ShardRingBatches;
-    SO.SyncTable = Opts.SyncTable;
-    SO.Tool = Cfg;
-    SO.Symbols = &Reader.symbols();
-    if (Opts.EnableGroundTruth) {
-      SO.Oracle = true;
-      SO.OracleCfg = fastTrackConfig();
-      SO.OracleCfg.CheckFilter = Opts.CheckFilter;
-    }
-    ShardedSink Sink(std::move(SO));
-    if (!pumpTrace(Reader, Sink, Opts.Batch, R))
-      return R;
-    Sink.drain();
-    ShardedSink::Merged M = Sink.finish();
-    applySummary(Reader.summary(), R);
-    for (const auto &[Name, Value] : M.Counters.all())
-      R.Counters.bump(Name, Value);
-    R.ToolRaces = std::move(M.Races);
-    R.ToolRacyLocations = std::move(M.RacyLocations);
-    R.FilterEnabled = M.FilterEnabled;
-    R.Filter = M.Filter;
-    R.FilterTableBytes = M.FilterTableBytes;
-    R.GroundTruthRaces = std::move(M.OracleRaces);
-    R.GroundTruthRacyLocations = std::move(M.OracleRacyLocations);
-    R.ShardLanes = std::move(M.Lanes);
-    R.ShardRoutedEvents = M.RoutedEvents;
-    R.ShardBroadcastEvents = M.BroadcastEvents;
-    R.ShardBroadcastCopies = M.BroadcastCopies;
-    R.ShardHorizonAdvances = M.HorizonAdvances;
-    R.ShardTableReads = M.TableReads;
-    R.ShardSyncPublishes = M.SyncPublishes;
-    R.ShardSyncTableBytes = M.SyncTableBytes;
-    R.ShardOrderViolations = M.OrderViolations;
-    return R;
-  }
-
-  // The detector shares the result's Stats exactly as an online run does:
-  // tool.* counters land next to the seeded vm.* ones.
-  RaceDetector D(Cfg, R.Counters, &Reader.symbols());
-  Stats GtCounters; // Oracle counters are discarded online too.
-  std::unique_ptr<RaceDetector> Gt;
-  if (Opts.EnableGroundTruth) {
-    DetectorConfig GtCfg = fastTrackConfig();
-    GtCfg.CheckFilter = Opts.CheckFilter;
-    Gt = std::make_unique<RaceDetector>(GtCfg, GtCounters,
-                                        &Reader.symbols());
-  }
-  DetectorSink Sink(&D, Gt.get());
-  if (!pumpTrace(Reader, Sink, Opts.Batch, R))
+  DetectionOptions DO;
+  DO.Oracle = Opts.EnableGroundTruth;
+  DO.CheckFilter = Opts.CheckFilter;
+  DO.Lanes = Opts.DetectShards;
+  DetectionPipeline Pipeline(&Tool, &Reader.symbols(), DO);
+  if (!pumpTrace(Reader, *Pipeline.sink(), Opts.Batch, R))
     return R;
   applySummary(Reader.summary(), R);
-
-  D.sampleMemoryNow();
-  R.ToolRaces = D.races();
-  R.ToolRacyLocations = D.racyLocationKeys();
-  R.FilterEnabled = D.filterEnabled();
-  R.Filter = D.filterStats();
-  R.FilterTableBytes = D.filterTableBytes();
-  if (Gt) {
-    R.GroundTruthRaces = Gt->races();
-    R.GroundTruthRacyLocations = Gt->racyLocationKeys();
-  }
+  Pipeline.finish(R);
   return R;
 }
 

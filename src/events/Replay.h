@@ -5,61 +5,35 @@
 //===----------------------------------------------------------------------===//
 ///
 /// \file
-/// Offline analysis of a recorded trace: rebuild a detector from the
-/// trace's symbol table, drain the stream through the same batch sink the
-/// online path uses, and reconstitute a full run result from the trace
-/// summary plus the fresh detector state. Because detectors are passive
-/// consumers (they never feed back into execution), replaying a trace
-/// under any config sharing its placement is behaviorally identical to
-/// having attached that detector during the recording run — byte for
-/// byte, which the event-stream differential test enforces.
+/// Offline analysis of a recorded trace: drain the stream into the same
+/// DetectionPipeline the online path uses, with detectors built from the
+/// trace's symbol table, and reconstitute a full run result from the
+/// trace summary plus the fresh detector state. Because detectors are
+/// passive consumers (they never feed back into execution), replaying a
+/// trace under any config sharing its placement is behaviorally
+/// identical to having attached that detector during the recording run —
+/// byte for byte, which the event-stream differential test enforces.
 ///
 //===----------------------------------------------------------------------===//
 
 #ifndef BIGFOOT_EVENTS_REPLAY_H
 #define BIGFOOT_EVENTS_REPLAY_H
 
-#include "events/ShardedSink.h"
+#include "events/DetectionPipeline.h"
 #include "events/TraceCodec.h"
 
 #include <functional>
-#include <set>
 #include <string>
 #include <vector>
 
 namespace bigfoot {
 
-/// Everything a replay produces — the VmResult fields a recorded run can
-/// reconstruct (defined here rather than reusing VmResult so the events
-/// library stays independent of the VM).
-struct ReplayResult {
-  bool Ok = false;
-  std::string Error;
+/// Everything a replay produces: the RunResult an online run with the
+/// same detector would have produced, plus the replay's own bookkeeping.
+/// Counters hold the recorded vm.* seeded in and the replayed tool.*.
+struct ReplayResult : RunResult {
   std::string Tool; ///< Name of the config the trace was replayed under.
-  std::vector<std::string> Output;
-  Stats Counters; ///< Recorded vm.* seeded in, replayed tool.* added.
-  std::vector<ReportedRace> ToolRaces;
-  std::set<std::string> ToolRacyLocations;
-  std::vector<ReportedRace> GroundTruthRaces;
-  std::set<std::string> GroundTruthRacyLocations;
-  uint64_t StatementsExecuted = 0;
   uint64_t EventsReplayed = 0;
-  /// Check-filter effectiveness for the replayed tool (zeros when off).
-  /// Beside Counters, never inside — on/off runs must match byte-wise.
-  bool FilterEnabled = false;
-  CheckFilterStats Filter;
-  uint64_t FilterTableBytes = 0;
-  /// Sharded replay only (ReplayOptions::DetectShards > 0); beside
-  /// Counters for the same byte-identity reason as the filter stats.
-  std::vector<ShardLaneStats> ShardLanes;
-  uint64_t ShardRoutedEvents = 0;
-  uint64_t ShardBroadcastEvents = 0;
-  uint64_t ShardBroadcastCopies = 0;
-  uint64_t ShardHorizonAdvances = 0;
-  uint64_t ShardTableReads = 0;
-  uint64_t ShardSyncPublishes = 0;
-  uint64_t ShardSyncTableBytes = 0;
-  uint64_t ShardOrderViolations = 0;
 };
 
 struct ReplayOptions {
@@ -78,12 +52,6 @@ struct ReplayOptions {
   /// single-detector replay. Like the filter, a replay knob, never a
   /// trace property; results are byte-identical for every shard count.
   size_t DetectShards = 0;
-  /// Per-lane ring depth for sharded replay (clamped to >= 2).
-  size_t ShardRingBatches = kDefaultAsyncRingBatches;
-  /// Split-state sync clocks for sharded replay (DESIGN.md Sec. 13).
-  /// Like the filter and shard count, a replay knob, never a trace
-  /// property; results are byte-identical on or off.
-  bool SyncTable = true;
 };
 
 /// Replays \p Reader (already open()ed) into a fresh detector built from

@@ -6,9 +6,11 @@
 
 #include "events/ShardedSink.h"
 
+#include "events/DetectionPipeline.h"
 #include "events/DetectorSink.h"
 
 #include <algorithm>
+#include <charconv>
 #include <chrono>
 #include <thread>
 
@@ -21,34 +23,43 @@ size_t bigfoot::autoShardCount() {
   return std::min<size_t>(8, HW - 1); // Leave a core for the producer.
 }
 
-ShardedSink::ShardedSink(Options O)
-    : NumShards(O.Shards < 1 ? 1 : O.Shards) {
-  size_t RingBatches = std::max<size_t>(2, O.RingBatches);
-  if (O.SyncTable) {
-    Table = std::make_unique<SyncClockTable>();
-    // Direct array checks read HB state (first-touch clock init the
-    // writer census must mirror); deferred adds do not.
-    TouchArrayChecks = !O.Tool.DeferArrayChecks;
-    ToolFilterOn = O.Tool.CheckFilter;
-  }
+std::optional<size_t> bigfoot::parseLaneCount(std::string_view Text) {
+  if (Text == "auto")
+    return autoShardCount();
+  size_t Lanes = 0;
+  const char *End = Text.data() + Text.size();
+  auto [Ptr, Ec] = std::from_chars(Text.data(), End, Lanes);
+  if (Ec != std::errc() || Ptr != End || Lanes > kMaxLanes)
+    return std::nullopt;
+  return Lanes;
+}
+
+ShardedSink::ShardedSink(const DetectorConfig &Tool,
+                         const DetectorConfig *OracleCfg,
+                         const SymbolTable *Symbols, size_t Lanes,
+                         size_t RingBatches)
+    : NumShards(std::max<size_t>(1, Lanes)),
+      // Direct array checks read HB state (first-touch clock init the
+      // writer census must mirror); deferred adds do not.
+      TouchArrayChecks(!Tool.DeferArrayChecks),
+      ToolFilterOn(Tool.CheckFilter) {
+  RingBatches = std::max<size_t>(2, RingBatches);
   Shards.reserve(NumShards);
   for (size_t S = 0; S < NumShards; ++S) {
     auto L = std::make_unique<Lane>(RingBatches);
-    L->Detector =
-        std::make_unique<RaceDetector>(O.Tool, L->Counters, O.Symbols);
-    if (Table)
-      L->Detector->attachSharedSync(Table.get());
+    L->Detector = std::make_unique<RaceDetector>(Tool, L->Counters, Symbols);
+    L->Detector->attachSharedSync(&Table);
     // Redirect memory sampling into the lockstep log; the merge
     // reconstructs the gauges, so shard Stats stay purely summable.
     L->Detector->setMemorySampleLog(&L->Samples);
     Shards.push_back(std::move(L));
   }
-  if (O.Oracle) {
+  if (OracleCfg) {
     Oracle = std::make_unique<Lane>(RingBatches);
     Oracle->Detector = std::make_unique<RaceDetector>(
-        O.OracleCfg, Oracle->Counters, O.Symbols);
-    // No sample log: oracle counters are discarded, exactly as the sync
-    // path discards the ground-truth detector's private Stats.
+        *OracleCfg, Oracle->Counters, Symbols);
+    // No sample log: oracle counters are discarded, exactly as the
+    // inline path discards the ground-truth detector's private Stats.
   }
   for (auto &L : Shards)
     L->Worker = std::thread([this, Lp = L.get()] { laneLoop(*Lp); });
@@ -145,40 +156,33 @@ void ShardedSink::consumeBatch(const Event *Events, size_t N,
       stage(*Oracle, E, Payload, Seq);
     if (E.Target & kTargetTool) {
       if (Broadcast) {
+        // Apply the edge once, then stage one compact horizon marker per
+        // lane instead of N event copies.
         ++BroadcastEvents;
-        if (Table) {
-          // Split-state mode: apply the edge once, then stage one
-          // compact horizon marker per lane instead of N event copies.
-          SyncEdge Edge;
-          Edge.Kind = edgeKindOf(E.Kind);
-          Edge.Tid = E.Tid;
-          Edge.Obj = E.Obj;
-          Edge.Field = E.Field;
-          Edge.Aux = E.Aux;
-          Edge.Seq = Seq;
-          if (E.PayloadCount) {
-            Edge.Parties = Payload + E.PayloadIndex;
-            Edge.NumParties = E.PayloadCount;
-          }
-          uint64_t HbBytes = Table->apply(Edge);
-          if (ToolFilterOn)
-            FilterInvalidations += invalidationsOf(E.Kind, E.PayloadCount);
-          for (auto &L : Shards)
-            stageMarker(*L, E, Payload, Seq, HbBytes);
-        } else {
-          for (auto &L : Shards) {
-            stage(*L, E, Payload, Seq);
-            ++BroadcastCopies;
-          }
+        SyncEdge Edge;
+        Edge.Kind = edgeKindOf(E.Kind);
+        Edge.Tid = E.Tid;
+        Edge.Obj = E.Obj;
+        Edge.Field = E.Field;
+        Edge.Aux = E.Aux;
+        Edge.Seq = Seq;
+        if (E.PayloadCount) {
+          Edge.Parties = Payload + E.PayloadIndex;
+          Edge.NumParties = E.PayloadCount;
         }
+        uint64_t HbBytes = Table.apply(Edge);
+        if (ToolFilterOn)
+          FilterInvalidations += invalidationsOf(E.Kind, E.PayloadCount);
+        for (auto &L : Shards)
+          stageMarker(*L, E, Payload, Seq, HbBytes);
       } else {
         ++RoutedEvents;
         // First-touch parity: the writer's census must grow exactly when
         // a single detector's would (checks initialize the acting
         // thread's clock on their HB read).
-        if (Table && (E.Kind == EventKind::FieldCheck ||
-                      (E.Kind == EventKind::ArrayCheck && TouchArrayChecks)))
-          Table->touchThread(E.Tid);
+        if (E.Kind == EventKind::FieldCheck ||
+            (E.Kind == EventKind::ArrayCheck && TouchArrayChecks))
+          Table.touchThread(E.Tid);
         stage(*Shards[shardOf(E.Obj)], E, Payload, Seq);
       }
     }
@@ -269,10 +273,10 @@ void ShardedSink::laneLoop(Lane &L) {
       return; // Stop observed with an empty ring: every slot applied.
     auto T0 = Clock::now();
     const uint32_t *Words = B->Payload.data();
-    // Split-state mode interleaves the marker stream with the event
-    // stream by global sequence (both are staged ascending, the ranges
-    // never overlap); legacy mode has no markers and the loop reduces to
-    // the plain event walk.
+    // Interleave the marker stream with the event stream by global
+    // sequence (both are staged ascending, the ranges never overlap);
+    // the oracle lane has no markers and the loop reduces to the plain
+    // event walk.
     size_t MI = 0, MN = B->Markers.size();
     for (size_t I = 0, N = B->Events.size(); I < N; ++I) {
       const Event &E = B->Events[I];
@@ -299,27 +303,25 @@ void ShardedSink::laneLoop(Lane &L) {
   }
 }
 
-ShardedSink::Merged ShardedSink::finish() {
-  Merged M;
-
+void ShardedSink::finish(RunResult &R) {
   // The run-end sample, in lockstep across shards (the producer appends
-  // it after drain, so every lane has applied its whole stream). In
-  // split-state mode the HB component is the writer's final census —
-  // it may have grown past the last published edge via first-touch
-  // inits on trailing routed checks, exactly like a sync detector's.
+  // it after drain, so every lane has applied its whole stream). The HB
+  // component is the writer's final census — it may have grown past the
+  // last published edge via first-touch inits on trailing routed checks,
+  // exactly like an inline detector's.
   for (auto &L : Shards) {
-    if (Table)
-      L->Detector->syncSharedHbBytes(Table->hbBytes());
+    L->Detector->syncSharedHbBytes(Table.hbBytes());
     L->Detector->sampleMemoryNow();
   }
 
   // Partitioned counters: every tool.* name is bumped in exactly one
   // shard per contributing event, so summing final values reproduces the
   // single-detector map (0-valued names never appear, matching a
-  // detector that never bumped them).
+  // detector that never bumped them). The names are disjoint from the
+  // producer's vm.* ones already in R.Counters.
   for (auto &L : Shards)
     for (const auto &[Name, Value] : L->Counters.all())
-      M.Counters.bump(Name, Value);
+      R.Counters.bump(Name, Value);
 
   // Peak gauges: recombine sample k across shards — HB bytes are
   // replica-identical (max is defensive), shadow bytes and locations are
@@ -338,8 +340,8 @@ ShardedSink::Merged ShardedSink::finish() {
       Partial += S.PartialBytes;
       Locs += S.Locations;
     }
-    M.Counters.gaugeMax("tool.peakShadowBytes", Hb + Partial);
-    M.Counters.gaugeMax("tool.peakShadowLocations", Locs);
+    R.Counters.gaugeMax("tool.peakShadowBytes", Hb + Partial);
+    R.Counters.gaugeMax("tool.peakShadowLocations", Locs);
   }
 
   // Races: stable sort on the RaceOrder keys reproduces first-occurrence
@@ -365,32 +367,29 @@ ShardedSink::Merged ShardedSink::finish() {
     return A.Key.EntrySeq < B.Key.EntrySeq;
   });
   for (const Tagged &T : All)
-    M.Races.push_back(Shards[T.Lane]->Detector->races()[T.Idx]);
+    R.ToolRaces.push_back(Shards[T.Lane]->Detector->races()[T.Idx]);
   for (auto &L : Shards) {
     std::set<std::string> Keys = L->Detector->racyLocationKeys();
-    M.RacyLocations.insert(Keys.begin(), Keys.end());
+    R.ToolRacyLocations.insert(Keys.begin(), Keys.end());
   }
 
   // Filter effectiveness merge; lane accounting for the [shards] summary.
   // Hit/miss/extend tallies come from routed checks, which land on
-  // exactly one shard's filter — summing reproduces the sync values.
-  // Invalidations count release edges, which are broadcast: every lane's
-  // tally already equals the sync value, so take it from one lane, not N.
-  // Table bytes are genuinely replicated per lane; the sum is the honest
-  // metadata footprint of the sharded run.
+  // exactly one shard's filter — summing reproduces the inline values.
+  // Lanes tick generations on sync markers without tallying; each
+  // invalidating edge was counted once, producer-side. Table bytes are
+  // genuinely replicated per lane; the sum is the honest metadata
+  // footprint of the sharded run.
+  R.Filter.Invalidations = FilterInvalidations;
   for (auto &L : Shards) {
-    M.FilterEnabled = M.FilterEnabled || L->Detector->filterEnabled();
+    R.FilterEnabled = R.FilterEnabled || L->Detector->filterEnabled();
     CheckFilterStats F = L->Detector->filterStats();
-    M.Filter.FieldHits += F.FieldHits;
-    M.Filter.FieldMisses += F.FieldMisses;
-    M.Filter.ArrayHits += F.ArrayHits;
-    M.Filter.ArrayMisses += F.ArrayMisses;
-    // Split-state mode counts each release edge once, producer-side
-    // (lanes tick generations without tallying); legacy mode takes one
-    // lane's tally (every lane replayed every edge).
-    M.Filter.Invalidations = Table ? FilterInvalidations : F.Invalidations;
-    M.Filter.RangeExtends += F.RangeExtends;
-    M.FilterTableBytes += L->Detector->filterTableBytes();
+    R.Filter.FieldHits += F.FieldHits;
+    R.Filter.FieldMisses += F.FieldMisses;
+    R.Filter.ArrayHits += F.ArrayHits;
+    R.Filter.ArrayMisses += F.ArrayMisses;
+    R.Filter.RangeExtends += F.RangeExtends;
+    R.FilterTableBytes += L->Detector->filterTableBytes();
 
     ShardLaneStats LS;
     LS.Events = L->EventsApplied;
@@ -398,31 +397,23 @@ ShardedSink::Merged ShardedSink::finish() {
     LS.Batches = L->Ring.published();
     LS.Stalls = L->Ring.fullStalls();
     LS.BusyNs = L->BusyNs;
-    M.Lanes.push_back(LS);
-    M.Batches += LS.Batches;
-    M.Stalls += LS.Stalls;
-    M.HorizonAdvances += L->MarkersApplied;
-    M.TableReads += L->Detector->sharedSyncReads();
-    M.OrderViolations += L->OrderViolations;
-    M.DetectorSeconds = std::max(M.DetectorSeconds, LS.BusyNs * 1e-9);
+    R.ShardLanes.push_back(LS);
+    R.AsyncBatches += LS.Batches;
+    R.AsyncStalls += LS.Stalls;
+    R.ShardHorizonAdvances += L->MarkersApplied;
+    R.ShardTableReads += L->Detector->sharedSyncReads();
+    R.ShardOrderViolations += L->OrderViolations;
+    R.DetectorSeconds = std::max(R.DetectorSeconds, LS.BusyNs * 1e-9);
   }
   if (Oracle) {
-    M.OracleRaces = Oracle->Detector->races();
-    M.OracleRacyLocations = Oracle->Detector->racyLocationKeys();
-    M.OracleLane.Events = Oracle->EventsApplied;
-    M.OracleLane.Batches = Oracle->Ring.published();
-    M.OracleLane.Stalls = Oracle->Ring.fullStalls();
-    M.OracleLane.BusyNs = Oracle->BusyNs;
-    M.Batches += M.OracleLane.Batches;
-    M.Stalls += M.OracleLane.Stalls;
-    M.OrderViolations += Oracle->OrderViolations;
+    R.GroundTruthRaces = Oracle->Detector->races();
+    R.GroundTruthRacyLocations = Oracle->Detector->racyLocationKeys();
+    R.AsyncBatches += Oracle->Ring.published();
+    R.AsyncStalls += Oracle->Ring.fullStalls();
+    R.ShardOrderViolations += Oracle->OrderViolations;
   }
-  M.RoutedEvents = RoutedEvents;
-  M.BroadcastEvents = BroadcastEvents;
-  M.BroadcastCopies = BroadcastCopies;
-  if (Table) {
-    M.SyncPublishes = Table->publishes();
-    M.SyncTableBytes = Table->tableBytes();
-  }
-  return M;
+  R.ShardRoutedEvents = RoutedEvents;
+  R.ShardBroadcastEvents = BroadcastEvents;
+  R.ShardSyncPublishes = Table.publishes();
+  R.ShardSyncTableBytes = Table.tableBytes();
 }

@@ -14,41 +14,33 @@
 /// atomic, per-object slot arrays stay whole, and every partitioned
 /// counter sums across shards to exactly the single-detector value.
 /// Synchronization events (acquire/release, volatiles, fork/join,
-/// barrier, thread lifecycle, periodic commits) take one of two paths:
-///
-///   * Split-state mode (Options::SyncTable, the default; DESIGN.md
-///     Sec. 13): the producer applies each sync edge ONCE to a shared
-///     SyncClockTable — publishing the mutated thread clocks as
-///     versioned snapshots — and stages only a compact SyncMarker per
-///     lane (sequence, horizon, post-edge HB census, decoded edge).
-///     Lanes advance their sync horizon, commit deferred footprints,
-///     tick filter generations, and sample memory off the marker, while
-///     every HB read on the check path resolves against the table at
-///     the lane's horizon. BroadcastCopies stays 0; CheckFilter
-///     invalidations are counted once, producer-side.
-///   * Legacy broadcast mode (SyncTable off): every sync event is
-///     copied to all lanes and each replica's HbState replays it, as
-///     PR 9 shipped — kept for the before/after amplification bench.
-///
-/// Both modes produce byte-identical merged results.
+/// barrier, thread lifecycle, periodic commits) are applied ONCE, by the
+/// producer, to a shared SyncClockTable (DESIGN.md Sec. 13), which
+/// publishes the mutated thread clocks as versioned snapshots; each lane
+/// receives only a compact SyncMarker (sequence, horizon, post-edge HB
+/// census, decoded edge). Lanes advance their sync horizon, commit
+/// deferred footprints, tick filter generations, and sample memory off
+/// the marker, while every HB read on the check path resolves against the
+/// table at the lane's horizon. CheckFilter invalidations are counted
+/// once, producer-side.
 ///
 /// Every event carries a producer-assigned global sequence number through
 /// its shard's SPSC ring, and every staged event additionally carries the
-/// sequence of the last broadcast event staged to that lane (its sync
-/// horizon). A worker checks the horizon against the last broadcast it
-/// applied before touching the detector — the enforcement of the ordering
+/// sequence of the last sync edge staged to that lane (its sync horizon).
+/// A worker checks the horizon against the last sync edge it applied
+/// before touching the detector — the enforcement of the ordering
 /// invariant that a shard never processes an access published after a
 /// sync edge it has not applied yet (structurally guaranteed by the
 /// per-lane FIFO; violations are counted, and the differential tests
 /// assert zero).
 ///
-/// finish() merges the shards back into one result that is byte-identical
-/// to the sync/async-1 paths: counters sum (every partitioned counter is
-/// bumped in exactly one shard), peak-memory gauges are reconstructed
-/// from lockstep per-shard sample logs (max of the replicated HB bytes
-/// plus the sum of the partitioned shadow bytes, per sample point), and
-/// races merge by a stable sort on their RaceOrder keys (first-occurrence
-/// stream position).
+/// finish() merges the shards back into one RunResult byte-identical to
+/// the inline and AsyncSink paths: counters sum (every partitioned
+/// counter is bumped in exactly one shard), peak-memory gauges are
+/// reconstructed from lockstep per-shard sample logs (max of the
+/// replicated HB bytes plus the sum of the partitioned shadow bytes, per
+/// sample point), and races merge by a stable sort on their RaceOrder
+/// keys (first-occurrence stream position).
 ///
 //===----------------------------------------------------------------------===//
 
@@ -63,12 +55,14 @@
 #include <atomic>
 #include <cstdint>
 #include <memory>
-#include <set>
-#include <string>
+#include <optional>
+#include <string_view>
 #include <thread>
 #include <vector>
 
 namespace bigfoot {
+
+struct RunResult;
 
 /// One ring slot of the fan-out: an event batch plus the per-event
 /// sequence stamps the merge and the ordering check need.
@@ -78,15 +72,15 @@ struct ShardBatch {
   /// Global stream sequence of each event (1-based, all lanes share the
   /// numbering).
   std::vector<uint64_t> Seq;
-  /// Sequence of the last broadcast event staged to this lane before
-  /// each event — the sync edge the event depends on.
+  /// Sequence of the last sync edge staged to this lane before each
+  /// event — the sync edge the event depends on.
   std::vector<uint64_t> Horizon;
 
-  /// A sync edge in split-state mode: not an event copy — the clocks
-  /// were already applied table-side — just the stamp a lane needs to
-  /// advance its horizon plus the decoded edge for footprint commits,
-  /// filter ticks, and memory samples. Barrier party lists live in the
-  /// batch's payload arena.
+  /// A sync edge: not an event copy — the clocks were already applied
+  /// table-side — just the stamp a lane needs to advance its horizon
+  /// plus the decoded edge for footprint commits, filter ticks, and
+  /// memory samples. Barrier party lists live in the batch's payload
+  /// arena.
   struct SyncMarker {
     uint64_t Seq = 0;
     uint64_t Horizon = 0; ///< Last marker staged to the lane before this.
@@ -114,7 +108,7 @@ struct ShardBatch {
 /// Post-drain statistics for one worker lane.
 struct ShardLaneStats {
   uint64_t Events = 0;  ///< Events applied by this lane.
-  uint64_t Markers = 0; ///< Sync markers applied (split-state mode).
+  uint64_t Markers = 0; ///< Sync markers applied.
   uint64_t Batches = 0; ///< Slots published to this lane's ring.
   uint64_t Stalls = 0;  ///< Producer blocked on this lane's full ring.
   uint64_t BusyNs = 0;  ///< Lane thread busy time (waits excluded).
@@ -126,71 +120,29 @@ struct ShardLaneStats {
 /// unknown) sharding stays off entirely — returns 0.
 size_t autoShardCount();
 
+/// The most lanes a run may ask for.
+inline constexpr size_t kMaxLanes = 64;
+
+/// Parses a lane count: "auto" (autoShardCount()) or a decimal integer
+/// from 0 to kMaxLanes. Anything else — a sign, trailing text, an empty
+/// string, a larger number — is rejected with nullopt.
+std::optional<size_t> parseLaneCount(std::string_view Text);
+
 /// EventSink that fans the stream out to per-shard detector workers.
 /// consumeBatch() and drain() must be called from one producer thread;
 /// each shard's detector is touched only by its worker thread until
 /// drain() returns, after which finish() may merge from the producer.
 class ShardedSink final : public EventSink {
 public:
-  struct Options {
-    /// Worker count; clamped to >= 1.
-    size_t Shards = 2;
-    /// Per-lane ring depth in batches (clamped to >= 2).
-    size_t RingBatches = kDefaultAsyncRingBatches;
-    /// Config every shard replica runs (CheckFilter already resolved).
-    DetectorConfig Tool;
-    /// Seeds each replica's field-id namespace (may be null).
-    const SymbolTable *Symbols = nullptr;
-    /// Attach the per-access ground-truth oracle on its own dedicated
-    /// lane. The oracle is never sharded: it receives every
-    /// oracle-targeted event in stream order.
-    bool Oracle = false;
-    DetectorConfig OracleCfg;
-    /// Split-state mode (DESIGN.md Sec. 13): apply sync edges once to a
-    /// shared SyncClockTable and stage markers instead of broadcasting
-    /// event copies. Off replays every sync edge per lane (PR 9
-    /// behavior) — kept for the before/after amplification bench.
-    bool SyncTable = true;
-  };
-
-  /// Everything the shards produce, merged back into single-run shape.
-  struct Merged {
-    /// Summed tool.* counters plus the reconstructed peak gauges —
-    /// byte-identical to a single detector's Stats.
-    Stats Counters;
-    std::vector<ReportedRace> Races;
-    std::set<std::string> RacyLocations;
-    bool FilterEnabled = false;
-    CheckFilterStats Filter; ///< Summed across shards.
-    uint64_t FilterTableBytes = 0;
-    std::vector<ReportedRace> OracleRaces;
-    std::set<std::string> OracleRacyLocations;
-    /// Busy seconds of the busiest lane — the detection critical path.
-    double DetectorSeconds = 0;
-    uint64_t Batches = 0; ///< Slots published, all lanes.
-    uint64_t Stalls = 0;  ///< Producer backpressure stalls, all lanes.
-    /// Fan-out accounting: routed events are delivered once, broadcast
-    /// events once per shard. Amplification = deliveries / events.
-    uint64_t RoutedEvents = 0;
-    uint64_t BroadcastEvents = 0;
-    uint64_t BroadcastCopies = 0;
-    /// Split-state counters (zero in legacy broadcast mode): horizon
-    /// stamps applied across lanes (BroadcastEvents × shards — markers,
-    /// not event copies), published-table resolutions on check paths,
-    /// snapshots published, and the table's storage footprint.
-    uint64_t HorizonAdvances = 0;
-    uint64_t TableReads = 0;
-    uint64_t SyncPublishes = 0;
-    uint64_t SyncTableBytes = 0;
-    /// Sync-horizon check failures across all lanes (must be zero).
-    uint64_t OrderViolations = 0;
-    /// Per-shard lanes, in shard order (oracle lane excluded).
-    std::vector<ShardLaneStats> Lanes;
-    ShardLaneStats OracleLane;
-  };
-
-  /// Spawns the worker threads (one per shard, plus the oracle lane).
-  explicit ShardedSink(Options O);
+  /// Spawns \p Lanes worker threads (clamped to >= 1), each running a
+  /// replica of \p Tool (CheckFilter already resolved) behind a ring of
+  /// \p RingBatches slots (clamped to >= 2). A non-null \p Oracle gets its
+  /// own dedicated lane: it is never sharded and receives every
+  /// oracle-targeted event in stream order. \p Symbols seeds each
+  /// replica's field-id namespace (may be null).
+  ShardedSink(const DetectorConfig &Tool, const DetectorConfig *Oracle,
+              const SymbolTable *Symbols, size_t Lanes,
+              size_t RingBatches = kDefaultAsyncRingBatches);
 
   /// Drains, stops, and joins every lane.
   ~ShardedSink() override;
@@ -200,18 +152,21 @@ public:
 
   size_t shards() const { return NumShards; }
 
-  /// Producer side: splits the batch across the lanes (routing checks,
-  /// broadcasting sync) and publishes one slot per lane that received
-  /// anything. Blocks on any full lane ring (backpressure).
+  /// Producer side: routes checks to their lane, applies sync edges to
+  /// the table and stages their markers to every lane, then publishes
+  /// one slot per lane that received anything. Blocks on any full lane
+  /// ring (backpressure).
   void consumeBatch(const Event *Events, size_t N,
                     const uint32_t *Payload) override;
 
   /// Blocks until every published slot on every lane has been applied.
   void drain();
 
-  /// Merges shard results; call once, after drain(), from the producer
-  /// thread. Workers are idle by then, so replica state is safe to read.
-  Merged finish();
+  /// Merges the shards into \p R: tool.* counters and peak gauges added
+  /// to R.Counters, races, filter stats and the lane accounting. Call
+  /// once, after drain(), from the producer thread. Workers are idle by
+  /// then, so replica state is safe to read.
+  void finish(RunResult &R);
 
 private:
   /// One worker lane: a detector replica behind its own SPSC ring.
@@ -237,7 +192,8 @@ private:
   };
 
   /// True for event kinds every shard must see (sync edges, lifecycle,
-  /// commits); false for the location-routed check/alloc kinds.
+  /// commits) — applied to the table and staged as markers; false for
+  /// the location-routed check/alloc kinds.
   static bool isBroadcast(EventKind K) {
     return K != EventKind::FieldCheck && K != EventKind::ArrayCheck &&
            K != EventKind::ArrayAlloc;
@@ -254,8 +210,8 @@ private:
 
   void stage(Lane &L, const Event &E, const uint32_t *Payload, uint64_t Seq);
 
-  /// Split-state mode: stages the compact marker for an already-applied
-  /// sync edge to \p L (party payload copied into the lane's arena).
+  /// Stages the compact marker for an already-applied sync edge to \p L
+  /// (party payload copied into the lane's arena).
   void stageMarker(Lane &L, const Event &E, const uint32_t *Payload,
                    uint64_t Seq, uint64_t HbBytes);
 
@@ -265,36 +221,35 @@ private:
 
   void laneLoop(Lane &L);
 
-  /// Event kind -> runtime sync-edge kind (split-state mode).
+  /// Event kind -> runtime sync-edge kind.
   static SyncEdgeKind edgeKindOf(EventKind K);
 
   /// CheckFilter invalidations the owned-mode handler for this edge
   /// would tally (Fork hits two threads, Barrier every party) — counted
-  /// once, producer-side, in split-state mode.
+  /// once, producer-side.
   static uint64_t invalidationsOf(EventKind K, uint32_t PayloadCount);
 
   size_t NumShards;
+  /// The shared sync-clock table. Written only by the producer; lanes
+  /// read published snapshots. Outlives the lane threads (joined in the
+  /// destructor).
+  SyncClockTable Table;
   /// Shard lanes [0, NumShards); the oracle lane, when attached, is a
   /// separate member so shard indexing stays direct.
   std::vector<std::unique_ptr<Lane>> Shards;
   std::unique_ptr<Lane> Oracle;
-  /// Split-state mode: the shared sync-clock table (null in legacy
-  /// broadcast mode). Written only by the producer; lanes read published
-  /// snapshots. Outlives the lane threads (joined in the destructor).
-  std::unique_ptr<SyncClockTable> Table;
   /// Routed array checks touch the writer clock only when applied
   /// directly (deferred footprint adds never read HB state).
-  bool TouchArrayChecks = true;
+  bool TouchArrayChecks;
   /// Whether lane replicas run a CheckFilter (gates the producer-side
   /// invalidation tally).
-  bool ToolFilterOn = false;
-  /// Producer-side invalidation tally (split-state mode, filter on).
+  bool ToolFilterOn;
+  /// Producer-side invalidation tally (filter on).
   uint64_t FilterInvalidations = 0;
   std::atomic<bool> Stop{false};
   uint64_t NextSeq = 0; ///< Producer-side global event numbering.
   uint64_t RoutedEvents = 0;
   uint64_t BroadcastEvents = 0;
-  uint64_t BroadcastCopies = 0;
 };
 
 } // namespace bigfoot

@@ -6,6 +6,8 @@
 
 #include "events/TraceCodec.h"
 
+#include "events/DetectionPipeline.h"
+
 #include <cassert>
 #include <cstdio>
 #include <cstring>
@@ -505,4 +507,16 @@ bool TraceReader::parseSummarySection() {
     return fail("malformed trace: missing end marker");
   HaveSummary = true;
   return true;
+}
+
+TraceSummary bigfoot::summaryOf(const RunResult &Run) {
+  TraceSummary S;
+  S.Ok = Run.Ok;
+  S.Error = Run.Error;
+  S.Output = Run.Output;
+  S.StatementsExecuted = Run.StatementsExecuted;
+  for (const auto &[Name, Value] : Run.Counters.all())
+    if (Name.rfind("tool.", 0) != 0)
+      S.Counters[Name] = Value;
+  return S;
 }

@@ -62,6 +62,11 @@ struct TraceSummary {
   std::map<std::string, uint64_t> Counters;
 };
 
+struct RunResult;
+
+/// What a recording run stores in its trace's SUMMARY section.
+TraceSummary summaryOf(const RunResult &Run);
+
 /// Encodes an event stream (plus header and summary) into a byte buffer.
 /// Construct with the recording program's symbol table and the placement
 /// config, attach as a sink (directly or via TeeSink), then call

@@ -54,6 +54,7 @@
 #include <cstdlib>
 #include <cstring>
 #include <functional>
+#include <optional>
 #include <thread>
 
 #include <sys/stat.h>
@@ -113,7 +114,6 @@ VmOptions vmOptionsFor(const ExperimentOptions &Opts) {
   VmOpts.AsyncDetect = Opts.AsyncDetect;
   VmOpts.CheckFilter = Opts.CheckFilter;
   VmOpts.DetectShards = Opts.DetectShards;
-  VmOpts.SyncTable = Opts.SyncTable;
   return VmOpts;
 }
 
@@ -185,11 +185,12 @@ void measureBase(const Workload &W, const ExperimentOptions &Opts,
   Out.BaseHeapBytes = Run.Counters.get("vm.heapBytes");
 }
 
-/// Counter extraction shared by the executed and the replayed paths —
-/// both produce the same Stats, so metrics fill identically.
+/// Counter and filter extraction shared by the executed and the replayed
+/// paths — both produce the same RunResult, so metrics fill identically.
 void fillToolMetrics(ToolMetrics &M, const std::string &ToolName,
-                     const Stats &Counters) {
+                     const RunResult &Run) {
   M.Tool = ToolName;
+  const Stats &Counters = Run.Counters;
   uint64_t FieldEvents = Counters.get("tool.checkEvents.field");
   uint64_t ArrayEvents = Counters.get("tool.checkEvents.array");
   uint64_t Accesses = Counters.get("vm.accesses");
@@ -203,6 +204,10 @@ void fillToolMetrics(ToolMetrics &M, const std::string &ToolName,
   M.Races = Counters.get("tool.races");
   M.PeakShadowBytes = Counters.get("tool.peakShadowBytes");
   M.PeakShadowLocations = Counters.get("tool.peakShadowLocations");
+  M.FilterHits = Run.Filter.hits();
+  M.FilterMisses = Run.Filter.misses();
+  M.FilterInvalidations = Run.Filter.Invalidations;
+  M.FilterTableBytes = Run.FilterTableBytes;
 }
 
 /// Phase-1 cell: one instrumented configuration's counters, measured by
@@ -224,25 +229,8 @@ void measureTool(const Workload &W, const ExperimentOptions &Opts,
                  IP.Tool.Name.c_str(), Run.Error.c_str());
     std::abort();
   }
-  ToolMetrics &M = Out.Tools[static_cast<size_t>(ToolIdx)];
-  fillToolMetrics(M, IP.Tool.Name, Run.Counters);
-  M.FilterHits = Run.Filter.hits();
-  M.FilterMisses = Run.Filter.misses();
-  M.FilterInvalidations = Run.Filter.Invalidations;
-  M.FilterTableBytes = Run.FilterTableBytes;
-}
-
-/// Everything a trace's SUMMARY section stores about the recording run.
-TraceSummary summaryOf(const VmResult &Run) {
-  TraceSummary S;
-  S.Ok = Run.Ok;
-  S.Error = Run.Error;
-  S.Output = Run.Output;
-  S.StatementsExecuted = Run.StatementsExecuted;
-  for (const auto &[Name, Value] : Run.Counters.all())
-    if (Name.rfind("tool.", 0) != 0)
-      S.Counters[Name] = Value;
-  return S;
+  fillToolMetrics(Out.Tools[static_cast<size_t>(ToolIdx)], IP.Tool.Name,
+                  Run);
 }
 
 /// Record-wave cell: execute one placement with a TraceWriter on the
@@ -294,7 +282,6 @@ void appendReplayJobs(const PlacementTraces &Traces,
     };
     J.Opts.CheckFilter = Opts.CheckFilter;
     J.Opts.DetectShards = Opts.DetectShards;
-    J.Opts.SyncTable = Opts.SyncTable;
     Jobs.push_back(std::move(J));
   }
 }
@@ -310,12 +297,7 @@ void fillReplayMetrics(const Workload &W, const ReplayResult *Results,
                    W.Name.c_str(), Run.Tool.c_str(), Run.Error.c_str());
       std::abort();
     }
-    ToolMetrics &M = Out.Tools[static_cast<size_t>(T)];
-    fillToolMetrics(M, Run.Tool, Run.Counters);
-    M.FilterHits = Run.Filter.hits();
-    M.FilterMisses = Run.Filter.misses();
-    M.FilterInvalidations = Run.Filter.Invalidations;
-    M.FilterTableBytes = Run.FilterTableBytes;
+    fillToolMetrics(Out.Tools[static_cast<size_t>(T)], Run.Tool, Run);
   }
 }
 
@@ -346,7 +328,6 @@ void timeWorkload(const Workload &W, const ExperimentOptions &Opts,
     // the VmSeconds / DetectorSeconds split of the best iteration, not
     // the last one.
     double ToolSec = 1e100, BestVm = 0, BestDet = 0;
-    std::vector<ShardLaneStats> BestLanes;
     VmResult Run;
     for (int I = 0; I < Opts.Iterations; ++I) {
       Timer Clk;
@@ -356,7 +337,6 @@ void timeWorkload(const Workload &W, const ExperimentOptions &Opts,
         ToolSec = Sec;
         BestVm = Run.VmSeconds;
         BestDet = Run.DetectorSeconds;
-        BestLanes = Run.ShardLanes;
       }
       if (!Run.Ok)
         break;
@@ -376,22 +356,6 @@ void timeWorkload(const Workload &W, const ExperimentOptions &Opts,
       // overwrite DetectorSeconds with a different quantity, so skip it.
       M.VmSeconds = BestVm;
       M.DetectorSeconds = BestDet;
-    }
-    if (VmOpts.DetectShards > 0) {
-      // Shard-lane accounting from the same best iteration as the split;
-      // producer-side routing totals are iteration-invariant, so take
-      // them from the last run.
-      for (const ShardLaneStats &L : BestLanes) {
-        M.ShardBusySeconds.push_back(double(L.BusyNs) * 1e-9);
-        M.ShardEvents.push_back(L.Events);
-      }
-      M.ShardRoutedEvents = Run.ShardRoutedEvents;
-      M.ShardBroadcastEvents = Run.ShardBroadcastEvents;
-      M.ShardBroadcastCopies = Run.ShardBroadcastCopies;
-      M.ShardHorizonAdvances = Run.ShardHorizonAdvances;
-      M.ShardTableReads = Run.ShardTableReads;
-      M.ShardSyncPublishes = Run.ShardSyncPublishes;
-      M.ShardSyncTableBytes = Run.ShardSyncTableBytes;
     }
     if (Traces && !VmOpts.AsyncDetect && VmOpts.DetectShards == 0) {
       const std::vector<uint8_t> &Trace =
@@ -578,14 +542,17 @@ BenchArgs bigfoot::parseBenchArgs(int Argc, char **Argv) {
       Args.Opts.RecordDir = Argv[I] + 13;
     else if (std::strcmp(Argv[I], "--async-detect") == 0)
       Args.Opts.AsyncDetect = true;
-    else if (std::strncmp(Argv[I], "--detect-shards=", 16) == 0)
-      Args.Opts.DetectShards = std::strcmp(Argv[I] + 16, "auto") == 0
-                                   ? autoShardCount()
-                                   : static_cast<size_t>(
-                                         std::atoi(Argv[I] + 16));
-    else if (std::strcmp(Argv[I], "--no-sync-table") == 0)
-      Args.Opts.SyncTable = false;
-    else if (std::strcmp(Argv[I], "--no-check-filter") == 0)
+    else if (std::strncmp(Argv[I], "--detect-shards=", 16) == 0) {
+      std::optional<size_t> Lanes = parseLaneCount(Argv[I] + 16);
+      if (!Lanes) {
+        std::fprintf(stderr,
+                     "%s: error: --detect-shards wants auto or 0..%zu, "
+                     "got '%s'\n",
+                     Argv[0], kMaxLanes, Argv[I] + 16);
+        std::exit(1);
+      }
+      Args.Opts.DetectShards = *Lanes;
+    } else if (std::strcmp(Argv[I], "--no-check-filter") == 0)
       Args.Opts.CheckFilter = false;
     else if (std::strncmp(Argv[I], "--workload=", 11) == 0)
       Args.Workload = Argv[I] + 11;

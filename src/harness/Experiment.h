@@ -52,27 +52,6 @@ struct ToolMetrics {
   /// Filter metadata footprint; Table 2's census adds this to
   /// PeakShadowBytes so the memory account stays honest.
   uint64_t FilterTableBytes = 0;
-  /// Sharded mode only (ExperimentOptions::DetectShards > 0): per-shard
-  /// detector busy seconds and applied event counts from the best timed
-  /// iteration, plus the producer-side broadcast accounting. Like the
-  /// filter stats, kept apart from the counter-derived fields — the
-  /// counter map is byte-identical across shard counts.
-  std::vector<double> ShardBusySeconds;
-  std::vector<uint64_t> ShardEvents;
-  uint64_t ShardRoutedEvents = 0;
-  uint64_t ShardBroadcastEvents = 0;
-  /// Broadcast deliveries (events x shards); amplification ratio is
-  /// (Routed + Copies) / (Routed + Broadcast), 1 when nothing was
-  /// emitted. Zero in split-state mode — sync edges stop fanning out.
-  uint64_t ShardBroadcastCopies = 0;
-  /// Split-state sync-table accounting (DESIGN.md Sec. 13; zero in
-  /// legacy broadcast mode): horizon markers applied across lanes,
-  /// shared snapshot resolutions on check paths, snapshots published,
-  /// and the table's storage footprint.
-  uint64_t ShardHorizonAdvances = 0;
-  uint64_t ShardTableReads = 0;
-  uint64_t ShardSyncPublishes = 0;
-  uint64_t ShardSyncTableBytes = 0;
 };
 
 /// All measurements for one workload.
@@ -131,11 +110,6 @@ struct ExperimentOptions {
   /// applies to execution and replay legs alike. Counters, races, and
   /// ratios are byte-identical for every shard count.
   size_t DetectShards = 0;
-  /// Split-state sync clocks for sharded runs (DESIGN.md Sec. 13): sync
-  /// edges apply once to a shared SyncClockTable instead of replaying
-  /// in every lane. Off = the legacy broadcast fan-out; results are
-  /// byte-identical either way.
-  bool SyncTable = true;
 };
 
 /// Runs all five detectors (plus the base) on one workload.
@@ -154,9 +128,10 @@ runSuite(SuiteScale Scale,
 double geomeanOverhead(const std::vector<double> &Overheads);
 
 /// Parses --small/--iters=N/--seed=N/--jobs=N/--ast/--replay/--no-replay/
-/// --record-dir=DIR/--async-detect/--detect-shards=N|auto/--no-sync-table/
+/// --record-dir=DIR/--async-detect/--detect-shards=N|auto/
 /// --no-check-filter/--workload=NAME command-line options shared by the
-/// bench binaries.
+/// bench binaries. A --detect-shards value parseLaneCount() rejects
+/// prints an error and exits with status 1.
 struct BenchArgs {
   SuiteScale Scale = SuiteScale::Bench;
   ExperimentOptions Opts;

@@ -25,14 +25,13 @@
 
 #include "vm/Vm.h"
 
-#include "events/AsyncSink.h"
-#include "events/DetectorSink.h"
 #include "support/LocKey.h"
 #include "support/Timer.h"
 #include "vm/Compiler.h"
 
 #include <algorithm>
 #include <cassert>
+#include <optional>
 #include <unordered_map>
 
 using namespace bigfoot;
@@ -154,64 +153,22 @@ public:
     ThisSym = *Syms->lookup("this");
     if (Opts.UseBytecode)
       CP = compileProgram(Prog);
-    // In async mode the tool detector runs on its own thread while the VM
-    // keeps bumping vm.* counters; Stats is a plain map, so the tool gets
-    // a private Stats merged into Result.Counters after the drain (the
-    // name sets are disjoint and the map is sorted, so the merged result
-    // is byte-identical to a synchronous run's).
-    // Sharded detection (DESIGN.md Sec. 12) owns its detector replicas
-    // (and the oracle lane) internally; it needs a tool config to
-    // partition, so a detector-less run falls back to the older paths.
-    bool UseSharded = Opts.DetectShards > 0 && ToolCfg != nullptr;
-    if (ToolCfg && !UseSharded) {
-      DetectorConfig Cfg = *ToolCfg;
-      Cfg.CheckFilter = Opts.CheckFilter;
-      Tool = std::make_unique<RaceDetector>(
-          Cfg, Opts.AsyncDetect ? AsyncToolCounters : Result.Counters, Syms);
-    }
-    if (Opts.EnableGroundTruth && !UseSharded) {
-      DetectorConfig GtCfg = fastTrackConfig();
-      GtCfg.CheckFilter = Opts.CheckFilter;
-      Gt = std::make_unique<RaceDetector>(GtCfg, GtCounters, Syms);
-    }
-    if (UseSharded) {
-      ShardedSink::Options SO;
-      SO.Shards = Opts.DetectShards;
-      SO.RingBatches = std::max<size_t>(2, Opts.AsyncRingBatches);
-      SO.Tool = *ToolCfg;
-      SO.Tool.CheckFilter = Opts.CheckFilter;
-      SO.SyncTable = Opts.SyncTable;
-      SO.Symbols = Syms;
-      if (Opts.EnableGroundTruth) {
-        SO.Oracle = true;
-        SO.OracleCfg = fastTrackConfig();
-        SO.OracleCfg.CheckFilter = Opts.CheckFilter;
-      }
-      Sharded = std::make_unique<ShardedSink>(std::move(SO));
-    }
 
-    // Wire the event stream: detectors (and an optional recording sink)
-    // consume batches from the ring. Placement checks are executed
-    // whenever anything wants them — a recording run without a detector
-    // must behave exactly like a detector-attached run.
+    // Wire the event stream to the pipeline's detectors (and an optional
+    // recording sink). Placement checks are executed whenever anything
+    // wants them — a recording run without a detector must behave
+    // exactly like a detector-attached run.
+    DetectionOptions DO;
+    DO.Oracle = Opts.EnableGroundTruth;
+    DO.CheckFilter = Opts.CheckFilter;
+    DO.Async = Opts.AsyncDetect;
+    DO.Lanes = Opts.DetectShards;
+    DO.RingBatches = Opts.AsyncRingBatches;
+    Pipeline.emplace(ToolCfg, Syms, DO, Opts.RecordSink);
     EmitTool = ToolCfg != nullptr || Opts.RecordSink != nullptr;
     EmitOracle = Opts.EnableGroundTruth;
-    Detectors.bind(Tool.get(), Gt.get());
-    if (Sharded) {
-      Tee.add(Sharded.get());
-    } else if (!Detectors.empty()) {
-      if (Opts.AsyncDetect) {
-        Async = std::make_unique<AsyncSink>(
-            Detectors, std::max<size_t>(2, Opts.AsyncRingBatches));
-        Tee.add(Async.get());
-      } else {
-        Tee.add(&Detectors);
-      }
-    }
-    Tee.add(Opts.RecordSink); // add() ignores null.
-    if (Tee.size())
-      Ring.reset(Tee.sole() ? Tee.sole() : &Tee,
-                 std::max<size_t>(1, Opts.EventBatch));
+    if (EventSink *S = Pipeline->sink())
+      Ring.reset(S, Opts.EventBatch);
   }
 
   VmResult run() {
@@ -224,58 +181,10 @@ public:
     // Producer time stops here: everything after is the drain barrier and
     // result assembly, which sync mode pays inline as part of detection.
     Result.VmSeconds = VmClock.seconds();
-    if (Async) {
-      Async->drain();
-      Result.DetectorSeconds = Async->detectorSeconds();
-      Result.AsyncBatches = Async->batchesConsumed();
-      Result.AsyncStalls = Async->producerStalls();
-    }
-    if (Sharded) {
-      Sharded->drain();
-      ShardedSink::Merged M = Sharded->finish();
-      Result.DetectorSeconds = M.DetectorSeconds;
-      Result.AsyncBatches = M.Batches;
-      Result.AsyncStalls = M.Stalls;
-      Result.ToolRaces = std::move(M.Races);
-      Result.ToolRacyLocations = std::move(M.RacyLocations);
-      Result.FilterEnabled = M.FilterEnabled;
-      Result.Filter = M.Filter;
-      Result.FilterTableBytes = M.FilterTableBytes;
-      Result.GroundTruthRaces = std::move(M.OracleRaces);
-      Result.GroundTruthRacyLocations = std::move(M.OracleRacyLocations);
-      Result.ShardLanes = std::move(M.Lanes);
-      Result.ShardRoutedEvents = M.RoutedEvents;
-      Result.ShardBroadcastEvents = M.BroadcastEvents;
-      Result.ShardBroadcastCopies = M.BroadcastCopies;
-      Result.ShardHorizonAdvances = M.HorizonAdvances;
-      Result.ShardTableReads = M.TableReads;
-      Result.ShardSyncPublishes = M.SyncPublishes;
-      Result.ShardSyncTableBytes = M.SyncTableBytes;
-      Result.ShardOrderViolations = M.OrderViolations;
-      // Merged shard counters fold in exactly like the async fold below:
-      // final values only, disjoint from the vm.* names.
-      for (const auto &[Name, Value] : M.Counters.all())
-        Result.Counters.bump(Name, Value);
-    }
+    Pipeline->finish(Result);
     Result.Ok = Error.empty();
     Result.Error = Error;
     Result.StatementsExecuted = Steps;
-    if (Tool) {
-      Tool->sampleMemoryNow();
-      Result.ToolRaces = Tool->races();
-      Result.ToolRacyLocations = Tool->racyLocationKeys();
-      Result.FilterEnabled = Tool->filterEnabled();
-      Result.Filter = Tool->filterStats();
-      Result.FilterTableBytes = Tool->filterTableBytes();
-    }
-    if (Gt) {
-      Result.GroundTruthRaces = Gt->races();
-      Result.GroundTruthRacyLocations = Gt->racyLocationKeys();
-    }
-    // Fold the async tool's private counters back in (no-op in sync
-    // mode). Final values only, so gauges merge exactly too.
-    for (const auto &[Name, Value] : AsyncToolCounters.all())
-      Result.Counters.bump(Name, Value);
     return std::move(Result);
   }
 
@@ -284,21 +193,11 @@ private:
   VmOptions Opts;
   Rng R;
   VmResult Result;
-  Stats GtCounters;
-  Stats AsyncToolCounters; ///< Tool's private Stats in async mode.
-  std::unique_ptr<RaceDetector> Tool;
-  std::unique_ptr<RaceDetector> Gt;
 
   /// The event stream (DESIGN.md Sec. 9): every detector-visible action
-  /// is appended here and flushed to the sinks in batches.
+  /// is appended here and flushed to the pipeline in batches.
   EventRing Ring;
-  DetectorSink Detectors;
-  TeeSink Tee;
-  /// Declared after the detectors it feeds so destruction joins the
-  /// detector thread before anything it references dies.
-  std::unique_ptr<AsyncSink> Async;
-  /// Sharded backend (owns its detector replicas and worker threads).
-  std::unique_ptr<ShardedSink> Sharded;
+  std::optional<DetectionPipeline> Pipeline;
   bool EmitTool = false;   ///< Placement checks / commits wanted.
   bool EmitOracle = false; ///< Per-access ground-truth events wanted.
 

@@ -13,8 +13,8 @@
 ///
 /// Execution is decoupled from detection by a typed event stream
 /// (src/events): every detector-visible action becomes a POD Event
-/// appended to a ring buffer and dispatched to sinks in batches. Two
-/// consumers ride the stream:
+/// appended to a ring buffer and dispatched in batches to the run's
+/// DetectionPipeline, which attaches two consumers:
 ///  * the attached RaceDetector (optional) receives synchronization events
 ///    and the check(C) statements the instrumenter placed — this models a
 ///    detector seeing only its own instrumentation;
@@ -30,11 +30,8 @@
 #define BIGFOOT_VM_VM_H
 
 #include "bfj/Program.h"
-#include "events/EventSink.h"
-#include "events/ShardedSink.h"
-#include "runtime/Detector.h"
+#include "events/DetectionPipeline.h"
 #include "support/Rng.h"
-#include "support/Stats.h"
 
 #include <memory>
 #include <string>
@@ -77,19 +74,14 @@ struct VmOptions {
   bool AsyncDetect = false;
   /// Ring depth in batches for AsyncDetect (clamped to >= 2).
   size_t AsyncRingBatches = 16;
-  /// Sharded parallel detection (DESIGN.md Sec. 12): fan the event
-  /// stream out to N detector worker threads partitioned by location.
+  /// Sharded parallel detection (DESIGN.md Sec. 12/13): fan the event
+  /// stream out to N detector worker threads partitioned by location,
+  /// with sync edges applied once to a shared SyncClockTable.
   /// 0 = off (sync, or the single-thread AsyncSink when AsyncDetect);
   /// > 0 implies the async pipeline and takes precedence over
   /// AsyncDetect. Reports and counters are byte-identical to the
   /// sync path for every shard count.
   size_t DetectShards = 0;
-  /// Split-state sync clocks for sharded detection (DESIGN.md Sec. 13):
-  /// sync edges apply once to a shared SyncClockTable and lanes advance
-  /// a horizon stamp instead of replaying N broadcast copies. Off falls
-  /// back to the PR 9 broadcast fan-out; results are byte-identical
-  /// either way (only the fan-out accounting differs).
-  bool SyncTable = true;
   /// Epoch-stamped redundant-check elision in front of the detectors
   /// (DESIGN.md Sec. 11). Off = every check runs the full state machine;
   /// reports and counters are byte-identical either way.
@@ -106,55 +98,14 @@ struct TraceEvent {
   std::string Loc; ///< Empty for synchronization events.
 };
 
-/// Everything a run produces.
-struct VmResult {
-  bool Ok = false;
-  std::string Error;
-  std::vector<std::string> Output; ///< print statements, in order.
-  Stats Counters;                  ///< vm.* and tool.* counters.
-  std::vector<ReportedRace> ToolRaces;
-  std::vector<ReportedRace> GroundTruthRaces;
-  std::set<std::string> ToolRacyLocations;
-  std::set<std::string> GroundTruthRacyLocations;
+/// Everything a run produces: the detection result every run shares,
+/// plus what only live execution has.
+struct VmResult : RunResult {
   std::vector<TraceEvent> Trace; ///< When VmOptions::RecordEventTrace.
-  /// Scheduler steps executed (identical across execution modes); the
-  /// dispatch benchmark's ns/statement denominator.
-  uint64_t StatementsExecuted = 0;
   /// Wall-clock seconds for execution (always set): in async mode the
   /// producer's time — setup through drain start — including any
   /// backpressure stalls; in sync mode execution and detection combined.
   double VmSeconds = 0.0;
-  /// Async mode only: seconds the detector thread spent applying batches
-  /// (busy time, excluding waits). 0 in sync mode.
-  double DetectorSeconds = 0.0;
-  /// Async mode only: batches handed through the ring / times the
-  /// producer blocked on a full ring.
-  uint64_t AsyncBatches = 0;
-  uint64_t AsyncStalls = 0;
-  /// Check-filter effectiveness for the tool detector (zeros when the
-  /// filter is off). Kept beside — never inside — Counters, which must
-  /// not differ between filter-on and filter-off runs.
-  bool FilterEnabled = false;
-  CheckFilterStats Filter;
-  uint64_t FilterTableBytes = 0;
-  /// Sharded mode only (DetectShards > 0); empty/zero otherwise. Kept
-  /// beside Counters for the same reason as the filter stats: the
-  /// counter map must stay byte-identical across dispatch modes.
-  std::vector<ShardLaneStats> ShardLanes;
-  uint64_t ShardRoutedEvents = 0;
-  uint64_t ShardBroadcastEvents = 0;
-  /// Broadcast deliveries (events x shards); the amplification ratio is
-  /// (Routed + Copies) / (Routed + Broadcast).
-  uint64_t ShardBroadcastCopies = 0;
-  /// Split-state mode (zero in legacy broadcast mode): horizon stamps
-  /// applied across lanes, shared-table snapshot resolutions on check
-  /// paths, snapshots published, and the table's storage footprint.
-  uint64_t ShardHorizonAdvances = 0;
-  uint64_t ShardTableReads = 0;
-  uint64_t ShardSyncPublishes = 0;
-  uint64_t ShardSyncTableBytes = 0;
-  /// Sync-horizon ordering-check failures (must be zero).
-  uint64_t ShardOrderViolations = 0;
 };
 
 /// Runs \p Prog to completion under \p Opts, with \p Tool attached (may be

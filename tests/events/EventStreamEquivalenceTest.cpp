@@ -45,19 +45,6 @@ std::vector<InstrumentedProgram> allSixConfigs(const Program &P) {
   return All;
 }
 
-/// What the recording run stores in the trace (mirrors the harness).
-TraceSummary summaryOf(const VmResult &Run) {
-  TraceSummary S;
-  S.Ok = Run.Ok;
-  S.Error = Run.Error;
-  S.Output = Run.Output;
-  S.StatementsExecuted = Run.StatementsExecuted;
-  for (const auto &[Name, Value] : Run.Counters.all())
-    if (Name.rfind("tool.", 0) != 0)
-      S.Counters[Name] = Value;
-  return S;
-}
-
 void expectSameRun(const std::string &Tag, const VmResult &A,
                    const VmResult &B) {
   EXPECT_EQ(A.Ok, B.Ok) << Tag;
@@ -142,7 +129,7 @@ TEST(EventStreamEquivalence, DispatchModesAgreeEverywhere) {
 
         // Sharded detection (DESIGN.md Sec. 12): the same stream fanned
         // out to location-partitioned detector workers, merged back.
-        // Two shards at Test scale exercises routing, broadcast, and
+        // Two shards at Test scale exercises routing, sync markers, and
         // the merge on every cell of the grid.
         VmOptions ShardOpts;
         ShardOpts.Seed = Seed;
@@ -153,25 +140,11 @@ TEST(EventStreamEquivalence, DispatchModesAgreeEverywhere) {
         VmResult Sharded = runProgram(*IP.Prog, IP.Tool, ShardOpts);
         expectSameRun(Tag + " inline-vs-sharded2", Inline, Sharded);
         EXPECT_EQ(Sharded.ShardOrderViolations, 0u) << Tag;
-        // Split-state mode (the default, DESIGN.md Sec. 13): sync edges
-        // apply once to the shared SyncClockTable, so nothing fans out —
-        // each lane sees one horizon marker per broadcast event instead
-        // of a replayed copy.
-        EXPECT_EQ(Sharded.ShardBroadcastCopies, 0u) << Tag;
+        // Sync edges apply once to the shared SyncClockTable (DESIGN.md
+        // Sec. 13): each lane sees one horizon marker per sync edge.
         EXPECT_EQ(Sharded.ShardHorizonAdvances,
                   Sharded.ShardBroadcastEvents * 2)
             << Tag;
-
-        // The legacy broadcast fan-out (PR 9) must stay byte-identical
-        // too, with its events x shards copy accounting.
-        VmOptions BcastOpts = ShardOpts;
-        BcastOpts.SyncTable = false;
-        VmResult Bcast = runProgram(*IP.Prog, IP.Tool, BcastOpts);
-        expectSameRun(Tag + " inline-vs-broadcast2", Inline, Bcast);
-        EXPECT_EQ(Bcast.ShardOrderViolations, 0u) << Tag;
-        EXPECT_EQ(Bcast.ShardBroadcastCopies, Bcast.ShardBroadcastEvents * 2)
-            << Tag;
-        EXPECT_EQ(Bcast.ShardHorizonAdvances, 0u) << Tag;
 
         // Offline replay of the recorded trace, batched...
         ReplayOptions RO;
@@ -284,8 +257,8 @@ TEST(EventStreamEquivalence, CheckFilterOnOffAgreeEverywhere) {
 // locations that hash to different shards, and every shard count —
 // including repeated runs of the same count — must produce reports and
 // counters byte-identical to the synchronous path. The deferred-array
-// configs matter most here: their races surface while a broadcast sync
-// edge commits footprints in several shards at once, which is exactly
+// configs matter most here: their races surface while one sync edge's
+// markers commit footprints in several shards at once, which is exactly
 // the cross-shard ordering the RaceOrder merge keys exist for.
 TEST(EventStreamEquivalence, ShardedMergeDeterministicAcrossShardCounts) {
   const size_t ShardCounts[] = {1, 2, 4, 8};
@@ -311,17 +284,15 @@ TEST(EventStreamEquivalence, ShardedMergeDeterministicAcrossShardCounts) {
                       Sync, A);
         // The merged filter line is part of the CLI report the byte-diff
         // smokes compare: hit/miss/extend tallies partition across the
-        // lanes (routed checks) and invalidations are broadcast-driven
-        // (every lane equals sync), so all must reproduce exactly.
+        // lanes (routed checks) and invalidations are counted once per
+        // sync edge, producer-side, so all must reproduce exactly.
         EXPECT_EQ(A.Filter.hits(), Sync.Filter.hits()) << Tag;
         EXPECT_EQ(A.Filter.misses(), Sync.Filter.misses()) << Tag;
         EXPECT_EQ(A.Filter.Invalidations, Sync.Filter.Invalidations) << Tag;
         EXPECT_EQ(A.Filter.RangeExtends, Sync.Filter.RangeExtends) << Tag;
         EXPECT_EQ(A.ShardOrderViolations, 0u) << Tag;
-        // Split-state default: zero broadcast copies, one horizon marker
-        // per lane per broadcast event, and lane event tallies are
-        // exactly the routed partition.
-        EXPECT_EQ(A.ShardBroadcastCopies, 0u) << Tag;
+        // One horizon marker per lane per sync edge, and lane event
+        // tallies are exactly the routed partition.
         EXPECT_EQ(A.ShardHorizonAdvances, A.ShardBroadcastEvents * Shards)
             << Tag;
         EXPECT_EQ(A.ShardLanes.size(), Shards) << Tag;
@@ -337,24 +308,6 @@ TEST(EventStreamEquivalence, ShardedMergeDeterministicAcrossShardCounts) {
         // depend on worker scheduling.
         VmResult B = runProgram(*IP.Prog, IP.Tool, SO);
         expectSameRun(Tag + " rerun-shards" + std::to_string(Shards), A, B);
-
-        // The legacy broadcast path stays wired and byte-identical, with
-        // the PR 9 events x shards copy accounting.
-        VmOptions LO = SO;
-        LO.SyncTable = false;
-        VmResult C = runProgram(*IP.Prog, IP.Tool, LO);
-        expectSameRun(Tag + " broadcast-shards" + std::to_string(Shards),
-                      Sync, C);
-        EXPECT_EQ(C.ShardOrderViolations, 0u) << Tag;
-        EXPECT_EQ(C.ShardBroadcastCopies, C.ShardBroadcastEvents * Shards)
-            << Tag;
-        EXPECT_EQ(C.ShardHorizonAdvances, 0u) << Tag;
-        uint64_t BcastLaneEvents = 0;
-        for (const ShardLaneStats &L : C.ShardLanes)
-          BcastLaneEvents += L.Events;
-        EXPECT_EQ(BcastLaneEvents,
-                  C.ShardRoutedEvents + C.ShardBroadcastCopies)
-            << Tag;
       }
     }
   }
@@ -363,9 +316,8 @@ TEST(EventStreamEquivalence, ShardedMergeDeterministicAcrossShardCounts) {
 // Lock-heavy leg of the differential grid: a synthetic lock-churn
 // program where sync edges outnumber checks by design — three workers
 // ping-ponging over two locks and a volatile flag between barrier
-// phases. This is the workload shape the split-state table exists for
-// (PR 9 broadcast amplification was worst here), so every dispatch mode
-// and both sync-state modes must agree byte-for-byte, and the marker
+// phases. This is the workload shape the shared sync-clock table exists
+// for, so every dispatch mode must agree byte-for-byte, and the marker
 // path must carry essentially all of the traffic.
 TEST(EventStreamEquivalence, LockChurnAgreesAcrossModesAndSyncState) {
   const char *Source = R"(
@@ -449,7 +401,6 @@ thread {
         std::string STag = Tag + "/shards" + std::to_string(Shards);
         expectSameRun(STag + " inline-vs-sharded", Inline, Sharded);
         EXPECT_EQ(Sharded.ShardOrderViolations, 0u) << STag;
-        EXPECT_EQ(Sharded.ShardBroadcastCopies, 0u) << STag;
         EXPECT_EQ(Sharded.ShardHorizonAdvances,
                   Sharded.ShardBroadcastEvents * Shards)
             << STag;
@@ -459,14 +410,50 @@ thread {
             << STag;
         EXPECT_GT(Sharded.ShardSyncPublishes, 0u) << STag;
         EXPECT_GT(Sharded.ShardSyncTableBytes, 0u) << STag;
+      }
+    }
+  }
+}
 
-        VmOptions LO = SO;
-        LO.SyncTable = false;
-        VmResult Bcast = runProgram(*IP.Prog, IP.Tool, LO);
-        expectSameRun(STag + " inline-vs-broadcast", Inline, Bcast);
-        EXPECT_EQ(Bcast.ShardBroadcastCopies,
-                  Bcast.ShardBroadcastEvents * Shards)
-            << STag;
+// A base run (no tool) with the oracle attached under the threaded modes.
+// Lanes partition a tool config, so with no tool the oracle stays inline
+// (or on the AsyncSink thread); its reports and the run's counters must
+// equal the plain inline oracle run's on every racy variant and seed.
+TEST(EventStreamEquivalence, OracleOnlyBaseRunAgreesAcrossModes) {
+  for (const Workload &W : racyVariants()) {
+    ParseResult PR = parseProgram(W.Source);
+    ASSERT_TRUE(PR.ok()) << W.Name << ": " << PR.Error;
+    for (uint64_t Seed = 1; Seed <= 3; ++Seed) {
+      std::string Tag = W.Name + "/oracle-only/seed" + std::to_string(Seed);
+      VmOptions Opts;
+      Opts.Seed = Seed;
+      Opts.EnableGroundTruth = true;
+      VmResult Inline = runProgramBase(*PR.Prog, Opts);
+      ASSERT_TRUE(Inline.Ok) << Tag << ": " << Inline.Error;
+      EXPECT_FALSE(Inline.GroundTruthRaces.empty()) << Tag;
+
+      VmOptions AsyncOpts = Opts;
+      AsyncOpts.AsyncDetect = true;
+      AsyncOpts.EventBatch = 32;
+      AsyncOpts.AsyncRingBatches = 2;
+      VmOptions LaneOpts = Opts;
+      LaneOpts.DetectShards = 2;
+      LaneOpts.EventBatch = 32;
+      for (const VmOptions &O : {AsyncOpts, LaneOpts}) {
+        std::string MTag = Tag + (O.AsyncDetect ? " async" : " lanes");
+        VmResult Run = runProgramBase(*PR.Prog, O);
+        EXPECT_EQ(Run.Ok, Inline.Ok) << MTag;
+        EXPECT_EQ(Run.Counters.all(), Inline.Counters.all()) << MTag;
+        EXPECT_EQ(Run.GroundTruthRacyLocations,
+                  Inline.GroundTruthRacyLocations)
+            << MTag;
+        ASSERT_EQ(Run.GroundTruthRaces.size(), Inline.GroundTruthRaces.size())
+            << MTag;
+        for (size_t I = 0; I < Run.GroundTruthRaces.size(); ++I)
+          EXPECT_EQ(Run.GroundTruthRaces[I].str(),
+                    Inline.GroundTruthRaces[I].str())
+              << MTag << " oracle race " << I;
+        EXPECT_TRUE(Run.ShardLanes.empty()) << MTag;
       }
     }
   }

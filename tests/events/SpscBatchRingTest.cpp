@@ -12,6 +12,7 @@
 //===----------------------------------------------------------------------===//
 
 #include "events/AsyncSink.h"
+#include "events/DetectionPipeline.h"
 #include "events/EventSink.h"
 #include "events/ShardedSink.h"
 #include "events/SpscBatchRing.h"
@@ -324,17 +325,13 @@ TEST(AsyncSink, EmptyBatchesAndDestructorDrain) {
 // merge is deliberately skipped — abandoning a sharded run must still
 // shut down cleanly.
 TEST(ShardedSink, DestructorWithoutFinishJoinsAllLanes) {
+  const DetectorConfig Ft = fastTrackConfig();
   for (int Round = 0; Round < 24; ++Round) {
-    ShardedSink::Options SO;
-    SO.Shards = 1 + size_t(Round) % 4;
-    SO.RingBatches = 2;
-    SO.Tool = fastTrackConfig();
-    SO.Oracle = Round % 2 == 0;
-    SO.OracleCfg = fastTrackConfig();
-    ShardedSink Sink(std::move(SO));
+    ShardedSink Sink(Ft, Round % 2 == 0 ? &Ft : nullptr, nullptr,
+                     1 + size_t(Round) % 4, 2);
 
     // A mix of routed checks (spread over objects, so every lane gets
-    // work) and broadcast sync edges, in several small batches.
+    // work) and sync edges, in several small batches.
     std::vector<Event> Batch;
     std::vector<uint32_t> Payload;
     for (int B = 0; B < 6; ++B) {
@@ -363,20 +360,12 @@ TEST(ShardedSink, DestructorWithoutFinishJoinsAllLanes) {
 
 // finish() after the same traffic is complete and deterministic: the
 // merged counters must partition-sum identically no matter how lane
-// scheduling interleaved, and the ordering invariant must hold. Rounds
-// alternate between split-state (sync table) and legacy broadcast mode,
-// so this also pins the two sync-state paths to byte-identical counters
-// — only the fan-out accounting may differ.
+// scheduling interleaved, every sync edge must reach every lane as one
+// horizon marker, and the ordering invariant must hold.
 TEST(ShardedSink, FinishAfterBroadcastHeavyTrafficIsDeterministic) {
   Stats Reference;
   for (int Round = 0; Round < 8; ++Round) {
-    const bool Table = Round % 2 == 0;
-    ShardedSink::Options SO;
-    SO.Shards = 3;
-    SO.RingBatches = 2;
-    SO.Tool = fastTrackConfig();
-    SO.SyncTable = Table;
-    ShardedSink Sink(std::move(SO));
+    ShardedSink Sink(fastTrackConfig(), nullptr, nullptr, 3, 2);
     std::vector<Event> Batch;
     std::vector<uint32_t> Payload;
     for (int B = 0; B < 8; ++B) {
@@ -400,24 +389,31 @@ TEST(ShardedSink, FinishAfterBroadcastHeavyTrafficIsDeterministic) {
       Sink.consumeBatch(Batch.data(), Batch.size(), Payload.data());
     }
     Sink.drain();
-    ShardedSink::Merged M = Sink.finish();
-    EXPECT_EQ(M.OrderViolations, 0u) << "round " << Round;
-    if (Table) {
-      EXPECT_EQ(M.BroadcastCopies, 0u) << "round " << Round;
-      EXPECT_EQ(M.HorizonAdvances, M.BroadcastEvents * 3)
-          << "round " << Round;
-      EXPECT_GT(M.SyncPublishes, 0u) << "round " << Round;
-    } else {
-      EXPECT_EQ(M.BroadcastCopies, M.BroadcastEvents * 3)
-          << "round " << Round;
-      EXPECT_EQ(M.HorizonAdvances, 0u) << "round " << Round;
-    }
+    RunResult M;
+    Sink.finish(M);
+    EXPECT_EQ(M.ShardOrderViolations, 0u) << "round " << Round;
+    EXPECT_EQ(M.ShardHorizonAdvances, M.ShardBroadcastEvents * 3)
+        << "round " << Round;
+    EXPECT_GT(M.ShardSyncPublishes, 0u) << "round " << Round;
     if (Round == 0)
       Reference = M.Counters;
     else
       EXPECT_TRUE(M.Counters.all() == Reference.all())
           << "round " << Round << ": merged counters diverged";
   }
+}
+
+// Lane counts arrive from the command line: "auto" or a plain decimal
+// from 0 to kMaxLanes. Signs, blanks, trailing text and larger numbers
+// are rejected rather than wrapped or truncated.
+TEST(ShardedSink, ParseLaneCount) {
+  EXPECT_EQ(parseLaneCount("0").value_or(99), 0u);
+  EXPECT_EQ(parseLaneCount("4").value_or(99), 4u);
+  EXPECT_EQ(parseLaneCount("64").value_or(99), 64u);
+  EXPECT_EQ(parseLaneCount("auto").value_or(99), autoShardCount());
+  for (const char *Bad :
+       {"", "-1", "+2", " 4", "4x", "abc", "65", "18446744073709551617"})
+    EXPECT_FALSE(parseLaneCount(Bad).has_value()) << "'" << Bad << "'";
 }
 
 //===--- EventRing edge cases -------------------------------------------------

@@ -4,6 +4,7 @@
 //
 //===----------------------------------------------------------------------===//
 
+#include "events/ShardedSink.h"
 #include "harness/Experiment.h"
 #include "support/Stats.h"
 #include "support/TablePrinter.h"
@@ -200,6 +201,23 @@ TEST(Harness, BenchArgsParsing) {
   EXPECT_FALSE(Defaults.Opts.AsyncDetect);
   const char *Async[] = {"prog", "--async-detect"};
   EXPECT_TRUE(parseBenchArgs(2, const_cast<char **>(Async)).Opts.AsyncDetect);
+  // Lane counts: off by default; a number or "auto" sets them.
+  EXPECT_EQ(Defaults.Opts.DetectShards, 0u);
+  const char *Lanes[] = {"prog", "--detect-shards=3"};
+  EXPECT_EQ(parseBenchArgs(2, const_cast<char **>(Lanes)).Opts.DetectShards,
+            3u);
+  const char *Auto[] = {"prog", "--detect-shards=auto"};
+  EXPECT_EQ(parseBenchArgs(2, const_cast<char **>(Auto)).Opts.DetectShards,
+            autoShardCount());
+  // A lane count parseLaneCount() rejects stops the bench binary with a
+  // message instead of running with a wrapped or silently dropped value.
+  for (const char *Bad :
+       {"--detect-shards=-1", "--detect-shards=abc", "--detect-shards=65"}) {
+    const char *BadArgv[] = {"prog", Bad};
+    EXPECT_EXIT(parseBenchArgs(2, const_cast<char **>(BadArgv)),
+                ::testing::ExitedWithCode(1), "--detect-shards")
+        << Bad;
+  }
 }
 
 TEST(TablePrinterTest, AlignsColumnsAndHeaderRule) {

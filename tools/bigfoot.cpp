@@ -23,6 +23,7 @@
 #include "instrument/Instrumenters.h"
 #include "vm/Vm.h"
 
+#include <charconv>
 #include <cstring>
 #include <fstream>
 #include <iostream>
@@ -51,18 +52,13 @@ options:
                   [async] line shows the vm/detector time split)
   --detect-shards=N
                   fan detection out to N location-partitioned detector
-                  workers (implies the async pipeline, takes precedence
-                  over --async-detect; reports stay byte-identical for
-                  every N; a [shards] line shows the per-lane split).
+                  workers, 0 to 64 (implies the async pipeline, takes
+                  precedence over --async-detect; reports stay
+                  byte-identical for every N; [shards] lines show the
+                  per-lane split and the shared sync-clock table).
                   N may be "auto": derive the count from the machine's
                   core count (sharding stays off on one core). Also
                   accepted by trace record and trace replay.
-  --no-sync-table
-                  sharded mode: broadcast every sync edge to all lanes
-                  (the legacy fan-out) instead of applying it once to
-                  the shared epoch-published SyncClockTable; reports
-                  and counters are byte-identical either way, only the
-                  [shards] amplification changes
   --no-check-filter
                   disable the epoch-stamped redundant-check filter in
                   front of the detector; reports and counters are
@@ -86,18 +82,92 @@ trace subcommands (record once, re-analyze offline):
 
 std::string readFile(const char *Path);
 
-/// `--detect-shards=` value: a number, or "auto" for a machine-derived
-/// count (0 — sharding off — on a single core).
-size_t parseShardCount(const char *Value) {
-  if (std::strcmp(Value, "auto") == 0)
-    return autoShardCount();
-  return static_cast<size_t>(std::atoi(Value));
+/// Everything the command line sets, for direct runs and trace
+/// subcommands alike.
+struct CliArgs {
+  std::string ToolName;
+  std::string OutPath; ///< trace record only.
+  bool PrintOnly = false, Contexts = false, Help = false; ///< Direct only.
+  bool Oracle = false, DumpStats = false;
+  const char *File = nullptr;
+  VmOptions Vm;
+};
+
+/// A strict decimal: digits only, no sign, no trailing text, no overflow.
+template <typename T> bool parseNumber(const char *Text, T &Out) {
+  const char *End = Text + std::strlen(Text);
+  auto [Ptr, Ec] = std::from_chars(Text, End, Out);
+  return Ec == std::errc() && Ptr == End;
+}
+
+/// Parses Argv[First, Argc) into \p A. \p Trace selects the trace
+/// subcommands' option set. On a bad argument, prints a "bigfoot: error:"
+/// line and returns false.
+bool parseArgs(int First, int Argc, char **Argv, bool Trace, CliArgs &A) {
+  for (int I = First; I < Argc; ++I) {
+    const char *Arg = Argv[I];
+    const char *V = nullptr;
+    auto Valued = [&](const char *Name) {
+      size_t N = std::strlen(Name);
+      if (std::strncmp(Arg, Name, N) != 0)
+        return false;
+      V = Arg + N;
+      return true;
+    };
+    auto Is = [&](const char *Name) { return std::strcmp(Arg, Name) == 0; };
+    const char *Expected = nullptr; // Set when the value is malformed.
+    if (Valued("--tool=")) {
+      A.ToolName = V;
+    } else if (Trace && Valued("--out=")) {
+      A.OutPath = V;
+    } else if (!Trace && Is("--print")) {
+      A.PrintOnly = true;
+    } else if (!Trace && Is("--contexts")) {
+      A.Contexts = true;
+    } else if (!Trace && (Is("--help") || Is("-h"))) {
+      A.Help = true;
+    } else if (Is("--oracle")) {
+      A.Oracle = true;
+    } else if (Is("--stats")) {
+      A.DumpStats = true;
+    } else if (Valued("--seed=")) {
+      if (!parseNumber(V, A.Vm.Seed))
+        Expected = "a non-negative integer";
+    } else if (Valued("--quantum=")) {
+      if (!parseNumber(V, A.Vm.Quantum) || A.Vm.Quantum == 0)
+        Expected = "a positive integer";
+    } else if (Valued("--commit-interval=")) {
+      if (!parseNumber(V, A.Vm.CommitIntervalSteps))
+        Expected = "a non-negative integer";
+    } else if (Is("--async-detect")) {
+      A.Vm.AsyncDetect = true;
+    } else if (Valued("--detect-shards=")) {
+      std::optional<size_t> Lanes = parseLaneCount(V);
+      if (Lanes)
+        A.Vm.DetectShards = *Lanes;
+      else
+        Expected = "auto or a lane count from 0 to 64";
+    } else if (Is("--no-check-filter")) {
+      A.Vm.CheckFilter = false;
+    } else if (Arg[0] == '-') {
+      std::cerr << "bigfoot: error: unknown option '" << Arg << "'\n";
+      usage();
+      return false;
+    } else {
+      A.File = Arg;
+    }
+    if (Expected) {
+      std::cerr << "bigfoot: error: " << Arg << ": expected " << Expected
+                << "\n";
+      return false;
+    }
+  }
+  return true;
 }
 
 /// The post-run report shared verbatim by execution and replay — the
 /// record/replay smoke test diffs the two outputs byte for byte.
-template <typename RunT>
-int reportRun(const std::string &ToolName, const RunT &Run, bool Oracle,
+int reportRun(const std::string &ToolName, const RunResult &Run, bool Oracle,
               bool DumpStats) {
   for (const std::string &Line : Run.Output)
     std::cout << Line << "\n";
@@ -137,34 +207,19 @@ int reportRun(const std::string &ToolName, const RunT &Run, bool Oracle,
   return Run.ToolRaces.empty() ? 0 : 2;
 }
 
-/// Sharded-mode lane summary on stderr. Works for online VmResult and
-/// offline ReplayResult alike (both carry the Shard* fields); prefixed
-/// like the [async] line so byte-diff consumers can filter it.
-template <typename RunT>
-void reportShards(size_t Shards, const RunT &Run) {
+/// Sharded-mode lane summary on stderr, for online and replayed runs
+/// alike; prefixed like the [async] line so byte-diff consumers can
+/// filter it.
+void reportShards(size_t Shards, const RunResult &Run) {
   if (Shards == 0)
     return;
-  // Amplification: deliveries per emitted event — routed checks land on
-  // exactly one lane; sync edges fan out to every lane in legacy
-  // broadcast mode (copies = events x lanes) but apply exactly once to
-  // the shared table in split-state mode, so there the ratio sits at
-  // 1.0 by construction. An empty stream has no deliveries to amplify,
-  // so the ratio pins to 1 instead of dividing by zero.
-  bool SplitState = Run.ShardHorizonAdvances || Run.ShardSyncPublishes;
-  uint64_t Emitted = Run.ShardRoutedEvents + Run.ShardBroadcastEvents;
-  uint64_t Delivered = Run.ShardRoutedEvents + Run.ShardBroadcastCopies +
-                       (SplitState ? Run.ShardBroadcastEvents : 0);
   std::cerr << "[shards] " << Run.ShardLanes.size() << " lane(s), "
             << Run.ShardRoutedEvents << " routed + "
-            << Run.ShardBroadcastEvents << " broadcast event(s), "
-            << (Emitted ? static_cast<double>(Delivered) / Emitted : 1.0)
-            << "x amplification\n";
-  if (Run.ShardSyncPublishes || Run.ShardHorizonAdvances)
-    std::cerr << "[shards] sync table: " << Run.ShardSyncPublishes
-              << " publish(es), " << Run.ShardTableReads
-              << " table read(s), " << Run.ShardHorizonAdvances
-              << " horizon advance(s), " << Run.ShardSyncTableBytes
-              << " table byte(s)\n";
+            << Run.ShardBroadcastEvents << " broadcast event(s)\n";
+  std::cerr << "[shards] sync table: " << Run.ShardSyncPublishes
+            << " publish(es), " << Run.ShardTableReads << " table read(s), "
+            << Run.ShardHorizonAdvances << " horizon advance(s), "
+            << Run.ShardSyncTableBytes << " table byte(s)\n";
   for (size_t I = 0; I < Run.ShardLanes.size(); ++I) {
     const ShardLaneStats &L = Run.ShardLanes[I];
     std::cerr << "[shards]   lane " << I << ": " << L.Events
@@ -231,124 +286,79 @@ bool replayConfigNamed(const std::string &Name,
   return true;
 }
 
-TraceSummary summaryOf(const VmResult &Run) {
-  TraceSummary S;
-  S.Ok = Run.Ok;
-  S.Error = Run.Error;
-  S.Output = Run.Output;
-  S.StatementsExecuted = Run.StatementsExecuted;
-  for (const auto &[Name, Value] : Run.Counters.all())
-    if (Name.rfind("tool.", 0) != 0)
-      S.Counters[Name] = Value;
-  return S;
-}
-
 int traceMain(int Argc, char **Argv) {
   if (Argc < 3) {
     usage();
     return 1;
   }
   std::string Sub = Argv[2];
-  std::string ToolName, OutPath;
-  bool Oracle = false, DumpStats = false;
-  const char *File = nullptr;
-  VmOptions VmOpts;
-  for (int I = 3; I < Argc; ++I) {
-    const char *Arg = Argv[I];
-    if (std::strncmp(Arg, "--tool=", 7) == 0)
-      ToolName = Arg + 7;
-    else if (std::strncmp(Arg, "--out=", 6) == 0)
-      OutPath = Arg + 6;
-    else if (std::strcmp(Arg, "--oracle") == 0)
-      Oracle = true;
-    else if (std::strcmp(Arg, "--stats") == 0)
-      DumpStats = true;
-    else if (std::strncmp(Arg, "--seed=", 7) == 0)
-      VmOpts.Seed = static_cast<uint64_t>(std::atoll(Arg + 7));
-    else if (std::strncmp(Arg, "--quantum=", 10) == 0)
-      VmOpts.Quantum = static_cast<unsigned>(std::atoi(Arg + 10));
-    else if (std::strncmp(Arg, "--commit-interval=", 18) == 0)
-      VmOpts.CommitIntervalSteps = static_cast<uint64_t>(std::atoll(Arg + 18));
-    else if (std::strcmp(Arg, "--async-detect") == 0)
-      VmOpts.AsyncDetect = true;
-    else if (std::strncmp(Arg, "--detect-shards=", 16) == 0)
-      VmOpts.DetectShards = parseShardCount(Arg + 16);
-    else if (std::strcmp(Arg, "--no-sync-table") == 0)
-      VmOpts.SyncTable = false;
-    else if (std::strcmp(Arg, "--no-check-filter") == 0)
-      VmOpts.CheckFilter = false;
-    else if (Arg[0] == '-') {
-      std::cerr << "bigfoot: error: unknown trace option '" << Arg << "'\n";
-      return 1;
-    } else {
-      File = Arg;
-    }
-  }
-  if (!File) {
+  CliArgs A;
+  if (!parseArgs(3, Argc, Argv, /*Trace=*/true, A))
+    return 1;
+  if (!A.File) {
     std::cerr << "bigfoot: error: trace " << Sub << " needs a file\n";
     return 1;
   }
 
   if (Sub == "record") {
-    if (OutPath.empty()) {
+    if (A.OutPath.empty()) {
       std::cerr << "bigfoot: error: trace record needs --out=FILE\n";
       return 1;
     }
-    ParseResult PR = parseProgram(readFile(File));
+    ParseResult PR = parseProgram(readFile(A.File));
     if (!PR.ok()) {
-      std::cerr << "bigfoot: " << File << ": " << PR.Error << "\n";
+      std::cerr << "bigfoot: " << A.File << ": " << PR.Error << "\n";
       return 1;
     }
-    if (ToolName.empty())
-      ToolName = "bigfoot";
+    if (A.ToolName.empty())
+      A.ToolName = "bigfoot";
     InstrumentedProgram IP;
-    if (!instrumentNamed(*PR.Prog, ToolName, IP)) {
-      std::cerr << "bigfoot: error: unknown tool '" << ToolName << "'\n";
+    if (!instrumentNamed(*PR.Prog, A.ToolName, IP)) {
+      std::cerr << "bigfoot: error: unknown tool '" << A.ToolName << "'\n";
       return 1;
     }
     IP.Prog->internSymbols(); // The trace header serializes the table.
     TraceWriter Writer(IP.Prog->symbols(), IP.Tool);
-    VmOpts.RecordSink = &Writer;
-    VmOpts.EnableGroundTruth = Oracle;
-    VmResult Run = runProgram(*IP.Prog, IP.Tool, VmOpts);
+    A.Vm.RecordSink = &Writer;
+    A.Vm.EnableGroundTruth = A.Oracle;
+    VmResult Run = runProgram(*IP.Prog, IP.Tool, A.Vm);
     Writer.finish(summaryOf(Run));
-    if (!Writer.writeFile(OutPath)) {
-      std::cerr << "bigfoot: error: cannot write trace '" << OutPath
+    if (!Writer.writeFile(A.OutPath)) {
+      std::cerr << "bigfoot: error: cannot write trace '" << A.OutPath
                 << "'\n";
       return 1;
     }
     std::cerr << "[trace] wrote " << Writer.buffer().size() << " bytes to "
-              << OutPath << "\n";
-    reportAsync(VmOpts, Run);
-    return reportRun(ToolName, Run, Oracle, DumpStats);
+              << A.OutPath << "\n";
+    reportAsync(A.Vm, Run);
+    return reportRun(A.ToolName, Run, A.Oracle, A.DumpStats);
   }
 
   if (Sub == "replay") {
     TraceReader Reader;
-    if (!Reader.openFile(File)) {
-      std::cerr << "bigfoot: " << File << ": " << Reader.error() << "\n";
+    if (!Reader.openFile(A.File)) {
+      std::cerr << "bigfoot: " << A.File << ": " << Reader.error() << "\n";
       return 1;
     }
     DetectorConfig Cfg = Reader.config();
-    if (!ToolName.empty() &&
-        !replayConfigNamed(ToolName, Reader.config(), Cfg)) {
-      std::cerr << "bigfoot: error: unknown tool '" << ToolName << "'\n";
+    if (!A.ToolName.empty() &&
+        !replayConfigNamed(A.ToolName, Reader.config(), Cfg)) {
+      std::cerr << "bigfoot: error: unknown tool '" << A.ToolName << "'\n";
       return 1;
     }
     ReplayOptions ROpts;
-    ROpts.EnableGroundTruth = Oracle;
-    ROpts.CheckFilter = VmOpts.CheckFilter;
-    ROpts.DetectShards = VmOpts.DetectShards;
-    ROpts.SyncTable = VmOpts.SyncTable;
+    ROpts.EnableGroundTruth = A.Oracle;
+    ROpts.CheckFilter = A.Vm.CheckFilter;
+    ROpts.DetectShards = A.Vm.DetectShards;
     ReplayResult Run = replayTrace(Reader, Cfg, ROpts);
     reportShards(ROpts.DetectShards, Run);
-    return reportRun(Cfg.Name, Run, Oracle, DumpStats);
+    return reportRun(Cfg.Name, Run, A.Oracle, A.DumpStats);
   }
 
   if (Sub == "info") {
     TraceReader Reader;
-    if (!Reader.openFile(File)) {
-      std::cerr << "bigfoot: " << File << ": " << Reader.error() << "\n";
+    if (!Reader.openFile(A.File)) {
+      std::cerr << "bigfoot: " << A.File << ": " << Reader.error() << "\n";
       return 1;
     }
     // Drain the stream to count events and reach the summary.
@@ -357,11 +367,11 @@ int traceMain(int Argc, char **Argv) {
     while (Reader.nextBatch(Buf.data(), Buf.size(), Payload) > 0)
       ;
     if (!Reader.ok()) {
-      std::cerr << "bigfoot: " << File << ": " << Reader.error() << "\n";
+      std::cerr << "bigfoot: " << A.File << ": " << Reader.error() << "\n";
       return 1;
     }
     const DetectorConfig &C = Reader.config();
-    std::cout << "trace: " << File << "\n"
+    std::cout << "trace: " << A.File << "\n"
               << "  config: " << C.Name
               << (C.DeferArrayChecks ? " +defer" : "")
               << (C.AdaptiveArrayShadow ? " +adaptive" : "")
@@ -400,61 +410,26 @@ int main(int Argc, char **Argv) {
   if (Argc >= 2 && std::strcmp(Argv[1], "trace") == 0)
     return traceMain(Argc, Argv);
 
-  std::string ToolName = "bigfoot";
-  bool PrintOnly = false, Contexts = false, Oracle = false, DumpStats = false;
-  const char *File = nullptr;
-  VmOptions VmOpts;
-
-  for (int I = 1; I < Argc; ++I) {
-    const char *Arg = Argv[I];
-    if (std::strncmp(Arg, "--tool=", 7) == 0)
-      ToolName = Arg + 7;
-    else if (std::strcmp(Arg, "--print") == 0)
-      PrintOnly = true;
-    else if (std::strcmp(Arg, "--contexts") == 0)
-      Contexts = true;
-    else if (std::strcmp(Arg, "--oracle") == 0)
-      Oracle = true;
-    else if (std::strcmp(Arg, "--stats") == 0)
-      DumpStats = true;
-    else if (std::strncmp(Arg, "--seed=", 7) == 0)
-      VmOpts.Seed = static_cast<uint64_t>(std::atoll(Arg + 7));
-    else if (std::strncmp(Arg, "--quantum=", 10) == 0)
-      VmOpts.Quantum = static_cast<unsigned>(std::atoi(Arg + 10));
-    else if (std::strncmp(Arg, "--commit-interval=", 18) == 0)
-      VmOpts.CommitIntervalSteps =
-          static_cast<uint64_t>(std::atoll(Arg + 18));
-    else if (std::strcmp(Arg, "--async-detect") == 0)
-      VmOpts.AsyncDetect = true;
-    else if (std::strncmp(Arg, "--detect-shards=", 16) == 0)
-      VmOpts.DetectShards = parseShardCount(Arg + 16);
-    else if (std::strcmp(Arg, "--no-sync-table") == 0)
-      VmOpts.SyncTable = false;
-    else if (std::strcmp(Arg, "--no-check-filter") == 0)
-      VmOpts.CheckFilter = false;
-    else if (std::strcmp(Arg, "--help") == 0 || std::strcmp(Arg, "-h") == 0) {
-      usage();
-      return 0;
-    } else if (Arg[0] == '-') {
-      std::cerr << "bigfoot: error: unknown option '" << Arg << "'\n";
-      usage();
-      return 1;
-    } else {
-      File = Arg;
-    }
+  CliArgs A;
+  A.ToolName = "bigfoot";
+  if (!parseArgs(1, Argc, Argv, /*Trace=*/false, A))
+    return 1;
+  if (A.Help) {
+    usage();
+    return 0;
   }
-  if (!File) {
+  if (!A.File) {
     usage();
     return 1;
   }
 
-  ParseResult PR = parseProgram(readFile(File));
+  ParseResult PR = parseProgram(readFile(A.File));
   if (!PR.ok()) {
-    std::cerr << "bigfoot: " << File << ": " << PR.Error << "\n";
+    std::cerr << "bigfoot: " << A.File << ": " << PR.Error << "\n";
     return 1;
   }
 
-  if (Contexts) {
+  if (A.Contexts) {
     PlacementOptions Opts;
     Opts.TraceContexts = true;
     PlacementStats Stats = placeBigFootChecks(*PR.Prog, Opts);
@@ -465,9 +440,9 @@ int main(int Argc, char **Argv) {
     return 0;
   }
 
-  if (ToolName == "none") {
-    VmOpts.EnableGroundTruth = Oracle;
-    VmResult Run = runProgramBase(*PR.Prog, VmOpts);
+  if (A.ToolName == "none") {
+    A.Vm.EnableGroundTruth = A.Oracle;
+    VmResult Run = runProgramBase(*PR.Prog, A.Vm);
     for (const std::string &Line : Run.Output)
       std::cout << Line << "\n";
     if (!Run.Ok) {
@@ -478,18 +453,18 @@ int main(int Argc, char **Argv) {
   }
 
   InstrumentedProgram IP;
-  if (!instrumentNamed(*PR.Prog, ToolName, IP)) {
-    std::cerr << "bigfoot: error: unknown tool '" << ToolName << "'\n";
+  if (!instrumentNamed(*PR.Prog, A.ToolName, IP)) {
+    std::cerr << "bigfoot: error: unknown tool '" << A.ToolName << "'\n";
     return 1;
   }
 
-  if (PrintOnly) {
+  if (A.PrintOnly) {
     std::cout << printProgram(*IP.Prog);
     return 0;
   }
 
-  VmOpts.EnableGroundTruth = Oracle;
-  VmResult Run = runProgram(*IP.Prog, IP.Tool, VmOpts);
-  reportAsync(VmOpts, Run);
-  return reportRun(ToolName, Run, Oracle, DumpStats);
+  A.Vm.EnableGroundTruth = A.Oracle;
+  VmResult Run = runProgram(*IP.Prog, IP.Tool, A.Vm);
+  reportAsync(A.Vm, Run);
+  return reportRun(A.ToolName, Run, A.Oracle, A.DumpStats);
 }

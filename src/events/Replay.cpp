@@ -6,9 +6,6 @@
 
 #include "events/Replay.h"
 
-#include <atomic>
-#include <thread>
-
 using namespace bigfoot;
 
 namespace {
@@ -83,58 +80,4 @@ ReplayResult bigfoot::replayTraceFile(const std::string &Path,
     return R;
   }
   return replayTrace(Reader, Reader.config(), Opts);
-}
-
-std::vector<ReplayResult>
-bigfoot::replayTracesParallel(const std::vector<ReplayJob> &Jobs,
-                              unsigned Threads) {
-  std::vector<ReplayResult> Results(Jobs.size());
-  if (Jobs.empty())
-    return Results;
-
-  auto RunJob = [&](size_t I) {
-    const ReplayJob &Job = Jobs[I];
-    ReplayResult &R = Results[I];
-    if (!Job.Trace) {
-      R.Error = "replay job has no trace";
-      return;
-    }
-    TraceReader Reader;
-    if (!Reader.open(Job.Trace->data(), Job.Trace->size())) {
-      R.Error = Reader.error();
-      return;
-    }
-    DetectorConfig Cfg =
-        Job.MakeConfig ? Job.MakeConfig(Reader.config()) : Reader.config();
-    R = replayTrace(Reader, Cfg, Job.Opts);
-  };
-
-  if (Threads == 0)
-    Threads = std::thread::hardware_concurrency();
-  if (Threads == 0)
-    Threads = 1;
-  if (Threads > Jobs.size())
-    Threads = unsigned(Jobs.size());
-
-  if (Threads == 1) {
-    for (size_t I = 0; I < Jobs.size(); ++I)
-      RunJob(I);
-    return Results;
-  }
-
-  // Atomic-index pool: each worker claims the next unstarted job, so a
-  // slow trace never serializes the rest behind a static partition.
-  std::atomic<size_t> Next{0};
-  std::vector<std::thread> Pool;
-  Pool.reserve(Threads);
-  for (unsigned W = 0; W < Threads; ++W)
-    Pool.emplace_back([&] {
-      for (size_t I = Next.fetch_add(1, std::memory_order_relaxed);
-           I < Jobs.size();
-           I = Next.fetch_add(1, std::memory_order_relaxed))
-        RunJob(I);
-    });
-  for (std::thread &T : Pool)
-    T.join();
-  return Results;
 }

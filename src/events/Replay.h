@@ -22,9 +22,7 @@
 #include "events/DetectionPipeline.h"
 #include "events/TraceCodec.h"
 
-#include <functional>
 #include <string>
-#include <vector>
 
 namespace bigfoot {
 
@@ -65,25 +63,6 @@ ReplayResult replayTrace(TraceReader &Reader, const DetectorConfig &Tool,
 /// recorded config. Decode errors surface as Ok = false.
 ReplayResult replayTraceFile(const std::string &Path,
                              const ReplayOptions &Opts = ReplayOptions());
-
-/// One unit of work for replayTracesParallel: an encoded trace plus the
-/// config to replay it under. MakeConfig receives the trace's recorded
-/// config (so callers can derive per-trace variants — the harness maps
-/// one recorded placement to several detector configs); if empty, the
-/// recorded config is used as-is.
-struct ReplayJob {
-  const std::vector<uint8_t> *Trace = nullptr; ///< Encoded BFT1 bytes.
-  std::function<DetectorConfig(const DetectorConfig &Recorded)> MakeConfig;
-  ReplayOptions Opts;
-};
-
-/// Replays independent recorded traces across a thread pool. Each job is
-/// self-contained (own TraceReader, own detector), so jobs shard freely;
-/// results land at their job's index, making the output deterministic
-/// regardless of \p Threads (0 = hardware concurrency). A job with a
-/// null Trace yields a default ReplayResult with an error set.
-std::vector<ReplayResult>
-replayTracesParallel(const std::vector<ReplayJob> &Jobs, unsigned Threads = 0);
 
 } // namespace bigfoot
 

@@ -8,9 +8,9 @@
 
 #include "events/DetectionPipeline.h"
 #include "events/DetectorSink.h"
+#include "support/ParseNumber.h"
 
 #include <algorithm>
-#include <charconv>
 #include <chrono>
 #include <thread>
 
@@ -27,9 +27,7 @@ std::optional<size_t> bigfoot::parseLaneCount(std::string_view Text) {
   if (Text == "auto")
     return autoShardCount();
   size_t Lanes = 0;
-  const char *End = Text.data() + Text.size();
-  auto [Ptr, Ec] = std::from_chars(Text.data(), End, Lanes);
-  if (Ec != std::errc() || Ptr != End || Lanes > kMaxLanes)
+  if (!parseNumber(Text, Lanes) || Lanes > kMaxLanes)
     return std::nullopt;
   return Lanes;
 }

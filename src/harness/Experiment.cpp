@@ -44,6 +44,7 @@
 #include "events/Replay.h"
 #include "events/TraceCodec.h"
 #include "instrument/Instrumenters.h"
+#include "support/ParseNumber.h"
 #include "support/Timer.h"
 #include "vm/Vm.h"
 
@@ -110,7 +111,6 @@ DetectorConfig replayConfigFor(int ToolIdx, const DetectorConfig &Recorded) {
 VmOptions vmOptionsFor(const ExperimentOptions &Opts) {
   VmOptions VmOpts;
   VmOpts.Seed = Opts.Seed;
-  VmOpts.UseBytecode = Opts.UseBytecode;
   VmOpts.AsyncDetect = Opts.AsyncDetect;
   VmOpts.CheckFilter = Opts.CheckFilter;
   VmOpts.DetectShards = Opts.DetectShards;
@@ -269,36 +269,62 @@ void measureRecord(const Workload &W, const ExperimentOptions &Opts,
   }
 }
 
-/// Appends the six per-tool replay jobs for one workload's placement
-/// traces, in Tools order, for replayTracesParallel.
-void appendReplayJobs(const PlacementTraces &Traces,
-                      const ExperimentOptions &Opts,
-                      std::vector<ReplayJob> &Jobs) {
-  for (int T = 0; T < kNumTools; ++T) {
-    ReplayJob J;
-    J.Trace = &Traces[static_cast<size_t>(kToolPlacement[T])];
-    J.MakeConfig = [T](const DetectorConfig &Recorded) {
-      return replayConfigFor(T, Recorded);
-    };
-    J.Opts.CheckFilter = Opts.CheckFilter;
-    J.Opts.DetectShards = Opts.DetectShards;
-    Jobs.push_back(std::move(J));
-  }
+/// Replays tool \p ToolIdx from the trace of the placement it shares.
+/// Each call opens its own reader and builds its own detectors, so calls
+/// for different tools or workloads run in parallel freely.
+ReplayResult replayTool(const PlacementTraces &Traces, int ToolIdx,
+                        const ExperimentOptions &Opts) {
+  const std::vector<uint8_t> &Trace =
+      Traces[static_cast<size_t>(kToolPlacement[ToolIdx])];
+  TraceReader Reader;
+  Reader.open(Trace.data(), Trace.size()); // replayTrace reports failure.
+  ReplayOptions ROpts;
+  ROpts.CheckFilter = Opts.CheckFilter;
+  ROpts.DetectShards = Opts.DetectShards;
+  return replayTrace(Reader, replayConfigFor(ToolIdx, Reader.config()),
+                     ROpts);
 }
 
-/// Consumes one workload's kNumTools-sized slice of parallel replay
-/// results into its metrics slots.
-void fillReplayMetrics(const Workload &W, const ReplayResult *Results,
-                       ExperimentResult &Out) {
-  for (int T = 0; T < kNumTools; ++T) {
-    const ReplayResult &Run = Results[T];
-    if (!Run.Ok) {
-      std::fprintf(stderr, "workload %s replay under %s failed: %s\n",
-                   W.Name.c_str(), Run.Tool.c_str(), Run.Error.c_str());
-      std::abort();
-    }
-    fillToolMetrics(Out.Tools[static_cast<size_t>(T)], Run.Tool, Run);
+/// Counter phase, replay mode: fills one tool's metrics slot from its
+/// replay.
+void measureReplay(const Workload &W, const PlacementTraces &Traces,
+                   const ExperimentOptions &Opts, int ToolIdx,
+                   ExperimentResult &Out) {
+  ReplayResult Run = replayTool(Traces, ToolIdx, Opts);
+  if (!Run.Ok) {
+    std::fprintf(stderr, "workload %s replay under %s failed: %s\n",
+                 W.Name.c_str(), Run.Tool.c_str(), Run.Error.c_str());
+    std::abort();
   }
+  fillToolMetrics(Out.Tools[static_cast<size_t>(ToolIdx)], Run.Tool, Run);
+}
+
+/// Runs Fn(0..Count) over a fixed pool of \p Jobs threads (0 = one per
+/// hardware thread). Work items must be independent and write disjoint
+/// state; completion order never affects results.
+void forEachParallel(size_t Count, unsigned JobsOpt,
+                     const std::function<void(size_t)> &Fn) {
+  size_t Jobs = JobsOpt ? JobsOpt : std::thread::hardware_concurrency();
+  if (Jobs < 1)
+    Jobs = 1;
+  Jobs = std::min(Jobs, Count);
+  if (Jobs <= 1) {
+    for (size_t I = 0; I < Count; ++I)
+      Fn(I);
+    return;
+  }
+  // Atomic-index pool: each worker claims the next unstarted item, so a
+  // slow cell never serializes the rest behind a static partition.
+  std::atomic<size_t> Next{0};
+  std::vector<std::thread> Pool;
+  Pool.reserve(Jobs);
+  for (size_t J = 0; J < Jobs; ++J)
+    Pool.emplace_back([&] {
+      for (size_t I = Next.fetch_add(1); I < Count; I = Next.fetch_add(1))
+        Fn(I);
+    });
+  for (std::thread &T : Pool)
+    T.join();
 }
 
 /// Phase 2: best-of-N wall-clock timing for one workload (base plus every
@@ -358,16 +384,9 @@ void timeWorkload(const Workload &W, const ExperimentOptions &Opts,
       M.DetectorSeconds = BestDet;
     }
     if (Traces && !VmOpts.AsyncDetect && VmOpts.DetectShards == 0) {
-      const std::vector<uint8_t> &Trace =
-          (*Traces)[static_cast<size_t>(kToolPlacement[T])];
-      ReplayOptions ROpts;
-      ROpts.CheckFilter = Opts.CheckFilter;
       auto [ReplaySec, ReplayRun] =
-          timedBest(Opts.Iterations, [&Trace, T, &ROpts] {
-            TraceReader Reader;
-            Reader.open(Trace.data(), Trace.size());
-            return replayTrace(Reader, replayConfigFor(T, Reader.config()),
-                               ROpts);
+          timedBest(Opts.Iterations, [Traces, T, &Opts] {
+            return replayTool(*Traces, T, Opts);
           });
       if (!ReplayRun.Ok) {
         std::fprintf(stderr, "workload %s replay timing under %s failed: %s\n",
@@ -392,11 +411,9 @@ ExperimentResult bigfoot::runExperiment(const Workload &W,
     for (int P = 0; P < kNumPlacements; ++P)
       measureRecord(W, Opts, P, Out, Traces[static_cast<size_t>(P)]);
     // The six replays are independent detector rebuilds; shard them.
-    std::vector<ReplayJob> Jobs;
-    Jobs.reserve(kNumTools);
-    appendReplayJobs(Traces, Opts, Jobs);
-    std::vector<ReplayResult> Replays = replayTracesParallel(Jobs, Opts.Jobs);
-    fillReplayMetrics(W, Replays.data(), Out);
+    forEachParallel(kNumTools, Opts.Jobs, [&](size_t T) {
+      measureReplay(W, Traces, Opts, static_cast<int>(T), Out);
+    });
   } else {
     for (int T = 0; T < kNumTools; ++T)
       measureTool(W, Opts, T, Out);
@@ -405,36 +422,6 @@ ExperimentResult bigfoot::runExperiment(const Workload &W,
     timeWorkload(W, Opts, Out, Opts.UseReplay ? &Traces : nullptr);
   return Out;
 }
-
-namespace {
-
-/// Runs Fn(0..Count) over a fixed pool of \p Jobs threads (0 = one per
-/// hardware thread). Work items must be independent and write disjoint
-/// state; completion order never affects results.
-void forEachParallel(size_t Count, unsigned JobsOpt,
-                     const std::function<void(size_t)> &Fn) {
-  size_t Jobs = JobsOpt ? JobsOpt : std::thread::hardware_concurrency();
-  if (Jobs < 1)
-    Jobs = 1;
-  Jobs = std::min(Jobs, Count);
-  if (Jobs <= 1) {
-    for (size_t I = 0; I < Count; ++I)
-      Fn(I);
-    return;
-  }
-  std::atomic<size_t> Next{0};
-  std::vector<std::thread> Pool;
-  Pool.reserve(Jobs);
-  for (size_t J = 0; J < Jobs; ++J)
-    Pool.emplace_back([&] {
-      for (size_t I = Next.fetch_add(1); I < Count; I = Next.fetch_add(1))
-        Fn(I);
-    });
-  for (std::thread &T : Pool)
-    T.join();
-}
-
-} // namespace
 
 std::vector<ExperimentResult>
 bigfoot::runSuite(SuiteScale Scale, const ExperimentOptions &Opts) {
@@ -473,16 +460,14 @@ bigfoot::runSuite(SuiteScale Scale, const ExperimentOptions &Opts) {
         measureRecord(Suite[C.W], Opts, C.Placement, Out[C.W],
                       Traces[C.W][static_cast<size_t>(C.Placement)]);
     });
-    // Wave 2 is one flat parallel replay: every (workload × tool) trace
-    // replays as an independent job, results landing slot-indexed so the
-    // output is identical for any thread count.
-    std::vector<ReplayJob> Jobs;
-    Jobs.reserve(Suite.size() * kNumTools);
-    for (size_t W = 0; W < Suite.size(); ++W)
-      appendReplayJobs(Traces[W], Opts, Jobs);
-    std::vector<ReplayResult> Replays = replayTracesParallel(Jobs, Opts.Jobs);
-    for (size_t W = 0; W < Suite.size(); ++W)
-      fillReplayMetrics(Suite[W], Replays.data() + W * kNumTools, Out[W]);
+    // Wave 2 is one flat parallel replay: every (workload × tool) cell
+    // replays its placement's trace independently into its own slot, so
+    // the output is identical for any thread count.
+    forEachParallel(Suite.size() * kNumTools, Opts.Jobs, [&](size_t I) {
+      size_t W = I / kNumTools;
+      measureReplay(Suite[W], Traces[W], Opts, static_cast<int>(I % kNumTools),
+                    Out[W]);
+    });
   } else {
     struct Cell {
       size_t W;
@@ -524,40 +509,53 @@ double bigfoot::geomeanOverhead(const std::vector<double> &Overheads) {
 BenchArgs bigfoot::parseBenchArgs(int Argc, char **Argv) {
   BenchArgs Args;
   for (int I = 1; I < Argc; ++I) {
-    if (std::strcmp(Argv[I], "--small") == 0)
+    const char *Arg = Argv[I];
+    const char *V = nullptr;
+    auto Valued = [&](const char *Name) {
+      size_t N = std::strlen(Name);
+      if (std::strncmp(Arg, Name, N) != 0)
+        return false;
+      V = Arg + N;
+      return true;
+    };
+    auto Is = [&](const char *Name) { return std::strcmp(Arg, Name) == 0; };
+    const char *Expected = nullptr; // Set when the value is malformed.
+    if (Is("--small")) {
       Args.Scale = SuiteScale::Test;
-    else if (std::strncmp(Argv[I], "--iters=", 8) == 0)
-      Args.Opts.Iterations = std::atoi(Argv[I] + 8);
-    else if (std::strncmp(Argv[I], "--seed=", 7) == 0)
-      Args.Opts.Seed = static_cast<uint64_t>(std::atoll(Argv[I] + 7));
-    else if (std::strncmp(Argv[I], "--jobs=", 7) == 0)
-      Args.Opts.Jobs = static_cast<unsigned>(std::atoi(Argv[I] + 7));
-    else if (std::strcmp(Argv[I], "--ast") == 0)
-      Args.Opts.UseBytecode = false;
-    else if (std::strcmp(Argv[I], "--replay") == 0)
+    } else if (Valued("--iters=")) {
+      if (!parseNumber(V, Args.Opts.Iterations))
+        Expected = "a non-negative integer";
+    } else if (Valued("--seed=")) {
+      if (!parseNumber(V, Args.Opts.Seed))
+        Expected = "a non-negative integer";
+    } else if (Valued("--jobs=")) {
+      if (!parseNumber(V, Args.Opts.Jobs))
+        Expected = "a non-negative integer";
+    } else if (Is("--replay")) {
       Args.Opts.UseReplay = true;
-    else if (std::strcmp(Argv[I], "--no-replay") == 0)
+    } else if (Is("--no-replay")) {
       Args.Opts.UseReplay = false;
-    else if (std::strncmp(Argv[I], "--record-dir=", 13) == 0)
-      Args.Opts.RecordDir = Argv[I] + 13;
-    else if (std::strcmp(Argv[I], "--async-detect") == 0)
+    } else if (Valued("--record-dir=")) {
+      Args.Opts.RecordDir = V;
+    } else if (Is("--async-detect")) {
       Args.Opts.AsyncDetect = true;
-    else if (std::strncmp(Argv[I], "--detect-shards=", 16) == 0) {
-      std::optional<size_t> Lanes = parseLaneCount(Argv[I] + 16);
-      if (!Lanes) {
-        std::fprintf(stderr,
-                     "%s: error: --detect-shards wants auto or 0..%zu, "
-                     "got '%s'\n",
-                     Argv[0], kMaxLanes, Argv[I] + 16);
-        std::exit(1);
-      }
-      Args.Opts.DetectShards = *Lanes;
-    } else if (std::strcmp(Argv[I], "--no-check-filter") == 0)
+    } else if (Valued("--detect-shards=")) {
+      std::optional<size_t> Lanes = parseLaneCount(V);
+      if (Lanes)
+        Args.Opts.DetectShards = *Lanes;
+      else
+        Expected = "auto or a lane count from 0 to 64";
+    } else if (Is("--no-check-filter")) {
       Args.Opts.CheckFilter = false;
-    else if (std::strncmp(Argv[I], "--workload=", 11) == 0)
-      Args.Workload = Argv[I] + 11;
+    } else {
+      std::fprintf(stderr, "%s: error: unknown option '%s'\n", Argv[0], Arg);
+      std::exit(1);
+    }
+    if (Expected) {
+      std::fprintf(stderr, "%s: error: %s: expected %s\n", Argv[0], Arg,
+                   Expected);
+      std::exit(1);
+    }
   }
-  if (Args.Opts.Iterations < 0)
-    Args.Opts.Iterations = 1;
   return Args;
 }

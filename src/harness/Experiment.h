@@ -84,9 +84,6 @@ struct ExperimentOptions {
   /// runs stay serial on the quiesced pool afterwards — so Jobs changes
   /// neither the results nor their order, only the wall-clock spent.
   unsigned Jobs = 0;
-  /// Execute workloads on the compiled bytecode VM (the default); false
-  /// selects the AST-walker reference (VmOptions::UseBytecode).
-  bool UseBytecode = true;
   /// Record-once/replay-many counters phase: execute each workload only
   /// under its three distinct placements (FastTrack, RedCard, BigFoot),
   /// recording the event stream, then replay all six detector configs
@@ -127,16 +124,15 @@ runSuite(SuiteScale Scale,
 /// positive epsilon as is conventional.
 double geomeanOverhead(const std::vector<double> &Overheads);
 
-/// Parses --small/--iters=N/--seed=N/--jobs=N/--ast/--replay/--no-replay/
+/// Parses --small/--iters=N/--seed=N/--jobs=N/--replay/--no-replay/
 /// --record-dir=DIR/--async-detect/--detect-shards=N|auto/
-/// --no-check-filter/--workload=NAME command-line options shared by the
-/// bench binaries. A --detect-shards value parseLaneCount() rejects
-/// prints an error and exits with status 1.
+/// --no-check-filter, the command-line options shared by the bench
+/// binaries. Numbers are strict decimals (support/ParseNumber.h). An
+/// unknown option or a malformed value prints "<argv0>: error: ..." and
+/// exits with status 1.
 struct BenchArgs {
   SuiteScale Scale = SuiteScale::Bench;
   ExperimentOptions Opts;
-  /// When non-empty, restrict suite-driven benches to this one workload.
-  std::string Workload;
 };
 BenchArgs parseBenchArgs(int Argc, char **Argv);
 

@@ -6,11 +6,10 @@
 ///
 /// \file
 /// The one place that renders shadow locations as strings: "obj#N.f",
-/// "arr#N", "arr#N[i]", "arr#N[range]". The VM's event trace, the
-/// detector's race reports, and the differential tests all agree on these
-/// spellings because they all call these helpers. Rendering happens only at
-/// report/trace time — never on the per-access hot path, which works on
-/// packed ids (support/Symbol.h).
+/// "arr#N", "arr#N[range]". The detector's race reports and the tests'
+/// oracle messages agree on these spellings because they all call these
+/// helpers. Rendering happens only at report time — never on the
+/// per-access hot path, which works on packed ids (support/Symbol.h).
 ///
 //===----------------------------------------------------------------------===//
 
@@ -33,13 +32,9 @@ inline std::string objField(uint64_t Id, const std::string &Field) {
 /// "arr#N" — a whole array (racy-location keys collapse ranges).
 inline std::string array(uint64_t Id) { return "arr#" + std::to_string(Id); }
 
-/// "arr#N[I]" — a single element (VM trace events).
-inline std::string arrayElem(uint64_t Id, int64_t Index) {
-  return "arr#" + std::to_string(Id) + "[" + std::to_string(Index) + "]";
-}
-
 /// "arr#N<range>" — an element range, using the range's own rendering
-/// (e.g. "[0..8)"); \p RangeStr comes from StridedRange::str().
+/// ("[3]" for one element, "[0..8]" or "[0..8:2]" for more); \p RangeStr
+/// comes from StridedRange::str().
 inline std::string arrayRange(uint64_t Id, const std::string &RangeStr) {
   return "arr#" + std::to_string(Id) + RangeStr;
 }

@@ -7,9 +7,8 @@
 // The interpreter works on interned symbol ids throughout: frame locals
 // are a flat vector indexed by SymId, object fields a flat vector indexed
 // by FieldId, and every statement reads its pre-resolved sym caches
-// (Program::internSymbols). Strings are touched only off the hot path —
-// error messages, print output, and the event trace (which is gated on
-// VmOptions::RecordEventTrace before any rendering happens).
+// (Program::internSymbols). Strings are touched only off the hot path:
+// error messages and print output.
 //
 // Two execution modes share one scheduler and one set of effect helpers:
 // the default compiles each body to flat register bytecode (Compiler.h)
@@ -222,29 +221,6 @@ private:
   HotCounter VmAccessesArrayC{Result.Counters, "vm.accesses.array"};
   HotCounter VmSyncOpsC{Result.Counters, "vm.syncOps"};
   HotCounter VmHeapBytesC{Result.Counters, "vm.heapBytes"};
-
-  //===--- Event trace (tests only) --------------------------------------------
-
-  void traceSync(ThreadId Tid, TraceEvent::Kind K) {
-    if (!Opts.RecordEventTrace)
-      return;
-    TraceEvent E;
-    E.K = K;
-    E.Tid = Tid;
-    Result.Trace.push_back(std::move(E));
-  }
-
-  /// Callers gate on Opts.RecordEventTrace BEFORE rendering Loc, so the
-  /// hot path never builds location strings.
-  void traceLoc(ThreadId Tid, TraceEvent::Kind K, std::string Loc,
-                AccessKind Access) {
-    TraceEvent E;
-    E.K = K;
-    E.Tid = Tid;
-    E.Access = Access;
-    E.Loc = std::move(Loc);
-    Result.Trace.push_back(std::move(E));
-  }
 
   void setError(const std::string &Message) {
     if (Error.empty())
@@ -630,9 +606,9 @@ private:
 
   //===--- Statement effects (shared by both execution modes) -------------------
   //
-  // Everything observable — heap mutation, counters, detector events, the
-  // event trace, error wording and ordering — happens in these helpers, so
-  // the AST walker and the bytecode loop cannot drift apart.
+  // Everything observable — heap mutation, counters, detector events,
+  // error wording and ordering — happens in these helpers, so the AST
+  // walker and the bytecode loop cannot drift apart.
 
   void doNew(ThreadCtx &T, SymId Target, const ClassDecl *Cls) {
     HeapObject Obj;
@@ -670,7 +646,7 @@ private:
   }
 
   void doFieldRead(ThreadCtx &T, SymId Target, SymId Object, FieldId Field,
-                   bool Volatile, const std::string &FieldName) {
+                   bool Volatile) {
     Frame &F = T.Frames.back();
     ObjectId Id = 0;
     HeapObject *Obj = objectOf(F, Object, &Id);
@@ -678,14 +654,10 @@ private:
       return;
     if (Volatile) {
       VmSyncOpsC.bump();
-      traceSync(T.Tid, TraceEvent::Kind::Acquire);
       emitVolatile(EventKind::VolatileRead, T.Tid, Id, Field);
     } else {
       VmAccessesC.bump();
       VmAccessesFieldC.bump();
-      if (Opts.RecordEventTrace)
-        traceLoc(T.Tid, TraceEvent::Kind::Access,
-                 lockey::objField(Id, FieldName), AccessKind::Read);
       if (EmitOracle)
         emitOracleField(T.Tid, Id, Field, AccessKind::Read);
     }
@@ -693,7 +665,7 @@ private:
   }
 
   void doFieldWrite(ThreadCtx &T, SymId Object, FieldId Field, Value V,
-                    bool Volatile, const std::string &FieldName) {
+                    bool Volatile) {
     Frame &F = T.Frames.back();
     ObjectId Id = 0;
     HeapObject *Obj = objectOf(F, Object, &Id);
@@ -701,14 +673,10 @@ private:
       return;
     if (Volatile) {
       VmSyncOpsC.bump();
-      traceSync(T.Tid, TraceEvent::Kind::Release);
       emitVolatile(EventKind::VolatileWrite, T.Tid, Id, Field);
     } else {
       VmAccessesC.bump();
       VmAccessesFieldC.bump();
-      if (Opts.RecordEventTrace)
-        traceLoc(T.Tid, TraceEvent::Kind::Access,
-                 lockey::objField(Id, FieldName), AccessKind::Write);
       if (EmitOracle)
         emitOracleField(T.Tid, Id, Field, AccessKind::Write);
     }
@@ -728,9 +696,6 @@ private:
     }
     VmAccessesC.bump();
     VmAccessesArrayC.bump();
-    if (Opts.RecordEventTrace)
-      traceLoc(T.Tid, TraceEvent::Kind::Access, lockey::arrayElem(Id, Idx.I),
-               AccessKind::Read);
     if (EmitOracle)
       emitOracleElem(T.Tid, Id, Idx.I, AccessKind::Read);
     local(F, Target) = Arr->Elems[static_cast<size_t>(Idx.I)];
@@ -749,9 +714,6 @@ private:
     }
     VmAccessesC.bump();
     VmAccessesArrayC.bump();
-    if (Opts.RecordEventTrace)
-      traceLoc(T.Tid, TraceEvent::Kind::Access, lockey::arrayElem(Id, Idx.I),
-               AccessKind::Write);
     if (EmitOracle)
       emitOracleElem(T.Tid, Id, Idx.I, AccessKind::Write);
     Arr->Elems[static_cast<size_t>(Idx.I)] = V;
@@ -779,7 +741,6 @@ private:
     Obj->LockOwner = static_cast<int32_t>(T.Tid);
     Obj->LockDepth = 1;
     VmSyncOpsC.bump();
-    traceSync(T.Tid, TraceEvent::Kind::Acquire);
     emitSync(EventKind::Acquire, T.Tid, Id);
     return StepResult::Progress;
   }
@@ -797,7 +758,6 @@ private:
       return;
     Obj->LockOwner = -1;
     VmSyncOpsC.bump();
-    traceSync(T.Tid, TraceEvent::Kind::Release);
     emitSync(EventKind::Release, T.Tid, Id);
   }
 
@@ -812,7 +772,6 @@ private:
     if (!Joined.Finished)
       return StepResult::Blocked;
     VmSyncOpsC.bump();
-    traceSync(T.Tid, TraceEvent::Kind::Acquire);
     emitSync(EventKind::Join, T.Tid, 0, Joined.Tid);
     return StepResult::Progress;
   }
@@ -830,7 +789,6 @@ private:
     if (!T.InBarrier) {
       T.InBarrier = true;
       T.WaitGen = B.Generation;
-      traceSync(T.Tid, TraceEvent::Kind::Release);
       B.Arrived.push_back(T.Tid);
       if (static_cast<int64_t>(B.Arrived.size()) == B.Parties) {
         VmSyncOpsC.bump();
@@ -847,7 +805,6 @@ private:
     }
     if (B.Generation != T.WaitGen) {
       T.InBarrier = false;
-      traceSync(T.Tid, TraceEvent::Kind::Acquire);
       return StepResult::Progress;
     }
     return StepResult::Blocked;
@@ -862,7 +819,6 @@ private:
     ThreadId ChildTid = Child->Tid;
     Threads.push_back(std::move(Child));
     VmSyncOpsC.bump();
-    traceSync(T.Tid, TraceEvent::Kind::Release);
     emitSync(EventKind::Fork, T.Tid, 0, ChildTid);
     if (TargetSym != kNoSym)
       local(T.Frames.back(), TargetSym) =
@@ -904,14 +860,14 @@ private:
     case StmtKind::FieldRead: {
       const auto *Rd = cast<FieldReadStmt>(S);
       doFieldRead(T, Rd->TargetSym, Rd->ObjectSym, Rd->FieldSym,
-                  Prog.isFieldVolatileById(Rd->FieldSym), Rd->field());
+                  Prog.isFieldVolatileById(Rd->FieldSym));
       return StepResult::Progress;
     }
     case StmtKind::FieldWrite: {
       const auto *Wr = cast<FieldWriteStmt>(S);
       Value V = eval(F, Wr->value());
       doFieldWrite(T, Wr->ObjectSym, Wr->FieldSym, V,
-                   Prog.isFieldVolatileById(Wr->FieldSym), Wr->field());
+                   Prog.isFieldVolatileById(Wr->FieldSym));
       return StepResult::Progress;
     }
     case StmtKind::ArrayRead: {
@@ -1211,13 +1167,11 @@ private:
         break;
       case Opcode::FieldRead:
       case Opcode::FieldReadVol:
-        doFieldRead(T, I.A, I.B, I.C, I.Op == Opcode::FieldReadVol,
-                    Syms->name(I.C));
+        doFieldRead(T, I.A, I.B, I.C, I.Op == Opcode::FieldReadVol);
         break;
       case Opcode::FieldWrite:
       case Opcode::FieldWriteVol:
-        doFieldWrite(T, I.A, I.C, Regs[I.B],
-                     I.Op == Opcode::FieldWriteVol, Syms->name(I.C));
+        doFieldWrite(T, I.A, I.C, Regs[I.B], I.Op == Opcode::FieldWriteVol);
         break;
       case Opcode::ArrayRead:
         doArrayRead(T, I.A, I.B, Regs[I.C]);
@@ -1310,10 +1264,6 @@ private:
       }
       ObjectId Id = static_cast<ObjectId>(D.I);
       if (P.isField()) {
-        if (Opts.RecordEventTrace)
-          for (const std::string &Fld : P.Fields)
-            traceLoc(T.Tid, TraceEvent::Kind::Check,
-                     lockey::objField(Id, Fld), P.Access);
         Event E;
         E.Kind = EventKind::FieldCheck;
         E.Target = kTargetTool;
@@ -1333,10 +1283,6 @@ private:
       if (*Begin >= *End)
         continue; // Empty at run time (e.g. zero-trip invariant range).
       StridedRange Concrete(*Begin, *End, P.Range.Stride);
-      if (Opts.RecordEventTrace && Concrete.size() <= 10000)
-        for (int64_t Elem : Concrete.elements())
-          traceLoc(T.Tid, TraceEvent::Kind::Check, lockey::arrayElem(Id, Elem),
-                   P.Access);
       Event E;
       E.Kind = EventKind::ArrayCheck;
       E.Target = kTargetTool;
@@ -1353,13 +1299,28 @@ private:
 
 } // namespace
 
-VmResult bigfoot::runProgram(const Program &Prog, const DetectorConfig &Tool,
-                             const VmOptions &Opts) {
-  Interpreter Interp(Prog, &Tool, Opts);
+namespace {
+
+VmResult run(const Program &Prog, const DetectorConfig *Tool,
+             const VmOptions &Opts) {
+  // The scheduler draws each quantum as 1 + nextBelow(Quantum), which has
+  // no value for 0; refuse the run before any detector thread starts.
+  if (Opts.Quantum == 0) {
+    VmResult R;
+    R.Error = "quantum must be at least 1";
+    return R;
+  }
+  Interpreter Interp(Prog, Tool, Opts);
   return Interp.run();
 }
 
+} // namespace
+
+VmResult bigfoot::runProgram(const Program &Prog, const DetectorConfig &Tool,
+                             const VmOptions &Opts) {
+  return run(Prog, &Tool, Opts);
+}
+
 VmResult bigfoot::runProgramBase(const Program &Prog, const VmOptions &Opts) {
-  Interpreter Interp(Prog, nullptr, Opts);
-  return Interp.run();
+  return run(Prog, nullptr, Opts);
 }

@@ -43,7 +43,8 @@ namespace bigfoot {
 struct VmOptions {
   uint64_t Seed = 1;
   /// Maximum statements per scheduling quantum (actual quantum is
-  /// 1 + seeded-random % Quantum).
+  /// 1 + seeded-random % Quantum). Must be at least 1: a run with 0 fails
+  /// (Ok = false) before it schedules anything.
   unsigned Quantum = 24;
   /// Attach the per-access ground-truth FastTrack oracle.
   bool EnableGroundTruth = false;
@@ -53,8 +54,6 @@ struct VmOptions {
   /// (0 = only at synchronization). The Section 3.3 extension for loops
   /// that might not terminate.
   uint64_t CommitIntervalSteps = 0;
-  /// Record the per-thread access/check/sync event trace (tests only).
-  bool RecordEventTrace = false;
   /// Events per batch flushed from the VM's ring to its consumers
   /// (1 = per-event dispatch, the differential reference mode).
   size_t EventBatch = kDefaultEventBatch;
@@ -88,20 +87,9 @@ struct VmOptions {
   bool CheckFilter = true;
 };
 
-/// One entry of the recorded event trace (RecordEventTrace). Location
-/// keys are concrete: "obj#4.f" or "arr#7[3]".
-struct TraceEvent {
-  enum class Kind { Access, Check, Acquire, Release };
-  Kind K = Kind::Access;
-  ThreadId Tid = 0;
-  AccessKind Access = AccessKind::Read;
-  std::string Loc; ///< Empty for synchronization events.
-};
-
 /// Everything a run produces: the detection result every run shares,
 /// plus what only live execution has.
 struct VmResult : RunResult {
-  std::vector<TraceEvent> Trace; ///< When VmOptions::RecordEventTrace.
   /// Wall-clock seconds for execution (always set): in async mode the
   /// producer's time — setup through drain start — including any
   /// backpressure stalls; in sync mode execution and detection combined.

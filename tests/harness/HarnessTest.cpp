@@ -170,18 +170,16 @@ TEST(Harness, GeomeanOverheadBehaves) {
 }
 
 TEST(Harness, BenchArgsParsing) {
-  const char *Argv[] = {"prog",      "--small",  "--iters=7",
-                        "--seed=42", "--jobs=3", "--ast"};
-  BenchArgs Args = parseBenchArgs(6, const_cast<char **>(Argv));
+  const char *Argv[] = {"prog", "--small", "--iters=7", "--seed=42",
+                        "--jobs=3"};
+  BenchArgs Args = parseBenchArgs(5, const_cast<char **>(Argv));
   EXPECT_EQ(Args.Scale, SuiteScale::Test);
   EXPECT_EQ(Args.Opts.Iterations, 7);
   EXPECT_EQ(Args.Opts.Seed, 42u);
   EXPECT_EQ(Args.Opts.Jobs, 3u);
-  EXPECT_FALSE(Args.Opts.UseBytecode);
   BenchArgs Defaults = parseBenchArgs(1, const_cast<char **>(Argv));
   EXPECT_EQ(Defaults.Scale, SuiteScale::Bench);
   EXPECT_EQ(Defaults.Opts.Jobs, 0u);
-  EXPECT_TRUE(Defaults.Opts.UseBytecode);
   // --iters=0 is a legitimate counters-only request, not clamped.
   const char *Zero[] = {"prog", "--iters=0"};
   EXPECT_EQ(parseBenchArgs(2, const_cast<char **>(Zero)).Opts.Iterations, 0);
@@ -216,6 +214,24 @@ TEST(Harness, BenchArgsParsing) {
     const char *BadArgv[] = {"prog", Bad};
     EXPECT_EXIT(parseBenchArgs(2, const_cast<char **>(BadArgv)),
                 ::testing::ExitedWithCode(1), "--detect-shards")
+        << Bad;
+  }
+  // So does any other malformed number, instead of running some other
+  // configuration ("abc" is not 0 iterations, "-1" is not 2^32-1 jobs).
+  for (const char *Bad : {"--iters=abc", "--iters=-1", "--iters=", "--jobs=-1",
+                          "--jobs=2x", "--seed=x", "--seed=-3"}) {
+    const char *BadArgv[] = {"prog", Bad};
+    EXPECT_EXIT(parseBenchArgs(2, const_cast<char **>(BadArgv)),
+                ::testing::ExitedWithCode(1), "prog: error: .*expected")
+        << Bad;
+  }
+  // And any unknown option: a typo must not run with the setting
+  // unchanged.
+  for (const char *Bad : {"--no-checkfilter", "--ast", "--workload=sor",
+                          "--iters", "extra"}) {
+    const char *BadArgv[] = {"prog", Bad};
+    EXPECT_EXIT(parseBenchArgs(2, const_cast<char **>(BadArgv)),
+                ::testing::ExitedWithCode(1), "prog: error: unknown option")
         << Bad;
   }
 }

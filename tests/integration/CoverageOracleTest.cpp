@@ -11,116 +11,42 @@
 // legitimate only for writes; read checks cover only reads but are
 // legitimate for both (Section 5).
 //
-// This test records the full event trace of instrumented runs and
-// verifies both properties for every access and every check — the
-// "additional dynamic analysis" the paper used to confirm its
-// implementation was precise (Section 5).
+// This test records the typed event stream of instrumented runs
+// (common/RecordedRun.h) and verifies both properties for every access
+// and every check — the "additional dynamic analysis" the paper used to
+// confirm its implementation was precise (Section 5).
 //
 //===----------------------------------------------------------------------===//
 
 #include "bfj/Parser.h"
+#include "common/RecordedRun.h"
 #include "instrument/Instrumenters.h"
 #include "vm/Vm.h"
 #include "workloads/Workloads.h"
 
 #include <gtest/gtest.h>
 
-#include <map>
-
 using namespace bigfoot;
+using namespace bigfoot::test;
 
 namespace {
 
-/// Per-thread event sequences extracted from a run.
-using ThreadTrace = std::vector<TraceEvent>;
-
-std::map<ThreadId, ThreadTrace> splitByThread(const VmResult &R) {
-  std::map<ThreadId, ThreadTrace> Out;
-  for (const TraceEvent &E : R.Trace)
-    Out[E.Tid].push_back(E);
-  return Out;
-}
-
-bool checkKindCovers(AccessKind Check, AccessKind Access) {
-  // A write check covers reads and writes; a read check only reads.
-  return Check == AccessKind::Write || Access == AccessKind::Read;
-}
-
-bool checkKindLegitimateFor(AccessKind Check, AccessKind Access) {
-  // A read check is legitimate for both; a write check only for writes.
-  return Check == AccessKind::Read || Access == AccessKind::Write;
-}
-
-/// Every access must have a covering check: one before it with no
-/// intervening release, or one after it with no intervening acquire.
-::testing::AssertionResult accessCovered(const ThreadTrace &T, size_t I) {
-  const TraceEvent &A = T[I];
-  for (size_t J = I; J-- > 0;) {
-    const TraceEvent &E = T[J];
-    if (E.K == TraceEvent::Kind::Release)
-      break;
-    if (E.K == TraceEvent::Kind::Check && E.Loc == A.Loc &&
-        checkKindCovers(E.Access, A.Access))
-      return ::testing::AssertionSuccess();
-  }
-  for (size_t J = I + 1; J < T.size(); ++J) {
-    const TraceEvent &E = T[J];
-    if (E.K == TraceEvent::Kind::Acquire)
-      break;
-    if (E.K == TraceEvent::Kind::Check && E.Loc == A.Loc &&
-        checkKindCovers(E.Access, A.Access))
-      return ::testing::AssertionSuccess();
-  }
-  return ::testing::AssertionFailure()
-         << "uncovered " << (A.Access == AccessKind::Read ? "read" : "write")
-         << " of " << A.Loc << " by thread " << A.Tid;
-}
-
-/// Every check must be legitimate for some access: one after it with no
-/// intervening acquire, or one before it with no intervening release.
-::testing::AssertionResult checkLegitimate(const ThreadTrace &T, size_t I) {
-  const TraceEvent &C = T[I];
-  for (size_t J = I + 1; J < T.size(); ++J) {
-    const TraceEvent &E = T[J];
-    if (E.K == TraceEvent::Kind::Acquire)
-      break;
-    if (E.K == TraceEvent::Kind::Access && E.Loc == C.Loc &&
-        checkKindLegitimateFor(C.Access, E.Access))
-      return ::testing::AssertionSuccess();
-  }
-  for (size_t J = I; J-- > 0;) {
-    const TraceEvent &E = T[J];
-    if (E.K == TraceEvent::Kind::Release)
-      break;
-    if (E.K == TraceEvent::Kind::Access && E.Loc == C.Loc &&
-        checkKindLegitimateFor(C.Access, E.Access))
-      return ::testing::AssertionSuccess();
-  }
-  return ::testing::AssertionFailure()
-         << "illegitimate "
-         << (C.Access == AccessKind::Read ? "read" : "write") << " check of "
-         << C.Loc << " by thread " << C.Tid;
-}
-
-void verifyPreciseChecks(const Program &Prog, const InstrumentedProgram &IP,
-                         const std::string &Label, uint64_t Seed,
-                         uint64_t CommitInterval = 0) {
-  (void)Prog;
+void verifyPreciseChecks(const InstrumentedProgram &IP,
+                         const std::string &Label, uint64_t Seed) {
   VmOptions Opts;
   Opts.Seed = Seed;
-  Opts.RecordEventTrace = true;
-  Opts.CommitIntervalSteps = CommitInterval;
-  VmResult Run = runProgram(*IP.Prog, IP.Tool, Opts);
-  ASSERT_TRUE(Run.Ok) << Label << ": " << Run.Error;
-  for (const auto &[Tid, T] : splitByThread(Run)) {
-    for (size_t I = 0; I < T.size(); ++I) {
-      if (T[I].K == TraceEvent::Kind::Access) {
-        EXPECT_TRUE(accessCovered(T, I)) << Label << "/" << IP.Tool.Name;
-      } else if (T[I].K == TraceEvent::Kind::Check) {
-        EXPECT_TRUE(checkLegitimate(T, I)) << Label << "/" << IP.Tool.Name;
-      }
-    }
-  }
+  RecordedRun R = recordRun(*IP.Prog, IP.Tool, Opts);
+  ASSERT_TRUE(R.Run.Ok) << Label << ": " << R.Run.Error;
+  EXPECT_TRUE(hasPreciseChecks(R)) << Label << "/" << IP.Tool.Name;
+}
+
+/// Runs a hand-placed BFJ program (its checks written in the source)
+/// under FastTrack's detector and returns the oracle's findings.
+PrecisionReport reportFor(const char *Source) {
+  auto Prog = parseProgramOrDie(Source);
+  RecordedRun R = recordRun(*Prog, fastTrackConfig());
+  EXPECT_TRUE(R.Run.Ok) << R.Run.Error;
+  return preciseCheckReport(R);
 }
 
 } // namespace
@@ -129,9 +55,9 @@ TEST(CoverageOracle, AllSuiteWorkloadsHavePreciseChecks) {
   for (const Workload &W : standardSuite(SuiteScale::Test)) {
     auto Prog = parseProgramOrDie(W.Source.c_str());
     InstrumentedProgram Bf = instrumentBigFoot(*Prog);
-    verifyPreciseChecks(*Prog, Bf, W.Name + "/bigfoot", 9);
+    verifyPreciseChecks(Bf, W.Name + "/bigfoot", 9);
     InstrumentedProgram Rc = instrumentRedCard(*Prog);
-    verifyPreciseChecks(*Prog, Rc, W.Name + "/redcard", 9);
+    verifyPreciseChecks(Rc, W.Name + "/redcard", 9);
   }
 }
 
@@ -140,7 +66,7 @@ TEST(CoverageOracle, FastTrackTriviallyPrecise) {
   Workload W = workloadByName("sparse", SuiteScale::Test);
   auto Prog = parseProgramOrDie(W.Source.c_str());
   InstrumentedProgram Ft = instrumentFastTrack(*Prog);
-  verifyPreciseChecks(*Prog, Ft, "sparse/fasttrack", 3);
+  verifyPreciseChecks(Ft, "sparse/fasttrack", 3);
 }
 
 TEST(CoverageOracle, HoldsUnderAggressiveInterleaving) {
@@ -151,14 +77,9 @@ TEST(CoverageOracle, HoldsUnderAggressiveInterleaving) {
     VmOptions Opts;
     Opts.Seed = Seed;
     Opts.Quantum = 2;
-    Opts.RecordEventTrace = true;
-    VmResult Run = runProgram(*Bf.Prog, Bf.Tool, Opts);
-    ASSERT_TRUE(Run.Ok) << Run.Error;
-    for (const auto &[Tid, T] : splitByThread(Run))
-      for (size_t I = 0; I < T.size(); ++I)
-        if (T[I].K == TraceEvent::Kind::Access) {
-          EXPECT_TRUE(accessCovered(T, I)) << "seed " << Seed;
-        }
+    RecordedRun R = recordRun(*Bf.Prog, Bf.Tool, Opts);
+    ASSERT_TRUE(R.Run.Ok) << R.Run.Error;
+    EXPECT_TRUE(preciseCheckReport(R).Uncovered.empty()) << "seed " << Seed;
   }
 }
 
@@ -174,7 +95,7 @@ TEST(CoverageOracle, AblatedConfigurationsStayPrecise) {
       P.HoistLoopChecks = Hoist;
       P.CoalesceChecks = Anticipation; // Vary this too.
       InstrumentedProgram Bf = instrumentBigFoot(*Prog, P);
-      verifyPreciseChecks(*Prog, Bf,
+      verifyPreciseChecks(Bf,
                           "lufact/ant=" + std::to_string(Anticipation) +
                               "/hoist=" + std::to_string(Hoist),
                           4);
@@ -245,4 +166,67 @@ thread {
                 Run.Counters.get("tool.earlyCommits"),
             0u);
   EXPECT_TRUE(Run.ToolRaces.empty());
+}
+
+//===--- The oracle itself can fail ----------------------------------------
+
+TEST(CoverageOracle, ReportsCheckSeparatedFromItsAccessByARelease) {
+  // The only check of o.f precedes a release that precedes the write: it
+  // is legitimate (no acquire before the write) but covers nothing.
+  PrecisionReport P = reportFor(R"(
+class C { fields f; }
+thread {
+  o = new C;
+  l = new C;
+  acq(l);
+  check(W o.f);
+  rel(l);
+  o.f = 1;
+}
+)");
+  ASSERT_EQ(P.Uncovered.size(), 1u);
+  EXPECT_NE(P.Uncovered[0].find("write of obj#"), std::string::npos)
+      << P.Uncovered[0];
+  EXPECT_NE(P.Uncovered[0].find(".f by thread 0"), std::string::npos)
+      << P.Uncovered[0];
+  EXPECT_TRUE(P.Illegitimate.empty());
+  EXPECT_TRUE(P.CaptureError.empty());
+}
+
+TEST(CoverageOracle, ReportsCheckOfALocationNeverAccessed) {
+  // o.f is checked and written; o.g is checked but never touched.
+  PrecisionReport P = reportFor(R"(
+class C { fields f, g; }
+thread {
+  o = new C;
+  check(W o.f);
+  check(W o.g);
+  o.f = 1;
+}
+)");
+  EXPECT_TRUE(P.Uncovered.empty());
+  ASSERT_EQ(P.Illegitimate.size(), 1u);
+  EXPECT_NE(P.Illegitimate[0].find("write check of obj#"), std::string::npos)
+      << P.Illegitimate[0];
+  EXPECT_NE(P.Illegitimate[0].find(".g by thread 0"), std::string::npos)
+      << P.Illegitimate[0];
+}
+
+TEST(CoverageOracle, RejectsARunWhoseAccessesNeverReachedTheRecorder) {
+  // Without the ground-truth oracle the VM emits no per-access events, so
+  // the recorder sees checks but no accesses; the oracle must not pass
+  // such a run vacuously.
+  auto Prog = parseProgramOrDie(
+      "class C { fields f; } thread { o = new C; o.f = 1; }");
+  InstrumentedProgram Ft = instrumentFastTrack(*Prog);
+  RecordedRun R;
+  VmOptions Opts;
+  Opts.RecordSink = &R.Trace;
+  R.Run = runProgram(*Ft.Prog, Ft.Tool, Opts);
+  R.Symbols = Ft.Prog->symbols();
+  ASSERT_TRUE(R.Run.Ok) << R.Run.Error;
+  EXPECT_EQ(R.Trace.Accesses, 0u);
+  PrecisionReport P = preciseCheckReport(R);
+  EXPECT_FALSE(P.CaptureError.empty());
+  EXPECT_FALSE(hasPreciseChecks(R));
 }

@@ -5,7 +5,8 @@
 // Generates random structured BFJ programs — nested branches, counted
 // loops with strides, lock regions, method calls, field and array
 // accesses — instruments them with BigFoot, runs them, and verifies
-// Section 2's precise-checks property on the recorded trace: every
+// Section 2's precise-checks property on the recorded event stream
+// (common/RecordedRun.h, the oracle CoverageOracleTest uses): every
 // access covered by a legitimate check, every check legitimate for an
 // access. This stresses the placement rules ([IF]/[LOOP]/[CALL]/renaming
 // /invariant inference) far beyond the hand-written suite.
@@ -14,16 +15,17 @@
 
 #include "bfj/Parser.h"
 #include "bfj/Printer.h"
+#include "common/RecordedRun.h"
 #include "instrument/Instrumenters.h"
 #include "support/Rng.h"
 #include "vm/Vm.h"
 
 #include <gtest/gtest.h>
 
-#include <map>
 #include <sstream>
 
 using namespace bigfoot;
+using namespace bigfoot::test;
 
 namespace {
 
@@ -166,68 +168,6 @@ private:
   }
 };
 
-//===--- The Section 2 trace oracle (shared shape with CoverageOracleTest) ---
-
-bool kindCovers(AccessKind Check, AccessKind Access) {
-  return Check == AccessKind::Write || Access == AccessKind::Read;
-}
-
-bool kindLegit(AccessKind Check, AccessKind Access) {
-  return Check == AccessKind::Read || Access == AccessKind::Write;
-}
-
-void verifyTrace(const VmResult &Run, const std::string &Label,
-                 const std::string &Source) {
-  std::map<ThreadId, std::vector<TraceEvent>> ByThread;
-  for (const TraceEvent &E : Run.Trace)
-    ByThread[E.Tid].push_back(E);
-  for (const auto &[Tid, T] : ByThread) {
-    for (size_t I = 0; I < T.size(); ++I) {
-      if (T[I].K == TraceEvent::Kind::Access) {
-        bool Covered = false;
-        for (size_t J = I; J-- > 0 && !Covered;) {
-          if (T[J].K == TraceEvent::Kind::Release)
-            break;
-          Covered = T[J].K == TraceEvent::Kind::Check &&
-                    T[J].Loc == T[I].Loc &&
-                    kindCovers(T[J].Access, T[I].Access);
-        }
-        for (size_t J = I + 1; J < T.size() && !Covered; ++J) {
-          if (T[J].K == TraceEvent::Kind::Acquire)
-            break;
-          Covered = T[J].K == TraceEvent::Kind::Check &&
-                    T[J].Loc == T[I].Loc &&
-                    kindCovers(T[J].Access, T[I].Access);
-        }
-        ASSERT_TRUE(Covered)
-            << Label << ": uncovered access to " << T[I].Loc
-            << " by thread " << Tid << "\n"
-            << Source;
-      } else if (T[I].K == TraceEvent::Kind::Check) {
-        bool Legit = false;
-        for (size_t J = I + 1; J < T.size() && !Legit; ++J) {
-          if (T[J].K == TraceEvent::Kind::Acquire)
-            break;
-          Legit = T[J].K == TraceEvent::Kind::Access &&
-                  T[J].Loc == T[I].Loc &&
-                  kindLegit(T[I].Access, T[J].Access);
-        }
-        for (size_t J = I; J-- > 0 && !Legit;) {
-          if (T[J].K == TraceEvent::Kind::Release)
-            break;
-          Legit = T[J].K == TraceEvent::Kind::Access &&
-                  T[J].Loc == T[I].Loc &&
-                  kindLegit(T[I].Access, T[J].Access);
-        }
-        ASSERT_TRUE(Legit)
-            << Label << ": illegitimate check of " << T[I].Loc
-            << " by thread " << Tid << "\n"
-            << Source;
-      }
-    }
-  }
-}
-
 } // namespace
 
 class RandomPlacement : public ::testing::TestWithParam<uint64_t> {};
@@ -244,10 +184,9 @@ TEST_P(RandomPlacement, GeneratedProgramsHavePreciseChecks) {
     InstrumentedProgram Bf = instrumentBigFoot(*PR.Prog);
     VmOptions Opts;
     Opts.Seed = Seed + 17;
-    Opts.RecordEventTrace = true;
-    VmResult Run = runProgram(*Bf.Prog, Bf.Tool, Opts);
-    ASSERT_TRUE(Run.Ok) << Run.Error << "\n" << printProgram(*Bf.Prog);
-    verifyTrace(Run, "seed " + std::to_string(Seed), Source);
+    RecordedRun R = recordRun(*Bf.Prog, Bf.Tool, Opts);
+    ASSERT_TRUE(R.Run.Ok) << R.Run.Error << "\n" << printProgram(*Bf.Prog);
+    ASSERT_TRUE(hasPreciseChecks(R)) << "seed " << Seed << "\n" << Source;
   }
 }
 

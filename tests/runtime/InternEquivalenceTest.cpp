@@ -22,6 +22,7 @@
 //===----------------------------------------------------------------------===//
 
 #include "bfj/Parser.h"
+#include "common/RecordedRun.h"
 #include "instrument/Instrumenters.h"
 #include "runtime/Detector.h"
 #include "vm/Vm.h"
@@ -156,9 +157,10 @@ TEST(InternEquivalence, BehaviorMatchesStringKeyedGolden) {
 // AST walker vs compiled bytecode: the two execution modes of the VM must
 // agree on *everything* observable — status, output, scheduler step count,
 // every counter, tool and oracle racy-location sets, race reports, and the
-// full per-thread event trace (which pins down the interleaving itself,
-// not just its outcome). Same coverage grid as the golden test: every
-// workload and racy variant × six configs × three seeds.
+// whole event stream with the oracle's per-access events, captured as BFT1
+// bytes (which pins down the interleaving itself, not just its outcome).
+// Same coverage grid as the golden test: every workload and racy variant
+// × six configs × three seeds.
 //===----------------------------------------------------------------------===
 
 TEST(BytecodeEquivalence, MatchesAstWalkerEverywhere) {
@@ -173,12 +175,14 @@ TEST(BytecodeEquivalence, MatchesAstWalkerEverywhere) {
       for (uint64_t Seed = 1; Seed <= 3; ++Seed) {
         VmOptions Opts;
         Opts.Seed = Seed;
-        Opts.RecordEventTrace = true;
         Opts.EnableGroundTruth = true;
         Opts.UseBytecode = false;
-        VmResult Ast = runProgram(*IP.Prog, IP.Tool, Opts);
+        VmResult Ast, Bc;
+        std::vector<uint8_t> AstStream =
+            test::encodedRun(*IP.Prog, &IP.Tool, Opts, Ast);
         Opts.UseBytecode = true;
-        VmResult Bc = runProgram(*IP.Prog, IP.Tool, Opts);
+        std::vector<uint8_t> BcStream =
+            test::encodedRun(*IP.Prog, &IP.Tool, Opts, Bc);
 
         std::string Tag =
             W.Name + "/" + IP.Tool.Name + "/seed" + std::to_string(Seed);
@@ -194,17 +198,10 @@ TEST(BytecodeEquivalence, MatchesAstWalkerEverywhere) {
         for (size_t I = 0; I < Ast.ToolRaces.size(); ++I)
           EXPECT_EQ(Ast.ToolRaces[I].str(), Bc.ToolRaces[I].str())
               << Tag << " race " << I;
-        ASSERT_EQ(Ast.Trace.size(), Bc.Trace.size()) << Tag;
-        for (size_t I = 0; I < Ast.Trace.size(); ++I) {
-          const TraceEvent &A = Ast.Trace[I];
-          const TraceEvent &B = Bc.Trace[I];
-          ASSERT_TRUE(A.K == B.K && A.Tid == B.Tid &&
-                      A.Access == B.Access && A.Loc == B.Loc)
-              << Tag << " trace event " << I << ": ast={kind="
-              << static_cast<int>(A.K) << " tid=" << A.Tid
-              << " loc=" << A.Loc << "} bc={kind=" << static_cast<int>(B.K)
-              << " tid=" << B.Tid << " loc=" << B.Loc << "}";
-        }
+        ASSERT_TRUE(AstStream == BcStream)
+            << Tag << ": event streams differ at byte "
+            << test::firstDifference(AstStream, BcStream) << " of "
+            << AstStream.size() << " (ast) / " << BcStream.size() << " (bc)";
       }
     }
   }

@@ -16,6 +16,7 @@
 #include "vm/Compiler.h"
 
 #include "bfj/Parser.h"
+#include "common/RecordedRun.h"
 #include "instrument/Instrumenters.h"
 #include "vm/Vm.h"
 
@@ -25,36 +26,42 @@ using namespace bigfoot;
 
 namespace {
 
-VmOptions modeOpts(bool UseBytecode, uint64_t Seed = 1) {
+VmOptions modeOpts(bool UseBytecode, uint64_t Seed) {
   VmOptions Opts;
   Opts.Seed = Seed;
   Opts.UseBytecode = UseBytecode;
-  Opts.RecordEventTrace = true;
+  Opts.EnableGroundTruth = true; // Every access appears in the stream.
   return Opts;
 }
 
+/// Runs \p Prog (under \p Tool, or as a base run when null) in both modes
+/// and returns the two encoded event streams (common/RecordedRun.h).
+std::pair<std::vector<uint8_t>, std::vector<uint8_t>>
+bothStreams(Program &Prog, const DetectorConfig *Tool, uint64_t Seed,
+            VmResult &Ast, VmResult &Bc) {
+  return {test::encodedRun(Prog, Tool, modeOpts(false, Seed), Ast),
+          test::encodedRun(Prog, Tool, modeOpts(true, Seed), Bc)};
+}
+
 /// Runs \p Source uninstrumented in both modes (three seeds) and checks
-/// that everything observable matches; returns the bytecode result of the
-/// last seed for additional assertions.
+/// that everything observable matches, the whole event stream included;
+/// returns the bytecode result of the last seed for additional
+/// assertions.
 VmResult expectModesAgree(const char *Source) {
   auto Prog = parseProgramOrDie(Source);
   VmResult LastBc;
   for (uint64_t Seed = 1; Seed <= 3; ++Seed) {
-    VmResult Ast = runProgramBase(*Prog, modeOpts(false, Seed));
-    VmResult Bc = runProgramBase(*Prog, modeOpts(true, Seed));
+    VmResult Ast, Bc;
+    auto [AstStream, BcStream] = bothStreams(*Prog, nullptr, Seed, Ast, Bc);
     std::string Tag = "seed " + std::to_string(Seed);
     EXPECT_EQ(Ast.Ok, Bc.Ok) << Tag;
     EXPECT_EQ(Ast.Error, Bc.Error) << Tag;
     EXPECT_EQ(Ast.Output, Bc.Output) << Tag;
     EXPECT_EQ(Ast.StatementsExecuted, Bc.StatementsExecuted) << Tag;
     EXPECT_EQ(Ast.Counters.all(), Bc.Counters.all()) << Tag;
-    EXPECT_EQ(Ast.Trace.size(), Bc.Trace.size()) << Tag;
-    size_t N = std::min(Ast.Trace.size(), Bc.Trace.size());
-    for (size_t I = 0; I < N; ++I)
-      EXPECT_TRUE(Ast.Trace[I].K == Bc.Trace[I].K &&
-                  Ast.Trace[I].Tid == Bc.Trace[I].Tid &&
-                  Ast.Trace[I].Loc == Bc.Trace[I].Loc)
-          << Tag << " trace event " << I;
+    EXPECT_TRUE(AstStream == BcStream)
+        << Tag << ": event streams differ at byte "
+        << test::firstDifference(AstStream, BcStream);
     LastBc = std::move(Bc);
   }
   return LastBc;
@@ -272,12 +279,14 @@ thread {
 )");
   InstrumentedProgram IP = instrumentBigFoot(*Prog);
   for (uint64_t Seed = 1; Seed <= 3; ++Seed) {
-    VmResult Ast = runProgram(*IP.Prog, IP.Tool, modeOpts(false, Seed));
-    VmResult Bc = runProgram(*IP.Prog, IP.Tool, modeOpts(true, Seed));
+    VmResult Ast, Bc;
+    auto [AstStream, BcStream] = bothStreams(*IP.Prog, &IP.Tool, Seed, Ast, Bc);
     ASSERT_TRUE(Bc.Ok) << Bc.Error;
     EXPECT_EQ(Ast.Counters.all(), Bc.Counters.all());
     EXPECT_EQ(Ast.ToolRacyLocations, Bc.ToolRacyLocations);
-    ASSERT_EQ(Ast.Trace.size(), Bc.Trace.size());
+    ASSERT_TRUE(AstStream == BcStream)
+        << "event streams differ at byte "
+        << test::firstDifference(AstStream, BcStream);
     EXPECT_GT(Bc.Counters.get("tool.checkEvents.array"), 0u);
   }
 }

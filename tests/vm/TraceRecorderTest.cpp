@@ -1,38 +1,50 @@
-//===- TraceRecorderTest.cpp - Event trace recorder tests ---------------------===//
+//===- TraceRecorderTest.cpp - Per-thread projection of the event stream ----===//
 //
 // Part of the BigFoot reproduction. See README.md for details.
+//
+// The Section 2 oracle (common/RecordedRun.h) reads the typed event
+// stream through a TraceRecorder; these tests pin down that projection:
+// which events become accesses, checks, acquires and releases, in what
+// per-thread order, and that a ranged check names every element it
+// covers.
 //
 //===----------------------------------------------------------------------===//
 
 #include "bfj/Parser.h"
+#include "common/RecordedRun.h"
 #include "instrument/Instrumenters.h"
 #include "vm/Vm.h"
 
 #include <gtest/gtest.h>
 
 using namespace bigfoot;
+using namespace bigfoot::test;
 
 namespace {
 
-VmResult runTraced(const char *Source) {
+using Kind = ThreadStep::Kind;
+
+/// Records \p Source placed by FastTrack, or by BigFoot when \p BigFoot.
+RecordedRun recordPlaced(const char *Source, bool BigFoot = false) {
   auto Prog = parseProgramOrDie(Source);
-  InstrumentedProgram IP = instrumentFastTrack(*Prog);
-  VmOptions Opts;
-  Opts.RecordEventTrace = true;
-  return runProgram(*IP.Prog, IP.Tool, Opts);
+  InstrumentedProgram IP =
+      BigFoot ? instrumentBigFoot(*Prog) : instrumentFastTrack(*Prog);
+  RecordedRun R = recordRun(*IP.Prog, IP.Tool);
+  EXPECT_TRUE(R.Run.Ok) << R.Run.Error;
+  return R;
 }
 
-size_t countKind(const VmResult &R, TraceEvent::Kind K) {
-  size_t N = 0;
-  for (const TraceEvent &E : R.Trace)
-    N += E.K == K ? 1 : 0;
-  return N;
+std::vector<Kind> kindsOf(const std::vector<ThreadStep> &Steps) {
+  std::vector<Kind> Out;
+  for (const ThreadStep &S : Steps)
+    Out.push_back(S.K);
+  return Out;
 }
 
 } // namespace
 
 TEST(TraceRecorder, RecordsAccessesChecksAndSync) {
-  VmResult R = runTraced(R"(
+  RecordedRun R = recordPlaced(R"(
 class C { fields f; }
 thread {
   o = new C;
@@ -42,48 +54,50 @@ thread {
   rel(o);
 }
 )");
-  ASSERT_TRUE(R.Ok) << R.Error;
-  EXPECT_EQ(countKind(R, TraceEvent::Kind::Access), 2u);
-  EXPECT_EQ(countKind(R, TraceEvent::Kind::Check), 2u);
-  EXPECT_EQ(countKind(R, TraceEvent::Kind::Acquire), 1u);
-  EXPECT_EQ(countKind(R, TraceEvent::Kind::Release), 1u);
+  EXPECT_EQ(R.Trace.count(Kind::Access), 2u);
+  EXPECT_EQ(R.Trace.count(Kind::Check), 2u);
+  EXPECT_EQ(R.Trace.count(Kind::Acquire), 1u);
+  EXPECT_EQ(R.Trace.count(Kind::Release), 1u);
+  EXPECT_EQ(R.Trace.Accesses, R.Run.Counters.get("vm.accesses"));
 }
 
 TEST(TraceRecorder, ChecksPrecedeAccessesUnderFastTrack) {
-  VmResult R = runTraced(R"(
+  RecordedRun R = recordPlaced(R"(
 class C { fields f; }
 thread {
   o = new C;
   o.f = 7;
 }
 )");
-  ASSERT_TRUE(R.Ok);
-  // Exactly one check immediately before the access.
-  std::vector<TraceEvent::Kind> Kinds;
-  for (const TraceEvent &E : R.Trace)
-    Kinds.push_back(E.K);
-  ASSERT_EQ(Kinds.size(), 2u);
-  EXPECT_EQ(Kinds[0], TraceEvent::Kind::Check);
-  EXPECT_EQ(Kinds[1], TraceEvent::Kind::Access);
+  // Exactly one check immediately before the access, on its location.
+  ASSERT_EQ(R.Trace.ByThread.size(), 1u);
+  const std::vector<ThreadStep> &T = R.Trace.ByThread.at(0);
+  EXPECT_EQ(kindsOf(T), (std::vector<Kind>{Kind::Check, Kind::Access}));
+  ASSERT_EQ(T.size(), 2u);
+  EXPECT_TRUE(T[1].locatedIn(T[0]));
+  EXPECT_EQ(T[1].Access, AccessKind::Write);
 }
 
 TEST(TraceRecorder, LocationKeysAreConcrete) {
-  VmResult R = runTraced(R"(
+  RecordedRun R = recordPlaced(R"(
 thread {
   a = new_array(4);
   a[2] = 9;
 }
 )");
-  ASSERT_TRUE(R.Ok);
   bool SawElem = false;
-  for (const TraceEvent &E : R.Trace)
-    if (E.K == TraceEvent::Kind::Access)
-      SawElem = E.Loc.find("[2]") != std::string::npos;
+  for (const ThreadStep &S : R.Trace.ByThread.at(0)) {
+    if (S.K == Kind::Access) {
+      EXPECT_TRUE(S.OnArray);
+      EXPECT_EQ(S.Range.begin(), 2);
+      SawElem = locationKey(S, R.Symbols).find("[2]") != std::string::npos;
+    }
+  }
   EXPECT_TRUE(SawElem);
 }
 
 TEST(TraceRecorder, VolatileAccessesBecomeSyncEvents) {
-  VmResult R = runTraced(R"(
+  RecordedRun R = recordPlaced(R"(
 class C {
   fields d;
   volatile fields v;
@@ -94,14 +108,13 @@ thread {
   t = o.v;
 }
 )");
-  ASSERT_TRUE(R.Ok);
-  EXPECT_EQ(countKind(R, TraceEvent::Kind::Release), 1u); // Volatile write.
-  EXPECT_EQ(countKind(R, TraceEvent::Kind::Acquire), 1u); // Volatile read.
-  EXPECT_EQ(countKind(R, TraceEvent::Kind::Access), 0u);
+  EXPECT_EQ(R.Trace.count(Kind::Release), 1u); // Volatile write.
+  EXPECT_EQ(R.Trace.count(Kind::Acquire), 1u); // Volatile read.
+  EXPECT_EQ(R.Trace.count(Kind::Access), 0u);
 }
 
 TEST(TraceRecorder, BarrierEmitsReleaseThenAcquirePerParty) {
-  auto Prog = parseProgramOrDie(R"(
+  RecordedRun R = recordPlaced(R"(
 class W {
   fields dummy;
   method run(b) {
@@ -117,20 +130,22 @@ thread {
   join t1;
   join t2;
 }
-)");
-  InstrumentedProgram IP = instrumentBigFoot(*Prog);
-  VmOptions Opts;
-  Opts.RecordEventTrace = true;
-  VmResult R = runProgram(*IP.Prog, IP.Tool, Opts);
-  ASSERT_TRUE(R.Ok) << R.Error;
+)",
+                               /*BigFoot=*/true);
   // Releases: 2 forks (main) + 2 barrier arrivals. Acquires: 2 barrier
   // passes + 2 joins (main).
-  EXPECT_EQ(countKind(R, TraceEvent::Kind::Release), 4u);
-  EXPECT_EQ(countKind(R, TraceEvent::Kind::Acquire), 4u);
+  EXPECT_EQ(R.Trace.count(Kind::Release), 4u);
+  EXPECT_EQ(R.Trace.count(Kind::Acquire), 4u);
+  // Each worker's whole trace is its barrier crossing, release first.
+  for (ThreadId Worker : {1u, 2u}) {
+    EXPECT_EQ(kindsOf(R.Trace.ByThread.at(Worker)),
+              (std::vector<Kind>{Kind::Release, Kind::Acquire}))
+        << "thread " << Worker;
+  }
 }
 
-TEST(TraceRecorder, RangeChecksExpandPerElement) {
-  auto Prog = parseProgramOrDie(R"(
+TEST(TraceRecorder, OneRangedCheckCoversEachElement) {
+  RecordedRun R = recordPlaced(R"(
 thread {
   n = 6;
   a = new_array(n);
@@ -140,20 +155,23 @@ thread {
     i = i + 1;
   }
 }
-)");
-  InstrumentedProgram IP = instrumentBigFoot(*Prog);
-  VmOptions Opts;
-  Opts.RecordEventTrace = true;
-  VmResult R = runProgram(*IP.Prog, IP.Tool, Opts);
-  ASSERT_TRUE(R.Ok) << R.Error;
-  // The single coalesced check expands to one trace entry per element so
-  // the oracle can match accesses exactly.
-  EXPECT_EQ(countKind(R, TraceEvent::Kind::Check), 6u);
-  EXPECT_EQ(countKind(R, TraceEvent::Kind::Access), 6u);
-}
-
-TEST(TraceRecorder, OffByDefault) {
-  auto Prog = parseProgramOrDie("thread { x = 1; }");
-  VmResult R = runProgramBase(*Prog);
-  EXPECT_TRUE(R.Trace.empty());
+)",
+                               /*BigFoot=*/true);
+  // StaticBF coalesces the loop's six writes into one ranged check,
+  // which the oracle matches against each access by membership.
+  ASSERT_EQ(R.Trace.count(Kind::Check), 1u);
+  EXPECT_EQ(R.Trace.count(Kind::Access), 6u);
+  const std::vector<ThreadStep> &T = R.Trace.ByThread.at(0);
+  const ThreadStep *Check = nullptr;
+  for (const ThreadStep &S : T)
+    if (S.K == Kind::Check)
+      Check = &S;
+  ASSERT_NE(Check, nullptr);
+  EXPECT_TRUE(Check->OnArray);
+  EXPECT_EQ(Check->Range.size(), 6);
+  for (const ThreadStep &S : T) {
+    if (S.K != Kind::Access)
+      continue;
+    EXPECT_TRUE(S.locatedIn(*Check)) << "element " << S.Range.begin();
+  }
 }

@@ -464,3 +464,24 @@ thread {
   ASSERT_TRUE(R.Ok) << R.Error;
   EXPECT_EQ(R.Output, (std::vector<std::string>{"1"}));
 }
+
+TEST(Vm, ZeroQuantumFailsCleanly) {
+  // Each quantum is drawn as 1 + nextBelow(Quantum), which has no value
+  // for 0 (an assertion in Debug, a division by zero in Release). The C++
+  // API must refuse such a run with an error, detectors attached or not.
+  auto Prog = parseProgramOrDie("thread { x = 1; print x; }");
+  VmOptions Opts;
+  Opts.Quantum = 0;
+  VmResult Base = runProgramBase(*Prog, Opts);
+  EXPECT_FALSE(Base.Ok);
+  EXPECT_EQ(Base.Error, "quantum must be at least 1");
+  EXPECT_TRUE(Base.Output.empty());
+  EXPECT_EQ(Base.StatementsExecuted, 0u);
+  Opts.EnableGroundTruth = true;
+  Opts.DetectShards = 2;
+  VmResult Tool = runProgram(*Prog, fastTrackConfig(), Opts);
+  EXPECT_FALSE(Tool.Ok);
+  EXPECT_EQ(Tool.Error, Base.Error);
+  Opts.Quantum = 1; // The smallest legal quantum runs normally.
+  EXPECT_TRUE(runProgram(*Prog, fastTrackConfig(), Opts).Ok);
+}

@@ -21,9 +21,9 @@
 #include "events/Replay.h"
 #include "events/TraceCodec.h"
 #include "instrument/Instrumenters.h"
+#include "support/ParseNumber.h"
 #include "vm/Vm.h"
 
-#include <charconv>
 #include <cstring>
 #include <fstream>
 #include <iostream>
@@ -92,13 +92,6 @@ struct CliArgs {
   const char *File = nullptr;
   VmOptions Vm;
 };
-
-/// A strict decimal: digits only, no sign, no trailing text, no overflow.
-template <typename T> bool parseNumber(const char *Text, T &Out) {
-  const char *End = Text + std::strlen(Text);
-  auto [Ptr, Ec] = std::from_chars(Text, End, Out);
-  return Ec == std::errc() && Ptr == End;
-}
 
 /// Parses Argv[First, Argc) into \p A. \p Trace selects the trace
 /// subcommands' option set. On a bad argument, prints a "bigfoot: error:"

@@ -46,8 +46,8 @@ struct RunResult {
   std::vector<ReportedRace> GroundTruthRaces;
   std::set<std::string> ToolRacyLocations;
   std::set<std::string> GroundTruthRacyLocations;
-  /// Scheduler steps executed (identical across execution modes); the
-  /// dispatch benchmark's ns/statement denominator.
+  /// Scheduler steps executed (identical across detection modes); the
+  /// denominator of detbench's vm_ns_per_stmt.
   uint64_t StatementsExecuted = 0;
   /// Threaded consumers only: busy seconds (waits excluded) of the
   /// detector thread, or of the busiest lane.

@@ -54,6 +54,12 @@ enum class EventKind : uint8_t {
   Commit,        ///< Periodic footprint commit for Tid (Section 3.3).
 };
 
+/// Longest array an ArrayAlloc may declare, in elements: over 1000x the
+/// largest array any workload allocates. The VM fails a longer allocation
+/// and the trace reader rejects one, because array shadow state is sized
+/// by length up front and an unbounded length aborts the process instead.
+inline constexpr uint64_t kMaxArrayLength = uint64_t(1) << 26;
+
 /// How many distinct EventKind values exist (codec/fuzz bounds).
 inline constexpr unsigned kNumEventKinds =
     static_cast<unsigned>(EventKind::Commit) + 1;

@@ -34,6 +34,7 @@
 #include "events/Event.h"
 
 #include <atomic>
+#include <cassert>
 #include <condition_variable>
 #include <cstdint>
 #include <mutex>
@@ -59,7 +60,12 @@ struct EventBatch {
       if (End > PayloadWords)
         PayloadWords = End;
     }
-    Payload.assign(Words, Words + PayloadWords);
+    // A batch without payload may pass null Words; never copy from it.
+    assert((Words || PayloadWords == 0) && "payload referenced but absent");
+    if (Words)
+      Payload.assign(Words, Words + PayloadWords);
+    else
+      Payload.clear();
   }
 };
 

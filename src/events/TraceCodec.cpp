@@ -39,7 +39,7 @@ int64_t unzigzag(uint64_t V) {
 
 TraceWriter::TraceWriter(const SymbolTable &Symbols,
                          const DetectorConfig &Config) {
-  Buf.insert(Buf.end(), kMagic, kMagic + 4);
+  Buf.assign(kMagic, kMagic + 4);
 
   putByte(kSecSymbols);
   putVar(Symbols.size());
@@ -392,6 +392,9 @@ bool TraceReader::getEvent(Event &E, std::vector<uint32_t> &Payload) {
     LastObj = E.Obj;
     if (!getVar(E.Aux))
       return false;
+    if (E.Aux > kMaxArrayLength)
+      return fail("malformed trace: array length exceeds " +
+                  std::to_string(kMaxArrayLength) + " elements");
     break;
   case EventKind::Acquire:
   case EventKind::Release:

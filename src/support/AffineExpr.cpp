@@ -45,19 +45,6 @@ AffineExpr AffineExpr::substitute(const std::string &Name,
   return Out + Replacement * Coeff;
 }
 
-std::optional<int64_t> AffineExpr::evaluate(
-    const std::function<std::optional<int64_t>(const std::string &)> &Env)
-    const {
-  int64_t Acc = Constant;
-  for (const auto &[Name, Coeff] : Terms) {
-    std::optional<int64_t> V = Env(Name);
-    if (!V)
-      return std::nullopt;
-    Acc += Coeff * *V;
-  }
-  return Acc;
-}
-
 std::string AffineExpr::str() const {
   if (Terms.empty())
     return std::to_string(Constant);

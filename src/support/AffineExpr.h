@@ -17,7 +17,6 @@
 #define BIGFOOT_SUPPORT_AFFINEEXPR_H
 
 #include <cstdint>
-#include <functional>
 #include <map>
 #include <optional>
 #include <string>
@@ -101,11 +100,6 @@ public:
   AffineExpr rename(const std::string &From, const std::string &To) const {
     return substitute(From, AffineExpr::variable(To));
   }
-
-  /// Evaluates under \p Env; nullopt if a variable is unbound.
-  std::optional<int64_t>
-  evaluate(const std::function<std::optional<int64_t>(const std::string &)>
-               &Env) const;
 
   /// Renders e.g. "i + 2*j - 1" or "0".
   std::string str() const;

@@ -15,9 +15,9 @@
 /// Scheduler-step accounting is encoded in the instructions themselves:
 /// an instruction with Insn::Step set ends the current scheduler step
 /// when it retires, while Step-clear instructions (expression operators,
-/// unconditional jumps) are free bookkeeping executed within a step —
-/// mirroring exactly which AST-walker actions consumed a step. This is
-/// what makes the bytecode VM schedule-identical to the tree walker.
+/// unconditional jumps) are free bookkeeping executed within a step. One
+/// step is one statement, an If's test, or a loop's exit test
+/// (Compiler.cpp states the rule).
 ///
 //===----------------------------------------------------------------------===//
 

@@ -4,29 +4,22 @@
 //
 //===----------------------------------------------------------------------===//
 //
-// Step-accounting contract (what keeps the bytecode VM schedule-identical
-// to the AST walker):
+// Step-accounting contract. The scheduler's quantum counts steps, and one
+// step is one statement, so these rules fix every schedule:
 //
 //   * every simple statement compiles to a sequence of free expression
 //     instructions followed by exactly one Step-flagged instruction;
-//   * an If compiles its condition free and spends its step on the Br,
-//     matching the walker's "evaluate condition + push branch" step;
+//   * an If compiles its condition free and spends its step on the Br
+//     that tests it;
 //   * a Loop spends a step on its exit-test Br each time around (taken or
 //     not), while loop entry, the back-edge, and the loop-exit Jmp are
-//     free — matching the walker's free block/phase bookkeeping;
+//     free; blocks are free too;
 //   * expression temporaries reset per statement, so register pressure is
 //     each body's deepest expression, not its statement count.
 //
-// One deliberate micro-divergence from the walker: Call/Fork arguments are
-// flattened into registers before the Call instruction runs, so when a
-// method-resolution failure or an arity mismatch coincides with an
-// erroring argument expression, the argument's error wins here while the
-// walker reports the resolution error. Only already-failing programs can
-// observe the difference.
-//
-// The walker also rejects an If appearing directly as another If's branch
-// ("unexpected statement kind"); the parser always normalizes branches to
-// blocks, and the compiler simply supports the nested form.
+// Call/Fork arguments are flattened into registers before the Call
+// instruction runs, so an argument's own error comes first: it wins over
+// a method-resolution failure or an arity mismatch in the same statement.
 //
 //===----------------------------------------------------------------------===//
 
@@ -115,8 +108,8 @@ private:
   //===--- Expressions --------------------------------------------------------
 
   /// Register holding \p E's value: the local itself for variables,
-  /// otherwise a fresh temporary. Evaluation order (left to right, depth
-  /// first) matches the walker, so first-error reports agree.
+  /// otherwise a fresh temporary. Evaluation is left to right, depth
+  /// first, which fixes which error a statement reports first.
   uint32_t exprVal(const Expr *E) {
     if (const auto *V = dyn_cast<VarRef>(E)) {
       assert(V->Sym != kNoSym && "program not interned before compile");

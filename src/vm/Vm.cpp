@@ -10,15 +10,16 @@
 // (Program::internSymbols). Strings are touched only off the hot path:
 // error messages and print output.
 //
-// Two execution modes share one scheduler and one set of effect helpers:
-// the default compiles each body to flat register bytecode (Compiler.h)
-// and drives a dense switch-on-opcode loop; the original AST walker stays
-// behind VmOptions::UseBytecode=false as the differential reference. All
-// heap, synchronization, and detector effects live in the do* helpers
-// both modes call, so results and schedules agree by construction; the
-// remaining mode-specific code is pure dispatch. Scheduler steps are the
-// same in both modes — the compiler encodes the walker's step accounting
-// in per-instruction Step flags (see Compiler.cpp).
+// Every method and thread body is compiled to flat register bytecode
+// (Compiler.h) and run by a dense switch-on-opcode loop. The scheduler
+// hands each thread a quantum counted in steps, and one step is one
+// statement: each simple statement retires exactly one Step-flagged
+// instruction, an If spends its step on the branch that tests its
+// condition, and a Loop spends one on its exit test each time around,
+// while block entry, loop entry and back-edges are free (Compiler.cpp).
+// The step count is therefore a property of the program and the seed,
+// and the event-stream golden pins it for every workload. All heap,
+// synchronization and detector effects live in the do* helpers.
 //
 //===----------------------------------------------------------------------===//
 
@@ -28,7 +29,6 @@
 #include "support/Timer.h"
 #include "vm/Compiler.h"
 
-#include <algorithm>
 #include <cassert>
 #include <optional>
 #include <unordered_map>
@@ -98,26 +98,14 @@ struct BarrierRec {
 // Threads and continuations.
 //===----------------------------------------------------------------------===
 
-/// One resumable position inside a statement tree (AST mode). Blocks track
-/// the next child; loops track their phase (0 = start pre-body, 1 = exit
-/// test, 2 = post-body finished, go around).
-struct Task {
-  const Stmt *S = nullptr;
-  size_t Index = 0;
-  int Phase = 0;
-};
-
 struct Frame {
-  /// Indexed by SymId over the program's whole symbol table; every local
+  /// The chunk's registers: indexed by SymId over the program's whole
+  /// symbol table, then the chunk's expression temporaries. Every local
   /// starts as integer 0 (BFJ has no declarations, uninitialized locals
-  /// read as 0). In bytecode mode the vector extends past NumSyms with the
-  /// chunk's expression temporaries.
+  /// read as 0).
   std::vector<Value> Locals;
-  const MethodDecl *Method = nullptr;
   SymId ReturnTargetSym = kNoSym;
-  /// AST mode: the resumable statement stack.
-  std::vector<Task> Tasks;
-  /// Bytecode mode: the compiled body and the resume position.
+  /// The compiled body and the resume position.
   const Chunk *Ch = nullptr;
   uint32_t PC = 0;
 };
@@ -147,11 +135,9 @@ public:
     // parsing. Detector field ids come from the same table.
     const_cast<Program &>(Prog).internSymbols();
     Syms = &Prog.symbols();
-    NumSyms = Syms->size();
     GSym = *Syms->lookup("$g");
     ThisSym = *Syms->lookup("this");
-    if (Opts.UseBytecode)
-      CP = compileProgram(Prog);
+    CP = compileProgram(Prog);
 
     // Wire the event stream to the pipeline's detectors (and an optional
     // recording sink). Placement checks are executed whenever anything
@@ -201,7 +187,6 @@ private:
   bool EmitOracle = false; ///< Per-access ground-truth events wanted.
 
   const SymbolTable *Syms = nullptr;
-  size_t NumSyms = 0;
   SymId GSym = kNoSym;
   SymId ThisSym = kNoSym;
   CompiledProgram CP;
@@ -286,13 +271,7 @@ private:
 
   //===--- Setup --------------------------------------------------------------
 
-  Frame makeFrame() {
-    Frame F;
-    F.Locals.resize(NumSyms);
-    return F;
-  }
-
-  Frame makeBcFrame(const Chunk *Ch) {
+  Frame makeFrame(const Chunk *Ch) {
     assert(Ch && "method has no compiled chunk");
     Frame F;
     F.Locals.resize(Ch->NumRegs);
@@ -306,11 +285,8 @@ private:
     for (size_t I = 0; I < Prog.Threads.size(); ++I) {
       auto T = std::make_unique<ThreadCtx>();
       T->Tid = static_cast<ThreadId>(Threads.size());
-      Frame F = Opts.UseBytecode ? makeBcFrame(CP.ThreadChunks[I])
-                                 : makeFrame();
+      Frame F = makeFrame(CP.ThreadChunks[I]);
       F.Locals[GSym] = Value::refV(GlobalObj);
-      if (!Opts.UseBytecode)
-        F.Tasks.push_back(Task{Prog.Threads[I].get(), 0, 0});
       T->Frames.push_back(std::move(F));
       Threads.push_back(std::move(T));
     }
@@ -323,7 +299,6 @@ private:
   //===--- Scheduler -----------------------------------------------------------
 
   void schedule() {
-    const bool UseBc = Opts.UseBytecode;
     size_t Cursor = 0;
     while (Error.empty()) {
       bool AnyAlive = false;
@@ -339,7 +314,7 @@ private:
         for (unsigned I = 0; I < Quantum && Error.empty(); ++I) {
           if (T.Finished)
             break;
-          if ((UseBc ? stepBc(T) : step(T)) == StepResult::Blocked)
+          if (step(T) == StepResult::Blocked)
             break;
           AnyProgress = true;
           if (Opts.CommitIntervalSteps && EmitTool &&
@@ -367,87 +342,6 @@ private:
     }
   }
 
-  //===--- AST-walker stepping -------------------------------------------------
-
-  StepResult step(ThreadCtx &T) {
-    // Bounded inner loop so control bookkeeping (popping finished blocks)
-    // never spins without executing anything.
-    for (int Guard = 0; Guard < 256; ++Guard) {
-      if (T.Frames.empty()) {
-        finishThread(T);
-        return StepResult::Progress;
-      }
-      Frame &F = T.Frames.back();
-      if (F.Tasks.empty()) {
-        returnFromFrame(T);
-        return StepResult::Progress;
-      }
-      Task &Tk = F.Tasks.back();
-      const Stmt *S = Tk.S;
-
-      if (const auto *Block = dyn_cast<BlockStmt>(S)) {
-        if (Tk.Index >= Block->stmts().size()) {
-          F.Tasks.pop_back();
-          continue;
-        }
-        const Stmt *Child = Block->stmts()[Tk.Index].get();
-        if (isa<BlockStmt>(Child) || isa<LoopStmt>(Child)) {
-          ++Tk.Index;
-          F.Tasks.push_back(Task{Child, 0, 0});
-          continue;
-        }
-        if (const auto *If = dyn_cast<IfStmt>(Child)) {
-          ++Tk.Index;
-          Value Cond = eval(F, If->cond());
-          const Stmt *Branch = Cond.truthy() ? If->thenStmt()
-                                             : If->elseStmt();
-          // Re-fetch the frame: eval cannot push frames, but stay safe.
-          T.Frames.back().Tasks.push_back(Task{Branch, 0, 0});
-          return StepResult::Progress;
-        }
-        ++Tk.Index;
-        StepResult Res = execSimple(T, Child);
-        if (Res == StepResult::Blocked) {
-          // Undo the claim; the statement retries on the next schedule.
-          --T.Frames.back().Tasks.back().Index;
-          return StepResult::Blocked;
-        }
-        return StepResult::Progress;
-      }
-
-      if (const auto *Loop = dyn_cast<LoopStmt>(S)) {
-        if (Tk.Phase == 0) {
-          Tk.Phase = 1;
-          F.Tasks.push_back(Task{Loop->preBody(), 0, 0});
-          continue;
-        }
-        if (Tk.Phase == 1) {
-          Value Exit = eval(F, Loop->exitCond());
-          if (Exit.truthy()) {
-            F.Tasks.pop_back();
-            return StepResult::Progress;
-          }
-          Tk.Phase = 2;
-          F.Tasks.push_back(Task{Loop->postBody(), 0, 0});
-          return StepResult::Progress;
-        }
-        Tk.Phase = 0;
-        continue;
-      }
-
-      // A bare simple statement as a task (e.g. a Skip branch).
-      F.Tasks.pop_back();
-      StepResult Res = execSimple(T, S);
-      if (Res == StepResult::Blocked) {
-        T.Frames.back().Tasks.push_back(Task{S, 0, 0});
-        return StepResult::Blocked;
-      }
-      return StepResult::Progress;
-    }
-    setError("interpreter control stack failed to make progress");
-    return StepResult::Progress;
-  }
-
   void finishThread(ThreadCtx &T) {
     if (T.Finished)
       return;
@@ -458,8 +352,9 @@ private:
   void returnFromFrame(ThreadCtx &T) {
     Frame &F = T.Frames.back();
     Value Ret = Value::intV(0);
-    if (F.Method && F.Method->ReturnSym != kNoSym)
-      Ret = F.Locals[F.Method->ReturnSym];
+    const MethodDecl *M = F.Ch->Method;
+    if (M && M->ReturnSym != kNoSym)
+      Ret = F.Locals[M->ReturnSym];
     SymId Target = F.ReturnTargetSym;
     T.Frames.pop_back();
     if (T.Frames.empty()) {
@@ -470,94 +365,9 @@ private:
       T.Frames.back().Locals[Target] = Ret;
   }
 
-  //===--- Expression evaluation (AST mode) -------------------------------------
-
   Value &local(Frame &F, SymId Sym) {
     assert(Sym != kNoSym && Sym < F.Locals.size() && "unresolved symbol");
     return F.Locals[Sym];
-  }
-
-  Value eval(Frame &F, const Expr *E) {
-    switch (E->kind()) {
-    case ExprKind::IntLit:
-      return Value::intV(cast<IntLit>(E)->value());
-    case ExprKind::BoolLit:
-      return Value::intV(cast<BoolLit>(E)->value() ? 1 : 0);
-    case ExprKind::NullLit:
-      return Value::nullV();
-    case ExprKind::VarRef:
-      return local(F, cast<VarRef>(E)->Sym);
-    case ExprKind::Unary: {
-      const auto *U = cast<UnaryExpr>(E);
-      Value V = eval(F, U->operand());
-      if (U->op() == UnaryOp::Not)
-        return Value::intV(V.truthy() ? 0 : 1);
-      if (V.K != Value::Kind::Int) {
-        setError("negation of a non-integer");
-        return Value::intV(0);
-      }
-      return Value::intV(-V.I);
-    }
-    case ExprKind::Binary: {
-      const auto *B = cast<BinaryExpr>(E);
-      // Short-circuit logical operators.
-      if (B->op() == BinaryOp::And) {
-        Value L = eval(F, B->lhs());
-        if (!L.truthy())
-          return Value::intV(0);
-        return Value::intV(eval(F, B->rhs()).truthy() ? 1 : 0);
-      }
-      if (B->op() == BinaryOp::Or) {
-        Value L = eval(F, B->lhs());
-        if (L.truthy())
-          return Value::intV(1);
-        return Value::intV(eval(F, B->rhs()).truthy() ? 1 : 0);
-      }
-      Value L = eval(F, B->lhs());
-      Value Rv = eval(F, B->rhs());
-      if (B->op() == BinaryOp::Eq)
-        return Value::intV(L.equals(Rv) ? 1 : 0);
-      if (B->op() == BinaryOp::Ne)
-        return Value::intV(L.equals(Rv) ? 0 : 1);
-      if (L.K != Value::Kind::Int || Rv.K != Value::Kind::Int) {
-        setError("arithmetic on non-integers");
-        return Value::intV(0);
-      }
-      int64_t A = L.I, C = Rv.I;
-      switch (B->op()) {
-      case BinaryOp::Add:
-        return Value::intV(A + C);
-      case BinaryOp::Sub:
-        return Value::intV(A - C);
-      case BinaryOp::Mul:
-        return Value::intV(A * C);
-      case BinaryOp::Div:
-        if (C == 0) {
-          setError("division by zero");
-          return Value::intV(0);
-        }
-        return Value::intV(A / C);
-      case BinaryOp::Mod:
-        if (C == 0) {
-          setError("modulo by zero");
-          return Value::intV(0);
-        }
-        return Value::intV(A % C);
-      case BinaryOp::Lt:
-        return Value::intV(A < C ? 1 : 0);
-      case BinaryOp::Le:
-        return Value::intV(A <= C ? 1 : 0);
-      case BinaryOp::Gt:
-        return Value::intV(A > C ? 1 : 0);
-      case BinaryOp::Ge:
-        return Value::intV(A >= C ? 1 : 0);
-      default:
-        setError("unexpected operator");
-        return Value::intV(0);
-      }
-    }
-    }
-    return Value::intV(0);
   }
 
   //===--- Heap helpers ------------------------------------------------------------
@@ -604,11 +414,11 @@ private:
     Obj.Fields[Field] = V;
   }
 
-  //===--- Statement effects (shared by both execution modes) -------------------
+  //===--- Statement effects ----------------------------------------------------
   //
   // Everything observable — heap mutation, counters, detector events,
-  // error wording and ordering — happens in these helpers, so the AST
-  // walker and the bytecode loop cannot drift apart.
+  // error wording and ordering — happens in these helpers; the bytecode
+  // loop only decodes operands and moves the PC.
 
   void doNew(ThreadCtx &T, SymId Target, const ClassDecl *Cls) {
     HeapObject Obj;
@@ -622,6 +432,11 @@ private:
   void doNewArray(ThreadCtx &T, SymId Target, Value Size) {
     if (Size.K != Value::Kind::Int || Size.I < 0) {
       setError("invalid array size");
+      return;
+    }
+    if (static_cast<uint64_t>(Size.I) > kMaxArrayLength) {
+      setError("array size " + Size.str() + " exceeds the limit of " +
+               std::to_string(kMaxArrayLength) + " elements");
       return;
     }
     HeapArray Arr;
@@ -810,134 +625,6 @@ private:
     return StepResult::Blocked;
   }
 
-  /// Thread-spawn tail shared by both fork paths: registers the child,
-  /// emits the release-edge events, and stores the handle.
-  void finishFork(ThreadCtx &T, Frame CF, SymId TargetSym) {
-    auto Child = std::make_unique<ThreadCtx>();
-    Child->Tid = static_cast<ThreadId>(Threads.size());
-    Child->Frames.push_back(std::move(CF));
-    ThreadId ChildTid = Child->Tid;
-    Threads.push_back(std::move(Child));
-    VmSyncOpsC.bump();
-    emitSync(EventKind::Fork, T.Tid, 0, ChildTid);
-    if (TargetSym != kNoSym)
-      local(T.Frames.back(), TargetSym) =
-          Value::intV(static_cast<int64_t>(ChildTid));
-  }
-
-  //===--- AST-walker statement execution ---------------------------------------
-
-  StepResult execSimple(ThreadCtx &T, const Stmt *S) {
-    Frame &F = T.Frames.back();
-    switch (S->kind()) {
-    case StmtKind::Skip:
-      return StepResult::Progress;
-    case StmtKind::Assign: {
-      const auto *A = cast<AssignStmt>(S);
-      local(F, A->TargetSym) = eval(F, A->value());
-      return StepResult::Progress;
-    }
-    case StmtKind::Rename: {
-      const auto *Ren = cast<RenameStmt>(S);
-      local(F, Ren->TargetSym) = local(F, Ren->SourceSym);
-      return StepResult::Progress;
-    }
-    case StmtKind::New: {
-      const auto *N = cast<NewStmt>(S);
-      doNew(T, N->TargetSym, N->ClassCache);
-      return StepResult::Progress;
-    }
-    case StmtKind::NewArray: {
-      const auto *N = cast<NewArrayStmt>(S);
-      doNewArray(T, N->TargetSym, eval(F, N->size()));
-      return StepResult::Progress;
-    }
-    case StmtKind::NewBarrier: {
-      const auto *N = cast<NewBarrierStmt>(S);
-      doNewBarrier(T, N->TargetSym, eval(F, N->parties()));
-      return StepResult::Progress;
-    }
-    case StmtKind::FieldRead: {
-      const auto *Rd = cast<FieldReadStmt>(S);
-      doFieldRead(T, Rd->TargetSym, Rd->ObjectSym, Rd->FieldSym,
-                  Prog.isFieldVolatileById(Rd->FieldSym));
-      return StepResult::Progress;
-    }
-    case StmtKind::FieldWrite: {
-      const auto *Wr = cast<FieldWriteStmt>(S);
-      Value V = eval(F, Wr->value());
-      doFieldWrite(T, Wr->ObjectSym, Wr->FieldSym, V,
-                   Prog.isFieldVolatileById(Wr->FieldSym));
-      return StepResult::Progress;
-    }
-    case StmtKind::ArrayRead: {
-      const auto *Rd = cast<ArrayReadStmt>(S);
-      doArrayRead(T, Rd->TargetSym, Rd->ArraySym, eval(F, Rd->index()));
-      return StepResult::Progress;
-    }
-    case StmtKind::ArrayWrite: {
-      const auto *Wr = cast<ArrayWriteStmt>(S);
-      Value Idx = eval(F, Wr->index());
-      Value V = eval(F, Wr->value());
-      doArrayWrite(T, Wr->ArraySym, Idx, V);
-      return StepResult::Progress;
-    }
-    case StmtKind::ArrayLen: {
-      const auto *L = cast<ArrayLenStmt>(S);
-      doArrayLen(T, L->TargetSym, L->ArraySym);
-      return StepResult::Progress;
-    }
-    case StmtKind::Acquire:
-      return doAcquire(T, cast<AcquireStmt>(S)->LockSym);
-    case StmtKind::Release:
-      doRelease(T, cast<ReleaseStmt>(S)->LockSym);
-      return StepResult::Progress;
-    case StmtKind::Call: {
-      const auto *C = cast<CallStmt>(S);
-      pushCall(T, C->ReceiverSym, C->method(), C->args(), C->TargetSym);
-      return StepResult::Progress;
-    }
-    case StmtKind::Fork: {
-      const auto *Fork = cast<ForkStmt>(S);
-      Value Recv = local(F, Fork->ReceiverSym);
-      const MethodDecl *M = resolveMethod(F, Fork->ReceiverSym,
-                                          Fork->method());
-      if (!M)
-        return StepResult::Progress;
-      Frame CF = makeFrame();
-      CF.Method = M;
-      CF.Locals[GSym] = Value::refV(GlobalObj);
-      CF.Locals[ThisSym] = Recv;
-      bindArgs(F, CF, M, Fork->args());
-      CF.Tasks.push_back(Task{M->Body.get(), 0, 0});
-      finishFork(T, std::move(CF), Fork->TargetSym);
-      return StepResult::Progress;
-    }
-    case StmtKind::Join:
-      return doJoin(T, cast<JoinStmt>(S)->HandleSym);
-    case StmtKind::Await:
-      return doAwait(T, cast<AwaitStmt>(S)->BarrierSym);
-    case StmtKind::Check: {
-      execCheck(T, cast<CheckStmt>(S));
-      return StepResult::Progress;
-    }
-    case StmtKind::Print: {
-      const auto *P = cast<PrintStmt>(S);
-      Result.Output.push_back(eval(F, P->value()).str());
-      return StepResult::Progress;
-    }
-    case StmtKind::AssertStmt: {
-      const auto *A = cast<AssertStmtNode>(S);
-      if (!eval(F, A->cond()).truthy())
-        setError("assertion failed: " + A->cond()->str());
-      return StepResult::Progress;
-    }
-    default:
-      setError("unexpected statement kind in execSimple");
-      return StepResult::Progress;
-    }
-  }
-
   const MethodDecl *resolveMethod(Frame &F, SymId ReceiverVar,
                                   const std::string &Name) {
     HeapObject *Obj = objectOf(F, ReceiverVar);
@@ -956,80 +643,42 @@ private:
     return All.front();
   }
 
-  void bindArgs(Frame &Caller, Frame &Callee, const MethodDecl *M,
-                const std::vector<std::unique_ptr<Expr>> &Args) {
-    if (Args.size() != M->ParamSyms.size()) {
-      setError("wrong argument count for '" + M->Name + "'");
-      return;
-    }
-    for (size_t I = 0; I < Args.size(); ++I)
-      Callee.Locals[M->ParamSyms[I]] = eval(Caller, Args[I].get());
-  }
-
-  void pushCall(ThreadCtx &T, SymId ReceiverVar, const std::string &Name,
-                const std::vector<std::unique_ptr<Expr>> &Args,
-                SymId Target) {
-    Frame &F = T.Frames.back();
-    const MethodDecl *M = resolveMethod(F, ReceiverVar, Name);
-    if (!M)
-      return;
-    Frame Callee = makeFrame();
-    Callee.Method = M;
-    Callee.ReturnTargetSym = Target;
-    Callee.Locals[GSym] = Value::refV(GlobalObj);
-    Callee.Locals[ThisSym] = local(F, ReceiverVar);
-    bindArgs(F, Callee, M, Args);
-    Callee.Tasks.push_back(Task{M->Body.get(), 0, 0});
-    if (T.Frames.size() > 512) {
-      setError("call stack overflow");
-      return;
-    }
-    T.Frames.push_back(std::move(Callee));
-  }
-
-  //===--- Bytecode stepping -----------------------------------------------------
-
-  /// Pre-flattened argument registers; otherwise bindArgs.
-  void bindArgRegs(Frame &Caller, Frame &Callee, const MethodDecl *M,
-                   const std::vector<uint32_t> &ArgRegs) {
-    if (ArgRegs.size() != M->ParamSyms.size()) {
-      setError("wrong argument count for '" + M->Name + "'");
-      return;
-    }
-    for (size_t I = 0; I < ArgRegs.size(); ++I)
-      Callee.Locals[M->ParamSyms[I]] = Caller.Locals[ArgRegs[I]];
-  }
-
-  void pushCallBc(ThreadCtx &T, const CallOperand &Op) {
+  /// Call and Fork: resolves the method on the receiver's class and
+  /// builds its frame with `$g`, `this` and the argument registers bound,
+  /// then pushes the frame or spawns it as a thread whose handle goes to
+  /// the target register. An arity mismatch sets the error but still
+  /// pushes or spawns (the run stops at the end of the step).
+  void doCall(ThreadCtx &T, const CallOperand &Op, bool IsFork) {
     Frame &F = T.Frames.back();
     const MethodDecl *M = resolveMethod(F, Op.ReceiverReg, *Op.Method);
     if (!M)
       return;
-    Frame Callee = makeBcFrame(CP.chunkFor(M));
-    Callee.Method = M;
-    Callee.ReturnTargetSym = Op.TargetReg;
+    Frame Callee = makeFrame(CP.chunkFor(M));
     Callee.Locals[GSym] = Value::refV(GlobalObj);
     Callee.Locals[ThisSym] = local(F, Op.ReceiverReg);
-    bindArgRegs(F, Callee, M, Op.ArgRegs);
-    if (T.Frames.size() > 512) {
-      setError("call stack overflow");
+    if (Op.ArgRegs.size() != M->ParamSyms.size())
+      setError("wrong argument count for '" + M->Name + "'");
+    else
+      for (size_t I = 0; I < Op.ArgRegs.size(); ++I)
+        Callee.Locals[M->ParamSyms[I]] = F.Locals[Op.ArgRegs[I]];
+    if (!IsFork) {
+      if (T.Frames.size() > 512) {
+        setError("call stack overflow");
+        return;
+      }
+      Callee.ReturnTargetSym = Op.TargetReg;
+      T.Frames.push_back(std::move(Callee)); // Invalidates F.
       return;
     }
-    T.Frames.push_back(std::move(Callee));
-  }
-
-  void doForkBc(ThreadCtx &T, const CallOperand &Op) {
-    Frame &F = T.Frames.back();
-    Value Recv = local(F, Op.ReceiverReg);
-    const MethodDecl *M = resolveMethod(F, Op.ReceiverReg, *Op.Method);
-    if (!M)
-      return;
-    Frame CF = makeBcFrame(CP.chunkFor(M));
-    CF.Method = M;
-    CF.Locals[GSym] = Value::refV(GlobalObj);
-    CF.Locals[ThisSym] = Recv;
-    bindArgRegs(F, CF, M, Op.ArgRegs);
-    finishFork(T, std::move(CF), Op.TargetReg);
+    auto Child = std::make_unique<ThreadCtx>();
+    Child->Tid = static_cast<ThreadId>(Threads.size());
+    Child->Frames.push_back(std::move(Callee));
+    ThreadId ChildTid = Child->Tid;
+    Threads.push_back(std::move(Child));
+    VmSyncOpsC.bump();
+    emitSync(EventKind::Fork, T.Tid, 0, ChildTid);
+    if (Op.TargetReg != kNoReg)
+      local(F, Op.TargetReg) = Value::intV(static_cast<int64_t>(ChildTid));
   }
 
   /// One scheduler step over the compiled stream: free instructions run
@@ -1037,7 +686,12 @@ private:
   /// contains one — the loop exit test — so this cannot spin). Blocked
   /// operations leave PC on themselves and retry; Call and Return exit
   /// immediately because pushing or popping may move the frame vector.
-  StepResult stepBc(ThreadCtx &T) {
+  ///
+  /// Forced inline into the scheduler's quantum loop: each effect helper
+  /// has this one call site, so the compiler folds them all in and would
+  /// otherwise keep the grown step() out of line, and a call per statement
+  /// costs 5-11% of base VM time.
+  [[gnu::always_inline]] StepResult step(ThreadCtx &T) {
     if (T.Frames.empty()) {
       finishThread(T);
       return StepResult::Progress;
@@ -1193,10 +847,10 @@ private:
         break;
       case Opcode::Call:
         F.PC = Next;
-        pushCallBc(T, Ch.Calls[I.A]);
+        doCall(T, Ch.Calls[I.A], /*IsFork=*/false);
         return StepResult::Progress;
       case Opcode::Fork:
-        doForkBc(T, Ch.Calls[I.A]);
+        doCall(T, Ch.Calls[I.A], /*IsFork=*/true);
         break;
       case Opcode::Join:
         if (doJoin(T, I.A) == StepResult::Blocked) {
@@ -1232,11 +886,12 @@ private:
     }
   }
 
-  //===--- Check execution (shared) ----------------------------------------------
+  //===--- Check execution ------------------------------------------------------
 
-  /// Evaluates a compiled affine bound over the frame's locals. Matches
-  /// AffineExpr::evaluate over the string environment: unset locals read
-  /// as 0, non-integer locals make the bound undefined.
+  /// Evaluates a compiled affine bound (constant + sum of coefficient ×
+  /// local) over the frame's locals. Unset locals read as 0, like every
+  /// BFJ local; a local holding a reference or null makes the bound
+  /// undefined.
   std::optional<int64_t> evalBound(Frame &F, const Path::CompiledBound &B) {
     int64_t V = B.Constant;
     for (const auto &[Sym, Coeff] : B.Terms) {

@@ -62,10 +62,6 @@ struct VmOptions {
   /// VM still executes placed checks (evaluating their bounds) so that a
   /// recording run is behaviorally identical to a detector-attached run.
   EventSink *RecordSink = nullptr;
-  /// Execute compiled register bytecode (the default) instead of walking
-  /// the statement tree. Both modes are schedule- and result-identical;
-  /// the AST walker remains as a differential reference and escape hatch.
-  bool UseBytecode = true;
   /// Run the attached detectors on a dedicated thread fed by a bounded
   /// SPSC batch ring (DESIGN.md Sec. 10). Event batches are applied in
   /// publication order, so reports are byte-identical to synchronous

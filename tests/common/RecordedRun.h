@@ -15,7 +15,8 @@
 //    access. This is the "additional dynamic analysis" the paper used to
 //    confirm its placement (Section 5).
 //  * encodedRun() captures the whole stream plus the run summary as BFT1
-//    bytes, so two runs that must agree can be compared event for event.
+//    bytes, and streamDigest() reduces them to the 64-bit digest the
+//    goldens pin, so a run can be checked event for event.
 //
 //===----------------------------------------------------------------------===//
 
@@ -299,14 +300,14 @@ inline std::vector<uint8_t> encodedRun(Program &Prog,
   return Writer.buffer();
 }
 
-/// Index of the first byte where \p A and \p B differ (the shorter
-/// length when one is a prefix of the other); for failure messages.
-inline size_t firstDifference(const std::vector<uint8_t> &A,
-                              const std::vector<uint8_t> &B) {
-  size_t I = 0;
-  while (I < A.size() && I < B.size() && A[I] == B[I])
-    ++I;
-  return I;
+/// 64-bit FNV-1a digest of an encoded stream, as the goldens record it.
+inline uint64_t streamDigest(const std::vector<uint8_t> &Bytes) {
+  uint64_t H = 0xcbf29ce484222325ull;
+  for (uint8_t B : Bytes) {
+    H ^= B;
+    H *= 0x100000001b3ull;
+  }
+  return H;
 }
 
 } // namespace bigfoot::test

@@ -5,10 +5,11 @@
 // Seeded-RNG round-trip fuzz: generate random event streams exercising
 // every kind, maximum-width thread ids, field ids at the kLocFieldBits
 // ceiling, full-range int64 array bounds (stride >= 1, as StridedRange
-// requires), and random batch splits — then decode and demand exact
-// field-for-field equality. Separately, every truncation prefix of a
-// valid trace and a set of targeted corruptions must surface as decode
-// errors, never as crashes, hangs, or out-of-bounds reads.
+// requires), array lengths up to kMaxArrayLength, and random batch splits
+// — then decode and demand exact field-for-field equality. Separately,
+// every truncation prefix of a valid trace and a set of targeted
+// corruptions must surface as decode errors, never as crashes, hangs, or
+// out-of-bounds reads.
 //
 //===----------------------------------------------------------------------===//
 
@@ -74,7 +75,7 @@ FuzzEvent randomEvent(Rng &R, uint32_t NumSyms) {
   case EventKind::ArrayAlloc:
     randomObj();
     E.Tid = 0; // The codec does not record an allocating thread.
-    E.Aux = pick(R, 0, UINT64_MAX);
+    E.Aux = pick(R, 0, kMaxArrayLength); // Longer ones fail to decode.
     break;
   case EventKind::Acquire:
   case EventKind::Release:
@@ -346,6 +347,27 @@ TEST(TraceCodec, TargetedCorruptionsFailCleanly) {
     EXPECT_EQ(Reader.nextBatch(Batch, 4, Payload), 0u);
     EXPECT_FALSE(Reader.ok());
     EXPECT_NE(Reader.error().find("stride"), std::string::npos);
+  }
+  // An ArrayAlloc longer than kMaxArrayLength (here 2^46 elements) must
+  // be rejected: a replay would size the array's shadow state up front.
+  {
+    TraceWriter Writer(Syms, fuzzConfig());
+    std::vector<uint8_t> Bad = Writer.buffer(); // magic + header + EVENTS tag
+    Bad.push_back(static_cast<uint8_t>(
+        static_cast<unsigned>(EventKind::ArrayAlloc) | (3u << 6)));
+    Bad.push_back(2); // obj delta +1
+    uint64_t Len = uint64_t(1) << 46; // length, as a varint
+    for (; Len >= 0x80; Len >>= 7)
+      Bad.push_back(static_cast<uint8_t>(Len) | 0x80);
+    Bad.push_back(static_cast<uint8_t>(Len));
+    TraceReader Reader;
+    ASSERT_TRUE(Reader.open(Bad.data(), Bad.size())) << Reader.error();
+    Event Batch[4];
+    std::vector<uint32_t> Payload;
+    EXPECT_EQ(Reader.nextBatch(Batch, 4, Payload), 0u);
+    EXPECT_FALSE(Reader.ok());
+    EXPECT_NE(Reader.error().find("array length"), std::string::npos)
+        << Reader.error();
   }
   // Nonexistent file path.
   {

@@ -1,13 +1,16 @@
-//===- InternEquivalenceTest.cpp - Differential golden test ------------------===//
+//===- InternEquivalenceTest.cpp - Golden behavior and stream tests -------===//
 //
 // Part of the BigFoot reproduction. See README.md for details.
 //
-// Differential regression test for the symbol-interning / flat-shadow
-// refactor: for every workload (standard suite at Test scale plus the racy
-// variants), all six detector configurations, and three scheduler seeds,
-// the externally visible behavior — run status, VM output, the sorted set
-// of racy location keys, and every counter — must be byte-identical to a
-// golden file captured from the string-keyed seed implementation.
+// Two golden tests over one grid: every workload (standard suite at Test
+// scale plus the racy variants) × all six detector configurations × three
+// scheduler seeds.
+//
+// intern_equivalence.golden is the differential regression test for the
+// symbol-interning / flat-shadow refactor: the externally visible behavior
+// — run status, VM output, the sorted set of racy location keys, and every
+// counter — must be byte-identical to the golden captured from the
+// string-keyed seed implementation.
 //
 // The single excluded counter is tool.peakShadowBytes: it measures the
 // *size of the shadow representation itself*, which the interning refactor
@@ -15,8 +18,12 @@
 // tool.peakShadowLocations stays included — interning must not change how
 // many shadow locations exist, only how they are keyed.
 //
-// Regenerate (only legitimate when intentionally changing detector
-// semantics) with:
+// event_streams.golden pins the VM's schedule: one row per run with its
+// step count and the size and digest of its whole event stream (see the
+// test below).
+//
+// Regenerate either (only legitimate when intentionally changing detector
+// semantics or the scheduler) with:
 //   BIGFOOT_REGEN_GOLDEN=1 ./test_intern_equivalence
 //
 //===----------------------------------------------------------------------===//
@@ -30,6 +37,7 @@
 
 #include <gtest/gtest.h>
 
+#include <cstdio>
 #include <cstdlib>
 #include <fstream>
 #include <sstream>
@@ -43,8 +51,8 @@ namespace {
 #error "BIGFOOT_TEST_DIR must be defined by the build"
 #endif
 
-std::string goldenPath() {
-  return std::string(BIGFOOT_TEST_DIR) + "/runtime/golden/intern_equivalence.golden";
+std::string goldenPath(const char *Name) {
+  return std::string(BIGFOOT_TEST_DIR) + "/runtime/golden/" + Name;
 }
 
 /// The six configurations the paper's Figure 2 table evaluates (five tools
@@ -60,6 +68,26 @@ std::vector<InstrumentedProgram> allSixConfigs(const Program &P) {
   Djit.Tool = djitConfig();
   All.push_back(std::move(Djit));
   return All;
+}
+
+/// Calls \p F(Workload, Config, Seed) for every cell of the golden grid:
+/// each workload (the standard suite at Test scale plus the racy
+/// variants) × six configs × seeds 1..3.
+template <typename Fn> void forEachGoldenRun(Fn &&F) {
+  std::vector<Workload> Suite = standardSuite(SuiteScale::Test);
+  for (Workload &W : racyVariants())
+    Suite.push_back(std::move(W));
+  for (const Workload &W : Suite) {
+    ParseResult PR = parseProgram(W.Source);
+    if (!PR.ok()) {
+      ADD_FAILURE() << "workload " << W.Name
+                    << " failed to parse: " << PR.Error;
+      continue;
+    }
+    for (const InstrumentedProgram &IP : allSixConfigs(*PR.Prog))
+      for (uint64_t Seed = 1; Seed <= 3; ++Seed)
+        F(W, IP, Seed);
+  }
 }
 
 void renderRun(std::ostream &Out, const std::string &WorkloadName,
@@ -83,31 +111,6 @@ void renderRun(std::ostream &Out, const std::string &WorkloadName,
   Out << "end\n";
 }
 
-std::string renderAll() {
-  std::ostringstream Out;
-  std::vector<Workload> Suite = standardSuite(SuiteScale::Test);
-  for (Workload &W : racyVariants())
-    Suite.push_back(std::move(W));
-  for (const Workload &W : Suite) {
-    ParseResult PR = parseProgram(W.Source);
-    if (!PR.ok()) {
-      ADD_FAILURE() << "workload " << W.Name
-                    << " failed to parse: " << PR.Error;
-      continue;
-    }
-    std::vector<InstrumentedProgram> Configs = allSixConfigs(*PR.Prog);
-    for (const InstrumentedProgram &IP : Configs) {
-      for (uint64_t Seed = 1; Seed <= 3; ++Seed) {
-        VmOptions Opts;
-        Opts.Seed = Seed;
-        VmResult Run = runProgram(*IP.Prog, IP.Tool, Opts);
-        renderRun(Out, W.Name, IP.Tool.Name, Seed, Run);
-      }
-    }
-  }
-  return Out.str();
-}
-
 std::vector<std::string> splitLines(const std::string &Text) {
   std::vector<std::string> Lines;
   std::string Cur;
@@ -124,87 +127,76 @@ std::vector<std::string> splitLines(const std::string &Text) {
   return Lines;
 }
 
-TEST(InternEquivalence, BehaviorMatchesStringKeyedGolden) {
-  std::string Text = renderAll();
-
+/// Compares \p Text with the golden file \p Name line by line, so a
+/// mismatch reports the first divergence instead of dumping two large
+/// strings; with BIGFOOT_REGEN_GOLDEN set, rewrites the file instead.
+void expectMatchesGolden(const std::string &Text, const char *Name) {
+  std::string Path = goldenPath(Name);
   if (std::getenv("BIGFOOT_REGEN_GOLDEN")) {
-    std::ofstream Out(goldenPath(), std::ios::binary);
-    ASSERT_TRUE(Out.good()) << "cannot write " << goldenPath();
+    std::ofstream Out(Path, std::ios::binary);
+    ASSERT_TRUE(Out.good()) << "cannot write " << Path;
     Out << Text;
-    GTEST_SKIP() << "regenerated golden at " << goldenPath();
+    GTEST_SKIP() << "regenerated golden at " << Path;
   }
 
-  std::ifstream In(goldenPath(), std::ios::binary);
-  ASSERT_TRUE(In.good()) << "missing golden file " << goldenPath()
+  std::ifstream In(Path, std::ios::binary);
+  ASSERT_TRUE(In.good()) << "missing golden file " << Path
                          << "; run with BIGFOOT_REGEN_GOLDEN=1";
   std::stringstream Buf;
   Buf << In.rdbuf();
-  std::string Golden = Buf.str();
 
-  // Compare line-by-line so a mismatch reports the first divergence
-  // instead of dumping two multi-megabyte strings.
   std::vector<std::string> Got = splitLines(Text);
-  std::vector<std::string> Want = splitLines(Golden);
+  std::vector<std::string> Want = splitLines(Buf.str());
   size_t N = std::min(Got.size(), Want.size());
   for (size_t I = 0; I < N; ++I)
-    ASSERT_EQ(Got[I], Want[I]) << "first divergence at line " << (I + 1);
+    ASSERT_EQ(Got[I], Want[I]) << Name << ": first divergence at line "
+                               << (I + 1);
   ASSERT_EQ(Got.size(), Want.size())
-      << "line counts differ (got " << Got.size() << ", golden "
+      << Name << ": line counts differ (got " << Got.size() << ", golden "
       << Want.size() << ")";
 }
 
+TEST(InternEquivalence, BehaviorMatchesStringKeyedGolden) {
+  std::ostringstream Out;
+  forEachGoldenRun([&](const Workload &W, const InstrumentedProgram &IP,
+                       uint64_t Seed) {
+    VmOptions Opts;
+    Opts.Seed = Seed;
+    renderRun(Out, W.Name, IP.Tool.Name, Seed,
+              runProgram(*IP.Prog, IP.Tool, Opts));
+  });
+  expectMatchesGolden(Out.str(), "intern_equivalence.golden");
+}
+
 //===----------------------------------------------------------------------===
-// AST walker vs compiled bytecode: the two execution modes of the VM must
-// agree on *everything* observable — status, output, scheduler step count,
-// every counter, tool and oracle racy-location sets, race reports, and the
-// whole event stream with the oracle's per-access events, captured as BFT1
-// bytes (which pins down the interleaving itself, not just its outcome).
-// Same coverage grid as the golden test: every workload and racy variant
-// × six configs × three seeds.
+// Event-stream golden: the VM's schedule, pinned as data. Every cell of the
+// grid above runs with the ground-truth oracle on, so the stream carries
+// every heap access as well as every check and sync edge, in order; the
+// row records the run's scheduler step count and the size and FNV-1a
+// digest of its BFT1 encoding (common/RecordedRun.h), which ends with the
+// run's status, output and vm.* counters. Two runs with equal rows agree
+// on the interleaving itself, not just on its outcome, and, since the
+// detectors only consume the stream, on every report derived from it.
 //===----------------------------------------------------------------------===
 
-TEST(BytecodeEquivalence, MatchesAstWalkerEverywhere) {
-  std::vector<Workload> Suite = standardSuite(SuiteScale::Test);
-  for (Workload &W : racyVariants())
-    Suite.push_back(std::move(W));
-  for (const Workload &W : Suite) {
-    ParseResult PR = parseProgram(W.Source);
-    ASSERT_TRUE(PR.ok()) << W.Name << ": " << PR.Error;
-    std::vector<InstrumentedProgram> Configs = allSixConfigs(*PR.Prog);
-    for (const InstrumentedProgram &IP : Configs) {
-      for (uint64_t Seed = 1; Seed <= 3; ++Seed) {
-        VmOptions Opts;
-        Opts.Seed = Seed;
-        Opts.EnableGroundTruth = true;
-        Opts.UseBytecode = false;
-        VmResult Ast, Bc;
-        std::vector<uint8_t> AstStream =
-            test::encodedRun(*IP.Prog, &IP.Tool, Opts, Ast);
-        Opts.UseBytecode = true;
-        std::vector<uint8_t> BcStream =
-            test::encodedRun(*IP.Prog, &IP.Tool, Opts, Bc);
-
-        std::string Tag =
-            W.Name + "/" + IP.Tool.Name + "/seed" + std::to_string(Seed);
-        EXPECT_EQ(Ast.Ok, Bc.Ok) << Tag;
-        EXPECT_EQ(Ast.Error, Bc.Error) << Tag;
-        EXPECT_EQ(Ast.Output, Bc.Output) << Tag;
-        EXPECT_EQ(Ast.StatementsExecuted, Bc.StatementsExecuted) << Tag;
-        EXPECT_EQ(Ast.Counters.all(), Bc.Counters.all()) << Tag;
-        EXPECT_EQ(Ast.ToolRacyLocations, Bc.ToolRacyLocations) << Tag;
-        EXPECT_EQ(Ast.GroundTruthRacyLocations, Bc.GroundTruthRacyLocations)
-            << Tag;
-        ASSERT_EQ(Ast.ToolRaces.size(), Bc.ToolRaces.size()) << Tag;
-        for (size_t I = 0; I < Ast.ToolRaces.size(); ++I)
-          EXPECT_EQ(Ast.ToolRaces[I].str(), Bc.ToolRaces[I].str())
-              << Tag << " race " << I;
-        ASSERT_TRUE(AstStream == BcStream)
-            << Tag << ": event streams differ at byte "
-            << test::firstDifference(AstStream, BcStream) << " of "
-            << AstStream.size() << " (ast) / " << BcStream.size() << " (bc)";
-      }
-    }
-  }
+TEST(EventStreamGolden, RunsMatchRecordedStreams) {
+  std::ostringstream Out;
+  forEachGoldenRun([&](const Workload &W, const InstrumentedProgram &IP,
+                       uint64_t Seed) {
+    VmOptions Opts;
+    Opts.Seed = Seed;
+    Opts.EnableGroundTruth = true;
+    VmResult Run;
+    std::vector<uint8_t> Stream =
+        test::encodedRun(*IP.Prog, &IP.Tool, Opts, Run);
+    char Digest[17];
+    std::snprintf(Digest, sizeof(Digest), "%016llx",
+                  static_cast<unsigned long long>(test::streamDigest(Stream)));
+    Out << W.Name << " " << IP.Tool.Name << " seed=" << Seed
+        << " steps=" << Run.StatementsExecuted << " bytes=" << Stream.size()
+        << " fnv1a64=" << Digest << "\n";
+  });
+  expectMatchesGolden(Out.str(), "event_streams.golden");
 }
 
 //===----------------------------------------------------------------------===

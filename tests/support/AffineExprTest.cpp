@@ -54,26 +54,6 @@ TEST(AffineExpr, RenamePreservesStructure) {
   EXPECT_EQ(E.rename("i", "i'"), v("i'") * 4 - 2);
 }
 
-TEST(AffineExpr, EvaluateUnderEnvironment) {
-  AffineExpr E = v("i") * 2 + v("j") - 3;
-  auto Env = [](const std::string &Name) -> std::optional<int64_t> {
-    if (Name == "i")
-      return 10;
-    if (Name == "j")
-      return 4;
-    return std::nullopt;
-  };
-  EXPECT_EQ(E.evaluate(Env), 21);
-}
-
-TEST(AffineExpr, EvaluateUnboundFails) {
-  AffineExpr E = v("missing");
-  auto Env = [](const std::string &) -> std::optional<int64_t> {
-    return std::nullopt;
-  };
-  EXPECT_FALSE(E.evaluate(Env).has_value());
-}
-
 TEST(AffineExpr, StrIsReadable) {
   EXPECT_EQ((v("i") + 1).str(), "i + 1");
   EXPECT_EQ((v("i") - v("j")).str(), "i - j");

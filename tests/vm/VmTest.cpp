@@ -485,3 +485,21 @@ TEST(Vm, ZeroQuantumFailsCleanly) {
   Opts.Quantum = 1; // The smallest legal quantum runs normally.
   EXPECT_TRUE(runProgram(*Prog, fastTrackConfig(), Opts).Ok);
 }
+
+TEST(Vm, HugeArrayFailsCleanly) {
+  // An array longer than kMaxArrayLength fails the run before anything is
+  // allocated for it — in the VM or in an attached detector's shadow
+  // state — instead of aborting the process.
+  for (uint64_t Len : {kMaxArrayLength + 1, uint64_t(100000000000000)}) {
+    std::string Size = std::to_string(Len);
+    auto Prog = parseProgramOrDie("thread { a = new_array(" + Size +
+                                  "); print 1; }");
+    VmOptions Opts;
+    Opts.EnableGroundTruth = true;
+    VmResult R = runProgram(*Prog, fastTrackConfig(), Opts);
+    EXPECT_FALSE(R.Ok);
+    EXPECT_EQ(R.Error, "array size " + Size + " exceeds the limit of " +
+                           std::to_string(kMaxArrayLength) + " elements");
+    EXPECT_TRUE(R.Output.empty());
+  }
+}

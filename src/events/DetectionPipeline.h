@@ -61,16 +61,21 @@ struct RunResult {
   CheckFilterStats Filter;
   uint64_t FilterTableBytes = 0;
   /// Lanes only (DESIGN.md Sec. 12/13): per-lane tallies, checks routed
-  /// to one lane, sync edges applied once to the shared SyncClockTable
-  /// (each staged to every lane as a horizon marker), table resolutions
-  /// on check paths, snapshots published, the table's footprint, and
-  /// sync-horizon ordering-check failures (must be zero).
+  /// to one lane, sync edges applied once by the SyncClockTable writer
+  /// (each reaching every lane as one marker in a shared segment),
+  /// markers applied summed over lanes, and sync-horizon ordering-check
+  /// failures (must be zero).
   std::vector<ShardLaneStats> ShardLanes;
   uint64_t ShardRoutedEvents = 0;
   uint64_t ShardBroadcastEvents = 0;
   uint64_t ShardHorizonAdvances = 0;
+  /// Shipped clocks installed into lane views, summed over lanes.
   uint64_t ShardTableReads = 0;
+  /// Post-edge thread clocks the writer shipped (one per changed thread
+  /// per edge).
   uint64_t ShardSyncPublishes = 0;
+  /// Resident bytes of the sync segments plus every lane's thread views:
+  /// bounded by the ring depth and the thread count, not the edge count.
   uint64_t ShardSyncTableBytes = 0;
   uint64_t ShardOrderViolations = 0;
 };

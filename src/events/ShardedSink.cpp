@@ -42,11 +42,12 @@ ShardedSink::ShardedSink(const DetectorConfig &Tool,
       TouchArrayChecks(!Tool.DeferArrayChecks),
       ToolFilterOn(Tool.CheckFilter) {
   RingBatches = std::max<size_t>(2, RingBatches);
+  Segments.resize(RingBatches);
   Shards.reserve(NumShards);
   for (size_t S = 0; S < NumShards; ++S) {
     auto L = std::make_unique<Lane>(RingBatches);
     L->Detector = std::make_unique<RaceDetector>(Tool, L->Counters, Symbols);
-    L->Detector->attachSharedSync(&Table);
+    L->Detector->useSyncMarkers();
     // Redirect memory sampling into the lockstep log; the merge
     // reconstructs the gauges, so shard Stats stay purely summable.
     L->Detector->setMemorySampleLog(&L->Samples);
@@ -78,13 +79,17 @@ ShardedSink::~ShardedSink() {
     Oracle->Worker.join();
 }
 
-void ShardedSink::stage(Lane &L, const Event &E, const uint32_t *Payload,
-                        uint64_t Seq) {
+ShardBatch &ShardedSink::openSlot(Lane &L) {
   if (!L.Open) {
     L.Open = &L.Ring.acquireSlot();
     L.Open->clear();
   }
-  ShardBatch &B = *L.Open;
+  return *L.Open;
+}
+
+void ShardedSink::stage(Lane &L, const Event &E, const uint32_t *Payload,
+                        uint64_t Seq, uint64_t Horizon) {
+  ShardBatch &B = openSlot(L);
   Event Copy = E;
   if (E.PayloadCount) {
     // Rewrite the payload reference against this lane's arena.
@@ -96,7 +101,21 @@ void ShardedSink::stage(Lane &L, const Event &E, const uint32_t *Payload,
   }
   B.Events.push_back(Copy);
   B.Seq.push_back(Seq);
-  B.Horizon.push_back(L.ProducerLastBroadcast);
+  B.Horizon.push_back(Horizon);
+}
+
+SyncSegment &ShardedSink::openSync() {
+  if (OpenSync)
+    return *OpenSync;
+  // Every lane's slot for this batch first: holding them all proves each
+  // lane retired its slot for the sync batch that last used the segment.
+  for (auto &L : Shards)
+    openSlot(*L);
+  OpenSync = &Segments[SyncBatches++ % Segments.size()];
+  OpenSync->clear();
+  for (auto &L : Shards)
+    L->Open->Sync = OpenSync;
+  return *OpenSync;
 }
 
 SyncEdgeKind ShardedSink::edgeKindOf(EventKind K) {
@@ -150,49 +169,56 @@ void ShardedSink::consumeBatch(const Event *Events, size_t N,
     const Event &E = Events[I];
     uint64_t Seq = ++NextSeq;
     bool Broadcast = isBroadcast(E.Kind);
-    if (Oracle && (E.Target & kTargetOracle))
-      stage(*Oracle, E, Payload, Seq);
-    if (E.Target & kTargetTool) {
-      if (Broadcast) {
-        // Apply the edge once, then stage one compact horizon marker per
-        // lane instead of N event copies.
-        ++BroadcastEvents;
-        SyncEdge Edge;
-        Edge.Kind = edgeKindOf(E.Kind);
-        Edge.Tid = E.Tid;
-        Edge.Obj = E.Obj;
-        Edge.Field = E.Field;
-        Edge.Aux = E.Aux;
-        Edge.Seq = Seq;
-        if (E.PayloadCount) {
-          Edge.Parties = Payload + E.PayloadIndex;
-          Edge.NumParties = E.PayloadCount;
-        }
-        uint64_t HbBytes = Table.apply(Edge);
-        if (ToolFilterOn)
-          FilterInvalidations += invalidationsOf(E.Kind, E.PayloadCount);
-        for (auto &L : Shards)
-          stageMarker(*L, E, Payload, Seq, HbBytes);
-      } else {
-        ++RoutedEvents;
-        // First-touch parity: the writer's census must grow exactly when
-        // a single detector's would (checks initialize the acting
-        // thread's clock on their HB read).
-        if (E.Kind == EventKind::FieldCheck ||
-            (E.Kind == EventKind::ArrayCheck && TouchArrayChecks))
-          Table.touchThread(E.Tid);
-        stage(*Shards[shardOf(E.Obj)], E, Payload, Seq);
-      }
+    if (Oracle && (E.Target & kTargetOracle)) {
+      stage(*Oracle, E, Payload, Seq, OracleHorizon);
+      if (Broadcast)
+        OracleHorizon = Seq;
     }
-    // The horizon advances after staging, so a broadcast event's own
-    // horizon is the broadcast before it.
-    if (Broadcast) {
-      if (E.Target & kTargetTool)
-        for (auto &L : Shards)
-          L->ProducerLastBroadcast = Seq;
-      if (Oracle && (E.Target & kTargetOracle))
-        Oracle->ProducerLastBroadcast = Seq;
+    if (!(E.Target & kTargetTool))
+      continue;
+    if (!Broadcast) {
+      ++RoutedEvents;
+      // First-touch parity: the writer's census must grow exactly when
+      // a single detector's would (checks initialize the acting thread's
+      // clock on their HB read).
+      if (E.Kind == EventKind::FieldCheck ||
+          (E.Kind == EventKind::ArrayCheck && TouchArrayChecks))
+        Table.touchThread(E.Tid);
+      stage(*Shards[shardOf(E.Obj)], E, Payload, Seq, ToolHorizon);
+      continue;
     }
+    // Apply the edge once and write its marker and shipped clocks once,
+    // into the segment every lane's slot for this batch names.
+    ++BroadcastEvents;
+    SyncSegment &S = openSync();
+    SyncEdge Edge;
+    Edge.Kind = edgeKindOf(E.Kind);
+    Edge.Tid = E.Tid;
+    Edge.Obj = E.Obj;
+    Edge.Field = E.Field;
+    Edge.Aux = E.Aux;
+    SyncSegment::Marker M;
+    if (E.PayloadCount) {
+      Edge.Parties = Payload + E.PayloadIndex;
+      Edge.NumParties = E.PayloadCount;
+      M.PartyIndex = static_cast<uint32_t>(S.Parties.size());
+      M.PartyCount = E.PayloadCount;
+      S.Parties.insert(S.Parties.end(), Edge.Parties,
+                       Edge.Parties + Edge.NumParties);
+    }
+    M.HbBytes = Table.apply(Edge, S.Clocks);
+    M.Seq = Seq;
+    M.Horizon = ToolHorizon;
+    M.Kind = Edge.Kind;
+    M.Tid = E.Tid;
+    M.Aux = static_cast<ThreadId>(E.Aux);
+    M.ClockEnd = static_cast<uint32_t>(S.Clocks.size());
+    S.Markers.push_back(M);
+    if (ToolFilterOn)
+      FilterInvalidations += invalidationsOf(E.Kind, E.PayloadCount);
+    // The horizon advances after staging, so a sync edge's own horizon
+    // is the sync edge before it.
+    ToolHorizon = Seq;
   }
   // Publish once per lane per incoming batch: lanes see batch boundaries
   // no finer than the producer's, keeping per-slot overhead amortized.
@@ -205,52 +231,29 @@ void ShardedSink::consumeBatch(const Event *Events, size_t N,
     Oracle->Ring.publish();
     Oracle->Open = nullptr;
   }
+  OpenSync = nullptr;
 }
 
-void ShardedSink::stageMarker(Lane &L, const Event &E,
-                              const uint32_t *Payload, uint64_t Seq,
-                              uint64_t HbBytes) {
-  if (!L.Open) {
-    L.Open = &L.Ring.acquireSlot();
-    L.Open->clear();
-  }
-  ShardBatch &B = *L.Open;
-  ShardBatch::SyncMarker M;
-  M.Seq = Seq;
-  M.Horizon = L.ProducerLastBroadcast;
-  M.HbBytes = HbBytes;
-  M.Kind = E.Kind;
-  M.Tid = E.Tid;
-  M.Obj = E.Obj;
-  M.Aux = E.Aux;
-  if (E.PayloadCount) {
-    M.PayloadIndex = static_cast<uint32_t>(B.Payload.size());
-    M.PayloadCount = E.PayloadCount;
-    B.Payload.insert(B.Payload.end(), Payload + E.PayloadIndex,
-                     Payload + E.PayloadIndex + E.PayloadCount);
-  }
-  B.Markers.push_back(M);
-}
-
-void ShardedSink::applyMarker(Lane &L, const ShardBatch::SyncMarker &M,
-                              const uint32_t *Words) {
+void ShardedSink::applyMarker(Lane &L, const SyncSegment &S, size_t Index) {
+  const SyncSegment::Marker &M = S.Markers[Index];
   // Same ordering invariant as staged events: every earlier marker must
   // already be applied (structural per-lane FIFO; counted if violated).
   if (L.LastBroadcastSeq != M.Horizon)
     ++L.OrderViolations;
   RaceDetector &D = *L.Detector;
   D.setEventSeq(M.Seq);
+  uint32_t ClockBegin = Index ? S.Markers[Index - 1].ClockEnd : 0;
   SyncEdge E;
-  E.Kind = edgeKindOf(M.Kind);
+  E.Kind = M.Kind;
   E.Tid = M.Tid;
-  E.Obj = M.Obj;
   E.Aux = M.Aux;
-  E.Seq = M.Seq;
-  if (M.PayloadCount) {
-    E.Parties = Words + M.PayloadIndex;
-    E.NumParties = M.PayloadCount;
+  if (M.PartyCount) {
+    E.Parties = S.Parties.data() + M.PartyIndex;
+    E.NumParties = M.PartyCount;
   }
-  D.applySyncMarker(E, M.HbBytes);
+  E.Clocks = S.Clocks.data() + ClockBegin;
+  E.ClockWords = M.ClockEnd - ClockBegin;
+  L.ViewsInstalled += D.applySyncMarker(E, M.HbBytes);
   L.LastBroadcastSeq = M.Seq;
   ++L.MarkersApplied;
 }
@@ -271,15 +274,16 @@ void ShardedSink::laneLoop(Lane &L) {
       return; // Stop observed with an empty ring: every slot applied.
     auto T0 = Clock::now();
     const uint32_t *Words = B->Payload.data();
-    // Interleave the marker stream with the event stream by global
+    // Interleave the segment's markers with the event stream by global
     // sequence (both are staged ascending, the ranges never overlap);
-    // the oracle lane has no markers and the loop reduces to the plain
+    // the oracle lane has no segment and the loop reduces to the plain
     // event walk.
-    size_t MI = 0, MN = B->Markers.size();
+    const SyncSegment *S = B->Sync;
+    size_t MI = 0, MN = S ? S->Markers.size() : 0;
     for (size_t I = 0, N = B->Events.size(); I < N; ++I) {
       const Event &E = B->Events[I];
-      while (MI < MN && B->Markers[MI].Seq < B->Seq[I])
-        applyMarker(L, B->Markers[MI++], Words);
+      while (MI < MN && S->Markers[MI].Seq < B->Seq[I])
+        applyMarker(L, *S, MI++);
       // Ordering invariant: every broadcast this event was published
       // after must already be applied. The per-lane FIFO makes this
       // structural; the check turns any future regression into a counted
@@ -292,7 +296,7 @@ void ShardedSink::laneLoop(Lane &L) {
         L.LastBroadcastSeq = B->Seq[I];
     }
     while (MI < MN)
-      applyMarker(L, B->Markers[MI++], Words);
+      applyMarker(L, *S, MI++);
     L.EventsApplied += B->Events.size();
     L.BusyNs += uint64_t(
         std::chrono::duration_cast<std::chrono::nanoseconds>(Clock::now() - T0)
@@ -305,7 +309,7 @@ void ShardedSink::finish(RunResult &R) {
   // The run-end sample, in lockstep across shards (the producer appends
   // it after drain, so every lane has applied its whole stream). The HB
   // component is the writer's final census — it may have grown past the
-  // last published edge via first-touch inits on trailing routed checks,
+  // last shipped edge via first-touch inits on trailing routed checks,
   // exactly like an inline detector's.
   for (auto &L : Shards) {
     L->Detector->syncSharedHbBytes(Table.hbBytes());
@@ -399,7 +403,7 @@ void ShardedSink::finish(RunResult &R) {
     R.AsyncBatches += LS.Batches;
     R.AsyncStalls += LS.Stalls;
     R.ShardHorizonAdvances += L->MarkersApplied;
-    R.ShardTableReads += L->Detector->sharedSyncReads();
+    R.ShardTableReads += L->ViewsInstalled;
     R.ShardOrderViolations += L->OrderViolations;
     R.DetectorSeconds = std::max(R.DetectorSeconds, LS.BusyNs * 1e-9);
   }
@@ -412,6 +416,15 @@ void ShardedSink::finish(RunResult &R) {
   }
   R.ShardRoutedEvents = RoutedEvents;
   R.ShardBroadcastEvents = BroadcastEvents;
-  R.ShardSyncPublishes = Table.publishes();
-  R.ShardSyncTableBytes = Table.tableBytes();
+  R.ShardSyncPublishes = Table.clocksShipped();
+  R.ShardSyncTableBytes = syncStateBytes();
+}
+
+size_t ShardedSink::syncStateBytes() const {
+  size_t Bytes = 0;
+  for (const SyncSegment &S : Segments)
+    Bytes += S.residentBytes();
+  for (const auto &L : Shards)
+    Bytes += L->Detector->threadViewBytes();
+  return Bytes;
 }

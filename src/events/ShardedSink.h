@@ -15,14 +15,22 @@
 /// counter sums across shards to exactly the single-detector value.
 /// Synchronization events (acquire/release, volatiles, fork/join,
 /// barrier, thread lifecycle, periodic commits) are applied ONCE, by the
-/// producer, to a shared SyncClockTable (DESIGN.md Sec. 13), which
-/// publishes the mutated thread clocks as versioned snapshots; each lane
-/// receives only a compact SyncMarker (sequence, horizon, post-edge HB
-/// census, decoded edge). Lanes advance their sync horizon, commit
-/// deferred footprints, tick filter generations, and sample memory off
-/// the marker, while every HB read on the check path resolves against the
-/// table at the lane's horizon. CheckFilter invalidations are counted
-/// once, producer-side.
+/// producer, to a SyncClockTable (DESIGN.md Sec. 13), which ships the
+/// post-edge clocks of the threads each edge changed. The edge's marker
+/// (sequence, horizon, post-edge HB census, decoded edge) and its clocks
+/// are written once into the batch's shared SyncSegment, which every
+/// lane's slot for that batch names. Lanes install the shipped clocks
+/// into their own per-thread views, commit deferred footprints, tick
+/// filter generations, and sample memory off the marker; every HB read
+/// on the check path reads the lane's own views. CheckFilter
+/// invalidations are counted once, producer-side.
+///
+/// Segments are reused round-robin over the ring capacity Cap. Every
+/// lane gets a slot in every batch that carries a tool sync edge, so
+/// holding every lane's slot for sync batch k proves each lane has
+/// retired its slot for sync batch k - Cap, the last reader of the
+/// segment batch k reuses. Sync state is therefore bounded by the ring
+/// capacity and the lanes' views, not by the number of edges.
 ///
 /// Every event carries a producer-assigned global sequence number through
 /// its shard's SPSC ring, and every staged event additionally carries the
@@ -64,6 +72,47 @@ namespace bigfoot {
 
 struct RunResult;
 
+/// The tool sync edges of one batch, written once by the producer and read
+/// by every shard lane whose slot for that batch names the segment.
+struct SyncSegment {
+  /// One sync edge as a lane applies it. The clocks were already applied
+  /// writer-side; the marker carries the stamps a lane's ordering check
+  /// and race order need, the decoded edge for footprint commits and
+  /// filter ticks, the writer's post-edge HB census for memory samples,
+  /// and where its parties and shipped clocks sit in this segment.
+  struct Marker {
+    uint64_t Seq = 0;
+    uint64_t Horizon = 0; ///< The tool sync edge staged before this one.
+    uint64_t HbBytes = 0;
+    SyncEdgeKind Kind = SyncEdgeKind::None;
+    ThreadId Tid = 0;
+    ThreadId Aux = 0; ///< Child (Fork), joined thread (Join).
+    uint32_t PartyIndex = 0;
+    uint32_t PartyCount = 0;
+    /// End of this edge's records in Clocks; they begin where the
+    /// previous marker's end.
+    uint32_t ClockEnd = 0;
+  };
+  /// Ascending by Seq; lanes interleave them with their events.
+  std::vector<Marker> Markers;
+  std::vector<ThreadId> Parties; ///< Barrier party lists.
+  /// Shipped clock records (SyncClockTable::apply's format).
+  std::vector<uint64_t> Clocks;
+
+  void clear() {
+    Markers.clear();
+    Parties.clear();
+    Clocks.clear();
+  }
+
+  /// Bytes the segment holds allocated.
+  size_t residentBytes() const {
+    return sizeof(SyncSegment) + Markers.capacity() * sizeof(Marker) +
+           Parties.capacity() * sizeof(ThreadId) +
+           Clocks.capacity() * sizeof(uint64_t);
+  }
+};
+
 /// One ring slot of the fan-out: an event batch plus the per-event
 /// sequence stamps the merge and the ordering check need.
 struct ShardBatch {
@@ -75,33 +124,17 @@ struct ShardBatch {
   /// Sequence of the last sync edge staged to this lane before each
   /// event — the sync edge the event depends on.
   std::vector<uint64_t> Horizon;
-
-  /// A sync edge: not an event copy — the clocks were already applied
-  /// table-side — just the stamp a lane needs to advance its horizon
-  /// plus the decoded edge for footprint commits, filter ticks, and
-  /// memory samples. Barrier party lists live in the batch's payload
-  /// arena.
-  struct SyncMarker {
-    uint64_t Seq = 0;
-    uint64_t Horizon = 0; ///< Last marker staged to the lane before this.
-    uint64_t HbBytes = 0; ///< Applier's post-edge HB byte census.
-    EventKind Kind = EventKind::ThreadBegin;
-    ThreadId Tid = 0;
-    ObjectId Obj = 0;
-    uint64_t Aux = 0;
-    uint32_t PayloadIndex = 0;
-    uint32_t PayloadCount = 0;
-  };
-  /// Markers staged to this lane, ascending by Seq; lanes interleave
-  /// them with Events by sequence (both streams are staged in order).
-  std::vector<SyncMarker> Markers;
+  /// The batch's tool sync edges, shared with every other shard lane's
+  /// slot for the same batch; null when it carried none (and always on
+  /// the oracle lane, which takes sync edges as events).
+  const SyncSegment *Sync = nullptr;
 
   void clear() {
     Events.clear();
     Payload.clear();
     Seq.clear();
     Horizon.clear();
-    Markers.clear();
+    Sync = nullptr;
   }
 };
 
@@ -153,14 +186,18 @@ public:
   size_t shards() const { return NumShards; }
 
   /// Producer side: routes checks to their lane, applies sync edges to
-  /// the table and stages their markers to every lane, then publishes
-  /// one slot per lane that received anything. Blocks on any full lane
-  /// ring (backpressure).
+  /// the table and writes their markers and clocks into the batch's
+  /// shared segment, then publishes one slot per lane that received
+  /// anything. Blocks on any full lane ring (backpressure).
   void consumeBatch(const Event *Events, size_t N,
                     const uint32_t *Payload) override;
 
   /// Blocks until every published slot on every lane has been applied.
   void drain();
+
+  /// Resident bytes of the sync state that crosses to the lanes: the
+  /// segments plus every shard lane's thread views. Call after drain().
+  size_t syncStateBytes() const;
 
   /// Merges the shards into \p R: tool.* counters and peak gauges added
   /// to R.Counters, races, filter stats and the lane accounting. Call
@@ -181,19 +218,19 @@ private:
     uint64_t BusyNs = 0;
     uint64_t EventsApplied = 0;
     uint64_t MarkersApplied = 0;
+    uint64_t ViewsInstalled = 0;
     uint64_t LastBroadcastSeq = 0;
     uint64_t OrderViolations = 0;
     /// Producer side: slot being staged during the current incoming
-    /// batch, and the horizon for events staged to this lane.
+    /// batch.
     ShardBatch *Open = nullptr;
-    uint64_t ProducerLastBroadcast = 0;
 
     explicit Lane(size_t RingBatches) : Ring(RingBatches) {}
   };
 
   /// True for event kinds every shard must see (sync edges, lifecycle,
-  /// commits) — applied to the table and staged as markers; false for
-  /// the location-routed check/alloc kinds.
+  /// commits) — applied to the table and written to the segment as
+  /// markers; false for the location-routed check/alloc kinds.
   static bool isBroadcast(EventKind K) {
     return K != EventKind::FieldCheck && K != EventKind::ArrayCheck &&
            K != EventKind::ArrayAlloc;
@@ -208,16 +245,23 @@ private:
     return size_t(X % NumShards);
   }
 
-  void stage(Lane &L, const Event &E, const uint32_t *Payload, uint64_t Seq);
+  /// The slot \p L stages into for the current incoming batch.
+  static ShardBatch &openSlot(Lane &L);
 
-  /// Stages the compact marker for an already-applied sync edge to \p L
-  /// (party payload copied into the lane's arena).
-  void stageMarker(Lane &L, const Event &E, const uint32_t *Payload,
-                   uint64_t Seq, uint64_t HbBytes);
+  /// Copies event \p E into \p L's open slot, stamped with its sequence
+  /// and the sync edge it depends on.
+  static void stage(Lane &L, const Event &E, const uint32_t *Payload,
+                    uint64_t Seq, uint64_t Horizon);
 
-  /// Lane side: applies one staged marker to the lane's detector.
-  void applyMarker(Lane &L, const ShardBatch::SyncMarker &M,
-                   const uint32_t *Words);
+  /// The segment for the current incoming batch's tool sync edges. The
+  /// first call per batch opens a slot on every shard lane, then reuses
+  /// the segment of the sync batch Cap batches back (see the file
+  /// comment for why no lane still reads it).
+  SyncSegment &openSync();
+
+  /// Lane side: applies marker \p Index of segment \p S to the lane's
+  /// detector.
+  static void applyMarker(Lane &L, const SyncSegment &S, size_t Index);
 
   void laneLoop(Lane &L);
 
@@ -230,10 +274,17 @@ private:
   static uint64_t invalidationsOf(EventKind K, uint32_t PayloadCount);
 
   size_t NumShards;
-  /// The shared sync-clock table. Written only by the producer; lanes
-  /// read published snapshots. Outlives the lane threads (joined in the
-  /// destructor).
+  /// The sync writer. Touched only by the producer.
   SyncClockTable Table;
+  /// One segment per ring slot, reused round-robin by sync batch number.
+  /// The destructor joins the lanes before any segment dies.
+  std::vector<SyncSegment> Segments;
+  uint64_t SyncBatches = 0;           ///< Sync-carrying batches opened.
+  SyncSegment *OpenSync = nullptr;    ///< This incoming batch's segment.
+  /// Sequence of the last sync edge staged to the shard lanes (all of
+  /// them see every tool sync edge) and to the oracle lane.
+  uint64_t ToolHorizon = 0;
+  uint64_t OracleHorizon = 0;
   /// Shard lanes [0, NumShards); the oracle lane, when attached, is a
   /// separate member so shard indexing stays direct.
   std::vector<std::unique_ptr<Lane>> Shards;

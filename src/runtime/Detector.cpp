@@ -210,7 +210,7 @@ void RaceDetector::checkFields(ThreadId T, ObjectId Obj,
       Probed = true;
     }
   }
-  auto [C, Cur] = currentOf(T, TC);
+  auto [C, Cur] = Hb.current(T);
 
   // Resolve the object once for the whole (possibly coalesced) check.
   // FieldShadow is append-only, so a cached index whose entry still
@@ -269,7 +269,7 @@ RaceDetector::ArrayApplyInfo
 RaceDetector::applyArray(ThreadId T, ObjectId Arr, const StridedRange &R,
                          AccessKind K) {
   ThreadCache &TC = cacheFor(T);
-  auto [C, Cur] = currentOf(T, TC);
+  auto [C, Cur] = Hb.current(T);
   ArrayShadow &Shadow = shadowFor(Arr, TC);
   size_t BytesBefore = Shadow.memoryBytes();
   size_t LocsBefore = Shadow.locationCount();
@@ -422,14 +422,14 @@ void RaceDetector::commitFootprints(ThreadId T) {
 }
 
 void RaceDetector::onAcquire(ThreadId T, ObjectId Lock) {
-  assert(!SharedSync && "shared-sync mode takes sync edges as markers");
+  assert(!SyncMarkers && "marker mode takes sync edges as markers");
   commitFootprints(T);
   Hb.onAcquire(T, Lock);
   sampleMemory();
 }
 
 void RaceDetector::onRelease(ThreadId T, ObjectId Lock) {
-  assert(!SharedSync && "shared-sync mode takes sync edges as markers");
+  assert(!SyncMarkers && "marker mode takes sync edges as markers");
   commitFootprints(T);
   Hb.onRelease(T, Lock);
   if (Filter)
@@ -437,13 +437,13 @@ void RaceDetector::onRelease(ThreadId T, ObjectId Lock) {
 }
 
 void RaceDetector::onVolatileRead(ThreadId T, ObjectId Obj, FieldId Field) {
-  assert(!SharedSync && "shared-sync mode takes sync edges as markers");
+  assert(!SyncMarkers && "marker mode takes sync edges as markers");
   commitFootprints(T);
   Hb.onVolatileRead(T, Obj, Field);
 }
 
 void RaceDetector::onVolatileWrite(ThreadId T, ObjectId Obj, FieldId Field) {
-  assert(!SharedSync && "shared-sync mode takes sync edges as markers");
+  assert(!SyncMarkers && "marker mode takes sync edges as markers");
   commitFootprints(T);
   Hb.onVolatileWrite(T, Obj, Field);
   if (Filter)
@@ -451,7 +451,7 @@ void RaceDetector::onVolatileWrite(ThreadId T, ObjectId Obj, FieldId Field) {
 }
 
 void RaceDetector::onFork(ThreadId Parent, ThreadId Child) {
-  assert(!SharedSync && "shared-sync mode takes sync edges as markers");
+  assert(!SyncMarkers && "marker mode takes sync edges as markers");
   commitFootprints(Parent);
   Hb.onFork(Parent, Child);
   if (Filter) {
@@ -461,7 +461,7 @@ void RaceDetector::onFork(ThreadId Parent, ThreadId Child) {
 }
 
 void RaceDetector::onJoin(ThreadId Joiner, ThreadId Joined) {
-  assert(!SharedSync && "shared-sync mode takes sync edges as markers");
+  assert(!SyncMarkers && "marker mode takes sync edges as markers");
   commitFootprints(Joiner);
   Hb.onJoin(Joiner, Joined);
   if (Filter)
@@ -469,7 +469,7 @@ void RaceDetector::onJoin(ThreadId Joiner, ThreadId Joined) {
 }
 
 void RaceDetector::onBarrier(const std::vector<ThreadId> &Parties) {
-  assert(!SharedSync && "shared-sync mode takes sync edges as markers");
+  assert(!SyncMarkers && "marker mode takes sync edges as markers");
   // Parties commit in party order; the index is the RaceOrder tiebreak
   // that keeps commit races from different parties mergeable in this
   // exact order when the parties' arrays live in different shards.
@@ -486,7 +486,7 @@ void RaceDetector::onBarrier(const std::vector<ThreadId> &Parties) {
 }
 
 void RaceDetector::onThreadExit(ThreadId T) {
-  assert(!SharedSync && "shared-sync mode takes sync edges as markers");
+  assert(!SyncMarkers && "marker mode takes sync edges as markers");
   commitFootprints(T);
   Hb.onThreadExit(T);
   if (Filter)
@@ -544,10 +544,10 @@ void RaceDetector::sampleMemory() {
 }
 
 void RaceDetector::sampleMemoryNow() {
-  // In shared-sync mode the HB component is the applier's census at this
-  // detector's horizon — every lane carries the same value, exactly the
-  // bytes a single detector's HbState would hold at this stream point.
-  size_t HbB = SharedSync ? SharedHbBytes : Hb.memoryBytes();
+  // In marker mode the HB component is the writer's census at the last
+  // marker — every lane carries the same value, exactly the bytes a
+  // single detector's HbState would hold at this stream point.
+  size_t HbB = SyncMarkers ? SharedHbBytes : Hb.memoryBytes();
   if (SampleLog) {
     // Sharded mode: defer the gauge to the merge, which needs the
     // replicated (HB) and partitioned (shadow) components separately
@@ -561,72 +561,49 @@ void RaceDetector::sampleMemoryNow() {
   Counters.gaugeMax("tool.peakShadowLocations", shadowLocationCount());
 }
 
-HbState::ThreadView RaceDetector::sharedCurrent(ThreadId T, ThreadCache &TC) {
-  const SyncClockTable &Tab = *SharedSync;
-  if (TC.SyncIdx != ThreadCache::kSyncUnresolved) {
-    // O(1) revalidation: the cached resolution is still the newest
-    // snapshot at the horizon unless the next snapshot has fallen
-    // inside it.
-    uint64_t Next = static_cast<uint64_t>(TC.SyncIdx + 1);
-    if (Next >= Tab.publishedCount(T) || Tab.entrySeq(T, Next) > SyncHorizon)
-      return {*TC.SyncC, TC.SyncCur};
-  }
-  ++SharedReads;
-  SyncClockTable::View V = Tab.readThread(T, SyncHorizon);
-  if (V.C) {
-    TC.SyncIdx = V.Idx;
-    TC.SyncC = V.C;
-    TC.SyncCur = V.Cur;
-  } else {
-    // No snapshot at the horizon: the deterministic initial view {T:1}
-    // with epoch (T,1) — what HbState::clockOf initializes to.
-    if (!TC.InitClock) {
-      TC.InitClock = std::make_unique<VectorClock>();
-      TC.InitClock->set(T, 1);
-    }
-    TC.SyncIdx = -1;
-    TC.SyncC = TC.InitClock.get();
-    TC.SyncCur = Epoch(T, 1);
-  }
-  return {*TC.SyncC, TC.SyncCur};
-}
-
-void RaceDetector::applySyncMarker(const SyncEdge &E, uint64_t HbBytesAfter) {
-  assert(SharedSync && "markers only apply in shared-sync mode");
-  // Commits run before the horizon advances, so deferred footprints
+size_t RaceDetector::applySyncMarker(const SyncEdge &E,
+                                     uint64_t HbBytesAfter) {
+  assert(SyncMarkers && "markers only apply in marker mode");
+  // Commits run before the shipped clocks install, so deferred footprints
   // resolve against pre-edge clocks — the owned-mode handlers commit
   // before mutating HbState for the same reason. Order per kind mirrors
   // the owned handlers exactly (commit, clock effect, filter tick,
   // memory sample).
-  auto Advance = [&] {
-    SyncHorizon = E.Seq;
+  size_t Installed = 0;
+  auto Install = [&] {
+    forEachShippedClock(E.Clocks, E.ClockWords,
+                        [&](ThreadId T, const uint64_t *Entries,
+                            uint32_t Width) {
+                          Hb.install(T, Entries, Width);
+                          ++Installed;
+                        });
     SharedHbBytes = HbBytesAfter;
   };
   switch (E.Kind) {
   case SyncEdgeKind::Acquire:
     commitFootprints(E.Tid);
-    Advance();
+    Install();
     sampleMemory();
     break;
   case SyncEdgeKind::Release:
     commitFootprints(E.Tid);
-    Advance();
+    Install();
     if (Filter)
       Filter->tickThread(E.Tid);
     break;
   case SyncEdgeKind::VolatileRead:
     commitFootprints(E.Tid);
-    Advance();
+    Install();
     break;
   case SyncEdgeKind::VolatileWrite:
     commitFootprints(E.Tid);
-    Advance();
+    Install();
     if (Filter)
       Filter->tickThread(E.Tid);
     break;
   case SyncEdgeKind::Fork:
     commitFootprints(E.Tid);
-    Advance();
+    Install();
     if (Filter) {
       Filter->tickThread(E.Tid);
       Filter->tickThread(static_cast<ThreadId>(E.Aux));
@@ -634,7 +611,7 @@ void RaceDetector::applySyncMarker(const SyncEdge &E, uint64_t HbBytesAfter) {
     break;
   case SyncEdgeKind::Join:
     commitFootprints(E.Tid);
-    Advance();
+    Install();
     if (Filter)
       Filter->tickThread(E.Tid);
     break;
@@ -646,7 +623,7 @@ void RaceDetector::applySyncMarker(const SyncEdge &E, uint64_t HbBytesAfter) {
       commitFootprints(E.Parties[I]);
     }
     CurrentParty = 0;
-    Advance();
+    Install();
     if (Filter)
       for (size_t I = 0; I < E.NumParties; ++I)
         Filter->tickThread(E.Parties[I]);
@@ -654,20 +631,21 @@ void RaceDetector::applySyncMarker(const SyncEdge &E, uint64_t HbBytesAfter) {
     break;
   case SyncEdgeKind::ThreadExit:
     commitFootprints(E.Tid);
-    Advance();
+    Install();
     if (Filter)
       Filter->tickThread(E.Tid);
     sampleMemoryNow();
     break;
   case SyncEdgeKind::Commit:
     commitFootprints(E.Tid);
-    Advance();
+    Install();
     break;
   case SyncEdgeKind::ThreadBegin:
   case SyncEdgeKind::None:
-    Advance(); // Stream marker: horizon only.
+    Install(); // Stream marker: no commit, nothing shipped.
     break;
   }
+  return Installed;
 }
 
 //===----------------------------------------------------------------------===

@@ -164,31 +164,31 @@ public:
   void periodicCommit(ThreadId T) { commitFootprints(T); }
 
   //===--- Split-state mode (DESIGN.md Sec. 13) --------------------------------
-  /// Attaches the shared epoch-published sync-clock table: HB reads
-  /// resolve against the table at this detector's sync horizon instead
-  /// of an owned HbState, and sync edges must then arrive as
-  /// applySyncMarker calls — the on*() mutators assert. Owned mode
-  /// (no table) is the default and keeps the single-detector behavior.
-  void attachSharedSync(const SyncClockTable *Table) { SharedSync = Table; }
-  bool sharedSyncAttached() const { return SharedSync != nullptr; }
+  /// Switches this detector to marker mode: one writer (a SyncClockTable)
+  /// applies the sync edges and ships post-edge thread clocks, so sync
+  /// edges must arrive as applySyncMarker calls — the on*() mutators
+  /// assert. The detector's HbState then holds only its views of the
+  /// thread clocks: {T:1} until a marker ships T's clock. Owned mode is
+  /// the default and keeps the single-detector behavior.
+  void useSyncMarkers() { SyncMarkers = true; }
 
   /// Applies one sync-edge marker: commits the affected threads'
-  /// pending footprints against the pre-edge horizon, advances the
-  /// horizon to E.Seq, ticks the filter generations (without the
-  /// invalidation tally — counted once, table-side), and samples memory
+  /// pending footprints against the pre-edge views, installs the clocks
+  /// shipped in E.Clocks, ticks the filter generations (without the
+  /// invalidation tally — counted once, writer-side), and samples memory
   /// at the same points the owned-mode handler would. \p HbBytesAfter is
-  /// the applier's post-edge HB census, carried so lockstep memory
-  /// samples reproduce a single detector's byte-exactly.
-  void applySyncMarker(const SyncEdge &E, uint64_t HbBytesAfter);
+  /// the writer's post-edge HB census, carried so lockstep memory
+  /// samples reproduce a single detector's byte-exactly. Returns the
+  /// number of clocks installed.
+  size_t applySyncMarker(const SyncEdge &E, uint64_t HbBytesAfter);
 
-  /// Refreshes the HB census for the run-end sample (the applier's state
-  /// may have grown after the last published edge via first-touch inits
-  /// on trailing checks).
+  /// Refreshes the HB census for the run-end sample (the writer's state
+  /// may have grown after the last marker via first-touch inits on
+  /// trailing checks).
   void syncSharedHbBytes(uint64_t Bytes) { SharedHbBytes = Bytes; }
 
-  /// Published-table resolutions (cache-missing reads) this detector
-  /// performed — the sharded [shards] summary's table-read counter.
-  uint64_t sharedSyncReads() const { return SharedReads; }
+  /// Bytes of this detector's thread clocks; in marker mode, its views.
+  size_t threadViewBytes() const { return Hb.memoryBytes(); }
 
   //===--- Results ------------------------------------------------------------
   const std::vector<ReportedRace> &races() const { return Races; }
@@ -244,7 +244,7 @@ public:
   /// component is replicated per shard (counted once, as a max), the
   /// shadow component is partitioned (summed across shards).
   struct MemorySample {
-    size_t HbBytes = 0;      ///< Hb.memoryBytes() — replica-identical.
+    size_t HbBytes = 0;      ///< HB census — the same in every lane.
     size_t PartialBytes = 0; ///< Field + array + pending — partitioned.
     size_t Locations = 0;    ///< shadowLocationCount() — partitioned.
   };
@@ -288,16 +288,13 @@ private:
   /// table when seeded; detectors outlive no program but tests drive them
   /// bare).
   SymbolTable Syms;
-  /// Owned-mode HB state; untouched (empty) when SharedSync is attached.
+  /// HB state: every clock in owned mode; in marker mode only the thread
+  /// views, installed from shipped clocks.
   HbState Hb;
-  /// Shared-mode sync source (sharded lanes); null in owned mode.
-  const SyncClockTable *SharedSync = nullptr;
-  /// Stream sequence of the last applied sync marker — the version every
-  /// table read resolves at.
-  uint64_t SyncHorizon = 0;
-  /// Applier's HB census at the horizon (for memory samples).
+  /// Marker mode (sharded lanes): sync edges arrive as applySyncMarker.
+  bool SyncMarkers = false;
+  /// The writer's HB census at the last marker (for memory samples).
   uint64_t SharedHbBytes = 0;
-  uint64_t SharedReads = 0; ///< Cache-missing table resolutions.
   /// Arena for every inflated clock held by field, array, and footprint
   /// shadow state.
   ClockPool Pool;
@@ -357,18 +354,6 @@ private:
     /// decrement per check instead of a dead probe and stamp.
     uint32_t FilterFieldSkip = 0;
     uint32_t FilterArraySkip = 0;
-    /// Shared-sync resolution cache: the table entry index the last read
-    /// for this thread resolved to (-1 = the synthesized initial view,
-    /// kSyncUnresolved = never resolved), plus the resolved view.
-    /// Revalidation is O(1): the resolution is still current unless a
-    /// newer snapshot has fallen inside the horizon.
-    static constexpr int64_t kSyncUnresolved = -2;
-    int64_t SyncIdx = kSyncUnresolved;
-    const VectorClock *SyncC = nullptr;
-    Epoch SyncCur;
-    /// Lazily built {T:1} clock for threads with no published snapshot
-    /// at the horizon (stable address across cache growth).
-    std::unique_ptr<VectorClock> InitClock;
   };
   std::vector<ThreadCache> TCaches;
 
@@ -445,19 +430,6 @@ private:
     }
     return TCaches[T];
   }
-
-  /// Thread \p T's current HB view: the owned HbState in owned mode, the
-  /// shared table resolved at the sync horizon in shared mode. The one
-  /// branch is the entire check-path cost of the split.
-  HbState::ThreadView currentOf(ThreadId T, ThreadCache &TC) {
-    if (!SharedSync) [[likely]]
-      return Hb.current(T);
-    return sharedCurrent(T, TC);
-  }
-
-  /// Shared-mode resolution with the per-thread cache (out of line; runs
-  /// only on horizon movement or first touch).
-  HbState::ThreadView sharedCurrent(ThreadId T, ThreadCache &TC);
 
   /// The proxy representative for \p F: an indexed load when \p F was
   /// known at attach time, lazy resolution for later-interned ids.

@@ -1,4 +1,4 @@
-//===- SyncClockTable.cpp - Epoch-published shared sync clocks -------------===//
+//===- SyncClockTable.cpp - The one writer of sharded sync state ----------===//
 //
 // Part of the BigFoot reproduction. See README.md for details.
 //
@@ -6,129 +6,64 @@
 
 #include "runtime/SyncClockTable.h"
 
-#include "runtime/ShadowCosts.h"
-
-#include <cassert>
-
 using namespace bigfoot;
 
-SyncClockTable::~SyncClockTable() {
-  for (auto &B : Blocks)
-    delete[] B.load(std::memory_order_relaxed);
+void SyncClockTable::ship(ThreadId T, std::vector<uint64_t> &Out) {
+  // An edge that left T's clock uninitialized (a volatile read before any
+  // write, a join of a thread with no final clock) ships nothing, and
+  // reading it here must not initialize it: the census stays what a
+  // single detector's would be.
+  const VectorClock *C = Hb.liveClock(T);
+  if (!C)
+    return;
+  Out.push_back(T);
+  Out.push_back(C->size());
+  Out.insert(Out.end(), C->entries(), C->entries() + C->size());
+  ++Shipped;
 }
 
-SyncClockTable::History &SyncClockTable::historyFor(ThreadId T) {
-  assert(T < kThreadBlock * kMaxBlocks && "thread id beyond directory");
-  std::atomic<History *> &Slot = Blocks[T / kThreadBlock];
-  History *B = Slot.load(std::memory_order_relaxed);
-  if (!B) {
-    B = new History[kThreadBlock];
-    PublishedBytes += kThreadBlock * sizeof(History);
-    // Release: a reader that sees the pointer sees initialized Histories.
-    Slot.store(B, std::memory_order_release);
-  }
-  return B[T % kThreadBlock];
-}
-
-uint64_t SyncClockTable::entrySeq(ThreadId T, uint64_t Idx) const {
-  const History *H = historyOf(T);
-  assert(H && "entrySeq below an observed count implies a history");
-  return H->entryAt(Idx).Seq;
-}
-
-void SyncClockTable::publish(ThreadId T, uint64_t Seq) {
-  const VectorClock &C = Hb.clockOf(T);
-  Epoch Cur = Hb.epochOf(T);
-  History &H = historyFor(T);
-  uint64_t I = H.Count.load(std::memory_order_relaxed);
-  unsigned Chunk;
-  uint64_t Off;
-  History::locate(I, Chunk, Off);
-  Entry *Arr = H.Chunks[Chunk].load(std::memory_order_relaxed);
-  if (!Arr) {
-    Arr = new Entry[History::kFirstChunk << Chunk];
-    PublishedBytes += (History::kFirstChunk << Chunk) * sizeof(Entry);
-    H.Chunks[Chunk].store(Arr, std::memory_order_release);
-  }
-  Entry &E = Arr[Off];
-  assert(I == 0 || H.entryAt(I - 1).Seq < Seq);
-  E.Seq = Seq;
-  E.Cur = Cur;
-  E.C = C;
-  PublishedBytes += E.C.heapCapacity() * sizeof(uint64_t);
-  ++Publishes;
-  // The release fence of the append: everything written above is visible
-  // to any reader that acquires a count covering index I.
-  H.Count.store(I + 1, std::memory_order_release);
-}
-
-size_t SyncClockTable::apply(const SyncEdge &E) {
+size_t SyncClockTable::apply(const SyncEdge &E, std::vector<uint64_t> &Out) {
   switch (E.Kind) {
   case SyncEdgeKind::Acquire:
     Hb.onAcquire(E.Tid, E.Obj);
-    publish(E.Tid, E.Seq);
+    ship(E.Tid, Out);
     break;
   case SyncEdgeKind::Release:
     Hb.onRelease(E.Tid, E.Obj);
-    publish(E.Tid, E.Seq);
+    ship(E.Tid, Out);
     break;
   case SyncEdgeKind::VolatileRead:
     Hb.onVolatileRead(E.Tid, E.Obj, E.Field);
-    publish(E.Tid, E.Seq);
+    ship(E.Tid, Out);
     break;
   case SyncEdgeKind::VolatileWrite:
     Hb.onVolatileWrite(E.Tid, E.Obj, E.Field);
-    publish(E.Tid, E.Seq);
+    ship(E.Tid, Out);
     break;
   case SyncEdgeKind::Fork:
     Hb.onFork(E.Tid, static_cast<ThreadId>(E.Aux));
-    publish(E.Tid, E.Seq);
-    publish(static_cast<ThreadId>(E.Aux), E.Seq);
+    ship(E.Tid, Out);
+    ship(static_cast<ThreadId>(E.Aux), Out);
     break;
   case SyncEdgeKind::Join:
     Hb.onJoin(E.Tid, static_cast<ThreadId>(E.Aux));
-    publish(E.Tid, E.Seq);
+    ship(E.Tid, Out);
     break;
   case SyncEdgeKind::Barrier:
     PartyScratch.assign(E.Parties, E.Parties + E.NumParties);
     Hb.onBarrier(PartyScratch);
     for (ThreadId T : PartyScratch)
-      publish(T, E.Seq);
+      ship(T, Out);
     break;
   case SyncEdgeKind::ThreadExit:
     // Records T's final clock writer-side (joins read it via Hb); T's own
-    // view is unchanged, so nothing publishes.
+    // view is unchanged, so nothing ships.
     Hb.onThreadExit(E.Tid);
     break;
   case SyncEdgeKind::ThreadBegin:
   case SyncEdgeKind::Commit:
   case SyncEdgeKind::None:
-    break; // No clock effect; the marker still advances lane horizons.
+    break; // No clock effect; the marker still reaches every lane.
   }
   return Hb.memoryBytes();
-}
-
-SyncClockTable::View SyncClockTable::readThread(ThreadId T,
-                                                uint64_t Horizon) const {
-  View V;
-  const History *H = historyOf(T);
-  if (!H)
-    return V;
-  uint64_t N = H->Count.load(std::memory_order_acquire);
-  // Largest index with Seq <= Horizon (stamps are strictly increasing).
-  uint64_t Lo = 0, Hi = N;
-  while (Lo < Hi) {
-    uint64_t Mid = Lo + (Hi - Lo) / 2;
-    if (H->entryAt(Mid).Seq <= Horizon)
-      Lo = Mid + 1;
-    else
-      Hi = Mid;
-  }
-  if (Lo == 0)
-    return V; // No snapshot at or below the horizon: initial view.
-  const Entry &E = H->entryAt(Lo - 1);
-  V.C = &E.C;
-  V.Cur = E.Cur;
-  V.Idx = static_cast<int64_t>(Lo - 1);
-  return V;
 }

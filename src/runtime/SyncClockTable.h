@@ -1,39 +1,27 @@
-//===- SyncClockTable.h - Epoch-published shared sync clocks ----*- C++ -*-===//
+//===- SyncClockTable.h - The one writer of sharded sync state --*- C++ -*-===//
 //
 // Part of the BigFoot reproduction. See README.md for details.
 //
 //===----------------------------------------------------------------------===//
 ///
 /// \file
-/// The shared half of the split happens-before state (DESIGN.md Sec. 13).
-/// Checks never mutate synchronization clocks — they only read the acting
-/// thread's current view — so the sharded backend does not need N replicas
-/// of HbState kept coherent by broadcasting every release edge. Instead a
-/// single writer (the fan-out producer) applies each sync edge to one
-/// embedded HbState exactly once and publishes the mutated threads'
-/// clocks as immutable versioned snapshots, stamped with the edge's
-/// global stream sequence. Check lanes resolve "thread T's view at my
-/// sync horizon H" by reading the newest snapshot of T with Seq <= H —
-/// a wait-free lookup against append-only storage.
+/// The writer half of the split happens-before state (DESIGN.md Sec. 13).
+/// Checks never mutate synchronization clocks; they only read the acting
+/// thread's current view. So the sharded backend does not keep N
+/// replicas of HbState coherent by replaying every sync edge in every
+/// lane. Instead a single writer (the fan-out producer) applies each sync
+/// edge once to one embedded HbState and ships the post-edge clock of
+/// every thread the edge changed. The clocks ride the edge's marker to
+/// every lane, which installs them into its own per-thread views.
 ///
-/// Publication protocol (single writer, any number of readers):
+/// Lock, volatile and final (join) release clocks never leave the writer:
+/// checks read only thread views, so only thread clocks ship. A thread
+/// whose clock the writer never initialized ships nothing; every lane
+/// starts it at the initial view {T:1}.
 ///
-///   * Per thread, snapshots append into geometrically growing chunks
-///     (chunk k holds 64<<k entries) behind a fixed array of atomic
-///     chunk pointers — entries never move, so a reader-held
-///     `const VectorClock *` stays valid forever.
-///   * The per-thread entry count is release-stored after the entry is
-///     fully written and acquire-loaded by readers, which makes every
-///     entry below the loaded count (and the chunk pointer it lives
-///     behind) visible without locks. Entries are immutable once
-///     published; the writer only ever touches the next free slot.
-///   * Threads with no snapshot at or below the horizon have the
-///     deterministic initial view {T:1} with epoch (T,1) — clocks start
-///     at 1 — which readers synthesize locally instead of publishing.
-///
-/// Lock, volatile, and final (join) release clocks never leave the
-/// writer: only thread views are read by checks, so only thread views
-/// are published.
+/// Shipped-clock format: records back to back in one word array, each
+/// [tid, width, entry 0, ..., entry width-1]. forEachShippedClock walks
+/// them.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -43,7 +31,6 @@
 #include "runtime/HbState.h"
 #include "runtime/VectorClock.h"
 
-#include <atomic>
 #include <cstdint>
 #include <vector>
 
@@ -52,8 +39,8 @@ namespace bigfoot {
 /// The synchronization-edge kinds a sync marker can carry. A runtime-level
 /// mirror of the event-stream sync/lifecycle kinds (the runtime layer does
 /// not see src/events); ThreadBegin and Commit have no clock effect but
-/// still advance the horizon, and Commit additionally commits deferred
-/// footprints lane-side.
+/// still pass through the lanes in stream order, and Commit additionally
+/// commits deferred footprints lane-side.
 enum class SyncEdgeKind : uint8_t {
   None,
   Acquire,
@@ -76,130 +63,56 @@ struct SyncEdge {
   uint64_t Obj = 0;   ///< Lock / volatile object id.
   FieldId Field = kNoSym; ///< Volatile field id.
   uint64_t Aux = 0;   ///< Child tid (Fork), joined tid (Join).
-  uint64_t Seq = 0;   ///< Global stream sequence — the published version.
   const ThreadId *Parties = nullptr; ///< Barrier party list.
   size_t NumParties = 0;
+  /// Lane side: the clocks the writer shipped for this edge.
+  const uint64_t *Clocks = nullptr;
+  size_t ClockWords = 0;
 };
 
-/// Single-writer multi-reader table of versioned thread clocks.
+/// Calls \p Fn(T, Entries, Width) for each shipped clock record in the
+/// \p NumWords words at \p Words.
+template <typename FnT>
+void forEachShippedClock(const uint64_t *Words, size_t NumWords, FnT &&Fn) {
+  for (size_t I = 0; I < NumWords;) {
+    uint32_t Width = static_cast<uint32_t>(Words[I + 1]);
+    Fn(static_cast<ThreadId>(Words[I]), Words + I + 2, Width);
+    I += 2 + size_t(Width);
+  }
+}
+
+/// The single writer of the sharded run's sync state.
 class SyncClockTable {
 public:
-  SyncClockTable() = default;
-  ~SyncClockTable();
-
-  SyncClockTable(const SyncClockTable &) = delete;
-  SyncClockTable &operator=(const SyncClockTable &) = delete;
-
-  //===--- Writer side (one thread) -------------------------------------------
-  /// Applies one sync edge to the embedded HbState and publishes every
-  /// thread clock it may have changed, stamped with E.Seq (sequences must
-  /// be strictly increasing across calls). Returns the post-edge HB byte
-  /// census — carried on markers so lane memory samples reproduce a
-  /// single detector's exactly.
-  size_t apply(const SyncEdge &E);
+  /// Applies one sync edge to the embedded HbState and appends to \p Out
+  /// the post-edge clock of every thread it changed: the actor,
+  /// parent then child for a fork, the parties in payload order for a
+  /// barrier, nobody for a thread exit. Returns the post-edge HB byte
+  /// census, carried on markers so lane memory samples reproduce a single
+  /// detector's exactly.
+  size_t apply(const SyncEdge &E, std::vector<uint64_t> &Out);
 
   /// First-touch clock-initialization parity with routed checks: a check
   /// by T initializes T's clock in a single detector, which the byte
   /// census tracks. Call on every routed check event that would touch the
   /// clock so the writer's census evolves exactly like a sync run's.
-  /// Never publishes — readers synthesize the initial view themselves.
+  /// Ships nothing: lanes start every view at {T:1} themselves.
   void touchThread(ThreadId T) { Hb.clockOf(T); }
 
   /// The writer's HB byte census right now (post-drain: the run-end
   /// value, including first-touch inits after the last sync edge).
   size_t hbBytes() const { return Hb.memoryBytes(); }
 
-  /// Bytes held by the published snapshot storage (chunks + spilled
-  /// clock heap). Writer-side accounting; read after drain.
-  size_t tableBytes() const { return PublishedBytes; }
-
-  /// Total snapshots published (one per mutated thread per edge).
-  uint64_t publishes() const { return Publishes; }
-
-  //===--- Reader side (any thread, concurrent with the writer) ---------------
-  /// A resolved thread view: the newest published snapshot with
-  /// Seq <= horizon. C is null when no such snapshot exists (the caller
-  /// synthesizes the initial view); Idx is the entry index for cheap
-  /// revalidation on the next read.
-  struct View {
-    const VectorClock *C = nullptr;
-    Epoch Cur;
-    int64_t Idx = -1;
-  };
-
-  /// Published snapshots of thread \p T visible to this reader.
-  uint64_t publishedCount(ThreadId T) const {
-    const History *H = historyOf(T);
-    return H ? H->Count.load(std::memory_order_acquire) : 0;
-  }
-
-  /// Stamp of snapshot \p Idx of thread \p T; \p Idx must be below a
-  /// count this reader already observed.
-  uint64_t entrySeq(ThreadId T, uint64_t Idx) const;
-
-  /// Resolves thread \p T's view at \p Horizon (binary search over the
-  /// snapshot stamps).
-  View readThread(ThreadId T, uint64_t Horizon) const;
+  /// Clocks shipped so far (one per changed thread per edge).
+  uint64_t clocksShipped() const { return Shipped; }
 
 private:
-  /// One immutable published snapshot.
-  struct Entry {
-    uint64_t Seq = 0;
-    Epoch Cur;
-    VectorClock C;
-  };
+  /// Appends thread \p T's clock to \p Out as one record, if it has one.
+  void ship(ThreadId T, std::vector<uint64_t> &Out);
 
-  /// Append-only per-thread snapshot storage: chunk k holds
-  /// kFirstChunk << k entries, so a fixed pointer array covers any
-  /// realistic count and no entry ever moves.
-  struct History {
-    static constexpr unsigned kChunks = 32;
-    static constexpr uint64_t kFirstChunk = 64;
-    std::atomic<Entry *> Chunks[kChunks] = {};
-    std::atomic<uint64_t> Count{0};
-
-    ~History() {
-      for (auto &C : Chunks)
-        delete[] C.load(std::memory_order_relaxed);
-    }
-
-    /// Entry index -> (chunk, offset). Chunk k starts at
-    /// kFirstChunk * (2^k - 1).
-    static void locate(uint64_t I, unsigned &Chunk, uint64_t &Off) {
-      uint64_t Biased = I / kFirstChunk + 1;
-      Chunk = 63 - static_cast<unsigned>(__builtin_clzll(Biased));
-      Off = I - (kFirstChunk << Chunk) + kFirstChunk;
-    }
-
-    const Entry &entryAt(uint64_t I) const {
-      unsigned Chunk;
-      uint64_t Off;
-      locate(I, Chunk, Off);
-      return Chunks[Chunk].load(std::memory_order_acquire)[Off];
-    }
-  };
-
-  /// Two-level thread directory: blocks of kThreadBlock History objects
-  /// behind atomic pointers, so the directory grows without moving
-  /// anything a reader may hold.
-  static constexpr size_t kThreadBlock = 64;
-  /// kThreadBlock * kMaxBlocks = 65536 — the epoch packing's tid limit.
-  static constexpr size_t kMaxBlocks = 1024;
-  std::atomic<History *> Blocks[kMaxBlocks] = {};
-
-  History &historyFor(ThreadId T); ///< Writer: creates the block lazily.
-  const History *historyOf(ThreadId T) const {
-    History *B = Blocks[T / kThreadBlock].load(std::memory_order_acquire);
-    return B ? &B[T % kThreadBlock] : nullptr;
-  }
-
-  /// Publishes thread \p T's current clock and epoch under stamp \p Seq.
-  void publish(ThreadId T, uint64_t Seq);
-
-  HbState Hb; ///< The writer-side mutation engine (unchanged semantics).
+  HbState Hb; ///< Thread, lock, volatile and final clocks: the only copy.
   std::vector<ThreadId> PartyScratch; ///< Barrier party list rebuild.
-  size_t PublishedBytes = 0;
-  uint64_t Publishes = 0;
+  uint64_t Shipped = 0;
 };
 
 } // namespace bigfoot

@@ -71,7 +71,8 @@ struct VmOptions {
   size_t AsyncRingBatches = 16;
   /// Sharded parallel detection (DESIGN.md Sec. 12/13): fan the event
   /// stream out to N detector worker threads partitioned by location,
-  /// with sync edges applied once to a shared SyncClockTable.
+  /// with sync edges applied once and their post-edge clocks shipped to
+  /// every lane.
   /// 0 = off (sync, or the single-thread AsyncSink when AsyncDetect);
   /// > 0 implies the async pipeline and takes precedence over
   /// AsyncDetect. Reports and counters are byte-identical to the

@@ -403,6 +403,164 @@ TEST(ShardedSink, FinishAfterBroadcastHeavyTrafficIsDeterministic) {
   }
 }
 
+/// Builds batches of tool events for the sink tests below: field checks
+/// on one field and payload-free sync edges (volatiles on field 0).
+struct BatchBuilder {
+  std::vector<Event> Events;
+  std::vector<uint32_t> Payload;
+
+  void clear() {
+    Events.clear();
+    Payload.clear();
+  }
+  void check(ThreadId T, ObjectId Obj, AccessKind K, uint32_t Field = 0) {
+    Event E;
+    E.Kind = EventKind::FieldCheck;
+    E.Access = K;
+    E.Tid = T;
+    E.Obj = Obj;
+    E.PayloadIndex = uint32_t(Payload.size());
+    E.PayloadCount = 1;
+    Payload.push_back(Field);
+    Events.push_back(E);
+  }
+  void sync(EventKind K, ThreadId T, ObjectId Obj) {
+    Event E;
+    E.Kind = K;
+    E.Tid = T;
+    E.Obj = Obj;
+    E.Field = 0; // Volatiles name a field; locks ignore it.
+    Events.push_back(E);
+  }
+  void feed(EventSink &S) const {
+    S.consumeBatch(Events.data(), Events.size(), Payload.data());
+  }
+};
+
+/// Field names f0..f3 for the checks above: race reports render them.
+SymbolTable fieldNames() {
+  SymbolTable Syms;
+  for (const char *Name : {"f0", "f1", "f2", "f3"})
+    Syms.intern(Name);
+  return Syms;
+}
+
+/// Race reports as text, in report order.
+std::vector<std::string> raceText(const RunResult &R) {
+  std::vector<std::string> Out;
+  for (const ReportedRace &Race : R.ToolRaces)
+    Out.push_back(Race.str());
+  return Out;
+}
+
+// The sync state that crosses to the lanes is bounded (ROADMAP item 2):
+// two threads pass a lock back and forth for 10^7 acquire and release
+// edges, with a field check inside every critical section. The segments
+// and lane views reach their size within the first 10^5 edges and never
+// grow after, while reports and counters stay those of an inline
+// detector fed the same events.
+TEST(ShardedSink, SyncStateBytesPlateauOverTenMillionEdges) {
+  const DetectorConfig Ft = fastTrackConfig();
+  const SymbolTable Syms = fieldNames();
+  DetectionOptions InlineOpts;
+  DetectionPipeline Inline(&Ft, &Syms, InlineOpts);
+  ShardedSink Sink(Ft, nullptr, &Syms, 2);
+
+  // One unguarded write-write pair first, so there is a race to merge.
+  BatchBuilder B;
+  B.check(1, 99, AccessKind::Write);
+  B.check(2, 99, AccessKind::Write);
+  B.feed(*Inline.sink());
+  B.feed(Sink);
+
+  // One batch, fed over and over: 40 rounds of four edges, a check inside
+  // each critical section. Every segment then holds the same edges.
+  B.clear();
+  for (ObjectId Round = 0; Round < 40; ++Round)
+    for (ThreadId T : {ThreadId(1), ThreadId(2)}) {
+      B.sync(EventKind::Acquire, T, 7);
+      B.check(T, 10 + Round % 8, T == 1 ? AccessKind::Write : AccessKind::Read);
+      B.sync(EventKind::Release, T, 7);
+    }
+  constexpr uint64_t kEdgesPerBatch = 160;
+  auto FeedEdges = [&](uint64_t From, uint64_t To) {
+    for (uint64_t Edges = From; Edges < To; Edges += kEdgesPerBatch) {
+      B.feed(*Inline.sink());
+      B.feed(Sink);
+    }
+  };
+  FeedEdges(0, 100'000);
+  Sink.drain();
+  size_t Early = Sink.syncStateBytes();
+  FeedEdges(100'000, 10'000'000);
+  Sink.drain();
+  EXPECT_GT(Early, 0u);
+  EXPECT_EQ(Sink.syncStateBytes(), Early);
+
+  RunResult Lanes, Ref;
+  Sink.finish(Lanes);
+  Inline.finish(Ref);
+  EXPECT_EQ(Lanes.ShardBroadcastEvents, 10'000'000u);
+  EXPECT_EQ(Lanes.ShardSyncTableBytes, Early);
+  EXPECT_EQ(Lanes.ShardOrderViolations, 0u);
+  EXPECT_TRUE(Lanes.Counters.all() == Ref.Counters.all());
+  EXPECT_EQ(raceText(Lanes), raceText(Ref));
+  EXPECT_EQ(Ref.ToolRaces.size(), 1u);
+}
+
+// Segment reuse at its tightest: 2-slot rings and 3 lanes, so a lane's
+// slot for sync batch k can only be taken once it retired its slot for
+// sync batch k - 2, which last read the segment batch k reuses. Sync
+// batches alternate with check-only batches on one object, which all go
+// to one lane, so the other lanes get slots only on sync batches and
+// fall behind or race ahead of the busy one. Under TSan this checks the
+// reuse edge itself; everywhere it checks the merged result against an
+// inline detector.
+TEST(ShardedSink, SegmentReuseWithTwoSlotRingsMatchesInline) {
+  const DetectorConfig Ft = fastTrackConfig();
+  const SymbolTable Syms = fieldNames();
+  for (int Round = 0; Round < 6; ++Round) {
+    DetectionOptions InlineOpts;
+    DetectionPipeline Inline(&Ft, &Syms, InlineOpts);
+    ShardedSink Sink(Ft, nullptr, &Syms, 3, 2);
+    BatchBuilder B;
+    for (uint64_t Batch = 0; Batch < 300; ++Batch) {
+      B.clear();
+      if (Batch % 2 == 0) {
+        // Sync batch: lock hand-offs between threads 1..3, volatile
+        // writes and reads, and guarded checks spread over objects.
+        for (uint64_t I = 0; I < 8; ++I) {
+          ThreadId T = ThreadId(1 + (Batch / 2 + I) % 3);
+          B.sync(EventKind::Acquire, T, 7);
+          B.check(T, 20 + (Batch + I) % 11, AccessKind::Write);
+          B.sync(EventKind::Release, T, 7);
+          B.sync(I % 2 ? EventKind::VolatileRead : EventKind::VolatileWrite,
+                 T, 8);
+        }
+      } else {
+        // Check-only batch: every check on object 500, unguarded.
+        for (uint64_t I = 0; I < 24; ++I)
+          B.check(ThreadId(1 + (Batch + I) % 3), 500, AccessKind(I % 2),
+                  uint32_t(I % 4));
+      }
+      B.feed(*Inline.sink());
+      B.feed(Sink);
+    }
+    Sink.drain();
+    RunResult Lanes, Ref;
+    Sink.finish(Lanes);
+    Inline.finish(Ref);
+    EXPECT_EQ(Lanes.ShardOrderViolations, 0u) << "round " << Round;
+    EXPECT_TRUE(Lanes.Counters.all() == Ref.Counters.all())
+        << "round " << Round;
+    EXPECT_EQ(raceText(Lanes), raceText(Ref)) << "round " << Round;
+    EXPECT_FALSE(Ref.ToolRaces.empty());
+    // Every sync edge reached all three lanes.
+    EXPECT_EQ(Lanes.ShardHorizonAdvances, Lanes.ShardBroadcastEvents * 3)
+        << "round " << Round;
+  }
+}
+
 // Lane counts arrive from the command line: "auto" or a plain decimal
 // from 0 to kMaxLanes. Signs, blanks, trailing text and larger numbers
 // are rejected rather than wrapped or truncated.

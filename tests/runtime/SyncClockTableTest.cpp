@@ -1,14 +1,13 @@
-//===- SyncClockTableTest.cpp - Split-state sync clock publication ---------===//
+//===- SyncClockTableTest.cpp - The sharded run's one sync writer ---------===//
 //
 // Part of the BigFoot reproduction. See README.md for details.
 //
-// The shared half of the split happens-before state (DESIGN.md Sec. 13):
-// a single writer applies sync edges to the embedded HbState and
-// publishes versioned thread-clock snapshots; check lanes resolve views
-// at their sync horizon with wait-free reads. These tests pin the
-// publication protocol against a plain HbState replica, and the torture
-// test races readers against the live writer — run under the TSan CI job,
-// that validates the release/acquire protocol end to end.
+// The writer half of the split happens-before state (DESIGN.md Sec. 13):
+// one writer applies every sync edge to its HbState and ships the
+// post-edge clock of each thread the edge changed; lanes install those
+// clocks into their own views. These tests drive the table with seeded
+// random edge scripts against a plain HbState replica (what an inline
+// detector holds) and a simulated lane that installs every shipped clock.
 //
 //===----------------------------------------------------------------------===//
 
@@ -16,104 +15,20 @@
 
 #include <gtest/gtest.h>
 
-#include <atomic>
+#include <algorithm>
 #include <cstdint>
-#include <thread>
+#include <random>
+#include <string>
 #include <vector>
 
 using namespace bigfoot;
 
 namespace {
 
-/// Deterministic edge script: fork 1..7 off thread 0, then a rotating
-/// mix of lock, volatile, and barrier traffic dense enough to spill
-/// every clock past the 4 inline slots, closing with an exit + join.
-std::vector<SyncEdge> edgeScript(size_t Rounds) {
-  std::vector<SyncEdge> Script;
-  uint64_t Seq = 0;
-  auto Push = [&](SyncEdge E) {
-    E.Seq = ++Seq;
-    Script.push_back(E);
-  };
-  for (ThreadId Child = 1; Child <= 7; ++Child) {
-    SyncEdge E;
-    E.Kind = SyncEdgeKind::Fork;
-    E.Tid = 0;
-    E.Aux = Child;
-    Push(E);
-  }
-  static const ThreadId Parties[] = {1, 2, 3, 4};
-  for (size_t I = 0; I < Rounds; ++I) {
-    SyncEdge E;
-    ThreadId T = 1 + ThreadId(I % 7);
-    switch (I % 5) {
-    case 0:
-      E.Kind = SyncEdgeKind::Release;
-      E.Tid = T;
-      E.Obj = 100 + I % 3;
-      break;
-    case 1:
-      E.Kind = SyncEdgeKind::Acquire;
-      E.Tid = 1 + ThreadId((I + 3) % 7);
-      E.Obj = 100 + I % 3;
-      break;
-    case 2:
-      E.Kind = SyncEdgeKind::VolatileWrite;
-      E.Tid = T;
-      E.Obj = 200;
-      E.Field = FieldId(I % 2);
-      break;
-    case 3:
-      E.Kind = SyncEdgeKind::VolatileRead;
-      E.Tid = 1 + ThreadId((I + 5) % 7);
-      E.Obj = 200;
-      E.Field = FieldId(I % 2);
-      break;
-    case 4:
-      if (I % 20 == 4) {
-        E.Kind = SyncEdgeKind::Barrier;
-        E.Parties = Parties;
-        E.NumParties = 4;
-      } else {
-        // No clock effect, but the stamp still advances.
-        E.Kind = I % 2 ? SyncEdgeKind::Commit : SyncEdgeKind::ThreadBegin;
-        E.Tid = T;
-      }
-      break;
-    }
-    Push(E);
-  }
-  SyncEdge Exit;
-  Exit.Kind = SyncEdgeKind::ThreadExit;
-  Exit.Tid = 7;
-  Push(Exit);
-  SyncEdge Join;
-  Join.Kind = SyncEdgeKind::Join;
-  Join.Tid = 0;
-  Join.Aux = 7;
-  Push(Join);
-  return Script;
-}
+/// Wider than VectorClock's inline slots, so clocks spill to the heap.
+constexpr ThreadId kThreads = 10;
 
-/// Threads whose clocks \p E publishes (mirrors SyncClockTable::apply).
-std::vector<ThreadId> publishedBy(const SyncEdge &E) {
-  switch (E.Kind) {
-  case SyncEdgeKind::Acquire:
-  case SyncEdgeKind::Release:
-  case SyncEdgeKind::VolatileRead:
-  case SyncEdgeKind::VolatileWrite:
-  case SyncEdgeKind::Join:
-    return {E.Tid};
-  case SyncEdgeKind::Fork:
-    return {E.Tid, ThreadId(E.Aux)};
-  case SyncEdgeKind::Barrier:
-    return {E.Parties, E.Parties + E.NumParties};
-  default:
-    return {};
-  }
-}
-
-/// Applies \p E to a plain HbState replica.
+/// Applies \p E to a plain HbState replica, as an inline detector would.
 void applyToReplica(HbState &Hb, const SyncEdge &E) {
   switch (E.Kind) {
   case SyncEdgeKind::Acquire:
@@ -134,11 +49,9 @@ void applyToReplica(HbState &Hb, const SyncEdge &E) {
   case SyncEdgeKind::Join:
     Hb.onJoin(E.Tid, ThreadId(E.Aux));
     break;
-  case SyncEdgeKind::Barrier: {
-    std::vector<ThreadId> Parties(E.Parties, E.Parties + E.NumParties);
-    Hb.onBarrier(Parties);
+  case SyncEdgeKind::Barrier:
+    Hb.onBarrier({E.Parties, E.Parties + E.NumParties});
     break;
-  }
   case SyncEdgeKind::ThreadExit:
     Hb.onThreadExit(E.Tid);
     break;
@@ -147,147 +60,191 @@ void applyToReplica(HbState &Hb, const SyncEdge &E) {
   }
 }
 
-/// Expected view of every thread after each script position: a dense
-/// (seq -> per-thread clock vector) reference built from the replica.
-struct Reference {
-  struct Snapshot {
-    uint64_t Seq;
-    Epoch Cur;
-    std::vector<uint64_t> Clock; ///< Dense entries 0..NumThreads-1.
-  };
-  static constexpr ThreadId kThreads = 8;
-  std::vector<Snapshot> PerThread[kThreads];
-
-  explicit Reference(const std::vector<SyncEdge> &Script) {
-    HbState Hb;
-    for (const SyncEdge &E : Script) {
-      applyToReplica(Hb, E);
-      for (ThreadId T : publishedBy(E)) {
-        Snapshot S;
-        S.Seq = E.Seq;
-        auto V = Hb.current(T);
-        S.Cur = V.Cur;
-        for (ThreadId U = 0; U < kThreads; ++U)
-          S.Clock.push_back(V.C.get(U));
-        PerThread[T].push_back(std::move(S));
-      }
-    }
-  }
-
-  /// Newest snapshot of \p T with Seq <= \p Horizon, or null.
-  const Snapshot *at(ThreadId T, uint64_t Horizon) const {
-    const Snapshot *Best = nullptr;
-    for (const Snapshot &S : PerThread[T]) {
-      if (S.Seq > Horizon)
-        break;
-      Best = &S;
-    }
-    return Best;
-  }
-};
-
-void expectViewMatches(const SyncClockTable &Table, const Reference &Ref,
-                       ThreadId T, uint64_t Horizon) {
-  SyncClockTable::View V = Table.readThread(T, Horizon);
-  const Reference::Snapshot *S = Ref.at(T, Horizon);
-  if (!S) {
-    EXPECT_EQ(V.C, nullptr) << "tid " << T << " horizon " << Horizon;
-    return;
-  }
-  ASSERT_NE(V.C, nullptr) << "tid " << T << " horizon " << Horizon;
-  EXPECT_TRUE(V.Cur == S->Cur)
-      << "tid " << T << " horizon " << Horizon << ": " << V.Cur.str()
-      << " vs " << S->Cur.str();
-  for (ThreadId U = 0; U < Reference::kThreads; ++U)
-    EXPECT_EQ(V.C->get(U), S->Clock[U])
-        << "tid " << T << " horizon " << Horizon << " entry " << U;
-}
-
-// Serial ground truth: every (thread, horizon) view the table resolves
-// equals the replica's state at the newest publish at or below that
-// horizon — including the synthesized initial view (null) before a
-// thread's first publication and at horizon 0.
-TEST(SyncClockTable, PublishedViewsMatchHbStateReplica) {
-  std::vector<SyncEdge> Script = edgeScript(200);
-  SyncClockTable Table;
-  for (const SyncEdge &E : Script)
-    Table.apply(E);
-  Reference Ref(Script);
-  uint64_t MaxSeq = Script.back().Seq;
-  for (ThreadId T = 0; T < Reference::kThreads; ++T)
-    for (uint64_t H = 0; H <= MaxSeq; ++H)
-      expectViewMatches(Table, Ref, T, H);
-  // A thread the script never mentions stays unpublished: readers get
-  // the null view and synthesize {T:1} themselves.
-  EXPECT_EQ(Table.readThread(40, MaxSeq).C, nullptr);
-  EXPECT_EQ(Table.publishedCount(40), 0u);
-  // Snapshot stamps are strictly increasing and revalidation's
-  // entrySeq contract holds across chunk boundaries (200+ rounds pushes
-  // thread histories past the first 64-entry chunk).
-  for (ThreadId T = 0; T < Reference::kThreads; ++T) {
-    uint64_t N = Table.publishedCount(T);
-    ASSERT_EQ(N, Ref.PerThread[T].size()) << "tid " << T;
-    for (uint64_t I = 0; I < N; ++I)
-      EXPECT_EQ(Table.entrySeq(T, I), Ref.PerThread[T][I].Seq)
-          << "tid " << T << " idx " << I;
+/// The threads \p E changes, in shipping order.
+std::vector<ThreadId> changedBy(const SyncEdge &E) {
+  switch (E.Kind) {
+  case SyncEdgeKind::Acquire:
+  case SyncEdgeKind::Release:
+  case SyncEdgeKind::VolatileRead:
+  case SyncEdgeKind::VolatileWrite:
+  case SyncEdgeKind::Join:
+    return {E.Tid};
+  case SyncEdgeKind::Fork:
+    return {E.Tid, ThreadId(E.Aux)};
+  case SyncEdgeKind::Barrier:
+    return {E.Parties, E.Parties + E.NumParties};
+  default:
+    return {};
   }
 }
 
-// The torture test: readers race the live writer, continuously resolving
-// pseudo-random horizons while edges are still being applied. Each read
-// must be internally consistent (right stamp window, own-entry/epoch
-// agreement); afterwards every view is checked against the replica.
-// Under TSan this exercises the release-store/acquire-load publication
-// protocol — chunk growth, directory growth, and clock spills included.
-TEST(SyncClockTable, ConcurrentReadersRaceTheWriter) {
-  std::vector<SyncEdge> Script = edgeScript(1500);
-  SyncClockTable Table;
-  std::atomic<uint64_t> LastSeq{0};
-  std::atomic<bool> Done{false};
-
-  auto Reader = [&](uint64_t Seed) {
-    uint64_t Rng = Seed;
-    auto Next = [&Rng] {
-      Rng = Rng * 6364136223846793005u + 1442695040888963407u;
-      return Rng >> 33;
-    };
-    while (!Done.load(std::memory_order_acquire)) {
-      uint64_t Max = LastSeq.load(std::memory_order_acquire);
-      ThreadId T = ThreadId(Next() % Reference::kThreads);
-      uint64_t Horizon = Max ? Next() % (Max + 1) : 0;
-      SyncClockTable::View V = Table.readThread(T, Horizon);
-      if (!V.C)
-        continue;
-      // Window: the resolved stamp is at or below the horizon, and the
-      // next snapshot (if this reader can see one) is above it.
-      uint64_t Stamp = Table.entrySeq(T, uint64_t(V.Idx));
-      ASSERT_LE(Stamp, Horizon);
-      if (uint64_t(V.Idx) + 1 < Table.publishedCount(T)) {
-        ASSERT_GT(Table.entrySeq(T, uint64_t(V.Idx) + 1), Horizon);
-      }
-      // A published view is the thread's own: epoch tid matches and the
-      // clock's own entry equals the epoch's clock component.
-      ASSERT_EQ(V.Cur.tid(), T);
-      ASSERT_EQ(V.C->get(T), V.Cur.clock());
-    }
-  };
-
-  std::vector<std::thread> Readers;
-  for (uint64_t R = 0; R < 4; ++R)
-    Readers.emplace_back(Reader, 0x9e3779b97f4a7c15u * (R + 1));
-  for (const SyncEdge &E : Script) {
-    Table.apply(E);
-    LastSeq.store(E.Seq, std::memory_order_release);
+/// Entries 0 .. kThreads-1 of \p T's clock in \p Hb, or of the initial
+/// view {T:1} while \p Hb has none.
+std::vector<uint64_t> denseView(const HbState &Hb, ThreadId T) {
+  std::vector<uint64_t> V(kThreads, 0);
+  if (const VectorClock *C = Hb.liveClock(T)) {
+    for (ThreadId U = 0; U < kThreads; ++U)
+      V[U] = C->get(U);
+  } else {
+    V[T] = 1;
   }
-  Done.store(true, std::memory_order_release);
-  for (std::thread &Th : Readers)
-    Th.join();
+  return V;
+}
 
-  Reference Ref(Script);
-  uint64_t MaxSeq = Script.back().Seq;
-  for (ThreadId T = 0; T < Reference::kThreads; ++T)
-    for (uint64_t H = 0; H <= MaxSeq; H += 7)
-      expectViewMatches(Table, Ref, T, H);
+/// Applies \p E to the table, the replica and a simulated lane, and checks
+/// the shipped clocks, the census and every lane view against the replica.
+/// Returns the number of clocks shipped.
+size_t applyAndCheck(SyncClockTable &Table, HbState &Replica, HbState &Lane,
+                     const SyncEdge &E, const std::string &Tag) {
+  std::vector<uint64_t> Shipped;
+  size_t Bytes = Table.apply(E, Shipped);
+  applyToReplica(Replica, E);
+  // The census first: nothing below may initialize a replica clock.
+  EXPECT_EQ(Bytes, Replica.memoryBytes()) << Tag;
+  EXPECT_EQ(Bytes, Table.hbBytes()) << Tag;
+
+  // One record per changed thread that has a clock, in shipping order,
+  // each exactly the replica's post-edge clock (width included).
+  std::vector<ThreadId> Expected;
+  for (ThreadId T : changedBy(E))
+    if (Replica.liveClock(T))
+      Expected.push_back(T);
+  std::vector<ThreadId> Got;
+  forEachShippedClock(
+      Shipped.data(), Shipped.size(),
+      [&](ThreadId T, const uint64_t *Entries, uint32_t Width) {
+        Got.push_back(T);
+        const VectorClock *C = Replica.liveClock(T);
+        if (!C) {
+          ADD_FAILURE() << Tag << " shipped tid " << T << " has no clock";
+          return;
+        }
+        EXPECT_EQ(std::vector<uint64_t>(Entries, Entries + Width),
+                  std::vector<uint64_t>(C->entries(),
+                                        C->entries() + C->size()))
+            << Tag << " tid " << T;
+        Lane.install(T, Entries, Width);
+      });
+  EXPECT_EQ(Got, Expected) << Tag;
+
+  // A lane that installed every shipped clock sees the replica's view of
+  // every thread, including {T:1} for threads nothing shipped.
+  for (ThreadId T = 0; T < kThreads; ++T)
+    EXPECT_EQ(denseView(Lane, T), denseView(Replica, T))
+        << Tag << " lane view of tid " << T;
+  return Got.size();
+}
+
+// The two edges that can leave their actor without a clock: a volatile
+// read before any write and a join of a thread with no final clock. They
+// ship nothing and must not initialize the actor's clock, so the census
+// the markers carry stays exactly a single detector's.
+TEST(SyncClockTable, FirstTouchEdgesKeepCensusParity) {
+  SyncClockTable Table;
+  HbState Replica, Lane;
+  SyncEdge Read;
+  Read.Kind = SyncEdgeKind::VolatileRead;
+  Read.Tid = 7;
+  Read.Obj = 300;
+  Read.Field = 1;
+  applyAndCheck(Table, Replica, Lane, Read, "volatile read before write");
+  SyncEdge Join;
+  Join.Kind = SyncEdgeKind::Join;
+  Join.Tid = 5;
+  Join.Aux = 6;
+  applyAndCheck(Table, Replica, Lane, Join, "join without final clock");
+  EXPECT_EQ(Table.clocksShipped(), 0u);
+  EXPECT_EQ(Table.hbBytes(), 0u);
+
+  // Once the actor has a clock, the same edges ship it unchanged.
+  SyncEdge Release;
+  Release.Kind = SyncEdgeKind::Release;
+  Release.Tid = 7;
+  Release.Obj = 100;
+  applyAndCheck(Table, Replica, Lane, Release, "release");
+  applyAndCheck(Table, Replica, Lane, Read, "volatile read, live actor");
+  EXPECT_EQ(Table.clocksShipped(), 2u);
+}
+
+/// One random edge over kThreads threads, three locks and four volatile
+/// locations; joins may name threads that never exited.
+SyncEdge randomEdge(std::mt19937_64 &Rng, std::vector<ThreadId> &Parties) {
+  auto Pick = [&](uint64_t N) { return Rng() % N; };
+  SyncEdge E;
+  E.Tid = ThreadId(Pick(kThreads));
+  switch (Pick(10)) {
+  case 0:
+    E.Kind = SyncEdgeKind::Acquire;
+    E.Obj = 100 + Pick(3);
+    break;
+  case 1:
+    E.Kind = SyncEdgeKind::Release;
+    E.Obj = 100 + Pick(3);
+    break;
+  case 2:
+    E.Kind = SyncEdgeKind::VolatileRead;
+    E.Obj = 200 + Pick(2);
+    E.Field = FieldId(Pick(2));
+    break;
+  case 3:
+    E.Kind = SyncEdgeKind::VolatileWrite;
+    E.Obj = 200 + Pick(2);
+    E.Field = FieldId(Pick(2));
+    break;
+  case 4:
+    E.Kind = SyncEdgeKind::Fork;
+    E.Aux = (E.Tid + 1 + Pick(kThreads - 1)) % kThreads;
+    break;
+  case 5:
+    E.Kind = SyncEdgeKind::Join;
+    E.Aux = (E.Tid + 1 + Pick(kThreads - 1)) % kThreads;
+    break;
+  case 6: {
+    E.Kind = SyncEdgeKind::Barrier;
+    // 2..5 distinct parties in random arrival order.
+    std::vector<ThreadId> All;
+    for (ThreadId T = 0; T < kThreads; ++T)
+      All.push_back(T);
+    std::shuffle(All.begin(), All.end(), Rng);
+    Parties.assign(All.begin(), All.begin() + 2 + Pick(4));
+    E.Parties = Parties.data();
+    E.NumParties = Parties.size();
+    break;
+  }
+  case 7:
+    E.Kind = SyncEdgeKind::ThreadExit;
+    break;
+  case 8:
+    E.Kind = SyncEdgeKind::ThreadBegin;
+    break;
+  default:
+    E.Kind = SyncEdgeKind::Commit;
+    break;
+  }
+  return E;
+}
+
+// Seeded random scripts over every edge kind: each shipped clock equals
+// the replica's clock for its thread, apply's census equals the
+// replica's, and a lane that installs the shipped clocks holds the
+// replica's view of every thread after every edge.
+TEST(SyncClockTable, ShippedClocksMatchHbStateReplica) {
+  for (uint64_t Seed = 1; Seed <= 20; ++Seed) {
+    std::mt19937_64 Rng(Seed);
+    SyncClockTable Table;
+    HbState Replica, Lane;
+    std::vector<ThreadId> Parties;
+    uint64_t Shipped = 0;
+    for (int I = 0; I < 400; ++I) {
+      SyncEdge E = randomEdge(Rng, Parties);
+      Shipped += applyAndCheck(Table, Replica, Lane, E,
+                               "seed " + std::to_string(Seed) + " edge " +
+                                   std::to_string(I));
+      if (HasFailure())
+        return;
+    }
+    EXPECT_EQ(Table.clocksShipped(), Shipped) << "seed " << Seed;
+  }
 }
 
 } // namespace

@@ -210,9 +210,10 @@ void reportShards(size_t Shards, const RunResult &Run) {
             << Run.ShardRoutedEvents << " routed + "
             << Run.ShardBroadcastEvents << " broadcast event(s)\n";
   std::cerr << "[shards] sync table: " << Run.ShardSyncPublishes
-            << " publish(es), " << Run.ShardTableReads << " table read(s), "
-            << Run.ShardHorizonAdvances << " horizon advance(s), "
-            << Run.ShardSyncTableBytes << " table byte(s)\n";
+            << " clock(s) shipped, " << Run.ShardTableReads
+            << " view(s) installed, " << Run.ShardHorizonAdvances
+            << " horizon advance(s), " << Run.ShardSyncTableBytes
+            << " resident byte(s)\n";
   for (size_t I = 0; I < Run.ShardLanes.size(); ++I) {
     const ShardLaneStats &L = Run.ShardLanes[I];
     std::cerr << "[shards]   lane " << I << ": " << L.Events

@@ -5,13 +5,15 @@
 //===----------------------------------------------------------------------===//
 ///
 /// \file
-/// AsyncSink moves a downstream EventSink (in practice the DetectorSink)
-/// onto its own thread. The producer side copies each incoming batch into
-/// the next SpscBatchRing slot and returns immediately; a dedicated
-/// consumer thread applies batches to the downstream sink in publication
-/// order. Because the VM emits events from a single thread and the
-/// detectors are passive consumers, in-order application off-thread
-/// yields byte-identical reports to inline detection (DESIGN.md Sec. 10).
+/// AsyncSink moves a downstream EventSink onto its own thread; over the
+/// tool's DetectorSink it is the one-lane detection consumer
+/// (DetectionOptions::Lanes == 1). The producer side copies each incoming
+/// batch into the next SpscBatchRing slot and returns immediately; a
+/// dedicated consumer thread applies batches to the downstream sink in
+/// publication order. Because the VM emits events from a single thread
+/// and the detectors are passive consumers, in-order application
+/// off-thread yields byte-identical reports to inline detection
+/// (DESIGN.md Sec. 10).
 ///
 /// drain() is the synchronization point: it blocks until every published
 /// batch has been applied, after which downstream detector state may be
@@ -58,9 +60,9 @@ public:
   /// accessors below are safe to read from the producer thread.
   void drain();
 
-  /// Seconds the detector thread spent applying batches (busy time only;
-  /// waiting for work is excluded). Valid after drain().
-  double detectorSeconds() const { return BusyNs * 1e-9; }
+  /// Nanoseconds the detector thread spent applying batches (busy time
+  /// only; waiting for work is excluded). Valid after drain().
+  uint64_t busyNs() const { return BusyNs; }
 
   /// Batches handed through the ring. Valid after drain().
   uint64_t batchesConsumed() const { return Ring.published(); }

@@ -17,34 +17,32 @@ DetectionPipeline::DetectionPipeline(const DetectorConfig *ToolCfg,
                                      const DetectionOptions &O,
                                      EventSink *Record) {
   size_t RingBatches = std::max<size_t>(2, O.RingBatches);
-  DetectorConfig OracleCfg = fastTrackConfig();
-  OracleCfg.CheckFilter = O.CheckFilter;
-  if (ToolCfg && O.Lanes > 0) {
-    // The lanes own their detector replicas and the oracle lane.
+  if (ToolCfg) {
     DetectorConfig Cfg = *ToolCfg;
     Cfg.CheckFilter = O.CheckFilter;
-    Lanes = std::make_unique<ShardedSink>(
-        Cfg, O.Oracle ? &OracleCfg : nullptr, Symbols, O.Lanes, RingBatches);
-    Tee.add(Lanes.get());
-  } else {
-    if (ToolCfg) {
-      DetectorConfig Cfg = *ToolCfg;
-      Cfg.CheckFilter = O.CheckFilter;
+    if (O.Lanes >= 2) {
+      // The lanes own their detector replicas.
+      Lanes = std::make_unique<ShardedSink>(Cfg, Symbols, O.Lanes,
+                                            RingBatches);
+      Tee.add(Lanes.get());
+    } else {
       Tool = std::make_unique<RaceDetector>(Cfg, ToolCounters, Symbols);
-    }
-    if (O.Oracle)
-      Oracle = std::make_unique<RaceDetector>(OracleCfg, OracleCounters,
-                                              Symbols);
-    Detectors.bind(Tool.get(), Oracle.get());
-    if (!Detectors.empty()) {
-      if (O.Async) {
-        Async = std::make_unique<AsyncSink>(Detectors, RingBatches);
-        Tee.add(Async.get());
-      } else {
-        Tee.add(&Detectors);
+      if (O.Lanes == 1) {
+        LaneTool.bind(Tool.get(), nullptr);
+        OneLane = std::make_unique<AsyncSink>(LaneTool, RingBatches);
+        Tee.add(OneLane.get());
       }
     }
   }
+  if (O.Oracle) {
+    DetectorConfig OracleCfg = fastTrackConfig();
+    OracleCfg.CheckFilter = O.CheckFilter;
+    Oracle =
+        std::make_unique<RaceDetector>(OracleCfg, OracleCounters, Symbols);
+  }
+  Inline.bind(OneLane ? nullptr : Tool.get(), Oracle.get());
+  if (!Inline.empty())
+    Tee.add(&Inline);
   Tee.add(Record); // add() ignores null.
   if (Tee.size())
     Head = Tee.sole() ? Tee.sole() : &Tee;
@@ -56,13 +54,18 @@ void DetectionPipeline::finish(RunResult &R) {
   if (Lanes) {
     Lanes->drain();
     Lanes->finish(R);
-    return;
   }
-  if (Async) {
-    Async->drain();
-    R.DetectorSeconds = Async->detectorSeconds();
-    R.AsyncBatches = Async->batchesConsumed();
-    R.AsyncStalls = Async->producerStalls();
+  if (OneLane) {
+    OneLane->drain();
+    ShardLaneStats L;
+    L.Events = LaneTool.toolEvents();
+    L.Batches = OneLane->batchesConsumed();
+    L.Stalls = OneLane->producerStalls();
+    L.BusyNs = OneLane->busyNs();
+    R.ShardLanes.push_back(L);
+    R.DetectorSeconds = L.BusyNs * 1e-9;
+    R.AsyncBatches = L.Batches;
+    R.AsyncStalls = L.Stalls;
   }
   if (Tool) {
     Tool->sampleMemoryNow();

@@ -7,12 +7,14 @@
 /// \file
 /// The detection end of a run, written once for live execution and for
 /// trace replay. A DetectionPipeline builds the tool and oracle detectors
-/// (check filter applied), picks the consumer that applies the event
-/// stream to them — inline (DetectorSink), one detector thread
-/// (AsyncSink), or location-partitioned lanes (ShardedSink) — and tees
-/// an optional recording sink onto the same stream. The producer (the
-/// VM's event ring, or the trace reader) feeds sink(); finish() drains
-/// every consumer and writes the detection half of the RunResult.
+/// (check filter applied), picks by lane count where the tool consumes
+/// the event stream — inline (DetectorSink), on one detector thread
+/// (AsyncSink over the tool's DetectorSink), or on N >= 2
+/// location-partitioned lanes (ShardedSink) — and tees an optional
+/// recording sink onto the same stream. The per-access oracle is a test
+/// reference and is always applied inline. The producer (the VM's event
+/// ring, or the trace reader) feeds sink(); finish() drains every
+/// consumer and writes the detection half of the RunResult.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -49,22 +51,22 @@ struct RunResult {
   /// Scheduler steps executed (identical across detection modes); the
   /// denominator of detbench's vm_ns_per_stmt.
   uint64_t StatementsExecuted = 0;
-  /// Threaded consumers only: busy seconds (waits excluded) of the
-  /// detector thread, or of the busiest lane.
+  /// Lanes only: busy seconds (waits excluded) of the busiest lane.
   double DetectorSeconds = 0.0;
-  /// Threaded consumers only: batches handed through the ring(s) / times
-  /// the producer blocked on a full ring.
+  /// Lanes only: batches handed through the rings / times the producer
+  /// blocked on a full ring.
   uint64_t AsyncBatches = 0;
   uint64_t AsyncStalls = 0;
   /// Check-filter effectiveness for the tool detector (zeros when off).
   bool FilterEnabled = false;
   CheckFilterStats Filter;
   uint64_t FilterTableBytes = 0;
-  /// Lanes only (DESIGN.md Sec. 12/13): per-lane tallies, checks routed
-  /// to one lane, sync edges applied once by the SyncClockTable writer
-  /// (each reaching every lane as one marker in a shared segment),
-  /// markers applied summed over lanes, and sync-horizon ordering-check
-  /// failures (must be zero).
+  /// Lanes only: one tally per lane (DESIGN.md Sec. 10 for one lane).
+  /// The fields after it stay zero for one lane. For N >= 2 (DESIGN.md
+  /// Sec. 12/13) they count checks routed to one lane, sync edges
+  /// applied once by the SyncClockTable writer (each reaching every lane
+  /// as one marker in a shared segment), markers applied summed over
+  /// lanes, and sync-horizon ordering-check failures (must be zero).
   std::vector<ShardLaneStats> ShardLanes;
   uint64_t ShardRoutedEvents = 0;
   uint64_t ShardBroadcastEvents = 0;
@@ -89,13 +91,12 @@ struct DetectionOptions {
   /// Epoch-stamped redundant-check elision in front of every detector
   /// (DESIGN.md Sec. 11).
   bool CheckFilter = true;
-  /// Apply the detectors on one dedicated thread (DESIGN.md Sec. 10).
-  bool Async = false;
-  /// Location-partitioned detector lanes (DESIGN.md Sec. 12); 0 = off.
-  /// Takes precedence over Async. Lanes partition a tool config, so a
-  /// run without a tool keeps its oracle inline (or on the Async thread).
+  /// Threads that apply the tool detector: 0 = inline on the producer,
+  /// 1 = one detector thread (DESIGN.md Sec. 10), N >= 2 =
+  /// location-partitioned lanes (DESIGN.md Sec. 12). Ignored without a
+  /// tool; the oracle is inline whatever the count.
   size_t Lanes = 0;
-  /// Ring depth in batches for the threaded consumers (clamped to >= 2).
+  /// Ring depth in batches per lane (clamped to >= 2).
   size_t RingBatches = kDefaultAsyncRingBatches;
 };
 
@@ -118,7 +119,7 @@ public:
   EventSink *sink() { return Head; }
 
   /// Waits until every batch sent to sink() is applied, then writes the
-  /// detectors' reports, tool.* counters, filter stats and consumer
+  /// detectors' reports, tool.* counters, filter stats and lane
   /// accounting into \p R. Call once, after the last batch.
   void finish(RunResult &R);
 
@@ -129,12 +130,17 @@ private:
   /// so the merge equals one shared map. The oracle's are never reported.
   Stats ToolCounters;
   Stats OracleCounters;
+  /// The tool detector, unless N >= 2 lanes own its replicas.
   std::unique_ptr<RaceDetector> Tool;
   std::unique_ptr<RaceDetector> Oracle;
-  DetectorSink Detectors;
+  /// The detectors applied on the producer thread: the oracle, and the
+  /// tool when Lanes == 0.
+  DetectorSink Inline;
+  /// The tool alone, applied on the one lane's thread.
+  DetectorSink LaneTool;
   /// Declared after the detectors they feed, so destruction joins the
-  /// consumer threads before anything they reference dies.
-  std::unique_ptr<AsyncSink> Async;
+  /// lane threads before anything they reference dies.
+  std::unique_ptr<AsyncSink> OneLane;
   std::unique_ptr<ShardedSink> Lanes;
   TeeSink Tee;
   EventSink *Head = nullptr;

@@ -42,12 +42,17 @@ public:
 
   bool empty() const { return !Tool && !Oracle; }
 
+  /// Events applied to the tool detector so far.
+  uint64_t toolEvents() const { return ToolEvents; }
+
   void consumeBatch(const Event *Events, size_t N,
                     const uint32_t *Payload) override {
     for (size_t I = 0; I < N; ++I) {
       const Event &E = Events[I];
-      if (Tool && (E.Target & kTargetTool))
+      if (Tool && (E.Target & kTargetTool)) {
         applyEvent(*Tool, E, Payload);
+        ++ToolEvents;
+      }
       if (Oracle && (E.Target & kTargetOracle))
         applyEvent(*Oracle, E, Payload);
     }
@@ -56,6 +61,7 @@ public:
 private:
   RaceDetector *Tool = nullptr;
   RaceDetector *Oracle = nullptr;
+  uint64_t ToolEvents = 0;
 };
 
 } // namespace bigfoot

@@ -45,10 +45,10 @@ struct ReplayOptions {
   /// property it is not: the replayed detector applies this knob, not
   /// whatever the recording run used.
   bool CheckFilter = true;
-  /// Sharded parallel detection (DESIGN.md Sec. 12): replay the trace
-  /// through N location-partitioned detector workers. 0 = the classic
-  /// single-detector replay. Like the filter, a replay knob, never a
-  /// trace property; results are byte-identical for every shard count.
+  /// Threads that apply the tool detector (DetectionOptions::Lanes):
+  /// 0 = inline, 1 = one detector thread, N >= 2 = location-partitioned
+  /// lanes. Like the filter, a replay knob, never a trace property;
+  /// results are byte-identical for every count.
   size_t DetectShards = 0;
 };
 

@@ -16,16 +16,7 @@
 
 using namespace bigfoot;
 
-size_t bigfoot::autoShardCount() {
-  unsigned HW = std::thread::hardware_concurrency();
-  if (HW <= 1)
-    return 0; // Unknown or single core: sharding would only add overhead.
-  return std::min<size_t>(8, HW - 1); // Leave a core for the producer.
-}
-
 std::optional<size_t> bigfoot::parseLaneCount(std::string_view Text) {
-  if (Text == "auto")
-    return autoShardCount();
   size_t Lanes = 0;
   if (!parseNumber(Text, Lanes) || Lanes > kMaxLanes)
     return std::nullopt;
@@ -33,7 +24,6 @@ std::optional<size_t> bigfoot::parseLaneCount(std::string_view Text) {
 }
 
 ShardedSink::ShardedSink(const DetectorConfig &Tool,
-                         const DetectorConfig *OracleCfg,
                          const SymbolTable *Symbols, size_t Lanes,
                          size_t RingBatches)
     : NumShards(std::max<size_t>(1, Lanes)),
@@ -53,17 +43,8 @@ ShardedSink::ShardedSink(const DetectorConfig &Tool,
     L->Detector->setMemorySampleLog(&L->Samples);
     Shards.push_back(std::move(L));
   }
-  if (OracleCfg) {
-    Oracle = std::make_unique<Lane>(RingBatches);
-    Oracle->Detector = std::make_unique<RaceDetector>(
-        *OracleCfg, Oracle->Counters, Symbols);
-    // No sample log: oracle counters are discarded, exactly as the
-    // inline path discards the ground-truth detector's private Stats.
-  }
   for (auto &L : Shards)
     L->Worker = std::thread([this, Lp = L.get()] { laneLoop(*Lp); });
-  if (Oracle)
-    Oracle->Worker = std::thread([this] { laneLoop(*Oracle); });
 }
 
 ShardedSink::~ShardedSink() {
@@ -71,12 +52,8 @@ ShardedSink::~ShardedSink() {
   Stop.store(true, std::memory_order_release);
   for (auto &L : Shards)
     L->Ring.wakeConsumer();
-  if (Oracle)
-    Oracle->Ring.wakeConsumer();
   for (auto &L : Shards)
     L->Worker.join();
-  if (Oracle)
-    Oracle->Worker.join();
 }
 
 ShardBatch &ShardedSink::openSlot(Lane &L) {
@@ -167,16 +144,10 @@ void ShardedSink::consumeBatch(const Event *Events, size_t N,
                                const uint32_t *Payload) {
   for (size_t I = 0; I < N; ++I) {
     const Event &E = Events[I];
-    uint64_t Seq = ++NextSeq;
-    bool Broadcast = isBroadcast(E.Kind);
-    if (Oracle && (E.Target & kTargetOracle)) {
-      stage(*Oracle, E, Payload, Seq, OracleHorizon);
-      if (Broadcast)
-        OracleHorizon = Seq;
-    }
     if (!(E.Target & kTargetTool))
       continue;
-    if (!Broadcast) {
+    uint64_t Seq = ++NextSeq;
+    if (!isBroadcast(E.Kind)) {
       ++RoutedEvents;
       // First-touch parity: the writer's census must grow exactly when
       // a single detector's would (checks initialize the acting thread's
@@ -184,7 +155,7 @@ void ShardedSink::consumeBatch(const Event *Events, size_t N,
       if (E.Kind == EventKind::FieldCheck ||
           (E.Kind == EventKind::ArrayCheck && TouchArrayChecks))
         Table.touchThread(E.Tid);
-      stage(*Shards[shardOf(E.Obj)], E, Payload, Seq, ToolHorizon);
+      stage(*Shards[shardOf(E.Obj)], E, Payload, Seq, SyncHorizon);
       continue;
     }
     // Apply the edge once and write its marker and shipped clocks once,
@@ -208,7 +179,7 @@ void ShardedSink::consumeBatch(const Event *Events, size_t N,
     }
     M.HbBytes = Table.apply(Edge, S.Clocks);
     M.Seq = Seq;
-    M.Horizon = ToolHorizon;
+    M.Horizon = SyncHorizon;
     M.Kind = Edge.Kind;
     M.Tid = E.Tid;
     M.Aux = static_cast<ThreadId>(E.Aux);
@@ -218,7 +189,7 @@ void ShardedSink::consumeBatch(const Event *Events, size_t N,
       FilterInvalidations += invalidationsOf(E.Kind, E.PayloadCount);
     // The horizon advances after staging, so a sync edge's own horizon
     // is the sync edge before it.
-    ToolHorizon = Seq;
+    SyncHorizon = Seq;
   }
   // Publish once per lane per incoming batch: lanes see batch boundaries
   // no finer than the producer's, keeping per-slot overhead amortized.
@@ -227,10 +198,6 @@ void ShardedSink::consumeBatch(const Event *Events, size_t N,
       L->Ring.publish();
       L->Open = nullptr;
     }
-  if (Oracle && Oracle->Open) {
-    Oracle->Ring.publish();
-    Oracle->Open = nullptr;
-  }
   OpenSync = nullptr;
 }
 
@@ -261,8 +228,6 @@ void ShardedSink::applyMarker(Lane &L, const SyncSegment &S, size_t Index) {
 void ShardedSink::drain() {
   for (auto &L : Shards)
     L->Ring.drain();
-  if (Oracle)
-    Oracle->Ring.drain();
 }
 
 void ShardedSink::laneLoop(Lane &L) {
@@ -274,10 +239,8 @@ void ShardedSink::laneLoop(Lane &L) {
       return; // Stop observed with an empty ring: every slot applied.
     auto T0 = Clock::now();
     const uint32_t *Words = B->Payload.data();
-    // Interleave the segment's markers with the event stream by global
-    // sequence (both are staged ascending, the ranges never overlap);
-    // the oracle lane has no segment and the loop reduces to the plain
-    // event walk.
+    // Interleave the segment's markers with the event stream by
+    // sequence (both are staged ascending, the ranges never overlap).
     const SyncSegment *S = B->Sync;
     size_t MI = 0, MN = S ? S->Markers.size() : 0;
     for (size_t I = 0, N = B->Events.size(); I < N; ++I) {
@@ -292,8 +255,6 @@ void ShardedSink::laneLoop(Lane &L) {
         ++L.OrderViolations;
       D.setEventSeq(B->Seq[I]);
       applyEvent(D, E, Words);
-      if (isBroadcast(E.Kind))
-        L.LastBroadcastSeq = B->Seq[I];
     }
     while (MI < MN)
       applyMarker(L, *S, MI++);
@@ -406,13 +367,6 @@ void ShardedSink::finish(RunResult &R) {
     R.ShardTableReads += L->ViewsInstalled;
     R.ShardOrderViolations += L->OrderViolations;
     R.DetectorSeconds = std::max(R.DetectorSeconds, LS.BusyNs * 1e-9);
-  }
-  if (Oracle) {
-    R.GroundTruthRaces = Oracle->Detector->races();
-    R.GroundTruthRacyLocations = Oracle->Detector->racyLocationKeys();
-    R.AsyncBatches += Oracle->Ring.published();
-    R.AsyncStalls += Oracle->Ring.fullStalls();
-    R.ShardOrderViolations += Oracle->OrderViolations;
   }
   R.ShardRoutedEvents = RoutedEvents;
   R.ShardBroadcastEvents = BroadcastEvents;

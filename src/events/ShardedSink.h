@@ -5,14 +5,16 @@
 //===----------------------------------------------------------------------===//
 ///
 /// \file
-/// The sharded detection backend (DESIGN.md Sec. 12): the typed event
-/// stream fans out to N detector worker threads, each owning a full
+/// The sharded detection backend (DESIGN.md Sec. 12): the tool's events
+/// fan out to N >= 2 detector worker threads, each owning a full
 /// RaceDetector replica whose shadow state covers a disjoint partition of
-/// the program's locations. Check events (field checks, array checks,
-/// array allocations) route to exactly one shard by a hash of their
-/// object id — object granularity, so coalesced multi-field checks stay
-/// atomic, per-object slot arrays stay whole, and every partitioned
-/// counter sums across shards to exactly the single-detector value.
+/// the program's locations. (One lane needs none of this machinery: the
+/// pipeline runs it as an AsyncSink over the tool's DetectorSink.) Check
+/// events (field checks, array checks, array allocations) route to
+/// exactly one shard by a hash of their object id — object granularity,
+/// so coalesced multi-field checks stay atomic, per-object slot arrays
+/// stay whole, and every partitioned counter sums across shards to
+/// exactly the single-detector value.
 /// Synchronization events (acquire/release, volatiles, fork/join,
 /// barrier, thread lifecycle, periodic commits) are applied ONCE, by the
 /// producer, to a SyncClockTable (DESIGN.md Sec. 13), which ships the
@@ -32,9 +34,10 @@
 /// segment batch k reuses. Sync state is therefore bounded by the ring
 /// capacity and the lanes' views, not by the number of edges.
 ///
-/// Every event carries a producer-assigned global sequence number through
+/// Every tool event carries a producer-assigned sequence number through
 /// its shard's SPSC ring, and every staged event additionally carries the
-/// sequence of the last sync edge staged to that lane (its sync horizon).
+/// sequence of the last sync edge before it (its sync horizon; every lane
+/// sees every sync edge).
 /// A worker checks the horizon against the last sync edge it applied
 /// before touching the detector — the enforcement of the ordering
 /// invariant that a shard never processes an access published after a
@@ -43,7 +46,7 @@
 /// assert zero).
 ///
 /// finish() merges the shards back into one RunResult byte-identical to
-/// the inline and AsyncSink paths: counters sum (every partitioned
+/// the inline and one-lane paths: counters sum (every partitioned
 /// counter is bumped in exactly one shard), peak-memory gauges are
 /// reconstructed from lockstep per-shard sample logs (max of the
 /// replicated HB bytes plus the sum of the partitioned shadow bytes, per
@@ -118,15 +121,14 @@ struct SyncSegment {
 struct ShardBatch {
   std::vector<Event> Events;
   std::vector<uint32_t> Payload;
-  /// Global stream sequence of each event (1-based, all lanes share the
-  /// numbering).
+  /// Sequence of each event among the tool's events (1-based, all lanes
+  /// share the numbering).
   std::vector<uint64_t> Seq;
   /// Sequence of the last sync edge staged to this lane before each
   /// event — the sync edge the event depends on.
   std::vector<uint64_t> Horizon;
-  /// The batch's tool sync edges, shared with every other shard lane's
-  /// slot for the same batch; null when it carried none (and always on
-  /// the oracle lane, which takes sync edges as events).
+  /// The batch's tool sync edges, shared with every other lane's slot
+  /// for the same batch; null when it carried none.
   const SyncSegment *Sync = nullptr;
 
   void clear() {
@@ -147,21 +149,16 @@ struct ShardLaneStats {
   uint64_t BusyNs = 0;  ///< Lane thread busy time (waits excluded).
 };
 
-/// Shard count for `--detect-shards=auto`: derived from
-/// hardware_concurrency() with one core reserved for the producer,
-/// clamped to 8 lanes. On a single-core box (or when concurrency is
-/// unknown) sharding stays off entirely — returns 0.
-size_t autoShardCount();
-
 /// The most lanes a run may ask for.
 inline constexpr size_t kMaxLanes = 64;
 
-/// Parses a lane count: "auto" (autoShardCount()) or a decimal integer
-/// from 0 to kMaxLanes. Anything else — a sign, trailing text, an empty
-/// string, a larger number — is rejected with nullopt.
+/// Parses a lane count: a decimal integer from 0 to kMaxLanes. Anything
+/// else — a sign, trailing text, an empty string, a word, a larger
+/// number — is rejected with nullopt.
 std::optional<size_t> parseLaneCount(std::string_view Text);
 
-/// EventSink that fans the stream out to per-shard detector workers.
+/// EventSink that fans the tool's events out to per-shard detector
+/// workers; events not targeted at the tool are skipped.
 /// consumeBatch() and drain() must be called from one producer thread;
 /// each shard's detector is touched only by its worker thread until
 /// drain() returns, after which finish() may merge from the producer.
@@ -169,13 +166,10 @@ class ShardedSink final : public EventSink {
 public:
   /// Spawns \p Lanes worker threads (clamped to >= 1), each running a
   /// replica of \p Tool (CheckFilter already resolved) behind a ring of
-  /// \p RingBatches slots (clamped to >= 2). A non-null \p Oracle gets its
-  /// own dedicated lane: it is never sharded and receives every
-  /// oracle-targeted event in stream order. \p Symbols seeds each
+  /// \p RingBatches slots (clamped to >= 2). \p Symbols seeds each
   /// replica's field-id namespace (may be null).
-  ShardedSink(const DetectorConfig &Tool, const DetectorConfig *Oracle,
-              const SymbolTable *Symbols, size_t Lanes,
-              size_t RingBatches = kDefaultAsyncRingBatches);
+  ShardedSink(const DetectorConfig &Tool, const SymbolTable *Symbols,
+              size_t Lanes, size_t RingBatches = kDefaultAsyncRingBatches);
 
   /// Drains, stops, and joins every lane.
   ~ShardedSink() override;
@@ -281,14 +275,10 @@ private:
   std::vector<SyncSegment> Segments;
   uint64_t SyncBatches = 0;           ///< Sync-carrying batches opened.
   SyncSegment *OpenSync = nullptr;    ///< This incoming batch's segment.
-  /// Sequence of the last sync edge staged to the shard lanes (all of
-  /// them see every tool sync edge) and to the oracle lane.
-  uint64_t ToolHorizon = 0;
-  uint64_t OracleHorizon = 0;
-  /// Shard lanes [0, NumShards); the oracle lane, when attached, is a
-  /// separate member so shard indexing stays direct.
+  /// Sequence of the last sync edge staged to the lanes (all of them see
+  /// every sync edge).
+  uint64_t SyncHorizon = 0;
   std::vector<std::unique_ptr<Lane>> Shards;
-  std::unique_ptr<Lane> Oracle;
   /// Routed array checks touch the writer clock only when applied
   /// directly (deferred footprint adds never read HB state).
   bool TouchArrayChecks;
@@ -298,7 +288,7 @@ private:
   /// Producer-side invalidation tally (filter on).
   uint64_t FilterInvalidations = 0;
   std::atomic<bool> Stop{false};
-  uint64_t NextSeq = 0; ///< Producer-side global event numbering.
+  uint64_t NextSeq = 0; ///< Producer-side numbering of tool events.
   uint64_t RoutedEvents = 0;
   uint64_t BroadcastEvents = 0;
 };

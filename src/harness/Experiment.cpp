@@ -27,11 +27,8 @@
 //
 //   2. Wall-clock timing (BaseSeconds, per-tool Seconds/OverheadX) runs
 //      afterwards, serially, best-of-N on the quiesced pool, exactly as
-//      the serial driver always did. Replay mode additionally times a
-//      best-of-N replay per tool (ToolMetrics::DetectorSeconds): with
-//      execution factored out entirely, that is the pure detector cost.
-//      Iterations == 0 skips this phase for counter-only consumers (e.g.
-//      the memory and check-ratio tables).
+//      the serial driver always did. Iterations == 0 skips this phase for
+//      counter-only consumers (e.g. the memory and check-ratio tables).
 //
 // Both phases are deterministic given the seed, so phase 1's counters are
 // the counters a timed run would have produced.
@@ -111,7 +108,6 @@ DetectorConfig replayConfigFor(int ToolIdx, const DetectorConfig &Recorded) {
 VmOptions vmOptionsFor(const ExperimentOptions &Opts) {
   VmOptions VmOpts;
   VmOpts.Seed = Opts.Seed;
-  VmOpts.AsyncDetect = Opts.AsyncDetect;
   VmOpts.CheckFilter = Opts.CheckFilter;
   VmOpts.DetectShards = Opts.DetectShards;
   return VmOpts;
@@ -185,8 +181,8 @@ void measureBase(const Workload &W, const ExperimentOptions &Opts,
   Out.BaseHeapBytes = Run.Counters.get("vm.heapBytes");
 }
 
-/// Counter and filter extraction shared by the executed and the replayed
-/// paths — both produce the same RunResult, so metrics fill identically.
+/// Counter extraction shared by the executed and the replayed paths —
+/// both produce the same RunResult, so metrics fill identically.
 void fillToolMetrics(ToolMetrics &M, const std::string &ToolName,
                      const RunResult &Run) {
   M.Tool = ToolName;
@@ -204,9 +200,6 @@ void fillToolMetrics(ToolMetrics &M, const std::string &ToolName,
   M.Races = Counters.get("tool.races");
   M.PeakShadowBytes = Counters.get("tool.peakShadowBytes");
   M.PeakShadowLocations = Counters.get("tool.peakShadowLocations");
-  M.FilterHits = Run.Filter.hits();
-  M.FilterMisses = Run.Filter.misses();
-  M.FilterInvalidations = Run.Filter.Invalidations;
   M.FilterTableBytes = Run.FilterTableBytes;
 }
 
@@ -269,11 +262,13 @@ void measureRecord(const Workload &W, const ExperimentOptions &Opts,
   }
 }
 
-/// Replays tool \p ToolIdx from the trace of the placement it shares.
-/// Each call opens its own reader and builds its own detectors, so calls
-/// for different tools or workloads run in parallel freely.
-ReplayResult replayTool(const PlacementTraces &Traces, int ToolIdx,
-                        const ExperimentOptions &Opts) {
+/// Counter phase, replay mode: fills one tool's metrics slot by
+/// replaying the trace of the placement it shares. Each call opens its
+/// own reader and builds its own detectors, so calls for different tools
+/// or workloads run in parallel freely.
+void measureReplay(const Workload &W, const PlacementTraces &Traces,
+                   const ExperimentOptions &Opts, int ToolIdx,
+                   ExperimentResult &Out) {
   const std::vector<uint8_t> &Trace =
       Traces[static_cast<size_t>(kToolPlacement[ToolIdx])];
   TraceReader Reader;
@@ -281,16 +276,8 @@ ReplayResult replayTool(const PlacementTraces &Traces, int ToolIdx,
   ReplayOptions ROpts;
   ROpts.CheckFilter = Opts.CheckFilter;
   ROpts.DetectShards = Opts.DetectShards;
-  return replayTrace(Reader, replayConfigFor(ToolIdx, Reader.config()),
-                     ROpts);
-}
-
-/// Counter phase, replay mode: fills one tool's metrics slot from its
-/// replay.
-void measureReplay(const Workload &W, const PlacementTraces &Traces,
-                   const ExperimentOptions &Opts, int ToolIdx,
-                   ExperimentResult &Out) {
-  ReplayResult Run = replayTool(Traces, ToolIdx, Opts);
+  ReplayResult Run = replayTrace(
+      Reader, replayConfigFor(ToolIdx, Reader.config()), ROpts);
   if (!Run.Ok) {
     std::fprintf(stderr, "workload %s replay under %s failed: %s\n",
                  W.Name.c_str(), Run.Tool.c_str(), Run.Error.c_str());
@@ -328,12 +315,9 @@ void forEachParallel(size_t Count, unsigned JobsOpt,
 }
 
 /// Phase 2: best-of-N wall-clock timing for one workload (base plus every
-/// configuration). Serial by design — call only on a quiesced pool. When
-/// \p Traces is non-null (replay mode), each tool additionally gets a
-/// best-of-N replay timing: pure detector cost, no execution.
+/// configuration). Serial by design — call only on a quiesced pool.
 void timeWorkload(const Workload &W, const ExperimentOptions &Opts,
-                  ExperimentResult &Out,
-                  const PlacementTraces *Traces = nullptr) {
+                  ExperimentResult &Out) {
   ParseResult PR = parseWorkload(W);
   const Program &Prog = *PR.Prog;
   VmOptions VmOpts = vmOptionsFor(Opts);
@@ -350,23 +334,9 @@ void timeWorkload(const Workload &W, const ExperimentOptions &Opts,
 
   for (int T = 0; T < kNumTools; ++T) {
     InstrumentedProgram IP = instrumentFor(Prog, T);
-    // Explicit best-of-N (rather than timedBest) so async mode can keep
-    // the VmSeconds / DetectorSeconds split of the best iteration, not
-    // the last one.
-    double ToolSec = 1e100, BestVm = 0, BestDet = 0;
-    VmResult Run;
-    for (int I = 0; I < Opts.Iterations; ++I) {
-      Timer Clk;
-      Run = runProgram(*IP.Prog, IP.Tool, VmOpts);
-      double Sec = Clk.seconds();
-      if (Sec < ToolSec) {
-        ToolSec = Sec;
-        BestVm = Run.VmSeconds;
-        BestDet = Run.DetectorSeconds;
-      }
-      if (!Run.Ok)
-        break;
-    }
+    auto [ToolSec, Run] = timedBest(Opts.Iterations, [&IP, &VmOpts] {
+      return runProgram(*IP.Prog, IP.Tool, VmOpts);
+    });
     if (!Run.Ok) {
       std::fprintf(stderr, "workload %s under %s failed: %s\n",
                    W.Name.c_str(), IP.Tool.Name.c_str(), Run.Error.c_str());
@@ -377,24 +347,6 @@ void timeWorkload(const Workload &W, const ExperimentOptions &Opts,
     M.OverheadX = Out.BaseSeconds > 0
                       ? (ToolSec - Out.BaseSeconds) / Out.BaseSeconds
                       : 0;
-    if (VmOpts.AsyncDetect || VmOpts.DetectShards > 0) {
-      // The split is the async timing product; the replay leg below would
-      // overwrite DetectorSeconds with a different quantity, so skip it.
-      M.VmSeconds = BestVm;
-      M.DetectorSeconds = BestDet;
-    }
-    if (Traces && !VmOpts.AsyncDetect && VmOpts.DetectShards == 0) {
-      auto [ReplaySec, ReplayRun] =
-          timedBest(Opts.Iterations, [Traces, T, &Opts] {
-            return replayTool(*Traces, T, Opts);
-          });
-      if (!ReplayRun.Ok) {
-        std::fprintf(stderr, "workload %s replay timing under %s failed: %s\n",
-                     W.Name.c_str(), M.Tool.c_str(), ReplayRun.Error.c_str());
-        std::abort();
-      }
-      M.DetectorSeconds = ReplaySec;
-    }
   }
 }
 
@@ -419,7 +371,7 @@ ExperimentResult bigfoot::runExperiment(const Workload &W,
       measureTool(W, Opts, T, Out);
   }
   if (Opts.Iterations > 0)
-    timeWorkload(W, Opts, Out, Opts.UseReplay ? &Traces : nullptr);
+    timeWorkload(W, Opts, Out);
   return Out;
 }
 
@@ -492,8 +444,7 @@ bigfoot::runSuite(SuiteScale Scale, const ExperimentOptions &Opts) {
   // Phase 2: wall-clock timing on the now-quiesced pool.
   if (Opts.Iterations > 0)
     for (size_t I = 0; I < Suite.size(); ++I)
-      timeWorkload(Suite[I], Opts, Out[I],
-                   Opts.UseReplay ? &Traces[I] : nullptr);
+      timeWorkload(Suite[I], Opts, Out[I]);
   return Out;
 }
 
@@ -537,14 +488,12 @@ BenchArgs bigfoot::parseBenchArgs(int Argc, char **Argv) {
       Args.Opts.UseReplay = false;
     } else if (Valued("--record-dir=")) {
       Args.Opts.RecordDir = V;
-    } else if (Is("--async-detect")) {
-      Args.Opts.AsyncDetect = true;
     } else if (Valued("--detect-shards=")) {
       std::optional<size_t> Lanes = parseLaneCount(V);
       if (Lanes)
         Args.Opts.DetectShards = *Lanes;
       else
-        Expected = "auto or a lane count from 0 to 64";
+        Expected = "a lane count from 0 to 64";
     } else if (Is("--no-check-filter")) {
       Args.Opts.CheckFilter = false;
     } else {

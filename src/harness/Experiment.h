@@ -32,25 +32,12 @@ struct ToolMetrics {
   double ArrayCheckRatio = 0; ///< array check events / heap accesses.
   double Seconds = 0;         ///< best-of-N instrumented run time.
   double OverheadX = 0;       ///< (Seconds - Base) / Base.
-  /// Detector-only cost. Replay mode: best-of-N trace-replay time (no
-  /// execution at all). Async mode: the detector thread's busy seconds
-  /// from the instrumented run — the other half of VmSeconds. 0 otherwise.
-  double DetectorSeconds = 0;
-  /// Async mode only: producer-side seconds of the instrumented run
-  /// (execution + event publication, including backpressure stalls).
-  double VmSeconds = 0;
   uint64_t ShadowOps = 0;
   uint64_t Races = 0;
   uint64_t PeakShadowBytes = 0;
   uint64_t PeakShadowLocations = 0;
-  /// Check-filter effectiveness (all zero when the filter is off). Kept
-  /// apart from the counter-derived fields above, which must be
-  /// byte-identical with the filter on and off.
-  uint64_t FilterHits = 0;
-  uint64_t FilterMisses = 0;
-  uint64_t FilterInvalidations = 0;
-  /// Filter metadata footprint; Table 2's census adds this to
-  /// PeakShadowBytes so the memory account stays honest.
+  /// Filter metadata footprint (0 with the filter off); Table 2's census
+  /// adds this to PeakShadowBytes so the memory account stays honest.
   uint64_t FilterTableBytes = 0;
 };
 
@@ -89,23 +76,18 @@ struct ExperimentOptions {
   /// recording the event stream, then replay all six detector configs
   /// offline from those traces — 3 executions + 6 replays instead of 6
   /// instrumented executions. Results are bytewise identical either way
-  /// (the harness test enforces it); replay mode additionally measures
-  /// ToolMetrics::DetectorSeconds during the timing phase.
+  /// (the harness test enforces it).
   bool UseReplay = true;
   /// When non-empty, recorded traces are also written into this directory
   /// as <workload>.<placement>.bft (replay mode only).
   std::string RecordDir;
-  /// Run detectors on a dedicated thread per VM (VmOptions::AsyncDetect).
-  /// Timing then reports the VmSeconds / DetectorSeconds split per tool.
-  bool AsyncDetect = false;
   /// Epoch-stamped redundant-check elision in front of every detector
   /// (DESIGN.md Sec. 11); applies to execution and replay legs alike.
   bool CheckFilter = true;
-  /// Sharded parallel detection (DESIGN.md Sec. 12): fan each run's event
-  /// stream out to N location-partitioned detector workers. 0 = off.
-  /// Implies the async pipeline and takes precedence over AsyncDetect;
-  /// applies to execution and replay legs alike. Counters, races, and
-  /// ratios are byte-identical for every shard count.
+  /// Threads that apply each run's tool detector (VmOptions::DetectShards):
+  /// 0 = inline, 1 = one detector thread, N >= 2 = location-partitioned
+  /// lanes. Applies to execution and replay legs alike. Counters, races,
+  /// and ratios are byte-identical for every count.
   size_t DetectShards = 0;
 };
 
@@ -125,11 +107,10 @@ runSuite(SuiteScale Scale,
 double geomeanOverhead(const std::vector<double> &Overheads);
 
 /// Parses --small/--iters=N/--seed=N/--jobs=N/--replay/--no-replay/
-/// --record-dir=DIR/--async-detect/--detect-shards=N|auto/
-/// --no-check-filter, the command-line options shared by the bench
-/// binaries. Numbers are strict decimals (support/ParseNumber.h). An
-/// unknown option or a malformed value prints "<argv0>: error: ..." and
-/// exits with status 1.
+/// --record-dir=DIR/--detect-shards=N/--no-check-filter, the
+/// command-line options shared by the bench binaries. Numbers are strict
+/// decimals (support/ParseNumber.h). An unknown option or a malformed
+/// value prints "<argv0>: error: ..." and exits with status 1.
 struct BenchArgs {
   SuiteScale Scale = SuiteScale::Bench;
   ExperimentOptions Opts;

@@ -43,7 +43,7 @@
 /// starts asleep under a warmup grant (DetectorConfig::FilterWarmup)
 /// so short traces never probe at all, and the schedule is a pure
 /// function of each thread's own check sequence, so record, replay,
-/// and async runs stay bit-identical. Third, the initial tables live
+/// and lane runs stay bit-identical. Third, the initial tables live
 /// inline in the per-thread record (a short trace never allocates),
 /// growing 4x when the stamp volume since the last growth exceeds the
 /// slot count — sustained eviction is the signal that the working set

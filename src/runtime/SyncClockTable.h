@@ -95,7 +95,7 @@ public:
   /// First-touch clock-initialization parity with routed checks: a check
   /// by T initializes T's clock in a single detector, which the byte
   /// census tracks. Call on every routed check event that would touch the
-  /// clock so the writer's census evolves exactly like a sync run's.
+  /// clock so the writer's census evolves exactly like an inline run's.
   /// Ships nothing: lanes start every view at {T:1} themselves.
   void touchThread(ThreadId T) { Hb.clockOf(T); }
 

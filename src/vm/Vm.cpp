@@ -146,8 +146,9 @@ public:
     DetectionOptions DO;
     DO.Oracle = Opts.EnableGroundTruth;
     DO.CheckFilter = Opts.CheckFilter;
-    DO.Async = Opts.AsyncDetect;
-    DO.Lanes = Opts.DetectShards;
+    DO.Lanes = Opts.DetectShards == 0 && Opts.AsyncDetect
+                   ? 1
+                   : Opts.DetectShards;
     DO.RingBatches = Opts.AsyncRingBatches;
     Pipeline.emplace(ToolCfg, Syms, DO, Opts.RecordSink);
     EmitTool = ToolCfg != nullptr || Opts.RecordSink != nullptr;
@@ -164,7 +165,7 @@ public:
     // the error path, so detectors observe every event up to the fault.
     Ring.flush();
     // Producer time stops here: everything after is the drain barrier and
-    // result assembly, which sync mode pays inline as part of detection.
+    // result assembly, which inline detection pays as it goes.
     Result.VmSeconds = VmClock.seconds();
     Pipeline->finish(Result);
     Result.Ok = Error.empty();

@@ -62,22 +62,20 @@ struct VmOptions {
   /// VM still executes placed checks (evaluating their bounds) so that a
   /// recording run is behaviorally identical to a detector-attached run.
   EventSink *RecordSink = nullptr;
-  /// Run the attached detectors on a dedicated thread fed by a bounded
-  /// SPSC batch ring (DESIGN.md Sec. 10). Event batches are applied in
-  /// publication order, so reports are byte-identical to synchronous
-  /// mode; the run drains the ring before sampling detector state.
-  bool AsyncDetect = false;
-  /// Ring depth in batches for AsyncDetect (clamped to >= 2).
-  size_t AsyncRingBatches = 16;
-  /// Sharded parallel detection (DESIGN.md Sec. 12/13): fan the event
-  /// stream out to N detector worker threads partitioned by location,
-  /// with sync edges applied once and their post-edge clocks shipped to
-  /// every lane.
-  /// 0 = off (sync, or the single-thread AsyncSink when AsyncDetect);
-  /// > 0 implies the async pipeline and takes precedence over
-  /// AsyncDetect. Reports and counters are byte-identical to the
-  /// sync path for every shard count.
+  /// Threads that apply the tool detector (DetectionOptions::Lanes):
+  /// 0 = inline on the VM thread; 1 = one detector thread behind a
+  /// bounded batch ring (DESIGN.md Sec. 10); N >= 2 = N lanes partitioned
+  /// by location, with sync edges applied once and their post-edge clocks
+  /// shipped to every lane (DESIGN.md Sec. 12/13). Reports and counters
+  /// are byte-identical for every count.
   size_t DetectShards = 0;
+  /// Another spelling of DetectShards = 1, used only when DetectShards
+  /// is 0. Kept for detbench, whose async leg sets it.
+  bool AsyncDetect = false;
+  /// Ring depth in batches per lane (clamped to >= 2). The tests set it
+  /// to 2 or 4 so that lane rings fill and backpressure fires at Test
+  /// scale.
+  size_t AsyncRingBatches = kDefaultAsyncRingBatches;
   /// Epoch-stamped redundant-check elision in front of the detectors
   /// (DESIGN.md Sec. 11). Off = every check runs the full state machine;
   /// reports and counters are byte-identical either way.
@@ -87,9 +85,9 @@ struct VmOptions {
 /// Everything a run produces: the detection result every run shares,
 /// plus what only live execution has.
 struct VmResult : RunResult {
-  /// Wall-clock seconds for execution (always set): in async mode the
+  /// Wall-clock seconds for execution (always set): with lanes the
   /// producer's time — setup through drain start — including any
-  /// backpressure stalls; in sync mode execution and detection combined.
+  /// backpressure stalls; inline, execution and detection combined.
   double VmSeconds = 0.0;
 };
 

@@ -2,18 +2,20 @@
 //
 // Part of the BigFoot reproduction. See README.md for details.
 //
-// Golden differential for the execution/detection decoupling: the three
-// ways a detector can consume the event stream — per-event dispatch (ring
-// capacity 1), batched dispatch (the default ring), and offline replay of
-// a recorded trace — must produce byte-identical results. Coverage grid
-// matches the interning golden test: every workload (standard suite at
-// Test scale plus the racy variants) × all six detector configurations ×
-// three scheduler seeds, with the ground-truth oracle attached so
+// Golden differential for the execution/detection decoupling: every way a
+// detector can consume the event stream — per-event dispatch (ring
+// capacity 1), batched dispatch (the default ring), one detector lane,
+// N location-partitioned lanes, and offline replay of a recorded trace —
+// must produce byte-identical results. Coverage grid matches the
+// interning golden test: every workload (standard suite at Test scale
+// plus the racy variants) × all six detector configurations × three
+// scheduler seeds, with the ground-truth oracle attached so
 // oracle-targeted events are exercised too.
 //
 //===----------------------------------------------------------------------===//
 
 #include "bfj/Parser.h"
+#include "events/EventSink.h"
 #include "events/Replay.h"
 #include "events/TraceCodec.h"
 #include "instrument/Instrumenters.h"
@@ -58,7 +60,20 @@ void expectSameRun(const std::string &Tag, const VmResult &A,
   for (size_t I = 0; I < A.ToolRaces.size(); ++I)
     EXPECT_EQ(A.ToolRaces[I].str(), B.ToolRaces[I].str())
         << Tag << " race " << I;
+  ASSERT_EQ(A.GroundTruthRaces.size(), B.GroundTruthRaces.size()) << Tag;
+  for (size_t I = 0; I < A.GroundTruthRaces.size(); ++I)
+    EXPECT_EQ(A.GroundTruthRaces[I].str(), B.GroundTruthRaces[I].str())
+        << Tag << " oracle race " << I;
 }
+
+/// Counts the events a run sends to its tool detector.
+struct ToolEventCounter final : EventSink {
+  uint64_t Events = 0;
+  void consumeBatch(const Event *Batch, size_t N, const uint32_t *) override {
+    for (size_t I = 0; I < N; ++I)
+      Events += (Batch[I].Target & kTargetTool) != 0;
+  }
+};
 
 void expectReplayMatches(const std::string &Tag, const VmResult &Run,
                          const ReplayResult &Rep) {
@@ -115,17 +130,17 @@ TEST(EventStreamEquivalence, DispatchModesAgreeEverywhere) {
 
         expectSameRun(Tag + " inline-vs-batched", Inline, Batched);
 
-        // Asynchronous detection: the same stream applied on a dedicated
-        // detector thread behind the batch ring. Small batches and a
-        // shallow ring so backpressure actually fires at Test scale.
-        VmOptions AsyncOpts;
-        AsyncOpts.Seed = Seed;
-        AsyncOpts.EnableGroundTruth = true;
-        AsyncOpts.AsyncDetect = true;
-        AsyncOpts.EventBatch = 64;
-        AsyncOpts.AsyncRingBatches = 4;
-        VmResult Async = runProgram(*IP.Prog, IP.Tool, AsyncOpts);
-        expectSameRun(Tag + " inline-vs-async", Inline, Async);
+        // One lane: the same stream applied on a dedicated detector
+        // thread behind the batch ring. Small batches and a shallow ring
+        // so backpressure actually fires at Test scale.
+        VmOptions OneLaneOpts;
+        OneLaneOpts.Seed = Seed;
+        OneLaneOpts.EnableGroundTruth = true;
+        OneLaneOpts.DetectShards = 1;
+        OneLaneOpts.EventBatch = 64;
+        OneLaneOpts.AsyncRingBatches = 4;
+        VmResult OneLane = runProgram(*IP.Prog, IP.Tool, OneLaneOpts);
+        expectSameRun(Tag + " inline-vs-lanes1", Inline, OneLane);
 
         // Sharded detection (DESIGN.md Sec. 12): the same stream fanned
         // out to location-partitioned detector workers, merged back.
@@ -254,12 +269,14 @@ TEST(EventStreamEquivalence, CheckFilterOnOffAgreeEverywhere) {
 }
 
 // Deterministic race-report merging: seeded racy workloads put races on
-// locations that hash to different shards, and every shard count —
+// locations that hash to different shards, and every lane count —
 // including repeated runs of the same count — must produce reports and
-// counters byte-identical to the synchronous path. The deferred-array
+// counters byte-identical to the inline path. The deferred-array
 // configs matter most here: their races surface while one sync edge's
 // markers commit footprints in several shards at once, which is exactly
-// the cross-shard ordering the RaceOrder merge keys exist for.
+// the cross-shard ordering the RaceOrder merge keys exist for. One lane
+// is the plain detector on one thread: no routing, markers or sync
+// table.
 TEST(EventStreamEquivalence, ShardedMergeDeterministicAcrossShardCounts) {
   const size_t ShardCounts[] = {1, 2, 4, 8};
   for (const Workload &W : racyVariants()) {
@@ -272,7 +289,10 @@ TEST(EventStreamEquivalence, ShardedMergeDeterministicAcrossShardCounts) {
       VmOptions Opts;
       Opts.Seed = 2;
       Opts.EnableGroundTruth = true;
+      ToolEventCounter ToolEvents;
+      Opts.RecordSink = &ToolEvents;
       VmResult Sync = runProgram(*IP.Prog, IP.Tool, Opts); // Shards = 0.
+      Opts.RecordSink = nullptr;
 
       for (size_t Shards : ShardCounts) {
         VmOptions SO = Opts;
@@ -280,7 +300,7 @@ TEST(EventStreamEquivalence, ShardedMergeDeterministicAcrossShardCounts) {
         SO.EventBatch = 32;   // Small batches: publication churn.
         SO.AsyncRingBatches = 2; // Shallow rings: backpressure fires.
         VmResult A = runProgram(*IP.Prog, IP.Tool, SO);
-        expectSameRun(Tag + " sync-vs-shards" + std::to_string(Shards),
+        expectSameRun(Tag + " inline-vs-shards" + std::to_string(Shards),
                       Sync, A);
         // The merged filter line is part of the CLI report the byte-diff
         // smokes compare: hit/miss/extend tallies partition across the
@@ -291,18 +311,29 @@ TEST(EventStreamEquivalence, ShardedMergeDeterministicAcrossShardCounts) {
         EXPECT_EQ(A.Filter.Invalidations, Sync.Filter.Invalidations) << Tag;
         EXPECT_EQ(A.Filter.RangeExtends, Sync.Filter.RangeExtends) << Tag;
         EXPECT_EQ(A.ShardOrderViolations, 0u) << Tag;
-        // One horizon marker per lane per sync edge, and lane event
-        // tallies are exactly the routed partition.
-        EXPECT_EQ(A.ShardHorizonAdvances, A.ShardBroadcastEvents * Shards)
-            << Tag;
-        EXPECT_EQ(A.ShardLanes.size(), Shards) << Tag;
-        uint64_t LaneEvents = 0, LaneMarkers = 0;
-        for (const ShardLaneStats &L : A.ShardLanes) {
-          LaneEvents += L.Events;
-          LaneMarkers += L.Markers;
+        ASSERT_EQ(A.ShardLanes.size(), Shards) << Tag;
+        if (Shards == 1) {
+          // The one lane applies every tool event itself and ships no
+          // clocks.
+          EXPECT_EQ(A.ShardLanes[0].Events, ToolEvents.Events) << Tag;
+          EXPECT_EQ(A.ShardSyncPublishes, 0u) << Tag;
+          EXPECT_EQ(A.ShardSyncTableBytes, 0u) << Tag;
+        } else {
+          // One horizon marker per lane per sync edge, and lane event
+          // tallies are exactly the routed partition.
+          EXPECT_EQ(A.ShardHorizonAdvances, A.ShardBroadcastEvents * Shards)
+              << Tag;
+          EXPECT_EQ(A.ShardRoutedEvents + A.ShardBroadcastEvents,
+                    ToolEvents.Events)
+              << Tag;
+          uint64_t LaneEvents = 0, LaneMarkers = 0;
+          for (const ShardLaneStats &L : A.ShardLanes) {
+            LaneEvents += L.Events;
+            LaneMarkers += L.Markers;
+          }
+          EXPECT_EQ(LaneEvents, A.ShardRoutedEvents) << Tag;
+          EXPECT_EQ(LaneMarkers, A.ShardHorizonAdvances) << Tag;
         }
-        EXPECT_EQ(LaneEvents, A.ShardRoutedEvents) << Tag;
-        EXPECT_EQ(LaneMarkers, A.ShardHorizonAdvances) << Tag;
 
         // Run-to-run determinism at the same count: the merge may not
         // depend on worker scheduling.
@@ -381,14 +412,14 @@ thread {
       Opts.EventBatch = 1;
       VmResult Inline = runProgram(*IP.Prog, IP.Tool, Opts);
 
-      VmOptions AsyncOpts;
-      AsyncOpts.Seed = Seed;
-      AsyncOpts.EnableGroundTruth = true;
-      AsyncOpts.AsyncDetect = true;
-      AsyncOpts.EventBatch = 32;
-      AsyncOpts.AsyncRingBatches = 4;
-      VmResult Async = runProgram(*IP.Prog, IP.Tool, AsyncOpts);
-      expectSameRun(Tag + " inline-vs-async", Inline, Async);
+      VmOptions OneLaneOpts;
+      OneLaneOpts.Seed = Seed;
+      OneLaneOpts.EnableGroundTruth = true;
+      OneLaneOpts.DetectShards = 1;
+      OneLaneOpts.EventBatch = 32;
+      OneLaneOpts.AsyncRingBatches = 4;
+      VmResult OneLane = runProgram(*IP.Prog, IP.Tool, OneLaneOpts);
+      expectSameRun(Tag + " inline-vs-lanes1", Inline, OneLane);
 
       for (size_t Shards : {size_t(2), size_t(4)}) {
         VmOptions SO;
@@ -415,10 +446,10 @@ thread {
   }
 }
 
-// A base run (no tool) with the oracle attached under the threaded modes.
-// Lanes partition a tool config, so with no tool the oracle stays inline
-// (or on the AsyncSink thread); its reports and the run's counters must
-// equal the plain inline oracle run's on every racy variant and seed.
+// A base run (no tool) with the oracle attached under a lane count. Lanes
+// run the tool and the oracle is always inline, so with no tool there is
+// no lane at all; the oracle's reports and the run's counters must equal
+// the plain inline oracle run's on every racy variant and seed.
 TEST(EventStreamEquivalence, OracleOnlyBaseRunAgreesAcrossModes) {
   for (const Workload &W : racyVariants()) {
     ParseResult PR = parseProgram(W.Source);
@@ -432,15 +463,15 @@ TEST(EventStreamEquivalence, OracleOnlyBaseRunAgreesAcrossModes) {
       ASSERT_TRUE(Inline.Ok) << Tag << ": " << Inline.Error;
       EXPECT_FALSE(Inline.GroundTruthRaces.empty()) << Tag;
 
-      VmOptions AsyncOpts = Opts;
-      AsyncOpts.AsyncDetect = true;
-      AsyncOpts.EventBatch = 32;
-      AsyncOpts.AsyncRingBatches = 2;
+      VmOptions OneLaneOpts = Opts;
+      OneLaneOpts.DetectShards = 1;
+      OneLaneOpts.EventBatch = 32;
+      OneLaneOpts.AsyncRingBatches = 2;
       VmOptions LaneOpts = Opts;
       LaneOpts.DetectShards = 2;
       LaneOpts.EventBatch = 32;
-      for (const VmOptions &O : {AsyncOpts, LaneOpts}) {
-        std::string MTag = Tag + (O.AsyncDetect ? " async" : " lanes");
+      for (const VmOptions &O : {OneLaneOpts, LaneOpts}) {
+        std::string MTag = Tag + " lanes" + std::to_string(O.DetectShards);
         VmResult Run = runProgramBase(*PR.Prog, O);
         EXPECT_EQ(Run.Ok, Inline.Ok) << MTag;
         EXPECT_EQ(Run.Counters.all(), Inline.Counters.all()) << MTag;
@@ -456,6 +487,34 @@ TEST(EventStreamEquivalence, OracleOnlyBaseRunAgreesAcrossModes) {
         EXPECT_TRUE(Run.ShardLanes.empty()) << MTag;
       }
     }
+  }
+}
+
+// VmOptions::AsyncDetect is another spelling of DetectShards = 1 (detbench
+// sets it): the same one lane and the same run. A lane count, when set,
+// wins.
+TEST(EventStreamEquivalence, AsyncDetectIsOneLane) {
+  for (const Workload &W : racyVariants()) {
+    ParseResult PR = parseProgram(W.Source);
+    ASSERT_TRUE(PR.ok()) << W.Name << ": " << PR.Error;
+    InstrumentedProgram IP = instrumentBigFoot(*PR.Prog);
+    std::string Tag = W.Name + "/async-alias";
+    VmOptions OneLane;
+    OneLane.EnableGroundTruth = true;
+    OneLane.DetectShards = 1;
+    VmOptions Alias;
+    Alias.EnableGroundTruth = true;
+    Alias.AsyncDetect = true;
+    VmResult A = runProgram(*IP.Prog, IP.Tool, OneLane);
+    VmResult B = runProgram(*IP.Prog, IP.Tool, Alias);
+    expectSameRun(Tag, A, B);
+    ASSERT_EQ(A.ShardLanes.size(), 1u) << Tag;
+    ASSERT_EQ(B.ShardLanes.size(), 1u) << Tag;
+    EXPECT_EQ(B.ShardLanes[0].Events, A.ShardLanes[0].Events) << Tag;
+    EXPECT_EQ(B.ShardSyncPublishes, 0u) << Tag;
+    Alias.DetectShards = 2;
+    EXPECT_EQ(runProgram(*IP.Prog, IP.Tool, Alias).ShardLanes.size(), 2u)
+        << Tag;
   }
 }
 

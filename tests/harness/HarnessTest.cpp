@@ -136,18 +136,19 @@ TEST(Harness, ReplaySuiteMatchesDirectExecution) {
   }
 }
 
-TEST(Harness, AsyncDetectMatchesSyncCounters) {
-  // --async-detect moves detection to another thread but must not change
-  // a single measured number. No-replay mode so every tool actually runs
-  // with its detector attached (replay-mode counters never attach one).
+TEST(Harness, OneLaneMatchesInlineCounters) {
+  // --detect-shards=1 moves detection to another thread but must not
+  // change a single measured number. No-replay mode so every tool
+  // actually runs with its detector attached (replay-mode counters never
+  // attach one).
   Workload W = workloadByName("tomcat", SuiteScale::Test);
-  ExperimentOptions Sync;
-  Sync.Iterations = 0;
-  Sync.UseReplay = false;
-  ExperimentOptions Async = Sync;
-  Async.AsyncDetect = true;
-  ExperimentResult A = runExperiment(W, Sync);
-  ExperimentResult B = runExperiment(W, Async);
+  ExperimentOptions Inline;
+  Inline.Iterations = 0;
+  Inline.UseReplay = false;
+  ExperimentOptions OneLane = Inline;
+  OneLane.DetectShards = 1;
+  ExperimentResult A = runExperiment(W, Inline);
+  ExperimentResult B = runExperiment(W, OneLane);
   ASSERT_EQ(A.Tools.size(), B.Tools.size());
   for (size_t T = 0; T < A.Tools.size(); ++T) {
     const std::string &Tag = A.Tools[T].Tool;
@@ -195,22 +196,16 @@ TEST(Harness, BenchArgsParsing) {
   BenchArgs R = parseBenchArgs(4, const_cast<char **>(Replay));
   EXPECT_TRUE(R.Opts.UseReplay);
   EXPECT_EQ(R.Opts.RecordDir, "/tmp/traces");
-  // Async detection: off by default, --async-detect enables.
-  EXPECT_FALSE(Defaults.Opts.AsyncDetect);
-  const char *Async[] = {"prog", "--async-detect"};
-  EXPECT_TRUE(parseBenchArgs(2, const_cast<char **>(Async)).Opts.AsyncDetect);
-  // Lane counts: off by default; a number or "auto" sets them.
+  // Lane counts: inline by default; a number sets them.
   EXPECT_EQ(Defaults.Opts.DetectShards, 0u);
   const char *Lanes[] = {"prog", "--detect-shards=3"};
   EXPECT_EQ(parseBenchArgs(2, const_cast<char **>(Lanes)).Opts.DetectShards,
             3u);
-  const char *Auto[] = {"prog", "--detect-shards=auto"};
-  EXPECT_EQ(parseBenchArgs(2, const_cast<char **>(Auto)).Opts.DetectShards,
-            autoShardCount());
   // A lane count parseLaneCount() rejects stops the bench binary with a
   // message instead of running with a wrapped or silently dropped value.
-  for (const char *Bad :
-       {"--detect-shards=-1", "--detect-shards=abc", "--detect-shards=65"}) {
+  // "auto" is no count either.
+  for (const char *Bad : {"--detect-shards=-1", "--detect-shards=abc",
+                          "--detect-shards=65", "--detect-shards=auto"}) {
     const char *BadArgv[] = {"prog", Bad};
     EXPECT_EXIT(parseBenchArgs(2, const_cast<char **>(BadArgv)),
                 ::testing::ExitedWithCode(1), "--detect-shards")
@@ -228,7 +223,7 @@ TEST(Harness, BenchArgsParsing) {
   // And any unknown option: a typo must not run with the setting
   // unchanged.
   for (const char *Bad : {"--no-checkfilter", "--ast", "--workload=sor",
-                          "--iters", "extra"}) {
+                          "--iters", "extra", "--async-detect"}) {
     const char *BadArgv[] = {"prog", Bad};
     EXPECT_EXIT(parseBenchArgs(2, const_cast<char **>(BadArgv)),
                 ::testing::ExitedWithCode(1), "prog: error: unknown option")

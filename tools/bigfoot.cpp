@@ -27,6 +27,7 @@
 #include <cstring>
 #include <fstream>
 #include <iostream>
+#include <optional>
 #include <sstream>
 
 using namespace bigfoot;
@@ -47,18 +48,13 @@ options:
   --commit-interval=N
                   commit deferred footprints every N statements (the
                   Section 3.3 extension; 0 = only at synchronization)
-  --async-detect  run the detector on its own thread behind a bounded
-                  batch ring (reports stay identical to sync mode; an
-                  [async] line shows the vm/detector time split)
   --detect-shards=N
-                  fan detection out to N location-partitioned detector
-                  workers, 0 to 64 (implies the async pipeline, takes
-                  precedence over --async-detect; reports stay
-                  byte-identical for every N; [shards] lines show the
-                  per-lane split and the shared sync-clock table).
-                  N may be "auto": derive the count from the machine's
-                  core count (sharding stays off on one core). Also
-                  accepted by trace record and trace replay.
+                  run the detector on N threads, 0 to 64: 0 = inline
+                  (default), 1 = one detector thread behind a bounded
+                  batch ring, N >= 2 = N location-partitioned lanes.
+                  Reports stay byte-identical for every N; [shards]
+                  lines show the vm/detector time split, each lane and,
+                  for N >= 2, the shared sync-clock table
   --no-check-filter
                   disable the epoch-stamped redundant-check filter in
                   front of the detector; reports and counters are
@@ -70,17 +66,48 @@ options:
 trace subcommands (record once, re-analyze offline):
   bigfoot trace record --out=FILE [--tool=NAME] [run options] program.bfj
                   run with a detector attached, recording the event
-                  stream to FILE; the report is identical to a plain run
-  bigfoot trace replay [--tool=NAME] FILE
+                  stream to FILE; the report is identical to a plain run.
+                  Run options: --seed, --quantum, --commit-interval,
+                  --detect-shards, --no-check-filter, --oracle, --stats
+  bigfoot trace replay [--tool=NAME] [detector options] FILE
                   replay FILE into a fresh detector (default: the
                   recorded config; NAME must share its placement) and
-                  print the same report the recording run printed
+                  print the same report the recording run printed.
+                  Detector options: --detect-shards, --no-check-filter,
+                  --oracle, --stats
   bigfoot trace info FILE
                   describe a trace: config, symbols, events, summary
+
+A command given an option it does not apply fails with exit status 1.
 )";
 }
 
 std::string readFile(const char *Path);
+
+/// The commands of the command line, as bits of an option's accepted set.
+enum Command : unsigned {
+  RunCmd = 1u << 0, ///< bigfoot [options] program.bfj
+  RecordCmd = 1u << 1,
+  ReplayCmd = 1u << 2,
+  InfoCmd = 1u << 3,
+};
+/// Options that shape the execution / the detection of a run.
+constexpr unsigned kExecutes = RunCmd | RecordCmd;
+constexpr unsigned kDetects = RunCmd | RecordCmd | ReplayCmd;
+
+const char *commandName(Command C) {
+  switch (C) {
+  case RunCmd:
+    return "a plain run";
+  case RecordCmd:
+    return "trace record";
+  case ReplayCmd:
+    return "trace replay";
+  case InfoCmd:
+    return "trace info";
+  }
+  return "";
+}
 
 /// Everything the command line sets, for direct runs and trace
 /// subcommands alike.
@@ -93,10 +120,10 @@ struct CliArgs {
   VmOptions Vm;
 };
 
-/// Parses Argv[First, Argc) into \p A. \p Trace selects the trace
-/// subcommands' option set. On a bad argument, prints a "bigfoot: error:"
-/// line and returns false.
-bool parseArgs(int First, int Argc, char **Argv, bool Trace, CliArgs &A) {
+/// Parses Argv[First, Argc) into \p A for command \p C. An unknown
+/// option, an option \p C does not apply, or a malformed value prints a
+/// "bigfoot: error:" line and returns false.
+bool parseArgs(int First, int Argc, char **Argv, Command C, CliArgs &A) {
   for (int I = First; I < Argc; ++I) {
     const char *Arg = Argv[I];
     const char *V = nullptr;
@@ -109,37 +136,43 @@ bool parseArgs(int First, int Argc, char **Argv, bool Trace, CliArgs &A) {
     };
     auto Is = [&](const char *Name) { return std::strcmp(Arg, Name) == 0; };
     const char *Expected = nullptr; // Set when the value is malformed.
+    unsigned Takes = kDetects;      // The commands that apply Arg.
     if (Valued("--tool=")) {
       A.ToolName = V;
-    } else if (Trace && Valued("--out=")) {
+    } else if (Valued("--out=")) {
+      Takes = RecordCmd;
       A.OutPath = V;
-    } else if (!Trace && Is("--print")) {
+    } else if (Is("--print")) {
+      Takes = RunCmd;
       A.PrintOnly = true;
-    } else if (!Trace && Is("--contexts")) {
+    } else if (Is("--contexts")) {
+      Takes = RunCmd;
       A.Contexts = true;
-    } else if (!Trace && (Is("--help") || Is("-h"))) {
+    } else if (Is("--help") || Is("-h")) {
+      Takes = RunCmd;
       A.Help = true;
     } else if (Is("--oracle")) {
       A.Oracle = true;
     } else if (Is("--stats")) {
       A.DumpStats = true;
     } else if (Valued("--seed=")) {
+      Takes = kExecutes;
       if (!parseNumber(V, A.Vm.Seed))
         Expected = "a non-negative integer";
     } else if (Valued("--quantum=")) {
+      Takes = kExecutes;
       if (!parseNumber(V, A.Vm.Quantum) || A.Vm.Quantum == 0)
         Expected = "a positive integer";
     } else if (Valued("--commit-interval=")) {
+      Takes = kExecutes;
       if (!parseNumber(V, A.Vm.CommitIntervalSteps))
         Expected = "a non-negative integer";
-    } else if (Is("--async-detect")) {
-      A.Vm.AsyncDetect = true;
     } else if (Valued("--detect-shards=")) {
       std::optional<size_t> Lanes = parseLaneCount(V);
       if (Lanes)
         A.Vm.DetectShards = *Lanes;
       else
-        Expected = "auto or a lane count from 0 to 64";
+        Expected = "a lane count from 0 to 64";
     } else if (Is("--no-check-filter")) {
       A.Vm.CheckFilter = false;
     } else if (Arg[0] == '-') {
@@ -147,7 +180,13 @@ bool parseArgs(int First, int Argc, char **Argv, bool Trace, CliArgs &A) {
       usage();
       return false;
     } else {
+      Takes = C;
       A.File = Arg;
+    }
+    if (!(Takes & C)) {
+      std::cerr << "bigfoot: error: " << commandName(C) << " does not take '"
+                << Arg << "'\n";
+      return false;
     }
     if (Expected) {
       std::cerr << "bigfoot: error: " << Arg << ": expected " << Expected
@@ -200,20 +239,28 @@ int reportRun(const std::string &ToolName, const RunResult &Run, bool Oracle,
   return Run.ToolRaces.empty() ? 0 : 2;
 }
 
-/// Sharded-mode lane summary on stderr, for online and replayed runs
-/// alike; prefixed like the [async] line so byte-diff consumers can
-/// filter it.
-void reportShards(size_t Shards, const RunResult &Run) {
-  if (Shards == 0)
+/// The lane summary on stderr when the detector ran on lanes, for live
+/// and replayed runs alike (a live run adds its VM thread's seconds up to
+/// the drain); prefixed so byte-diff consumers can filter it exactly like
+/// the [trace] line.
+void reportLanes(const RunResult &Run,
+                 std::optional<double> VmSeconds = std::nullopt) {
+  if (Run.ShardLanes.empty())
     return;
-  std::cerr << "[shards] " << Run.ShardLanes.size() << " lane(s), "
-            << Run.ShardRoutedEvents << " routed + "
-            << Run.ShardBroadcastEvents << " broadcast event(s)\n";
-  std::cerr << "[shards] sync table: " << Run.ShardSyncPublishes
-            << " clock(s) shipped, " << Run.ShardTableReads
-            << " view(s) installed, " << Run.ShardHorizonAdvances
-            << " horizon advance(s), " << Run.ShardSyncTableBytes
-            << " resident byte(s)\n";
+  std::cerr << "[shards] " << Run.ShardLanes.size() << " lane(s), ";
+  if (VmSeconds)
+    std::cerr << "vm " << *VmSeconds << "s, ";
+  std::cerr << "detector " << Run.DetectorSeconds << "s, "
+            << Run.AsyncBatches << " batch(es), " << Run.AsyncStalls
+            << " stall(s)\n";
+  if (Run.ShardLanes.size() >= 2)
+    std::cerr << "[shards] sync table: " << Run.ShardRoutedEvents
+              << " routed + " << Run.ShardBroadcastEvents
+              << " broadcast event(s), " << Run.ShardSyncPublishes
+              << " clock(s) shipped, " << Run.ShardTableReads
+              << " view(s) installed, " << Run.ShardHorizonAdvances
+              << " horizon advance(s), " << Run.ShardSyncTableBytes
+              << " resident byte(s)\n";
   for (size_t I = 0; I < Run.ShardLanes.size(); ++I) {
     const ShardLaneStats &L = Run.ShardLanes[I];
     std::cerr << "[shards]   lane " << I << ": " << L.Events
@@ -223,18 +270,6 @@ void reportShards(size_t Shards, const RunResult &Run) {
   if (Run.ShardOrderViolations)
     std::cerr << "[shards] WARNING: " << Run.ShardOrderViolations
               << " ordering violation(s)\n";
-}
-
-/// Async-mode timing split on stderr, prefixed so byte-diff consumers can
-/// filter it exactly like the [trace] line. Sharded mode pipelines too,
-/// so it gets the same split plus its [shards] lane summary.
-void reportAsync(const VmOptions &Opts, const VmResult &Run) {
-  if (!Opts.AsyncDetect && Opts.DetectShards == 0)
-    return;
-  std::cerr << "[async] vm " << Run.VmSeconds << "s, detector "
-            << Run.DetectorSeconds << "s, " << Run.AsyncBatches
-            << " batch(es), " << Run.AsyncStalls << " stall(s)\n";
-  reportShards(Opts.DetectShards, Run);
 }
 
 /// Instruments \p Prog for the named tool; false on an unknown name.
@@ -286,15 +321,27 @@ int traceMain(int Argc, char **Argv) {
     return 1;
   }
   std::string Sub = Argv[2];
+  Command C;
+  if (Sub == "record") {
+    C = RecordCmd;
+  } else if (Sub == "replay") {
+    C = ReplayCmd;
+  } else if (Sub == "info") {
+    C = InfoCmd;
+  } else {
+    std::cerr << "bigfoot: error: unknown trace subcommand '" << Sub
+              << "'\n";
+    return 1;
+  }
   CliArgs A;
-  if (!parseArgs(3, Argc, Argv, /*Trace=*/true, A))
+  if (!parseArgs(3, Argc, Argv, C, A))
     return 1;
   if (!A.File) {
     std::cerr << "bigfoot: error: trace " << Sub << " needs a file\n";
     return 1;
   }
 
-  if (Sub == "record") {
+  if (C == RecordCmd) {
     if (A.OutPath.empty()) {
       std::cerr << "bigfoot: error: trace record needs --out=FILE\n";
       return 1;
@@ -324,11 +371,11 @@ int traceMain(int Argc, char **Argv) {
     }
     std::cerr << "[trace] wrote " << Writer.buffer().size() << " bytes to "
               << A.OutPath << "\n";
-    reportAsync(A.Vm, Run);
+    reportLanes(Run, Run.VmSeconds);
     return reportRun(A.ToolName, Run, A.Oracle, A.DumpStats);
   }
 
-  if (Sub == "replay") {
+  if (C == ReplayCmd) {
     TraceReader Reader;
     if (!Reader.openFile(A.File)) {
       std::cerr << "bigfoot: " << A.File << ": " << Reader.error() << "\n";
@@ -345,46 +392,41 @@ int traceMain(int Argc, char **Argv) {
     ROpts.CheckFilter = A.Vm.CheckFilter;
     ROpts.DetectShards = A.Vm.DetectShards;
     ReplayResult Run = replayTrace(Reader, Cfg, ROpts);
-    reportShards(ROpts.DetectShards, Run);
+    reportLanes(Run);
     return reportRun(Cfg.Name, Run, A.Oracle, A.DumpStats);
   }
 
-  if (Sub == "info") {
-    TraceReader Reader;
-    if (!Reader.openFile(A.File)) {
-      std::cerr << "bigfoot: " << A.File << ": " << Reader.error() << "\n";
-      return 1;
-    }
-    // Drain the stream to count events and reach the summary.
-    std::vector<Event> Buf(kDefaultEventBatch);
-    std::vector<uint32_t> Payload;
-    while (Reader.nextBatch(Buf.data(), Buf.size(), Payload) > 0)
-      ;
-    if (!Reader.ok()) {
-      std::cerr << "bigfoot: " << A.File << ": " << Reader.error() << "\n";
-      return 1;
-    }
-    const DetectorConfig &C = Reader.config();
-    std::cout << "trace: " << A.File << "\n"
-              << "  config: " << C.Name
-              << (C.DeferArrayChecks ? " +defer" : "")
-              << (C.AdaptiveArrayShadow ? " +adaptive" : "")
-              << (C.VectorClocksOnly ? " +vconly" : "") << ", "
-              << C.FieldProxy.size() << " proxied field(s)\n"
-              << "  symbols: " << Reader.symbols().size() << "\n"
-              << "  events: " << Reader.eventsDecoded() << "\n";
-    if (Reader.summaryReady()) {
-      const TraceSummary &S = Reader.summary();
-      std::cout << "  run: " << (S.Ok ? "ok" : ("error: " + S.Error)) << ", "
-                << S.StatementsExecuted << " statements, "
-                << S.Output.size() << " output line(s), "
-                << S.Counters.size() << " counter(s)\n";
-    }
-    return 0;
+  TraceReader Reader; // trace info.
+  if (!Reader.openFile(A.File)) {
+    std::cerr << "bigfoot: " << A.File << ": " << Reader.error() << "\n";
+    return 1;
   }
-
-  std::cerr << "bigfoot: error: unknown trace subcommand '" << Sub << "'\n";
-  return 1;
+  // Drain the stream to count events and reach the summary.
+  std::vector<Event> Buf(kDefaultEventBatch);
+  std::vector<uint32_t> Payload;
+  while (Reader.nextBatch(Buf.data(), Buf.size(), Payload) > 0)
+    ;
+  if (!Reader.ok()) {
+    std::cerr << "bigfoot: " << A.File << ": " << Reader.error() << "\n";
+    return 1;
+  }
+  const DetectorConfig &Cfg = Reader.config();
+  std::cout << "trace: " << A.File << "\n"
+            << "  config: " << Cfg.Name
+            << (Cfg.DeferArrayChecks ? " +defer" : "")
+            << (Cfg.AdaptiveArrayShadow ? " +adaptive" : "")
+            << (Cfg.VectorClocksOnly ? " +vconly" : "") << ", "
+            << Cfg.FieldProxy.size() << " proxied field(s)\n"
+            << "  symbols: " << Reader.symbols().size() << "\n"
+            << "  events: " << Reader.eventsDecoded() << "\n";
+  if (Reader.summaryReady()) {
+    const TraceSummary &S = Reader.summary();
+    std::cout << "  run: " << (S.Ok ? "ok" : ("error: " + S.Error)) << ", "
+              << S.StatementsExecuted << " statements, "
+              << S.Output.size() << " output line(s), "
+              << S.Counters.size() << " counter(s)\n";
+  }
+  return 0;
 }
 
 std::string readFile(const char *Path) {
@@ -406,7 +448,7 @@ int main(int Argc, char **Argv) {
 
   CliArgs A;
   A.ToolName = "bigfoot";
-  if (!parseArgs(1, Argc, Argv, /*Trace=*/false, A))
+  if (!parseArgs(1, Argc, Argv, RunCmd, A))
     return 1;
   if (A.Help) {
     usage();
@@ -459,6 +501,6 @@ int main(int Argc, char **Argv) {
 
   A.Vm.EnableGroundTruth = A.Oracle;
   VmResult Run = runProgram(*IP.Prog, IP.Tool, A.Vm);
-  reportAsync(A.Vm, Run);
+  reportLanes(Run, Run.VmSeconds);
   return reportRun(A.ToolName, Run, A.Oracle, A.DumpStats);
 }

@@ -27,12 +27,10 @@ int main(int Argc, char **Argv) {
   std::vector<double> BfR, RcR, SsR, ScR;
   for (const ExperimentResult &R : Results) {
     double Base = static_cast<double>(R.BaseHeapBytes);
-    // Detector metadata = shadow state + the check filter's stamp
-    // tables; counting both keeps the census honest when the filter is
-    // on (its tables are real resident memory the tool costs).
+    // Detector metadata is shadow state only, as in the paper's heap
+    // measurement.
     auto MetaBytes = [&R](const char *Tool) {
-      const ToolMetrics &M = R.tool(Tool);
-      return M.PeakShadowBytes + M.FilterTableBytes;
+      return R.tool(Tool).PeakShadowBytes;
     };
     double Ft = static_cast<double>(MetaBytes("fasttrack"));
     auto Rel = [Ft](uint64_t Bytes) {

@@ -18,15 +18,13 @@ DetectionPipeline::DetectionPipeline(const DetectorConfig *ToolCfg,
                                      EventSink *Record) {
   size_t RingBatches = std::max<size_t>(2, O.RingBatches);
   if (ToolCfg) {
-    DetectorConfig Cfg = *ToolCfg;
-    Cfg.CheckFilter = O.CheckFilter;
     if (O.Lanes >= 2) {
       // The lanes own their detector replicas.
-      Lanes = std::make_unique<ShardedSink>(Cfg, Symbols, O.Lanes,
+      Lanes = std::make_unique<ShardedSink>(*ToolCfg, Symbols, O.Lanes,
                                             RingBatches);
       Tee.add(Lanes.get());
     } else {
-      Tool = std::make_unique<RaceDetector>(Cfg, ToolCounters, Symbols);
+      Tool = std::make_unique<RaceDetector>(*ToolCfg, ToolCounters, Symbols);
       if (O.Lanes == 1) {
         LaneTool.bind(Tool.get(), nullptr);
         OneLane = std::make_unique<AsyncSink>(LaneTool, RingBatches);
@@ -34,12 +32,9 @@ DetectionPipeline::DetectionPipeline(const DetectorConfig *ToolCfg,
       }
     }
   }
-  if (O.Oracle) {
-    DetectorConfig OracleCfg = fastTrackConfig();
-    OracleCfg.CheckFilter = O.CheckFilter;
-    Oracle =
-        std::make_unique<RaceDetector>(OracleCfg, OracleCounters, Symbols);
-  }
+  if (O.Oracle)
+    Oracle = std::make_unique<RaceDetector>(fastTrackConfig(),
+                                            OracleCounters, Symbols);
   Inline.bind(OneLane ? nullptr : Tool.get(), Oracle.get());
   if (!Inline.empty())
     Tee.add(&Inline);
@@ -71,9 +66,6 @@ void DetectionPipeline::finish(RunResult &R) {
     Tool->sampleMemoryNow();
     R.ToolRaces = Tool->races();
     R.ToolRacyLocations = Tool->racyLocationKeys();
-    R.FilterEnabled = Tool->filterEnabled();
-    R.Filter = Tool->filterStats();
-    R.FilterTableBytes = Tool->filterTableBytes();
     // Final values only, so gauges merge exactly too.
     for (const auto &[Name, Value] : ToolCounters.all())
       R.Counters.bump(Name, Value);

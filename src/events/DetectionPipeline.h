@@ -6,9 +6,9 @@
 ///
 /// \file
 /// The detection end of a run, written once for live execution and for
-/// trace replay. A DetectionPipeline builds the tool and oracle detectors
-/// (check filter applied), picks by lane count where the tool consumes
-/// the event stream — inline (DetectorSink), on one detector thread
+/// trace replay. A DetectionPipeline builds the tool and oracle
+/// detectors, picks by lane count where the tool consumes the event
+/// stream — inline (DetectorSink), on one detector thread
 /// (AsyncSink over the tool's DetectorSink), or on N >= 2
 /// location-partitioned lanes (ShardedSink) — and tees an optional
 /// recording sink onto the same stream. The per-access oracle is a test
@@ -57,10 +57,6 @@ struct RunResult {
   /// blocked on a full ring.
   uint64_t AsyncBatches = 0;
   uint64_t AsyncStalls = 0;
-  /// Check-filter effectiveness for the tool detector (zeros when off).
-  bool FilterEnabled = false;
-  CheckFilterStats Filter;
-  uint64_t FilterTableBytes = 0;
   /// Lanes only: one tally per lane (DESIGN.md Sec. 10 for one lane).
   /// The fields after it stay zero for one lane. For N >= 2 (DESIGN.md
   /// Sec. 12/13) they count checks routed to one lane, sync edges
@@ -88,9 +84,6 @@ struct RunResult {
 struct DetectionOptions {
   /// Attach the per-access ground-truth FastTrack oracle.
   bool Oracle = false;
-  /// Epoch-stamped redundant-check elision in front of every detector
-  /// (DESIGN.md Sec. 11).
-  bool CheckFilter = true;
   /// Threads that apply the tool detector: 0 = inline on the producer,
   /// 1 = one detector thread (DESIGN.md Sec. 10), N >= 2 =
   /// location-partitioned lanes (DESIGN.md Sec. 12). Ignored without a
@@ -119,8 +112,8 @@ public:
   EventSink *sink() { return Head; }
 
   /// Waits until every batch sent to sink() is applied, then writes the
-  /// detectors' reports, tool.* counters, filter stats and lane
-  /// accounting into \p R. Call once, after the last batch.
+  /// detectors' reports, tool.* counters and lane accounting into \p R.
+  /// Call once, after the last batch.
   void finish(RunResult &R);
 
 private:

@@ -61,7 +61,6 @@ ReplayResult bigfoot::replayTrace(TraceReader &Reader,
   R.Tool = Tool.Name;
   DetectionOptions DO;
   DO.Oracle = Opts.EnableGroundTruth;
-  DO.CheckFilter = Opts.CheckFilter;
   DO.Lanes = Opts.DetectShards;
   DetectionPipeline Pipeline(&Tool, &Reader.symbols(), DO);
   if (!pumpTrace(Reader, *Pipeline.sink(), Opts.Batch, R))

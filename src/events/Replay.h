@@ -41,14 +41,10 @@ struct ReplayOptions {
   /// oracle-targeted events (requires a trace recorded with the oracle
   /// attached; without those events the oracle simply sees nothing).
   bool EnableGroundTruth = false;
-  /// Epoch-stamped redundant-check elision (DESIGN.md Sec. 11). A trace
-  /// property it is not: the replayed detector applies this knob, not
-  /// whatever the recording run used.
-  bool CheckFilter = true;
   /// Threads that apply the tool detector (DetectionOptions::Lanes):
   /// 0 = inline, 1 = one detector thread, N >= 2 = location-partitioned
-  /// lanes. Like the filter, a replay knob, never a trace property;
-  /// results are byte-identical for every count.
+  /// lanes. A replay knob, never a trace property; results are
+  /// byte-identical for every count.
   size_t DetectShards = 0;
 };
 

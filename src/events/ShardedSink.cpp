@@ -29,8 +29,7 @@ ShardedSink::ShardedSink(const DetectorConfig &Tool,
     : NumShards(std::max<size_t>(1, Lanes)),
       // Direct array checks read HB state (first-touch clock init the
       // writer census must mirror); deferred adds do not.
-      TouchArrayChecks(!Tool.DeferArrayChecks),
-      ToolFilterOn(Tool.CheckFilter) {
+      TouchArrayChecks(!Tool.DeferArrayChecks) {
   RingBatches = std::max<size_t>(2, RingBatches);
   Segments.resize(RingBatches);
   Shards.reserve(NumShards);
@@ -122,24 +121,6 @@ SyncEdgeKind ShardedSink::edgeKindOf(EventKind K) {
   }
 }
 
-uint64_t ShardedSink::invalidationsOf(EventKind K, uint32_t PayloadCount) {
-  // Mirrors the owned-mode handlers' invalidateThread calls exactly:
-  // acquire and volatile read only join, so they never invalidate.
-  switch (K) {
-  case EventKind::Release:
-  case EventKind::VolatileWrite:
-  case EventKind::Join:
-  case EventKind::ThreadExit:
-    return 1;
-  case EventKind::Fork:
-    return 2; // Parent and child.
-  case EventKind::Barrier:
-    return PayloadCount; // Every party.
-  default:
-    return 0;
-  }
-}
-
 void ShardedSink::consumeBatch(const Event *Events, size_t N,
                                const uint32_t *Payload) {
   for (size_t I = 0; I < N; ++I) {
@@ -182,11 +163,8 @@ void ShardedSink::consumeBatch(const Event *Events, size_t N,
     M.Horizon = SyncHorizon;
     M.Kind = Edge.Kind;
     M.Tid = E.Tid;
-    M.Aux = static_cast<ThreadId>(E.Aux);
     M.ClockEnd = static_cast<uint32_t>(S.Clocks.size());
     S.Markers.push_back(M);
-    if (ToolFilterOn)
-      FilterInvalidations += invalidationsOf(E.Kind, E.PayloadCount);
     // The horizon advances after staging, so a sync edge's own horizon
     // is the sync edge before it.
     SyncHorizon = Seq;
@@ -213,7 +191,6 @@ void ShardedSink::applyMarker(Lane &L, const SyncSegment &S, size_t Index) {
   SyncEdge E;
   E.Kind = M.Kind;
   E.Tid = M.Tid;
-  E.Aux = M.Aux;
   if (M.PartyCount) {
     E.Parties = S.Parties.data() + M.PartyIndex;
     E.NumParties = M.PartyCount;
@@ -336,24 +313,8 @@ void ShardedSink::finish(RunResult &R) {
     R.ToolRacyLocations.insert(Keys.begin(), Keys.end());
   }
 
-  // Filter effectiveness merge; lane accounting for the [shards] summary.
-  // Hit/miss/extend tallies come from routed checks, which land on
-  // exactly one shard's filter — summing reproduces the inline values.
-  // Lanes tick generations on sync markers without tallying; each
-  // invalidating edge was counted once, producer-side. Table bytes are
-  // genuinely replicated per lane; the sum is the honest metadata
-  // footprint of the sharded run.
-  R.Filter.Invalidations = FilterInvalidations;
+  // Lane accounting for the [shards] summary.
   for (auto &L : Shards) {
-    R.FilterEnabled = R.FilterEnabled || L->Detector->filterEnabled();
-    CheckFilterStats F = L->Detector->filterStats();
-    R.Filter.FieldHits += F.FieldHits;
-    R.Filter.FieldMisses += F.FieldMisses;
-    R.Filter.ArrayHits += F.ArrayHits;
-    R.Filter.ArrayMisses += F.ArrayMisses;
-    R.Filter.RangeExtends += F.RangeExtends;
-    R.FilterTableBytes += L->Detector->filterTableBytes();
-
     ShardLaneStats LS;
     LS.Events = L->EventsApplied;
     LS.Markers = L->MarkersApplied;

@@ -22,10 +22,9 @@
 /// (sequence, horizon, post-edge HB census, decoded edge) and its clocks
 /// are written once into the batch's shared SyncSegment, which every
 /// lane's slot for that batch names. Lanes install the shipped clocks
-/// into their own per-thread views, commit deferred footprints, tick
-/// filter generations, and sample memory off the marker; every HB read
-/// on the check path reads the lane's own views. CheckFilter
-/// invalidations are counted once, producer-side.
+/// into their own per-thread views, commit deferred footprints, and
+/// sample memory off the marker; every HB read on the check path reads
+/// the lane's own views.
 ///
 /// Segments are reused round-robin over the ring capacity Cap. Every
 /// lane gets a slot in every batch that carries a tool sync edge, so
@@ -80,16 +79,15 @@ struct RunResult;
 struct SyncSegment {
   /// One sync edge as a lane applies it. The clocks were already applied
   /// writer-side; the marker carries the stamps a lane's ordering check
-  /// and race order need, the decoded edge for footprint commits and
-  /// filter ticks, the writer's post-edge HB census for memory samples,
-  /// and where its parties and shipped clocks sit in this segment.
+  /// and race order need, the decoded edge for footprint commits, the
+  /// writer's post-edge HB census for memory samples, and where its
+  /// parties and shipped clocks sit in this segment.
   struct Marker {
     uint64_t Seq = 0;
     uint64_t Horizon = 0; ///< The tool sync edge staged before this one.
     uint64_t HbBytes = 0;
     SyncEdgeKind Kind = SyncEdgeKind::None;
     ThreadId Tid = 0;
-    ThreadId Aux = 0; ///< Child (Fork), joined thread (Join).
     uint32_t PartyIndex = 0;
     uint32_t PartyCount = 0;
     /// End of this edge's records in Clocks; they begin where the
@@ -165,9 +163,9 @@ std::optional<size_t> parseLaneCount(std::string_view Text);
 class ShardedSink final : public EventSink {
 public:
   /// Spawns \p Lanes worker threads (clamped to >= 1), each running a
-  /// replica of \p Tool (CheckFilter already resolved) behind a ring of
-  /// \p RingBatches slots (clamped to >= 2). \p Symbols seeds each
-  /// replica's field-id namespace (may be null).
+  /// replica of \p Tool behind a ring of \p RingBatches slots (clamped
+  /// to >= 2). \p Symbols seeds each replica's field-id namespace (may
+  /// be null).
   ShardedSink(const DetectorConfig &Tool, const SymbolTable *Symbols,
               size_t Lanes, size_t RingBatches = kDefaultAsyncRingBatches);
 
@@ -194,9 +192,9 @@ public:
   size_t syncStateBytes() const;
 
   /// Merges the shards into \p R: tool.* counters and peak gauges added
-  /// to R.Counters, races, filter stats and the lane accounting. Call
-  /// once, after drain(), from the producer thread. Workers are idle by
-  /// then, so replica state is safe to read.
+  /// to R.Counters, races and the lane accounting. Call once, after
+  /// drain(), from the producer thread. Workers are idle by then, so
+  /// replica state is safe to read.
   void finish(RunResult &R);
 
 private:
@@ -262,11 +260,6 @@ private:
   /// Event kind -> runtime sync-edge kind.
   static SyncEdgeKind edgeKindOf(EventKind K);
 
-  /// CheckFilter invalidations the owned-mode handler for this edge
-  /// would tally (Fork hits two threads, Barrier every party) — counted
-  /// once, producer-side.
-  static uint64_t invalidationsOf(EventKind K, uint32_t PayloadCount);
-
   size_t NumShards;
   /// The sync writer. Touched only by the producer.
   SyncClockTable Table;
@@ -282,11 +275,6 @@ private:
   /// Routed array checks touch the writer clock only when applied
   /// directly (deferred footprint adds never read HB state).
   bool TouchArrayChecks;
-  /// Whether lane replicas run a CheckFilter (gates the producer-side
-  /// invalidation tally).
-  bool ToolFilterOn;
-  /// Producer-side invalidation tally (filter on).
-  uint64_t FilterInvalidations = 0;
   std::atomic<bool> Stop{false};
   uint64_t NextSeq = 0; ///< Producer-side numbering of tool events.
   uint64_t RoutedEvents = 0;

@@ -108,7 +108,6 @@ DetectorConfig replayConfigFor(int ToolIdx, const DetectorConfig &Recorded) {
 VmOptions vmOptionsFor(const ExperimentOptions &Opts) {
   VmOptions VmOpts;
   VmOpts.Seed = Opts.Seed;
-  VmOpts.CheckFilter = Opts.CheckFilter;
   VmOpts.DetectShards = Opts.DetectShards;
   return VmOpts;
 }
@@ -200,7 +199,6 @@ void fillToolMetrics(ToolMetrics &M, const std::string &ToolName,
   M.Races = Counters.get("tool.races");
   M.PeakShadowBytes = Counters.get("tool.peakShadowBytes");
   M.PeakShadowLocations = Counters.get("tool.peakShadowLocations");
-  M.FilterTableBytes = Run.FilterTableBytes;
 }
 
 /// Phase-1 cell: one instrumented configuration's counters, measured by
@@ -274,7 +272,6 @@ void measureReplay(const Workload &W, const PlacementTraces &Traces,
   TraceReader Reader;
   Reader.open(Trace.data(), Trace.size()); // replayTrace reports failure.
   ReplayOptions ROpts;
-  ROpts.CheckFilter = Opts.CheckFilter;
   ROpts.DetectShards = Opts.DetectShards;
   ReplayResult Run = replayTrace(
       Reader, replayConfigFor(ToolIdx, Reader.config()), ROpts);
@@ -494,8 +491,6 @@ BenchArgs bigfoot::parseBenchArgs(int Argc, char **Argv) {
         Args.Opts.DetectShards = *Lanes;
       else
         Expected = "a lane count from 0 to 64";
-    } else if (Is("--no-check-filter")) {
-      Args.Opts.CheckFilter = false;
     } else {
       std::fprintf(stderr, "%s: error: unknown option '%s'\n", Argv[0], Arg);
       std::exit(1);
@@ -505,6 +500,13 @@ BenchArgs bigfoot::parseBenchArgs(int Argc, char **Argv) {
                    Expected);
       std::exit(1);
     }
+  }
+  if (!Args.Opts.UseReplay && !Args.Opts.RecordDir.empty()) {
+    std::fprintf(stderr,
+                 "%s: error: --record-dir needs --replay: only the replay "
+                 "path records traces\n",
+                 Argv[0]);
+    std::exit(1);
   }
   return Args;
 }

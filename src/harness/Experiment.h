@@ -36,9 +36,6 @@ struct ToolMetrics {
   uint64_t Races = 0;
   uint64_t PeakShadowBytes = 0;
   uint64_t PeakShadowLocations = 0;
-  /// Filter metadata footprint (0 with the filter off); Table 2's census
-  /// adds this to PeakShadowBytes so the memory account stays honest.
-  uint64_t FilterTableBytes = 0;
 };
 
 /// All measurements for one workload.
@@ -79,11 +76,9 @@ struct ExperimentOptions {
   /// (the harness test enforces it).
   bool UseReplay = true;
   /// When non-empty, recorded traces are also written into this directory
-  /// as <workload>.<placement>.bft (replay mode only).
+  /// as <workload>.<placement>.bft (replay mode only; parseBenchArgs
+  /// rejects it beside --no-replay).
   std::string RecordDir;
-  /// Epoch-stamped redundant-check elision in front of every detector
-  /// (DESIGN.md Sec. 11); applies to execution and replay legs alike.
-  bool CheckFilter = true;
   /// Threads that apply each run's tool detector (VmOptions::DetectShards):
   /// 0 = inline, 1 = one detector thread, N >= 2 = location-partitioned
   /// lanes. Applies to execution and replay legs alike. Counters, races,
@@ -107,10 +102,11 @@ runSuite(SuiteScale Scale,
 double geomeanOverhead(const std::vector<double> &Overheads);
 
 /// Parses --small/--iters=N/--seed=N/--jobs=N/--replay/--no-replay/
-/// --record-dir=DIR/--detect-shards=N/--no-check-filter, the
-/// command-line options shared by the bench binaries. Numbers are strict
-/// decimals (support/ParseNumber.h). An unknown option or a malformed
-/// value prints "<argv0>: error: ..." and exits with status 1.
+/// --record-dir=DIR/--detect-shards=N, the command-line options shared
+/// by the bench binaries. Numbers are strict decimals
+/// (support/ParseNumber.h). An unknown option, a malformed value, or
+/// --record-dir under a final --no-replay (only replay records) prints
+/// "<argv0>: error: ..." and exits with status 1.
 struct BenchArgs {
   SuiteScale Scale = SuiteScale::Bench;
   ExperimentOptions Opts;

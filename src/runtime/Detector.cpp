@@ -120,7 +120,7 @@ void RaceDetector::checkFields(ThreadId T, ObjectId Obj,
 
 // Folded into both checkFields entry points: one call frame for the whole
 // check keeps the per-access cost at probe + slot-scan + epoch ops.
-[[gnu::always_inline]] inline bool RaceDetector::runFieldOp(
+[[gnu::always_inline]] inline void RaceDetector::runFieldOp(
     ObjectId Obj, uint32_t ObjIdx, FieldId Rep, AccessKind K, Epoch Cur,
     const VectorClock &C, ThreadCache &TC) {
   ShadowOpsC.bump();
@@ -181,9 +181,7 @@ void RaceDetector::checkFields(ThreadId T, ObjectId Obj,
     R.Prev = Race->Prev;
     R.Cur = Race->Cur;
     report(std::move(R));
-    return true;
   }
-  return false;
 }
 
 void RaceDetector::checkFields(ThreadId T, ObjectId Obj,
@@ -191,25 +189,6 @@ void RaceDetector::checkFields(ThreadId T, ObjectId Obj,
                                AccessKind K) {
   CheckEventsFieldC.bump();
   ThreadCache &TC = cacheFor(T);
-  // A stamped repeat is a provable no-op: replicate the shadow-op count
-  // the full path would have bumped and skip everything else. The high
-  // half of the packed result is a duty-cycle skip grant: burn it down
-  // locally so a cold (redundancy-free) leg costs one decrement per
-  // check, not a dead probe.
-  bool Probed = false;
-  if (Filter) {
-    if (TC.FilterFieldSkip) {
-      --TC.FilterFieldSkip;
-    } else {
-      uint64_t H = Filter->fieldHit(T, Obj, Fields, NumFields, K);
-      TC.FilterFieldSkip = static_cast<uint32_t>(H >> 32);
-      if (uint32_t Reps = static_cast<uint32_t>(H)) {
-        ShadowOpsC.bump(Reps);
-        return;
-      }
-      Probed = true;
-    }
-  }
   auto [C, Cur] = Hb.current(T);
 
   // Resolve the object once for the whole (possibly coalesced) check.
@@ -232,12 +211,7 @@ void RaceDetector::checkFields(ThreadId T, ObjectId Obj,
   if (NumFields == 1) {
     // The overwhelmingly common shape (and every fully compressed group
     // after instrumentation): no dedupe pass at all.
-    bool Raced = runFieldOp(Obj, ObjIdx, proxyOf(Fields[0]), K, Cur, C, TC);
-    // A racing check does not absorb the epoch into the shadow state, so
-    // its repeats are not no-ops; never stamp them (for arrays a skipped
-    // repeat would even drop a report — range-keyed dedup).
-    if (Probed && !Raced)
-      Filter->stampFields(Obj, Fields, NumFields, K, 1);
+    runFieldOp(Obj, ObjIdx, proxyOf(Fields[0]), K, Cur, C, TC);
     return;
   }
 
@@ -255,19 +229,12 @@ void RaceDetector::checkFields(ThreadId T, ObjectId Obj,
     if (!Seen)
       RepScratch.push_back(Rep);
   }
-  bool Raced = false;
   for (FieldId Rep : RepScratch)
-    Raced |= runFieldOp(Obj, ObjIdx, Rep, K, Cur, C, TC);
-  // The stamp keys on the original field list and replays the deduped
-  // rep count, so a hit replicates the group's shadow ops exactly.
-  if (Probed && !Raced)
-    Filter->stampFields(Obj, Fields, NumFields, K,
-                        static_cast<uint32_t>(RepScratch.size()));
+    runFieldOp(Obj, ObjIdx, Rep, K, Cur, C, TC);
 }
 
-RaceDetector::ArrayApplyInfo
-RaceDetector::applyArray(ThreadId T, ObjectId Arr, const StridedRange &R,
-                         AccessKind K) {
+void RaceDetector::applyArray(ThreadId T, ObjectId Arr, const StridedRange &R,
+                              AccessKind K) {
   ThreadCache &TC = cacheFor(T);
   auto [C, Cur] = Hb.current(T);
   ArrayShadow &Shadow = shadowFor(Arr, TC);
@@ -290,60 +257,16 @@ RaceDetector::applyArray(ThreadId T, ObjectId Arr, const StridedRange &R,
     Rep.Cur = Race.Cur;
     report(std::move(Rep));
   }
-  return {Result.ShadowOps, Result.Refinements, !Result.Races.empty()};
 }
 
 void RaceDetector::checkArrayRange(ThreadId T, ObjectId Arr,
                                    const StridedRange &R, AccessKind K) {
   CheckEventsArrayC.bump();
-  ThreadCache &TC = cacheFor(T);
   if (!Config.DeferArrayChecks) {
-    // Non-adaptive shadows only (gated at filter construction): in Fine
-    // mode the unfiltered op count of a fully in-bounds range is exactly
-    // its element count, so a covered stamped repeat replicates it. A
-    // pending skip grant bypasses the probe (and the stamp) entirely.
-    if (Filter && Filter->directArraysEnabled()) {
-      if (TC.FilterArraySkip) {
-        --TC.FilterArraySkip;
-      } else {
-        uint64_t H = Filter->arrayHit(T, Arr, R, K);
-        TC.FilterArraySkip = static_cast<uint32_t>(H >> 32);
-        if (static_cast<uint32_t>(H)) {
-          ShadowOpsC.bump(static_cast<uint64_t>(R.size()));
-          return;
-        }
-        ArrayApplyInfo Info = applyArray(T, Arr, R, K);
-        // Stampable only when fully applied: unclipped (ops == element
-        // count certifies in-bounds), refinement-free, and race-free —
-        // array race dedup keys on the checked range, so a skipped racy
-        // subrange would silently drop a distinct report.
-        if (!Info.Raced && Info.Refinements == 0 &&
-            Info.ShadowOps == static_cast<unsigned>(R.size()))
-          Filter->stampArray(Arr, R, K);
-        return;
-      }
-    }
     applyArray(T, Arr, R, K);
     return;
   }
-  // Deferred footprints: a filter hit proves the add is a RangeSet
-  // no-op — unit stride, strictly interior to the mirrored trailing
-  // fragment — so the pending-map lookup and add are skipped wholesale
-  // and only the add counter needs replicating.
-  bool Probed = false;
-  if (Filter) {
-    if (TC.FilterArraySkip) {
-      --TC.FilterArraySkip;
-    } else {
-      uint64_t H = Filter->deferredHit(T, Arr, R, K);
-      TC.FilterArraySkip = static_cast<uint32_t>(H >> 32);
-      if (static_cast<uint32_t>(H)) {
-        FootprintAddsC.bump();
-        return;
-      }
-      Probed = true;
-    }
-  }
+  ThreadCache &TC = cacheFor(T);
   // Footprinting: defer to the next synchronization operation (Section 4).
   if (PendingByThread.size() <= T)
     PendingByThread.resize(T + 1);
@@ -384,16 +307,7 @@ void RaceDetector::checkArrayRange(ThreadId T, ObjectId Arr,
     FP.Writes.clear();
     PendingBytes -= Frags * sizeof(StridedRange);
     EarlyCommitsC.bump();
-    // The early commit applied (and cleared) this thread's pending
-    // ranges for Arr; every mirror of the thread must die with them.
-    if (Filter)
-      Filter->invalidateFootprints(T);
-    return;
   }
-  if (Probed)
-    Filter->stampDeferred(Arr, K,
-                          Set.ranges().empty() ? nullptr
-                                               : &Set.ranges().back());
 }
 
 void RaceDetector::commitFootprints(ThreadId T) {
@@ -417,8 +331,6 @@ void RaceDetector::commitFootprints(ThreadId T) {
                         sizeof(StridedRange);
   }
   Map.clear();
-  if (Filter)
-    Filter->invalidateFootprints(T);
 }
 
 void RaceDetector::onAcquire(ThreadId T, ObjectId Lock) {
@@ -432,8 +344,6 @@ void RaceDetector::onRelease(ThreadId T, ObjectId Lock) {
   assert(!SyncMarkers && "marker mode takes sync edges as markers");
   commitFootprints(T);
   Hb.onRelease(T, Lock);
-  if (Filter)
-    Filter->invalidateThread(T);
 }
 
 void RaceDetector::onVolatileRead(ThreadId T, ObjectId Obj, FieldId Field) {
@@ -446,26 +356,18 @@ void RaceDetector::onVolatileWrite(ThreadId T, ObjectId Obj, FieldId Field) {
   assert(!SyncMarkers && "marker mode takes sync edges as markers");
   commitFootprints(T);
   Hb.onVolatileWrite(T, Obj, Field);
-  if (Filter)
-    Filter->invalidateThread(T);
 }
 
 void RaceDetector::onFork(ThreadId Parent, ThreadId Child) {
   assert(!SyncMarkers && "marker mode takes sync edges as markers");
   commitFootprints(Parent);
   Hb.onFork(Parent, Child);
-  if (Filter) {
-    Filter->invalidateThread(Parent);
-    Filter->invalidateThread(Child);
-  }
 }
 
 void RaceDetector::onJoin(ThreadId Joiner, ThreadId Joined) {
   assert(!SyncMarkers && "marker mode takes sync edges as markers");
   commitFootprints(Joiner);
   Hb.onJoin(Joiner, Joined);
-  if (Filter)
-    Filter->invalidateThread(Joiner);
 }
 
 void RaceDetector::onBarrier(const std::vector<ThreadId> &Parties) {
@@ -479,9 +381,6 @@ void RaceDetector::onBarrier(const std::vector<ThreadId> &Parties) {
   }
   CurrentParty = 0;
   Hb.onBarrier(Parties);
-  if (Filter)
-    for (ThreadId T : Parties)
-      Filter->invalidateThread(T);
   sampleMemory();
 }
 
@@ -489,8 +388,6 @@ void RaceDetector::onThreadExit(ThreadId T) {
   assert(!SyncMarkers && "marker mode takes sync edges as markers");
   commitFootprints(T);
   Hb.onThreadExit(T);
-  if (Filter)
-    Filter->invalidateThread(T);
   sampleMemoryNow();
 }
 
@@ -567,8 +464,7 @@ size_t RaceDetector::applySyncMarker(const SyncEdge &E,
   // Commits run before the shipped clocks install, so deferred footprints
   // resolve against pre-edge clocks — the owned-mode handlers commit
   // before mutating HbState for the same reason. Order per kind mirrors
-  // the owned handlers exactly (commit, clock effect, filter tick,
-  // memory sample).
+  // the owned handlers exactly (commit, clock effect, memory sample).
   size_t Installed = 0;
   auto Install = [&] {
     forEachShippedClock(E.Clocks, E.ClockWords,
@@ -586,34 +482,13 @@ size_t RaceDetector::applySyncMarker(const SyncEdge &E,
     sampleMemory();
     break;
   case SyncEdgeKind::Release:
-    commitFootprints(E.Tid);
-    Install();
-    if (Filter)
-      Filter->tickThread(E.Tid);
-    break;
   case SyncEdgeKind::VolatileRead:
-    commitFootprints(E.Tid);
-    Install();
-    break;
   case SyncEdgeKind::VolatileWrite:
-    commitFootprints(E.Tid);
-    Install();
-    if (Filter)
-      Filter->tickThread(E.Tid);
-    break;
   case SyncEdgeKind::Fork:
-    commitFootprints(E.Tid);
-    Install();
-    if (Filter) {
-      Filter->tickThread(E.Tid);
-      Filter->tickThread(static_cast<ThreadId>(E.Aux));
-    }
-    break;
   case SyncEdgeKind::Join:
+  case SyncEdgeKind::Commit:
     commitFootprints(E.Tid);
     Install();
-    if (Filter)
-      Filter->tickThread(E.Tid);
     break;
   case SyncEdgeKind::Barrier:
     // Parties commit in party order with the RaceOrder tiebreak index,
@@ -624,21 +499,12 @@ size_t RaceDetector::applySyncMarker(const SyncEdge &E,
     }
     CurrentParty = 0;
     Install();
-    if (Filter)
-      for (size_t I = 0; I < E.NumParties; ++I)
-        Filter->tickThread(E.Parties[I]);
     sampleMemory();
     break;
   case SyncEdgeKind::ThreadExit:
     commitFootprints(E.Tid);
     Install();
-    if (Filter)
-      Filter->tickThread(E.Tid);
     sampleMemoryNow();
-    break;
-  case SyncEdgeKind::Commit:
-    commitFootprints(E.Tid);
-    Install();
     break;
   case SyncEdgeKind::ThreadBegin:
   case SyncEdgeKind::None:

@@ -16,7 +16,9 @@
 ///     locations (RedCard, SlimCard, BigFoot).
 ///
 /// Check placement (which checks arrive here at all) is the instrumenter's
-/// job; see src/instrument.
+/// job; see src/instrument. Every check that arrives runs the state
+/// machine: redundancy is removed statically or not at all, as in the
+/// paper (DESIGN.md Sec. 11 gives the measurements behind that).
 ///
 /// The event interface works on interned ids (support/Symbol.h) and the
 /// shadow representation is cache-conscious (DESIGN.md Sec. 8): field
@@ -37,7 +39,6 @@
 #define BIGFOOT_RUNTIME_DETECTOR_H
 
 #include "runtime/ArrayShadow.h"
-#include "runtime/CheckFilter.h"
 #include "runtime/ClockPool.h"
 #include "runtime/HbState.h"
 #include "runtime/SyncClockTable.h"
@@ -46,7 +47,6 @@
 #include "support/Symbol.h"
 
 #include <map>
-#include <memory>
 #include <set>
 #include <string>
 #include <vector>
@@ -66,22 +66,18 @@ struct DetectorConfig {
   /// field -> proxy-group representative; empty means one shadow location
   /// per field.
   std::map<std::string, std::string> FieldProxy;
-  /// Dynamic redundant-check elision (DESIGN.md Sec. 11): skip the state
-  /// machine for checks a per-thread stamp proves are no-ops. Race
-  /// reports and counters are byte-identical either way (enforced by the
-  /// filter leg of the differential grid); off reproduces the unfiltered
-  /// hot path exactly. Not a trace property — the codec does not record
-  /// it, and replay applies its own ReplayOptions::CheckFilter.
+  /// Ignored: there is no dynamic check cache (DESIGN.md Sec. 11). Kept
+  /// for detbench's nofilter leg until the pending benchmark change
+  /// drops it.
   bool CheckFilter = true;
-  /// Checks per leg per thread that pass the filter by without probing
-  /// at all (a pre-loaded skip grant). Short traces — BigFoot's
-  /// coalesced placements shrink some to dozens of events — never
-  /// amortize a probing window, so every leg starts asleep and only
-  /// legs with enough volume to plausibly pay for probing ever probe.
-  /// Long traces lose at most this many potential hits per leg per
-  /// thread, a vanishing fraction of their volume. Unit tests that
-  /// exercise the stamp/invalidate protocol directly set it to 0.
-  uint32_t FilterWarmup = 512;
+};
+
+/// Always zero: there is no dynamic check cache. Kept, with
+/// RaceDetector's accessor below, for detbench's nofilter leg until the
+/// pending benchmark change drops it.
+struct CheckFilterStats {
+  uint64_t hits() const { return 0; }
+  uint64_t misses() const { return 0; }
 };
 
 /// A reported race, deduplicated per shadow location.
@@ -117,10 +113,6 @@ public:
       // load with no string lookups.
       resolveProxyTable();
     }
-    if (this->Config.CheckFilter)
-      Filter = std::make_unique<CheckFilter>(
-          this->Config.DeferArrayChecks, this->Config.AdaptiveArrayShadow,
-          this->Config.VectorClocksOnly);
   }
 
   const DetectorConfig &config() const { return Config; }
@@ -174,9 +166,8 @@ public:
 
   /// Applies one sync-edge marker: commits the affected threads'
   /// pending footprints against the pre-edge views, installs the clocks
-  /// shipped in E.Clocks, ticks the filter generations (without the
-  /// invalidation tally — counted once, writer-side), and samples memory
-  /// at the same points the owned-mode handler would. \p HbBytesAfter is
+  /// shipped in E.Clocks, and samples memory at the same points the
+  /// owned-mode handler would. \p HbBytesAfter is
   /// the writer's post-edge HB census, carried so lockstep memory
   /// samples reproduce a single detector's byte-exactly. Returns the
   /// number of clocks installed.
@@ -264,22 +255,9 @@ public:
   /// locations (bench/test introspection).
   const ClockPool &clockPool() const { return Pool; }
 
-  //===--- Check filter (DESIGN.md Sec. 11) ------------------------------------
-  bool filterEnabled() const { return Filter != nullptr; }
-
-  /// Hit/miss/invalidation tallies (zeros when the filter is off). Kept
-  /// beside, not inside, the Stats map: the counters themselves must be
-  /// byte-identical with the filter on and off.
-  CheckFilterStats filterStats() const {
-    return Filter ? Filter->stats() : CheckFilterStats();
-  }
-
-  /// Filter table footprint. Deliberately not part of shadowBytes() —
-  /// the shadow census must not change when the filter is toggled — but
-  /// the Table 2 bench adds it so the memory account stays honest.
-  size_t filterTableBytes() const {
-    return Filter ? Filter->memoryBytes() : 0;
-  }
+  /// Always zero (see the struct). Kept for detbench's nofilter leg
+  /// until the pending benchmark change drops it.
+  CheckFilterStats filterStats() const { return {}; }
 
 private:
   DetectorConfig Config;
@@ -298,9 +276,6 @@ private:
   /// Arena for every inflated clock held by field, array, and footprint
   /// shadow state.
   ClockPool Pool;
-  /// Null when Config.CheckFilter is off; checks then take exactly the
-  /// pre-filter hot path.
-  std::unique_ptr<CheckFilter> Filter;
 
   /// One field shadow location: the proxy-representative id it covers and
   /// its FastTrack state, laid out contiguously in the per-object slot
@@ -348,12 +323,6 @@ private:
     uint32_t ArrIdx = 0;
     ObjectId PendArr = ~uint64_t(0);
     uint32_t PendIdx = 0;
-    /// Outstanding duty-cycle skip grants from the check filter: while
-    /// nonzero, checks burn the budget down here without entering the
-    /// filter at all, so a cold (redundancy-free) leg costs one local
-    /// decrement per check instead of a dead probe and stamp.
-    uint32_t FilterFieldSkip = 0;
-    uint32_t FilterArraySkip = 0;
   };
   std::vector<ThreadCache> TCaches;
 
@@ -417,17 +386,8 @@ private:
   HotCounter CommitsC{Counters, "tool.commits"};
 
   ThreadCache &cacheFor(ThreadId T) {
-    if (T >= TCaches.size()) [[unlikely]] {
-      size_t Old = TCaches.size();
+    if (T >= TCaches.size()) [[unlikely]]
       TCaches.resize(T + 1);
-      // Every leg starts asleep for the configured warmup: the filter
-      // is only ever worth entering once a leg has shown enough volume
-      // to amortize a probing window (see DetectorConfig::FilterWarmup).
-      for (size_t I = Old; I != TCaches.size(); ++I) {
-        TCaches[I].FilterFieldSkip = Config.FilterWarmup;
-        TCaches[I].FilterArraySkip = Config.FilterWarmup;
-      }
-    }
     return TCaches[T];
   }
 
@@ -440,23 +400,13 @@ private:
   void resolveProxyTable();
 
   /// One shadow operation on the slot for \p Rep of the object at dense
-  /// index \p ObjIdx (already resolved). True when the op raced (the
-  /// filter must not stamp a location whose check reported).
-  bool runFieldOp(ObjectId Obj, uint32_t ObjIdx, FieldId Rep, AccessKind K,
+  /// index \p ObjIdx (already resolved).
+  void runFieldOp(ObjectId Obj, uint32_t ObjIdx, FieldId Rep, AccessKind K,
                   Epoch Cur, const VectorClock &C, ThreadCache &TC);
 
-  /// What one direct range application did — everything the filter needs
-  /// to decide whether the range is stampable (fully applied, unclipped,
-  /// refinement-free, race-free).
-  struct ArrayApplyInfo {
-    unsigned ShadowOps = 0;
-    unsigned Refinements = 0;
-    bool Raced = false;
-  };
-
   /// Applies a range directly to the array shadow.
-  ArrayApplyInfo applyArray(ThreadId T, ObjectId Arr, const StridedRange &R,
-                            AccessKind K);
+  void applyArray(ThreadId T, ObjectId Arr, const StridedRange &R,
+                  AccessKind K);
 
   /// Commits thread \p T's pending footprints (called before any
   /// synchronization operation by that thread).

@@ -54,13 +54,6 @@ inline size_t stateBytes(const FastTrackState &S, const ClockPool &Pool) {
          pooledClockBytes(Pool, S.writeVc());
 }
 
-/// Footprint of one direct-mapped check-filter table: fixed-size slots,
-/// no keys or spill (the tables are allocated at full size up front, so
-/// capacity equals the charge).
-inline size_t filterTableBytes(size_t SlotCount, size_t SlotBytes) {
-  return SlotCount * SlotBytes;
-}
-
 } // namespace shadowcost
 } // namespace bigfoot
 

@@ -145,7 +145,6 @@ public:
     // exactly like a detector-attached run.
     DetectionOptions DO;
     DO.Oracle = Opts.EnableGroundTruth;
-    DO.CheckFilter = Opts.CheckFilter;
     DO.Lanes = Opts.DetectShards == 0 && Opts.AsyncDetect
                    ? 1
                    : Opts.DetectShards;

@@ -76,10 +76,6 @@ struct VmOptions {
   /// to 2 or 4 so that lane rings fill and backpressure fires at Test
   /// scale.
   size_t AsyncRingBatches = kDefaultAsyncRingBatches;
-  /// Epoch-stamped redundant-check elision in front of the detectors
-  /// (DESIGN.md Sec. 11). Off = every check runs the full state machine;
-  /// reports and counters are byte-identical either way.
-  bool CheckFilter = true;
 };
 
 /// Everything a run produces: the detection result every run shares,

@@ -182,8 +182,8 @@ TEST(EventStreamEquivalence, DispatchModesAgreeEverywhere) {
         EXPECT_EQ(Rep.ToolRacyLocations, Rep1.ToolRacyLocations) << Tag;
         EXPECT_EQ(Rep.EventsReplayed, Rep1.EventsReplayed) << Tag;
 
-        // Sharded replay: the shard count is a replay knob like the
-        // filter, and any count must replay the trace byte-identically.
+        // Sharded replay: the shard count is a replay knob, and any
+        // count must replay the trace byte-identically.
         TraceReader ShardReader;
         ASSERT_TRUE(ShardReader.open(Writer.buffer().data(),
                                      Writer.buffer().size()))
@@ -196,73 +196,6 @@ TEST(EventStreamEquivalence, DispatchModesAgreeEverywhere) {
         expectReplayMatches(Tag + " batched-vs-sharded-replay", Batched,
                             RepSharded);
         EXPECT_EQ(RepSharded.ShardOrderViolations, 0u) << Tag;
-      }
-    }
-  }
-}
-
-// The check-filter leg of the differential grid: with the filter
-// disabled the detector runs every check through the full state machine,
-// and the result — counters included — must be byte-identical to the
-// default filtered run, online and via replay of the same trace. Same
-// grid as above: every workload × all six configs × three seeds.
-TEST(EventStreamEquivalence, CheckFilterOnOffAgreeEverywhere) {
-  std::vector<Workload> Suite = standardSuite(SuiteScale::Test);
-  for (Workload &W : racyVariants())
-    Suite.push_back(std::move(W));
-  for (const Workload &W : Suite) {
-    ParseResult PR = parseProgram(W.Source);
-    ASSERT_TRUE(PR.ok()) << W.Name << ": " << PR.Error;
-    PR.Prog->internSymbols();
-    std::vector<InstrumentedProgram> Configs = allSixConfigs(*PR.Prog);
-    for (const InstrumentedProgram &IP : Configs) {
-      for (uint64_t Seed = 1; Seed <= 3; ++Seed) {
-        std::string Tag = W.Name + "/" + IP.Tool.Name + "/seed" +
-                          std::to_string(Seed) + "/filter";
-
-        VmOptions Opts;
-        Opts.Seed = Seed;
-        Opts.EnableGroundTruth = true;
-        IP.Prog->internSymbols();
-        TraceWriter Writer(IP.Prog->symbols(), IP.Tool);
-        Opts.RecordSink = &Writer;
-        VmResult On = runProgram(*IP.Prog, IP.Tool, Opts);
-        Writer.finish(summaryOf(On));
-        EXPECT_TRUE(On.FilterEnabled) << Tag;
-
-        Opts.RecordSink = nullptr;
-        Opts.CheckFilter = false;
-        VmResult Off = runProgram(*IP.Prog, IP.Tool, Opts);
-        EXPECT_FALSE(Off.FilterEnabled) << Tag;
-        EXPECT_EQ(Off.Filter.hits() + Off.Filter.misses(), 0u) << Tag;
-        expectSameRun(Tag + " on-vs-off", On, Off);
-
-        // Replay the filtered recording with the filter off: still
-        // byte-identical (the knob is a replay option, not a trace
-        // property).
-        ReplayOptions RO;
-        RO.EnableGroundTruth = true;
-        RO.CheckFilter = false;
-        TraceReader Reader;
-        ASSERT_TRUE(
-            Reader.open(Writer.buffer().data(), Writer.buffer().size()))
-            << Tag << ": " << Reader.error();
-        ReplayResult RepOff = replayTrace(Reader, Reader.config(), RO);
-        expectReplayMatches(Tag + " on-vs-replay-off", On, RepOff);
-
-        // And a filtered replay's effectiveness tallies are a pure
-        // function of the event stream: they match the online run's.
-        RO.CheckFilter = true;
-        TraceReader Again;
-        ASSERT_TRUE(
-            Again.open(Writer.buffer().data(), Writer.buffer().size()))
-            << Tag << ": " << Again.error();
-        ReplayResult RepOn = replayTrace(Again, Again.config(), RO);
-        expectReplayMatches(Tag + " on-vs-replay-on", On, RepOn);
-        EXPECT_EQ(On.Filter.hits(), RepOn.Filter.hits()) << Tag;
-        EXPECT_EQ(On.Filter.misses(), RepOn.Filter.misses()) << Tag;
-        EXPECT_EQ(On.Filter.Invalidations, RepOn.Filter.Invalidations)
-            << Tag;
       }
     }
   }
@@ -302,14 +235,6 @@ TEST(EventStreamEquivalence, ShardedMergeDeterministicAcrossShardCounts) {
         VmResult A = runProgram(*IP.Prog, IP.Tool, SO);
         expectSameRun(Tag + " inline-vs-shards" + std::to_string(Shards),
                       Sync, A);
-        // The merged filter line is part of the CLI report the byte-diff
-        // smokes compare: hit/miss/extend tallies partition across the
-        // lanes (routed checks) and invalidations are counted once per
-        // sync edge, producer-side, so all must reproduce exactly.
-        EXPECT_EQ(A.Filter.hits(), Sync.Filter.hits()) << Tag;
-        EXPECT_EQ(A.Filter.misses(), Sync.Filter.misses()) << Tag;
-        EXPECT_EQ(A.Filter.Invalidations, Sync.Filter.Invalidations) << Tag;
-        EXPECT_EQ(A.Filter.RangeExtends, Sync.Filter.RangeExtends) << Tag;
         EXPECT_EQ(A.ShardOrderViolations, 0u) << Tag;
         ASSERT_EQ(A.ShardLanes.size(), Shards) << Tag;
         if (Shards == 1) {

@@ -196,6 +196,17 @@ TEST(Harness, BenchArgsParsing) {
   BenchArgs R = parseBenchArgs(4, const_cast<char **>(Replay));
   EXPECT_TRUE(R.Opts.UseReplay);
   EXPECT_EQ(R.Opts.RecordDir, "/tmp/traces");
+  // Only the replay path records, so a final --no-replay beside
+  // --record-dir is an error, in either order, not a silent no-op.
+  for (bool DirFirst : {false, true}) {
+    const char *Dir = "--record-dir=/tmp/traces";
+    const char *RecordNoReplay[] = {"prog", DirFirst ? Dir : "--no-replay",
+                                    DirFirst ? "--no-replay" : Dir};
+    EXPECT_EXIT(parseBenchArgs(3, const_cast<char **>(RecordNoReplay)),
+                ::testing::ExitedWithCode(1),
+                "prog: error: --record-dir needs --replay")
+        << DirFirst;
+  }
   // Lane counts: inline by default; a number sets them.
   EXPECT_EQ(Defaults.Opts.DetectShards, 0u);
   const char *Lanes[] = {"prog", "--detect-shards=3"};
@@ -222,8 +233,10 @@ TEST(Harness, BenchArgsParsing) {
   }
   // And any unknown option: a typo must not run with the setting
   // unchanged.
+  // --no-check-filter is gone with the dynamic check filter.
   for (const char *Bad : {"--no-checkfilter", "--ast", "--workload=sor",
-                          "--iters", "extra", "--async-detect"}) {
+                          "--iters", "extra", "--async-detect",
+                          "--no-check-filter"}) {
     const char *BadArgv[] = {"prog", Bad};
     EXPECT_EXIT(parseBenchArgs(2, const_cast<char **>(BadArgv)),
                 ::testing::ExitedWithCode(1), "prog: error: unknown option")

@@ -55,11 +55,6 @@ options:
                   Reports stay byte-identical for every N; [shards]
                   lines show the vm/detector time split, each lane and,
                   for N >= 2, the shared sync-clock table
-  --no-check-filter
-                  disable the epoch-stamped redundant-check filter in
-                  front of the detector; reports and counters are
-                  byte-identical either way, only the [filter] line
-                  and the speed change
   --oracle        also run the per-access ground-truth detector
   --stats         dump all counters after the run
 
@@ -68,17 +63,17 @@ trace subcommands (record once, re-analyze offline):
                   run with a detector attached, recording the event
                   stream to FILE; the report is identical to a plain run.
                   Run options: --seed, --quantum, --commit-interval,
-                  --detect-shards, --no-check-filter, --oracle, --stats
+                  --detect-shards, --oracle, --stats
   bigfoot trace replay [--tool=NAME] [detector options] FILE
                   replay FILE into a fresh detector (default: the
                   recorded config; NAME must share its placement) and
                   print the same report the recording run printed.
-                  Detector options: --detect-shards, --no-check-filter,
-                  --oracle, --stats
+                  Detector options: --detect-shards, --oracle, --stats
   bigfoot trace info FILE
                   describe a trace: config, symbols, events, summary
 
-A command given an option it does not apply fails with exit status 1.
+A command given an option it does not apply, or more than one file,
+fails with exit status 1.
 )";
 }
 
@@ -121,8 +116,8 @@ struct CliArgs {
 };
 
 /// Parses Argv[First, Argc) into \p A for command \p C. An unknown
-/// option, an option \p C does not apply, or a malformed value prints a
-/// "bigfoot: error:" line and returns false.
+/// option, an option \p C does not apply, a malformed value, or a second
+/// file prints a "bigfoot: error:" line and returns false.
 bool parseArgs(int First, int Argc, char **Argv, Command C, CliArgs &A) {
   for (int I = First; I < Argc; ++I) {
     const char *Arg = Argv[I];
@@ -173,11 +168,13 @@ bool parseArgs(int First, int Argc, char **Argv, Command C, CliArgs &A) {
         A.Vm.DetectShards = *Lanes;
       else
         Expected = "a lane count from 0 to 64";
-    } else if (Is("--no-check-filter")) {
-      A.Vm.CheckFilter = false;
     } else if (Arg[0] == '-') {
       std::cerr << "bigfoot: error: unknown option '" << Arg << "'\n";
       usage();
+      return false;
+    } else if (A.File) {
+      std::cerr << "bigfoot: error: one file expected, got '" << A.File
+                << "' and '" << Arg << "'\n";
       return false;
     } else {
       Takes = C;
@@ -215,14 +212,6 @@ int reportRun(const std::string &ToolName, const RunResult &Run, bool Oracle,
             << (Accesses ? static_cast<double>(Events) / Accesses : 0.0)
             << " ratio), " << Run.Counters.get("tool.shadowOps")
             << " shadow ops\n";
-  // Deterministic per event stream and config, so replaying a recorded
-  // run reprints it byte for byte — the record/replay smokes depend on
-  // that. Filter-on vs. filter-off diffs must grep it away.
-  if (Run.FilterEnabled)
-    std::cerr << "[filter] " << Run.Filter.hits() << " hit(s), "
-              << Run.Filter.misses() << " miss(es), "
-              << Run.Filter.Invalidations << " invalidation(s), "
-              << Run.Filter.RangeExtends << " range extend(s)\n";
   if (Run.ToolRaces.empty()) {
     std::cerr << "[" << ToolName << "] no races detected\n";
   } else {
@@ -389,7 +378,6 @@ int traceMain(int Argc, char **Argv) {
     }
     ReplayOptions ROpts;
     ROpts.EnableGroundTruth = A.Oracle;
-    ROpts.CheckFilter = A.Vm.CheckFilter;
     ROpts.DetectShards = A.Vm.DetectShards;
     ReplayResult Run = replayTrace(Reader, Cfg, ROpts);
     reportLanes(Run);

@@ -2,19 +2,18 @@
 //
 // Part of the BigFoot reproduction. See README.md for details.
 //
-// Section 6.1: StaticBF takes on average <0.2s per method; entailment
-// queries are a modest fraction of that. Here we time the placement
-// analysis per workload and per method, and separately measure raw
-// entailment throughput.
+// Section 6.1: StaticBF takes on average <0.2s per method, about 10% of it
+// in Z3. Here we time the placement analysis per workload and per method,
+// and count its entailment work: H ⊢ h queries asked, constraint systems
+// prepared for them, and Fourier-Motzkin refutations run. The counts are
+// deterministic, so they compare across machines where times do not.
 //
 //===----------------------------------------------------------------------===//
 
 #include "analysis/CheckPlacement.h"
 #include "bfj/Parser.h"
-#include "entail/ConstraintSystem.h"
 #include "harness/Experiment.h"
 #include "support/TablePrinter.h"
-#include "support/Timer.h"
 
 #include <iostream>
 
@@ -24,10 +23,11 @@ int main(int Argc, char **Argv) {
   BenchArgs Args = parseBenchArgs(Argc, Argv);
 
   TablePrinter Table("StaticBF analysis time");
-  Table.addRow({"Program", "Methods", "Checks", "Renames", "Total(s)",
-                "s/method"});
+  Table.addRow({"Program", "Methods", "Checks", "Renames", "Queries",
+                "Systems", "Refutations", "Total(s)", "s/method"});
   double TotalSec = 0;
   unsigned TotalMethods = 0;
+  EntailmentCounts Total;
   for (const Workload &W : standardSuite(Args.Scale)) {
     auto Prog = parseProgramOrDie(W.Source.c_str());
     PlacementStats Stats;
@@ -44,36 +44,24 @@ int main(int Argc, char **Argv) {
     Table.addRow({W.Name, std::to_string(Stats.MethodsProcessed),
                   std::to_string(Stats.ChecksInserted),
                   std::to_string(Stats.RenamesInserted),
+                  std::to_string(Stats.Entailment.Queries),
+                  std::to_string(Stats.Entailment.Systems),
+                  std::to_string(Stats.Entailment.Refutations),
                   TablePrinter::num(Best, 4),
                   TablePrinter::num(Best / Stats.MethodsProcessed, 4)});
     TotalSec += Best;
     TotalMethods += Stats.MethodsProcessed;
+    Total.Queries += Stats.Entailment.Queries;
+    Total.Systems += Stats.Entailment.Systems;
+    Total.Refutations += Stats.Entailment.Refutations;
   }
   Table.addRow({"Total", std::to_string(TotalMethods), "", "",
+                std::to_string(Total.Queries), std::to_string(Total.Systems),
+                std::to_string(Total.Refutations),
                 TablePrinter::num(TotalSec, 4),
                 TablePrinter::num(TotalSec / TotalMethods, 4)});
   Table.print(std::cout);
 
-  // Entailment micro-measurement (the paper's "~10% in Z3" datum).
-  ConstraintSystem CS;
-  CS.addEquality(AffineExpr::variable("i"), AffineExpr::variable("i'") + 1);
-  CS.addLe(AffineExpr::constant(0), AffineExpr::variable("i'"));
-  CS.addLt(AffineExpr::variable("i"), AffineExpr::variable("n"));
-  Timer T;
-  int Queries = 20000;
-  int Proven = 0;
-  for (int I = 0; I < Queries; ++I)
-    Proven += CS.proveLe(AffineExpr::variable("i'"),
-                         AffineExpr::variable("n"))
-                  ? 1
-                  : 0;
-  double Sec = T.seconds();
-  std::cout << "\nEntailment engine: " << Queries << " queries in "
-            << TablePrinter::num(Sec * 1000, 1) << " ms ("
-            << TablePrinter::num(Sec / Queries * 1e6, 2)
-            << " us/query, all " << (Proven == Queries ? "proven" : "??")
-            << ")\n";
-  std::cout << "Paper shape: analysis well under 0.2 s/method with "
-               "entailment a minor share.\n";
+  std::cout << "\nPaper shape: analysis well under 0.2 s/method.\n";
   return 0;
 }

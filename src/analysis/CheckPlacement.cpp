@@ -39,14 +39,15 @@ bool isAcquireSide(SyncKind K) {
 class BodyAnalyzer {
 public:
   BodyAnalyzer(const Program &Prog, const KillSets &Kills,
-               const PlacementOptions &Opts, PlacementStats &Stats)
-      : Prog(Prog), Kills(Kills), Opts(Opts), Stats(Stats) {}
+               const PlacementOptions &Opts, PlacementStats &Stats,
+               EntailmentTable &Table)
+      : Prog(Prog), Kills(Kills), Opts(Opts), Stats(Stats), Table(Table) {}
 
   void run(StmtPtr &Body) {
     auto *Block = cast<BlockStmt>(Body.get());
-    passA(Block, History());
+    passA(Block, History(Table));
     passB(Block, Anticipated());
-    History Final = passC(Block, History());
+    History Final = passC(Block, History(Table));
     // [STMT]: check everything still pending at the end of the body.
     appendCheck(Block, checksFor(Final, Anticipated()), Final);
   }
@@ -59,6 +60,7 @@ private:
   const KillSets &Kills;
   const PlacementOptions &Opts;
   PlacementStats &Stats;
+  EntailmentTable &Table;
 
   std::map<const Stmt *, History> PreH, PostH;   // Pass 1 annotations.
   std::map<const Stmt *, Anticipated> PreA, PostA; // Pass 2 annotations.
@@ -284,8 +286,8 @@ private:
   }
 
   static bool sameFacts(const History &A, const History &B) {
-    return A.Bools.size() == B.Bools.size() &&
-           A.Aliases.size() == B.Aliases.size() &&
+    return A.bools().size() == B.bools().size() &&
+           A.aliases().size() == B.aliases().size() &&
            A.Accesses.size() == B.Accesses.size() &&
            A.Checks.size() == B.Checks.size();
   }
@@ -302,16 +304,16 @@ private:
       Cont.addCondition(Loop->exitCond(), /*Negated=*/true);
       History Back = passA(Loop->postBody(), std::move(Cont));
 
-      History Refined;
+      History Refined(Table);
       auto KeepIf = [&Refined, &In, &Back](auto &&Facts, auto EntIn,
                                            auto EntBack, auto Add) {
         for (const auto &Fact : Facts)
           if ((In.*EntIn)(Fact) && (Back.*EntBack)(Fact))
             (Refined.*Add)(Fact);
       };
-      KeepIf(Candidates.Bools, &History::entailsBool, &History::entailsBool,
-             &History::addBool);
-      KeepIf(Candidates.Aliases, &History::entailsAlias,
+      KeepIf(Candidates.bools(), &History::entailsBool,
+             &History::entailsBool, &History::addBool);
+      KeepIf(Candidates.aliases(), &History::entailsAlias,
              &History::entailsAlias, &History::addAlias);
       KeepIf(Candidates.Accesses, &History::entailsAccess,
              &History::entailsAccess, &History::addAccess);
@@ -489,7 +491,7 @@ private:
   /// history: an equality fact solvable as Var = E over stable variables.
   static void findEntryValue(const History &In, Induction &Ind,
                              const std::set<std::string> &Assigned) {
-    for (const BoolFact &Fact : In.Bools) {
+    for (const BoolFact &Fact : In.bools()) {
       if (Fact.Op != RelOp::Eq)
         continue;
       AffineExpr Diff = Fact.L - Fact.R;
@@ -824,13 +826,15 @@ PlacementStats bigfoot::placeBigFootChecks(Program &P,
   Timer T;
   Stats.RenamesInserted = insertRenames(P);
   KillSets Kills(P, Opts.Sync);
+  EntailmentTable Table;
   // When tracing, analyzers stay alive so contexts can be emitted against
   // the final statement numbering (and rename cleanup is skipped so every
   // traced node survives).
   std::vector<std::pair<std::unique_ptr<BodyAnalyzer>, const Stmt *>>
       Tracers;
   auto RunBody = [&](StmtPtr &Body) {
-    auto Analyzer = std::make_unique<BodyAnalyzer>(P, Kills, Opts, Stats);
+    auto Analyzer =
+        std::make_unique<BodyAnalyzer>(P, Kills, Opts, Stats, Table);
     Analyzer->run(Body);
     if (Opts.TraceContexts)
       Tracers.emplace_back(std::move(Analyzer), Body.get());
@@ -846,6 +850,7 @@ PlacementStats bigfoot::placeBigFootChecks(Program &P,
   P.numberStatements();
   for (auto &[Analyzer, Body] : Tracers)
     Analyzer->recordTraceFor(Body);
+  Stats.Entailment = Table.Counts;
   Stats.AnalysisSeconds = T.seconds();
   return Stats;
 }

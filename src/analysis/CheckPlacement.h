@@ -30,6 +30,7 @@
 
 #include "analysis/KillSets.h"
 #include "bfj/Program.h"
+#include "entail/ConstraintSystem.h"
 
 #include <map>
 #include <string>
@@ -58,6 +59,9 @@ struct PlacementStats {
   unsigned RenamesInserted = 0;
   unsigned ChecksInserted = 0; ///< check(C) statements materialized.
   unsigned PathsInserted = 0;  ///< total paths across all checks.
+  /// Entailment work: H ⊢ h queries asked, constraint systems prepared
+  /// for them, Fourier-Motzkin refutations run.
+  EntailmentCounts Entailment;
   double AnalysisSeconds = 0;  ///< wall-clock analysis time, all bodies.
   /// When TraceContexts: statement id -> "H • A" context *after* that
   /// statement (as in Figures 3 and 6).

@@ -108,7 +108,7 @@ std::optional<SymbolicRange> bigfoot::mergeRanges(const SymbolicRange &A,
 
 std::vector<Path> bigfoot::coalescePaths(const std::vector<Path> &Paths,
                                          const History &H) {
-  ConstraintSystem CS = H.constraints();
+  ConstraintSystem &CS = H.constraints();
 
   // Group paths by (kind-of-path, access kind, designator equivalence
   // class). Designator classes are built with the entailment engine, as

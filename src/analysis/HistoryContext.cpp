@@ -50,6 +50,7 @@ void History::addBool(BoolFact Fact) {
     if (Existing == Fact)
       return;
   Bools.push_back(std::move(Fact));
+  factsChanged();
 }
 
 void History::addCondition(const Expr *Cond, bool Negated) {
@@ -132,6 +133,7 @@ void History::addAlias(AliasFact Fact) {
     if (Existing == Fact)
       return;
   Aliases.push_back(std::move(Fact));
+  factsChanged();
 }
 
 void History::addAccess(const Path &P) {
@@ -152,41 +154,75 @@ void History::addCheck(const Path &P) {
 // Entailment.
 //===----------------------------------------------------------------------===
 
-ConstraintSystem History::constraints() const {
-  ConstraintSystem CS;
+namespace {
+
+/// The system of \p Bools then \p Aliases, in order.
+std::shared_ptr<ConstraintSystem>
+prepareSystem(const std::vector<BoolFact> &Bools,
+              const std::vector<AliasFact> &Aliases,
+              EntailmentCounts *Counts) {
+  auto CS = std::make_shared<ConstraintSystem>();
+  CS->countInto(Counts);
   for (const BoolFact &Fact : Bools) {
     switch (Fact.Op) {
     case RelOp::Eq:
-      CS.addEquality(Fact.L, Fact.R);
+      CS->addEquality(Fact.L, Fact.R);
       break;
     case RelOp::Ne:
-      CS.addNe(Fact.L, Fact.R);
+      CS->addNe(Fact.L, Fact.R);
       break;
     case RelOp::Lt:
-      CS.addLt(Fact.L, Fact.R);
+      CS->addLt(Fact.L, Fact.R);
       break;
     case RelOp::Le:
-      CS.addLe(Fact.L, Fact.R);
+      CS->addLe(Fact.L, Fact.R);
       break;
     case RelOp::Cong:
-      CS.addCongruence(Fact.L - Fact.R, Fact.Mod, 0);
+      CS->addCongruence(Fact.L - Fact.R, Fact.Mod, 0);
       break;
     }
   }
   for (const AliasFact &Fact : Aliases) {
     if (Fact.IsArray)
-      CS.addArrayAlias(Fact.X, Fact.Base, Fact.Index);
+      CS->addArrayAlias(Fact.X, Fact.Base, Fact.Index);
     else
-      CS.addFieldAlias(Fact.X, Fact.Base, Fact.Field);
+      CS->addFieldAlias(Fact.X, Fact.Base, Fact.Field);
   }
   return CS;
 }
 
+} // namespace
+
+std::shared_ptr<ConstraintSystem>
+EntailmentTable::systemFor(const std::vector<BoolFact> &Bools,
+                           const std::vector<AliasFact> &Aliases) {
+  auto It = Systems.find(std::tie(Bools, Aliases));
+  if (It == Systems.end())
+    It = Systems
+             .emplace(std::tuple(Bools, Aliases),
+                      prepareSystem(Bools, Aliases, &Counts))
+             .first;
+  return It->second;
+}
+
+ConstraintSystem &History::constraints() const {
+  if (!System)
+    System = Table ? Table->systemFor(Bools, Aliases)
+                   : prepareSystem(Bools, Aliases, nullptr);
+  return *System;
+}
+
+void History::countQuery() const {
+  if (Table)
+    ++Table->Counts.Queries;
+}
+
 bool History::entailsBool(const BoolFact &Fact) const {
+  countQuery();
   for (const BoolFact &Existing : Bools)
     if (Existing == Fact)
       return true;
-  ConstraintSystem CS = constraints();
+  ConstraintSystem &CS = constraints();
   switch (Fact.Op) {
   case RelOp::Eq:
     return CS.proveEq(Fact.L, Fact.R);
@@ -203,6 +239,7 @@ bool History::entailsBool(const BoolFact &Fact) const {
 }
 
 bool History::entailsAlias(const AliasFact &Fact) const {
+  countQuery();
   for (const AliasFact &Existing : Aliases)
     if (Existing == Fact)
       return true;
@@ -219,7 +256,8 @@ bool History::entailsAlias(const AliasFact &Fact) const {
 
 bool History::entailsPathIn(const std::vector<Path> &Facts,
                             const Path &P) const {
-  ConstraintSystem CS = constraints();
+  countQuery();
+  ConstraintSystem &CS = constraints();
   // Inconsistent facts mark dead code, which entails everything; this is
   // what lets the rotated-loop's infeasible else arm drop out of merges.
   if (CS.inconsistent())
@@ -363,6 +401,7 @@ bool History::mentions(const std::string &Name) const {
 History History::renamed(const std::string &From,
                          const std::string &To) const {
   History Out;
+  Out.Table = Table;
   AffineExpr ToVar = AffineExpr::variable(To);
   for (const BoolFact &Fact : Bools)
     Out.Bools.push_back({Fact.Op, Fact.L.substitute(From, ToVar),
@@ -384,37 +423,53 @@ History History::renamed(const std::string &From,
 }
 
 History History::afterRelease() const {
-  History Out;
-  Out.Bools = Bools;
-  Out.Aliases.clear(); // Lock hand-off may expose other threads' writes.
+  // Lock hand-off may expose other threads' writes: aliases go too.
+  History Out = afterAcquire();
+  Out.Accesses.clear();
+  Out.Checks.clear();
   return Out;
 }
 
 History History::afterAcquire() const {
   History Out = *this;
-  Out.Aliases.clear();
+  if (!Out.Aliases.empty()) {
+    Out.Aliases.clear();
+    Out.factsChanged();
+  }
   return Out;
 }
 
 void History::invalidateAliasesForFieldWrite(const std::string &FieldName) {
-  Aliases.erase(std::remove_if(Aliases.begin(), Aliases.end(),
-                               [&FieldName](const AliasFact &Fact) {
-                                 return !Fact.IsArray &&
-                                        Fact.Field == FieldName;
-                               }),
-                Aliases.end());
+  if (std::erase_if(Aliases, [&FieldName](const AliasFact &Fact) {
+        return !Fact.IsArray && Fact.Field == FieldName;
+      }))
+    factsChanged();
 }
 
 void History::invalidateAliasesForArrayWrite() {
-  Aliases.erase(std::remove_if(Aliases.begin(), Aliases.end(),
-                               [](const AliasFact &Fact) {
-                                 return Fact.IsArray;
-                               }),
-                Aliases.end());
+  if (std::erase_if(Aliases,
+                    [](const AliasFact &Fact) { return Fact.IsArray; }))
+    factsChanged();
+}
+
+void History::dropMentions(const std::string &Var) {
+  size_t Dropped = std::erase_if(Bools, [&Var](const BoolFact &F) {
+    return F.L.mentions(Var) || F.R.mentions(Var);
+  });
+  Dropped += std::erase_if(Aliases, [&Var](const AliasFact &F) {
+    return F.X == Var || F.Base == Var ||
+           (F.IsArray && F.Index.mentions(Var));
+  });
+  if (Dropped)
+    factsChanged();
+  auto DropPath = [&Var](const Path &P) { return P.mentions(Var); };
+  std::erase_if(Accesses, DropPath);
+  std::erase_if(Checks, DropPath);
 }
 
 History History::meet(const History &H1, const History &H2) {
   History Out;
+  Out.Table = H1.Table;
   auto Keep = [&H1, &H2, &Out](const auto &Facts, auto EntailedBy,
                                auto Add) {
     for (const auto &Fact : Facts)
@@ -576,9 +631,9 @@ std::vector<Path> checksImpl(const History &H, const History *Approx,
   // matched against the invariant a[0..i]✁ even though i = i' + 1.
   History Probe;
   if (Approx) {
-    Probe.Bools = H.Bools;
-    Probe.Aliases = H.Aliases;
+    Probe = H;
     Probe.Accesses = Approx->Accesses;
+    Probe.Checks.clear();
   }
   // Work on a copy so each emitted check suppresses later duplicates.
   // Writes are processed first: a write check covers read accesses to the

@@ -25,8 +25,11 @@
 #include "entail/ConstraintSystem.h"
 #include "support/AffineExpr.h"
 
+#include <map>
+#include <memory>
 #include <optional>
 #include <string>
+#include <tuple>
 #include <vector>
 
 namespace bigfoot {
@@ -45,6 +48,9 @@ struct BoolFact {
   bool operator==(const BoolFact &O) const {
     return Op == O.Op && L == O.L && R == O.R && Mod == O.Mod;
   }
+  bool operator<(const BoolFact &O) const {
+    return std::tie(Op, L, R, Mod) < std::tie(O.Op, O.L, O.R, O.Mod);
+  }
 
   std::string str() const;
 };
@@ -62,6 +68,10 @@ struct AliasFact {
     return IsArray == O.IsArray && X == O.X && Base == O.Base &&
            Field == O.Field && Index == O.Index;
   }
+  bool operator<(const AliasFact &O) const {
+    return std::tie(IsArray, X, Base, Field, Index) <
+           std::tie(O.IsArray, O.X, O.Base, O.Field, O.Index);
+  }
 
   std::string str() const;
 };
@@ -75,13 +85,40 @@ inline bool kindSatisfies(AccessKind Fact, AccessKind Query) {
 /// acquire, on every continuation.
 using Anticipated = std::vector<Path>;
 
+/// The prepared constraint systems of one placement run, one per distinct
+/// ordered list of boolean and alias facts, so that a question asked of
+/// any history with those facts is answered once per run. The placement
+/// call owns the table; it starts empty, as a command-line run does.
+class EntailmentTable {
+public:
+  /// The system of exactly these facts, prepared on first request.
+  std::shared_ptr<ConstraintSystem>
+  systemFor(const std::vector<BoolFact> &Bools,
+            const std::vector<AliasFact> &Aliases);
+
+  EntailmentCounts Counts;
+
+private:
+  std::map<std::tuple<std::vector<BoolFact>, std::vector<AliasFact>>,
+           std::shared_ptr<ConstraintSystem>, std::less<>>
+      Systems;
+};
+
 /// The history component H of an analysis context.
 class History {
 public:
-  std::vector<BoolFact> Bools;
-  std::vector<AliasFact> Aliases;
+  History() = default;
+  /// A history whose queries share the prepared systems of \p Table and
+  /// count into its counters; histories derived from it inherit both.
+  explicit History(EntailmentTable &Table) : Table(&Table) {}
+
   std::vector<Path> Accesses; // p✁ facts; Path::Access is the kind.
   std::vector<Path> Checks;   // p✓ facts.
+
+  /// The boolean and alias facts change only through the methods below,
+  /// which drop the history's prepared system.
+  const std::vector<BoolFact> &bools() const { return Bools; }
+  const std::vector<AliasFact> &aliases() const { return Aliases; }
 
   //===--- Fact insertion --------------------------------------------------
   void addBool(BoolFact Fact);
@@ -94,8 +131,10 @@ public:
   void addCheck(const Path &P);
 
   //===--- Entailment (H ⊢ h) ----------------------------------------------
-  /// Builds the constraint system of the boolean + alias facts.
-  ConstraintSystem constraints() const;
+  /// The constraint system of the boolean + alias facts: looked up once
+  /// per history state (in the table, if any) and shared by every history
+  /// with the same facts. Only query it; to add a fact, copy it first.
+  ConstraintSystem &constraints() const;
 
   bool entailsBool(const BoolFact &Fact) const;
   /// H ⊢ p✁. Array queries may be discharged by chaining several access
@@ -131,12 +170,26 @@ public:
   void invalidateAliasesForFieldWrite(const std::string &FieldName);
   void invalidateAliasesForArrayWrite();
 
+  /// Removes every fact that mentions \p Var (an assignment without a
+  /// rename invalidates facts about the old value).
+  void dropMentions(const std::string &Var);
+
   /// The meet H1 ⊓ H2 = {h ∈ H1 ∪ H2 : H1 ⊢ h, H2 ⊢ h}.
   static History meet(const History &H1, const History &H2);
 
   std::string str() const;
 
 private:
+  std::vector<BoolFact> Bools;
+  std::vector<AliasFact> Aliases;
+  EntailmentTable *Table = nullptr;
+  /// The prepared system of Bools + Aliases, or null until first queried.
+  mutable std::shared_ptr<ConstraintSystem> System;
+
+  /// Called whenever Bools or Aliases change.
+  void factsChanged() { System.reset(); }
+  void countQuery() const;
+
   /// Shared machinery for access/check entailment with range chaining.
   bool entailsPathIn(const std::vector<Path> &Facts, const Path &P) const;
 };

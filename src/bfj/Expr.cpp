@@ -6,6 +6,7 @@
 
 #include "bfj/Expr.h"
 
+#include <cstdint>
 #include <sstream>
 
 using namespace bigfoot;
@@ -152,11 +153,12 @@ std::optional<AffineExpr> bigfoot::toAffine(const Expr *E) {
       }
       return std::nullopt;
     case BinaryOp::Div: {
-      // Constant folding only.
+      // Constant folding only, and never of a quotient int64 cannot hold
+      // (INT64_MIN / -1): declining the fold only drops a fact.
       if (L && R) {
         auto CL = L->constantValue();
         auto CR = R->constantValue();
-        if (CL && CR && *CR != 0)
+        if (CL && CR && *CR != 0 && !(*CR == -1 && *CL == INT64_MIN))
           return AffineExpr::constant(*CL / *CR);
       }
       return std::nullopt;

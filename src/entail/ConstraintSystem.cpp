@@ -20,17 +20,26 @@ constexpr size_t MaxRows = 4096;
 constexpr int64_t MaxCoeff = int64_t(1) << 48;
 } // namespace
 
+void ConstraintSystem::invalidate() {
+  ClosureDirty = true;
+  BaseRows.reset();
+  Inconsistent.reset();
+  LeByDiff.clear();
+}
+
 void ConstraintSystem::addEquality(const AffineExpr &L, const AffineExpr &R) {
   Equalities.emplace_back(L, R);
-  ClosureDirty = true;
+  invalidate();
 }
 
 void ConstraintSystem::addLe(const AffineExpr &L, const AffineExpr &R) {
   LeFacts.emplace_back(L, R);
+  invalidate();
 }
 
 void ConstraintSystem::addNe(const AffineExpr &L, const AffineExpr &R) {
   NeFacts.emplace_back(L, R);
+  invalidate();
 }
 
 void ConstraintSystem::addCongruence(const AffineExpr &E, int64_t M,
@@ -41,6 +50,7 @@ void ConstraintSystem::addCongruence(const AffineExpr &E, int64_t M,
   F.Mod = M;
   F.Rem = ((R % M) + M) % M;
   CongFacts.push_back(std::move(F));
+  invalidate();
 }
 
 bool ConstraintSystem::proveCongruent(const AffineExpr &E, int64_t M,
@@ -131,7 +141,7 @@ void ConstraintSystem::addFieldAlias(const std::string &X,
   A.IsArray = false;
   A.Field = F;
   Aliases.push_back(std::move(A));
-  ClosureDirty = true;
+  invalidate();
 }
 
 void ConstraintSystem::addArrayAlias(const std::string &X,
@@ -143,7 +153,7 @@ void ConstraintSystem::addArrayAlias(const std::string &X,
   A.IsArray = true;
   A.Index = Index;
   Aliases.push_back(std::move(A));
-  ClosureDirty = true;
+  invalidate();
 }
 
 std::string ConstraintSystem::find(const std::string &Name) {
@@ -172,6 +182,8 @@ void ConstraintSystem::unite(const std::string &A, const std::string &B) {
 void ConstraintSystem::rebuildClosure() {
   if (!ClosureDirty)
     return;
+  if (Counts)
+    ++Counts->Systems;
   Parent.clear();
   // Seed with syntactic var=var and var=const equalities.
   for (const auto &[L, R] : Equalities) {
@@ -248,7 +260,9 @@ ConstraintSystem::Row ConstraintSystem::rowFromLe(const AffineExpr &L,
   return Out;
 }
 
-std::vector<ConstraintSystem::Row> ConstraintSystem::baseRows() {
+const std::vector<ConstraintSystem::Row> &ConstraintSystem::baseRows() {
+  if (BaseRows)
+    return *BaseRows;
   std::vector<Row> Rows;
   for (const auto &[L, R] : Equalities) {
     AffineExpr CL = canonicalize(L), CR = canonicalize(R);
@@ -257,7 +271,8 @@ std::vector<ConstraintSystem::Row> ConstraintSystem::baseRows() {
   }
   for (const auto &[L, R] : LeFacts)
     Rows.push_back(rowFromLe(canonicalize(L), canonicalize(R)));
-  return Rows;
+  BaseRows = std::move(Rows);
+  return *BaseRows;
 }
 
 namespace {
@@ -272,6 +287,8 @@ int64_t gcdOf(const std::map<std::string, int64_t> &Terms) {
 } // namespace
 
 bool ConstraintSystem::refute(std::vector<Row> Rows) {
+  if (Counts)
+    ++Counts->Refutations;
   // Tighten + detect immediate contradictions; drop trivial rows.
   auto Tighten = [](Row &R) -> bool {
     int64_t G = gcdOf(R.Terms);
@@ -384,14 +401,18 @@ bool ConstraintSystem::proveLe(const AffineExpr &L, const AffineExpr &R) {
   AffineExpr Diff = canonicalize(L) - canonicalize(R);
   if (auto C = Diff.constantValue())
     return *C <= 0;
+  auto [It, Fresh] = LeByDiff.try_emplace(std::move(Diff), false);
+  if (!Fresh)
+    return It->second;
   std::vector<Row> Rows = baseRows();
   // Negated goal: L - R >= 1, i.e. (R - L + 1) <= 0.
   Row Negated;
-  AffineExpr Neg = -Diff + 1;
+  AffineExpr Neg = -It->first + 1;
   Negated.Terms = Neg.terms();
   Negated.Constant = Neg.constantPart();
   Rows.push_back(std::move(Negated));
-  return refute(std::move(Rows));
+  It->second = refute(std::move(Rows));
+  return It->second;
 }
 
 bool ConstraintSystem::proveEq(const AffineExpr &L, const AffineExpr &R) {
@@ -444,4 +465,8 @@ bool ConstraintSystem::proveRangeSubset(const SymbolicRange &Sub,
   return proveCongruent(Sub.Begin - Sup.Begin, Sup.Stride, 0);
 }
 
-bool ConstraintSystem::inconsistent() { return refute(baseRows()); }
+bool ConstraintSystem::inconsistent() {
+  if (!Inconsistent)
+    Inconsistent = refute(baseRows());
+  return *Inconsistent;
+}

@@ -26,16 +26,36 @@
 
 #include <cstdint>
 #include <map>
+#include <optional>
 #include <string>
 #include <vector>
 
 namespace bigfoot {
 
+/// Entailment work of one placement run, as deterministic counts. A query
+/// is one H ⊢ h question asked of a History; a system is prepared each time
+/// a ConstraintSystem computes its closure from its facts.
+struct EntailmentCounts {
+  unsigned Queries = 0;
+  unsigned Systems = 0;
+  unsigned Refutations = 0; ///< Fourier-Motzkin runs.
+};
+
 /// A conjunction of facts plus queries against them. Build one, add the
 /// facts of a history context, then ask entailment questions. Queries are
 /// conservative: "false" means "not provable", never "disproved".
+///
+/// A system answers each question once: its closure, its canonical base
+/// rows and its inconsistent() verdict are computed on the first query
+/// that needs them, and proveLe answers are memoized by canonical L - R.
+/// Adding a fact after a query drops all of it, so every answer is the one
+/// a system freshly built from the same ordered facts would give.
 class ConstraintSystem {
 public:
+  /// Counts this system's closure builds and refutations into \p C, which
+  /// must outlive the system and its copies (null counts nothing).
+  void countInto(EntailmentCounts *C) { Counts = C; }
+
   /// Adds the fact L == R.
   void addEquality(const AffineExpr &L, const AffineExpr &R);
 
@@ -121,9 +141,20 @@ private:
   };
   std::vector<AliasFact> Aliases;
 
+  EntailmentCounts *Counts = nullptr;
+
   /// Union-find over variable / alias-term names, rebuilt lazily.
   std::map<std::string, std::string> Parent;
   bool ClosureDirty = true;
+
+  /// Derived from the facts on first use; invalidate() drops them.
+  std::optional<std::vector<Row>> BaseRows;
+  std::optional<bool> Inconsistent;
+  std::map<AffineExpr, bool> LeByDiff; ///< proveLe answer by canonical L - R.
+
+  /// Called by every add*: a fact added after a query drops all derived
+  /// state.
+  void invalidate();
 
   std::string find(const std::string &Name);
   void unite(const std::string &A, const std::string &B);
@@ -132,11 +163,11 @@ private:
   /// Rewrites every variable to its congruence representative.
   AffineExpr canonicalize(const AffineExpr &E);
 
-  /// Builds the base FM rows (facts only, canonicalized).
-  std::vector<Row> baseRows();
+  /// The base FM rows (facts only, canonicalized).
+  const std::vector<Row> &baseRows();
 
   /// True if Rows (plus the negated goal row) are infeasible.
-  static bool refute(std::vector<Row> Rows);
+  bool refute(std::vector<Row> Rows);
 
   static Row rowFromLe(const AffineExpr &L, const AffineExpr &R);
 };

@@ -11,8 +11,6 @@
 #include "analysis/KillSets.h"
 #include "analysis/Rename.h"
 
-#include <algorithm>
-
 #include <cassert>
 
 using namespace bigfoot;
@@ -89,30 +87,6 @@ void insertPerAccessChecks(const Program &P, Stmt *S) {
 // RedCard placement: per-access checks minus redundant ones.
 //===----------------------------------------------------------------------===
 
-/// Removes every fact that mentions \p Var (assignments without renaming
-/// invalidate facts about the old value).
-void dropMentions(History &H, const std::string &Var) {
-  auto DropBool = [&Var](const BoolFact &F) {
-    return F.L.mentions(Var) || F.R.mentions(Var);
-  };
-  H.Bools.erase(std::remove_if(H.Bools.begin(), H.Bools.end(), DropBool),
-                H.Bools.end());
-  auto DropAlias = [&Var](const AliasFact &F) {
-    return F.X == Var || F.Base == Var ||
-           (F.IsArray && F.Index.mentions(Var));
-  };
-  H.Aliases.erase(
-      std::remove_if(H.Aliases.begin(), H.Aliases.end(), DropAlias),
-      H.Aliases.end());
-  auto DropPath = [&Var](const Path &P) { return P.mentions(Var); };
-  H.Accesses.erase(
-      std::remove_if(H.Accesses.begin(), H.Accesses.end(), DropPath),
-      H.Accesses.end());
-  H.Checks.erase(
-      std::remove_if(H.Checks.begin(), H.Checks.end(), DropPath),
-      H.Checks.end());
-}
-
 class RedCardPass {
 public:
   RedCardPass(const Program &P, const KillSets &Kills)
@@ -122,17 +96,18 @@ public:
 
   void runOnBody(Stmt *Body) {
     assert(isa<BlockStmt>(Body) && "bodies are blocks");
-    processBlock(cast<BlockStmt>(Body), History(), /*Insert=*/true);
+    processBlock(cast<BlockStmt>(Body), History(Table), /*Insert=*/true);
   }
 
 private:
   const Program &Prog;
   const KillSets &Kills;
+  EntailmentTable Table;
   unsigned NumChecks = 0;
 
   static bool sameFacts(const History &A, const History &B) {
-    return A.Bools.size() == B.Bools.size() &&
-           A.Aliases.size() == B.Aliases.size() &&
+    return A.bools().size() == B.bools().size() &&
+           A.aliases().size() == B.aliases().size() &&
            A.Checks.size() == B.Checks.size();
   }
 
@@ -220,7 +195,7 @@ private:
       switch (S->kind()) {
       case StmtKind::FieldRead: {
         const auto *F = cast<FieldReadStmt>(S);
-        dropMentions(H, F->target());
+        H.dropMentions(F->target());
         if (F->target() != F->object()) {
           AliasFact A;
           A.IsArray = false;
@@ -236,7 +211,7 @@ private:
         break;
       case StmtKind::ArrayRead: {
         const auto *A = cast<ArrayReadStmt>(S);
-        dropMentions(H, A->target());
+        H.dropMentions(A->target());
         break;
       }
       case StmtKind::ArrayWrite:
@@ -251,7 +226,7 @@ private:
     switch (S->kind()) {
     case StmtKind::Assign: {
       const auto *A = cast<AssignStmt>(S);
-      dropMentions(H, A->target());
+      H.dropMentions(A->target());
       if (auto E = toAffine(A->value()))
         if (!E->mentions(A->target()))
           H.addBool({RelOp::Eq, AffineExpr::variable(A->target()), *E, 0});
@@ -259,21 +234,21 @@ private:
     }
     case StmtKind::Rename: {
       const auto *Ren = cast<RenameStmt>(S);
-      dropMentions(H, Ren->target());
+      H.dropMentions(Ren->target());
       return H;
     }
     case StmtKind::New:
-      dropMentions(H, cast<NewStmt>(S)->target());
+      H.dropMentions(cast<NewStmt>(S)->target());
       return H;
     case StmtKind::NewArray:
-      dropMentions(H, cast<NewArrayStmt>(S)->target());
+      H.dropMentions(cast<NewArrayStmt>(S)->target());
       return H;
     case StmtKind::NewBarrier:
-      dropMentions(H, cast<NewBarrierStmt>(S)->target());
+      H.dropMentions(cast<NewBarrierStmt>(S)->target());
       return H;
     case StmtKind::ArrayLen: {
       const auto *L = cast<ArrayLenStmt>(S);
-      dropMentions(H, L->target());
+      H.dropMentions(L->target());
       return H;
     }
     case StmtKind::Acquire:
@@ -282,7 +257,7 @@ private:
     case StmtKind::Release:
     case StmtKind::Fork: {
       if (const auto *F = dyn_cast<ForkStmt>(S))
-        dropMentions(H, F->target());
+        H.dropMentions(F->target());
       return H.afterRelease();
     }
     case StmtKind::Await: {
@@ -291,7 +266,7 @@ private:
     }
     case StmtKind::Call: {
       const auto *C = cast<CallStmt>(S);
-      dropMentions(H, C->target());
+      H.dropMentions(C->target());
       SyncEffect E = Kills.effectOf(C->method());
       if (E.Releases)
         return H.afterRelease();

@@ -30,6 +30,7 @@
 #include "vm/Compiler.h"
 
 #include <cassert>
+#include <cstdint>
 #include <optional>
 #include <unordered_map>
 
@@ -760,14 +761,20 @@ private:
           Out = A * B;
           break;
         case Opcode::Div:
+          // INT64_MIN / -1 has no int64 result (the CPU traps on it).
           if (B == 0)
             setError("division by zero");
+          else if (B == -1 && A == INT64_MIN)
+            setError("division overflow");
           else
             Out = A / B;
           break;
         case Opcode::Mod:
+          // x % -1 is exactly 0; computing INT64_MIN % -1 traps.
           if (B == 0)
             setError("modulo by zero");
+          else if (B == -1)
+            Out = 0;
           else
             Out = A % B;
           break;

@@ -537,6 +537,38 @@ thread {
   EXPECT_TRUE(SawAccess);
 }
 
+TEST(CheckPlacement, MinIntQuotientLoopBoundIsNotFolded) {
+  // toAffine folds constant quotients, but INT64_MIN / -1 has no int64
+  // value: it declines the fold (dropping the loop-bound fact) instead of
+  // trapping, and placement still covers the loop's array accesses.
+  auto MinInt = binary(BinaryOp::Sub,
+                       binary(BinaryOp::Sub, intLit(0),
+                              intLit(9223372036854775807)),
+                       intLit(1));
+  auto Quotient = binary(BinaryOp::Div, std::move(MinInt),
+                         binary(BinaryOp::Sub, intLit(0), intLit(1)));
+  EXPECT_FALSE(toAffine(Quotient.get()).has_value());
+  auto Folded = binary(BinaryOp::Div, intLit(-8), intLit(-1));
+  EXPECT_EQ(toAffine(Folded.get()), AffineExpr::constant(8));
+
+  auto Prog = instrument(R"(
+thread {
+  a = new_array(4);
+  i = 0;
+  while (i < (0 - 9223372036854775807 - 1) / (0 - 1)) {
+    a[0] = i;
+    i = i + 1;
+  }
+}
+)");
+  size_t ArrayPaths = 0;
+  for (const CheckStmt *C : allChecks(*Prog))
+    for (const Path &P : C->paths())
+      if (P.isArray() && P.Designator == "a")
+        ++ArrayPaths;
+  EXPECT_GE(ArrayPaths, 1u) << printProgram(*Prog);
+}
+
 TEST(CheckPlacement, InstrumentedProgramStillPrintsAndParses) {
   auto Prog = instrument(R"(
 class C {

@@ -6,7 +6,12 @@
 
 #include "entail/ConstraintSystem.h"
 
+#include "analysis/HistoryContext.h"
+#include "support/Rng.h"
+
 #include <gtest/gtest.h>
+
+#include <functional>
 
 using namespace bigfoot;
 
@@ -226,4 +231,168 @@ TEST(ConstraintSystem, ScalesToManyFacts) {
              v(("x" + std::to_string(I + 1)).c_str()));
   EXPECT_TRUE(CS.proveLe(v("x0"), v("x60")));
   EXPECT_FALSE(CS.proveLe(v("x60"), v("x0")));
+}
+
+//===----------------------------------------------------------------------===
+// Memoized answers. A system computes its closure, base rows and verdicts
+// once and drops them when a fact arrives after a query; every answer must
+// be the one a fresh system of the same facts gives.
+//===----------------------------------------------------------------------===
+
+namespace {
+
+/// Seeded random facts and queries over three variables, their fields f/g
+/// and array cells, with small coefficients so that many queries are
+/// decided by the facts rather than trivially.
+class RandomFacts {
+public:
+  explicit RandomFacts(uint64_t Seed) : R(Seed) {}
+
+  using Fact = std::function<void(ConstraintSystem &)>;
+  using Query = std::function<bool(ConstraintSystem &)>;
+
+  Fact fact() {
+    AffineExpr L = expr(), Rhs = expr();
+    std::string X = var(), Y = var(), F = R.chance(1, 2) ? "f" : "g";
+    // Aliases make up half the facts: congruences are what an alias
+    // added after a query has to rebuild.
+    switch (R.nextBelow(10)) {
+    case 0:
+      return [L, Rhs](ConstraintSystem &CS) { CS.addEquality(L, Rhs); };
+    case 1:
+      return [L, Rhs](ConstraintSystem &CS) { CS.addLe(L, Rhs); };
+    case 2:
+      return [L, Rhs](ConstraintSystem &CS) { CS.addLt(L, Rhs); };
+    case 3:
+      return [L, Rhs](ConstraintSystem &CS) { CS.addNe(L, Rhs); };
+    case 4: {
+      int64_t M = R.nextInRange(2, 4), Rem = R.nextInRange(0, 3);
+      return [L, M, Rem](ConstraintSystem &CS) {
+        CS.addCongruence(L, M, Rem);
+      };
+    }
+    case 5:
+    case 6:
+    case 7:
+      return [X, Y, F](ConstraintSystem &CS) { CS.addFieldAlias(X, Y, F); };
+    default: {
+      // A variable or constant index, so that cells coincide often.
+      AffineExpr I = R.chance(1, 2) ? v(var().c_str()) : c(R.nextBelow(2));
+      return [X, Y, I](ConstraintSystem &CS) { CS.addArrayAlias(X, Y, I); };
+    }
+    }
+  }
+
+  Query query() {
+    AffineExpr L = expr(), Rhs = expr();
+    std::string X = var(), Y = var();
+    switch (R.nextBelow(7)) {
+    case 0:
+      return [L, Rhs](ConstraintSystem &CS) { return CS.proveLe(L, Rhs); };
+    case 1:
+      return [L, Rhs](ConstraintSystem &CS) { return CS.proveEq(L, Rhs); };
+    case 2:
+      return [L, Rhs](ConstraintSystem &CS) { return CS.proveNe(L, Rhs); };
+    case 3: {
+      int64_t M = R.nextInRange(2, 4), Rem = R.nextInRange(0, 3);
+      return [L, M, Rem](ConstraintSystem &CS) {
+        return CS.proveCongruent(L, M, Rem);
+      };
+    }
+    case 4: {
+      SymbolicRange Sub(L, L + R.nextInRange(1, 3), R.nextInRange(1, 2));
+      SymbolicRange Sup(Rhs, Rhs + expr(), R.nextInRange(1, 2));
+      return [Sub, Sup](ConstraintSystem &CS) {
+        return CS.proveRangeSubset(Sub, Sup);
+      };
+    }
+    case 5:
+      return [X, Y](ConstraintSystem &CS) { return CS.equivVars(X, Y); };
+    default:
+      return [](ConstraintSystem &CS) { return CS.inconsistent(); };
+    }
+  }
+
+  Rng R;
+
+private:
+  std::string var() { return std::string(1, char('a' + R.nextBelow(3))); }
+
+  AffineExpr expr() {
+    AffineExpr E = c(R.nextInRange(-3, 3));
+    for (int Terms = int(R.nextBelow(3)); Terms > 0; --Terms)
+      E = E + v(var().c_str()) * R.nextInRange(-2, 2);
+    return E;
+  }
+};
+
+} // namespace
+
+TEST(ConstraintSystem, CachedAnswersMatchFreshSystem) {
+  for (uint64_t Seed = 1; Seed <= 100; ++Seed) {
+    RandomFacts Gen(Seed);
+    // A small pool, so that questions recur after facts arrive.
+    std::vector<RandomFacts::Query> Pool;
+    for (int I = 0; I < 10; ++I)
+      Pool.push_back(Gen.query());
+    std::vector<RandomFacts::Fact> Facts;
+    ConstraintSystem Cached;
+    for (int Step = 0; Step < 60; ++Step) {
+      if (Gen.R.chance(1, 5) && Facts.size() < 10) {
+        Facts.push_back(Gen.fact());
+        Facts.back()(Cached);
+        continue;
+      }
+      size_t Q = Gen.R.nextBelow(Pool.size());
+      ConstraintSystem Fresh;
+      for (const RandomFacts::Fact &F : Facts)
+        F(Fresh);
+      ASSERT_EQ(Pool[Q](Cached), Pool[Q](Fresh))
+          << "seed " << Seed << ", step " << Step << ", query " << Q
+          << " after " << Facts.size() << " facts";
+    }
+  }
+}
+
+TEST(ConstraintSystem, HistoryQueriesFollowFactChanges) {
+  // Histories with equal facts share one prepared system through the
+  // table; adding a fact, dropping one and an acquire each change the
+  // facts, so each must flip an answer, while a copy taken earlier keeps
+  // its own.
+  EntailmentTable Table;
+  History H(Table);
+  BoolFact IBelowN{RelOp::Le, v("i"), v("n"), 0};
+  EXPECT_FALSE(H.entailsBool(IBelowN));
+  H.addBool({RelOp::Lt, v("i"), v("m"), 0});
+  H.addBool({RelOp::Le, v("m"), v("n"), 0});
+  History BeforeDrop = H;
+  EXPECT_TRUE(H.entailsBool(IBelowN)); // Added fact flips it.
+  H.dropMentions("m");
+  EXPECT_FALSE(H.entailsBool(IBelowN)); // Dropped fact flips it back.
+  EXPECT_TRUE(BeforeDrop.entailsBool(IBelowN));
+
+  // x = p.f and y = p.f make y.g covered by a check on x.g until an
+  // acquire drops the aliases (the check itself persists, per [ACQ]).
+  // With q = p they also entail x = q.f, which the alias query proves by
+  // adding a probe alias to a copy of a system that has already answered.
+  H.addAlias({false, "x", "p", "f", AffineExpr()});
+  H.addAlias({false, "y", "p", "f", AffineExpr()});
+  H.addBool({RelOp::Eq, v("q"), v("p"), 0});
+  H.addCheck(Path::field(AccessKind::Read, "x", "g"));
+  Path YG = Path::field(AccessKind::Read, "y", "g");
+  AliasFact XIsQF{false, "x", "q", "f", AffineExpr()};
+  EXPECT_TRUE(H.entailsCheck(YG));
+  EXPECT_TRUE(H.entailsAlias(XIsQF));
+  History Acquired = H.afterAcquire();
+  EXPECT_FALSE(Acquired.entailsCheck(YG)); // The acquire flips both.
+  EXPECT_FALSE(Acquired.entailsAlias(XIsQF));
+  EXPECT_TRUE(H.entailsCheck(YG));
+
+  // A history built separately with the same facts reuses the system.
+  unsigned Prepared = Table.Counts.Systems;
+  History Same(Table);
+  Same.addBool({RelOp::Lt, v("i"), v("m"), 0});
+  Same.addBool({RelOp::Le, v("m"), v("n"), 0});
+  EXPECT_TRUE(Same.entailsBool(IBelowN));
+  EXPECT_EQ(Table.Counts.Systems, Prepared);
 }

@@ -4,7 +4,7 @@
 //
 // Two golden tests over one grid: every workload (standard suite at Test
 // scale plus the racy variants) × all six detector configurations × three
-// scheduler seeds.
+// scheduler seeds, and a third over the static placements alone.
 //
 // intern_equivalence.golden is the differential regression test for the
 // symbol-interning / flat-shadow refactor: the externally visible behavior
@@ -22,13 +22,17 @@
 // step count and the size and digest of its whole event stream (see the
 // test below).
 //
-// Regenerate either (only legitimate when intentionally changing detector
-// semantics or the scheduler) with:
+// placements.golden pins the static placement itself, at Test and Bench
+// scale, including checks on paths no run executes (see the test below).
+//
+// Regenerate any of them (only legitimate when intentionally changing
+// detector semantics, the scheduler or the placement) with:
 //   BIGFOOT_REGEN_GOLDEN=1 ./test_intern_equivalence
 //
 //===----------------------------------------------------------------------===//
 
 #include "bfj/Parser.h"
+#include "bfj/Printer.h"
 #include "common/RecordedRun.h"
 #include "instrument/Instrumenters.h"
 #include "runtime/Detector.h"
@@ -197,6 +201,42 @@ TEST(EventStreamGolden, RunsMatchRecordedStreams) {
         << " fnv1a64=" << Digest << "\n";
   });
   expectMatchesGolden(Out.str(), "event_streams.golden");
+}
+
+//===----------------------------------------------------------------------===
+// Placement golden: the static half of the pipeline, pinned as data. One row
+// per standard-suite workload at Test and Bench scale for the two analyses
+// that reason with entailment (BigFoot's StaticBF and RedCard's redundancy
+// pass): the checks, paths and renames inserted and the FNV-1a digest of
+// the printed instrumented program. It covers Bench scale and checks on
+// paths no golden run executes, which event_streams.golden cannot see.
+//===----------------------------------------------------------------------===
+
+TEST(PlacementGolden, InstrumentedProgramsMatchRecordedPlacements) {
+  std::ostringstream Out;
+  for (SuiteScale Scale : {SuiteScale::Test, SuiteScale::Bench}) {
+    const char *ScaleName = Scale == SuiteScale::Test ? "test" : "bench";
+    for (const Workload &W : standardSuite(Scale)) {
+      ParseResult PR = parseProgram(W.Source);
+      ASSERT_TRUE(PR.ok()) << W.Name << ": " << PR.Error;
+      std::vector<InstrumentedProgram> Placed;
+      Placed.push_back(instrumentBigFoot(*PR.Prog));
+      Placed.push_back(instrumentRedCard(*PR.Prog));
+      for (const InstrumentedProgram &IP : Placed) {
+        std::string Text = printProgram(*IP.Prog);
+        char Digest[17];
+        std::snprintf(Digest, sizeof(Digest), "%016llx",
+                      static_cast<unsigned long long>(test::streamDigest(
+                          std::vector<uint8_t>(Text.begin(), Text.end()))));
+        Out << W.Name << " " << ScaleName << " " << IP.Tool.Name
+            << " checks=" << IP.Placement.ChecksInserted
+            << " paths=" << IP.Placement.PathsInserted
+            << " renames=" << IP.Placement.RenamesInserted
+            << " fnv1a64=" << Digest << "\n";
+      }
+    }
+  }
+  expectMatchesGolden(Out.str(), "placements.golden");
 }
 
 //===----------------------------------------------------------------------===

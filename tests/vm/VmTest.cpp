@@ -300,6 +300,38 @@ thread {
   EXPECT_NE(R.Error.find("out of bounds"), std::string::npos);
 }
 
+TEST(Vm, MinIntDividedByMinusOneIsRuntimeError) {
+  // The quotient does not fit in int64 (the CPU traps on it): the run
+  // fails like a division by zero instead of dying on SIGFPE.
+  VmResult R = runSource(R"(
+thread {
+  x = 0 - 9223372036854775807 - 1;
+  m = 0 - 1;
+  y = x / m;
+}
+)");
+  EXPECT_FALSE(R.Ok);
+  EXPECT_NE(R.Error.find("division overflow"), std::string::npos) << R.Error;
+}
+
+TEST(Vm, MinIntModuloMinusOneIsZero) {
+  // x % -1 is exactly 0 for every x, INT64_MIN included.
+  VmResult R = runSource(R"(
+thread {
+  x = 0 - 9223372036854775807 - 1;
+  m = 0 - 1;
+  y = x % m;
+  print y;
+  z = 7 % m;
+  print z;
+  w = 7 / m;
+  print w;
+}
+)");
+  ASSERT_TRUE(R.Ok) << R.Error;
+  EXPECT_EQ(R.Output, (std::vector<std::string>{"0", "0", "-7"}));
+}
+
 TEST(Vm, AssertFailureIsRuntimeError) {
   VmResult R = runSource("thread { x = 1; assert x == 2; }");
   EXPECT_FALSE(R.Ok);

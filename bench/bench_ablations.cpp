@@ -6,6 +6,9 @@
 // anticipation (check motion past releases and out of loops), loop-check
 // hoisting, the Section 4 coalescing step, static field proxies, and the
 // dynamic footprint/compression runtime. Each row disables exactly one.
+// Each workload's base run and six variants are timed together in
+// rotated rounds (timeRounds), so every overhead is over the base runs of
+// the same rounds.
 //
 //===----------------------------------------------------------------------===//
 
@@ -14,10 +17,10 @@
 #include "harness/Experiment.h"
 #include "instrument/Instrumenters.h"
 #include "support/TablePrinter.h"
-#include "support/Timer.h"
 #include "vm/Vm.h"
 
 #include <iostream>
+#include <memory>
 
 using namespace bigfoot;
 
@@ -55,64 +58,67 @@ int main(int Argc, char **Argv) {
   // sync-heavy, irregular.
   const char *Names[] = {"crypt", "raytracer", "lufact", "tomcat",
                          "jython"};
+  const std::vector<Variant> Variants = variants();
+  VmOptions VmOpts;
+  VmOpts.Seed = Args.Opts.Seed;
+  VmOpts.DetectShards = Args.Opts.DetectShards;
+
+  // Rows[V]: variant V's name, then its "check ratio/overhead" on each
+  // workload.
+  std::vector<std::vector<std::string>> Rows;
+  for (const Variant &V : Variants)
+    Rows.push_back({V.Name});
+  for (const char *N : Names) {
+    std::shared_ptr<const Program> Prog =
+        parseProgramOrDie(workloadByName(N, Args.Scale).Source);
+    // Leg 0 is the base run, leg 1 + V variant V.
+    std::vector<TimedLeg> Legs(1 + Variants.size());
+    Legs[0].Name = "base";
+    Legs[0].Run = [Prog, VmOpts] { return runProgramBase(*Prog, VmOpts); };
+    for (size_t V = 0; V < Variants.size(); ++V) {
+      InstrumentedProgram IP = instrumentBigFoot(*Prog, Variants[V].Placement);
+      DetectorConfig Tool = IP.Tool;
+      if (!Variants[V].UseProxies)
+        Tool.FieldProxy.clear();
+      if (!Variants[V].DeferAndCompress) {
+        Tool.DeferArrayChecks = false;
+        Tool.AdaptiveArrayShadow = false;
+      }
+      std::shared_ptr<const Program> Placed = std::move(IP.Prog);
+      Legs[1 + V].Name = Variants[V].Name;
+      Legs[1 + V].Run = [Placed, Tool, VmOpts] {
+        return runProgram(*Placed, Tool, VmOpts);
+      };
+    }
+    for (TimedLeg &L : Legs) {
+      L.Reference = L.Run();
+      if (!L.Reference.Ok) {
+        std::cerr << N << "/" << L.Name << " failed: " << L.Reference.Error
+                  << "\n";
+        return 1;
+      }
+    }
+    std::vector<std::vector<double>> Seconds =
+        timeRounds(N, Legs, Args.Opts.Iterations);
+    for (size_t V = 0; V < Variants.size(); ++V) {
+      const Stats &Counters = Legs[1 + V].Reference.Counters;
+      uint64_t Events = Counters.get("tool.checkEvents.field") +
+                        Counters.get("tool.checkEvents.array");
+      uint64_t Accesses = Counters.get("vm.accesses");
+      double Ratio = Accesses ? static_cast<double>(Events) / Accesses : 0;
+      Rows[V].push_back(
+          TablePrinter::num(Ratio, 2) + "/" +
+          TablePrinter::num(overheadOf(Seconds[1 + V], Seconds[0]), 2));
+    }
+  }
 
   TablePrinter Table("BigFoot ablations (check ratio / overhead x)");
   std::vector<std::string> Header = {"Variant"};
   for (const char *N : Names)
     Header.push_back(N);
   Table.addRow(Header);
-
-  for (const Variant &V : variants()) {
-    std::vector<std::string> Row = {V.Name};
-    for (const char *N : Names) {
-      Workload W = workloadByName(N, Args.Scale);
-      auto Prog = parseProgramOrDie(W.Source.c_str());
-
-      VmOptions VmOpts;
-      VmOpts.Seed = Args.Opts.Seed;
-      double BaseSec = 1e100;
-      for (int I = 0; I < Args.Opts.Iterations; ++I) {
-        Timer T;
-        VmResult R = runProgramBase(*Prog, VmOpts);
-        if (!R.Ok) {
-          std::cerr << N << " base failed: " << R.Error << "\n";
-          return 1;
-        }
-        BaseSec = std::min(BaseSec, T.seconds());
-      }
-
-      InstrumentedProgram IP = instrumentBigFoot(*Prog, V.Placement);
-      DetectorConfig Tool = IP.Tool;
-      if (!V.UseProxies)
-        Tool.FieldProxy.clear();
-      if (!V.DeferAndCompress) {
-        Tool.DeferArrayChecks = false;
-        Tool.AdaptiveArrayShadow = false;
-      }
-      double ToolSec = 1e100;
-      VmResult Run;
-      for (int I = 0; I < Args.Opts.Iterations; ++I) {
-        Timer T;
-        Run = runProgram(*IP.Prog, Tool, VmOpts);
-        if (!Run.Ok) {
-          std::cerr << N << "/" << V.Name << " failed: " << Run.Error
-                    << "\n";
-          return 1;
-        }
-        ToolSec = std::min(ToolSec, T.seconds());
-      }
-      uint64_t Events = Run.Counters.get("tool.checkEvents.field") +
-                        Run.Counters.get("tool.checkEvents.array");
-      uint64_t Accesses = Run.Counters.get("vm.accesses");
-      double Ratio =
-          Accesses ? static_cast<double>(Events) / Accesses : 0;
-      double Overhead =
-          BaseSec > 0 ? (ToolSec - BaseSec) / BaseSec : 0;
-      Row.push_back(TablePrinter::num(Ratio, 2) + "/" +
-                    TablePrinter::num(Overhead, 2));
-    }
+  for (const std::vector<std::string> &Row : Rows)
     Table.addRow(Row);
-  }
   Table.print(std::cout);
   std::cout << "\nExpected: every ablation raises the check ratio and/or "
                "overhead somewhere —\nanticipation & hoisting matter for "

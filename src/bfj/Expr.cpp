@@ -128,33 +128,34 @@ std::optional<AffineExpr> bigfoot::toAffine(const Expr *E) {
     std::optional<AffineExpr> Inner = toAffine(U->operand());
     if (!Inner)
       return std::nullopt;
-    return -*Inner;
+    return Inner->checkedScale(-1);
   }
   case ExprKind::Binary: {
+    // Every fold declines when int64 cannot hold a constant or a
+    // coefficient of the result: declining only drops a fact.
     const auto *B = cast<BinaryExpr>(E);
     std::optional<AffineExpr> L = toAffine(B->lhs());
     std::optional<AffineExpr> R = toAffine(B->rhs());
     switch (B->op()) {
     case BinaryOp::Add:
       if (L && R)
-        return *L + *R;
+        return L->checkedAdd(*R);
       return std::nullopt;
     case BinaryOp::Sub:
       if (L && R)
-        return *L - *R;
+        return L->checkedSub(*R);
       return std::nullopt;
     case BinaryOp::Mul:
       // Linear only: one side must be constant.
       if (L && R) {
         if (auto C = L->constantValue())
-          return *R * *C;
+          return R->checkedScale(*C);
         if (auto C = R->constantValue())
-          return *L * *C;
+          return L->checkedScale(*C);
       }
       return std::nullopt;
     case BinaryOp::Div: {
-      // Constant folding only, and never of a quotient int64 cannot hold
-      // (INT64_MIN / -1): declining the fold only drops a fact.
+      // Constant folding only, and never of INT64_MIN / -1.
       if (L && R) {
         auto CL = L->constantValue();
         auto CR = R->constantValue();

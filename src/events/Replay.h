@@ -50,8 +50,8 @@ struct ReplayOptions {
 
 /// Replays \p Reader (already open()ed) into a fresh detector built from
 /// \p Tool. \p Tool may be any config sharing the recording placement —
-/// the record-once/replay-many harness replays one FastTrack-placement
-/// trace under fasttrack, slimstate, and djit, for example.
+/// `bigfoot trace replay --tool=djit` replays a FastTrack-placement trace
+/// under djit, for example.
 ReplayResult replayTrace(TraceReader &Reader, const DetectorConfig &Tool,
                          const ReplayOptions &Opts = ReplayOptions());
 

@@ -7,55 +7,40 @@
 // Measurement is split into two phases so the suite can use every core
 // without contaminating its numbers:
 //
-//   1. Counters (check ratios, shadow ops, races, peak shadow memory,
-//      static placement stats) come from untimed runs. In replay mode
-//      (the default) this is record-once/replay-many: the six detector
-//      configs share only three distinct check placements (SlimState
-//      rides FastTrack's, SlimCard rides RedCard's, DJIT+ rides
-//      FastTrack's), so each workload executes once per placement with a
-//      TraceWriter on the event stream and every config is then replayed
-//      offline from the recorded trace — 3 executions + 6 replays instead
-//      of 6 instrumented executions, with bytewise-identical results
-//      (detectors are passive consumers; the harness test enforces the
-//      identity). --no-replay falls back to one execution per config.
+//   1. Reference runs. Every (workload × leg) cell — the base run or one
+//      of the six detector configs — executes once, untimed, on a fixed
+//      pool of ExperimentOptions::Jobs threads. That run fills the cell's
+//      counters (check ratios, shadow ops, races, peak shadow memory,
+//      static placement stats) and becomes the leg's reference outcome.
 //      Cells are independent — each parses its own Program (the VM
 //      re-interns the AST at attach, so jobs must not share one) and
-//      writes only its pre-assigned slot — and are distributed over a
-//      fixed pool of ExperimentOptions::Jobs threads, with a barrier
-//      between the record wave and the replay wave. The result vector is
+//      writes only its pre-assigned slot — so the result vector is
 //      identical for any Jobs value, including 1.
 //
-//   2. Wall-clock timing (BaseSeconds, per-tool Seconds/OverheadX) runs
-//      afterwards, serially, best-of-N on the quiesced pool, exactly as
-//      the serial driver always did. Iterations == 0 skips this phase for
-//      counter-only consumers (e.g. the memory and check-ratio tables).
-//
-// Both phases are deterministic given the seed, so phase 1's counters are
-// the counters a timed run would have produced.
+//   2. Timed rounds (Iterations > 0). On the quiesced pool, timeRounds
+//      runs each workload's seven legs once per round, serially, in an
+//      order rotated by one each round, and checks every run against its
+//      leg's reference. A leg's overhead is the median over rounds of its
+//      time over the same round's base time (overheadOf).
 //
 //===----------------------------------------------------------------------===//
 
 #include "harness/Experiment.h"
 
 #include "bfj/Parser.h"
-#include "events/Replay.h"
-#include "events/TraceCodec.h"
 #include "instrument/Instrumenters.h"
 #include "support/ParseNumber.h"
 #include "support/Timer.h"
-#include "vm/Vm.h"
 
-#include <array>
+#include <algorithm>
 #include <atomic>
 #include <cmath>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
-#include <functional>
+#include <memory>
 #include <optional>
 #include <thread>
-
-#include <sys/stat.h>
 
 using namespace bigfoot;
 
@@ -69,119 +54,20 @@ const ToolMetrics &ExperimentResult::tool(const std::string &Name) const {
 
 namespace {
 
-/// fasttrack, redcard, slimstate, slimcard, bigfoot, djit — the fixed
-/// Tools order (djit is an extra baseline beyond the paper's five).
-constexpr int kNumTools = 6;
-constexpr int kBigFootIdx = 4;
+/// A workload's legs: the base run, then one per kToolNames entry.
+constexpr size_t kNumLegs = 1 + kToolNames.size();
 
-/// The six configs share three distinct placements. kPlacementTool names
-/// the representative instrumenter per placement; kToolPlacement maps
-/// each tool to the placement whose trace it replays.
-constexpr int kNumPlacements = 3;
-constexpr int kPlacementTool[kNumPlacements] = {0, 1, kBigFootIdx};
-constexpr int kToolPlacement[kNumTools] = {0, 1, 0, 1, 2, 0};
-constexpr const char *kPlacementName[kNumPlacements] = {"fasttrack",
-                                                        "redcard", "bigfoot"};
-
-/// One workload's recorded traces, indexed by placement.
-using PlacementTraces = std::array<std::vector<uint8_t>, kNumPlacements>;
-
-/// The detector config tool \p ToolIdx replays a trace under. Proxy maps
-/// are placement properties, so they come from the recorded config.
-DetectorConfig replayConfigFor(int ToolIdx, const DetectorConfig &Recorded) {
-  switch (ToolIdx) {
-  case 0:
-    return fastTrackConfig();
-  case 1:
-    return redCardConfig(Recorded.FieldProxy);
-  case 2:
-    return slimStateConfig();
-  case 3:
-    return slimCardConfig(Recorded.FieldProxy);
-  case kBigFootIdx:
-    return bigFootConfig(Recorded.FieldProxy);
-  default:
-    return djitConfig();
-  }
-}
-
-VmOptions vmOptionsFor(const ExperimentOptions &Opts) {
-  VmOptions VmOpts;
-  VmOpts.Seed = Opts.Seed;
-  VmOpts.DetectShards = Opts.DetectShards;
-  return VmOpts;
-}
-
-ParseResult parseWorkload(const Workload &W) {
+std::unique_ptr<Program> parseWorkload(const Workload &W) {
   ParseResult PR = parseProgram(W.Source);
   if (!PR.ok()) {
     std::fprintf(stderr, "workload %s failed to parse: %s\n", W.Name.c_str(),
                  PR.Error.c_str());
     std::abort();
   }
-  return PR;
+  return std::move(PR.Prog);
 }
 
-InstrumentedProgram instrumentFor(const Program &Prog, int ToolIdx) {
-  switch (ToolIdx) {
-  case 0:
-    return instrumentFastTrack(Prog);
-  case 1:
-    return instrumentRedCard(Prog);
-  case 2:
-    return instrumentSlimState(Prog);
-  case 3:
-    return instrumentSlimCard(Prog);
-  case kBigFootIdx:
-    return instrumentBigFoot(Prog);
-  default: {
-    // DJIT+ (vector clocks everywhere) on the per-access placement.
-    InstrumentedProgram Djit = instrumentFastTrack(Prog);
-    Djit.Tool = djitConfig();
-    return Djit;
-  }
-  }
-}
-
-/// Best-of-N timed run; returns the last result (all runs are
-/// deterministic given the seed, so any result is representative).
-template <typename RunFn>
-std::pair<double, decltype(std::declval<RunFn>()())> timedBest(int Iterations,
-                                                               RunFn Run) {
-  double Best = 1e100;
-  decltype(Run()) Last;
-  for (int I = 0; I < Iterations; ++I) {
-    Timer T;
-    Last = Run();
-    double Sec = T.seconds();
-    if (Sec < Best)
-      Best = Sec;
-    if (!Last.Ok)
-      break;
-  }
-  return {Best, std::move(Last)};
-}
-
-/// Phase-1 cell: the base (uninstrumented) run's access and heap
-/// counters. Writes only the base fields of \p Out.
-void measureBase(const Workload &W, const ExperimentOptions &Opts,
-                 ExperimentResult &Out) {
-  ParseResult PR = parseWorkload(W);
-  VmOptions VmOpts = vmOptionsFor(Opts);
-  VmResult Run = runProgramBase(*PR.Prog, VmOpts);
-  if (!Run.Ok) {
-    std::fprintf(stderr, "workload %s failed: %s\n", W.Name.c_str(),
-                 Run.Error.c_str());
-    std::abort();
-  }
-  Out.Accesses = Run.Counters.get("vm.accesses");
-  Out.FieldAccesses = Run.Counters.get("vm.accesses.field");
-  Out.ArrayAccesses = Run.Counters.get("vm.accesses.array");
-  Out.BaseHeapBytes = Run.Counters.get("vm.heapBytes");
-}
-
-/// Counter extraction shared by the executed and the replayed paths —
-/// both produce the same RunResult, so metrics fill identically.
+/// Counter extraction from a detector config's reference run.
 void fillToolMetrics(ToolMetrics &M, const std::string &ToolName,
                      const RunResult &Run) {
   M.Tool = ToolName;
@@ -201,86 +87,50 @@ void fillToolMetrics(ToolMetrics &M, const std::string &ToolName,
   M.PeakShadowLocations = Counters.get("tool.peakShadowLocations");
 }
 
-/// Phase-1 cell: one instrumented configuration's counters, measured by
-/// executing it. Writes only Out.Tools[ToolIdx] (pre-sized by the
-/// caller) and, for BigFoot, the static placement stats.
-void measureTool(const Workload &W, const ExperimentOptions &Opts,
-                 int ToolIdx, ExperimentResult &Out) {
-  ParseResult PR = parseWorkload(W);
-  InstrumentedProgram IP = instrumentFor(*PR.Prog, ToolIdx);
-  if (ToolIdx == kBigFootIdx) {
-    Out.StaticSeconds = IP.Placement.AnalysisSeconds;
-    Out.MethodsProcessed = IP.Placement.MethodsProcessed;
-    Out.BigFootChecks = IP.Placement.ChecksInserted;
+/// Phase-1 cell: builds leg \p Leg of \p W (0 = base, 1 + T =
+/// kToolNames[T]), runs it once as its reference, and fills the leg's
+/// part of \p Out: the base fields, or Out.Tools[T] plus, for BigFoot,
+/// the static placement stats. The leg owns its program, so timed rounds
+/// rerun exactly what ran here.
+TimedLeg measureLeg(const Workload &W, const ExperimentOptions &Opts,
+                    size_t Leg, ExperimentResult &Out) {
+  VmOptions VmOpts;
+  VmOpts.Seed = Opts.Seed;
+  VmOpts.DetectShards = Opts.DetectShards;
+  std::shared_ptr<const Program> Prog = parseWorkload(W);
+  TimedLeg L;
+  if (Leg == 0) {
+    L.Name = "base";
+    L.Run = [Prog, VmOpts] { return runProgramBase(*Prog, VmOpts); };
+  } else {
+    L.Name = kToolNames[Leg - 1];
+    InstrumentedProgram IP = *instrumentNamed(*Prog, L.Name);
+    if (L.Name == "bigfoot") {
+      Out.StaticSeconds = IP.Placement.AnalysisSeconds;
+      Out.MethodsProcessed = IP.Placement.MethodsProcessed;
+      Out.BigFootChecks = IP.Placement.ChecksInserted;
+    }
+    Prog = std::move(IP.Prog);
+    L.Run = [Prog, Tool = std::move(IP.Tool), VmOpts] {
+      return runProgram(*Prog, Tool, VmOpts);
+    };
   }
-  VmOptions VmOpts = vmOptionsFor(Opts);
-  VmResult Run = runProgram(*IP.Prog, IP.Tool, VmOpts);
-  if (!Run.Ok) {
-    std::fprintf(stderr, "workload %s under %s failed: %s\n", W.Name.c_str(),
-                 IP.Tool.Name.c_str(), Run.Error.c_str());
+  L.Reference = L.Run();
+  if (!L.Reference.Ok) {
+    std::fprintf(stderr, "workload %s, leg %s failed: %s\n", W.Name.c_str(),
+                 L.Name.c_str(), L.Reference.Error.c_str());
     std::abort();
   }
-  fillToolMetrics(Out.Tools[static_cast<size_t>(ToolIdx)], IP.Tool.Name,
-                  Run);
-}
-
-/// Record-wave cell: execute one placement with a TraceWriter on the
-/// event stream and no detector attached. The VM still executes the
-/// placed checks, so the run's vm.* counters, output, and schedule are
-/// exactly those of a detector-attached run.
-void measureRecord(const Workload &W, const ExperimentOptions &Opts,
-                   int Placement, ExperimentResult &Out,
-                   std::vector<uint8_t> &TraceBytes) {
-  ParseResult PR = parseWorkload(W);
-  InstrumentedProgram IP = instrumentFor(*PR.Prog, kPlacementTool[Placement]);
-  if (kPlacementTool[Placement] == kBigFootIdx) {
-    Out.StaticSeconds = IP.Placement.AnalysisSeconds;
-    Out.MethodsProcessed = IP.Placement.MethodsProcessed;
-    Out.BigFootChecks = IP.Placement.ChecksInserted;
+  const Stats &Counters = L.Reference.Counters;
+  if (Leg == 0) {
+    Out.Accesses = Counters.get("vm.accesses");
+    Out.FieldAccesses = Counters.get("vm.accesses.field");
+    Out.ArrayAccesses = Counters.get("vm.accesses.array");
+    Out.BaseHeapBytes = Counters.get("vm.heapBytes");
+  } else {
+    fillToolMetrics(Out.Tools[Leg - 1], L.Name, L.Reference);
   }
-  IP.Prog->internSymbols(); // Idempotent; the trace header needs the table.
-  TraceWriter Writer(IP.Prog->symbols(), IP.Tool);
-  VmOptions VmOpts = vmOptionsFor(Opts);
-  VmOpts.RecordSink = &Writer;
-  VmResult Run = runProgramBase(*IP.Prog, VmOpts);
-  if (!Run.Ok) {
-    std::fprintf(stderr, "workload %s recording %s failed: %s\n",
-                 W.Name.c_str(), IP.Tool.Name.c_str(), Run.Error.c_str());
-    std::abort();
-  }
-  Writer.finish(summaryOf(Run));
-  TraceBytes = Writer.buffer();
-  if (!Opts.RecordDir.empty()) {
-    ::mkdir(Opts.RecordDir.c_str(), 0777); // EEXIST is fine; races are too.
-    std::string Path = Opts.RecordDir + "/" + W.Name + "." +
-                       kPlacementName[Placement] + ".bft";
-    if (!Writer.writeFile(Path))
-      std::fprintf(stderr, "warning: could not write trace %s\n",
-                   Path.c_str());
-  }
-}
-
-/// Counter phase, replay mode: fills one tool's metrics slot by
-/// replaying the trace of the placement it shares. Each call opens its
-/// own reader and builds its own detectors, so calls for different tools
-/// or workloads run in parallel freely.
-void measureReplay(const Workload &W, const PlacementTraces &Traces,
-                   const ExperimentOptions &Opts, int ToolIdx,
-                   ExperimentResult &Out) {
-  const std::vector<uint8_t> &Trace =
-      Traces[static_cast<size_t>(kToolPlacement[ToolIdx])];
-  TraceReader Reader;
-  Reader.open(Trace.data(), Trace.size()); // replayTrace reports failure.
-  ReplayOptions ROpts;
-  ROpts.DetectShards = Opts.DetectShards;
-  ReplayResult Run = replayTrace(
-      Reader, replayConfigFor(ToolIdx, Reader.config()), ROpts);
-  if (!Run.Ok) {
-    std::fprintf(stderr, "workload %s replay under %s failed: %s\n",
-                 W.Name.c_str(), Run.Tool.c_str(), Run.Error.c_str());
-    std::abort();
-  }
-  fillToolMetrics(Out.Tools[static_cast<size_t>(ToolIdx)], Run.Tool, Run);
+  return L;
 }
 
 /// Runs Fn(0..Count) over a fixed pool of \p Jobs threads (0 = one per
@@ -311,138 +161,103 @@ void forEachParallel(size_t Count, unsigned JobsOpt,
     T.join();
 }
 
-/// Phase 2: best-of-N wall-clock timing for one workload (base plus every
-/// configuration). Serial by design — call only on a quiesced pool.
-void timeWorkload(const Workload &W, const ExperimentOptions &Opts,
-                  ExperimentResult &Out) {
-  ParseResult PR = parseWorkload(W);
-  const Program &Prog = *PR.Prog;
-  VmOptions VmOpts = vmOptionsFor(Opts);
+/// runExperiment and runSuite: both phases over \p Suite.
+std::vector<ExperimentResult> runWorkloads(const std::vector<Workload> &Suite,
+                                           const ExperimentOptions &Opts) {
+  std::vector<ExperimentResult> Out(Suite.size());
+  std::vector<std::vector<TimedLeg>> Legs(Suite.size(),
+                                          std::vector<TimedLeg>(kNumLegs));
+  for (size_t I = 0; I < Suite.size(); ++I) {
+    Out[I].Workload = Suite[I].Name;
+    Out[I].Tools.resize(kToolNames.size());
+  }
 
-  auto [BaseSec, BaseRun] = timedBest(Opts.Iterations, [&Prog, &VmOpts] {
-    return runProgramBase(Prog, VmOpts);
+  // Phase 1. Every cell writes a disjoint part of its workload's
+  // pre-sized result and its own leg slot, so workers never contend and
+  // order never depends on scheduling.
+  forEachParallel(Suite.size() * kNumLegs, Opts.Jobs, [&](size_t C) {
+    size_t W = C / kNumLegs;
+    Legs[W][C % kNumLegs] = measureLeg(Suite[W], Opts, C % kNumLegs, Out[W]);
   });
-  if (!BaseRun.Ok) {
-    std::fprintf(stderr, "workload %s failed: %s\n", W.Name.c_str(),
-                 BaseRun.Error.c_str());
-    std::abort();
-  }
-  Out.BaseSeconds = BaseSec;
 
-  for (int T = 0; T < kNumTools; ++T) {
-    InstrumentedProgram IP = instrumentFor(Prog, T);
-    auto [ToolSec, Run] = timedBest(Opts.Iterations, [&IP, &VmOpts] {
-      return runProgram(*IP.Prog, IP.Tool, VmOpts);
-    });
-    if (!Run.Ok) {
-      std::fprintf(stderr, "workload %s under %s failed: %s\n",
-                   W.Name.c_str(), IP.Tool.Name.c_str(), Run.Error.c_str());
-      std::abort();
+  // Phase 2: timed rounds on the now-quiesced pool.
+  if (Opts.Iterations > 0)
+    for (size_t I = 0; I < Suite.size(); ++I) {
+      std::vector<std::vector<double>> Seconds =
+          timeRounds(Suite[I].Name, Legs[I], Opts.Iterations);
+      Out[I].BaseSeconds = medianOf(Seconds[0]);
+      for (size_t T = 0; T < kToolNames.size(); ++T) {
+        ToolMetrics &M = Out[I].Tools[T];
+        M.Seconds = medianOf(Seconds[T + 1]);
+        M.OverheadX = overheadOf(Seconds[T + 1], Seconds[0]);
+      }
     }
-    ToolMetrics &M = Out.Tools[static_cast<size_t>(T)];
-    M.Seconds = ToolSec;
-    M.OverheadX = Out.BaseSeconds > 0
-                      ? (ToolSec - Out.BaseSeconds) / Out.BaseSeconds
-                      : 0;
-  }
+  return Out;
+}
+
+/// The first part of \p Run that differs from \p Ref, or null.
+const char *firstDifference(const RunResult &Ref, const RunResult &Run) {
+  if (Run.Ok != Ref.Ok || Run.Error != Ref.Error)
+    return "status";
+  if (Run.Output != Ref.Output)
+    return "output";
+  if (Run.ToolRacyLocations != Ref.ToolRacyLocations)
+    return "racy locations";
+  if (Run.Counters.all() != Ref.Counters.all())
+    return "counters";
+  return nullptr;
 }
 
 } // namespace
 
 ExperimentResult bigfoot::runExperiment(const Workload &W,
                                         const ExperimentOptions &Opts) {
-  ExperimentResult Out;
-  Out.Workload = W.Name;
-  Out.Tools.resize(kNumTools);
-  measureBase(W, Opts, Out);
-  PlacementTraces Traces;
-  if (Opts.UseReplay) {
-    for (int P = 0; P < kNumPlacements; ++P)
-      measureRecord(W, Opts, P, Out, Traces[static_cast<size_t>(P)]);
-    // The six replays are independent detector rebuilds; shard them.
-    forEachParallel(kNumTools, Opts.Jobs, [&](size_t T) {
-      measureReplay(W, Traces, Opts, static_cast<int>(T), Out);
-    });
-  } else {
-    for (int T = 0; T < kNumTools; ++T)
-      measureTool(W, Opts, T, Out);
-  }
-  if (Opts.Iterations > 0)
-    timeWorkload(W, Opts, Out);
-  return Out;
+  return runWorkloads({W}, Opts).front();
 }
 
 std::vector<ExperimentResult>
 bigfoot::runSuite(SuiteScale Scale, const ExperimentOptions &Opts) {
-  std::vector<Workload> Suite = standardSuite(Scale);
-  std::vector<ExperimentResult> Out(Suite.size());
-  for (size_t I = 0; I < Suite.size(); ++I) {
-    Out[I].Workload = Suite[I].Name;
-    Out[I].Tools.resize(kNumTools);
-  }
+  return runWorkloads(standardSuite(Scale), Opts);
+}
 
-  // Phase 1. Every cell writes a disjoint part of its workload's
-  // pre-sized result, so workers never contend and order never depends on
-  // scheduling.
-  std::vector<PlacementTraces> Traces;
-  if (Opts.UseReplay) {
-    // Wave 1: base + one recording per distinct placement (4 executions
-    // per workload). Wave 2 (after the barrier): replay all six configs
-    // from the in-memory traces.
-    Traces.resize(Suite.size());
-    struct RecCell {
-      size_t W;
-      int Placement; ///< -1 = base.
-    };
-    std::vector<RecCell> Wave1;
-    Wave1.reserve(Suite.size() * (kNumPlacements + 1));
-    for (size_t I = 0; I < Suite.size(); ++I) {
-      Wave1.push_back({I, -1});
-      for (int P = 0; P < kNumPlacements; ++P)
-        Wave1.push_back({I, P});
+std::vector<std::vector<double>>
+bigfoot::timeRounds(const std::string &Workload,
+                    const std::vector<TimedLeg> &Legs, int Rounds) {
+  size_t N = Legs.size();
+  std::vector<std::vector<double>> Seconds(
+      N, std::vector<double>(static_cast<size_t>(std::max(Rounds, 0))));
+  for (int R = 0; R < Rounds; ++R)
+    for (size_t K = 0; K < N; ++K) {
+      size_t L = (static_cast<size_t>(R) + K) % N;
+      Timer T;
+      VmResult Run = Legs[L].Run();
+      Seconds[L][static_cast<size_t>(R)] = T.seconds();
+      if (const char *What = firstDifference(Legs[L].Reference, Run)) {
+        std::fprintf(stderr,
+                     "workload %s, leg %s, round %d: the timed run differs "
+                     "from the reference run in its %s\n",
+                     Workload.c_str(), Legs[L].Name.c_str(), R, What);
+        std::abort();
+      }
     }
-    forEachParallel(Wave1.size(), Opts.Jobs, [&](size_t I) {
-      const RecCell &C = Wave1[I];
-      if (C.Placement < 0)
-        measureBase(Suite[C.W], Opts, Out[C.W]);
-      else
-        measureRecord(Suite[C.W], Opts, C.Placement, Out[C.W],
-                      Traces[C.W][static_cast<size_t>(C.Placement)]);
-    });
-    // Wave 2 is one flat parallel replay: every (workload × tool) cell
-    // replays its placement's trace independently into its own slot, so
-    // the output is identical for any thread count.
-    forEachParallel(Suite.size() * kNumTools, Opts.Jobs, [&](size_t I) {
-      size_t W = I / kNumTools;
-      measureReplay(Suite[W], Traces[W], Opts, static_cast<int>(I % kNumTools),
-                    Out[W]);
-    });
-  } else {
-    struct Cell {
-      size_t W;
-      int Tool; ///< -1 = base.
-    };
-    std::vector<Cell> Cells;
-    Cells.reserve(Suite.size() * (kNumTools + 1));
-    for (size_t I = 0; I < Suite.size(); ++I) {
-      Cells.push_back({I, -1});
-      for (int T = 0; T < kNumTools; ++T)
-        Cells.push_back({I, T});
-    }
-    forEachParallel(Cells.size(), Opts.Jobs, [&](size_t I) {
-      const Cell &C = Cells[I];
-      if (C.Tool < 0)
-        measureBase(Suite[C.W], Opts, Out[C.W]);
-      else
-        measureTool(Suite[C.W], Opts, C.Tool, Out[C.W]);
-    });
-  }
+  return Seconds;
+}
 
-  // Phase 2: wall-clock timing on the now-quiesced pool.
-  if (Opts.Iterations > 0)
-    for (size_t I = 0; I < Suite.size(); ++I)
-      timeWorkload(Suite[I], Opts, Out[I]);
-  return Out;
+double bigfoot::medianOf(std::vector<double> Values) {
+  if (Values.empty())
+    return 0;
+  std::sort(Values.begin(), Values.end());
+  size_t Mid = Values.size() / 2;
+  return Values.size() % 2 ? Values[Mid] : (Values[Mid - 1] + Values[Mid]) / 2;
+}
+
+double bigfoot::overheadOf(const std::vector<double> &LegSeconds,
+                           const std::vector<double> &BaseSeconds) {
+  std::vector<double> Ratios;
+  for (size_t R = 0; R < LegSeconds.size() && R < BaseSeconds.size(); ++R)
+    if (BaseSeconds[R] > 0)
+      Ratios.push_back(LegSeconds[R] / BaseSeconds[R]);
+  return Ratios.empty() ? 0 : medianOf(std::move(Ratios)) - 1;
 }
 
 double bigfoot::geomeanOverhead(const std::vector<double> &Overheads) {
@@ -466,9 +281,8 @@ BenchArgs bigfoot::parseBenchArgs(int Argc, char **Argv) {
       V = Arg + N;
       return true;
     };
-    auto Is = [&](const char *Name) { return std::strcmp(Arg, Name) == 0; };
     const char *Expected = nullptr; // Set when the value is malformed.
-    if (Is("--small")) {
+    if (std::strcmp(Arg, "--small") == 0) {
       Args.Scale = SuiteScale::Test;
     } else if (Valued("--iters=")) {
       if (!parseNumber(V, Args.Opts.Iterations))
@@ -479,12 +293,6 @@ BenchArgs bigfoot::parseBenchArgs(int Argc, char **Argv) {
     } else if (Valued("--jobs=")) {
       if (!parseNumber(V, Args.Opts.Jobs))
         Expected = "a non-negative integer";
-    } else if (Is("--replay")) {
-      Args.Opts.UseReplay = true;
-    } else if (Is("--no-replay")) {
-      Args.Opts.UseReplay = false;
-    } else if (Valued("--record-dir=")) {
-      Args.Opts.RecordDir = V;
     } else if (Valued("--detect-shards=")) {
       std::optional<size_t> Lanes = parseLaneCount(V);
       if (Lanes)
@@ -500,13 +308,6 @@ BenchArgs bigfoot::parseBenchArgs(int Argc, char **Argv) {
                    Expected);
       std::exit(1);
     }
-  }
-  if (!Args.Opts.UseReplay && !Args.Opts.RecordDir.empty()) {
-    std::fprintf(stderr,
-                 "%s: error: --record-dir needs --replay: only the replay "
-                 "path records traces\n",
-                 Argv[0]);
-    std::exit(1);
   }
   return Args;
 }

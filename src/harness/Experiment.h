@@ -9,16 +9,19 @@
 /// behind Table 1, Table 2, Figure 2, and Figure 8: check ratios (check
 /// events / heap accesses, split by fields and arrays), wall-clock
 /// overhead over the uninstrumented base run, peak shadow memory, and
-/// StaticBF analysis time.
+/// StaticBF analysis time. Overheads come from rotated rounds
+/// (timeRounds), one run of every leg per round.
 ///
 //===----------------------------------------------------------------------===//
 
 #ifndef BIGFOOT_HARNESS_EXPERIMENT_H
 #define BIGFOOT_HARNESS_EXPERIMENT_H
 
+#include "vm/Vm.h"
 #include "workloads/Workloads.h"
 
 #include <cstdint>
+#include <functional>
 #include <string>
 #include <vector>
 
@@ -30,8 +33,8 @@ struct ToolMetrics {
   double CheckRatio = 0;      ///< check events / heap accesses.
   double FieldCheckRatio = 0; ///< field check events / heap accesses.
   double ArrayCheckRatio = 0; ///< array check events / heap accesses.
-  double Seconds = 0;         ///< best-of-N instrumented run time.
-  double OverheadX = 0;       ///< (Seconds - Base) / Base.
+  double Seconds = 0;         ///< median instrumented run time.
+  double OverheadX = 0;       ///< overheadOf(run times, base run times).
   uint64_t ShadowOps = 0;
   uint64_t Races = 0;
   uint64_t PeakShadowBytes = 0;
@@ -41,7 +44,7 @@ struct ToolMetrics {
 /// All measurements for one workload.
 struct ExperimentResult {
   std::string Workload;
-  double BaseSeconds = 0;
+  double BaseSeconds = 0; ///< median base run time.
   uint64_t Accesses = 0;
   uint64_t FieldAccesses = 0;
   uint64_t ArrayAccesses = 0;
@@ -49,64 +52,83 @@ struct ExperimentResult {
   double StaticSeconds = 0;   ///< BigFoot placement time.
   unsigned MethodsProcessed = 0;
   unsigned BigFootChecks = 0; ///< check statements BigFoot materialized.
-  std::vector<ToolMetrics> Tools; ///< fasttrack, redcard, slimstate,
-                                  ///< slimcard, bigfoot, djit — in that
-                                  ///< order (djit is an extra baseline).
+  /// One per kToolNames entry (instrument/Instrumenters.h), in order.
+  std::vector<ToolMetrics> Tools;
 
   const ToolMetrics &tool(const std::string &Name) const;
 };
 
 /// Experiment knobs.
 struct ExperimentOptions {
-  int Iterations = 3; ///< Timed repetitions; the minimum is reported.
-                      ///< 0 skips wall-clock timing entirely (counters,
-                      ///< ratios, and shadow memory are still measured).
+  int Iterations = 3; ///< Timed rounds (timeRounds); 0 skips wall-clock
+                      ///< timing entirely (counters, ratios, and shadow
+                      ///< memory are still measured).
   uint64_t Seed = 1;
-  /// Worker threads for the measurement phase of runSuite (0 = one per
-  /// hardware thread). Every (workload × config) cell runs on its own
-  /// freshly parsed program and writes a pre-assigned slot, and timing
-  /// runs stay serial on the quiesced pool afterwards — so Jobs changes
-  /// neither the results nor their order, only the wall-clock spent.
+  /// Worker threads for the untimed reference runs (0 = one per hardware
+  /// thread). Every (workload × leg) cell runs on its own freshly parsed
+  /// program and writes a pre-assigned slot, and timed rounds stay serial
+  /// on the quiesced pool afterwards — so Jobs changes neither the
+  /// results nor their order, only the wall-clock spent.
   unsigned Jobs = 0;
-  /// Record-once/replay-many counters phase: execute each workload only
-  /// under its three distinct placements (FastTrack, RedCard, BigFoot),
-  /// recording the event stream, then replay all six detector configs
-  /// offline from those traces — 3 executions + 6 replays instead of 6
-  /// instrumented executions. Results are bytewise identical either way
-  /// (the harness test enforces it).
-  bool UseReplay = true;
-  /// When non-empty, recorded traces are also written into this directory
-  /// as <workload>.<placement>.bft (replay mode only; parseBenchArgs
-  /// rejects it beside --no-replay).
-  std::string RecordDir;
   /// Threads that apply each run's tool detector (VmOptions::DetectShards):
   /// 0 = inline, 1 = one detector thread, N >= 2 = location-partitioned
-  /// lanes. Applies to execution and replay legs alike. Counters, races,
-  /// and ratios are byte-identical for every count.
+  /// lanes. Counters, races, and ratios are byte-identical for every count.
   size_t DetectShards = 0;
 };
 
-/// Runs all five detectors (plus the base) on one workload.
+/// Runs the base and all six detector configs on one workload: runSuite
+/// over a suite of one.
 ExperimentResult runExperiment(const Workload &W,
                                const ExperimentOptions &Opts =
                                    ExperimentOptions());
 
-/// Runs the whole suite.
+/// Runs the whole suite. Each (workload × leg) cell — the base run or one
+/// detector config — executes once, untimed, on the Jobs pool; that run
+/// fills the counters and is the leg's reference outcome. Iterations > 0
+/// then times every workload's legs with timeRounds.
 std::vector<ExperimentResult>
 runSuite(SuiteScale Scale,
          const ExperimentOptions &Opts = ExperimentOptions());
 
-/// Geometric mean of (1 + overhead) minus 1... the paper reports geomean
-/// of overheads directly; zero/negative overheads are clamped to a small
-/// positive epsilon as is conventional.
+/// One leg of a timed comparison: the base run, a detector config or an
+/// ablation variant.
+struct TimedLeg {
+  std::string Name;
+  std::function<VmResult()> Run; ///< One deterministic run of the leg.
+  VmResult Reference;            ///< What every timed run must reproduce.
+};
+
+/// Runs every leg once per round for \p Rounds rounds, serially; round R
+/// starts at leg R mod N, so the order rotates by one each round and each
+/// leg takes every position of a round in turn. Returns
+/// Seconds[leg][round].
+/// Aborts, naming \p Workload, the leg and the round, when a timed run's
+/// status, output, racy locations or counters differ from the leg's
+/// Reference.
+std::vector<std::vector<double>> timeRounds(const std::string &Workload,
+                                            const std::vector<TimedLeg> &Legs,
+                                            int Rounds);
+
+/// The median of \p Values (the mean of the middle two for an even
+/// count); 0 for none.
+double medianOf(std::vector<double> Values);
+
+/// A leg's overhead over the base run: the median over rounds of
+/// LegSeconds[R] / BaseSeconds[R], minus 1. Each leg run is divided by the
+/// base run of its own round, so drift between rounds cancels.
+double overheadOf(const std::vector<double> &LegSeconds,
+                  const std::vector<double> &BaseSeconds);
+
+/// The geometric mean of \p Overheads, each clamped below at 0.001 so
+/// that a zero or negative overhead (a detector run no slower than the
+/// base, which noise can produce) cannot zero or undefine the mean; 0 for
+/// an empty list.
 double geomeanOverhead(const std::vector<double> &Overheads);
 
-/// Parses --small/--iters=N/--seed=N/--jobs=N/--replay/--no-replay/
-/// --record-dir=DIR/--detect-shards=N, the command-line options shared
-/// by the bench binaries. Numbers are strict decimals
-/// (support/ParseNumber.h). An unknown option, a malformed value, or
-/// --record-dir under a final --no-replay (only replay records) prints
-/// "<argv0>: error: ..." and exits with status 1.
+/// Parses --small/--iters=N/--seed=N/--jobs=N/--detect-shards=N, the
+/// command-line options shared by the bench binaries. Numbers are strict
+/// decimals (support/ParseNumber.h). An unknown option or a malformed
+/// value prints "<argv0>: error: ..." and exits with status 1.
 struct BenchArgs {
   SuiteScale Scale = SuiteScale::Bench;
   ExperimentOptions Opts;

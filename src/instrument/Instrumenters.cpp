@@ -360,12 +360,30 @@ bigfoot::instrumentBigFoot(const Program &P, const PlacementOptions &Opts) {
   return Out;
 }
 
+std::optional<InstrumentedProgram>
+bigfoot::instrumentNamed(const Program &P, std::string_view Name) {
+  if (Name == "fasttrack")
+    return instrumentFastTrack(P);
+  if (Name == "redcard")
+    return instrumentRedCard(P);
+  if (Name == "slimstate")
+    return instrumentSlimState(P);
+  if (Name == "slimcard")
+    return instrumentSlimCard(P);
+  if (Name == "bigfoot")
+    return instrumentBigFoot(P);
+  if (Name == "djit") {
+    InstrumentedProgram Djit = instrumentFastTrack(P);
+    Djit.Tool = djitConfig();
+    return Djit;
+  }
+  return std::nullopt;
+}
+
 std::vector<InstrumentedProgram> bigfoot::instrumentAll(const Program &P) {
   std::vector<InstrumentedProgram> Out;
-  Out.push_back(instrumentFastTrack(P));
-  Out.push_back(instrumentRedCard(P));
-  Out.push_back(instrumentSlimState(P));
-  Out.push_back(instrumentSlimCard(P));
-  Out.push_back(instrumentBigFoot(P));
+  for (std::string_view Name : kToolNames)
+    if (Name != "djit")
+      Out.push_back(*instrumentNamed(P, Name));
   return Out;
 }

@@ -14,7 +14,9 @@
 ///                static field proxies,
 ///   SlimState  — FastTrack placement (its compression is dynamic),
 ///   SlimCard   — RedCard placement + SlimState runtime,
-///   BigFoot    — the full Section 3 check motion and coalescing.
+///   BigFoot    — the full Section 3 check motion and coalescing,
+///   DJIT+      — FastTrack placement, vector clocks everywhere (an extra
+///                baseline beyond the paper's five).
 ///
 //===----------------------------------------------------------------------===//
 
@@ -25,7 +27,10 @@
 #include "bfj/Program.h"
 #include "runtime/Detector.h"
 
+#include <array>
 #include <memory>
+#include <optional>
+#include <string_view>
 
 namespace bigfoot {
 
@@ -45,7 +50,19 @@ InstrumentedProgram
 instrumentBigFoot(const Program &P,
                   const PlacementOptions &Opts = PlacementOptions());
 
-/// All five, keyed by tool name, for the experiment harness.
+/// The six detector configurations by name, in the order of every table,
+/// harness result and test grid: the paper's five tools, then DJIT+
+/// (vector clocks everywhere, on FastTrack's placement) as an extra
+/// baseline.
+inline constexpr std::array<const char *, 6> kToolNames = {
+    "fasttrack", "redcard", "slimstate", "slimcard", "bigfoot", "djit"};
+
+/// Instruments \p P for the kToolNames entry \p Name; nullopt for any
+/// other name.
+std::optional<InstrumentedProgram> instrumentNamed(const Program &P,
+                                                   std::string_view Name);
+
+/// The paper's five tools: every kToolNames entry but DJIT+, in order.
 std::vector<InstrumentedProgram> instrumentAll(const Program &P);
 
 } // namespace bigfoot

@@ -34,6 +34,37 @@ AffineExpr AffineExpr::operator*(int64_t Scale) const {
   return Out;
 }
 
+std::optional<AffineExpr>
+AffineExpr::checkedCombine(const AffineExpr &Other, bool Subtract) const {
+  auto Overflows = [Subtract](int64_t L, int64_t R, int64_t &Out) {
+    return Subtract ? __builtin_sub_overflow(L, R, &Out)
+                    : __builtin_add_overflow(L, R, &Out);
+  };
+  AffineExpr Out = *this;
+  if (Overflows(Constant, Other.Constant, Out.Constant))
+    return std::nullopt;
+  for (const auto &[Name, Coeff] : Other.Terms) {
+    int64_t &Slot = Out.Terms[Name];
+    if (Overflows(Slot, Coeff, Slot))
+      return std::nullopt;
+    if (Slot == 0)
+      Out.Terms.erase(Name);
+  }
+  return Out;
+}
+
+std::optional<AffineExpr> AffineExpr::checkedScale(int64_t Scale) const {
+  AffineExpr Out;
+  if (Scale == 0)
+    return Out;
+  if (__builtin_mul_overflow(Constant, Scale, &Out.Constant))
+    return std::nullopt;
+  for (const auto &[Name, Coeff] : Terms)
+    if (__builtin_mul_overflow(Coeff, Scale, &Out.Terms[Name]))
+      return std::nullopt;
+  return Out;
+}
+
 AffineExpr AffineExpr::substitute(const std::string &Name,
                                   const AffineExpr &Replacement) const {
   auto It = Terms.find(Name);

@@ -82,6 +82,16 @@ public:
     return *this - AffineExpr::constant(C);
   }
 
+  /// Checked forms of +, - and scaling, for constant folding: nullopt
+  /// when the constant or a coefficient would overflow int64.
+  std::optional<AffineExpr> checkedAdd(const AffineExpr &Other) const {
+    return checkedCombine(Other, /*Subtract=*/false);
+  }
+  std::optional<AffineExpr> checkedSub(const AffineExpr &Other) const {
+    return checkedCombine(Other, /*Subtract=*/true);
+  }
+  std::optional<AffineExpr> checkedScale(int64_t Scale) const;
+
   bool operator==(const AffineExpr &Other) const {
     return Constant == Other.Constant && Terms == Other.Terms;
   }
@@ -107,6 +117,9 @@ public:
 private:
   std::map<std::string, int64_t> Terms;
   int64_t Constant;
+
+  std::optional<AffineExpr> checkedCombine(const AffineExpr &Other,
+                                           bool Subtract) const;
 
   void addTerm(const std::string &Name, int64_t Coeff) {
     int64_t &Slot = Terms[Name];

@@ -719,12 +719,12 @@ private:
         break;
       case Opcode::Neg: {
         const Value &V = Regs[I.B];
-        if (V.K != Value::Kind::Int) {
+        int64_t Out = 0;
+        if (V.K != Value::Kind::Int)
           setError("negation of a non-integer");
-          Regs[I.A] = Value::intV(0);
-        } else {
-          Regs[I.A] = Value::intV(-V.I);
-        }
+        else if (__builtin_sub_overflow(int64_t(0), V.I, &Out))
+          setError("negation overflow"); // -INT64_MIN has no int64 value.
+        Regs[I.A] = Value::intV(Out);
         break;
       }
       case Opcode::Not:
@@ -751,14 +751,18 @@ private:
         }
         int64_t A = L.I, B = Rv.I, Out = 0;
         switch (I.Op) {
+        // A result int64 cannot hold fails the run, as division does.
         case Opcode::Add:
-          Out = A + B;
+          if (__builtin_add_overflow(A, B, &Out))
+            setError("addition overflow");
           break;
         case Opcode::Sub:
-          Out = A - B;
+          if (__builtin_sub_overflow(A, B, &Out))
+            setError("subtraction overflow");
           break;
         case Opcode::Mul:
-          Out = A * B;
+          if (__builtin_mul_overflow(A, B, &Out))
+            setError("multiplication overflow");
           break;
         case Opcode::Div:
           // INT64_MIN / -1 has no int64 result (the CPU traps on it).

@@ -569,6 +569,53 @@ thread {
   EXPECT_GE(ArrayPaths, 1u) << printProgram(*Prog);
 }
 
+TEST(CheckPlacement, OverflowingFoldsAreDeclined) {
+  // toAffine folds + - * and unary - over constants and coefficients. A
+  // fold whose constant or coefficient int64 cannot hold is declined
+  // instead of overflowing; the same folds one step inside the range
+  // still happen.
+  const int64_t Max = 9223372036854775807;
+  auto minInt = [Max] { return sub(sub(intLit(0), intLit(Max)), intLit(1)); };
+  auto mul = [](std::unique_ptr<Expr> L, std::unique_ptr<Expr> R) {
+    return binary(BinaryOp::Mul, std::move(L), std::move(R));
+  };
+  EXPECT_FALSE(toAffine(add(intLit(Max), intLit(1)).get()));
+  EXPECT_FALSE(toAffine(sub(minInt(), intLit(1)).get()));
+  EXPECT_FALSE(toAffine(mul(intLit(Max), intLit(2)).get()));
+  EXPECT_FALSE(toAffine(unary(UnaryOp::Neg, minInt()).get()));
+  EXPECT_FALSE(toAffine(add(mul(var("i"), intLit(Max)), var("i")).get()));
+  EXPECT_FALSE(toAffine(sub(var("i"), mul(var("i"), minInt())).get()));
+
+  EXPECT_EQ(toAffine(add(intLit(Max), intLit(0)).get()),
+            AffineExpr::constant(Max));
+  EXPECT_EQ(toAffine(sub(minInt(), intLit(0)).get()),
+            AffineExpr::constant(-Max - 1));
+  EXPECT_EQ(toAffine(mul(intLit(Max), intLit(-1)).get()),
+            AffineExpr::constant(-Max));
+  EXPECT_EQ(toAffine(unary(UnaryOp::Neg, intLit(Max)).get()),
+            AffineExpr::constant(-Max));
+  EXPECT_EQ(toAffine(sub(mul(var("i"), intLit(Max)), var("i")).get()),
+            AffineExpr::variable("i") * (Max - 1));
+
+  // A loop bounded by an overflowing sum still gets its checks placed.
+  auto Prog = instrument(R"(
+thread {
+  a = new_array(4);
+  i = 0;
+  while (i < 9223372036854775807 + 1) {
+    a[0] = i;
+    i = i + 1;
+  }
+}
+)");
+  size_t ArrayPaths = 0;
+  for (const CheckStmt *C : allChecks(*Prog))
+    for (const Path &P : C->paths())
+      if (P.isArray() && P.Designator == "a")
+        ++ArrayPaths;
+  EXPECT_GE(ArrayPaths, 1u) << printProgram(*Prog);
+}
+
 TEST(CheckPlacement, InstrumentedProgramStillPrintsAndParses) {
   auto Prog = instrument(R"(
 class C {

@@ -5,7 +5,8 @@
 // Golden differential for the execution/detection decoupling: every way a
 // detector can consume the event stream — per-event dispatch (ring
 // capacity 1), batched dispatch (the default ring), one detector lane,
-// N location-partitioned lanes, and offline replay of a recorded trace —
+// N location-partitioned lanes, and offline replay of a recorded trace,
+// also under another config that shares the recording's placement —
 // must produce byte-identical results. Coverage grid matches the
 // interning golden test: every workload (standard suite at Test scale
 // plus the racy variants) × all six detector configurations × three
@@ -25,27 +26,13 @@
 
 #include <gtest/gtest.h>
 
+#include <map>
 #include <string>
 #include <vector>
 
 using namespace bigfoot;
 
 namespace {
-
-/// The six configurations the paper's Figure 2 table evaluates, mirroring
-/// harness/Experiment.cpp.
-std::vector<InstrumentedProgram> allSixConfigs(const Program &P) {
-  std::vector<InstrumentedProgram> All;
-  All.push_back(instrumentFastTrack(P));
-  All.push_back(instrumentRedCard(P));
-  All.push_back(instrumentSlimState(P));
-  All.push_back(instrumentSlimCard(P));
-  All.push_back(instrumentBigFoot(P));
-  InstrumentedProgram Djit = instrumentFastTrack(P);
-  Djit.Tool = djitConfig();
-  All.push_back(std::move(Djit));
-  return All;
-}
 
 void expectSameRun(const std::string &Tag, const VmResult &A,
                    const VmResult &B) {
@@ -99,15 +86,21 @@ TEST(EventStreamEquivalence, DispatchModesAgreeEverywhere) {
   std::vector<Workload> Suite = standardSuite(SuiteScale::Test);
   for (Workload &W : racyVariants())
     Suite.push_back(std::move(W));
+  // Configs that share the placement of an earlier kToolNames entry, and
+  // that entry.
+  const std::map<std::string, std::string> SharesPlacementOf = {
+      {"slimstate", "fasttrack"}, {"slimcard", "redcard"},
+      {"djit", "fasttrack"}};
   for (const Workload &W : Suite) {
     ParseResult PR = parseProgram(W.Source);
     ASSERT_TRUE(PR.ok()) << W.Name << ": " << PR.Error;
     PR.Prog->internSymbols(); // The trace header needs the symbol table.
-    std::vector<InstrumentedProgram> Configs = allSixConfigs(*PR.Prog);
-    for (const InstrumentedProgram &IP : Configs) {
+    std::map<std::string, std::vector<uint8_t>> Traces; // Each run's, by Tag.
+    for (const char *Name : kToolNames) {
+      InstrumentedProgram IP = *instrumentNamed(*PR.Prog, Name);
       for (uint64_t Seed = 1; Seed <= 3; ++Seed) {
-        std::string Tag =
-            W.Name + "/" + IP.Tool.Name + "/seed" + std::to_string(Seed);
+        std::string Seeded = "/seed" + std::to_string(Seed);
+        std::string Tag = W.Name + "/" + Name + Seeded;
 
         VmOptions Opts;
         Opts.Seed = Seed;
@@ -196,6 +189,24 @@ TEST(EventStreamEquivalence, DispatchModesAgreeEverywhere) {
         expectReplayMatches(Tag + " batched-vs-sharded-replay", Batched,
                             RepSharded);
         EXPECT_EQ(RepSharded.ShardOrderViolations, 0u) << Tag;
+
+        // Cross-config replay: the trace of the config whose placement
+        // this one shares, replayed under this config, must reproduce
+        // this config's own run.
+        Traces[Tag] = Writer.buffer();
+        auto Shared = SharesPlacementOf.find(Name);
+        if (Shared == SharesPlacementOf.end())
+          continue;
+        const std::vector<uint8_t> &Trace =
+            Traces.at(W.Name + "/" + Shared->second + Seeded);
+        TraceReader CrossReader;
+        ASSERT_TRUE(CrossReader.open(Trace.data(), Trace.size()))
+            << Tag << ": " << CrossReader.error();
+        ReplayOptions CrossRO;
+        CrossRO.EnableGroundTruth = true;
+        expectReplayMatches(Tag + " batched-vs-replay-of-" + Shared->second,
+                            Batched,
+                            replayTrace(CrossReader, IP.Tool, CrossRO));
       }
     }
   }
@@ -216,8 +227,9 @@ TEST(EventStreamEquivalence, ShardedMergeDeterministicAcrossShardCounts) {
     ParseResult PR = parseProgram(W.Source);
     ASSERT_TRUE(PR.ok()) << W.Name << ": " << PR.Error;
     PR.Prog->internSymbols();
-    for (const InstrumentedProgram &IP : allSixConfigs(*PR.Prog)) {
-      std::string Tag = W.Name + "/" + IP.Tool.Name + "/sharded-merge";
+    for (const char *Name : kToolNames) {
+      InstrumentedProgram IP = *instrumentNamed(*PR.Prog, Name);
+      std::string Tag = W.Name + "/" + Name + "/sharded-merge";
 
       VmOptions Opts;
       Opts.Seed = 2;
@@ -326,10 +338,11 @@ thread {
   ParseResult PR = parseProgram(Source);
   ASSERT_TRUE(PR.ok()) << PR.Error;
   PR.Prog->internSymbols();
-  for (const InstrumentedProgram &IP : allSixConfigs(*PR.Prog)) {
+  for (const char *Name : kToolNames) {
+    InstrumentedProgram IP = *instrumentNamed(*PR.Prog, Name);
     for (uint64_t Seed = 1; Seed <= 3; ++Seed) {
       std::string Tag =
-          "lock_churn/" + IP.Tool.Name + "/seed" + std::to_string(Seed);
+          "lock_churn/" + std::string(Name) + "/seed" + std::to_string(Seed);
 
       VmOptions Opts;
       Opts.Seed = Seed;

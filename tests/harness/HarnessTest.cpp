@@ -4,7 +4,7 @@
 //
 //===----------------------------------------------------------------------===//
 
-#include "events/ShardedSink.h"
+#include "bfj/Parser.h"
 #include "harness/Experiment.h"
 #include "support/Stats.h"
 #include "support/TablePrinter.h"
@@ -12,9 +12,40 @@
 
 #include <gtest/gtest.h>
 
+#include <memory>
 #include <sstream>
 
 using namespace bigfoot;
+
+namespace {
+
+/// Everything but the timings of \p A and \p B must agree.
+void expectSameCounters(const ExperimentResult &A, const ExperimentResult &B) {
+  EXPECT_EQ(A.Workload, B.Workload);
+  EXPECT_EQ(A.Accesses, B.Accesses) << A.Workload;
+  EXPECT_EQ(A.FieldAccesses, B.FieldAccesses) << A.Workload;
+  EXPECT_EQ(A.ArrayAccesses, B.ArrayAccesses) << A.Workload;
+  EXPECT_EQ(A.BaseHeapBytes, B.BaseHeapBytes) << A.Workload;
+  EXPECT_EQ(A.BigFootChecks, B.BigFootChecks) << A.Workload;
+  EXPECT_EQ(A.MethodsProcessed, B.MethodsProcessed) << A.Workload;
+  ASSERT_EQ(A.Tools.size(), B.Tools.size()) << A.Workload;
+  for (size_t T = 0; T < A.Tools.size(); ++T) {
+    std::string Tag = A.Workload + "/" + A.Tools[T].Tool;
+    EXPECT_EQ(A.Tools[T].Tool, B.Tools[T].Tool) << Tag;
+    EXPECT_EQ(A.Tools[T].ShadowOps, B.Tools[T].ShadowOps) << Tag;
+    EXPECT_EQ(A.Tools[T].Races, B.Tools[T].Races) << Tag;
+    EXPECT_EQ(A.Tools[T].PeakShadowBytes, B.Tools[T].PeakShadowBytes) << Tag;
+    EXPECT_EQ(A.Tools[T].PeakShadowLocations, B.Tools[T].PeakShadowLocations)
+        << Tag;
+    EXPECT_DOUBLE_EQ(A.Tools[T].CheckRatio, B.Tools[T].CheckRatio) << Tag;
+    EXPECT_DOUBLE_EQ(A.Tools[T].FieldCheckRatio, B.Tools[T].FieldCheckRatio)
+        << Tag;
+    EXPECT_DOUBLE_EQ(A.Tools[T].ArrayCheckRatio, B.Tools[T].ArrayCheckRatio)
+        << Tag;
+  }
+}
+
+} // namespace
 
 TEST(Harness, RunsOneWorkloadEndToEnd) {
   Workload W = workloadByName("tomcat", SuiteScale::Test);
@@ -62,7 +93,7 @@ TEST(Harness, ShadowOpsNeverExceedFastTrackOnCompressedTools) {
 }
 
 TEST(Harness, SuiteResultsIdenticalAcrossJobCounts) {
-  // Iterations = 0 skips the wall-clock phase, so everything measured is
+  // Iterations = 0 skips the timed rounds, so everything measured is
   // deterministic; serial and 4-way parallel runs must agree exactly, in
   // the same order.
   ExperimentOptions Serial;
@@ -73,93 +104,95 @@ TEST(Harness, SuiteResultsIdenticalAcrossJobCounts) {
   std::vector<ExperimentResult> A = runSuite(SuiteScale::Test, Serial);
   std::vector<ExperimentResult> B = runSuite(SuiteScale::Test, Parallel);
   ASSERT_EQ(A.size(), B.size());
-  for (size_t I = 0; I < A.size(); ++I) {
-    EXPECT_EQ(A[I].Workload, B[I].Workload);
-    EXPECT_EQ(A[I].Accesses, B[I].Accesses);
-    EXPECT_EQ(A[I].BaseHeapBytes, B[I].BaseHeapBytes);
-    EXPECT_EQ(A[I].BigFootChecks, B[I].BigFootChecks);
-    EXPECT_EQ(A[I].MethodsProcessed, B[I].MethodsProcessed);
-    ASSERT_EQ(A[I].Tools.size(), B[I].Tools.size());
-    for (size_t T = 0; T < A[I].Tools.size(); ++T) {
-      EXPECT_EQ(A[I].Tools[T].Tool, B[I].Tools[T].Tool);
-      EXPECT_EQ(A[I].Tools[T].ShadowOps, B[I].Tools[T].ShadowOps);
-      EXPECT_EQ(A[I].Tools[T].Races, B[I].Tools[T].Races);
-      EXPECT_EQ(A[I].Tools[T].PeakShadowBytes,
-                B[I].Tools[T].PeakShadowBytes);
-      EXPECT_EQ(A[I].Tools[T].PeakShadowLocations,
-                B[I].Tools[T].PeakShadowLocations);
-      EXPECT_DOUBLE_EQ(A[I].Tools[T].CheckRatio, B[I].Tools[T].CheckRatio);
-    }
-  }
-}
-
-TEST(Harness, ReplaySuiteMatchesDirectExecution) {
-  // The record-once/replay-many counters phase (3 recorded placements +
-  // 6 offline replays per workload) must be bytewise indistinguishable
-  // from running all 6 detectors inline.
-  ExperimentOptions Direct;
-  Direct.Iterations = 0;
-  Direct.Jobs = 1;
-  Direct.UseReplay = false;
-  ExperimentOptions Replayed = Direct;
-  Replayed.UseReplay = true;
-  std::vector<ExperimentResult> A = runSuite(SuiteScale::Test, Direct);
-  std::vector<ExperimentResult> B = runSuite(SuiteScale::Test, Replayed);
-  ASSERT_EQ(A.size(), B.size());
-  for (size_t I = 0; I < A.size(); ++I) {
-    EXPECT_EQ(A[I].Workload, B[I].Workload);
-    EXPECT_EQ(A[I].Accesses, B[I].Accesses);
-    EXPECT_EQ(A[I].FieldAccesses, B[I].FieldAccesses);
-    EXPECT_EQ(A[I].ArrayAccesses, B[I].ArrayAccesses);
-    EXPECT_EQ(A[I].BaseHeapBytes, B[I].BaseHeapBytes);
-    EXPECT_EQ(A[I].BigFootChecks, B[I].BigFootChecks);
-    ASSERT_EQ(A[I].Tools.size(), B[I].Tools.size());
-    for (size_t T = 0; T < A[I].Tools.size(); ++T) {
-      std::string Tag = A[I].Workload + "/" + A[I].Tools[T].Tool;
-      EXPECT_EQ(A[I].Tools[T].Tool, B[I].Tools[T].Tool) << Tag;
-      EXPECT_EQ(A[I].Tools[T].ShadowOps, B[I].Tools[T].ShadowOps) << Tag;
-      EXPECT_EQ(A[I].Tools[T].Races, B[I].Tools[T].Races) << Tag;
-      EXPECT_EQ(A[I].Tools[T].PeakShadowBytes, B[I].Tools[T].PeakShadowBytes)
-          << Tag;
-      EXPECT_EQ(A[I].Tools[T].PeakShadowLocations,
-                B[I].Tools[T].PeakShadowLocations)
-          << Tag;
-      EXPECT_DOUBLE_EQ(A[I].Tools[T].CheckRatio, B[I].Tools[T].CheckRatio)
-          << Tag;
-      EXPECT_DOUBLE_EQ(A[I].Tools[T].FieldCheckRatio,
-                       B[I].Tools[T].FieldCheckRatio)
-          << Tag;
-      EXPECT_DOUBLE_EQ(A[I].Tools[T].ArrayCheckRatio,
-                       B[I].Tools[T].ArrayCheckRatio)
-          << Tag;
-    }
-  }
+  for (size_t I = 0; I < A.size(); ++I)
+    expectSameCounters(A[I], B[I]);
 }
 
 TEST(Harness, OneLaneMatchesInlineCounters) {
   // --detect-shards=1 moves detection to another thread but must not
-  // change a single measured number. No-replay mode so every tool
-  // actually runs with its detector attached (replay-mode counters never
-  // attach one).
+  // change a single measured number.
   Workload W = workloadByName("tomcat", SuiteScale::Test);
   ExperimentOptions Inline;
   Inline.Iterations = 0;
-  Inline.UseReplay = false;
   ExperimentOptions OneLane = Inline;
   OneLane.DetectShards = 1;
-  ExperimentResult A = runExperiment(W, Inline);
-  ExperimentResult B = runExperiment(W, OneLane);
-  ASSERT_EQ(A.Tools.size(), B.Tools.size());
-  for (size_t T = 0; T < A.Tools.size(); ++T) {
-    const std::string &Tag = A.Tools[T].Tool;
-    EXPECT_EQ(A.Tools[T].Tool, B.Tools[T].Tool) << Tag;
-    EXPECT_EQ(A.Tools[T].ShadowOps, B.Tools[T].ShadowOps) << Tag;
-    EXPECT_EQ(A.Tools[T].Races, B.Tools[T].Races) << Tag;
-    EXPECT_EQ(A.Tools[T].PeakShadowBytes, B.Tools[T].PeakShadowBytes) << Tag;
-    EXPECT_EQ(A.Tools[T].PeakShadowLocations, B.Tools[T].PeakShadowLocations)
-        << Tag;
-    EXPECT_DOUBLE_EQ(A.Tools[T].CheckRatio, B.Tools[T].CheckRatio) << Tag;
+  expectSameCounters(runExperiment(W, Inline), runExperiment(W, OneLane));
+}
+
+TEST(Harness, TimedRoundsKeepTheReferenceCounters) {
+  // Timing reruns every leg; it must time each one and change no counter.
+  Workload W = workloadByName("crypt", SuiteScale::Test);
+  ExperimentOptions Untimed;
+  Untimed.Iterations = 0;
+  ExperimentOptions Timed = Untimed;
+  Timed.Iterations = 2;
+  ExperimentResult A = runExperiment(W, Untimed);
+  ExperimentResult B = runExperiment(W, Timed);
+  expectSameCounters(A, B);
+  EXPECT_EQ(A.BaseSeconds, 0.0);
+  EXPECT_GT(B.BaseSeconds, 0.0);
+  for (const ToolMetrics &M : B.Tools)
+    EXPECT_GT(M.Seconds, 0.0) << M.Tool;
+}
+
+TEST(Harness, TimeRoundsRotatesTheLegOrder) {
+  auto Prog = parseProgramOrDie("thread { x = 1; }");
+  std::string Order;
+  std::vector<TimedLeg> Legs;
+  for (const char *Name : {"a", "b", "c"}) {
+    TimedLeg L;
+    L.Name = Name;
+    L.Run = [&Order, &Prog, Name] {
+      Order += Name;
+      return runProgramBase(*Prog);
+    };
+    L.Reference = runProgramBase(*Prog);
+    Legs.push_back(std::move(L));
   }
+  std::vector<std::vector<double>> Seconds = timeRounds("w", Legs, 4);
+  EXPECT_EQ(Order, "abcbcacababc");
+  ASSERT_EQ(Seconds.size(), 3u);
+  for (const std::vector<double> &Leg : Seconds) {
+    ASSERT_EQ(Leg.size(), 4u);
+    for (double S : Leg)
+      EXPECT_GT(S, 0.0);
+  }
+}
+
+TEST(Harness, TimeRoundsStopsOnARunUnlikeItsReference) {
+  // A timed run that prints another line than the leg's reference run
+  // aborts the measurement, naming the workload, the leg and the round.
+  std::shared_ptr<Program> One = parseProgramOrDie("thread { print 1; }");
+  std::shared_ptr<Program> Two = parseProgramOrDie("thread { print 2; }");
+  auto Calls = std::make_shared<int>(0);
+  TimedLeg Base;
+  Base.Name = "base";
+  Base.Run = [One] { return runProgramBase(*One); };
+  Base.Reference = Base.Run();
+  TimedLeg Flaky;
+  Flaky.Name = "flaky";
+  Flaky.Run = [One, Two, Calls] {
+    return runProgramBase(++*Calls == 1 ? *One : *Two);
+  };
+  Flaky.Reference = Flaky.Run();
+  ASSERT_EQ(Flaky.Reference.Output, std::vector<std::string>{"1"});
+  EXPECT_DEATH(timeRounds("sor", {Base, Flaky}, 3),
+               "workload sor, leg flaky, round 0: .* in its output");
+}
+
+TEST(Harness, OverheadPairsEachLegRunWithItsOwnRoundsBase) {
+  // Per-round ratios 2, 3 and 2: median 2, so the overhead is 1.0. A
+  // ratio of medians (3 / 1) would give 2.0.
+  EXPECT_DOUBLE_EQ(overheadOf({2, 3, 10}, {1, 1, 5}), 1.0);
+  EXPECT_DOUBLE_EQ(overheadOf({1.5}, {1}), 0.5);
+  EXPECT_DOUBLE_EQ(overheadOf({}, {}), 0.0);
+}
+
+TEST(Harness, MedianOfOddEvenAndEmpty) {
+  EXPECT_DOUBLE_EQ(medianOf({3, 1, 2}), 2.0);
+  EXPECT_DOUBLE_EQ(medianOf({4, 1, 3, 2}), 2.5);
+  EXPECT_DOUBLE_EQ(medianOf({7}), 7.0);
+  EXPECT_DOUBLE_EQ(medianOf({}), 0.0);
 }
 
 TEST(Harness, GeomeanOverheadBehaves) {
@@ -184,29 +217,6 @@ TEST(Harness, BenchArgsParsing) {
   // --iters=0 is a legitimate counters-only request, not clamped.
   const char *Zero[] = {"prog", "--iters=0"};
   EXPECT_EQ(parseBenchArgs(2, const_cast<char **>(Zero)).Opts.Iterations, 0);
-  // Replay knobs: on by default, --no-replay disables, --replay re-enables,
-  // --record-dir= captures the trace directory.
-  EXPECT_TRUE(Defaults.Opts.UseReplay);
-  EXPECT_TRUE(Defaults.Opts.RecordDir.empty());
-  const char *NoReplay[] = {"prog", "--no-replay"};
-  EXPECT_FALSE(
-      parseBenchArgs(2, const_cast<char **>(NoReplay)).Opts.UseReplay);
-  const char *Replay[] = {"prog", "--no-replay", "--replay",
-                          "--record-dir=/tmp/traces"};
-  BenchArgs R = parseBenchArgs(4, const_cast<char **>(Replay));
-  EXPECT_TRUE(R.Opts.UseReplay);
-  EXPECT_EQ(R.Opts.RecordDir, "/tmp/traces");
-  // Only the replay path records, so a final --no-replay beside
-  // --record-dir is an error, in either order, not a silent no-op.
-  for (bool DirFirst : {false, true}) {
-    const char *Dir = "--record-dir=/tmp/traces";
-    const char *RecordNoReplay[] = {"prog", DirFirst ? Dir : "--no-replay",
-                                    DirFirst ? "--no-replay" : Dir};
-    EXPECT_EXIT(parseBenchArgs(3, const_cast<char **>(RecordNoReplay)),
-                ::testing::ExitedWithCode(1),
-                "prog: error: --record-dir needs --replay")
-        << DirFirst;
-  }
   // Lane counts: inline by default; a number sets them.
   EXPECT_EQ(Defaults.Opts.DetectShards, 0u);
   const char *Lanes[] = {"prog", "--detect-shards=3"};
@@ -233,10 +243,12 @@ TEST(Harness, BenchArgsParsing) {
   }
   // And any unknown option: a typo must not run with the setting
   // unchanged.
-  // --no-check-filter is gone with the dynamic check filter.
+  // --no-check-filter is gone with the dynamic check filter, and the
+  // replay knobs with the record/replay counters phase.
   for (const char *Bad : {"--no-checkfilter", "--ast", "--workload=sor",
                           "--iters", "extra", "--async-detect",
-                          "--no-check-filter"}) {
+                          "--no-check-filter", "--replay", "--no-replay",
+                          "--record-dir=D"}) {
     const char *BadArgv[] = {"prog", Bad};
     EXPECT_EXIT(parseBenchArgs(2, const_cast<char **>(BadArgv)),
                 ::testing::ExitedWithCode(1), "prog: error: unknown option")

@@ -190,6 +190,16 @@ thread { o = new C; o.f = 1; }
   EXPECT_TRUE(instrumentSlimCard(*Prog).Tool.AdaptiveArrayShadow);
   EXPECT_TRUE(instrumentBigFoot(*Prog).Tool.DeferArrayChecks);
   EXPECT_EQ(instrumentRedCard(*Prog).Tool.Name, "redcard");
+  // Each kToolNames entry instruments to the config of that name, DJIT+
+  // on FastTrack's placement; any other name is refused.
+  for (const char *Name : kToolNames)
+    EXPECT_EQ(instrumentNamed(*Prog, Name)->Tool.Name, Name);
+  std::optional<InstrumentedProgram> Djit = instrumentNamed(*Prog, "djit");
+  EXPECT_TRUE(Djit->Tool.VectorClocksOnly);
+  EXPECT_EQ(printProgram(*Djit->Prog),
+            printProgram(*instrumentFastTrack(*Prog).Prog));
+  EXPECT_FALSE(instrumentNamed(*Prog, "none"));
+  EXPECT_FALSE(instrumentNamed(*Prog, "BigFoot"));
 }
 
 TEST(Placement, BigFootNeverChecksMoreThanRedCard) {

@@ -59,21 +59,6 @@ std::string goldenPath(const char *Name) {
   return std::string(BIGFOOT_TEST_DIR) + "/runtime/golden/" + Name;
 }
 
-/// The six configurations the paper's Figure 2 table evaluates (five tools
-/// plus the DJIT+ baseline), mirroring harness/Experiment.cpp.
-std::vector<InstrumentedProgram> allSixConfigs(const Program &P) {
-  std::vector<InstrumentedProgram> All;
-  All.push_back(instrumentFastTrack(P));
-  All.push_back(instrumentRedCard(P));
-  All.push_back(instrumentSlimState(P));
-  All.push_back(instrumentSlimCard(P));
-  All.push_back(instrumentBigFoot(P));
-  InstrumentedProgram Djit = instrumentFastTrack(P);
-  Djit.Tool = djitConfig();
-  All.push_back(std::move(Djit));
-  return All;
-}
-
 /// Calls \p F(Workload, Config, Seed) for every cell of the golden grid:
 /// each workload (the standard suite at Test scale plus the racy
 /// variants) × six configs × seeds 1..3.
@@ -88,9 +73,11 @@ template <typename Fn> void forEachGoldenRun(Fn &&F) {
                     << " failed to parse: " << PR.Error;
       continue;
     }
-    for (const InstrumentedProgram &IP : allSixConfigs(*PR.Prog))
+    for (const char *Name : kToolNames) {
+      InstrumentedProgram IP = *instrumentNamed(*PR.Prog, Name);
       for (uint64_t Seed = 1; Seed <= 3; ++Seed)
         F(W, IP, Seed);
+    }
   }
 }
 

@@ -332,6 +332,49 @@ thread {
   EXPECT_EQ(R.Output, (std::vector<std::string>{"0", "0", "-7"}));
 }
 
+TEST(Vm, IntegerOverflowIsRuntimeError) {
+  // + - * and unary - fail the run when int64 cannot hold the result, as
+  // division does, instead of wrapping. The statement that overflows
+  // prints nothing.
+  const std::pair<const char *, const char *> Cases[] = {
+      {"x + 1", "addition overflow"},
+      {"0 - x - 2", "subtraction overflow"},
+      {"x * 2", "multiplication overflow"},
+      {"-(0 - x - 1)", "negation overflow"},
+  };
+  for (const auto &[Expr, Error] : Cases) {
+    std::string Source = "thread {\n  x = 9223372036854775807;\n  print x;\n"
+                         "  y = " + std::string(Expr) + ";\n  print y;\n}\n";
+    VmResult R = runSource(Source.c_str());
+    EXPECT_FALSE(R.Ok) << Expr;
+    EXPECT_NE(R.Error.find(Error), std::string::npos) << Expr << ": " << R.Error;
+    EXPECT_EQ(R.Output, (std::vector<std::string>{"9223372036854775807"}))
+        << Expr;
+  }
+}
+
+TEST(Vm, ArithmeticReachesBothInt64Extremes) {
+  VmResult R = runSource(R"(
+thread {
+  x = 9223372036854775807;
+  m = 0 - x - 1;
+  print m;
+  s = m + x;
+  print s;
+  d = 0 - 1 - x;
+  print d;
+  n = -x;
+  print n;
+  p = (0 - 1) * x;
+  print p;
+}
+)");
+  ASSERT_TRUE(R.Ok) << R.Error;
+  EXPECT_EQ(R.Output, (std::vector<std::string>{
+                          "-9223372036854775808", "-1", "-9223372036854775808",
+                          "-9223372036854775807", "-9223372036854775807"}));
+}
+
 TEST(Vm, AssertFailureIsRuntimeError) {
   VmResult R = runSource("thread { x = 1; assert x == 2; }");
   EXPECT_FALSE(R.Ok);

@@ -261,28 +261,6 @@ void reportLanes(const RunResult &Run,
               << " ordering violation(s)\n";
 }
 
-/// Instruments \p Prog for the named tool; false on an unknown name.
-bool instrumentNamed(const Program &Prog, const std::string &ToolName,
-                     InstrumentedProgram &IP) {
-  if (ToolName == "bigfoot")
-    IP = instrumentBigFoot(Prog);
-  else if (ToolName == "fasttrack")
-    IP = instrumentFastTrack(Prog);
-  else if (ToolName == "redcard")
-    IP = instrumentRedCard(Prog);
-  else if (ToolName == "slimstate")
-    IP = instrumentSlimState(Prog);
-  else if (ToolName == "slimcard")
-    IP = instrumentSlimCard(Prog);
-  else if (ToolName == "djit") {
-    IP = instrumentFastTrack(Prog);
-    IP.Tool = djitConfig();
-  } else {
-    return false;
-  }
-  return true;
-}
-
 /// The config \p Name replays a recorded trace under. Proxy maps are
 /// placement properties, so they come from the recorded config.
 bool replayConfigNamed(const std::string &Name,
@@ -342,16 +320,17 @@ int traceMain(int Argc, char **Argv) {
     }
     if (A.ToolName.empty())
       A.ToolName = "bigfoot";
-    InstrumentedProgram IP;
-    if (!instrumentNamed(*PR.Prog, A.ToolName, IP)) {
+    std::optional<InstrumentedProgram> IP =
+        instrumentNamed(*PR.Prog, A.ToolName);
+    if (!IP) {
       std::cerr << "bigfoot: error: unknown tool '" << A.ToolName << "'\n";
       return 1;
     }
-    IP.Prog->internSymbols(); // The trace header serializes the table.
-    TraceWriter Writer(IP.Prog->symbols(), IP.Tool);
+    IP->Prog->internSymbols(); // The trace header serializes the table.
+    TraceWriter Writer(IP->Prog->symbols(), IP->Tool);
     A.Vm.RecordSink = &Writer;
     A.Vm.EnableGroundTruth = A.Oracle;
-    VmResult Run = runProgram(*IP.Prog, IP.Tool, A.Vm);
+    VmResult Run = runProgram(*IP->Prog, IP->Tool, A.Vm);
     Writer.finish(summaryOf(Run));
     if (!Writer.writeFile(A.OutPath)) {
       std::cerr << "bigfoot: error: cannot write trace '" << A.OutPath
@@ -476,19 +455,20 @@ int main(int Argc, char **Argv) {
     return 0;
   }
 
-  InstrumentedProgram IP;
-  if (!instrumentNamed(*PR.Prog, A.ToolName, IP)) {
+  std::optional<InstrumentedProgram> IP =
+      instrumentNamed(*PR.Prog, A.ToolName);
+  if (!IP) {
     std::cerr << "bigfoot: error: unknown tool '" << A.ToolName << "'\n";
     return 1;
   }
 
   if (A.PrintOnly) {
-    std::cout << printProgram(*IP.Prog);
+    std::cout << printProgram(*IP->Prog);
     return 0;
   }
 
   A.Vm.EnableGroundTruth = A.Oracle;
-  VmResult Run = runProgram(*IP.Prog, IP.Tool, A.Vm);
+  VmResult Run = runProgram(*IP->Prog, IP->Tool, A.Vm);
   reportLanes(Run, Run.VmSeconds);
   return reportRun(A.ToolName, Run, A.Oracle, A.DumpStats);
 }

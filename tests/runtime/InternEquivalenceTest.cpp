@@ -25,6 +25,9 @@
 // placements.golden pins the static placement itself, at Test and Bench
 // scale, including checks on paths no run executes (see the test below).
 //
+// entailment.golden pins the entailment work behind that placement and the
+// H • A contexts it derives, at the same scales (see the test below).
+//
 // Regenerate any of them (only legitimate when intentionally changing
 // detector semantics, the scheduler or the placement) with:
 //   BIGFOOT_REGEN_GOLDEN=1 ./test_intern_equivalence
@@ -100,6 +103,15 @@ void renderRun(std::ostream &Out, const std::string &WorkloadName,
     Out << "counter " << Name << "=" << Value << "\n";
   }
   Out << "end\n";
+}
+
+/// The FNV-1a digest of \p Text as 16 hex digits.
+std::string hexDigest(const std::string &Text) {
+  char Digest[17];
+  std::snprintf(Digest, sizeof(Digest), "%016llx",
+                static_cast<unsigned long long>(test::streamDigest(
+                    std::vector<uint8_t>(Text.begin(), Text.end()))));
+  return Digest;
 }
 
 std::vector<std::string> splitLines(const std::string &Text) {
@@ -209,21 +221,52 @@ TEST(PlacementGolden, InstrumentedProgramsMatchRecordedPlacements) {
       std::vector<InstrumentedProgram> Placed;
       Placed.push_back(instrumentBigFoot(*PR.Prog));
       Placed.push_back(instrumentRedCard(*PR.Prog));
-      for (const InstrumentedProgram &IP : Placed) {
-        std::string Text = printProgram(*IP.Prog);
-        char Digest[17];
-        std::snprintf(Digest, sizeof(Digest), "%016llx",
-                      static_cast<unsigned long long>(test::streamDigest(
-                          std::vector<uint8_t>(Text.begin(), Text.end()))));
+      for (const InstrumentedProgram &IP : Placed)
         Out << W.Name << " " << ScaleName << " " << IP.Tool.Name
             << " checks=" << IP.Placement.ChecksInserted
             << " paths=" << IP.Placement.PathsInserted
             << " renames=" << IP.Placement.RenamesInserted
-            << " fnv1a64=" << Digest << "\n";
-      }
+            << " fnv1a64=" << hexDigest(printProgram(*IP.Prog)) << "\n";
     }
   }
   expectMatchesGolden(Out.str(), "placements.golden");
+}
+
+//===----------------------------------------------------------------------===
+// Entailment golden: the reasoning behind the placement, pinned as data.
+// One row per standard-suite workload at Test and Bench scale: BigFoot's
+// entailment counts (H ⊢ h queries, constraint systems prepared,
+// Fourier-Motzkin refutations) and the FNV-1a digest of its TraceContexts
+// dump, every H • A context as `bigfoot --contexts` prints it. The dump
+// shows each fact's terms in order, so a change to term order or to a
+// derived fact shows up here even when the printed program, which is all
+// placements.golden sees, stays the same.
+//===----------------------------------------------------------------------===
+
+TEST(EntailmentGolden, CountsAndContextsMatchRecordedPlacements) {
+  std::ostringstream Out;
+  for (SuiteScale Scale : {SuiteScale::Test, SuiteScale::Bench}) {
+    const char *ScaleName = Scale == SuiteScale::Test ? "test" : "bench";
+    for (const Workload &W : standardSuite(Scale)) {
+      ParseResult PR = parseProgram(W.Source);
+      ASSERT_TRUE(PR.ok()) << W.Name << ": " << PR.Error;
+      const EntailmentCounts Counts =
+          instrumentBigFoot(*PR.Prog).Placement.Entailment;
+      PlacementOptions Opts;
+      Opts.TraceContexts = true;
+      std::unique_ptr<Program> Traced = PR.Prog->clone();
+      PlacementStats Stats = placeBigFootChecks(*Traced, Opts);
+      std::string Dump;
+      for (const auto &[Id, Ctx] : Stats.ContextAfter)
+        Dump += "#" + std::to_string(Id) + ": " + Ctx + "\n";
+      Out << W.Name << " " << ScaleName << " queries=" << Counts.Queries
+          << " systems=" << Counts.Systems
+          << " refutations=" << Counts.Refutations
+          << " contexts=" << Stats.ContextAfter.size()
+          << " fnv1a64=" << hexDigest(Dump) << "\n";
+    }
+  }
+  expectMatchesGolden(Out.str(), "entailment.golden");
 }
 
 //===----------------------------------------------------------------------===

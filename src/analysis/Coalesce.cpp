@@ -85,9 +85,10 @@ std::optional<SymbolicRange> bigfoot::mergeRanges(const SymbolicRange &A,
     if (auto C = Diff.constantValue()) {
       if (*C > 0)
         return SymbolicRange(A.Begin, B.Begin + 1, *C);
-      if (*C < 0)
+      if (*C < 0 && *C != INT64_MIN)
         return SymbolicRange(B.Begin, A.Begin + 1, -*C);
-      return SymbolicRange(A.Begin, A.Begin + 1, 1); // Same index.
+      if (*C == 0)
+        return SymbolicRange(A.Begin, A.Begin + 1, 1); // Same index.
     }
   }
 
@@ -126,7 +127,8 @@ std::vector<Path> bigfoot::coalescePaths(const std::vector<Path> &Paths,
       if (G.PathKind != P.PathKind || G.Access != P.Access)
         continue;
       if (G.Designator == P.Designator ||
-          CS.equivVars(G.Designator, P.Designator)) {
+          CS.equivVars(VarName::intern(G.Designator),
+                       VarName::intern(P.Designator))) {
         Found = &G;
         break;
       }
@@ -160,7 +162,9 @@ std::vector<Path> bigfoot::coalescePaths(const std::vector<Path> &Paths,
       Merged = false;
       for (size_t I = 0; I < Ranges.size() && !Merged; ++I) {
         for (size_t J = I + 1; J < Ranges.size() && !Merged; ++J) {
-          if (auto M = mergeRanges(Ranges[I], Ranges[J], CS)) {
+          // A merge whose bounds overflow int64 is not made.
+          auto M = mergeRanges(Ranges[I], Ranges[J], CS);
+          if (M && !M->overflowed()) {
             Ranges[I] = *M;
             Ranges.erase(Ranges.begin() + static_cast<ptrdiff_t>(J));
             Merged = true;

@@ -183,15 +183,38 @@ prepareSystem(const std::vector<BoolFact> &Bools,
     }
   }
   for (const AliasFact &Fact : Aliases) {
+    VarName X = VarName::intern(Fact.X), Base = VarName::intern(Fact.Base);
     if (Fact.IsArray)
-      CS->addArrayAlias(Fact.X, Fact.Base, Fact.Index);
+      CS->addArrayAlias(X, Base, Fact.Index);
     else
-      CS->addFieldAlias(Fact.X, Fact.Base, Fact.Field);
+      CS->addFieldAlias(X, Base, VarName::intern(Fact.Field));
   }
   return CS;
 }
 
 } // namespace
+
+size_t EntailmentTable::hashFacts(const std::vector<BoolFact> &Bools,
+                                  const std::vector<AliasFact> &Aliases) {
+  size_t H = Bools.size();
+  auto Mix = [&H](size_t V) {
+    H ^= V + 0x9e3779b97f4a7c15ull + (H << 6) + (H >> 2);
+  };
+  std::hash<std::string> HashString;
+  for (const BoolFact &Fact : Bools) {
+    Mix(static_cast<size_t>(Fact.Op));
+    Mix(Fact.L.hash());
+    Mix(Fact.R.hash());
+    Mix(static_cast<size_t>(Fact.Mod));
+  }
+  for (const AliasFact &Fact : Aliases) {
+    Mix(Fact.IsArray);
+    Mix(HashString(Fact.X));
+    Mix(HashString(Fact.Base));
+    Mix(Fact.IsArray ? Fact.Index.hash() : HashString(Fact.Field));
+  }
+  return H;
+}
 
 std::shared_ptr<ConstraintSystem>
 EntailmentTable::systemFor(const std::vector<BoolFact> &Bools,
@@ -246,12 +269,13 @@ bool History::entailsAlias(const AliasFact &Fact) const {
   // Query "x = y.f" holds iff x is congruent to a fresh variable aliased
   // to y.f under the existing facts.
   ConstraintSystem CS = constraints();
-  const std::string Probe = "$probe";
+  static const VarName Probe = VarName::intern("$probe");
+  VarName Base = VarName::intern(Fact.Base);
   if (Fact.IsArray)
-    CS.addArrayAlias(Probe, Fact.Base, Fact.Index);
+    CS.addArrayAlias(Probe, Base, Fact.Index);
   else
-    CS.addFieldAlias(Probe, Fact.Base, Fact.Field);
-  return CS.equivVars(Fact.X, Probe);
+    CS.addFieldAlias(Probe, Base, VarName::intern(Fact.Field));
+  return CS.equivVars(VarName::intern(Fact.X), Probe);
 }
 
 bool History::entailsPathIn(const std::vector<Path> &Facts,
@@ -262,6 +286,14 @@ bool History::entailsPathIn(const std::vector<Path> &Facts,
   // what lets the rotated-loop's infeasible else arm drop out of merges.
   if (CS.inconsistent())
     return true;
+
+  // Designators stay strings; a differing pair is interned to ask the
+  // closure.
+  const VarName Designator = VarName::intern(P.Designator);
+  auto SameObject = [&CS, &P, Designator](const Path &Fact) {
+    return Fact.Designator == P.Designator ||
+           CS.equivVars(VarName::intern(Fact.Designator), Designator);
+  };
 
   if (P.isField()) {
     // Every queried field must be covered by some fact on an equivalent
@@ -274,7 +306,7 @@ bool History::entailsPathIn(const std::vector<Path> &Facts,
         if (std::find(Fact.Fields.begin(), Fact.Fields.end(), F) ==
             Fact.Fields.end())
           continue;
-        if (CS.equivVars(Fact.Designator, P.Designator)) {
+        if (SameObject(Fact)) {
           Covered = true;
           break;
         }
@@ -293,7 +325,7 @@ bool History::entailsPathIn(const std::vector<Path> &Facts,
   for (const Path &Fact : Facts) {
     if (!Fact.isArray() || !kindSatisfies(Fact.Access, P.Access))
       continue;
-    if (CS.equivVars(Fact.Designator, P.Designator))
+    if (SameObject(Fact))
       Candidates.push_back(&Fact);
   }
   // Single-fact coverage.
@@ -380,45 +412,57 @@ bool History::subsumedBy(const History &Stronger) const {
 //===----------------------------------------------------------------------===
 
 bool History::mentions(const std::string &Name) const {
+  const VarName V = VarName::intern(Name);
   for (const BoolFact &Fact : Bools)
-    if (Fact.L.mentions(Name) || Fact.R.mentions(Name))
+    if (Fact.L.mentions(V) || Fact.R.mentions(V))
       return true;
   for (const AliasFact &Fact : Aliases) {
     if (Fact.X == Name || Fact.Base == Name)
       return true;
-    if (Fact.IsArray && Fact.Index.mentions(Name))
+    if (Fact.IsArray && Fact.Index.mentions(V))
       return true;
   }
   for (const Path &P : Accesses)
-    if (P.mentions(Name))
+    if (P.mentions(V))
       return true;
   for (const Path &P : Checks)
-    if (P.mentions(Name))
+    if (P.mentions(V))
       return true;
   return false;
 }
 
 History History::renamed(const std::string &From,
                          const std::string &To) const {
+  // A boolean, alias or check fact whose renamed form overflows is
+  // dropped; that only forgets knowledge.
   History Out;
   Out.Table = Table;
-  AffineExpr ToVar = AffineExpr::variable(To);
-  for (const BoolFact &Fact : Bools)
-    Out.Bools.push_back({Fact.Op, Fact.L.substitute(From, ToVar),
-                         Fact.R.substitute(From, ToVar), Fact.Mod});
+  const VarName FromVar = VarName::intern(From);
+  const VarName ToName = VarName::intern(To);
+  const AffineExpr ToVar = AffineExpr::variable(ToName);
+  for (const BoolFact &Fact : Bools) {
+    BoolFact Renamed{Fact.Op, Fact.L.substitute(FromVar, ToVar),
+                     Fact.R.substitute(FromVar, ToVar), Fact.Mod};
+    if (!Renamed.L.overflowed() && !Renamed.R.overflowed())
+      Out.Bools.push_back(std::move(Renamed));
+  }
   for (AliasFact Fact : Aliases) {
     if (Fact.X == From)
       Fact.X = To;
     if (Fact.Base == From)
       Fact.Base = To;
     if (Fact.IsArray)
-      Fact.Index = Fact.Index.substitute(From, ToVar);
-    Out.Aliases.push_back(std::move(Fact));
+      Fact.Index = Fact.Index.substitute(FromVar, ToVar);
+    if (!Fact.Index.overflowed())
+      Out.Aliases.push_back(std::move(Fact));
   }
   for (const Path &P : Accesses)
-    Out.Accesses.push_back(P.rename(From, To));
-  for (const Path &P : Checks)
-    Out.Checks.push_back(P.rename(From, To));
+    Out.Accesses.push_back(P.rename(FromVar, ToName));
+  for (const Path &P : Checks) {
+    Path Renamed = P.rename(FromVar, ToName);
+    if (!Renamed.Range.overflowed())
+      Out.Checks.push_back(std::move(Renamed));
+  }
   return Out;
 }
 
@@ -452,17 +496,18 @@ void History::invalidateAliasesForArrayWrite() {
     factsChanged();
 }
 
-void History::dropMentions(const std::string &Var) {
-  size_t Dropped = std::erase_if(Bools, [&Var](const BoolFact &F) {
+void History::dropMentions(const std::string &Name) {
+  const VarName Var = VarName::intern(Name);
+  size_t Dropped = std::erase_if(Bools, [Var](const BoolFact &F) {
     return F.L.mentions(Var) || F.R.mentions(Var);
   });
-  Dropped += std::erase_if(Aliases, [&Var](const AliasFact &F) {
-    return F.X == Var || F.Base == Var ||
+  Dropped += std::erase_if(Aliases, [&Name, Var](const AliasFact &F) {
+    return F.X == Name || F.Base == Name ||
            (F.IsArray && F.Index.mentions(Var));
   });
   if (Dropped)
     factsChanged();
-  auto DropPath = [&Var](const Path &P) { return P.mentions(Var); };
+  auto DropPath = [Var](const Path &P) { return P.mentions(Var); };
   std::erase_if(Accesses, DropPath);
   std::erase_if(Checks, DropPath);
 }
@@ -554,14 +599,19 @@ std::string Context::str() const {
 Anticipated bigfoot::substituteAnticipated(
     const Anticipated &A, const std::string &X,
     const std::optional<AffineExpr> &E) {
+  // A path whose bounds have no affine (or no int64) form after the
+  // substitution is dropped: anticipating less only keeps more checks.
+  const VarName XVar = VarName::intern(X);
   Anticipated Out;
   for (const Path &P : A) {
     if (P.Designator == X)
       continue; // Designator occurrences are not substitutable paths.
-    if (P.isArray() && P.Range.mentions(X)) {
+    if (P.isArray() && P.Range.mentions(XVar)) {
       if (!E)
-        continue; // Non-affine replacement: drop the path.
-      Out.push_back(P.substituteIndex(X, *E));
+        continue;
+      Path Substituted = P.substituteIndex(XVar, *E);
+      if (!Substituted.Range.overflowed())
+        Out.push_back(std::move(Substituted));
       continue;
     }
     Out.push_back(P);
@@ -570,9 +620,10 @@ Anticipated bigfoot::substituteAnticipated(
 }
 
 Anticipated bigfoot::removeVar(const Anticipated &A, const std::string &X) {
+  const VarName XVar = VarName::intern(X);
   Anticipated Out;
   for (const Path &P : A)
-    if (!P.mentions(X))
+    if (!P.mentions(XVar))
       Out.push_back(P);
   return Out;
 }
@@ -580,10 +631,15 @@ Anticipated bigfoot::removeVar(const Anticipated &A, const std::string &X) {
 Anticipated bigfoot::renameAnticipated(const Anticipated &A,
                                        const std::string &From,
                                        const std::string &To) {
+  const VarName FromVar = VarName::intern(From);
+  const VarName ToVar = VarName::intern(To);
   Anticipated Out;
   Out.reserve(A.size());
-  for (const Path &P : A)
-    Out.push_back(P.rename(From, To));
+  for (const Path &P : A) {
+    Path Renamed = P.rename(FromVar, ToVar);
+    if (!Renamed.Range.overflowed())
+      Out.push_back(std::move(Renamed));
+  }
   return Out;
 }
 

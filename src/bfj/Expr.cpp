@@ -115,43 +115,44 @@ bool Expr::mentions(const std::string &Name) const {
   return false;
 }
 
-std::optional<AffineExpr> bigfoot::toAffine(const Expr *E) {
+namespace {
+
+/// The affine form of \p E, possibly overflowed; nullopt if not linear.
+std::optional<AffineExpr> affineOf(const Expr *E) {
   switch (E->kind()) {
   case ExprKind::IntLit:
     return AffineExpr::constant(cast<IntLit>(E)->value());
   case ExprKind::VarRef:
-    return AffineExpr::variable(cast<VarRef>(E)->name());
+    return AffineExpr::variable(VarName::intern(cast<VarRef>(E)->name()));
   case ExprKind::Unary: {
     const auto *U = cast<UnaryExpr>(E);
     if (U->op() != UnaryOp::Neg)
       return std::nullopt;
-    std::optional<AffineExpr> Inner = toAffine(U->operand());
+    std::optional<AffineExpr> Inner = affineOf(U->operand());
     if (!Inner)
       return std::nullopt;
-    return Inner->checkedScale(-1);
+    return -*Inner;
   }
   case ExprKind::Binary: {
-    // Every fold declines when int64 cannot hold a constant or a
-    // coefficient of the result: declining only drops a fact.
     const auto *B = cast<BinaryExpr>(E);
-    std::optional<AffineExpr> L = toAffine(B->lhs());
-    std::optional<AffineExpr> R = toAffine(B->rhs());
+    std::optional<AffineExpr> L = affineOf(B->lhs());
+    std::optional<AffineExpr> R = affineOf(B->rhs());
     switch (B->op()) {
     case BinaryOp::Add:
       if (L && R)
-        return L->checkedAdd(*R);
+        return *L + *R;
       return std::nullopt;
     case BinaryOp::Sub:
       if (L && R)
-        return L->checkedSub(*R);
+        return *L - *R;
       return std::nullopt;
     case BinaryOp::Mul:
       // Linear only: one side must be constant.
       if (L && R) {
         if (auto C = L->constantValue())
-          return R->checkedScale(*C);
+          return *R * *C;
         if (auto C = R->constantValue())
-          return L->checkedScale(*C);
+          return *L * *C;
       }
       return std::nullopt;
     case BinaryOp::Div: {
@@ -171,6 +172,17 @@ std::optional<AffineExpr> bigfoot::toAffine(const Expr *E) {
   default:
     return std::nullopt;
   }
+}
+
+} // namespace
+
+std::optional<AffineExpr> bigfoot::toAffine(const Expr *E) {
+  // A fold whose constant or coefficient int64 cannot hold is declined:
+  // declining only drops a fact.
+  std::optional<AffineExpr> A = affineOf(E);
+  if (!A || A->overflowed())
+    return std::nullopt;
+  return A;
 }
 
 std::unique_ptr<Expr> bigfoot::intLit(int64_t V) {

@@ -106,29 +106,28 @@ struct Path {
   bool isField() const { return PathKind == Kind::Field; }
   bool isArray() const { return PathKind == Kind::Array; }
 
-  /// True if variable \p Name appears as designator or in range bounds.
-  bool mentions(const std::string &Name) const {
-    if (Designator == Name)
+  /// True if variable \p V appears as designator or in range bounds.
+  bool mentions(VarName V) const {
+    if (Designator == V.name())
       return true;
-    return isArray() && Range.mentions(Name);
+    return isArray() && Range.mentions(V);
   }
 
-  /// Substitutes \p Replacement for \p Name in index bounds. The
-  /// designator is NOT substituted (designators are variables, not
-  /// expressions); use renameDesignator for [RENAME].
-  Path substituteIndex(const std::string &Name,
-                       const AffineExpr &Replacement) const {
+  /// Substitutes \p Replacement for \p V in index bounds. The designator
+  /// is NOT substituted (designators are variables, not expressions); use
+  /// rename for [RENAME].
+  Path substituteIndex(VarName V, const AffineExpr &Replacement) const {
     Path P = *this;
     if (P.isArray())
-      P.Range = P.Range.substitute(Name, Replacement);
+      P.Range = P.Range.substitute(V, Replacement);
     return P;
   }
 
   /// Renames the designator and index-bound occurrences of \p From.
-  Path rename(const std::string &From, const std::string &To) const {
+  Path rename(VarName From, VarName To) const {
     Path P = *this;
-    if (P.Designator == From)
-      P.Designator = To;
+    if (P.Designator == From.name())
+      P.Designator = To.name();
     if (P.isArray())
       P.Range = P.Range.substitute(From, AffineExpr::variable(To));
     return P;

@@ -227,9 +227,10 @@ private:
     case StmtKind::Assign: {
       const auto *A = cast<AssignStmt>(S);
       H.dropMentions(A->target());
+      const VarName Target = VarName::intern(A->target());
       if (auto E = toAffine(A->value()))
-        if (!E->mentions(A->target()))
-          H.addBool({RelOp::Eq, AffineExpr::variable(A->target()), *E, 0});
+        if (!E->mentions(Target))
+          H.addBool({RelOp::Eq, AffineExpr::variable(Target), *E, 0});
       return H;
     }
     case StmtKind::Rename: {

@@ -11,25 +11,51 @@
 /// ever needs facts like `i = j`, `i = i' + 1`, `i < n`, or range bounds
 /// `0..i`, all of which are affine.
 ///
+/// Variables are interned VarName handles (support/VarName.h), so building,
+/// comparing and hashing an expression compares handles, not strings; only
+/// ordering and printing read the names.
+///
 //===----------------------------------------------------------------------===//
 
 #ifndef BIGFOOT_SUPPORT_AFFINEEXPR_H
 #define BIGFOOT_SUPPORT_AFFINEEXPR_H
 
+#include "support/VarName.h"
+
+#include <cassert>
+#include <cstddef>
 #include <cstdint>
-#include <map>
+#include <memory>
 #include <optional>
+#include <span>
 #include <string>
-#include <vector>
 
 namespace bigfoot {
 
 /// An affine integer expression: sum of Coeff * Var terms plus a constant.
-/// The term map never stores zero coefficients, so structural equality is
-/// semantic equality.
+/// The terms are sorted by name and never hold a zero coefficient, so
+/// structural equality is semantic equality. Up to four terms are stored
+/// inline, so copying such an expression allocates nothing.
+///
+/// The arithmetic is checked. An operation whose exact constant or
+/// coefficient int64 cannot hold yields an *overflowed* expression, and so
+/// does every operation on one. An overflowed expression stands for no
+/// value: every consumer declines it (toAffine folds nothing, the
+/// entailment engine drops the fact or answers "not provable", placement
+/// makes no guess and no merge). Nothing wraps.
 class AffineExpr {
 public:
-  AffineExpr() : Constant(0) {}
+  struct Term {
+    VarName Var;
+    int64_t Coeff = 0;
+  };
+
+  AffineExpr() {}
+  AffineExpr(const AffineExpr &Other);
+  AffineExpr(AffineExpr &&Other) noexcept { *this = std::move(Other); }
+  AffineExpr &operator=(const AffineExpr &Other);
+  AffineExpr &operator=(AffineExpr &&Other) noexcept;
+  ~AffineExpr() { release(); }
 
   /// The constant expression \p C.
   static AffineExpr constant(int64_t C) {
@@ -38,14 +64,14 @@ public:
     return E;
   }
 
-  /// The expression consisting of the single variable \p Name.
-  static AffineExpr variable(const std::string &Name) {
+  /// The expression consisting of the single variable \p V.
+  static AffineExpr variable(VarName V) {
     AffineExpr E;
-    E.Terms[Name] = 1;
+    E.push(V, 1);
     return E;
   }
 
-  bool isConstant() const { return Terms.empty(); }
+  bool isConstant() const { return Size == 0 && !Overflowed; }
 
   /// The constant value if isConstant(), otherwise nullopt.
   std::optional<int64_t> constantValue() const {
@@ -55,59 +81,52 @@ public:
   }
 
   int64_t constantPart() const { return Constant; }
-  const std::map<std::string, int64_t> &terms() const { return Terms; }
 
-  /// True if \p Name appears with nonzero coefficient.
-  bool mentions(const std::string &Name) const {
-    return Terms.count(Name) != 0;
+  /// True if this expression came out of an overflowing operation.
+  bool overflowed() const { return Overflowed; }
+
+  /// The terms, in name order.
+  std::span<const Term> terms() const { return {data(), Size}; }
+
+  /// The coefficient of \p V, 0 when it does not appear.
+  int64_t coeff(VarName V) const;
+
+  /// True if \p V appears with nonzero coefficient.
+  bool mentions(VarName V) const { return coeff(V) != 0; }
+
+  AffineExpr operator+(const AffineExpr &Other) const {
+    return combine(Other, 1);
   }
-
-  /// Variables appearing in the expression, in map order.
-  std::vector<std::string> variables() const {
-    std::vector<std::string> Out;
-    Out.reserve(Terms.size());
-    for (const auto &[Name, Coeff] : Terms)
-      Out.push_back(Name);
-    return Out;
+  AffineExpr operator-(const AffineExpr &Other) const {
+    return combine(Other, -1);
   }
-
-  AffineExpr operator+(const AffineExpr &Other) const;
-  AffineExpr operator-(const AffineExpr &Other) const;
-  AffineExpr operator-() const;
+  AffineExpr operator-() const { return *this * -1; }
   AffineExpr operator*(int64_t Scale) const;
-  AffineExpr operator+(int64_t C) const {
-    return *this + AffineExpr::constant(C);
-  }
-  AffineExpr operator-(int64_t C) const {
-    return *this - AffineExpr::constant(C);
-  }
+  AffineExpr operator+(int64_t C) const;
+  AffineExpr operator-(int64_t C) const;
 
-  /// Checked forms of +, - and scaling, for constant folding: nullopt
-  /// when the constant or a coefficient would overflow int64.
-  std::optional<AffineExpr> checkedAdd(const AffineExpr &Other) const {
-    return checkedCombine(Other, /*Subtract=*/false);
-  }
-  std::optional<AffineExpr> checkedSub(const AffineExpr &Other) const {
-    return checkedCombine(Other, /*Subtract=*/true);
-  }
-  std::optional<AffineExpr> checkedScale(int64_t Scale) const;
-
-  bool operator==(const AffineExpr &Other) const {
-    return Constant == Other.Constant && Terms == Other.Terms;
-  }
+  bool operator==(const AffineExpr &Other) const;
   bool operator!=(const AffineExpr &Other) const { return !(*this == Other); }
-  bool operator<(const AffineExpr &Other) const {
-    if (Constant != Other.Constant)
-      return Constant < Other.Constant;
-    return Terms < Other.Terms;
+  /// Constant first, then the terms as (name, coefficient) pairs.
+  bool operator<(const AffineExpr &Other) const;
+
+  /// A hash consistent with ==.
+  size_t hash() const;
+
+  /// Appends Coeff * V. \p V must sort after every variable already held
+  /// and \p Coeff must be nonzero: this builds an expression term by term
+  /// in name order.
+  void appendTerm(VarName V, int64_t Coeff) {
+    assert(Coeff != 0 && (Size == 0 || data()[Size - 1].Var < V) &&
+           "terms must be appended in name order");
+    push(V, Coeff);
   }
 
-  /// Replaces every occurrence of \p Name by \p Replacement.
-  AffineExpr substitute(const std::string &Name,
-                        const AffineExpr &Replacement) const;
+  /// Replaces every occurrence of \p V by \p Replacement.
+  AffineExpr substitute(VarName V, const AffineExpr &Replacement) const;
 
   /// Renames variable \p From to \p To (used by the [RENAME] rule).
-  AffineExpr rename(const std::string &From, const std::string &To) const {
+  AffineExpr rename(VarName From, VarName To) const {
     return substitute(From, AffineExpr::variable(To));
   }
 
@@ -115,17 +134,42 @@ public:
   std::string str() const;
 
 private:
-  std::map<std::string, int64_t> Terms;
-  int64_t Constant;
+  static constexpr uint32_t kInline = 4;
 
-  std::optional<AffineExpr> checkedCombine(const AffineExpr &Other,
-                                           bool Subtract) const;
+  int64_t Constant = 0;
+  uint32_t Size = 0;
+  /// kInline while the terms are inline, else the heap block's length.
+  uint32_t Capacity = kInline;
+  bool Overflowed = false;
+  union {
+    Term Inline[kInline];
+    Term *Heap;
+  };
 
-  void addTerm(const std::string &Name, int64_t Coeff) {
-    int64_t &Slot = Terms[Name];
-    Slot += Coeff;
-    if (Slot == 0)
-      Terms.erase(Name);
+  bool onHeap() const { return Capacity > kInline; }
+  Term *data() { return onHeap() ? Heap : Inline; }
+  const Term *data() const { return onHeap() ? Heap : Inline; }
+  /// Frees the heap block, if any; the terms must be replaced next.
+  void release() {
+    if (onHeap())
+      std::allocator<Term>().deallocate(Heap, Capacity);
+  }
+
+  /// Appends a term after every term already held (name order).
+  void push(VarName V, int64_t Coeff) {
+    if (Size == Capacity)
+      grow();
+    data()[Size++] = {V, Coeff};
+  }
+  void grow();
+
+  /// The exact *this + Other * Scale, or an overflowed expression.
+  AffineExpr combine(const AffineExpr &Other, int64_t Scale) const;
+
+  static AffineExpr overflow() {
+    AffineExpr E;
+    E.Overflowed = true;
+    return E;
   }
 };
 
@@ -149,14 +193,16 @@ struct SymbolicRange {
 
   bool isSingleton() const { return Stride == 1 && End == Begin + 1; }
 
-  bool mentions(const std::string &Name) const {
-    return Begin.mentions(Name) || End.mentions(Name);
+  /// True if a bound came out of an overflowing operation.
+  bool overflowed() const { return Begin.overflowed() || End.overflowed(); }
+
+  bool mentions(VarName V) const {
+    return Begin.mentions(V) || End.mentions(V);
   }
 
-  SymbolicRange substitute(const std::string &Name,
-                           const AffineExpr &Replacement) const {
-    return SymbolicRange(Begin.substitute(Name, Replacement),
-                         End.substitute(Name, Replacement), Stride);
+  SymbolicRange substitute(VarName V, const AffineExpr &Replacement) const {
+    return SymbolicRange(Begin.substitute(V, Replacement),
+                         End.substitute(V, Replacement), Stride);
   }
 
   bool operator==(const SymbolicRange &Other) const {
@@ -175,5 +221,9 @@ struct SymbolicRange {
 };
 
 } // namespace bigfoot
+
+template <> struct std::hash<bigfoot::AffineExpr> {
+  size_t operator()(const bigfoot::AffineExpr &E) const { return E.hash(); }
+};
 
 #endif // BIGFOOT_SUPPORT_AFFINEEXPR_H

@@ -17,7 +17,9 @@
 using namespace bigfoot;
 
 namespace {
-AffineExpr v(const char *Name) { return AffineExpr::variable(Name); }
+AffineExpr v(const char *Name) {
+  return AffineExpr::variable(VarName::intern(Name));
+}
 AffineExpr c(int64_t Value) { return AffineExpr::constant(Value); }
 } // namespace
 

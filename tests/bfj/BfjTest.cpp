@@ -259,7 +259,8 @@ TEST(BfjAst, ToAffineHandlesLinearForms) {
                   binary(BinaryOp::Sub, var("j"), intLit(1)));
   auto A = toAffine(E.get());
   ASSERT_TRUE(A.has_value());
-  EXPECT_EQ(*A, AffineExpr::variable("i") * 2 + AffineExpr::variable("j") - 1);
+  EXPECT_EQ(*A, AffineExpr::variable(VarName::intern("i")) * 2 +
+                    AffineExpr::variable(VarName::intern("j")) - 1);
 }
 
 TEST(BfjAst, ToAffineRejectsProducts) {

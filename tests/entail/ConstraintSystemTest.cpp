@@ -12,11 +12,13 @@
 #include <gtest/gtest.h>
 
 #include <functional>
+#include <string_view>
 
 using namespace bigfoot;
 
 namespace {
-AffineExpr v(const char *Name) { return AffineExpr::variable(Name); }
+VarName n(std::string_view Name) { return VarName::intern(Name); }
+AffineExpr v(const char *Name) { return AffineExpr::variable(n(Name)); }
 AffineExpr c(int64_t Value) { return AffineExpr::constant(Value); }
 } // namespace
 
@@ -42,7 +44,7 @@ TEST(ConstraintSystem, EqualityChains) {
   ConstraintSystem CS;
   CS.addEquality(v("a"), v("b"));
   CS.addEquality(v("b"), v("c"));
-  EXPECT_TRUE(CS.equivVars("a", "c"));
+  EXPECT_TRUE(CS.equivVars(n("a"), n("c")));
 }
 
 TEST(ConstraintSystem, OffsetEqualities) {
@@ -94,46 +96,46 @@ TEST(ConstraintSystem, ConsistentSystemNotFlagged) {
 TEST(ConstraintSystem, FieldAliasCongruence) {
   // x = a.f, y = a.f  |-  x = y (Section 5's alias-expression example).
   ConstraintSystem CS;
-  CS.addFieldAlias("x", "a", "f");
-  CS.addFieldAlias("y", "a", "f");
-  EXPECT_TRUE(CS.equivVars("x", "y"));
-  EXPECT_FALSE(CS.equivVars("x", "a"));
+  CS.addFieldAlias(n("x"), n("a"), n("f"));
+  CS.addFieldAlias(n("y"), n("a"), n("f"));
+  EXPECT_TRUE(CS.equivVars(n("x"), n("y")));
+  EXPECT_FALSE(CS.equivVars(n("x"), n("a")));
 }
 
 TEST(ConstraintSystem, FieldAliasDifferentFieldsDistinct) {
   ConstraintSystem CS;
-  CS.addFieldAlias("x", "a", "f");
-  CS.addFieldAlias("y", "a", "g");
-  EXPECT_FALSE(CS.equivVars("x", "y"));
+  CS.addFieldAlias(n("x"), n("a"), n("f"));
+  CS.addFieldAlias(n("y"), n("a"), n("g"));
+  EXPECT_FALSE(CS.equivVars(n("x"), n("y")));
 }
 
 TEST(ConstraintSystem, AliasThroughEqualBases) {
   // a = b, x = a.f, y = b.f  |-  x = y (needs congruence).
   ConstraintSystem CS;
   CS.addEquality(v("a"), v("b"));
-  CS.addFieldAlias("x", "a", "f");
-  CS.addFieldAlias("y", "b", "f");
-  EXPECT_TRUE(CS.equivVars("x", "y"));
+  CS.addFieldAlias(n("x"), n("a"), n("f"));
+  CS.addFieldAlias(n("y"), n("b"), n("f"));
+  EXPECT_TRUE(CS.equivVars(n("x"), n("y")));
 }
 
 TEST(ConstraintSystem, NestedAliasCongruence) {
   // x = a.f, y = a.f, s = x.g, t = y.g  |-  s = t (two-level chain, the
   // extended-path case RedCard and StaticBF track).
   ConstraintSystem CS;
-  CS.addFieldAlias("x", "a", "f");
-  CS.addFieldAlias("y", "a", "f");
-  CS.addFieldAlias("s", "x", "g");
-  CS.addFieldAlias("t", "y", "g");
-  EXPECT_TRUE(CS.equivVars("s", "t"));
+  CS.addFieldAlias(n("x"), n("a"), n("f"));
+  CS.addFieldAlias(n("y"), n("a"), n("f"));
+  CS.addFieldAlias(n("s"), n("x"), n("g"));
+  CS.addFieldAlias(n("t"), n("y"), n("g"));
+  EXPECT_TRUE(CS.equivVars(n("s"), n("t")));
 }
 
 TEST(ConstraintSystem, ArrayAliasCongruence) {
   ConstraintSystem CS;
-  CS.addArrayAlias("x", "arr", v("i"));
-  CS.addArrayAlias("y", "arr", v("j"));
-  EXPECT_FALSE(CS.equivVars("x", "y"));
+  CS.addArrayAlias(n("x"), n("arr"), v("i"));
+  CS.addArrayAlias(n("y"), n("arr"), v("j"));
+  EXPECT_FALSE(CS.equivVars(n("x"), n("y")));
   CS.addEquality(v("i"), v("j"));
-  EXPECT_TRUE(CS.equivVars("x", "y"));
+  EXPECT_TRUE(CS.equivVars(n("x"), n("y")));
 }
 
 TEST(ConstraintSystem, DisequalityFromConstants) {
@@ -233,6 +235,51 @@ TEST(ConstraintSystem, ScalesToManyFacts) {
   EXPECT_FALSE(CS.proveLe(v("x60"), v("x0")));
 }
 
+TEST(ConstraintSystem, OverflowingRowsAreDeclined) {
+  // The engine's arithmetic is checked: a fact whose row int64 cannot
+  // hold is dropped and a question whose row it cannot hold is "not
+  // provable", where unchecked arithmetic wrapped into a false fact.
+  const int64_t Max = INT64_MAX, Min = -Max - 1;
+
+  // x = INT64_MAX makes x + 1 unrepresentable once x is canonicalized.
+  ConstraintSystem CS;
+  CS.addEquality(v("x"), c(Max));
+  CS.addLt(v("x"), v("y")); // x + 1 <= y: dropped.
+  EXPECT_TRUE(CS.proveEq(v("x"), c(Max)));
+  EXPECT_FALSE(CS.inconsistent());
+  EXPECT_FALSE(CS.proveLt(v("x"), v("y")));
+  EXPECT_FALSE(CS.proveLe(v("x") + 1, v("y")));
+  EXPECT_FALSE(CS.proveLt(v("y"), v("x")));
+  EXPECT_FALSE(CS.proveNe(v("x") + 1, v("y")));
+  // An operand that already overflowed proves nothing.
+  EXPECT_FALSE(CS.proveLe(v("x") * Max * 2, v("y")));
+  EXPECT_FALSE(CS.proveEq(v("x") * Max * 2, v("x") * Max * 2));
+  EXPECT_FALSE(CS.proveRangeSubset(SymbolicRange(v("y"), v("y") + 1),
+                                   SymbolicRange(v("x"), v("x") + 1)));
+
+  // z = INT64_MIN has no row (z - INT64_MIN overflows): the fact is
+  // dropped, not wrapped into z = INT64_MIN + 2^64.
+  ConstraintSystem M;
+  M.addEquality(v("z"), c(Min));
+  M.addLe(v("w"), v("z"));
+  EXPECT_FALSE(M.proveEq(v("z"), c(Min)));
+  EXPECT_FALSE(M.proveLe(v("z"), c(0)));
+  EXPECT_TRUE(M.proveLe(v("w"), v("z")));
+
+  // INT64_MIN coefficients: the gcd, the elimination and the congruence
+  // rewrite all need the magnitude 2^63.
+  ConstraintSystem K;
+  K.addLe(v("p") * Min, c(0));
+  K.addLe(v("q"), v("p"));
+  K.addLt(v("q"), c(0));
+  EXPECT_FALSE(K.inconsistent());
+  EXPECT_TRUE(K.proveLe(c(0), v("p")));
+  K.addCongruence(-v("u"), 3, 0);
+  EXPECT_TRUE(K.proveCongruent(v("u") * Min, 2, 0));
+  EXPECT_FALSE(K.proveCongruent(v("u") * Min, 3, 0)); // Declined rewrite.
+  EXPECT_TRUE(K.proveCongruent(v("u") * 2, 3, 0));
+}
+
 //===----------------------------------------------------------------------===
 // Memoized answers. A system computes its closure, base rows and verdicts
 // once and drops them when a fact arrives after a query; every answer must
@@ -253,7 +300,7 @@ public:
 
   Fact fact() {
     AffineExpr L = expr(), Rhs = expr();
-    std::string X = var(), Y = var(), F = R.chance(1, 2) ? "f" : "g";
+    VarName X = n(var()), Y = n(var()), F = n(R.chance(1, 2) ? "f" : "g");
     // Aliases make up half the facts: congruences are what an alias
     // added after a query has to rebuild.
     switch (R.nextBelow(10)) {
@@ -285,7 +332,7 @@ public:
 
   Query query() {
     AffineExpr L = expr(), Rhs = expr();
-    std::string X = var(), Y = var();
+    VarName X = n(var()), Y = n(var());
     switch (R.nextBelow(7)) {
     case 0:
       return [L, Rhs](ConstraintSystem &CS) { return CS.proveLe(L, Rhs); };

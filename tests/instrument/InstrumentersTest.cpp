@@ -8,8 +8,11 @@
 
 #include "bfj/Parser.h"
 #include "bfj/Printer.h"
+#include "workloads/Workloads.h"
 
 #include <gtest/gtest.h>
+
+#include <thread>
 
 using namespace bigfoot;
 
@@ -224,4 +227,41 @@ thread {
   size_t Rc = checkCount(*instrumentRedCard(*Prog).Prog);
   size_t Bf = checkCount(*instrumentBigFoot(*Prog).Prog);
   EXPECT_LE(Bf, Rc);
+}
+
+TEST(ConcurrentPlacement, FourThreadsPlaceWhatOneThreadPlaces) {
+  // Every placement shares one process-wide table of interned variable
+  // names. Four threads place the Test-scale suite at once, each starting
+  // at a different program so that they intern the same names together,
+  // and every printed program must match a serial placement's.
+  std::vector<Workload> Suite = standardSuite(SuiteScale::Test);
+  auto PlaceAll = [&Suite](size_t First, std::vector<std::string> &Out) {
+    Out.assign(Suite.size() * 2, "");
+    for (size_t K = 0; K < Suite.size(); ++K) {
+      size_t I = (First + K) % Suite.size();
+      ParseResult PR = parseProgram(Suite[I].Source);
+      if (!PR.ok())
+        continue; // Reported by the serial pass.
+      Out[2 * I] = printProgram(*instrumentBigFoot(*PR.Prog).Prog);
+      Out[2 * I + 1] = printProgram(*instrumentRedCard(*PR.Prog).Prog);
+    }
+  };
+  std::vector<std::string> Serial;
+  PlaceAll(0, Serial);
+  for (size_t I = 0; I < Suite.size(); ++I)
+    ASSERT_FALSE(Serial[2 * I].empty()) << Suite[I].Name;
+
+  constexpr size_t kThreads = 4;
+  std::vector<std::vector<std::string>> Placed(kThreads);
+  std::vector<std::thread> Threads;
+  for (size_t T = 0; T < kThreads; ++T)
+    Threads.emplace_back(PlaceAll, T * Suite.size() / kThreads,
+                         std::ref(Placed[T]));
+  for (std::thread &T : Threads)
+    T.join();
+  for (size_t T = 0; T < kThreads; ++T)
+    for (size_t I = 0; I < Serial.size(); ++I)
+      EXPECT_EQ(Placed[T][I], Serial[I])
+          << "thread " << T << ", " << Suite[I / 2].Name
+          << (I % 2 ? " (RedCard)" : " (BigFoot)");
 }

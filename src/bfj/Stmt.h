@@ -25,6 +25,7 @@
 #include "bfj/Path.h"
 #include "support/Casting.h"
 
+#include <cassert>
 #include <memory>
 #include <string>
 #include <vector>
@@ -452,11 +453,15 @@ private:
 
 /// check(C): race-checks every path in C. Inserted by the instrumenters;
 /// executing it performs the corresponding shadow-location operations in
-/// the attached detector tool.
+/// the attached detector tool. No path's range may be overflowed: such a
+/// range has no int64 bounds to check.
 class CheckStmt : public Stmt {
 public:
   explicit CheckStmt(std::vector<Path> Paths)
-      : Stmt(StmtKind::Check), Paths(std::move(Paths)) {}
+      : Stmt(StmtKind::Check), Paths(std::move(Paths)) {
+    for ([[maybe_unused]] const Path &P : this->Paths)
+      assert(!P.Range.overflowed() && "check range overflows int64");
+  }
 
   const std::vector<Path> &paths() const { return Paths; }
   std::vector<Path> &paths() { return Paths; }

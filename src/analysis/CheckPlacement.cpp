@@ -40,10 +40,9 @@ bool isAcquireSide(SyncKind K) {
 /// One per-body run of the three placement passes.
 class BodyAnalyzer {
 public:
-  BodyAnalyzer(const Program &Prog, const KillSets &Kills,
-               const PlacementOptions &Opts, PlacementStats &Stats,
-               EntailmentTable &Table)
-      : Prog(Prog), Kills(Kills), Opts(Opts), Stats(Stats), Table(Table) {}
+  BodyAnalyzer(const KillSets &Kills, const PlacementOptions &Opts,
+               PlacementStats &Stats, EntailmentTable &Table)
+      : Kills(Kills), Opts(Opts), Stats(Stats), Table(Table) {}
 
   void run(StmtPtr &Body) {
     auto *Block = cast<BlockStmt>(Body.get());
@@ -58,7 +57,6 @@ public:
   void recordTraceFor(const Stmt *Body) { recordTrace(Body); }
 
 private:
-  const Program &Prog;
   const KillSets &Kills;
   const PlacementOptions &Opts;
   PlacementStats &Stats;
@@ -74,66 +72,25 @@ private:
   // Statement classification.
   //===--------------------------------------------------------------------===
 
-  bool isVolatileField(const std::string &Field) const {
-    return Prog.isFieldVolatileAnywhere(Field);
-  }
-
-  bool isGlobalSyncAccess(const Stmt *S) const {
-    if (!Opts.Sync.GlobalFieldsSynchronize)
-      return false;
-    if (const auto *F = dyn_cast<FieldReadStmt>(S))
-      return F->object() == "$g";
-    if (const auto *F = dyn_cast<FieldWriteStmt>(S))
-      return F->object() == "$g";
-    return false;
-  }
-
+  /// Classifies \p S by its KillSets effect: a call by its callee's
+  /// summary, any other statement by its direct effect (an await, and a
+  /// $g access under GlobalFieldsSynchronize, both release and acquire).
   SyncKind syncKind(const Stmt *S) const {
-    switch (S->kind()) {
-    case StmtKind::Acquire:
-    case StmtKind::Join:
-      return SyncKind::DirectAcquire;
-    case StmtKind::Release:
-    case StmtKind::Fork:
-      return SyncKind::DirectRelease;
-    case StmtKind::Await:
-      return SyncKind::Barrier;
-    case StmtKind::FieldRead:
-      if (isVolatileField(cast<FieldReadStmt>(S)->field()))
-        return SyncKind::DirectAcquire;
-      if (isGlobalSyncAccess(S))
-        return SyncKind::Barrier;
-      return SyncKind::None;
-    case StmtKind::FieldWrite:
-      if (isVolatileField(cast<FieldWriteStmt>(S)->field()))
-        return SyncKind::DirectRelease;
-      if (isGlobalSyncAccess(S))
-        return SyncKind::Barrier;
-      return SyncKind::None;
-    case StmtKind::Call: {
-      SyncEffect E = Kills.effectOf(cast<CallStmt>(S)->method());
-      if (E.Acquires && E.Releases)
-        return SyncKind::CallBoth;
-      if (E.Acquires)
-        return SyncKind::CallAcquire;
-      if (E.Releases)
-        return SyncKind::CallRelease;
-      return SyncKind::None;
-    }
-    default:
-      return SyncKind::None;
-    }
+    SyncEffect E = Kills.effectOf(S);
+    bool Call = isa<CallStmt>(S);
+    if (E.Acquires && E.Releases)
+      return Call ? SyncKind::CallBoth : SyncKind::Barrier;
+    if (E.Acquires)
+      return Call ? SyncKind::CallAcquire : SyncKind::DirectAcquire;
+    if (E.Releases)
+      return Call ? SyncKind::CallRelease : SyncKind::DirectRelease;
+    return SyncKind::None;
   }
 
   bool bodyHasReleaseEffect(const LoopStmt *Loop) const {
     bool Found = false;
-    auto Scan = [this, &Found](Stmt *S) {
-      if (Kills.directEffect(S).Releases)
-        Found = true;
-      if (const auto *Call = dyn_cast<CallStmt>(S))
-        if (Kills.effectOf(Call->method()).Releases)
-          Found = true;
-      if (isGlobalSyncAccess(S))
+    auto Scan = [this, &Found](const Stmt *S) {
+      if (Kills.effectOf(S).Releases)
         Found = true;
     };
     walkStmt(Loop->preBody(), Scan);
@@ -163,13 +120,8 @@ private:
     case SyncKind::Barrier: {
       History Out = H.afterRelease();
       // $g accesses are real accesses on top of the synchronization.
-      if (const auto *F = dyn_cast<FieldReadStmt>(S)) {
-        Out.addAccess(
-            Path::field(AccessKind::Read, F->object(), F->field()));
-      } else if (const auto *F2 = dyn_cast<FieldWriteStmt>(S)) {
-        Out.addAccess(
-            Path::field(AccessKind::Write, F2->object(), F2->field()));
-      }
+      if (std::optional<Path> Access = accessPath(S))
+        Out.addAccess(*Access);
       return Out;
     }
     case SyncKind::None:
@@ -182,7 +134,7 @@ private:
       if (auto E = toAffine(A->value()))
         H.addBool({RelOp::Eq,
                    AffineExpr::variable(VarName::intern(A->target())), *E});
-      return H;
+      break;
     }
     case StmtKind::Rename: {
       // [RENAME] x ← y replaces mentions of y by x.
@@ -197,15 +149,11 @@ private:
       Alias.Base = F->object();
       Alias.Field = F->field();
       H.addAlias(std::move(Alias));
-      H.addAccess(Path::field(AccessKind::Read, F->object(), F->field()));
-      return H;
+      break;
     }
-    case StmtKind::FieldWrite: {
-      const auto *F = cast<FieldWriteStmt>(S);
-      H.invalidateAliasesForFieldWrite(F->field());
-      H.addAccess(Path::field(AccessKind::Write, F->object(), F->field()));
-      return H;
-    }
+    case StmtKind::FieldWrite:
+      H.invalidateAliasesForFieldWrite(cast<FieldWriteStmt>(S)->field());
+      break;
     case StmtKind::ArrayRead: {
       const auto *A = cast<ArrayReadStmt>(S);
       std::optional<AffineExpr> Idx = toAffine(A->index());
@@ -216,17 +164,11 @@ private:
       Alias.Base = A->array();
       Alias.Index = *Idx;
       H.addAlias(std::move(Alias));
-      H.addAccess(Path::arrayIndex(AccessKind::Read, A->array(), *Idx));
-      return H;
+      break;
     }
-    case StmtKind::ArrayWrite: {
-      const auto *A = cast<ArrayWriteStmt>(S);
-      std::optional<AffineExpr> Idx = toAffine(A->index());
-      assert(Idx && "validator guarantees affine indices");
+    case StmtKind::ArrayWrite:
       H.invalidateAliasesForArrayWrite();
-      H.addAccess(Path::arrayIndex(AccessKind::Write, A->array(), *Idx));
-      return H;
-    }
+      break;
     case StmtKind::ArrayLen: {
       const auto *A = cast<ArrayLenStmt>(S);
       AliasFact Alias;
@@ -237,18 +179,22 @@ private:
       H.addAlias(std::move(Alias));
       H.addBool({RelOp::Le, AffineExpr::constant(0),
                  AffineExpr::variable(VarName::intern(A->target()))});
-      return H;
+      break;
     }
     case StmtKind::AssertStmt:
       H.addCondition(cast<AssertStmtNode>(S)->cond(), /*Negated=*/false);
-      return H;
+      break;
     case StmtKind::Check:
       for (const Path &P : cast<CheckStmt>(S)->paths())
         H.addCheck(P);
-      return H;
+      break;
     default:
-      return H;
+      break;
     }
+    // [READ]/[WRITE]: the access itself, after its alias facts.
+    if (std::optional<Path> Access = accessPath(S))
+      H.addAccess(*Access);
+    return H;
   }
 
   //===--------------------------------------------------------------------===
@@ -352,41 +298,9 @@ private:
                            History &Candidates) const {
     // Variables assigned anywhere in the body are "unstable".
     std::unordered_set<VarName> Assigned;
-    auto CollectAssigned = [&Assigned](Stmt *S) {
-      auto Assign = [&Assigned](const std::string &Target) {
-        Assigned.insert(VarName::intern(Target));
-      };
-      switch (S->kind()) {
-      case StmtKind::Assign:
-        Assign(cast<AssignStmt>(S)->target());
-        break;
-      case StmtKind::Rename:
-        Assign(cast<RenameStmt>(S)->target());
-        break;
-      case StmtKind::FieldRead:
-        Assign(cast<FieldReadStmt>(S)->target());
-        break;
-      case StmtKind::ArrayRead:
-        Assign(cast<ArrayReadStmt>(S)->target());
-        break;
-      case StmtKind::ArrayLen:
-        Assign(cast<ArrayLenStmt>(S)->target());
-        break;
-      case StmtKind::New:
-        Assign(cast<NewStmt>(S)->target());
-        break;
-      case StmtKind::NewArray:
-        Assign(cast<NewArrayStmt>(S)->target());
-        break;
-      case StmtKind::Call:
-        Assign(cast<CallStmt>(S)->target());
-        break;
-      case StmtKind::Fork:
-        Assign(cast<ForkStmt>(S)->target());
-        break;
-      default:
-        break;
-      }
+    auto CollectAssigned = [&Assigned](const Stmt *S) {
+      if (const std::string *X = definedVar(S))
+        Assigned.insert(VarName::intern(*X));
     };
     walkStmt(Loop->preBody(), CollectAssigned);
     walkStmt(Loop->postBody(), CollectAssigned);
@@ -485,14 +399,11 @@ private:
           return;
         Candidates.addAccess(Path::array(Kind, Array, std::move(Guess)));
       };
-      auto ScanAccesses = [&GuessForAccess](Stmt *S) {
-        if (const auto *A = dyn_cast<ArrayReadStmt>(S)) {
-          if (auto Idx = toAffine(A->index()))
-            GuessForAccess(A->array(), *Idx, AccessKind::Read);
-        } else if (const auto *W = dyn_cast<ArrayWriteStmt>(S)) {
-          if (auto Idx = toAffine(W->index()))
-            GuessForAccess(W->array(), *Idx, AccessKind::Write);
-        }
+      auto ScanAccesses = [&GuessForAccess](const Stmt *S) {
+        std::optional<Path> Access = accessPath(S);
+        if (Access && Access->isArray()) // Range is [index, index + 1).
+          GuessForAccess(Access->Designator, Access->Range.Begin,
+                         Access->Access);
       };
       walkStmt(Loop->preBody(), ScanAccesses);
       walkStmt(Loop->postBody(), ScanAccesses);
@@ -564,21 +475,9 @@ private:
   }
 
   Anticipated stepB(const Stmt *S, Anticipated Out) const {
-    switch (syncKind(S)) {
-    case SyncKind::DirectAcquire:
-    case SyncKind::CallAcquire:
-    case SyncKind::CallBoth:
-    case SyncKind::Barrier:
+    SyncKind Kind = syncKind(S);
+    if (isAcquireSide(Kind))
       return Anticipated(); // [ACQ]: pre-anticipated must be empty.
-    case SyncKind::DirectRelease:
-      if (const auto *F = dyn_cast<ForkStmt>(S))
-        return removeVar(Out, F->target());
-      return Out; // Releases do not kill anticipation.
-    case SyncKind::CallRelease:
-      return removeVar(Out, cast<CallStmt>(S)->target());
-    case SyncKind::None:
-      break;
-    }
     switch (S->kind()) {
     case StmtKind::Assign: {
       const auto *A = cast<AssignStmt>(S);
@@ -588,53 +487,17 @@ private:
       const auto *R = cast<RenameStmt>(S);
       return renameAnticipated(Out, R->target(), R->source());
     }
-    case StmtKind::New:
-      return removeVar(Out, cast<NewStmt>(S)->target());
-    case StmtKind::NewArray:
-      return removeVar(Out, cast<NewArrayStmt>(S)->target());
-    case StmtKind::NewBarrier:
-      return removeVar(Out, cast<NewBarrierStmt>(S)->target());
-    case StmtKind::ArrayLen:
-      return removeVar(Out, cast<ArrayLenStmt>(S)->target());
-    case StmtKind::Call:
-      return removeVar(Out, cast<CallStmt>(S)->target());
-    case StmtKind::FieldRead: {
-      const auto *F = cast<FieldReadStmt>(S);
-      Anticipated In = removeVar(Out, F->target());
-      if (Opts.UseAnticipation)
-        addAnticipated(In, Path::field(AccessKind::Read, F->object(),
-                                       F->field()));
-      return In;
-    }
-    case StmtKind::FieldWrite: {
-      const auto *F = cast<FieldWriteStmt>(S);
-      if (Opts.UseAnticipation)
-        addAnticipated(Out, Path::field(AccessKind::Write, F->object(),
-                                        F->field()));
-      return Out;
-    }
-    case StmtKind::ArrayRead: {
-      const auto *A = cast<ArrayReadStmt>(S);
-      Anticipated In = removeVar(Out, A->target());
-      if (Opts.UseAnticipation)
-        if (auto Idx = toAffine(A->index()))
-          addAnticipated(In,
-                         Path::arrayIndex(AccessKind::Read, A->array(),
-                                          *Idx));
-      return In;
-    }
-    case StmtKind::ArrayWrite: {
-      const auto *A = cast<ArrayWriteStmt>(S);
-      if (Opts.UseAnticipation)
-        if (auto Idx = toAffine(A->index()))
-          addAnticipated(Out,
-                         Path::arrayIndex(AccessKind::Write, A->array(),
-                                          *Idx));
-      return Out;
-    }
     default:
-      return Out;
+      break;
     }
+    if (const std::string *X = definedVar(S))
+      Out = removeVar(Out, *X);
+    // Releases do not kill anticipation, and add none: a volatile access
+    // is never checked.
+    if (Kind == SyncKind::None && Opts.UseAnticipation)
+      if (std::optional<Path> Access = accessPath(S))
+        addAnticipated(Out, *Access);
+    return Out;
   }
 
   static bool sameAnticipated(Anticipated A, Anticipated B) {
@@ -650,22 +513,9 @@ private:
     // (which only costs precision).
     Anticipated Head;
     if (Opts.UseAnticipation) {
-      auto Collect = [&Head](Stmt *S) {
-        if (const auto *A = dyn_cast<ArrayReadStmt>(S)) {
-          if (auto Idx = toAffine(A->index()))
-            addAnticipated(Head, Path::arrayIndex(AccessKind::Read,
-                                                  A->array(), *Idx));
-        } else if (const auto *W = dyn_cast<ArrayWriteStmt>(S)) {
-          if (auto Idx = toAffine(W->index()))
-            addAnticipated(Head, Path::arrayIndex(AccessKind::Write,
-                                                  W->array(), *Idx));
-        } else if (const auto *F = dyn_cast<FieldReadStmt>(S)) {
-          addAnticipated(Head, Path::field(AccessKind::Read, F->object(),
-                                           F->field()));
-        } else if (const auto *FW = dyn_cast<FieldWriteStmt>(S)) {
-          addAnticipated(Head, Path::field(AccessKind::Write, FW->object(),
-                                           FW->field()));
-        }
+      auto Collect = [&Head](const Stmt *S) {
+        if (std::optional<Path> Access = accessPath(S))
+          addAnticipated(Head, *Access);
       };
       walkStmt(Loop->preBody(), Collect);
       walkStmt(Loop->postBody(), Collect);
@@ -796,11 +646,8 @@ private:
           materializeCheck(Stmts, I, C, H);
           if (!C.empty())
             ++I;
-          if (isAcquireSide(Kind) || Kind == SyncKind::DirectRelease ||
-              Kind == SyncKind::CallRelease) {
-            for (const Path &P : C)
-              H.addCheck(P);
-          }
+          for (const Path &P : C)
+            H.addCheck(P);
         }
         H = stepStmt(H, S);
         break;
@@ -846,7 +693,7 @@ PlacementStats bigfoot::placeBigFootChecks(Program &P,
       Tracers;
   auto RunBody = [&](StmtPtr &Body) {
     auto Analyzer =
-        std::make_unique<BodyAnalyzer>(P, Kills, Opts, Stats, Table);
+        std::make_unique<BodyAnalyzer>(Kills, Opts, Stats, Table);
     Analyzer->run(Body);
     if (Opts.TraceContexts)
       Tracers.emplace_back(std::move(Analyzer), Body.get());

@@ -411,26 +411,6 @@ bool History::subsumedBy(const History &Stronger) const {
 // Structural operations.
 //===----------------------------------------------------------------------===
 
-bool History::mentions(const std::string &Name) const {
-  const VarName V = VarName::intern(Name);
-  for (const BoolFact &Fact : Bools)
-    if (Fact.L.mentions(V) || Fact.R.mentions(V))
-      return true;
-  for (const AliasFact &Fact : Aliases) {
-    if (Fact.X == Name || Fact.Base == Name)
-      return true;
-    if (Fact.IsArray && Fact.Index.mentions(V))
-      return true;
-  }
-  for (const Path &P : Accesses)
-    if (P.mentions(V))
-      return true;
-  for (const Path &P : Checks)
-    if (P.mentions(V))
-      return true;
-  return false;
-}
-
 History History::renamed(const std::string &From,
                          const std::string &To) const {
   // A boolean, alias or check fact whose renamed form overflows is

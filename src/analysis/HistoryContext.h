@@ -155,10 +155,6 @@ public:
   bool subsumedBy(const History &Stronger) const;
 
   //===--- Structural operations -------------------------------------------
-  /// True if \p Name occurs anywhere in the history (freshness test for
-  /// assignment targets).
-  bool mentions(const std::string &Name) const;
-
   /// H[From := To] for the [RENAME] rule.
   History renamed(const std::string &From, const std::string &To) const;
 

@@ -23,19 +23,10 @@ KillSets::KillSets(const Program &P, const SyncModel &Model)
       for (const auto &M : C->Methods) {
         SyncEffect &Mine = Effects[M->Name];
         SyncEffect Acc = Mine;
-        walkStmt(const_cast<Stmt *>(M->Body.get()), [this, &Acc](Stmt *S) {
-          SyncEffect Direct = directEffect(S);
-          Acc.Acquires |= Direct.Acquires;
-          Acc.Releases |= Direct.Releases;
-          if (const auto *Call = dyn_cast<CallStmt>(S)) {
-            auto It = Effects.find(Call->method());
-            if (It != Effects.end()) {
-              Acc.Acquires |= It->second.Acquires;
-              Acc.Releases |= It->second.Releases;
-            } else {
-              Acc.Acquires = Acc.Releases = true;
-            }
-          }
+        walkStmt(M->Body.get(), [this, &Acc](const Stmt *S) {
+          SyncEffect E = effectOf(S);
+          Acc.Acquires |= E.Acquires;
+          Acc.Releases |= E.Releases;
         });
         if (Acc.Acquires != Mine.Acquires || Acc.Releases != Mine.Releases) {
           Mine = Acc;
@@ -53,6 +44,12 @@ SyncEffect KillSets::effectOf(const std::string &MethodName) const {
   SyncEffect Unknown;
   Unknown.Acquires = Unknown.Releases = true;
   return Unknown;
+}
+
+SyncEffect KillSets::effectOf(const Stmt *S) const {
+  if (const auto *Call = dyn_cast<CallStmt>(S))
+    return effectOf(Call->method());
+  return directEffect(S);
 }
 
 SyncEffect KillSets::directEffect(const Stmt *S) const {

@@ -57,6 +57,10 @@ public:
   /// The effect a single statement has directly (not through calls).
   SyncEffect directEffect(const Stmt *S) const;
 
+  /// The effect of executing \p S: the summary of the method a call
+  /// invokes, else S's direct effect.
+  SyncEffect effectOf(const Stmt *S) const;
+
   const SyncModel &model() const { return Model; }
 
 private:

@@ -6,12 +6,14 @@
 ///
 /// \file
 /// The check-placement rules require every assignment target to be
-/// "fresh" — not mentioned in the current history (Section 3.3). Source
-/// programs reuse variables (i = i + 1), so this pass inserts renaming
-/// statements x' := x on demand before such assignments and rewrites the
-/// assignment's own uses of x to x', exactly as in Figure 6(b). Extra
-/// renames are harmless (a local copy); missing ones would invalidate
-/// history facts, so the pass overapproximates "mentioned".
+/// "fresh" — not mentioned in the current history (Section 3.3), nor read
+/// by the facts the assignment itself records (x = x.f). Source programs
+/// reuse variables (i = i + 1), so this pass inserts renaming statements
+/// x' := x on demand before such assignments and rewrites the
+/// assignment's own uses of x to x', exactly as in Figure 6(b). Fresh
+/// names avoid every name the body uses. Extra renames are harmless (a
+/// local copy); missing ones would invalidate history facts, so the pass
+/// overapproximates "mentioned".
 ///
 //===----------------------------------------------------------------------===//
 

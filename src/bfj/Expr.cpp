@@ -97,22 +97,25 @@ std::string Expr::str() const {
   return OS.str();
 }
 
-bool Expr::mentions(const std::string &Name) const {
+void Expr::forEachVar(const VarVisitor &Visit) const {
   switch (Kind) {
   case ExprKind::IntLit:
   case ExprKind::BoolLit:
   case ExprKind::NullLit:
-    return false;
+    return;
   case ExprKind::VarRef:
-    return cast<VarRef>(this)->name() == Name;
+    Visit(cast<VarRef>(this)->name());
+    return;
   case ExprKind::Unary:
-    return cast<UnaryExpr>(this)->operand()->mentions(Name);
+    cast<UnaryExpr>(this)->operand()->forEachVar(Visit);
+    return;
   case ExprKind::Binary: {
     const auto *B = cast<BinaryExpr>(this);
-    return B->lhs()->mentions(Name) || B->rhs()->mentions(Name);
+    B->lhs()->forEachVar(Visit);
+    B->rhs()->forEachVar(Visit);
+    return;
   }
   }
-  return false;
 }
 
 namespace {

@@ -21,6 +21,7 @@
 #include "support/Symbol.h"
 
 #include <cstdint>
+#include <functional>
 #include <memory>
 #include <optional>
 #include <string>
@@ -60,6 +61,10 @@ bool isComparison(BinaryOp Op);
 /// The textual operator symbol, e.g. "+" or "<=".
 const char *binaryOpSpelling(BinaryOp Op);
 
+/// Called with the name of each variable a walk over an expression, a
+/// statement or a check path visits.
+using VarVisitor = std::function<void(const std::string &Name)>;
+
 /// Base class of all BFJ expressions.
 class Expr {
 public:
@@ -77,9 +82,9 @@ public:
   /// Renders source syntax, fully parenthesized for operators.
   std::string str() const;
 
-  /// True if variable \p Name occurs free (all BFJ variables are locals,
-  /// so "occurs" is "occurs free").
-  bool mentions(const std::string &Name) const;
+  /// Calls \p Visit on every variable occurrence, left to right (all BFJ
+  /// variables are locals, so every occurrence is free).
+  void forEachVar(const VarVisitor &Visit) const;
 
 private:
   const ExprKind Kind;

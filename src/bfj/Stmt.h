@@ -16,6 +16,10 @@
 /// Heap accesses are statements, never subexpressions, so each access site
 /// is a unique program point for check placement.
 ///
+/// Which local a statement assigns, which locals it reads and which heap
+/// location it accesses are answered once, by definedVar, forEachVar and
+/// accessPath at the end of this file; every pass asks them.
+///
 //===----------------------------------------------------------------------===//
 
 #ifndef BIGFOOT_BFJ_STMT_H
@@ -27,6 +31,7 @@
 
 #include <cassert>
 #include <memory>
+#include <optional>
 #include <string>
 #include <vector>
 
@@ -598,6 +603,33 @@ public:
 private:
   std::unique_ptr<Expr> Cond;
 };
+
+//===----------------------------------------------------------------------===//
+// What a statement defines, reads and accesses
+//===----------------------------------------------------------------------===//
+
+/// The local the simple statement \p S assigns: the target of an
+/// assignment, rename, allocation, heap read, length, call or fork. Null
+/// for any other statement and for a discarded call or fork result ("" or
+/// "_").
+const std::string *definedVar(const Stmt *S);
+
+/// Calls \p Visit on every local \p S defines or reads, once per
+/// occurrence: definedVar(S) first, then its operands, including an If,
+/// Loop or assert condition and each check path's designator and bound
+/// variables. The statements nested in a Block, If or Loop are not
+/// visited; walkStmt reaches them.
+void forEachVar(const Stmt *S, const VarVisitor &Visit);
+
+/// Calls \p Visit on \p P's designator, then on each variable term of its
+/// range's begin and end bounds.
+void forEachVar(const Path &P, const VarVisitor &Visit);
+
+/// The check path of a heap access statement (x = y.f, y.f = e, x = y[e]
+/// or y[e1] = e2), or nullopt for any other statement. A volatile field
+/// access has a path too; it is the caller that treats it as
+/// synchronization. Validated programs have affine indices.
+std::optional<Path> accessPath(const Stmt *S);
 
 } // namespace bigfoot
 

@@ -17,34 +17,6 @@ using namespace bigfoot;
 
 namespace {
 
-/// Builds the check path for one access statement.
-std::optional<Path> pathForAccess(const Stmt *S) {
-  switch (S->kind()) {
-  case StmtKind::FieldRead: {
-    const auto *F = cast<FieldReadStmt>(S);
-    return Path::field(AccessKind::Read, F->object(), F->field());
-  }
-  case StmtKind::FieldWrite: {
-    const auto *F = cast<FieldWriteStmt>(S);
-    return Path::field(AccessKind::Write, F->object(), F->field());
-  }
-  case StmtKind::ArrayRead: {
-    const auto *A = cast<ArrayReadStmt>(S);
-    std::optional<AffineExpr> Idx = toAffine(A->index());
-    assert(Idx && "validated programs have affine indices");
-    return Path::arrayIndex(AccessKind::Read, A->array(), *Idx);
-  }
-  case StmtKind::ArrayWrite: {
-    const auto *A = cast<ArrayWriteStmt>(S);
-    std::optional<AffineExpr> Idx = toAffine(A->index());
-    assert(Idx && "validated programs have affine indices");
-    return Path::arrayIndex(AccessKind::Write, A->array(), *Idx);
-  }
-  default:
-    return std::nullopt;
-  }
-}
-
 //===----------------------------------------------------------------------===
 // FastTrack / SlimState placement: a check before every access.
 //===----------------------------------------------------------------------===
@@ -59,7 +31,7 @@ void insertPerAccessChecks(const Program &P, Stmt *S) {
         insertPerAccessChecks(P, Child);
         continue;
       }
-      std::optional<Path> Pth = pathForAccess(Child);
+      std::optional<Path> Pth = accessPath(Child);
       if (!Pth)
         continue;
       // Volatile accesses are synchronization, never checked.
@@ -89,8 +61,7 @@ void insertPerAccessChecks(const Program &P, Stmt *S) {
 
 class RedCardPass {
 public:
-  RedCardPass(const Program &P, const KillSets &Kills)
-      : Prog(P), Kills(Kills) {}
+  explicit RedCardPass(const KillSets &Kills) : Kills(Kills) {}
 
   unsigned checksInserted() const { return NumChecks; }
 
@@ -100,7 +71,6 @@ public:
   }
 
 private:
-  const Program &Prog;
   const KillSets &Kills;
   EntailmentTable Table;
   unsigned NumChecks = 0;
@@ -173,114 +143,60 @@ private:
   History processSimple(std::vector<StmtPtr> &Stmts, size_t I, History H,
                         bool Insert) {
     Stmt *S = Stmts[I].get();
-    // Accesses: possibly insert a check; always record check+alias facts.
-    if (std::optional<Path> Pth = pathForAccess(S)) {
-      bool Volatile =
-          Pth->isField() && Prog.isFieldVolatileAnywhere(Pth->Fields[0]);
-      if (Volatile) {
-        // Volatile read = acquire; volatile write = release.
-        return Pth->Access == AccessKind::Read ? H.afterAcquire()
-                                               : H.afterRelease();
+    SyncEffect Effect = Kills.effectOf(S);
+    // A plain access is checked unless an earlier check in the same
+    // release-free span covers it; a volatile access is synchronization
+    // and never checked.
+    std::optional<Path> Pth = accessPath(S);
+    if (Pth && !Effect.any() && !H.entailsCheck(*Pth)) {
+      if (Insert) {
+        Stmts.insert(Stmts.begin() + static_cast<ptrdiff_t>(I),
+                     std::make_unique<CheckStmt>(std::vector<Path>{*Pth}));
+        ++NumChecks;
       }
-      if (!H.entailsCheck(*Pth)) {
-        if (Insert) {
-          Stmts.insert(Stmts.begin() + static_cast<ptrdiff_t>(I),
-                       std::make_unique<CheckStmt>(
-                           std::vector<Path>{*Pth}));
-          ++NumChecks;
-        }
-        H.addCheck(*Pth);
-      }
-      // Post-access facts: invalidation plus the alias expression.
-      switch (S->kind()) {
-      case StmtKind::FieldRead: {
-        const auto *F = cast<FieldReadStmt>(S);
-        H.dropMentions(F->target());
-        if (F->target() != F->object()) {
-          AliasFact A;
-          A.IsArray = false;
-          A.X = F->target();
-          A.Base = F->object();
-          A.Field = F->field();
-          H.addAlias(std::move(A));
-        }
-        break;
-      }
-      case StmtKind::FieldWrite:
-        H.invalidateAliasesForFieldWrite(cast<FieldWriteStmt>(S)->field());
-        break;
-      case StmtKind::ArrayRead: {
-        const auto *A = cast<ArrayReadStmt>(S);
-        H.dropMentions(A->target());
-        break;
-      }
-      case StmtKind::ArrayWrite:
-        H.invalidateAliasesForArrayWrite();
-        break;
-      default:
-        break;
-      }
-      return H;
+      H.addCheck(*Pth);
     }
-
+    // Facts about the variable S assigns describe its old value.
+    if (const std::string *X = definedVar(S))
+      H.dropMentions(*X);
+    if (Effect.Releases)
+      return H.afterRelease();
+    if (Effect.Acquires)
+      return H.afterAcquire();
     switch (S->kind()) {
     case StmtKind::Assign: {
       const auto *A = cast<AssignStmt>(S);
-      H.dropMentions(A->target());
       const VarName Target = VarName::intern(A->target());
       if (auto E = toAffine(A->value()))
         if (!E->mentions(Target))
           H.addBool({RelOp::Eq, AffineExpr::variable(Target), *E, 0});
-      return H;
+      break;
     }
-    case StmtKind::Rename: {
-      const auto *Ren = cast<RenameStmt>(S);
-      H.dropMentions(Ren->target());
-      return H;
+    case StmtKind::FieldRead: {
+      const auto *F = cast<FieldReadStmt>(S);
+      if (F->target() != F->object()) {
+        AliasFact A;
+        A.IsArray = false;
+        A.X = F->target();
+        A.Base = F->object();
+        A.Field = F->field();
+        H.addAlias(std::move(A));
+      }
+      break;
     }
-    case StmtKind::New:
-      H.dropMentions(cast<NewStmt>(S)->target());
-      return H;
-    case StmtKind::NewArray:
-      H.dropMentions(cast<NewArrayStmt>(S)->target());
-      return H;
-    case StmtKind::NewBarrier:
-      H.dropMentions(cast<NewBarrierStmt>(S)->target());
-      return H;
-    case StmtKind::ArrayLen: {
-      const auto *L = cast<ArrayLenStmt>(S);
-      H.dropMentions(L->target());
-      return H;
-    }
-    case StmtKind::Acquire:
-    case StmtKind::Join:
-      return H.afterAcquire();
-    case StmtKind::Release:
-    case StmtKind::Fork: {
-      if (const auto *F = dyn_cast<ForkStmt>(S))
-        H.dropMentions(F->target());
-      return H.afterRelease();
-    }
-    case StmtKind::Await: {
-      History Out = H.afterRelease();
-      return Out;
-    }
-    case StmtKind::Call: {
-      const auto *C = cast<CallStmt>(S);
-      H.dropMentions(C->target());
-      SyncEffect E = Kills.effectOf(C->method());
-      if (E.Releases)
-        return H.afterRelease();
-      if (E.Acquires)
-        return H.afterAcquire();
-      return H;
-    }
+    case StmtKind::FieldWrite:
+      H.invalidateAliasesForFieldWrite(cast<FieldWriteStmt>(S)->field());
+      break;
+    case StmtKind::ArrayWrite:
+      H.invalidateAliasesForArrayWrite();
+      break;
     case StmtKind::AssertStmt:
       H.addCondition(cast<AssertStmtNode>(S)->cond(), /*Negated=*/false);
-      return H;
+      break;
     default:
-      return H;
+      break;
     }
+    return H;
   }
 };
 
@@ -332,7 +248,7 @@ InstrumentedProgram bigfoot::instrumentRedCard(const Program &P) {
   InstrumentedProgram Out;
   Out.Prog = clonePrepared(P);
   KillSets Kills(*Out.Prog);
-  RedCardPass Pass(*Out.Prog, Kills);
+  RedCardPass Pass(Kills);
   for (auto &C : Out.Prog->Classes)
     for (auto &M : C->Methods)
       Pass.runOnBody(M->Body.get());

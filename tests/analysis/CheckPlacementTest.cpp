@@ -12,6 +12,8 @@
 
 #include "bfj/Parser.h"
 #include "bfj/Printer.h"
+#include "instrument/Instrumenters.h"
+#include "vm/Vm.h"
 
 #include <gtest/gtest.h>
 
@@ -679,6 +681,27 @@ TEST(CheckPlacement, OverflowedCheckRangeIsNeverBuilt) {
   ASSERT_TRUE(P.Range.overflowed());
   EXPECT_DEBUG_DEATH(CheckStmt(std::vector<Path>{P}),
                      "check range overflows int64");
+}
+
+TEST(CheckPlacement, FreshNamesAvoidReadOnlyNames) {
+  // i' is only read (an unset local reads as 0), so the rename before
+  // i = i + 1 must not be named i', or the print would see i's old value.
+  auto Prog = parseProgramOrDie(R"(
+thread {
+  i = 0;
+  while (i < 3) {
+    print i';
+    i = i + 1;
+  }
+}
+)");
+  VmResult Base = runProgramBase(*Prog, VmOptions());
+  ASSERT_TRUE(Base.Ok) << Base.Error;
+  EXPECT_EQ(Base.Output, (std::vector<std::string>{"0", "0", "0"}));
+  InstrumentedProgram IP = instrumentBigFoot(*Prog);
+  VmResult Placed = runProgram(*IP.Prog, IP.Tool, VmOptions());
+  ASSERT_TRUE(Placed.Ok) << Placed.Error;
+  EXPECT_EQ(Placed.Output, Base.Output) << printProgram(*IP.Prog);
 }
 
 TEST(CheckPlacement, InstrumentedProgramStillPrintsAndParses) {

@@ -249,8 +249,68 @@ TEST(BfjAst, CloneIsDeepAndPreservesIds) {
 
 TEST(BfjAst, ExprMentions) {
   auto E = binary(BinaryOp::Add, var("i"), intLit(3));
-  EXPECT_TRUE(E->mentions("i"));
-  EXPECT_FALSE(E->mentions("j"));
+  std::vector<std::string> Vars;
+  E->forEachVar([&Vars](const std::string &V) { Vars.push_back(V); });
+  EXPECT_EQ(Vars, std::vector<std::string>{"i"}); // i, and not j.
+}
+
+TEST(BfjAst, StatementVarsAndAccessPaths) {
+  auto Prog = parseProgramOrDie(R"(
+class C {
+  fields f;
+  method id(v) {
+    return v;
+  }
+}
+thread {
+  a = new_array(4);
+  i = 1;
+  x = a[i + i];
+  a[i] = x + 2;
+  o = new C;
+  o.f = i;
+  o.id(i);
+  r = o.id(x);
+  check(W a[i..x + 1]);
+  assert i < x;
+}
+)");
+  const auto &Body = cast<BlockStmt>(Prog->Threads[0].get())->stmts();
+  ASSERT_EQ(Body.size(), 10u);
+  auto VarsOf = [](const Stmt *S) {
+    std::vector<std::string> Vars;
+    forEachVar(S, [&Vars](const std::string &V) { Vars.push_back(V); });
+    return Vars;
+  };
+  auto DefinedOf = [](const Stmt *S) -> std::string {
+    const std::string *X = definedVar(S);
+    return X ? *X : "<none>";
+  };
+  auto PathOf = [](const Stmt *S) -> std::string {
+    std::optional<Path> P = accessPath(S);
+    return P ? std::string(accessKindName(P->Access)) + " " + P->str()
+             : "<none>";
+  };
+  using Names = std::vector<std::string>;
+  // x = a[i + i]: the target first, then each occurrence it reads.
+  EXPECT_EQ(DefinedOf(Body[2].get()), "x");
+  EXPECT_EQ(VarsOf(Body[2].get()), (Names{"x", "a", "i", "i"}));
+  EXPECT_EQ(PathOf(Body[2].get()), "read a[2*i]");
+  // a[i] = x + 2 assigns no local.
+  EXPECT_EQ(DefinedOf(Body[3].get()), "<none>");
+  EXPECT_EQ(VarsOf(Body[3].get()), (Names{"a", "i", "x"}));
+  EXPECT_EQ(PathOf(Body[3].get()), "write a[i]");
+  EXPECT_EQ(PathOf(Body[5].get()), "write o.f");
+  // A discarded call result is no variable; a kept one is.
+  EXPECT_EQ(DefinedOf(Body[6].get()), "<none>");
+  EXPECT_EQ(VarsOf(Body[6].get()), (Names{"o", "i"}));
+  EXPECT_EQ(DefinedOf(Body[7].get()), "r");
+  EXPECT_EQ(VarsOf(Body[7].get()), (Names{"r", "o", "x"}));
+  EXPECT_EQ(PathOf(Body[7].get()), "<none>");
+  // A check names its designator and its bounds' variables.
+  EXPECT_EQ(VarsOf(Body[8].get()), (Names{"a", "i", "x"}));
+  EXPECT_EQ(VarsOf(Body[9].get()), (Names{"i", "x"}));
+  EXPECT_EQ(DefinedOf(Body[9].get()), "<none>");
 }
 
 TEST(BfjAst, ToAffineHandlesLinearForms) {

@@ -410,26 +410,111 @@ thread {
                 "predicate guarded");
 }
 
+TEST(Precision, ReassignedAssertVariableStillRaces) {
+  // The assert records k < 5 in the history. Reassigning k must first
+  // rename it, or k = 10 contradicts that fact, the history entails
+  // everything and BigFoot drops the check of a[0].
+  checkAllTools(R"(
+class W {
+  fields f;
+  method run(a, k) {
+    assert k < 5;
+    x = a[0];
+    k = 10;
+  }
+}
+thread {
+  a = new_array(4);
+  w = new W;
+  fork t = w.run(a, 1);
+  a[0] = 7;
+  join t;
+}
+)",
+                "reassigned assert variable");
+}
+
+TEST(Precision, VolatileReadIntoIndexVariableRaces) {
+  // x = b.flag changes x after a[x] was checked: the second read is of
+  // a[1], not a[0], so RedCard's facts about the old x must go even though
+  // the read is synchronization.
+  checkAllTools(R"(
+class Box { volatile fields flag; }
+class W {
+  fields f;
+  method run(a, b) {
+    x = 0;
+    y = a[x];
+    x = b.flag;
+    z = a[x];
+  }
+}
+thread {
+  a = new_array(4);
+  b = new Box;
+  b.flag = 1;
+  w = new W;
+  fork t = w.run(a, b);
+  a[1] = 5;
+  join t;
+}
+)",
+                "volatile read into index variable");
+}
+
+TEST(Precision, SelfReadingFieldReadStillRaces) {
+  // n = n.next reads the old n: its access and alias facts are about that
+  // value, so n needs a fresh name even though no earlier fact mentions
+  // it. Otherwise the one check BigFoot places at the end of run covers
+  // b.next, not the racy a.next.
+  checkAllTools(R"(
+class Node { fields next, val; }
+class W {
+  fields f;
+  method run(n) {
+    n = n.next;
+    m = n.next;
+  }
+}
+thread {
+  a = new Node;
+  b = new Node;
+  c = new Node;
+  a.next = b;
+  b.next = c;
+  w = new W;
+  fork t = w.run(a);
+  a.next = c;
+  join t;
+}
+)",
+                "self-reading field read");
+}
+
 //===----------------------------------------------------------------------===
 // Randomized property sweep: generated programs, all tools, many seeds.
 //===----------------------------------------------------------------------===
 
 namespace {
 
-/// Generates a random two-worker program over one shared object, one
-/// shared array, and one lock. Each worker body is a random mix of
-/// guarded/unguarded field and array accesses and loops.
+/// Generates a random two-worker program over one shared object, two
+/// shared arrays, and one lock. Each worker body is a random mix of
+/// guarded/unguarded field and array accesses and loops, plus two shapes
+/// whose variable bookkeeping once hid races: the parameter n, which an
+/// assert at the top bounds, reassigned, and a volatile flag read into a
+/// variable an earlier access to the second array used as its index.
 std::string generateProgram(uint64_t Seed) {
   Rng R(Seed);
   std::ostringstream OS;
-  OS << "class O { fields f0, f1, f2; }\n";
-  OS << "class W {\n  fields pad;\n  method run(o, a, lock, n) {\n";
+  OS << "class O { fields f0, f1, f2; volatile fields vf; }\n";
+  OS << "class W {\n  fields pad;\n  method run(o, a, b, lock, n) {\n";
+  OS << "    assert n > 8;\n";
   int Stmts = 3 + static_cast<int>(R.nextBelow(5));
   for (int S = 0; S < Stmts; ++S) {
     bool Guarded = R.chance(1, 2);
     if (Guarded)
       OS << "    acq(lock);\n";
-    switch (R.nextBelow(5)) {
+    switch (R.nextBelow(7)) {
     case 0:
       OS << "    o.f" << R.nextBelow(3) << " = " << R.nextBelow(100)
          << ";\n";
@@ -456,16 +541,34 @@ std::string generateProgram(uint64_t Seed) {
     case 4:
       OS << "    u" << S << " = a[" << R.nextBelow(8) << "];\n";
       break;
+    case 5:
+      // Contradicts the assert unless n is renamed first; keeps later
+      // loops inside the array.
+      OS << "    n = 8;\n";
+      break;
+    case 6: {
+      // The same read before and after the volatile read changes its
+      // index to 3 (the thread sets o.vf before forking, then writes b[3]
+      // unsynchronized). Only these reads and that write touch b, so no
+      // other race on b hides a missed one.
+      std::string X = "x" + std::to_string(S);
+      OS << "    " << X << " = " << R.nextBelow(3) << ";\n";
+      OS << "    r" << S << " = b[" << X << "];\n";
+      OS << "    " << X << " = o.vf;\n";
+      OS << "    s" << S << " = b[" << X << "];\n";
+      break;
+    }
     }
     if (Guarded)
       OS << "    rel(lock);\n";
   }
   OS << "  }\n}\n";
   OS << "thread {\n"
-     << "  o = new O;\n  lock = new O;\n  a = new_array(16);\n"
+     << "  o = new O;\n  o.vf = 3;\n  lock = new O;\n"
+     << "  a = new_array(16);\n  b = new_array(4);\n"
      << "  w1 = new W;\n  w2 = new W;\n"
-     << "  fork t1 = w1.run(o, a, lock, 16);\n"
-     << "  fork t2 = w2.run(o, a, lock, 16);\n"
+     << "  fork t1 = w1.run(o, a, b, lock, 16);\n"
+     << "  fork t2 = w2.run(o, a, b, lock, 16);\n  b[3] = 9;\n"
      << "  join t1;\n  join t2;\n}\n";
   return OS.str();
 }

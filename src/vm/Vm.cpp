@@ -902,16 +902,32 @@ private:
   /// Evaluates a compiled affine bound (constant + sum of coefficient ×
   /// local) over the frame's locals. Unset locals read as 0, like every
   /// BFJ local; a local holding a reference or null makes the bound
-  /// undefined.
-  std::optional<int64_t> evalBound(Frame &F, const Path::CompiledBound &B) {
+  /// undefined, and so does a bound int64 cannot hold, which also sets
+  /// \p Overflowed.
+  std::optional<int64_t> evalBound(Frame &F, const Path::CompiledBound &B,
+                                   bool &Overflowed) {
     int64_t V = B.Constant;
     for (const auto &[Sym, Coeff] : B.Terms) {
       const Value &L = local(F, Sym);
       if (L.K != Value::Kind::Int)
         return std::nullopt;
-      V += Coeff * L.I;
+      int64_t Term = 0;
+      if (__builtin_mul_overflow(Coeff, L.I, &Term) ||
+          __builtin_add_overflow(V, Term, &V)) {
+        Overflowed = true;
+        return std::nullopt;
+      }
     }
     return V;
+  }
+
+  /// Fails the run on a check range evalBound could not evaluate. Kept out
+  /// of line, as the message is built, so that execCheck and evalBound
+  /// still inline into the dispatch loop.
+  [[gnu::cold, gnu::noinline]] void failCheckRange(const Path &P,
+                                                   bool Overflowed) {
+    setError(Overflowed ? "check range " + P.str() + " overflows int64"
+                        : "check range bounds are not integers");
   }
 
   void execCheck(ThreadCtx &T, const CheckStmt *Check) {
@@ -940,10 +956,11 @@ private:
                   static_cast<uint32_t>(P.FieldSyms.size()));
         continue;
       }
-      std::optional<int64_t> Begin = evalBound(F, P.BeginC);
-      std::optional<int64_t> End = evalBound(F, P.EndC);
+      bool Overflowed = false;
+      std::optional<int64_t> Begin = evalBound(F, P.BeginC, Overflowed);
+      std::optional<int64_t> End = evalBound(F, P.EndC, Overflowed);
       if (!Begin || !End) {
-        setError("check range bounds are not integers");
+        failCheckRange(P, Overflowed);
         return;
       }
       if (*Begin >= *End)

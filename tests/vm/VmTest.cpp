@@ -7,6 +7,7 @@
 #include "vm/Vm.h"
 
 #include "bfj/Parser.h"
+#include "instrument/Instrumenters.h"
 
 #include <gtest/gtest.h>
 
@@ -373,6 +374,18 @@ thread {
   EXPECT_EQ(R.Output, (std::vector<std::string>{
                           "-9223372036854775808", "-1", "-9223372036854775808",
                           "-9223372036854775807", "-9223372036854775807"}));
+}
+
+TEST(Vm, CheckBoundOverflowIsRuntimeError) {
+  // FastTrack checks a[i * 2^62] before the read. At i = 2 the check's
+  // bound has no int64 value: the run fails naming the check range,
+  // instead of wrapping to some other range.
+  auto Prog = parseProgramOrDie(
+      "thread { a = new_array(4); i = 2; x = a[i * 4611686018427387904]; }");
+  InstrumentedProgram IP = instrumentFastTrack(*Prog);
+  VmResult R = runProgram(*IP.Prog, IP.Tool, VmOptions());
+  EXPECT_FALSE(R.Ok);
+  EXPECT_EQ(R.Error, "check range a[4611686018427387904*i] overflows int64");
 }
 
 TEST(Vm, AssertFailureIsRuntimeError) {

@@ -707,6 +707,7 @@ PlacementStats bigfoot::placeBigFootChecks(Program &P,
   for (auto &Thread : P.Threads)
     RunBody(Thread);
   P.numberStatements();
+  P.internSymbols();
   for (auto &[Analyzer, Body] : Tracers)
     Analyzer->recordTraceFor(Body);
   Stats.Entailment = Table.Counts;

@@ -69,8 +69,9 @@ struct PlacementStats {
 };
 
 /// Runs the full BigFoot placement over every method and thread body of
-/// \p P, inserting renames and check statements in place. \p P should be
-/// a clone of the original program.
+/// \p P, inserting renames and check statements in place, then numbers
+/// its statements and rebuilds its symbol table, so \p P is ready to run.
+/// \p P should be a clone of the original program.
 PlacementStats placeBigFootChecks(Program &P,
                                   const PlacementOptions &Opts =
                                       PlacementOptions());

@@ -18,7 +18,6 @@
 
 #include "support/AffineExpr.h"
 #include "support/Casting.h"
-#include "support/Symbol.h"
 
 #include <cstdint>
 #include <functional>
@@ -143,11 +142,6 @@ public:
       : Expr(ExprKind::VarRef), Name(std::move(Name)) {}
 
   const std::string &name() const { return Name; }
-
-  /// Interned id of the variable, set by Program::internSymbols; the VM
-  /// indexes frame locals with it. Mutable because interning runs over
-  /// const expression trees.
-  mutable SymId Sym = kNoSym;
 
   std::unique_ptr<Expr> clone() const override {
     return std::make_unique<VarRef>(Name);

@@ -11,13 +11,17 @@
 /// bounds are affine in the method's locals. Each path carries whether it
 /// is a read or a write check (Section 5).
 ///
+/// A path is source data: names and symbolic bounds. The VM never reads
+/// one on its hot path; the compiler lowers each placed check into a
+/// check record of registers, field ids and compiled bounds
+/// (vm/Bytecode.h), and keeps the path only to render an error.
+///
 //===----------------------------------------------------------------------===//
 
 #ifndef BIGFOOT_BFJ_PATH_H
 #define BIGFOOT_BFJ_PATH_H
 
 #include "support/AffineExpr.h"
-#include "support/Symbol.h"
 
 #include <cassert>
 #include <string>
@@ -51,20 +55,6 @@ struct Path {
 
   /// Array path: the checked index range, bounds affine in locals.
   SymbolicRange Range;
-
-  /// An affine bound compiled against the program's symbol table: constant
-  /// plus coefficient-weighted interned locals. The VM evaluates this with
-  /// plain vector indexing instead of string-keyed map lookups.
-  struct CompiledBound {
-    int64_t Constant = 0;
-    std::vector<std::pair<SymId, int64_t>> Terms;
-  };
-
-  /// Interned caches, set by Program::internSymbols. Stale after AST
-  /// rewrites until the program is re-interned; the VM re-interns on entry.
-  SymId DesignatorSym = kNoSym;
-  std::vector<FieldId> FieldSyms;
-  CompiledBound BeginC, EndC;
 
   static Path field(AccessKind Access, std::string Designator,
                     std::string Field) {

@@ -6,8 +6,6 @@
 
 #include "bfj/Program.h"
 
-#include <cassert>
-
 using namespace bigfoot;
 
 std::unique_ptr<MethodDecl> MethodDecl::clone() const {
@@ -88,209 +86,56 @@ std::unique_ptr<Program> Program::clone() const {
     Out->Classes.push_back(C->clone());
   for (const auto &T : Threads)
     Out->Threads.push_back(T->clone());
-  // The copy's sym caches are freshly default-constructed (clone() builds
-  // new nodes); leave it un-interned so the first use re-interns.
+  Out->Symbols = Symbols;
   return Out;
 }
-
-namespace {
-
-/// Sets VarRef::Sym throughout an expression tree.
-void internExpr(const Expr *E, SymbolTable &Syms) {
-  if (!E)
-    return;
-  switch (E->kind()) {
-  case ExprKind::VarRef:
-    cast<VarRef>(E)->Sym = Syms.intern(cast<VarRef>(E)->name());
-    return;
-  case ExprKind::Unary:
-    internExpr(cast<UnaryExpr>(E)->operand(), Syms);
-    return;
-  case ExprKind::Binary:
-    internExpr(cast<BinaryExpr>(E)->lhs(), Syms);
-    internExpr(cast<BinaryExpr>(E)->rhs(), Syms);
-    return;
-  default:
-    return;
-  }
-}
-
-Path::CompiledBound compileBound(const AffineExpr &E, SymbolTable &Syms) {
-  // An overflowed bound has no terms and a zero constant: compiling it
-  // would silently check nothing.
-  assert(!E.overflowed() && "compiling an overflowed check bound");
-  Path::CompiledBound Out;
-  Out.Constant = E.constantPart();
-  Out.Terms.clear();
-  for (const auto &[Var, Coeff] : E.terms())
-    Out.Terms.emplace_back(Syms.intern(Var.name()), Coeff);
-  return Out;
-}
-
-/// kNoSym for names the VM treats as "no destination".
-SymId internTarget(const std::string &Name, SymbolTable &Syms) {
-  if (Name.empty() || Name == "_")
-    return kNoSym;
-  return Syms.intern(Name);
-}
-
-} // namespace
 
 void Program::internSymbols() {
   Symbols = SymbolTable();
+  const VarVisitor Intern = [this](const std::string &Name) {
+    Symbols.intern(Name);
+  };
   // Names every frame carries, interned first so they always exist.
-  Symbols.intern("$g");
-  Symbols.intern("this");
-  Symbols.intern("_");
+  for (const char *Name : {"$g", "this", "_"})
+    Intern(Name);
   // Class fields next: FieldIds stay dense and small (they must fit the
   // LocId packing), and their order is the declaration order.
   for (const auto &C : Classes) {
     for (const std::string &F : C->Fields)
-      Symbols.intern(F);
+      Intern(F);
     for (const std::string &F : C->VolatileFields)
-      Symbols.intern(F);
+      Intern(F);
   }
   for (const auto &C : Classes)
     for (const auto &M : C->Methods) {
-      M->ParamSyms.clear();
       for (const std::string &P : M->Params)
-        M->ParamSyms.push_back(Symbols.intern(P));
-      M->ReturnSym = internTarget(M->ReturnVar, Symbols);
+        Intern(P);
+      if (!M->ReturnVar.empty())
+        Intern(M->ReturnVar);
     }
-
-  forEachStmt([this](Stmt *S) {
-    SymbolTable &Syms = Symbols;
-    switch (S->kind()) {
-    case StmtKind::If:
-      internExpr(cast<IfStmt>(S)->cond(), Syms);
-      return;
-    case StmtKind::Loop:
-      internExpr(cast<LoopStmt>(S)->exitCond(), Syms);
-      return;
-    case StmtKind::Assign: {
-      auto *A = cast<AssignStmt>(S);
-      A->TargetSym = Syms.intern(A->target());
-      internExpr(A->value(), Syms);
-      return;
-    }
-    case StmtKind::Rename: {
-      auto *R = cast<RenameStmt>(S);
-      R->TargetSym = Syms.intern(R->target());
-      R->SourceSym = Syms.intern(R->source());
-      return;
-    }
-    case StmtKind::Acquire:
-      cast<AcquireStmt>(S)->LockSym =
-          Syms.intern(cast<AcquireStmt>(S)->lockVar());
-      return;
-    case StmtKind::Release:
-      cast<ReleaseStmt>(S)->LockSym =
-          Syms.intern(cast<ReleaseStmt>(S)->lockVar());
-      return;
-    case StmtKind::New: {
-      auto *N = cast<NewStmt>(S);
-      N->TargetSym = Syms.intern(N->target());
-      N->ClassCache = findClass(N->className());
-      return;
-    }
-    case StmtKind::NewArray: {
-      auto *N = cast<NewArrayStmt>(S);
-      N->TargetSym = Syms.intern(N->target());
-      internExpr(N->size(), Syms);
-      return;
-    }
-    case StmtKind::FieldRead: {
-      auto *Rd = cast<FieldReadStmt>(S);
-      Rd->TargetSym = Syms.intern(Rd->target());
-      Rd->ObjectSym = Syms.intern(Rd->object());
-      Rd->FieldSym = Syms.intern(Rd->field());
-      return;
-    }
-    case StmtKind::FieldWrite: {
-      auto *Wr = cast<FieldWriteStmt>(S);
-      Wr->ObjectSym = Syms.intern(Wr->object());
-      Wr->FieldSym = Syms.intern(Wr->field());
-      internExpr(Wr->value(), Syms);
-      return;
-    }
-    case StmtKind::ArrayRead: {
-      auto *Rd = cast<ArrayReadStmt>(S);
-      Rd->TargetSym = Syms.intern(Rd->target());
-      Rd->ArraySym = Syms.intern(Rd->array());
-      internExpr(Rd->index(), Syms);
-      return;
-    }
-    case StmtKind::ArrayWrite: {
-      auto *Wr = cast<ArrayWriteStmt>(S);
-      Wr->ArraySym = Syms.intern(Wr->array());
-      internExpr(Wr->index(), Syms);
-      internExpr(Wr->value(), Syms);
-      return;
-    }
-    case StmtKind::ArrayLen: {
-      auto *L = cast<ArrayLenStmt>(S);
-      L->TargetSym = Syms.intern(L->target());
-      L->ArraySym = Syms.intern(L->array());
-      return;
-    }
-    case StmtKind::Call: {
-      auto *C = cast<CallStmt>(S);
-      C->TargetSym = internTarget(C->target(), Syms);
-      C->ReceiverSym = Syms.intern(C->receiver());
-      for (const auto &Arg : C->args())
-        internExpr(Arg.get(), Syms);
-      return;
-    }
-    case StmtKind::Fork: {
-      auto *Fk = cast<ForkStmt>(S);
-      Fk->TargetSym = internTarget(Fk->target(), Syms);
-      Fk->ReceiverSym = Syms.intern(Fk->receiver());
-      for (const auto &Arg : Fk->args())
-        internExpr(Arg.get(), Syms);
-      return;
-    }
-    case StmtKind::Join:
-      cast<JoinStmt>(S)->HandleSym =
-          Syms.intern(cast<JoinStmt>(S)->handle());
-      return;
-    case StmtKind::NewBarrier: {
-      auto *N = cast<NewBarrierStmt>(S);
-      N->TargetSym = Syms.intern(N->target());
-      internExpr(N->parties(), Syms);
-      return;
-    }
-    case StmtKind::Await:
-      cast<AwaitStmt>(S)->BarrierSym =
-          Syms.intern(cast<AwaitStmt>(S)->barrierVar());
-      return;
-    case StmtKind::Check:
-      for (Path &P : cast<CheckStmt>(S)->paths()) {
-        P.DesignatorSym = Syms.intern(P.Designator);
-        P.FieldSyms.clear();
+  // Then each statement's names in the order it reads them, a field name
+  // right after the variable that holds its object (x = y.f interns x, y,
+  // f; y.f = e interns y, f, then e's variables; a check path its
+  // designator, fields, then bound variables). Trace headers serialize
+  // the table, so event_streams.golden pins this order.
+  forEachStmt([&Intern](const Stmt *S) {
+    if (const auto *Check = dyn_cast<CheckStmt>(S)) {
+      for (const Path &P : Check->paths()) {
+        Intern(P.Designator);
         for (const std::string &F : P.Fields)
-          P.FieldSyms.push_back(Syms.intern(F));
-        if (P.isArray()) {
-          P.BeginC = compileBound(P.Range.Begin, Syms);
-          P.EndC = compileBound(P.Range.End, Syms);
-        }
+          Intern(F);
+        forEachVar(P, Intern);
       }
       return;
-    case StmtKind::Print:
-      internExpr(cast<PrintStmt>(S)->value(), Syms);
-      return;
-    case StmtKind::AssertStmt:
-      internExpr(cast<AssertStmtNode>(S)->cond(), Syms);
-      return;
-    default:
-      return;
     }
+    if (const auto *Wr = dyn_cast<FieldWriteStmt>(S)) {
+      Intern(Wr->object());
+      Intern(Wr->field());
+    }
+    forEachVar(S, Intern);
+    if (const auto *Rd = dyn_cast<FieldReadStmt>(S))
+      Intern(Rd->field());
   });
-
-  VolatileBySym.assign(Symbols.size(), 0);
-  for (const auto &C : Classes)
-    for (const std::string &F : C->VolatileFields)
-      VolatileBySym[*Symbols.lookup(F)] = 1;
-  Interned = true;
 }
 
 void Program::forEachStmt(const std::function<void(Stmt *)> &Fn) {

@@ -36,11 +36,6 @@ struct MethodDecl {
   /// returns 0).
   std::string ReturnVar;
 
-  /// Interned caches, set by Program::internSymbols. ReturnSym is kNoSym
-  /// for void-like methods.
-  std::vector<SymId> ParamSyms;
-  SymId ReturnSym = kNoSym;
-
   std::unique_ptr<MethodDecl> clone() const;
 };
 
@@ -105,30 +100,19 @@ public:
   unsigned numberStatements();
 
   //===--- Symbol interning ----------------------------------------------------
-  /// Rebuilds the symbol table and every AST sym cache from scratch:
-  /// interns class fields first (so FieldIds are dense and small), then
-  /// method params/returns, then walks every statement, expression, and
-  /// check path. Deterministic and idempotent; called by the parser, by
-  /// every instrumenter after its rewrites, and lazily by the VM.
+  /// Rebuilds the symbol table from scratch: "$g", "this" and "_" first,
+  /// then every class's fields (so FieldIds are dense and small), then
+  /// method parameters and return variables, then every name the bodies
+  /// mention, in statement pre-order. Called where a program is finished,
+  /// beside numberStatements: by the parser, the FastTrack and RedCard
+  /// instrumenters and BigFoot placement. A program that runs is never
+  /// re-interned, so the table is read-only data that any number of runs
+  /// may share.
   void internSymbols();
-
-  /// Interns if this program has not been interned since its last clone.
-  /// Const because the VM receives const programs; the sym caches are
-  /// logically derived data.
-  void ensureInterned() const {
-    if (!Interned)
-      const_cast<Program *>(this)->internSymbols();
-  }
 
   const SymbolTable &symbols() const { return Symbols; }
 
-  /// O(1) volatile test by interned field id (valid after interning).
-  bool isFieldVolatileById(SymId Field) const {
-    return Field < VolatileBySym.size() && VolatileBySym[Field] != 0;
-  }
-
-  /// Deep copy of the entire program. The copy is not interned (its sym
-  /// caches are reset); it re-interns on first use.
+  /// Deep copy of the entire program, its symbol table included.
   std::unique_ptr<Program> clone() const;
 
   /// Calls \p Fn on every statement in the program (pre-order, mutable).
@@ -140,9 +124,6 @@ public:
 
 private:
   SymbolTable Symbols;
-  /// Indexed by SymId: nonzero if any class declares that field volatile.
-  std::vector<uint8_t> VolatileBySym;
-  bool Interned = false;
 };
 
 /// Walks a statement tree in pre-order (mutable).

@@ -37,8 +37,6 @@
 
 namespace bigfoot {
 
-class ClassDecl;
-
 enum class StmtKind {
   Skip,
   Block,
@@ -181,9 +179,6 @@ public:
   StmtPtr clone() const override;
   static bool classof(const Stmt *S) { return S->kind() == StmtKind::Assign; }
 
-  /// Interned cache, set by Program::internSymbols.
-  SymId TargetSym = kNoSym;
-
 private:
   std::string Target;
   std::unique_ptr<Expr> Value;
@@ -204,10 +199,6 @@ public:
   StmtPtr clone() const override;
   static bool classof(const Stmt *S) { return S->kind() == StmtKind::Rename; }
 
-  /// Interned caches, set by Program::internSymbols.
-  SymId TargetSym = kNoSym;
-  SymId SourceSym = kNoSym;
-
 private:
   std::string Target;
   std::string Source;
@@ -224,9 +215,6 @@ public:
   StmtPtr clone() const override;
   static bool classof(const Stmt *S) { return S->kind() == StmtKind::Acquire; }
 
-  /// Interned cache, set by Program::internSymbols.
-  SymId LockSym = kNoSym;
-
 private:
   std::string LockVar;
 };
@@ -241,9 +229,6 @@ public:
 
   StmtPtr clone() const override;
   static bool classof(const Stmt *S) { return S->kind() == StmtKind::Release; }
-
-  /// Interned cache, set by Program::internSymbols.
-  SymId LockSym = kNoSym;
 
 private:
   std::string LockVar;
@@ -261,10 +246,6 @@ public:
 
   StmtPtr clone() const override;
   static bool classof(const Stmt *S) { return S->kind() == StmtKind::New; }
-
-  /// Interned caches, set by Program::internSymbols.
-  SymId TargetSym = kNoSym;
-  const ClassDecl *ClassCache = nullptr;
 
 private:
   std::string Target;
@@ -286,9 +267,6 @@ public:
     return S->kind() == StmtKind::NewArray;
   }
 
-  /// Interned cache, set by Program::internSymbols.
-  SymId TargetSym = kNoSym;
-
 private:
   std::string Target;
   std::unique_ptr<Expr> Size;
@@ -309,11 +287,6 @@ public:
   static bool classof(const Stmt *S) {
     return S->kind() == StmtKind::FieldRead;
   }
-
-  /// Interned caches, set by Program::internSymbols.
-  SymId TargetSym = kNoSym;
-  SymId ObjectSym = kNoSym;
-  FieldId FieldSym = kNoSym;
 
 private:
   std::string Target;
@@ -337,10 +310,6 @@ public:
   static bool classof(const Stmt *S) {
     return S->kind() == StmtKind::FieldWrite;
   }
-
-  /// Interned caches, set by Program::internSymbols.
-  SymId ObjectSym = kNoSym;
-  FieldId FieldSym = kNoSym;
 
 private:
   std::string Object;
@@ -366,10 +335,6 @@ public:
     return S->kind() == StmtKind::ArrayRead;
   }
 
-  /// Interned caches, set by Program::internSymbols.
-  SymId TargetSym = kNoSym;
-  SymId ArraySym = kNoSym;
-
 private:
   std::string Target;
   std::string Array;
@@ -393,9 +358,6 @@ public:
     return S->kind() == StmtKind::ArrayWrite;
   }
 
-  /// Interned cache, set by Program::internSymbols.
-  SymId ArraySym = kNoSym;
-
 private:
   std::string Array;
   std::unique_ptr<Expr> Index;
@@ -418,10 +380,6 @@ public:
     return S->kind() == StmtKind::ArrayLen;
   }
 
-  /// Interned caches, set by Program::internSymbols.
-  SymId TargetSym = kNoSym;
-  SymId ArraySym = kNoSym;
-
 private:
   std::string Target;
   std::string Array;
@@ -443,11 +401,6 @@ public:
 
   StmtPtr clone() const override;
   static bool classof(const Stmt *S) { return S->kind() == StmtKind::Call; }
-
-  /// Interned caches, set by Program::internSymbols. TargetSym is kNoSym
-  /// for discarded results ("" or "_").
-  SymId TargetSym = kNoSym;
-  SymId ReceiverSym = kNoSym;
 
 private:
   std::string Target;
@@ -497,10 +450,6 @@ public:
   StmtPtr clone() const override;
   static bool classof(const Stmt *S) { return S->kind() == StmtKind::Fork; }
 
-  /// Interned caches, set by Program::internSymbols.
-  SymId TargetSym = kNoSym;
-  SymId ReceiverSym = kNoSym;
-
 private:
   std::string Target;
   std::string Receiver;
@@ -519,9 +468,6 @@ public:
 
   StmtPtr clone() const override;
   static bool classof(const Stmt *S) { return S->kind() == StmtKind::Join; }
-
-  /// Interned cache, set by Program::internSymbols.
-  SymId HandleSym = kNoSym;
 
 private:
   std::string Handle;
@@ -542,9 +488,6 @@ public:
     return S->kind() == StmtKind::NewBarrier;
   }
 
-  /// Interned cache, set by Program::internSymbols.
-  SymId TargetSym = kNoSym;
-
 private:
   std::string Target;
   std::unique_ptr<Expr> Parties;
@@ -563,9 +506,6 @@ public:
 
   StmtPtr clone() const override;
   static bool classof(const Stmt *S) { return S->kind() == StmtKind::Await; }
-
-  /// Interned cache, set by Program::internSymbols.
-  SymId BarrierSym = kNoSym;
 
 private:
   std::string BarrierVar;

@@ -12,10 +12,11 @@
 //      pool of ExperimentOptions::Jobs threads. That run fills the cell's
 //      counters (check ratios, shadow ops, races, peak shadow memory,
 //      static placement stats) and becomes the leg's reference outcome.
-//      Cells are independent — each parses its own Program (the VM
-//      re-interns the AST at attach, so jobs must not share one) and
-//      writes only its pre-assigned slot — so the result vector is
-//      identical for any Jobs value, including 1.
+//      Each workload is parsed once; its seven cells share that Program
+//      on any job thread, because neither the instrumenters (which clone
+//      it) nor the VM write a program. A cell writes only its
+//      pre-assigned slot, so the result vector is identical for any Jobs
+//      value, including 1.
 //
 //   2. Timed rounds (Iterations > 0). On the quiesced pool, timeRounds
 //      runs each workload's seven legs once per round, serially, in an
@@ -57,7 +58,7 @@ namespace {
 /// A workload's legs: the base run, then one per kToolNames entry.
 constexpr size_t kNumLegs = 1 + kToolNames.size();
 
-std::unique_ptr<Program> parseWorkload(const Workload &W) {
+std::shared_ptr<const Program> parseWorkload(const Workload &W) {
   ParseResult PR = parseProgram(W.Source);
   if (!PR.ok()) {
     std::fprintf(stderr, "workload %s failed to parse: %s\n", W.Name.c_str(),
@@ -88,16 +89,17 @@ void fillToolMetrics(ToolMetrics &M, const std::string &ToolName,
 }
 
 /// Phase-1 cell: builds leg \p Leg of \p W (0 = base, 1 + T =
-/// kToolNames[T]), runs it once as its reference, and fills the leg's
-/// part of \p Out: the base fields, or Out.Tools[T] plus, for BigFoot,
-/// the static placement stats. The leg owns its program, so timed rounds
-/// rerun exactly what ran here.
-TimedLeg measureLeg(const Workload &W, const ExperimentOptions &Opts,
-                    size_t Leg, ExperimentResult &Out) {
+/// kToolNames[T]) from \p Prog, the workload's one parsed program, runs
+/// it once as its reference, and fills the leg's part of \p Out: the
+/// base fields, or Out.Tools[T] plus, for BigFoot, the static placement
+/// stats. The leg holds its program, so timed rounds rerun exactly what
+/// ran here.
+TimedLeg measureLeg(const Workload &W, std::shared_ptr<const Program> Prog,
+                    const ExperimentOptions &Opts, size_t Leg,
+                    ExperimentResult &Out) {
   VmOptions VmOpts;
   VmOpts.Seed = Opts.Seed;
   VmOpts.DetectShards = Opts.DetectShards;
-  std::shared_ptr<const Program> Prog = parseWorkload(W);
   TimedLeg L;
   if (Leg == 0) {
     L.Name = "base";
@@ -167,9 +169,11 @@ std::vector<ExperimentResult> runWorkloads(const std::vector<Workload> &Suite,
   std::vector<ExperimentResult> Out(Suite.size());
   std::vector<std::vector<TimedLeg>> Legs(Suite.size(),
                                           std::vector<TimedLeg>(kNumLegs));
+  std::vector<std::shared_ptr<const Program>> Parsed(Suite.size());
   for (size_t I = 0; I < Suite.size(); ++I) {
     Out[I].Workload = Suite[I].Name;
     Out[I].Tools.resize(kToolNames.size());
+    Parsed[I] = parseWorkload(Suite[I]);
   }
 
   // Phase 1. Every cell writes a disjoint part of its workload's
@@ -177,7 +181,8 @@ std::vector<ExperimentResult> runWorkloads(const std::vector<Workload> &Suite,
   // order never depends on scheduling.
   forEachParallel(Suite.size() * kNumLegs, Opts.Jobs, [&](size_t C) {
     size_t W = C / kNumLegs;
-    Legs[W][C % kNumLegs] = measureLeg(Suite[W], Opts, C % kNumLegs, Out[W]);
+    Legs[W][C % kNumLegs] =
+        measureLeg(Suite[W], Parsed[W], Opts, C % kNumLegs, Out[W]);
   });
 
   // Phase 2: timed rounds on the now-quiesced pool.

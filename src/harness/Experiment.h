@@ -65,9 +65,9 @@ struct ExperimentOptions {
                       ///< memory are still measured).
   uint64_t Seed = 1;
   /// Worker threads for the untimed reference runs (0 = one per hardware
-  /// thread). Every (workload × leg) cell runs on its own freshly parsed
-  /// program and writes a pre-assigned slot, and timed rounds stay serial
-  /// on the quiesced pool afterwards — so Jobs changes neither the
+  /// thread). A workload's cells share its one parsed program, which no
+  /// run writes, and each writes a pre-assigned slot; timed rounds stay
+  /// serial on the quiesced pool afterwards — so Jobs changes neither the
   /// results nor their order, only the wall-clock spent.
   unsigned Jobs = 0;
   /// Threads that apply each run's tool detector (VmOptions::DetectShards):

@@ -272,7 +272,6 @@ bigfoot::instrumentBigFoot(const Program &P, const PlacementOptions &Opts) {
   InstrumentedProgram Out;
   Out.Prog = P.clone();
   Out.Placement = placeBigFootChecks(*Out.Prog, Opts);
-  Out.Prog->internSymbols();
   Out.Tool = bigFootConfig(computeFieldProxies(*Out.Prog));
   return Out;
 }

@@ -8,9 +8,14 @@
 /// The instruction set the compiler (Compiler.h) lowers BFJ bodies into
 /// and the VM's bytecode loop executes. Instructions are fixed-size and
 /// register-based: registers [0, NumSyms) alias the frame's locals (a
-/// local's register IS its interned SymId, so no renaming pass and no
-/// translation at call boundaries), and registers from NumSyms up are
-/// per-statement expression temporaries.
+/// local's register IS its SymId in the program's symbol table, so no
+/// renaming pass and no translation at call boundaries), and registers
+/// from NumSyms up are per-statement expression temporaries.
+///
+/// Everything the loop reads is here: operands, pools, each placed
+/// check's lowered paths (CheckOperand) and each method's parameter and
+/// return registers. The AST is consulted only for calls, which resolve
+/// by the receiver's class at run time, and for error text.
 ///
 /// Scheduler-step accounting is encoded in the instructions themselves:
 /// an instruction with Insn::Step set ends the current scheduler step
@@ -24,17 +29,18 @@
 #ifndef BIGFOOT_VM_BYTECODE_H
 #define BIGFOOT_VM_BYTECODE_H
 
+#include "bfj/Path.h"
 #include "support/Symbol.h"
 
 #include <cstdint>
 #include <memory>
 #include <string>
 #include <unordered_map>
+#include <utility>
 #include <vector>
 
 namespace bigfoot {
 
-class CheckStmt;
 class ClassDecl;
 struct MethodDecl;
 
@@ -112,26 +118,56 @@ struct CallOperand {
   uint32_t TargetReg = kNoReg; ///< kNoReg for discarded results.
 };
 
+/// A check bound lowered against the symbol table: a constant plus
+/// coefficient-weighted registers, evaluated over the frame's locals.
+struct CompiledBound {
+  int64_t Constant = 0;
+  std::vector<std::pair<uint32_t, int64_t>> Terms;
+};
+
+/// One path of a placed check(C), lowered: the field path x.f/g checks
+/// Fields of the object in DesignatorReg; the array path x[b..e:k] checks
+/// [Begin, End) by Stride of the array in DesignatorReg.
+struct CheckPath {
+  AccessKind Access = AccessKind::Read;
+  bool IsArray = false;
+  uint32_t DesignatorReg = 0;
+  std::vector<FieldId> Fields;
+  CompiledBound Begin, End;
+  int64_t Stride = 1;
+  /// The placed path, owned by the AST check node; read only to render a
+  /// failed check's error.
+  const Path *Source = nullptr;
+};
+
+/// Operand record for Check: the check's paths, lowered, in order.
+struct CheckOperand {
+  std::vector<CheckPath> Paths;
+};
+
 /// One compiled body (a method or a top-level thread). Borrows AST nodes
-/// (check statements, class decls, method name strings), so a chunk must
-/// not outlive the Program it was compiled from.
+/// (class decls, method name strings, check paths), so a chunk must not
+/// outlive the Program it was compiled from.
 struct Chunk {
   std::vector<Insn> Code;
   std::vector<int64_t> Ints;
   std::vector<const ClassDecl *> Classes;
   std::vector<CallOperand> Calls;
-  std::vector<const CheckStmt *> Checks;
+  std::vector<CheckOperand> Checks;
   /// Pre-rendered assertion-failure messages ("assertion failed: <cond>"),
   /// so the failure path never renders expression syntax at run time.
   std::vector<std::string> Msgs;
   /// NumSyms locals plus this body's peak expression-temporary count.
   uint32_t NumRegs = 0;
-  /// The method this chunk compiles; null for thread bodies.
-  const MethodDecl *Method = nullptr;
+  /// A method's parameter registers, in order; empty for thread bodies.
+  std::vector<uint32_t> ParamRegs;
+  /// A method's return register; kNoReg for a void-like method (the call
+  /// then returns 0) and for thread bodies.
+  uint32_t ReturnReg = kNoReg;
 };
 
-/// Every body of one program, compiled. Produced by compileProgram after
-/// Program::internSymbols; borrows the AST like its chunks do.
+/// Every body of one program, compiled. Produced by compileProgram from
+/// a finished program; borrows the AST like its chunks do.
 struct CompiledProgram {
   std::vector<std::unique_ptr<Chunk>> Chunks;
   /// Parallel to Program::Threads.

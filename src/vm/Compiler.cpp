@@ -29,6 +29,7 @@
 
 #include <cassert>
 #include <map>
+#include <optional>
 
 using namespace bigfoot;
 
@@ -37,8 +38,15 @@ namespace {
 class BodyCompiler {
 public:
   BodyCompiler(const Program &Prog, Chunk &C)
-      : Prog(Prog), C(C),
-        NumSyms(static_cast<uint32_t>(Prog.symbols().size())) {}
+      : Prog(Prog), Syms(Prog.symbols()), C(C),
+        NumSyms(static_cast<uint32_t>(Syms.size())) {}
+
+  void compileMethod(const MethodDecl &M) {
+    for (const std::string &P : M.Params)
+      C.ParamRegs.push_back(reg(P));
+    C.ReturnReg = resultReg(M.ReturnVar);
+    compileBody(M.Body.get());
+  }
 
   void compileBody(const Stmt *Body) {
     compileStmt(Body);
@@ -48,12 +56,30 @@ public:
 
 private:
   const Program &Prog;
+  const SymbolTable &Syms;
   Chunk &C;
   uint32_t NumSyms;
   uint32_t NextTemp = 0;
   uint32_t MaxTemps = 0;
   std::map<int64_t, uint32_t> IntIndex;
   std::map<const ClassDecl *, uint32_t> ClassIndex;
+
+  //===--- Names --------------------------------------------------------------
+
+  /// The register of local \p Name, which is its SymId, or the FieldId of
+  /// field \p Name. A finished program's table holds every name it
+  /// mentions.
+  uint32_t reg(const std::string &Name) const {
+    std::optional<SymId> Id = Syms.lookup(Name);
+    assert(Id && "name missing from the program's symbol table");
+    return Id.value_or(kNoReg);
+  }
+
+  /// The register a call, fork or method result goes to: kNoReg when it is
+  /// discarded ("" or "_").
+  uint32_t resultReg(const std::string &Name) const {
+    return Name.empty() || Name == "_" ? kNoReg : reg(Name);
+  }
 
   //===--- Emission helpers ---------------------------------------------------
 
@@ -111,10 +137,8 @@ private:
   /// otherwise a fresh temporary. Evaluation is left to right, depth
   /// first, which fixes which error a statement reports first.
   uint32_t exprVal(const Expr *E) {
-    if (const auto *V = dyn_cast<VarRef>(E)) {
-      assert(V->Sym != kNoSym && "program not interned before compile");
-      return V->Sym;
-    }
+    if (const auto *V = dyn_cast<VarRef>(E))
+      return reg(V->name());
     uint32_t T = newTemp();
     exprInto(E, T);
     return T;
@@ -135,7 +159,7 @@ private:
       emit(Opcode::LoadNull, Dst);
       return;
     case ExprKind::VarRef:
-      emit(Opcode::Move, Dst, cast<VarRef>(E)->Sym);
+      emit(Opcode::Move, Dst, reg(cast<VarRef>(E)->name()));
       return;
     case ExprKind::Unary: {
       const auto *U = cast<UnaryExpr>(E);
@@ -207,6 +231,35 @@ private:
     }
   }
 
+  //===--- Checks -------------------------------------------------------------
+
+  CompiledBound compileBound(const AffineExpr &E) const {
+    // An overflowed bound has no terms and a zero constant: compiling it
+    // would silently check nothing.
+    assert(!E.overflowed() && "compiling an overflowed check bound");
+    CompiledBound Out;
+    Out.Constant = E.constantPart();
+    for (const auto &[Var, Coeff] : E.terms())
+      Out.Terms.emplace_back(reg(Var.name()), Coeff);
+    return Out;
+  }
+
+  CheckPath lowerPath(const Path &P) const {
+    CheckPath Out;
+    Out.Access = P.Access;
+    Out.IsArray = P.isArray();
+    Out.DesignatorReg = reg(P.Designator);
+    for (const std::string &F : P.Fields)
+      Out.Fields.push_back(reg(F));
+    if (P.isArray()) {
+      Out.Begin = compileBound(P.Range.Begin);
+      Out.End = compileBound(P.Range.End);
+      Out.Stride = P.Range.Stride;
+    }
+    Out.Source = &P;
+    return Out;
+  }
+
   //===--- Statements ---------------------------------------------------------
 
   std::vector<uint32_t>
@@ -218,14 +271,14 @@ private:
     return Regs;
   }
 
-  uint32_t callIdx(SymId Receiver, const std::string &Method,
+  uint32_t callIdx(const std::string &Receiver, const std::string &Method,
                    const std::vector<std::unique_ptr<Expr>> &Args,
-                   SymId Target) {
+                   const std::string &Target) {
     CallOperand Op;
-    Op.ReceiverReg = Receiver;
+    Op.ReceiverReg = reg(Receiver);
     Op.Method = &Method;
     Op.ArgRegs = argRegs(Args);
-    Op.TargetReg = Target; // kNoSym and kNoReg coincide.
+    Op.TargetReg = resultReg(Target);
     C.Calls.push_back(std::move(Op));
     return static_cast<uint32_t>(C.Calls.size() - 1);
   }
@@ -271,57 +324,58 @@ private:
     case StmtKind::Assign: {
       const auto *A = cast<AssignStmt>(S);
       resetTemps();
-      exprInto(A->value(), A->TargetSym);
+      exprInto(A->value(), reg(A->target()));
       C.Code.back().Step = 1; // exprInto's terminal writes the target.
       return;
     }
     case StmtKind::Rename: {
       const auto *Ren = cast<RenameStmt>(S);
-      step(emit(Opcode::Move, Ren->TargetSym, Ren->SourceSym));
+      step(emit(Opcode::Move, reg(Ren->target()), reg(Ren->source())));
       return;
     }
     case StmtKind::New: {
       const auto *N = cast<NewStmt>(S);
-      step(emit(Opcode::NewObject, N->TargetSym, classIdx(N->ClassCache)));
+      step(emit(Opcode::NewObject, reg(N->target()),
+                classIdx(Prog.findClass(N->className()))));
       return;
     }
     case StmtKind::NewArray: {
       const auto *N = cast<NewArrayStmt>(S);
       resetTemps();
       uint32_t Size = exprVal(N->size());
-      step(emit(Opcode::NewArray, N->TargetSym, Size));
+      step(emit(Opcode::NewArray, reg(N->target()), Size));
       return;
     }
     case StmtKind::NewBarrier: {
       const auto *N = cast<NewBarrierStmt>(S);
       resetTemps();
       uint32_t Parties = exprVal(N->parties());
-      step(emit(Opcode::NewBarrier, N->TargetSym, Parties));
+      step(emit(Opcode::NewBarrier, reg(N->target()), Parties));
       return;
     }
     case StmtKind::FieldRead: {
       const auto *Rd = cast<FieldReadStmt>(S);
-      step(emit(Prog.isFieldVolatileById(Rd->FieldSym)
+      step(emit(Prog.isFieldVolatileAnywhere(Rd->field())
                     ? Opcode::FieldReadVol
                     : Opcode::FieldRead,
-                Rd->TargetSym, Rd->ObjectSym, Rd->FieldSym));
+                reg(Rd->target()), reg(Rd->object()), reg(Rd->field())));
       return;
     }
     case StmtKind::FieldWrite: {
       const auto *Wr = cast<FieldWriteStmt>(S);
       resetTemps();
       uint32_t V = exprVal(Wr->value());
-      step(emit(Prog.isFieldVolatileById(Wr->FieldSym)
+      step(emit(Prog.isFieldVolatileAnywhere(Wr->field())
                     ? Opcode::FieldWriteVol
                     : Opcode::FieldWrite,
-                Wr->ObjectSym, V, Wr->FieldSym));
+                reg(Wr->object()), V, reg(Wr->field())));
       return;
     }
     case StmtKind::ArrayRead: {
       const auto *Rd = cast<ArrayReadStmt>(S);
       resetTemps();
       uint32_t Idx = exprVal(Rd->index());
-      step(emit(Opcode::ArrayRead, Rd->TargetSym, Rd->ArraySym, Idx));
+      step(emit(Opcode::ArrayRead, reg(Rd->target()), reg(Rd->array()), Idx));
       return;
     }
     case StmtKind::ArrayWrite: {
@@ -329,42 +383,45 @@ private:
       resetTemps();
       uint32_t Idx = exprVal(Wr->index());
       uint32_t V = exprVal(Wr->value());
-      step(emit(Opcode::ArrayWrite, Wr->ArraySym, Idx, V));
+      step(emit(Opcode::ArrayWrite, reg(Wr->array()), Idx, V));
       return;
     }
     case StmtKind::ArrayLen: {
       const auto *L = cast<ArrayLenStmt>(S);
-      step(emit(Opcode::ArrayLen, L->TargetSym, L->ArraySym));
+      step(emit(Opcode::ArrayLen, reg(L->target()), reg(L->array())));
       return;
     }
     case StmtKind::Acquire:
-      step(emit(Opcode::Acquire, cast<AcquireStmt>(S)->LockSym));
+      step(emit(Opcode::Acquire, reg(cast<AcquireStmt>(S)->lockVar())));
       return;
     case StmtKind::Release:
-      step(emit(Opcode::Release, cast<ReleaseStmt>(S)->LockSym));
+      step(emit(Opcode::Release, reg(cast<ReleaseStmt>(S)->lockVar())));
       return;
     case StmtKind::Call: {
       const auto *Call = cast<CallStmt>(S);
       resetTemps();
-      step(emit(Opcode::Call, callIdx(Call->ReceiverSym, Call->method(),
-                                      Call->args(), Call->TargetSym)));
+      step(emit(Opcode::Call, callIdx(Call->receiver(), Call->method(),
+                                      Call->args(), Call->target())));
       return;
     }
     case StmtKind::Fork: {
       const auto *Fork = cast<ForkStmt>(S);
       resetTemps();
-      step(emit(Opcode::Fork, callIdx(Fork->ReceiverSym, Fork->method(),
-                                      Fork->args(), Fork->TargetSym)));
+      step(emit(Opcode::Fork, callIdx(Fork->receiver(), Fork->method(),
+                                      Fork->args(), Fork->target())));
       return;
     }
     case StmtKind::Join:
-      step(emit(Opcode::Join, cast<JoinStmt>(S)->HandleSym));
+      step(emit(Opcode::Join, reg(cast<JoinStmt>(S)->handle())));
       return;
     case StmtKind::Await:
-      step(emit(Opcode::Await, cast<AwaitStmt>(S)->BarrierSym));
+      step(emit(Opcode::Await, reg(cast<AwaitStmt>(S)->barrierVar())));
       return;
     case StmtKind::Check: {
-      C.Checks.push_back(cast<CheckStmt>(S));
+      CheckOperand Op;
+      for (const Path &P : cast<CheckStmt>(S)->paths())
+        Op.Paths.push_back(lowerPath(P));
+      C.Checks.push_back(std::move(Op));
       step(emit(Opcode::Check, static_cast<uint32_t>(C.Checks.size() - 1)));
       return;
     }
@@ -389,25 +446,19 @@ private:
   }
 };
 
-std::unique_ptr<Chunk> compileBody(const Program &Prog, const Stmt *Body,
-                                   const MethodDecl *M) {
-  auto C = std::make_unique<Chunk>();
-  C->Method = M;
-  BodyCompiler(Prog, *C).compileBody(Body);
-  return C;
-}
-
 } // namespace
 
 CompiledProgram bigfoot::compileProgram(const Program &Prog) {
   CompiledProgram CP;
   for (const auto &Cls : Prog.Classes)
     for (const auto &M : Cls->Methods) {
-      CP.Chunks.push_back(compileBody(Prog, M->Body.get(), M.get()));
+      CP.Chunks.push_back(std::make_unique<Chunk>());
+      BodyCompiler(Prog, *CP.Chunks.back()).compileMethod(*M);
       CP.MethodChunks.emplace(M.get(), CP.Chunks.back().get());
     }
   for (const StmtPtr &Body : Prog.Threads) {
-    CP.Chunks.push_back(compileBody(Prog, Body.get(), nullptr));
+    CP.Chunks.push_back(std::make_unique<Chunk>());
+    BodyCompiler(Prog, *CP.Chunks.back()).compileBody(Body.get());
     CP.ThreadChunks.push_back(CP.Chunks.back().get());
   }
   return CP;

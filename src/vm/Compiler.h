@@ -5,13 +5,17 @@
 //===----------------------------------------------------------------------===//
 ///
 /// \file
-/// Lowers every method and thread body of an interned Program into flat
+/// Lowers every method and thread body of a finished Program into flat
 /// register bytecode (Bytecode.h). The compiler is the last stage of the
-/// pipeline parse → instrument → internSymbols → compile → execute: it
-/// consumes the interned sym caches (locals become registers directly,
-/// field operands carry FieldIds, check paths their compiled affine
-/// bounds) and resolves field volatility into distinct opcodes, so the
-/// execution loop never consults the AST or the class table for accesses.
+/// pipeline parse → instrument → compile → execute, where parsing and
+/// each instrumenter finish their program by building its symbol table.
+/// The compiler looks every name up in that table (a local's register
+/// and a field's FieldId are its SymId), resolves classes and field
+/// volatility by name, lowers each placed check into a check record, and
+/// gives each method's chunk its parameter and return registers. It reads
+/// the Program and never writes it, so the execution loop never consults
+/// the AST or the class table for accesses, and any number of runs may
+/// compile one program at once.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -24,9 +28,9 @@ namespace bigfoot {
 
 class Program;
 
-/// Compiles all bodies of \p Prog, which must already be interned
-/// (Program::ensureInterned). The result borrows AST nodes and must not
-/// outlive \p Prog.
+/// Compiles all bodies of \p Prog, whose symbol table must hold every
+/// name it mentions (Program::internSymbols). The result borrows AST
+/// nodes and must not outlive \p Prog.
 CompiledProgram compileProgram(const Program &Prog);
 
 } // namespace bigfoot

@@ -4,11 +4,14 @@
 //
 //===----------------------------------------------------------------------===//
 //
-// The interpreter works on interned symbol ids throughout: frame locals
-// are a flat vector indexed by SymId, object fields a flat vector indexed
-// by FieldId, and every statement reads its pre-resolved sym caches
-// (Program::internSymbols). Strings are touched only off the hot path:
-// error messages and print output.
+// The interpreter works on symbol ids throughout: frame locals are a flat
+// vector indexed by SymId, object fields a flat vector indexed by FieldId,
+// and every operand was resolved once, when the compiler looked its name
+// up in the program's symbol table. The interpreter only reads its
+// Program — the table, the thread list and the methods a call resolves —
+// so any number of runs may share one program, on any threads. Strings
+// are touched only off the hot path: method resolution, error messages
+// and print output.
 //
 // Every method and thread body is compiled to flat register bytecode
 // (Compiler.h) and run by a dense switch-on-opcode loop. The scheduler
@@ -131,10 +134,7 @@ public:
   Interpreter(const Program &Prog, const DetectorConfig *ToolCfg,
               const VmOptions &Opts)
       : Prog(Prog), Opts(Opts), R(Opts.Seed) {
-    // Always (re-)intern: idempotent, one AST walk, and it guarantees the
-    // sym caches are fresh even when a test rewrote the AST by hand after
-    // parsing. Detector field ids come from the same table.
-    const_cast<Program &>(Prog).internSymbols();
+    // Detector field ids come from the same table as the registers.
     Syms = &Prog.symbols();
     GSym = *Syms->lookup("$g");
     ThisSym = *Syms->lookup("this");
@@ -353,9 +353,8 @@ private:
   void returnFromFrame(ThreadCtx &T) {
     Frame &F = T.Frames.back();
     Value Ret = Value::intV(0);
-    const MethodDecl *M = F.Ch->Method;
-    if (M && M->ReturnSym != kNoSym)
-      Ret = F.Locals[M->ReturnSym];
+    if (F.Ch->ReturnReg != kNoReg)
+      Ret = F.Locals[F.Ch->ReturnReg];
     SymId Target = F.ReturnTargetSym;
     T.Frames.pop_back();
     if (T.Frames.empty()) {
@@ -657,11 +656,12 @@ private:
     Frame Callee = makeFrame(CP.chunkFor(M));
     Callee.Locals[GSym] = Value::refV(GlobalObj);
     Callee.Locals[ThisSym] = local(F, Op.ReceiverReg);
-    if (Op.ArgRegs.size() != M->ParamSyms.size())
+    const std::vector<uint32_t> &Params = Callee.Ch->ParamRegs;
+    if (Op.ArgRegs.size() != Params.size())
       setError("wrong argument count for '" + M->Name + "'");
     else
       for (size_t I = 0; I < Op.ArgRegs.size(); ++I)
-        Callee.Locals[M->ParamSyms[I]] = F.Locals[Op.ArgRegs[I]];
+        Callee.Locals[Params[I]] = F.Locals[Op.ArgRegs[I]];
     if (!IsFork) {
       if (T.Frames.size() > 512) {
         setError("call stack overflow");
@@ -904,11 +904,11 @@ private:
   /// BFJ local; a local holding a reference or null makes the bound
   /// undefined, and so does a bound int64 cannot hold, which also sets
   /// \p Overflowed.
-  std::optional<int64_t> evalBound(Frame &F, const Path::CompiledBound &B,
+  std::optional<int64_t> evalBound(Frame &F, const CompiledBound &B,
                                    bool &Overflowed) {
     int64_t V = B.Constant;
-    for (const auto &[Sym, Coeff] : B.Terms) {
-      const Value &L = local(F, Sym);
+    for (const auto &[Reg, Coeff] : B.Terms) {
+      const Value &L = local(F, Reg);
       if (L.K != Value::Kind::Int)
         return std::nullopt;
       int64_t Term = 0;
@@ -930,42 +930,41 @@ private:
                         : "check range bounds are not integers");
   }
 
-  void execCheck(ThreadCtx &T, const CheckStmt *Check) {
+  void execCheck(ThreadCtx &T, const CheckOperand &Check) {
     // Checks execute (bounds evaluated, errors raised) whenever a tool or
     // a recorder consumes the stream, so recording runs cannot diverge
     // from detector-attached ones.
     if (!EmitTool)
       return;
     Frame &F = T.Frames.back();
-    for (const Path &P : Check->paths()) {
-      const Value &D = local(F, P.DesignatorSym);
+    for (const CheckPath &P : Check.Paths) {
+      const Value &D = local(F, P.DesignatorReg);
       if (D.K != Value::Kind::Ref) {
-        setError("check designator '" + P.Designator +
+        setError("check designator '" + P.Source->Designator +
                  "' is not a reference");
         return;
       }
       ObjectId Id = static_cast<ObjectId>(D.I);
-      if (P.isField()) {
+      if (!P.IsArray) {
         Event E;
         E.Kind = EventKind::FieldCheck;
         E.Target = kTargetTool;
         E.Tid = T.Tid;
         E.Obj = Id;
         E.Access = P.Access;
-        Ring.emit(E, P.FieldSyms.data(),
-                  static_cast<uint32_t>(P.FieldSyms.size()));
+        Ring.emit(E, P.Fields.data(), static_cast<uint32_t>(P.Fields.size()));
         continue;
       }
       bool Overflowed = false;
-      std::optional<int64_t> Begin = evalBound(F, P.BeginC, Overflowed);
-      std::optional<int64_t> End = evalBound(F, P.EndC, Overflowed);
+      std::optional<int64_t> Begin = evalBound(F, P.Begin, Overflowed);
+      std::optional<int64_t> End = evalBound(F, P.End, Overflowed);
       if (!Begin || !End) {
-        failCheckRange(P, Overflowed);
+        failCheckRange(*P.Source, Overflowed);
         return;
       }
       if (*Begin >= *End)
         continue; // Empty at run time (e.g. zero-trip invariant range).
-      StridedRange Concrete(*Begin, *End, P.Range.Stride);
+      StridedRange Concrete(*Begin, *End, P.Stride);
       Event E;
       E.Kind = EventKind::ArrayCheck;
       E.Target = kTargetTool;

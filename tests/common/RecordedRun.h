@@ -289,10 +289,9 @@ inline ::testing::AssertionResult hasPreciseChecks(const RecordedRun &R) {
 /// TraceWriter on the stream and returns the finished BFT1 bytes: every
 /// event in order, then the run's status, output, step count and vm.*
 /// counters. Two runs agree on all of that iff their bytes are equal.
-inline std::vector<uint8_t> encodedRun(Program &Prog,
+inline std::vector<uint8_t> encodedRun(const Program &Prog,
                                        const DetectorConfig *Tool,
                                        VmOptions Opts, VmResult &Run) {
-  Prog.internSymbols(); // Idempotent; the trace header needs the table.
   TraceWriter Writer(Prog.symbols(), Tool ? *Tool : DetectorConfig());
   Opts.RecordSink = &Writer;
   Run = Tool ? runProgram(Prog, *Tool, Opts) : runProgramBase(Prog, Opts);

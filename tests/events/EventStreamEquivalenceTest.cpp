@@ -94,7 +94,6 @@ TEST(EventStreamEquivalence, DispatchModesAgreeEverywhere) {
   for (const Workload &W : Suite) {
     ParseResult PR = parseProgram(W.Source);
     ASSERT_TRUE(PR.ok()) << W.Name << ": " << PR.Error;
-    PR.Prog->internSymbols(); // The trace header needs the symbol table.
     std::map<std::string, std::vector<uint8_t>> Traces; // Each run's, by Tag.
     for (const char *Name : kToolNames) {
       InstrumentedProgram IP = *instrumentNamed(*PR.Prog, Name);
@@ -114,7 +113,6 @@ TEST(EventStreamEquivalence, DispatchModesAgreeEverywhere) {
 
         // Batched dispatch (the default), with a trace writer teeing off
         // the same stream the detectors consume.
-        IP.Prog->internSymbols();
         TraceWriter Writer(IP.Prog->symbols(), IP.Tool);
         Opts.EventBatch = kDefaultEventBatch;
         Opts.RecordSink = &Writer;
@@ -226,7 +224,6 @@ TEST(EventStreamEquivalence, ShardedMergeDeterministicAcrossShardCounts) {
   for (const Workload &W : racyVariants()) {
     ParseResult PR = parseProgram(W.Source);
     ASSERT_TRUE(PR.ok()) << W.Name << ": " << PR.Error;
-    PR.Prog->internSymbols();
     for (const char *Name : kToolNames) {
       InstrumentedProgram IP = *instrumentNamed(*PR.Prog, Name);
       std::string Tag = W.Name + "/" + Name + "/sharded-merge";
@@ -337,7 +334,6 @@ thread {
 )";
   ParseResult PR = parseProgram(Source);
   ASSERT_TRUE(PR.ok()) << PR.Error;
-  PR.Prog->internSymbols();
   for (const char *Name : kToolNames) {
     InstrumentedProgram IP = *instrumentNamed(*PR.Prog, Name);
     for (uint64_t Seed = 1; Seed <= 3; ++Seed) {
@@ -466,7 +462,6 @@ TEST(EventStreamEquivalence, DetectorFreeRecordingReplaysIdentically) {
   for (const Workload &W : Suite) {
     ParseResult PR = parseProgram(W.Source);
     ASSERT_TRUE(PR.ok()) << W.Name << ": " << PR.Error;
-    PR.Prog->internSymbols();
     InstrumentedProgram IP = instrumentBigFoot(*PR.Prog);
     std::string Tag = W.Name + "/bigfoot-record-only";
 
@@ -474,7 +469,6 @@ TEST(EventStreamEquivalence, DetectorFreeRecordingReplaysIdentically) {
     Opts.Seed = 1;
     VmResult Online = runProgram(*IP.Prog, IP.Tool, Opts);
 
-    IP.Prog->internSymbols();
     TraceWriter Writer(IP.Prog->symbols(), IP.Tool);
     Opts.RecordSink = &Writer;
     VmResult Recorded = runProgramBase(*IP.Prog, Opts);

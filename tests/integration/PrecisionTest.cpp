@@ -498,19 +498,29 @@ thread {
 namespace {
 
 /// Generates a random two-worker program over one shared object, two
-/// shared arrays, and one lock. Each worker body is a random mix of
-/// guarded/unguarded field and array accesses and loops, plus two shapes
-/// whose variable bookkeeping once hid races: the parameter n, which an
-/// assert at the top bounds, reassigned, and a volatile flag read into a
-/// variable an earlier access to the second array used as its index.
+/// shared arrays, a three-node list, and one lock. Each worker body is a
+/// random mix of guarded/unguarded field and array accesses and loops,
+/// plus three shapes whose variable bookkeeping once hid races: the
+/// parameter n, which an assert at the top bounds, reassigned; a volatile
+/// flag read into a variable an earlier access to the second array used
+/// as its index; and, in half the programs, l = l.next; m = l.next on the
+/// list's head, whose next the main thread rewrites after forking.
 std::string generateProgram(uint64_t Seed) {
   Rng R(Seed);
   std::ostringstream OS;
   OS << "class O { fields f0, f1, f2; volatile fields vf; }\n";
-  OS << "class W {\n  fields pad;\n  method run(o, a, b, lock, n) {\n";
+  OS << "class N { fields next; }\n";
+  OS << "class W {\n  fields pad;\n  method run(o, a, b, lock, n, l) {\n";
   OS << "    assert n > 8;\n";
   int Stmts = 3 + static_cast<int>(R.nextBelow(5));
-  for (int S = 0; S < Stmts; ++S) {
+  // The list shape goes before statement ListAt (at the end when ListAt
+  // is Stmts), unguarded; it is the only mention of l.
+  int ListAt = static_cast<int>(R.nextBelow(2 * Stmts + 2));
+  for (int S = 0; S <= Stmts; ++S) {
+    if (S == ListAt)
+      OS << "    l = l.next;\n    m = l.next;\n";
+    if (S == Stmts)
+      break;
     bool Guarded = R.chance(1, 2);
     if (Guarded)
       OS << "    acq(lock);\n";
@@ -566,9 +576,12 @@ std::string generateProgram(uint64_t Seed) {
   OS << "thread {\n"
      << "  o = new O;\n  o.vf = 3;\n  lock = new O;\n"
      << "  a = new_array(16);\n  b = new_array(4);\n"
+     << "  l1 = new N;\n  l2 = new N;\n  l3 = new N;\n"
+     << "  l1.next = l2;\n  l2.next = l3;\n"
      << "  w1 = new W;\n  w2 = new W;\n"
-     << "  fork t1 = w1.run(o, a, b, lock, 16);\n"
-     << "  fork t2 = w2.run(o, a, b, lock, 16);\n  b[3] = 9;\n"
+     << "  fork t1 = w1.run(o, a, b, lock, 16, l1);\n"
+     << "  fork t2 = w2.run(o, a, b, lock, 16, l1);\n  b[3] = 9;\n"
+     << "  l1.next = l3;\n"
      << "  join t1;\n  join t2;\n}\n";
   return OS.str();
 }

@@ -93,7 +93,6 @@ thread {
 }
 thread { }
 )");
-  Prog->ensureInterned();
   CompiledProgram CP = compileProgram(*Prog);
   ASSERT_EQ(CP.ThreadChunks.size(), 2u);
   ASSERT_EQ(CP.MethodChunks.size(), 2u);
@@ -124,7 +123,6 @@ thread {
   if (x == 6 && n > 0) { print x; } else { skip; }
 }
 )");
-  Prog->ensureInterned();
   CompiledProgram CP = compileProgram(*Prog);
   std::string Text = disassemble(*CP.ThreadChunks[0]);
   for (const char *Mnemonic :

@@ -8,8 +8,13 @@
 
 #include "bfj/Parser.h"
 #include "instrument/Instrumenters.h"
+#include "workloads/Workloads.h"
 
 #include <gtest/gtest.h>
+
+#include <algorithm>
+#include <thread>
+#include <vector>
 
 using namespace bigfoot;
 
@@ -388,6 +393,29 @@ TEST(Vm, CheckBoundOverflowIsRuntimeError) {
   EXPECT_EQ(R.Error, "check range a[4611686018427387904*i] overflows int64");
 }
 
+TEST(Vm, CheckOnNonReferenceDesignatorIsRuntimeError) {
+  // FastTrack checks a[0] before the read, so the check fails first,
+  // naming its designator; the base run fails on the access itself.
+  auto Prog = parseProgramOrDie("thread { a = 5; x = a[0]; }");
+  InstrumentedProgram IP = instrumentFastTrack(*Prog);
+  VmResult R = runProgram(*IP.Prog, IP.Tool, VmOptions());
+  EXPECT_FALSE(R.Ok);
+  EXPECT_EQ(R.Error, "check designator 'a' is not a reference");
+  EXPECT_EQ(runProgramBase(*Prog).Error,
+            "'a' does not hold an array reference");
+}
+
+TEST(Vm, CheckOnNonIntegerBoundIsRuntimeError) {
+  // The check before x = a[i] evaluates its bound i, which holds null.
+  auto Prog =
+      parseProgramOrDie("thread { a = new_array(4); i = null; x = a[i]; }");
+  InstrumentedProgram IP = instrumentFastTrack(*Prog);
+  VmResult R = runProgram(*IP.Prog, IP.Tool, VmOptions());
+  EXPECT_FALSE(R.Ok);
+  EXPECT_EQ(R.Error, "check range bounds are not integers");
+  EXPECT_EQ(runProgramBase(*Prog).Error, "array index out of bounds: null");
+}
+
 TEST(Vm, AssertFailureIsRuntimeError) {
   VmResult R = runSource("thread { x = 1; assert x == 2; }");
   EXPECT_FALSE(R.Ok);
@@ -589,5 +617,39 @@ TEST(Vm, HugeArrayFailsCleanly) {
     EXPECT_EQ(R.Error, "array size " + Size + " exceeds the limit of " +
                            std::to_string(kMaxArrayLength) + " elements");
     EXPECT_TRUE(R.Output.empty());
+  }
+}
+
+TEST(Vm, OneProgramRunsOnFourThreadsAtOnce) {
+  // A run only reads its program, so four threads may run one
+  // instrumented program at once, and each run equals the serial one.
+  std::vector<Workload> Suite = standardSuite(SuiteScale::Test);
+  auto Moldyn =
+      std::find_if(Suite.begin(), Suite.end(),
+                   [](const Workload &W) { return W.Name == "moldyn"; });
+  ASSERT_NE(Moldyn, Suite.end());
+  auto Prog = parseProgramOrDie(Moldyn->Source);
+  for (const char *Tool : {"bigfoot", "fasttrack"}) {
+    InstrumentedProgram IP = *instrumentNamed(*Prog, Tool);
+    VmResult Serial = runProgram(*IP.Prog, IP.Tool);
+    ASSERT_TRUE(Serial.Ok) << Tool << ": " << Serial.Error;
+    for (int Round = 0; Round < 3; ++Round) {
+      std::vector<VmResult> Runs(4);
+      std::vector<std::thread> Threads;
+      for (VmResult &Run : Runs)
+        Threads.emplace_back(
+            [&IP, &Run] { Run = runProgram(*IP.Prog, IP.Tool); });
+      for (std::thread &T : Threads)
+        T.join();
+      for (const VmResult &Run : Runs) {
+        EXPECT_EQ(Run.Ok, Serial.Ok) << Tool << " round " << Round;
+        EXPECT_EQ(Run.Error, Serial.Error) << Tool << " round " << Round;
+        EXPECT_EQ(Run.Output, Serial.Output) << Tool << " round " << Round;
+        EXPECT_EQ(Run.ToolRacyLocations, Serial.ToolRacyLocations)
+            << Tool << " round " << Round;
+        EXPECT_EQ(Run.Counters.all(), Serial.Counters.all())
+            << Tool << " round " << Round;
+      }
+    }
   }
 }

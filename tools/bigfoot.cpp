@@ -326,7 +326,6 @@ int traceMain(int Argc, char **Argv) {
       std::cerr << "bigfoot: error: unknown tool '" << A.ToolName << "'\n";
       return 1;
     }
-    IP->Prog->internSymbols(); // The trace header serializes the table.
     TraceWriter Writer(IP->Prog->symbols(), IP->Tool);
     A.Vm.RecordSink = &Writer;
     A.Vm.EnableGroundTruth = A.Oracle;

@@ -24,10 +24,6 @@
 
 namespace bigfoot {
 
-/// Rewrites \p E replacing variable \p From by \p To.
-std::unique_ptr<Expr> renameVarInExpr(const Expr *E, const std::string &From,
-                                      const std::string &To);
-
 /// Inserts renames into one method/thread body. Returns the number of
 /// renames inserted.
 unsigned insertRenames(StmtPtr &Body);
@@ -39,15 +35,11 @@ unsigned insertRenames(Program &P);
 /// can insert checks by appending.
 void normalizeBlocks(StmtPtr &S);
 
-/// Rewrites the *uses* inside \p S (receivers, indices, arguments) from
-/// \p Old to \p New, leaving the assignment target untouched.
-StmtPtr rewriteStmtUses(const Stmt *S, const std::string &Old,
-                        const std::string &New);
-
 /// Post-placement cleanup, mirroring the Soot optimizer pass of Section
 /// 5: a rename t := s whose target is used only by the immediately
-/// following simple statement (and by no check) is folded away by
-/// substituting s back in. Returns the number of renames removed.
+/// following simple statement is folded away by substituting s back in
+/// with renameUses; that statement may be a check. Returns the number of
+/// renames removed.
 unsigned cleanupRenames(StmtPtr &Body);
 
 } // namespace bigfoot

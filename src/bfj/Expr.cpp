@@ -97,25 +97,42 @@ std::string Expr::str() const {
   return OS.str();
 }
 
-void Expr::forEachVar(const VarVisitor &Visit) const {
-  switch (Kind) {
+namespace {
+/// The one walk over an expression's variable occurrences, left to right;
+/// ExprT is Expr or const Expr, and \p Visit gets each name as mutable
+/// only for Expr.
+template <typename ExprT, typename Fn> void walkVars(ExprT *E, Fn &Visit) {
+  switch (E->kind()) {
   case ExprKind::IntLit:
   case ExprKind::BoolLit:
   case ExprKind::NullLit:
     return;
   case ExprKind::VarRef:
-    Visit(cast<VarRef>(this)->name());
+    Visit(cast<VarRef>(E)->name());
     return;
   case ExprKind::Unary:
-    cast<UnaryExpr>(this)->operand()->forEachVar(Visit);
+    walkVars(cast<UnaryExpr>(E)->operand(), Visit);
     return;
   case ExprKind::Binary: {
-    const auto *B = cast<BinaryExpr>(this);
-    B->lhs()->forEachVar(Visit);
-    B->rhs()->forEachVar(Visit);
+    auto *B = cast<BinaryExpr>(E);
+    walkVars(B->lhs(), Visit);
+    walkVars(B->rhs(), Visit);
     return;
   }
   }
+}
+} // namespace
+
+void Expr::forEachVar(const VarVisitor &Visit) const {
+  walkVars(this, Visit);
+}
+
+void Expr::renameVar(const std::string &From, const std::string &To) {
+  auto Rename = [&From, &To](std::string &Name) {
+    if (Name == From)
+      Name = To;
+  };
+  walkVars(this, Rename);
 }
 
 namespace {

@@ -85,6 +85,10 @@ public:
   /// variables are locals, so every occurrence is free).
   void forEachVar(const VarVisitor &Visit) const;
 
+  /// Renames every occurrence forEachVar visits of \p From to \p To, in
+  /// place, through the same walk.
+  void renameVar(const std::string &From, const std::string &To);
+
 private:
   const ExprKind Kind;
 };
@@ -142,6 +146,7 @@ public:
       : Expr(ExprKind::VarRef), Name(std::move(Name)) {}
 
   const std::string &name() const { return Name; }
+  std::string &name() { return Name; }
 
   std::unique_ptr<Expr> clone() const override {
     return std::make_unique<VarRef>(Name);
@@ -161,6 +166,7 @@ public:
 
   UnaryOp op() const { return Op; }
   const Expr *operand() const { return Operand.get(); }
+  Expr *operand() { return Operand.get(); }
 
   std::unique_ptr<Expr> clone() const override {
     return std::make_unique<UnaryExpr>(Op, Operand->clone());
@@ -184,6 +190,8 @@ public:
   BinaryOp op() const { return Op; }
   const Expr *lhs() const { return LHS.get(); }
   const Expr *rhs() const { return RHS.get(); }
+  Expr *lhs() { return LHS.get(); }
+  Expr *rhs() { return RHS.get(); }
 
   std::unique_ptr<Expr> clone() const override {
     return std::make_unique<BinaryExpr>(Op, LHS->clone(), RHS->clone());

@@ -138,131 +138,163 @@ StmtPtr AssertStmtNode::clone() const {
 }
 
 namespace {
-/// A call or fork's result variable; null when the result is discarded.
-const std::string *resultVar(const std::string &Target) {
-  return Target.empty() || Target == "_" ? nullptr : &Target;
+/// Call and fork: a discarded result ("" or "_") is no variable.
+template <typename InvokeT, typename Visitor>
+void visitInvoke(InvokeT *C, Visitor &V) {
+  if (!C->target().empty() && C->target() != "_")
+    V.target(C->target());
+  V.name(C->receiver());
+  for (auto &Arg : C->args())
+    V.expr(*Arg);
 }
 
-void forEachArgVar(const std::vector<std::unique_ptr<Expr>> &Args,
-                   const VarVisitor &Visit) {
-  for (const auto &Arg : Args)
-    Arg->forEachVar(Visit);
+/// The one list of what each statement kind defines and reads: V.target
+/// on the local S assigns, then, in source order, V.name on each variable
+/// operand, V.expr on each expression operand (an If, Loop or assert
+/// condition too) and V.path on each check path. The statements nested in
+/// a Block, If or Loop are not visited. StmtT is Stmt or const Stmt; only
+/// Stmt hands out its operands as mutable, and a target is always const.
+template <typename StmtT, typename Visitor>
+void visitVars(StmtT *S, Visitor &V) {
+  switch (S->kind()) {
+  case StmtKind::Skip:
+  case StmtKind::Block:
+    return;
+  case StmtKind::If:
+    V.expr(*cast<IfStmt>(S)->cond());
+    return;
+  case StmtKind::Loop:
+    V.expr(*cast<LoopStmt>(S)->exitCond());
+    return;
+  case StmtKind::Assign: {
+    auto *A = cast<AssignStmt>(S);
+    V.target(A->target());
+    V.expr(*A->value());
+    return;
+  }
+  case StmtKind::Rename: {
+    auto *R = cast<RenameStmt>(S);
+    V.target(R->target());
+    V.name(R->source());
+    return;
+  }
+  case StmtKind::Acquire:
+    V.name(cast<AcquireStmt>(S)->lockVar());
+    return;
+  case StmtKind::Release:
+    V.name(cast<ReleaseStmt>(S)->lockVar());
+    return;
+  case StmtKind::New:
+    V.target(cast<NewStmt>(S)->target());
+    return;
+  case StmtKind::NewArray: {
+    auto *A = cast<NewArrayStmt>(S);
+    V.target(A->target());
+    V.expr(*A->size());
+    return;
+  }
+  case StmtKind::FieldRead: {
+    auto *F = cast<FieldReadStmt>(S);
+    V.target(F->target());
+    V.name(F->object());
+    return;
+  }
+  case StmtKind::FieldWrite: {
+    auto *F = cast<FieldWriteStmt>(S);
+    V.name(F->object());
+    V.expr(*F->value());
+    return;
+  }
+  case StmtKind::ArrayRead: {
+    auto *A = cast<ArrayReadStmt>(S);
+    V.target(A->target());
+    V.name(A->array());
+    V.expr(*A->index());
+    return;
+  }
+  case StmtKind::ArrayWrite: {
+    auto *A = cast<ArrayWriteStmt>(S);
+    V.name(A->array());
+    V.expr(*A->index());
+    V.expr(*A->value());
+    return;
+  }
+  case StmtKind::ArrayLen: {
+    auto *A = cast<ArrayLenStmt>(S);
+    V.target(A->target());
+    V.name(A->array());
+    return;
+  }
+  case StmtKind::Call:
+    visitInvoke(cast<CallStmt>(S), V);
+    return;
+  case StmtKind::Check:
+    for (auto &P : cast<CheckStmt>(S)->paths())
+      V.path(P);
+    return;
+  case StmtKind::Fork:
+    visitInvoke(cast<ForkStmt>(S), V);
+    return;
+  case StmtKind::Join:
+    V.name(cast<JoinStmt>(S)->handle());
+    return;
+  case StmtKind::NewBarrier: {
+    auto *B = cast<NewBarrierStmt>(S);
+    V.target(B->target());
+    V.expr(*B->parties());
+    return;
+  }
+  case StmtKind::Await:
+    V.name(cast<AwaitStmt>(S)->barrierVar());
+    return;
+  case StmtKind::Print:
+    V.expr(*cast<PrintStmt>(S)->value());
+    return;
+  case StmtKind::AssertStmt:
+    V.expr(*cast<AssertStmtNode>(S)->cond());
+    return;
+  }
 }
 } // namespace
 
 const std::string *bigfoot::definedVar(const Stmt *S) {
-  switch (S->kind()) {
-  case StmtKind::Assign:
-    return &cast<AssignStmt>(S)->target();
-  case StmtKind::Rename:
-    return &cast<RenameStmt>(S)->target();
-  case StmtKind::New:
-    return &cast<NewStmt>(S)->target();
-  case StmtKind::NewArray:
-    return &cast<NewArrayStmt>(S)->target();
-  case StmtKind::NewBarrier:
-    return &cast<NewBarrierStmt>(S)->target();
-  case StmtKind::FieldRead:
-    return &cast<FieldReadStmt>(S)->target();
-  case StmtKind::ArrayRead:
-    return &cast<ArrayReadStmt>(S)->target();
-  case StmtKind::ArrayLen:
-    return &cast<ArrayLenStmt>(S)->target();
-  case StmtKind::Call:
-    return resultVar(cast<CallStmt>(S)->target());
-  case StmtKind::Fork:
-    return resultVar(cast<ForkStmt>(S)->target());
-  default:
-    return nullptr;
-  }
+  struct {
+    const std::string *Target = nullptr;
+    void target(const std::string &X) { Target = &X; }
+    void name(const std::string &) {}
+    void expr(const Expr &) {}
+    void path(const Path &) {}
+  } Defined;
+  visitVars(S, Defined);
+  return Defined.Target;
 }
 
 void bigfoot::forEachVar(const Stmt *S, const VarVisitor &Visit) {
-  if (const std::string *X = definedVar(S))
-    Visit(*X);
-  switch (S->kind()) {
-  case StmtKind::Skip:
-  case StmtKind::Block:
-  case StmtKind::New:
-    return;
-  case StmtKind::If:
-    cast<IfStmt>(S)->cond()->forEachVar(Visit);
-    return;
-  case StmtKind::Loop:
-    cast<LoopStmt>(S)->exitCond()->forEachVar(Visit);
-    return;
-  case StmtKind::Assign:
-    cast<AssignStmt>(S)->value()->forEachVar(Visit);
-    return;
-  case StmtKind::Rename:
-    Visit(cast<RenameStmt>(S)->source());
-    return;
-  case StmtKind::Acquire:
-    Visit(cast<AcquireStmt>(S)->lockVar());
-    return;
-  case StmtKind::Release:
-    Visit(cast<ReleaseStmt>(S)->lockVar());
-    return;
-  case StmtKind::NewArray:
-    cast<NewArrayStmt>(S)->size()->forEachVar(Visit);
-    return;
-  case StmtKind::FieldRead:
-    Visit(cast<FieldReadStmt>(S)->object());
-    return;
-  case StmtKind::FieldWrite: {
-    const auto *F = cast<FieldWriteStmt>(S);
-    Visit(F->object());
-    F->value()->forEachVar(Visit);
-    return;
-  }
-  case StmtKind::ArrayRead: {
-    const auto *A = cast<ArrayReadStmt>(S);
-    Visit(A->array());
-    A->index()->forEachVar(Visit);
-    return;
-  }
-  case StmtKind::ArrayWrite: {
-    const auto *A = cast<ArrayWriteStmt>(S);
-    Visit(A->array());
-    A->index()->forEachVar(Visit);
-    A->value()->forEachVar(Visit);
-    return;
-  }
-  case StmtKind::ArrayLen:
-    Visit(cast<ArrayLenStmt>(S)->array());
-    return;
-  case StmtKind::Call: {
-    const auto *C = cast<CallStmt>(S);
-    Visit(C->receiver());
-    forEachArgVar(C->args(), Visit);
-    return;
-  }
-  case StmtKind::Check:
-    for (const Path &P : cast<CheckStmt>(S)->paths())
-      forEachVar(P, Visit);
-    return;
-  case StmtKind::Fork: {
-    const auto *F = cast<ForkStmt>(S);
-    Visit(F->receiver());
-    forEachArgVar(F->args(), Visit);
-    return;
-  }
-  case StmtKind::Join:
-    Visit(cast<JoinStmt>(S)->handle());
-    return;
-  case StmtKind::NewBarrier:
-    cast<NewBarrierStmt>(S)->parties()->forEachVar(Visit);
-    return;
-  case StmtKind::Await:
-    Visit(cast<AwaitStmt>(S)->barrierVar());
-    return;
-  case StmtKind::Print:
-    cast<PrintStmt>(S)->value()->forEachVar(Visit);
-    return;
-  case StmtKind::AssertStmt:
-    cast<AssertStmtNode>(S)->cond()->forEachVar(Visit);
-    return;
-  }
+  struct {
+    const VarVisitor &Visit;
+    void target(const std::string &X) { Visit(X); }
+    void name(const std::string &X) { Visit(X); }
+    void expr(const Expr &E) { E.forEachVar(Visit); }
+    void path(const Path &P) { forEachVar(P, Visit); }
+  } All{Visit};
+  visitVars(S, All);
+}
+
+void bigfoot::renameUses(Stmt *S, const std::string &From,
+                         const std::string &To) {
+  struct {
+    const std::string &From, &To;
+    void target(const std::string &) {}
+    void name(std::string &X) {
+      if (X == From)
+        X = To;
+    }
+    void expr(Expr &E) { E.renameVar(From, To); }
+    void path(Path &P) {
+      P = P.rename(VarName::intern(From), VarName::intern(To));
+    }
+  } Uses{From, To};
+  visitVars(S, Uses);
 }
 
 void bigfoot::forEachVar(const Path &P, const VarVisitor &Visit) {

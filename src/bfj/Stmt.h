@@ -18,7 +18,9 @@
 ///
 /// Which local a statement assigns, which locals it reads and which heap
 /// location it accesses are answered once, by definedVar, forEachVar and
-/// accessPath at the end of this file; every pass asks them.
+/// accessPath at the end of this file; every pass asks them. renameUses
+/// rewrites the locals a statement reads, and it goes through the same list
+/// as definedVar and forEachVar, so what a pass counts is what it renames.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -123,6 +125,7 @@ public:
         Else(std::move(Else)) {}
 
   const Expr *cond() const { return Cond.get(); }
+  Expr *cond() { return Cond.get(); }
   Stmt *thenStmt() const { return Then.get(); }
   Stmt *elseStmt() const { return Else.get(); }
 
@@ -151,6 +154,7 @@ public:
 
   Stmt *preBody() const { return PreBody.get(); }
   const Expr *exitCond() const { return ExitCond.get(); }
+  Expr *exitCond() { return ExitCond.get(); }
   Stmt *postBody() const { return PostBody.get(); }
 
   /// Mutable access for analysis rewrites.
@@ -175,6 +179,7 @@ public:
 
   const std::string &target() const { return Target; }
   const Expr *value() const { return Value.get(); }
+  Expr *value() { return Value.get(); }
 
   StmtPtr clone() const override;
   static bool classof(const Stmt *S) { return S->kind() == StmtKind::Assign; }
@@ -195,6 +200,7 @@ public:
 
   const std::string &target() const { return Target; }
   const std::string &source() const { return Source; }
+  std::string &source() { return Source; }
 
   StmtPtr clone() const override;
   static bool classof(const Stmt *S) { return S->kind() == StmtKind::Rename; }
@@ -211,6 +217,7 @@ public:
       : Stmt(StmtKind::Acquire), LockVar(std::move(LockVar)) {}
 
   const std::string &lockVar() const { return LockVar; }
+  std::string &lockVar() { return LockVar; }
 
   StmtPtr clone() const override;
   static bool classof(const Stmt *S) { return S->kind() == StmtKind::Acquire; }
@@ -226,6 +233,7 @@ public:
       : Stmt(StmtKind::Release), LockVar(std::move(LockVar)) {}
 
   const std::string &lockVar() const { return LockVar; }
+  std::string &lockVar() { return LockVar; }
 
   StmtPtr clone() const override;
   static bool classof(const Stmt *S) { return S->kind() == StmtKind::Release; }
@@ -261,6 +269,7 @@ public:
 
   const std::string &target() const { return Target; }
   const Expr *size() const { return Size.get(); }
+  Expr *size() { return Size.get(); }
 
   StmtPtr clone() const override;
   static bool classof(const Stmt *S) {
@@ -281,6 +290,7 @@ public:
 
   const std::string &target() const { return Target; }
   const std::string &object() const { return Object; }
+  std::string &object() { return Object; }
   const std::string &field() const { return Field; }
 
   StmtPtr clone() const override;
@@ -303,8 +313,10 @@ public:
         Field(std::move(Field)), Value(std::move(Value)) {}
 
   const std::string &object() const { return Object; }
+  std::string &object() { return Object; }
   const std::string &field() const { return Field; }
   const Expr *value() const { return Value.get(); }
+  Expr *value() { return Value.get(); }
 
   StmtPtr clone() const override;
   static bool classof(const Stmt *S) {
@@ -328,7 +340,9 @@ public:
 
   const std::string &target() const { return Target; }
   const std::string &array() const { return Array; }
+  std::string &array() { return Array; }
   const Expr *index() const { return Index.get(); }
+  Expr *index() { return Index.get(); }
 
   StmtPtr clone() const override;
   static bool classof(const Stmt *S) {
@@ -350,8 +364,11 @@ public:
         Index(std::move(Index)), Value(std::move(Value)) {}
 
   const std::string &array() const { return Array; }
+  std::string &array() { return Array; }
   const Expr *index() const { return Index.get(); }
+  Expr *index() { return Index.get(); }
   const Expr *value() const { return Value.get(); }
+  Expr *value() { return Value.get(); }
 
   StmtPtr clone() const override;
   static bool classof(const Stmt *S) {
@@ -374,6 +391,7 @@ public:
 
   const std::string &target() const { return Target; }
   const std::string &array() const { return Array; }
+  std::string &array() { return Array; }
 
   StmtPtr clone() const override;
   static bool classof(const Stmt *S) {
@@ -396,8 +414,10 @@ public:
 
   const std::string &target() const { return Target; }
   const std::string &receiver() const { return Receiver; }
+  std::string &receiver() { return Receiver; }
   const std::string &method() const { return Method; }
   const std::vector<std::unique_ptr<Expr>> &args() const { return Args; }
+  std::vector<std::unique_ptr<Expr>> &args() { return Args; }
 
   StmtPtr clone() const override;
   static bool classof(const Stmt *S) { return S->kind() == StmtKind::Call; }
@@ -444,8 +464,10 @@ public:
 
   const std::string &target() const { return Target; }
   const std::string &receiver() const { return Receiver; }
+  std::string &receiver() { return Receiver; }
   const std::string &method() const { return Method; }
   const std::vector<std::unique_ptr<Expr>> &args() const { return Args; }
+  std::vector<std::unique_ptr<Expr>> &args() { return Args; }
 
   StmtPtr clone() const override;
   static bool classof(const Stmt *S) { return S->kind() == StmtKind::Fork; }
@@ -465,6 +487,7 @@ public:
       : Stmt(StmtKind::Join), Handle(std::move(Handle)) {}
 
   const std::string &handle() const { return Handle; }
+  std::string &handle() { return Handle; }
 
   StmtPtr clone() const override;
   static bool classof(const Stmt *S) { return S->kind() == StmtKind::Join; }
@@ -482,6 +505,7 @@ public:
 
   const std::string &target() const { return Target; }
   const Expr *parties() const { return Parties.get(); }
+  Expr *parties() { return Parties.get(); }
 
   StmtPtr clone() const override;
   static bool classof(const Stmt *S) {
@@ -503,6 +527,7 @@ public:
       : Stmt(StmtKind::Await), BarrierVar(std::move(BarrierVar)) {}
 
   const std::string &barrierVar() const { return BarrierVar; }
+  std::string &barrierVar() { return BarrierVar; }
 
   StmtPtr clone() const override;
   static bool classof(const Stmt *S) { return S->kind() == StmtKind::Await; }
@@ -518,6 +543,7 @@ public:
       : Stmt(StmtKind::Print), Value(std::move(Value)) {}
 
   const Expr *value() const { return Value.get(); }
+  Expr *value() { return Value.get(); }
 
   StmtPtr clone() const override;
   static bool classof(const Stmt *S) { return S->kind() == StmtKind::Print; }
@@ -534,6 +560,7 @@ public:
       : Stmt(StmtKind::AssertStmt), Cond(std::move(Cond)) {}
 
   const Expr *cond() const { return Cond.get(); }
+  Expr *cond() { return Cond.get(); }
 
   StmtPtr clone() const override;
   static bool classof(const Stmt *S) {
@@ -564,6 +591,12 @@ void forEachVar(const Stmt *S, const VarVisitor &Visit);
 /// Calls \p Visit on \p P's designator, then on each variable term of its
 /// range's begin and end bounds.
 void forEachVar(const Path &P, const VarVisitor &Visit);
+
+/// Renames, in place, every occurrence of \p From that forEachVar(S)
+/// visits after definedVar(S): S's name and expression operands, its
+/// condition and each check path's designator and bounds. The target
+/// stays, and so do the statements nested in a Block, If or Loop.
+void renameUses(Stmt *S, const std::string &From, const std::string &To);
 
 /// The check path of a heap access statement (x = y.f, y.f = e, x = y[e]
 /// or y[e1] = e2), or nullopt for any other statement. A volatile field

@@ -371,15 +371,36 @@ thread {
   EXPECT_EQ(Removed, 0u);
 }
 
-TEST(Rename, RewriteStmtUsesLeavesTargetAlone) {
+TEST(Rename, CleanupFoldsRenameIntoCheck) {
+  // Placement puts the check of b[y'] before the volatile read that
+  // redefines y. Folding y' := y into the check must rename the check's
+  // bound too, or no statement assigns the y' it reads.
+  auto Prog = parseProgramOrDie(R"(
+class O { volatile fields vf; }
+thread {
+  o = new O;
+  b = new_array(4);
+  y = 1;
+  y' := y;
+  check(W b[y']);
+  y = o.vf;
+}
+)");
+  EXPECT_EQ(cleanupRenames(Prog->Threads[0]), 1u);
+  std::string Printed = printStmt(Prog->Threads[0].get());
+  EXPECT_NE(Printed.find("check(W b[y]);"), std::string::npos) << Printed;
+  EXPECT_EQ(Printed.find("y'"), std::string::npos) << Printed;
+}
+
+TEST(Rename, RenameUsesLeavesTargetAlone) {
   auto Prog = parseProgramOrDie(R"(
 thread {
   x = x + 1;
 }
 )");
-  const auto *Block = cast<BlockStmt>(Prog->Threads[0].get());
-  StmtPtr New = rewriteStmtUses(Block->stmts()[0].get(), "x", "y");
-  const auto *A = cast<AssignStmt>(New.get());
+  auto *Block = cast<BlockStmt>(Prog->Threads[0].get());
+  renameUses(Block->stmts()[0].get(), "x", "y");
+  const auto *A = cast<AssignStmt>(Block->stmts()[0].get());
   EXPECT_EQ(A->target(), "x");
   std::vector<std::string> Vars;
   A->value()->forEachVar([&Vars](const std::string &V) { Vars.push_back(V); });

@@ -9,6 +9,10 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <regex>
+#include <set>
+
 using namespace bigfoot;
 
 namespace {
@@ -311,6 +315,84 @@ thread {
   EXPECT_EQ(VarsOf(Body[8].get()), (Names{"a", "i", "x"}));
   EXPECT_EQ(VarsOf(Body[9].get()), (Names{"i", "x"}));
   EXPECT_EQ(DefinedOf(Body[9].get()), "<none>");
+}
+
+TEST(BfjAst, RenameUsesRenamesWhatForEachVarReads) {
+  // Every statement kind, with x as a local and also as a field and a
+  // method name, which must stay.
+  auto Prog = parseProgramOrDie(R"(
+class C {
+  fields f, x;
+  method x(v) {
+    return v;
+  }
+}
+thread {
+  skip;
+  a = new_array(x + 4);
+  x = 1;
+  x' := x;
+  o = new C;
+  acq(x);
+  rel(x);
+  i = x.x;
+  x.x = x + i;
+  x = a[x + i];
+  a[x] = x * 2;
+  n = len(x);
+  r = x.x(x, i);
+  x.x(x);
+  check(R x.f/x, W a[i + x..x + 4:2]);
+  fork h = x.x(x);
+  join x;
+  x = new_barrier(x);
+  await x;
+  print x;
+  assert x < 3;
+  if (x < 2) {
+    i = x;
+  }
+  loop {
+    i = x;
+    exit_if (x > i);
+    i = i - x;
+  }
+}
+)");
+  auto Reads = [](const Stmt *S) {
+    std::vector<std::string> Vars;
+    forEachVar(S, [&Vars](const std::string &V) { Vars.push_back(V); });
+    if (definedVar(S))
+      Vars.erase(Vars.begin());
+    return Vars;
+  };
+  auto DefinedOf = [](const Stmt *S) -> std::string {
+    const std::string *X = definedVar(S);
+    return X ? *X : "<none>";
+  };
+  const std::regex Z("\\bz\\b");
+  std::set<StmtKind> Kinds;
+  walkStmt(Prog->Threads[0].get(), [&](const Stmt *S) {
+    Kinds.insert(S->kind());
+    StmtPtr Copy = S->clone();
+    renameUses(Copy.get(), "x", "z");
+    std::vector<std::string> Expected = Reads(S);
+    size_t Renamed = std::count(Expected.begin(), Expected.end(), "x");
+    std::replace(Expected.begin(), Expected.end(), std::string("x"),
+                 std::string("z"));
+    std::string Before = printStmt(S);
+    std::string After = printStmt(Copy.get());
+    EXPECT_EQ(Reads(Copy.get()), Expected) << Before;
+    EXPECT_EQ(DefinedOf(Copy.get()), DefinedOf(S)) << Before;
+    // Nothing else changed: z stands exactly where those reads were.
+    EXPECT_EQ(static_cast<size_t>(std::distance(
+                  std::sregex_iterator(After.begin(), After.end(), Z),
+                  std::sregex_iterator())),
+              Renamed)
+        << After;
+    EXPECT_EQ(std::regex_replace(After, Z, "x"), Before);
+  });
+  EXPECT_EQ(Kinds.size(), static_cast<size_t>(StmtKind::AssertStmt) + 1);
 }
 
 TEST(BfjAst, ToAffineHandlesLinearForms) {

@@ -8,13 +8,18 @@
 
 #include "bfj/Parser.h"
 #include "bfj/Printer.h"
+#include "common/UnassignedReads.h"
 #include "workloads/Workloads.h"
 
 #include <gtest/gtest.h>
 
+#include <filesystem>
+#include <fstream>
+#include <sstream>
 #include <thread>
 
 using namespace bigfoot;
+using namespace bigfoot::test;
 
 namespace {
 
@@ -227,6 +232,91 @@ thread {
   size_t Rc = checkCount(*instrumentRedCard(*Prog).Prog);
   size_t Bf = checkCount(*instrumentBigFoot(*Prog).Prog);
   EXPECT_LE(Bf, Rc);
+}
+
+TEST(UnassignedReads, JoinsBranchesAndLoopIterations) {
+  // u and v are each assigned on some path, and q by an earlier
+  // iteration; nothing assigns r, y or z.
+  auto Prog = parseProgramOrDie(R"(
+class W {
+  fields pad;
+  method run(c) {
+    if (c < 1) {
+      u = 1;
+    } else {
+      v = 2;
+    }
+    w = u + v + z;
+    loop {
+      p = q;
+      exit_if (c < 2);
+      q = 1;
+    }
+    s = p + q;
+    return r;
+  }
+}
+thread {
+  x = y;
+}
+)");
+  std::map<std::string, std::set<std::string>> Unassigned =
+      unassignedReads(*Prog);
+  EXPECT_EQ(Unassigned["W.run"], (std::set<std::string>{"r", "z"}));
+  EXPECT_EQ(Unassigned["thread#0"], std::set<std::string>{"y"});
+}
+
+TEST(UnassignedReads, FlagsACheckOfAFoldedRename) {
+  // What the rename clean-up once made of y' := y; check(W b[y']): the
+  // copy gone, the check still reading it.
+  const char *Source = R"(
+class O { volatile fields vf; }
+class W {
+  fields pad;
+  method run(o, b) {
+    y = 1;
+    b[y] = 1;
+    y = o.vf;
+  }
+}
+thread {
+  skip;
+}
+)";
+  std::string Broken = Source;
+  Broken.replace(Broken.find("    y = o.vf;"), 0, "    check(W b[y']);\n");
+  auto Prog = parseProgramOrDie(Source);
+  EXPECT_EQ(newUnassignedReads(*Prog, *parseProgramOrDie(Broken)),
+            std::vector<std::string>{"W.run: y'"});
+  EXPECT_EQ(newUnassignedReads(*Prog, *Prog), std::vector<std::string>{});
+}
+
+TEST(Placement, NoToolReadsAnUnassignedLocal) {
+  // Every suite workload at both scales and every example program, under
+  // all six tools.
+  std::vector<std::pair<std::string, std::string>> Programs;
+  for (SuiteScale Scale : {SuiteScale::Test, SuiteScale::Bench})
+    for (Workload &W : standardSuite(Scale))
+      Programs.emplace_back(
+          W.Name + (Scale == SuiteScale::Test ? " (test)" : " (bench)"),
+          std::move(W.Source));
+  size_t Examples = 0;
+  for (const auto &Entry :
+       std::filesystem::directory_iterator(BIGFOOT_EXAMPLES_DIR)) {
+    if (Entry.path().extension() != ".bfj")
+      continue;
+    std::ifstream In(Entry.path());
+    std::ostringstream Source;
+    Source << In.rdbuf();
+    Programs.emplace_back(Entry.path().filename().string(), Source.str());
+    ++Examples;
+  }
+  EXPECT_GE(Examples, 4u);
+  for (const auto &[Label, Source] : Programs) {
+    auto Prog = parseProgramOrDie(Source);
+    for (const char *Tool : kToolNames)
+      expectNoNewUnassignedReads(*Prog, *instrumentNamed(*Prog, Tool), Label);
+  }
 }
 
 TEST(ConcurrentPlacement, FourThreadsPlaceWhatOneThreadPlaces) {

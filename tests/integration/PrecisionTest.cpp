@@ -5,8 +5,10 @@
 // Section 2's correctness criterion, checked dynamically: for every
 // execution trace, the instrumented program has a check race iff the
 // trace has a data race (trace precision), and the racy locations agree
-// (address precision). The oracle is a per-access FastTrack detector run
-// on the same trace inside the same VM run.
+// (address precision), down to the array element. The oracle is a
+// per-access FastTrack detector run on the same trace inside the same VM
+// run. Every instrumented program must also read no local that its source
+// leaves unassigned (common/UnassignedReads.h).
 //
 //===----------------------------------------------------------------------===//
 
@@ -14,14 +16,18 @@
 
 #include "bfj/Parser.h"
 #include "bfj/Printer.h"
+#include "common/UnassignedReads.h"
+#include "support/LocKey.h"
 #include "support/Rng.h"
 #include "vm/Vm.h"
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <sstream>
 
 using namespace bigfoot;
+using namespace bigfoot::test;
 
 namespace {
 
@@ -76,16 +82,63 @@ std::set<std::string> checkPrecision(const InstrumentedProgram &IP,
         << Label << ": missed race on " << Key << " (tool " << IP.Tool.Name
         << ", seed " << Seed << ")\n"
         << printProgram(*IP.Prog);
+  // The same per array element: each racy element the oracle saw lies in
+  // a range the tool reports on that array, and each such range holds
+  // one. An array's key alone cannot tell a check of b[0] from one of
+  // b[1].
+  auto OnArray = [](const ReportedRace &Race, ObjectId Arr) {
+    return Race.OnArray && Race.Id == Arr;
+  };
+  for (const ReportedRace &Truth : R.GroundTruthRaces) {
+    if (!Truth.OnArray)
+      continue;
+    for (int64_t I : Truth.Range.elements())
+      EXPECT_TRUE(std::any_of(R.ToolRaces.begin(), R.ToolRaces.end(),
+                              [&](const ReportedRace &Race) {
+                                return OnArray(Race, Truth.Id) &&
+                                       Race.Range.contains(I);
+                              }))
+          << Label << ": missed race on "
+          << lockey::arrayRange(Truth.Id, StridedRange::singleton(I).str())
+          << " (tool " << IP.Tool.Name << ", seed " << Seed << ")\n"
+          << printProgram(*IP.Prog);
+  }
+  for (const ReportedRace &Race : R.ToolRaces) {
+    if (!Race.OnArray)
+      continue;
+    EXPECT_TRUE(std::any_of(R.GroundTruthRaces.begin(),
+                            R.GroundTruthRaces.end(),
+                            [&](const ReportedRace &Truth) {
+                              return OnArray(Truth, Race.Id) &&
+                                     Truth.Range.intersects(Race.Range);
+                            }))
+        << Label << ": false alarm on "
+        << lockey::arrayRange(Race.Id, Race.Range.str()) << " (tool "
+        << IP.Tool.Name << ", seed " << Seed << ")\n"
+        << printProgram(*IP.Prog);
+  }
   return Got;
+}
+
+/// All six kToolNames configurations of \p Prog: the paper's five tools
+/// and DJIT+. Each must read no local its source leaves unassigned.
+std::vector<InstrumentedProgram> instrumentSix(const Program &Prog,
+                                               const std::string &Label) {
+  std::vector<InstrumentedProgram> Out;
+  for (const char *Name : kToolNames) {
+    Out.push_back(*instrumentNamed(Prog, Name));
+    expectNoNewUnassignedReads(Prog, Out.back(), Label);
+  }
+  return Out;
 }
 
 void checkAllTools(const char *Source, const std::string &Label,
                    std::initializer_list<uint64_t> Seeds = {1, 13, 77}) {
   auto Prog = parseProgramOrDie(Source);
-  for (uint64_t Seed : Seeds) {
-    for (InstrumentedProgram &IP : instrumentAll(*Prog))
+  std::vector<InstrumentedProgram> All = instrumentSix(*Prog, Label);
+  for (uint64_t Seed : Seeds)
+    for (const InstrumentedProgram &IP : All)
       checkPrecision(IP, Seed, Label);
-  }
 }
 
 } // namespace
@@ -491,6 +544,96 @@ thread {
                 "self-reading field read");
 }
 
+TEST(Precision, RenamedIndexBeforeVolatileReadStillRaces) {
+  // y = o.vf synchronizes, so BigFoot checks b[1] just before it, on the
+  // fresh y' the rename pass copied y into. The rename clean-up then folds
+  // y' := y into that check: unless the check's bound is renamed back to
+  // y, nothing assigns the y' it reads, and it checks b[0].
+  checkAllTools(R"(
+class O { volatile fields vf; }
+class W {
+  fields pad;
+  method run(o, b) {
+    y = 1;
+    b[y] = 1;
+    y = o.vf;
+    b[y] = 7;
+  }
+}
+thread {
+  o = new O;
+  o.vf = 3;
+  b = new_array(4);
+  w = new W;
+  fork t = w.run(o, b);
+  b[1] = 9;
+  join t;
+}
+)",
+                "renamed index before volatile read");
+}
+
+TEST(Precision, RenamedIndexBeforeSynchronizedCallStillRaces) {
+  // The same fold before a call whose callee acquires and releases a lock.
+  checkAllTools(R"(
+class Q {
+  fields v;
+  method get(l) {
+    acq(l);
+    r = this.v;
+    rel(l);
+    return r;
+  }
+}
+class W {
+  fields pad;
+  method run(q, l, b) {
+    y = 1;
+    b[y] = 1;
+    y = q.get(l);
+    b[y] = 7;
+  }
+}
+thread {
+  q = new Q;
+  q.v = 3;
+  l = new Q;
+  b = new_array(4);
+  w = new W;
+  fork t = w.run(q, l, b);
+  b[1] = 9;
+  join t;
+}
+)",
+                "renamed index before synchronized call");
+}
+
+TEST(Precision, RenamedDesignatorBeforeVolatileReadStillRaces) {
+  // The same fold into a field check: an orphaned designator x' holds no
+  // reference, so the run failed instead of reporting the race on p.f.
+  checkAllTools(R"(
+class O { fields f; volatile fields vf; }
+class W {
+  fields pad;
+  method run(o, p) {
+    x = p;
+    x.f = 1;
+    x = o.vf;
+  }
+}
+thread {
+  o = new O;
+  p = new O;
+  o.vf = 3;
+  w = new W;
+  fork t = w.run(o, p);
+  p.f = 9;
+  join t;
+}
+)",
+                "renamed designator before volatile read");
+}
+
 //===----------------------------------------------------------------------===
 // Randomized property sweep: generated programs, all tools, many seeds.
 //===----------------------------------------------------------------------===
@@ -500,11 +643,13 @@ namespace {
 /// Generates a random two-worker program over one shared object, two
 /// shared arrays, a three-node list, and one lock. Each worker body is a
 /// random mix of guarded/unguarded field and array accesses and loops,
-/// plus three shapes whose variable bookkeeping once hid races: the
+/// plus four shapes whose variable bookkeeping once hid races: the
 /// parameter n, which an assert at the top bounds, reassigned; a volatile
-/// flag read into a variable an earlier access to the second array used
-/// as its index; and, in half the programs, l = l.next; m = l.next on the
-/// list's head, whose next the main thread rewrites after forking.
+/// flag read into a variable an earlier read of the second array used as
+/// its index; the same with writes, whose check the rename clean-up once
+/// left reading an unassigned copy of the index; and, in half the
+/// programs, l = l.next; m = l.next on the list's head, whose next the
+/// main thread rewrites after forking.
 std::string generateProgram(uint64_t Seed) {
   Rng R(Seed);
   std::ostringstream OS;
@@ -524,7 +669,7 @@ std::string generateProgram(uint64_t Seed) {
     bool Guarded = R.chance(1, 2);
     if (Guarded)
       OS << "    acq(lock);\n";
-    switch (R.nextBelow(7)) {
+    switch (R.nextBelow(8)) {
     case 0:
       OS << "    o.f" << R.nextBelow(3) << " = " << R.nextBelow(100)
          << ";\n";
@@ -559,13 +704,23 @@ std::string generateProgram(uint64_t Seed) {
     case 6: {
       // The same read before and after the volatile read changes its
       // index to 3 (the thread sets o.vf before forking, then writes b[3]
-      // unsynchronized). Only these reads and that write touch b, so no
-      // other race on b hides a missed one.
+      // unsynchronized).
       std::string X = "x" + std::to_string(S);
       OS << "    " << X << " = " << R.nextBelow(3) << ";\n";
       OS << "    r" << S << " = b[" << X << "];\n";
       OS << "    " << X << " = o.vf;\n";
       OS << "    s" << S << " = b[" << X << "];\n";
+      break;
+    }
+    case 7: {
+      // The same with writes, which race on b[c] unless the lock guards
+      // them: BigFoot checks b[c] just before the volatile read
+      // redefines the index.
+      std::string Y = "y" + std::to_string(S);
+      OS << "    " << Y << " = " << R.nextBelow(3) << ";\n";
+      OS << "    b[" << Y << "] = 1;\n";
+      OS << "    " << Y << " = o.vf;\n";
+      OS << "    b[" << Y << "] = 7;\n";
       break;
     }
     }
@@ -597,9 +752,9 @@ TEST_P(PrecisionProperty, RandomProgramsAllToolsPrecise) {
     std::string Source = generateProgram(ProgSeed);
     ParseResult PR = parseProgram(Source);
     ASSERT_TRUE(PR.ok()) << PR.Error << "\n" << Source;
-    for (InstrumentedProgram &IP : instrumentAll(*PR.Prog))
-      checkPrecision(IP, /*Seed=*/ProgSeed + 7,
-                     "random#" + std::to_string(ProgSeed));
+    std::string Label = "random#" + std::to_string(ProgSeed);
+    for (const InstrumentedProgram &IP : instrumentSix(*PR.Prog, Label))
+      checkPrecision(IP, /*Seed=*/ProgSeed + 7, Label);
   }
 }
 
@@ -607,7 +762,7 @@ INSTANTIATE_TEST_SUITE_P(Sweep, PrecisionProperty,
                          ::testing::Values(1u, 2u, 3u, 4u, 5u));
 
 //===----------------------------------------------------------------------===
-// Differential: all five tools agree on racy-location sets per trace.
+// Differential: all six tools agree on racy-location sets per trace.
 //===----------------------------------------------------------------------===
 
 TEST(Precision, ToolsAgreeWithOracleOnRacyPrograms) {
@@ -636,7 +791,7 @@ thread {
   join t2;
 }
 )");
-  for (InstrumentedProgram &IP : instrumentAll(*Prog)) {
+  for (const InstrumentedProgram &IP : instrumentSix(*Prog, "agree")) {
     std::set<std::string> Racy = checkPrecision(IP, 42, "agree");
     EXPECT_FALSE(Racy.empty()) << IP.Tool.Name;
   }

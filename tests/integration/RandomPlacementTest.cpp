@@ -9,12 +9,15 @@
 // (common/RecordedRun.h, the oracle CoverageOracleTest uses): every
 // access covered by a legitimate check, every check legitimate for an
 // access. This stresses the placement rules ([IF]/[LOOP]/[CALL]/renaming
-// /invariant inference) far beyond the hand-written suite.
+// /invariant inference) far beyond the hand-written suite. Every tool's
+// placement must also read no local the source leaves unassigned
+// (common/UnassignedReads.h).
 //
 //===----------------------------------------------------------------------===//
 
 #include "bfj/Parser.h"
 #include "bfj/Printer.h"
+#include "common/UnassignedReads.h"
 #include "common/RecordedRun.h"
 #include "instrument/Instrumenters.h"
 #include "support/Rng.h"
@@ -180,6 +183,9 @@ TEST_P(RandomPlacement, GeneratedProgramsHavePreciseChecks) {
     std::string Source = Gen.generate();
     ParseResult PR = parseProgram(Source);
     ASSERT_TRUE(PR.ok()) << PR.Error << "\n" << Source;
+    for (const char *Tool : kToolNames)
+      expectNoNewUnassignedReads(*PR.Prog, *instrumentNamed(*PR.Prog, Tool),
+                                 "seed " + std::to_string(Seed));
 
     InstrumentedProgram Bf = instrumentBigFoot(*PR.Prog);
     VmOptions Opts;

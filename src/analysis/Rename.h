@@ -31,9 +31,10 @@ unsigned insertRenames(StmtPtr &Body);
 /// Runs insertRenames over every body in \p P.
 unsigned insertRenames(Program &P);
 
-/// Ensures every If branch and Loop body is a BlockStmt so later passes
-/// can insert checks by appending.
-void normalizeBlocks(StmtPtr &S);
+/// Makes \p Body, and every If branch and Loop body inside it, a
+/// BlockStmt (wrapping any other statement in one), so later passes can
+/// insert renames and checks by appending.
+void normalizeBody(StmtPtr &Body);
 
 /// Post-placement cleanup, mirroring the Soot optimizer pass of Section
 /// 5: a rename t := s whose target is used only by the immediately

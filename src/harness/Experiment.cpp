@@ -265,13 +265,24 @@ double bigfoot::overheadOf(const std::vector<double> &LegSeconds,
   return Ratios.empty() ? 0 : medianOf(std::move(Ratios)) - 1;
 }
 
-double bigfoot::geomeanOverhead(const std::vector<double> &Overheads) {
-  if (Overheads.empty())
-    return 0;
+double bigfoot::geomean(const std::vector<double> &Values) {
+  if (Values.empty())
+    return 1;
   double LogSum = 0;
-  for (double V : Overheads)
-    LogSum += std::log(V > 0.001 ? V : 0.001);
-  return std::exp(LogSum / static_cast<double>(Overheads.size()));
+  for (double V : Values)
+    LogSum += std::log(V);
+  return std::exp(LogSum / static_cast<double>(Values.size()));
+}
+
+double bigfoot::meanOverhead(const std::vector<double> &Overheads) {
+  std::vector<double> Slowdowns;
+  for (double O : Overheads)
+    Slowdowns.push_back(1 + O);
+  return geomean(Slowdowns) - 1;
+}
+
+double bigfoot::relativeOverhead(double Overhead, double FastTrackOverhead) {
+  return FastTrackOverhead > 1e-9 ? Overhead / FastTrackOverhead : 1.0;
 }
 
 BenchArgs bigfoot::parseBenchArgs(int Argc, char **Argv) {

@@ -119,11 +119,21 @@ double medianOf(std::vector<double> Values);
 double overheadOf(const std::vector<double> &LegSeconds,
                   const std::vector<double> &BaseSeconds);
 
-/// The geometric mean of \p Overheads, each clamped below at 0.001 so
-/// that a zero or negative overhead (a detector run no slower than the
-/// base, which noise can produce) cannot zero or undefine the mean; 0 for
-/// an empty list.
-double geomeanOverhead(const std::vector<double> &Overheads);
+/// The geometric mean of \p Values, which must not be negative (a zero
+/// makes it zero); 1 for an empty list. Table 2 takes it of shadow-space
+/// ratios, meanOverhead of slowdowns.
+double geomean(const std::vector<double> &Values);
+
+/// The mean of per-workload overheads, as every paper table prints it:
+/// the geometric mean of the slowdowns (1 + overhead), minus 1; 0 for an
+/// empty list. A detector run no slower than its base (overhead <= 0,
+/// which noise can produce) counts as the slowdown it is.
+double meanOverhead(const std::vector<double> &Overheads);
+
+/// BigFoot's overhead relative to FastTrack's: \p Overhead over
+/// \p FastTrackOverhead, or 1 when FastTrack's is at most 1e-9 (as with
+/// no timed rounds). Per workload, and for the suite from meanOverhead.
+double relativeOverhead(double Overhead, double FastTrackOverhead);
 
 /// Parses --small/--iters=N/--seed=N/--jobs=N/--detect-shards=N, the
 /// command-line options shared by the bench binaries. Numbers are strict

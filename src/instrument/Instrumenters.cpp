@@ -203,22 +203,10 @@ private:
 std::unique_ptr<Program> clonePrepared(const Program &P) {
   auto Out = P.clone();
   for (auto &C : Out->Classes)
-    for (auto &M : C->Methods) {
-      normalizeBlocks(M->Body);
-      if (!isa<BlockStmt>(M->Body.get())) {
-        auto Block = std::make_unique<BlockStmt>();
-        Block->append(std::move(M->Body));
-        M->Body = std::move(Block);
-      }
-    }
-  for (auto &T : Out->Threads) {
-    normalizeBlocks(T);
-    if (!isa<BlockStmt>(T.get())) {
-      auto Block = std::make_unique<BlockStmt>();
-      Block->append(std::move(T));
-      T = std::move(Block);
-    }
-  }
+    for (auto &M : C->Methods)
+      normalizeBody(M->Body);
+  for (auto &T : Out->Threads)
+    normalizeBody(T);
   return Out;
 }
 

@@ -12,6 +12,7 @@
 
 #include <gtest/gtest.h>
 
+#include <cmath>
 #include <memory>
 #include <sstream>
 
@@ -195,12 +196,25 @@ TEST(Harness, MedianOfOddEvenAndEmpty) {
   EXPECT_DOUBLE_EQ(medianOf({}), 0.0);
 }
 
-TEST(Harness, GeomeanOverheadBehaves) {
-  EXPECT_NEAR(geomeanOverhead({2.0, 8.0}), 4.0, 1e-9);
-  EXPECT_NEAR(geomeanOverhead({3.0}), 3.0, 1e-9);
-  // Non-positive entries clamp instead of blowing up.
-  EXPECT_GT(geomeanOverhead({-0.5, 1.0}), 0.0);
-  EXPECT_EQ(geomeanOverhead({}), 0.0);
+TEST(Harness, MeanOverheadIsTheGeomeanOfSlowdowns) {
+  // Slowdowns 1 and 4: their geomean is 2.
+  EXPECT_NEAR(meanOverhead({0.0, 3.0}), 1.0, 1e-9);
+  // A run faster than its base is a slowdown below 1, not a clamp:
+  // 0.5 and 2 cancel.
+  EXPECT_NEAR(meanOverhead({-0.5, 1.0}), 0.0, 1e-9);
+  EXPECT_EQ(meanOverhead({}), 0.0);
+  // sqrt(0.99 * 2) - 1, printed 0.41; clamping -0.01 at 0.001 would
+  // give sqrt(0.001) = 0.03.
+  EXPECT_NEAR(meanOverhead({-0.01, 1.0}), std::sqrt(1.98) - 1, 1e-9);
+  EXPECT_EQ(TablePrinter::num(meanOverhead({-0.01, 1.0}), 2), "0.41");
+  EXPECT_NEAR(geomean({2.0, 8.0}), 4.0, 1e-9);
+  EXPECT_EQ(geomean({}), 1.0);
+  // BF/FT: a ratio of means, and 1 where FastTrack's mean is zero (no
+  // timed rounds), never nan.
+  EXPECT_DOUBLE_EQ(relativeOverhead(0.3, 0.6), 0.5);
+  EXPECT_EQ(relativeOverhead(0.0, 0.0), 1.0);
+  EXPECT_EQ(relativeOverhead(meanOverhead({0, 0}), meanOverhead({0, 0})),
+            1.0);
 }
 
 TEST(Harness, BenchArgsParsing) {

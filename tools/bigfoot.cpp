@@ -41,7 +41,8 @@ void usage() {
 options:
   --tool=NAME     detector: bigfoot (default), fasttrack, redcard,
                   slimstate, slimcard, djit, none (base run)
-  --print         print the instrumented program and exit
+  --print         print the instrumented program (for none, the
+                  parsed one) and exit
   --contexts      print per-statement analysis contexts (H • A) and exit
   --seed=N        scheduler seed (default 1)
   --quantum=N     max statements per scheduling quantum (default 24)
@@ -442,32 +443,24 @@ int main(int Argc, char **Argv) {
     return 0;
   }
 
-  if (A.ToolName == "none") {
-    A.Vm.EnableGroundTruth = A.Oracle;
-    VmResult Run = runProgramBase(*PR.Prog, A.Vm);
-    for (const std::string &Line : Run.Output)
-      std::cout << Line << "\n";
-    if (!Run.Ok) {
-      std::cerr << "bigfoot: runtime error: " << Run.Error << "\n";
+  // "none" is the base run: the parsed program, with no detector.
+  std::optional<InstrumentedProgram> IP;
+  if (A.ToolName != "none") {
+    IP = instrumentNamed(*PR.Prog, A.ToolName);
+    if (!IP) {
+      std::cerr << "bigfoot: error: unknown tool '" << A.ToolName << "'\n";
       return 1;
     }
-    return 0;
-  }
-
-  std::optional<InstrumentedProgram> IP =
-      instrumentNamed(*PR.Prog, A.ToolName);
-  if (!IP) {
-    std::cerr << "bigfoot: error: unknown tool '" << A.ToolName << "'\n";
-    return 1;
   }
 
   if (A.PrintOnly) {
-    std::cout << printProgram(*IP->Prog);
+    std::cout << printProgram(IP ? *IP->Prog : *PR.Prog);
     return 0;
   }
 
   A.Vm.EnableGroundTruth = A.Oracle;
-  VmResult Run = runProgram(*IP->Prog, IP->Tool, A.Vm);
+  VmResult Run = IP ? runProgram(*IP->Prog, IP->Tool, A.Vm)
+                    : runProgramBase(*PR.Prog, A.Vm);
   reportLanes(Run, Run.VmSeconds);
   return reportRun(A.ToolName, Run, A.Oracle, A.DumpStats);
 }

@@ -23,7 +23,10 @@
 // Means follow the paper: arithmetic for StaticBF time and check ratios,
 // geometric for overheads and space ratios. A mean overhead is
 // meanOverhead's (the geomean of the slowdowns, minus 1), and the suite's
-// BF/FT is one value, printed in Figure 2, Table 1 and Figure 8.
+// BF/FT is one value, printed in Figure 2, Table 1 and Figure 8. A
+// workload's own BF/FT cell reads "-" unless FastTrack ran slower than
+// the base run in each of at least three timed rounds: a ratio over an
+// overhead within noise of zero means nothing.
 //
 //===----------------------------------------------------------------------===//
 
@@ -31,6 +34,7 @@
 #include "support/TablePrinter.h"
 
 #include <iostream>
+#include <optional>
 
 using namespace bigfoot;
 
@@ -44,6 +48,15 @@ double meanOverheadOf(const Suite &Results, const char *Tool) {
   for (const ExperimentResult &R : Results)
     Overheads.push_back(R.tool(Tool).OverheadX);
   return meanOverhead(Overheads);
+}
+
+/// \p R's BigFoot overhead over FastTrack's, or nullopt unless FastTrack's
+/// was above noise (ToolMetrics::SlowerEveryRound).
+std::optional<double> rowBfOverFt(const ExperimentResult &R) {
+  const ToolMetrics &Ft = R.tool("fasttrack");
+  if (!Ft.SlowerEveryRound)
+    return std::nullopt;
+  return relativeOverhead(R.tool("bigfoot").OverheadX, Ft.OverheadX);
 }
 
 void printFigure2(const Suite &Results, double FtMean) {
@@ -88,6 +101,7 @@ void printTable1(const Suite &Results, double BfOverFt) {
   for (const ExperimentResult &R : Results) {
     const ToolMetrics &Ft = R.tool("fasttrack");
     const ToolMetrics &Bf = R.tool("bigfoot");
+    std::optional<double> BfFt = rowBfOverFt(R);
     Table.addRow({R.Workload, std::to_string(R.MethodsProcessed),
                   TablePrinter::num(R.StaticSeconds, 3),
                   TablePrinter::num(Bf.CheckRatio, 2),
@@ -97,8 +111,7 @@ void printTable1(const Suite &Results, double BfOverFt) {
                   TablePrinter::num(R.tool("slimstate").OverheadX, 2),
                   TablePrinter::num(R.tool("slimcard").OverheadX, 2),
                   TablePrinter::num(Bf.OverheadX, 2),
-                  TablePrinter::ratio(
-                      relativeOverhead(Bf.OverheadX, Ft.OverheadX))});
+                  BfFt ? TablePrinter::ratio(*BfFt) : "-"});
     MeanRatio += Bf.CheckRatio;
     MeanStatic += R.StaticSeconds;
   }
@@ -126,14 +139,14 @@ void printFigure8(const Suite &Results, double BfOverFt) {
   for (const ExperimentResult &R : Results) {
     const ToolMetrics &Ft = R.tool("fasttrack");
     const ToolMetrics &Bf = R.tool("bigfoot");
+    std::optional<double> BfFt = rowBfOverFt(R);
     Table.addRow({R.Workload, TablePrinter::num(Ft.ArrayCheckRatio, 2),
                   TablePrinter::num(Ft.FieldCheckRatio, 2),
                   TablePrinter::num(Ft.CheckRatio, 2),
                   TablePrinter::num(Bf.ArrayCheckRatio, 2),
                   TablePrinter::num(Bf.FieldCheckRatio, 2),
                   TablePrinter::num(Bf.CheckRatio, 2),
-                  TablePrinter::num(
-                      relativeOverhead(Bf.OverheadX, Ft.OverheadX), 2)});
+                  BfFt ? TablePrinter::num(*BfFt, 2) : "-"});
     SumFt += Ft.CheckRatio;
     SumBf += Bf.CheckRatio;
   }

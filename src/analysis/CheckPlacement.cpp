@@ -37,6 +37,21 @@ bool isAcquireSide(SyncKind K) {
          K == SyncKind::CallBoth || K == SyncKind::Barrier;
 }
 
+/// Classifies \p S by its KillSets effect: a call by its callee's summary,
+/// any other statement by its direct effect (an await, and a $g access
+/// under GlobalFieldsSynchronize, both release and acquire).
+SyncKind syncKind(const KillSets &Kills, const Stmt *S) {
+  SyncEffect E = Kills.effectOf(S);
+  bool Call = isa<CallStmt>(S);
+  if (E.Acquires && E.Releases)
+    return Call ? SyncKind::CallBoth : SyncKind::Barrier;
+  if (E.Acquires)
+    return Call ? SyncKind::CallAcquire : SyncKind::DirectAcquire;
+  if (E.Releases)
+    return Call ? SyncKind::CallRelease : SyncKind::DirectRelease;
+  return SyncKind::None;
+}
+
 /// One per-body run of the three placement passes.
 class BodyAnalyzer {
 public:
@@ -68,25 +83,6 @@ private:
   std::map<const LoopStmt *, Anticipated> LoopAin;
   std::map<const Stmt *, History> PostHC; // Pass 3 (with check facts).
 
-  //===--------------------------------------------------------------------===
-  // Statement classification.
-  //===--------------------------------------------------------------------===
-
-  /// Classifies \p S by its KillSets effect: a call by its callee's
-  /// summary, any other statement by its direct effect (an await, and a
-  /// $g access under GlobalFieldsSynchronize, both release and acquire).
-  SyncKind syncKind(const Stmt *S) const {
-    SyncEffect E = Kills.effectOf(S);
-    bool Call = isa<CallStmt>(S);
-    if (E.Acquires && E.Releases)
-      return Call ? SyncKind::CallBoth : SyncKind::Barrier;
-    if (E.Acquires)
-      return Call ? SyncKind::CallAcquire : SyncKind::DirectAcquire;
-    if (E.Releases)
-      return Call ? SyncKind::CallRelease : SyncKind::DirectRelease;
-    return SyncKind::None;
-  }
-
   bool bodyHasReleaseEffect(const LoopStmt *Loop) const {
     bool Found = false;
     auto Scan = [this, &Found](const Stmt *S) {
@@ -96,105 +92,6 @@ private:
     walkStmt(Loop->preBody(), Scan);
     walkStmt(Loop->postBody(), Scan);
     return Found;
-  }
-
-  //===--------------------------------------------------------------------===
-  // Shared history transfer for non-control statements.
-  //===--------------------------------------------------------------------===
-
-  History stepStmt(const History &In, const Stmt *S) const {
-    History H = In;
-    switch (syncKind(S)) {
-    case SyncKind::DirectAcquire:
-      return H.afterAcquire();
-    case SyncKind::DirectRelease:
-      return H.afterRelease();
-    case SyncKind::CallAcquire: {
-      History Out = H.afterAcquire();
-      Out.Accesses.clear();
-      return Out;
-    }
-    case SyncKind::CallRelease:
-    case SyncKind::CallBoth:
-      return H.afterRelease();
-    case SyncKind::Barrier: {
-      History Out = H.afterRelease();
-      // $g accesses are real accesses on top of the synchronization.
-      if (std::optional<Path> Access = accessPath(S))
-        Out.addAccess(*Access);
-      return Out;
-    }
-    case SyncKind::None:
-      break;
-    }
-
-    switch (S->kind()) {
-    case StmtKind::Assign: {
-      const auto *A = cast<AssignStmt>(S);
-      if (auto E = toAffine(A->value()))
-        H.addBool({RelOp::Eq,
-                   AffineExpr::variable(VarName::intern(A->target())), *E});
-      break;
-    }
-    case StmtKind::Rename: {
-      // [RENAME] x ← y replaces mentions of y by x.
-      const auto *R = cast<RenameStmt>(S);
-      return H.renamed(R->source(), R->target());
-    }
-    case StmtKind::FieldRead: {
-      const auto *F = cast<FieldReadStmt>(S);
-      AliasFact Alias;
-      Alias.IsArray = false;
-      Alias.X = F->target();
-      Alias.Base = F->object();
-      Alias.Field = F->field();
-      H.addAlias(std::move(Alias));
-      break;
-    }
-    case StmtKind::FieldWrite:
-      H.invalidateAliasesForFieldWrite(cast<FieldWriteStmt>(S)->field());
-      break;
-    case StmtKind::ArrayRead: {
-      const auto *A = cast<ArrayReadStmt>(S);
-      std::optional<AffineExpr> Idx = toAffine(A->index());
-      assert(Idx && "validator guarantees affine indices");
-      AliasFact Alias;
-      Alias.IsArray = true;
-      Alias.X = A->target();
-      Alias.Base = A->array();
-      Alias.Index = *Idx;
-      H.addAlias(std::move(Alias));
-      break;
-    }
-    case StmtKind::ArrayWrite:
-      H.invalidateAliasesForArrayWrite();
-      break;
-    case StmtKind::ArrayLen: {
-      const auto *A = cast<ArrayLenStmt>(S);
-      AliasFact Alias;
-      Alias.IsArray = false;
-      Alias.X = A->target();
-      Alias.Base = A->array();
-      Alias.Field = "$len";
-      H.addAlias(std::move(Alias));
-      H.addBool({RelOp::Le, AffineExpr::constant(0),
-                 AffineExpr::variable(VarName::intern(A->target()))});
-      break;
-    }
-    case StmtKind::AssertStmt:
-      H.addCondition(cast<AssertStmtNode>(S)->cond(), /*Negated=*/false);
-      break;
-    case StmtKind::Check:
-      for (const Path &P : cast<CheckStmt>(S)->paths())
-        H.addCheck(P);
-      break;
-    default:
-      break;
-    }
-    // [READ]/[WRITE]: the access itself, after its alias facts.
-    if (std::optional<Path> Access = accessPath(S))
-      H.addAccess(*Access);
-    return H;
   }
 
   //===--------------------------------------------------------------------===
@@ -227,54 +124,24 @@ private:
       Out = passALoop(cast<LoopStmt>(S), PreH[S]);
       break;
     default:
-      Out = stepStmt(PreH[S], S);
+      Out = stepHistory(PreH[S], S, Kills);
       break;
     }
     PostH[S] = Out;
     return Out;
   }
 
-  static bool sameFacts(const History &A, const History &B) {
-    return A.bools().size() == B.bools().size() &&
-           A.aliases().size() == B.aliases().size() &&
-           A.Accesses.size() == B.Accesses.size() &&
-           A.Checks.size() == B.Checks.size();
-  }
-
   History passALoop(LoopStmt *Loop, const History &In) {
     History Candidates = In;
     if (Opts.HoistLoopChecks)
       addInductionGuesses(Loop, In, Candidates);
-
-    History H1;
-    for (int Iter = 0; Iter < 6; ++Iter) {
-      H1 = passA(Loop->preBody(), Candidates);
-      History Cont = H1;
-      Cont.addCondition(Loop->exitCond(), /*Negated=*/true);
-      History Back = passA(Loop->postBody(), std::move(Cont));
-
-      History Refined(Table);
-      auto KeepIf = [&Refined, &In, &Back](auto &&Facts, auto EntIn,
-                                           auto EntBack, auto Add) {
-        for (const auto &Fact : Facts)
-          if ((In.*EntIn)(Fact) && (Back.*EntBack)(Fact))
-            (Refined.*Add)(Fact);
-      };
-      KeepIf(Candidates.bools(), &History::entailsBool,
-             &History::entailsBool, &History::addBool);
-      KeepIf(Candidates.aliases(), &History::entailsAlias,
-             &History::entailsAlias, &History::addAlias);
-      KeepIf(Candidates.Accesses, &History::entailsAccess,
-             &History::entailsAccess, &History::addAccess);
-      KeepIf(Candidates.Checks, &History::entailsCheck,
-             &History::entailsCheck, &History::addCheck);
-      if (sameFacts(Refined, Candidates))
-        break;
-      Candidates = std::move(Refined);
-    }
+    Candidates = loopInvariant(Loop, In, std::move(Candidates), Table,
+                               [this](Stmt *Block, History H) {
+                                 return passA(Block, std::move(H));
+                               });
     LoopInv[Loop] = Candidates;
     // Final annotation run with the converged invariant.
-    H1 = passA(Loop->preBody(), Candidates);
+    History H1 = passA(Loop->preBody(), Candidates);
     History Cont = H1;
     Cont.addCondition(Loop->exitCond(), /*Negated=*/true);
     passA(Loop->postBody(), std::move(Cont));
@@ -475,7 +342,7 @@ private:
   }
 
   Anticipated stepB(const Stmt *S, Anticipated Out) const {
-    SyncKind Kind = syncKind(S);
+    SyncKind Kind = syncKind(Kills, S);
     if (isAcquireSide(Kind))
       return Anticipated(); // [ACQ]: pre-anticipated must be empty.
     switch (S->kind()) {
@@ -639,7 +506,7 @@ private:
         break;
       }
       default: {
-        SyncKind Kind = syncKind(S);
+        SyncKind Kind = syncKind(Kills, S);
         if (Kind != SyncKind::None) {
           const Anticipated &A = PreA.count(S) ? PreA[S] : Anticipated();
           std::vector<Path> C = checksFor(H, A);
@@ -649,7 +516,7 @@ private:
           for (const Path &P : C)
             H.addCheck(P);
         }
-        H = stepStmt(H, S);
+        H = stepHistory(H, S, Kills);
         break;
       }
       }
@@ -678,6 +545,146 @@ private:
 };
 
 } // namespace
+
+History bigfoot::stepHistory(const History &In, const Stmt *S,
+                             const KillSets &Kills) {
+  History H = In;
+  switch (syncKind(Kills, S)) {
+  case SyncKind::DirectAcquire:
+    return H.afterAcquire();
+  case SyncKind::DirectRelease:
+    return H.afterRelease();
+  case SyncKind::CallAcquire: {
+    History Out = H.afterAcquire();
+    Out.Accesses.clear();
+    return Out;
+  }
+  case SyncKind::CallRelease:
+  case SyncKind::CallBoth:
+    return H.afterRelease();
+  case SyncKind::Barrier: {
+    History Out = H.afterRelease();
+    // $g accesses are real accesses on top of the synchronization.
+    if (std::optional<Path> Access = accessPath(S))
+      Out.addAccess(*Access);
+    return Out;
+  }
+  case SyncKind::None:
+    break;
+  }
+
+  // x = y.f, x = y[i] and x = len(y) alias the new x, unless x is also y
+  // or i reads x: then the fact would describe the old x.
+  auto AddAlias = [&H](AliasFact Alias) {
+    if (Alias.X == Alias.Base ||
+        (Alias.IsArray && Alias.Index.mentions(VarName::intern(Alias.X))))
+      return;
+    H.addAlias(std::move(Alias));
+  };
+  switch (S->kind()) {
+  case StmtKind::Assign: {
+    const auto *A = cast<AssignStmt>(S);
+    const VarName Target = VarName::intern(A->target());
+    if (auto E = toAffine(A->value()))
+      if (!E->mentions(Target))
+        H.addBool({RelOp::Eq, AffineExpr::variable(Target), *E});
+    break;
+  }
+  case StmtKind::Rename: {
+    // [RENAME] x ← y replaces mentions of y by x.
+    const auto *R = cast<RenameStmt>(S);
+    return H.renamed(R->source(), R->target());
+  }
+  case StmtKind::FieldRead: {
+    const auto *F = cast<FieldReadStmt>(S);
+    AliasFact Alias;
+    Alias.IsArray = false;
+    Alias.X = F->target();
+    Alias.Base = F->object();
+    Alias.Field = F->field();
+    AddAlias(std::move(Alias));
+    break;
+  }
+  case StmtKind::FieldWrite:
+    H.invalidateAliasesForFieldWrite(cast<FieldWriteStmt>(S)->field());
+    break;
+  case StmtKind::ArrayRead: {
+    const auto *A = cast<ArrayReadStmt>(S);
+    std::optional<AffineExpr> Idx = toAffine(A->index());
+    assert(Idx && "validator guarantees affine indices");
+    AliasFact Alias;
+    Alias.IsArray = true;
+    Alias.X = A->target();
+    Alias.Base = A->array();
+    Alias.Index = *Idx;
+    AddAlias(std::move(Alias));
+    break;
+  }
+  case StmtKind::ArrayWrite:
+    H.invalidateAliasesForArrayWrite();
+    break;
+  case StmtKind::ArrayLen: {
+    const auto *A = cast<ArrayLenStmt>(S);
+    AliasFact Alias;
+    Alias.IsArray = false;
+    Alias.X = A->target();
+    Alias.Base = A->array();
+    Alias.Field = "$len";
+    AddAlias(std::move(Alias));
+    H.addBool({RelOp::Le, AffineExpr::constant(0),
+               AffineExpr::variable(VarName::intern(A->target()))});
+    break;
+  }
+  case StmtKind::AssertStmt:
+    H.addCondition(cast<AssertStmtNode>(S)->cond(), /*Negated=*/false);
+    break;
+  case StmtKind::Check:
+    for (const Path &P : cast<CheckStmt>(S)->paths())
+      H.addCheck(P);
+    break;
+  default:
+    break;
+  }
+  // [READ]/[WRITE]: the access itself, after its alias facts.
+  if (std::optional<Path> Access = accessPath(S))
+    H.addAccess(*Access);
+  return H;
+}
+
+History bigfoot::loopInvariant(const LoopStmt *Loop, const History &In,
+                               History Candidates, EntailmentTable &Table,
+                               const LoopBlockPass &Pass) {
+  // Each round keeps a subset of the last, so equal sizes mean no fact
+  // dropped out.
+  auto SameFacts = [](const History &A, const History &B) {
+    return A.bools().size() == B.bools().size() &&
+           A.aliases().size() == B.aliases().size() &&
+           A.Accesses.size() == B.Accesses.size() &&
+           A.Checks.size() == B.Checks.size();
+  };
+  for (int Iter = 0; Iter < 6; ++Iter) {
+    History Cont = Pass(Loop->preBody(), Candidates);
+    Cont.addCondition(Loop->exitCond(), /*Negated=*/true);
+    History Back = Pass(Loop->postBody(), std::move(Cont));
+
+    History Refined(Table);
+    auto KeepIf = [&Refined, &In, &Back](auto &&Facts, auto Entails,
+                                         auto Add) {
+      for (const auto &Fact : Facts)
+        if ((In.*Entails)(Fact) && (Back.*Entails)(Fact))
+          (Refined.*Add)(Fact);
+    };
+    KeepIf(Candidates.bools(), &History::entailsBool, &History::addBool);
+    KeepIf(Candidates.aliases(), &History::entailsAlias, &History::addAlias);
+    KeepIf(Candidates.Accesses, &History::entailsAccess,
+           &History::addAccess);
+    KeepIf(Candidates.Checks, &History::entailsCheck, &History::addCheck);
+    if (SameFacts(Refined, Candidates))
+      break;
+    Candidates = std::move(Refined);
+  }
+  return Candidates;
+}
 
 PlacementStats bigfoot::placeBigFootChecks(Program &P,
                                            const PlacementOptions &Opts) {

@@ -23,15 +23,20 @@
 /// access is covered by a legitimate check (Section 2), which the test
 /// suite verifies with a dynamic oracle.
 ///
+/// Pass 1's statement transfer and loop invariant are also RedCard's
+/// (instrument/Instrumenters.h): one forward history analysis serves both.
+///
 //===----------------------------------------------------------------------===//
 
 #ifndef BIGFOOT_ANALYSIS_CHECKPLACEMENT_H
 #define BIGFOOT_ANALYSIS_CHECKPLACEMENT_H
 
+#include "analysis/HistoryContext.h"
 #include "analysis/KillSets.h"
 #include "bfj/Program.h"
 #include "entail/ConstraintSystem.h"
 
+#include <functional>
 #include <map>
 #include <string>
 
@@ -75,6 +80,29 @@ struct PlacementStats {
 PlacementStats placeBigFootChecks(Program &P,
                                   const PlacementOptions &Opts =
                                       PlacementOptions());
+
+/// The history after the simple (non-control) statement \p S runs in \p In:
+/// the synchronization rules ([ACQ], [REL], [CALL] by \p Kills' effect of
+/// S), then S's facts — an assignment's affine value, a [RENAME], a heap
+/// read's or length's alias, an assert's condition, a check's paths — and
+/// its access. A fact that would describe S's target by the target's own
+/// old value is not recorded: no x = e when e reads x, and no alias when x
+/// is also S's object, array or index. On bodies the rename pass prepared
+/// no such statement remains; on bodies it never saw, the caller first
+/// drops the facts about the old value of the variable S assigns.
+History stepHistory(const History &In, const Stmt *S, const KillSets &Kills);
+
+/// Carries a history forward through one block of a loop.
+using LoopBlockPass = std::function<History(Stmt *, History)>;
+
+/// The invariant at the head of \p Loop, entered with history \p In: the
+/// facts of \p Candidates (In's own, plus any guesses) that In and the
+/// back-edge history both entail, refined until no fact drops out or six
+/// rounds have run. Each round carries the candidates once around the loop
+/// with \p Pass; the refined histories share \p Table.
+History loopInvariant(const LoopStmt *Loop, const History &In,
+                      History Candidates, EntailmentTable &Table,
+                      const LoopBlockPass &Pass);
 
 } // namespace bigfoot
 

@@ -391,22 +391,6 @@ bool History::entailsAnticipated(const Anticipated &A, const Path &P) const {
   return entailsPathIn(A, P);
 }
 
-bool History::subsumedBy(const History &Stronger) const {
-  for (const BoolFact &Fact : Bools)
-    if (!Stronger.entailsBool(Fact))
-      return false;
-  for (const AliasFact &Fact : Aliases)
-    if (!Stronger.entailsAlias(Fact))
-      return false;
-  for (const Path &P : Accesses)
-    if (!Stronger.entailsAccess(P))
-      return false;
-  for (const Path &P : Checks)
-    if (!Stronger.entailsCheck(P))
-      return false;
-  return true;
-}
-
 //===----------------------------------------------------------------------===
 // Structural operations.
 //===----------------------------------------------------------------------===
@@ -414,7 +398,12 @@ bool History::subsumedBy(const History &Stronger) const {
 History History::renamed(const std::string &From,
                          const std::string &To) const {
   // A boolean, alias or check fact whose renamed form overflows is
-  // dropped; that only forgets knowledge.
+  // dropped; that only forgets knowledge. An access fact is kept, since
+  // dropping it would drop the obligation to check that access. Its range
+  // cannot overflow: no fact mentions To when a rename runs, because the
+  // rename pass first gives a mentioned target a fresh copy, and RedCard
+  // first drops the facts that mention it
+  // (CheckPlacement.RenameTargetIsCopiedBeforeItsRangeCouldOverflow).
   History Out;
   Out.Table = Table;
   const VarName FromVar = VarName::intern(From);
@@ -641,14 +630,6 @@ Anticipated bigfoot::meetAnticipated(const History &H1, const Anticipated &A1,
     if (H1.entailsAnticipated(A1, P) && !H2.entailsAnticipated(Out, P))
       addAnticipated(Out, P);
   return Out;
-}
-
-bool bigfoot::anticipatedSubsumedBy(const History &H, const Anticipated &A1,
-                                    const Anticipated &A2) {
-  for (const Path &P : A1)
-    if (!H.entailsAnticipated(A2, P))
-      return false;
-  return true;
 }
 
 //===----------------------------------------------------------------------===

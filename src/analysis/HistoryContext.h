@@ -151,9 +151,6 @@ public:
   bool entailsAnticipated(const Anticipated &A, const Path &P) const;
   bool entailsAlias(const AliasFact &Fact) const;
 
-  /// H1 ⊑ H2 : every fact of *this is entailed by \p Stronger.
-  bool subsumedBy(const History &Stronger) const;
-
   //===--- Structural operations -------------------------------------------
   /// H[From := To] for the [RENAME] rule.
   History renamed(const std::string &From, const std::string &To) const;
@@ -225,10 +222,6 @@ void addAnticipated(Anticipated &A, const Path &P);
 /// H1•A1 ⊓ H2•A2 = {a ∈ A1 ∪ A2 : H1•A1 ⊢ a, H2•A2 ⊢ a}.
 Anticipated meetAnticipated(const History &H1, const Anticipated &A1,
                             const History &H2, const Anticipated &A2);
-
-/// H ⊢ A1 ⊑ A2 : every a in A1 is entailed by H•A2.
-bool anticipatedSubsumedBy(const History &H, const Anticipated &A1,
-                           const Anticipated &A2);
 
 //===--- The Checks functions (Section 3.4) ----------------------------------
 

@@ -195,6 +195,7 @@ std::vector<ExperimentResult> runWorkloads(const std::vector<Workload> &Suite,
         ToolMetrics &M = Out[I].Tools[T];
         M.Seconds = medianOf(Seconds[T + 1]);
         M.OverheadX = overheadOf(Seconds[T + 1], Seconds[0]);
+        M.SlowerEveryRound = slowerEveryRound(Seconds[T + 1], Seconds[0]);
       }
     }
   return Out;
@@ -263,6 +264,16 @@ double bigfoot::overheadOf(const std::vector<double> &LegSeconds,
     if (BaseSeconds[R] > 0)
       Ratios.push_back(LegSeconds[R] / BaseSeconds[R]);
   return Ratios.empty() ? 0 : medianOf(std::move(Ratios)) - 1;
+}
+
+bool bigfoot::slowerEveryRound(const std::vector<double> &LegSeconds,
+                               const std::vector<double> &BaseSeconds) {
+  if (LegSeconds.size() < 3 || LegSeconds.size() != BaseSeconds.size())
+    return false;
+  for (size_t R = 0; R < LegSeconds.size(); ++R)
+    if (LegSeconds[R] <= BaseSeconds[R])
+      return false;
+  return true;
 }
 
 double bigfoot::geomean(const std::vector<double> &Values) {

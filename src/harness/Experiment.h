@@ -35,6 +35,9 @@ struct ToolMetrics {
   double ArrayCheckRatio = 0; ///< array check events / heap accesses.
   double Seconds = 0;         ///< median instrumented run time.
   double OverheadX = 0;       ///< overheadOf(run times, base run times).
+  /// slowerEveryRound(run times, base run times): only then is OverheadX
+  /// above noise, so that a ratio over it means something.
+  bool SlowerEveryRound = false;
   uint64_t ShadowOps = 0;
   uint64_t Races = 0;
   uint64_t PeakShadowBytes = 0;
@@ -119,6 +122,11 @@ double medianOf(std::vector<double> Values);
 double overheadOf(const std::vector<double> &LegSeconds,
                   const std::vector<double> &BaseSeconds);
 
+/// True when there were at least three rounds and the leg ran longer than
+/// the base run of its own round in every one of them.
+bool slowerEveryRound(const std::vector<double> &LegSeconds,
+                      const std::vector<double> &BaseSeconds);
+
 /// The geometric mean of \p Values, which must not be negative (a zero
 /// makes it zero); 1 for an empty list. Table 2 takes it of shadow-space
 /// ratios, meanOverhead of slowdowns.
@@ -132,7 +140,8 @@ double meanOverhead(const std::vector<double> &Overheads);
 
 /// BigFoot's overhead relative to FastTrack's: \p Overhead over
 /// \p FastTrackOverhead, or 1 when FastTrack's is at most 1e-9 (as with
-/// no timed rounds). Per workload, and for the suite from meanOverhead.
+/// no timed rounds). For the suite from meanOverhead; per workload only
+/// where FastTrack's ToolMetrics::SlowerEveryRound holds.
 double relativeOverhead(double Overhead, double FastTrackOverhead);
 
 /// Parses --small/--iters=N/--seed=N/--jobs=N/--detect-shards=N, the

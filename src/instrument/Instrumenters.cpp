@@ -7,7 +7,6 @@
 #include "instrument/Instrumenters.h"
 
 #include "analysis/FieldProxy.h"
-#include "analysis/HistoryContext.h"
 #include "analysis/KillSets.h"
 #include "analysis/Rename.h"
 
@@ -59,6 +58,9 @@ void insertPerAccessChecks(const Program &P, Stmt *S) {
 // RedCard placement: per-access checks minus redundant ones.
 //===----------------------------------------------------------------------===
 
+/// StaticBF's forward history (stepHistory, loopInvariant) with a check
+/// before each access that history does not entail: no anticipation, no
+/// motion, no coalescing.
 class RedCardPass {
 public:
   explicit RedCardPass(const KillSets &Kills) : Kills(Kills) {}
@@ -75,22 +77,13 @@ private:
   EntailmentTable Table;
   unsigned NumChecks = 0;
 
-  static bool sameFacts(const History &A, const History &B) {
-    return A.bools().size() == B.bools().size() &&
-           A.aliases().size() == B.aliases().size() &&
-           A.Checks.size() == B.Checks.size();
-  }
-
   History processBlock(BlockStmt *Block, History H, bool Insert) {
     auto &Stmts = Block->stmts();
     for (size_t I = 0; I < Stmts.size(); ++I) {
       Stmt *Child = Stmts[I].get();
-      switch (Child->kind()) {
-      case StmtKind::Block:
-        H = processBlock(cast<BlockStmt>(Child), std::move(H), Insert);
-        break;
-      case StmtKind::If: {
-        auto *If = cast<IfStmt>(Child);
+      if (auto *Inner = dyn_cast<BlockStmt>(Child)) {
+        H = processBlock(Inner, std::move(H), Insert);
+      } else if (auto *If = dyn_cast<IfStmt>(Child)) {
         History H1 = H;
         H1.addCondition(If->cond(), /*Negated=*/false);
         History H2 = H;
@@ -100,101 +93,42 @@ private:
         H2 = processBlock(cast<BlockStmt>(If->elseStmt()), std::move(H2),
                           Insert);
         H = History::meet(H1, H2);
-        break;
-      }
-      case StmtKind::Loop: {
-        auto *Loop = cast<LoopStmt>(Child);
-        // Greatest fixed point of Head = meet(H, F(Head)) via throwaway
-        // passes; then one real pass from the invariant.
-        History Head = H;
-        for (int Iter = 0; Iter < 5; ++Iter) {
-          History HB = processBlock(cast<BlockStmt>(Loop->preBody()), Head,
-                                    /*Insert=*/false);
-          History Cont = HB;
-          Cont.addCondition(Loop->exitCond(), /*Negated=*/true);
-          History Back = processBlock(cast<BlockStmt>(Loop->postBody()),
-                                      std::move(Cont), /*Insert=*/false);
-          History Next = History::meet(H, Back);
-          if (sameFacts(Next, Head))
-            break;
-          Head = std::move(Next);
-        }
+      } else if (auto *Loop = dyn_cast<LoopStmt>(Child)) {
+        // The invariant comes from throwaway passes; then one real pass.
+        auto Throwaway = [this](Stmt *Body, History In) {
+          return processBlock(cast<BlockStmt>(Body), std::move(In),
+                              /*Insert=*/false);
+        };
         History HB = processBlock(cast<BlockStmt>(Loop->preBody()),
-                                  std::move(Head), Insert);
+                                  loopInvariant(Loop, H, H, Table, Throwaway),
+                                  Insert);
         History Exit = HB;
         Exit.addCondition(Loop->exitCond(), /*Negated=*/false);
         HB.addCondition(Loop->exitCond(), /*Negated=*/true);
         processBlock(cast<BlockStmt>(Loop->postBody()), std::move(HB),
                      Insert);
         H = std::move(Exit);
-        break;
+      } else {
+        // A plain access is checked unless an earlier check in the same
+        // release-free span covers it; a volatile access is
+        // synchronization and never checked.
+        std::optional<Path> Pth = accessPath(Child);
+        if (Pth && !Kills.effectOf(Child).any() && !H.entailsCheck(*Pth)) {
+          if (Insert) {
+            Stmts.insert(Stmts.begin() + static_cast<ptrdiff_t>(I),
+                         std::make_unique<CheckStmt>(std::vector<Path>{*Pth}));
+            ++NumChecks;
+            ++I; // Child moved one slot on.
+          }
+          H.addCheck(*Pth);
+        }
+        // The body was never renamed, so facts about the variable Child
+        // assigns describe its old value.
+        if (const std::string *X = definedVar(Child))
+          H.dropMentions(*X);
+        H = stepHistory(H, Child, Kills);
+        H.Accesses.clear(); // RedCard asks only about checks.
       }
-      default: {
-        size_t Before = Stmts.size();
-        H = processSimple(Stmts, I, std::move(H), Insert);
-        I += Stmts.size() - Before; // Skip past any inserted check.
-        break;
-      }
-      }
-    }
-    return H;
-  }
-
-  History processSimple(std::vector<StmtPtr> &Stmts, size_t I, History H,
-                        bool Insert) {
-    Stmt *S = Stmts[I].get();
-    SyncEffect Effect = Kills.effectOf(S);
-    // A plain access is checked unless an earlier check in the same
-    // release-free span covers it; a volatile access is synchronization
-    // and never checked.
-    std::optional<Path> Pth = accessPath(S);
-    if (Pth && !Effect.any() && !H.entailsCheck(*Pth)) {
-      if (Insert) {
-        Stmts.insert(Stmts.begin() + static_cast<ptrdiff_t>(I),
-                     std::make_unique<CheckStmt>(std::vector<Path>{*Pth}));
-        ++NumChecks;
-      }
-      H.addCheck(*Pth);
-    }
-    // Facts about the variable S assigns describe its old value.
-    if (const std::string *X = definedVar(S))
-      H.dropMentions(*X);
-    if (Effect.Releases)
-      return H.afterRelease();
-    if (Effect.Acquires)
-      return H.afterAcquire();
-    switch (S->kind()) {
-    case StmtKind::Assign: {
-      const auto *A = cast<AssignStmt>(S);
-      const VarName Target = VarName::intern(A->target());
-      if (auto E = toAffine(A->value()))
-        if (!E->mentions(Target))
-          H.addBool({RelOp::Eq, AffineExpr::variable(Target), *E, 0});
-      break;
-    }
-    case StmtKind::FieldRead: {
-      const auto *F = cast<FieldReadStmt>(S);
-      if (F->target() != F->object()) {
-        AliasFact A;
-        A.IsArray = false;
-        A.X = F->target();
-        A.Base = F->object();
-        A.Field = F->field();
-        H.addAlias(std::move(A));
-      }
-      break;
-    }
-    case StmtKind::FieldWrite:
-      H.invalidateAliasesForFieldWrite(cast<FieldWriteStmt>(S)->field());
-      break;
-    case StmtKind::ArrayWrite:
-      H.invalidateAliasesForArrayWrite();
-      break;
-    case StmtKind::AssertStmt:
-      H.addCondition(cast<AssertStmtNode>(S)->cond(), /*Negated=*/false);
-      break;
-    default:
-      break;
     }
     return H;
   }

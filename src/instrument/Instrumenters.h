@@ -9,9 +9,11 @@
 /// placement column):
 ///
 ///   FastTrack  — a check immediately before every heap access,
-///   RedCard    — per-access checks minus statically redundant ones
-///                (already checked in the same release-free span), plus
-///                static field proxies,
+///   RedCard    — per-access checks minus statically redundant ones: a
+///                check before each access that StaticBF's forward history
+///                (stepHistory, loopInvariant in analysis/CheckPlacement.h)
+///                does not already entail, with no anticipation, motion or
+///                coalescing; plus static field proxies,
 ///   SlimState  — FastTrack placement (its compression is dynamic),
 ///   SlimCard   — RedCard placement + SlimState runtime,
 ///   BigFoot    — the full Section 3 check motion and coalescing,

@@ -48,10 +48,6 @@ public:
   /// True with probability Num/Den.
   bool chance(uint64_t Num, uint64_t Den) { return nextBelow(Den) < Num; }
 
-  double nextDouble() {
-    return static_cast<double>(next() >> 11) * (1.0 / 9007199254740992.0);
-  }
-
 private:
   uint64_t State;
 };

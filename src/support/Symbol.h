@@ -120,9 +120,6 @@ inline LocId packLoc(uint64_t Obj, FieldId Field) {
 }
 
 inline uint64_t locObject(LocId Loc) { return Loc >> kLocFieldBits; }
-inline FieldId locField(LocId Loc) {
-  return static_cast<FieldId>(Loc & kLocFieldMask);
-}
 
 } // namespace bigfoot
 

@@ -17,6 +17,8 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+
 using namespace bigfoot;
 
 namespace {
@@ -681,6 +683,52 @@ TEST(CheckPlacement, OverflowedCheckRangeIsNeverBuilt) {
   ASSERT_TRUE(P.Range.overflowed());
   EXPECT_DEBUG_DEATH(CheckStmt(std::vector<Path>{P}),
                      "check range overflows int64");
+}
+
+TEST(CheckPlacement, RenameTargetIsCopiedBeforeItsRangeCouldOverflow) {
+  // y := x rewrites x as y in every fact, and would turn the access fact
+  // a[2^62*x + 2^62*y] into a[2^63*y], which int64 cannot hold. Dropping
+  // that fact would drop the obligation to check the access. The case
+  // never arises: a fact mentions y, so the rename pass first copies it
+  // (y' := y), and the access is checked as a[2^62*y + 2^62*y'].
+  auto Prog = instrument(R"(
+class W {
+  fields pad;
+  method run(a, x, y) {
+    t = a[4611686018427387904 * x + 4611686018427387904 * y];
+    y := x;
+  }
+}
+thread {
+  a = new_array(4);
+  w = new W;
+  r = w.run(a, 0, 0);
+}
+)");
+  const auto &Body =
+      cast<BlockStmt>(Prog->Classes[0]->Methods[0]->Body.get())->stmts();
+  auto IsRename = [](const Stmt *S, const char *Target, const char *Source) {
+    const auto *R = dyn_cast<RenameStmt>(S);
+    return R && R->target() == Target && R->source() == Source;
+  };
+  auto Source = std::find_if(Body.begin(), Body.end(), [&](const StmtPtr &S) {
+    return IsRename(S.get(), "y", "x");
+  });
+  ASSERT_NE(Source, Body.end()) << printProgram(*Prog);
+  ASSERT_NE(Source, Body.begin()) << printProgram(*Prog);
+  EXPECT_TRUE(IsRename(std::prev(Source)->get(), "y'", "y"))
+      << printProgram(*Prog);
+  std::vector<std::string> ArrayPaths;
+  for (const CheckStmt *C : allChecks(*Prog))
+    for (const Path &P : C->paths()) {
+      EXPECT_FALSE(P.Range.overflowed()) << P.str();
+      if (P.isArray())
+        ArrayPaths.push_back(P.str());
+    }
+  EXPECT_EQ(ArrayPaths,
+            std::vector<std::string>{
+                "a[4611686018427387904*y + 4611686018427387904*y']"})
+      << printProgram(*Prog);
 }
 
 TEST(CheckPlacement, FreshNamesAvoidReadOnlyNames) {

@@ -217,6 +217,25 @@ TEST(Harness, MeanOverheadIsTheGeomeanOfSlowdowns) {
             1.0);
 }
 
+TEST(Harness, RowBfOverFtNeedsThreeRoundsEachSlowerThanBase) {
+  // A workload's BF/FT divides by FastTrack's overhead, so its table cell
+  // prints a ratio only when that overhead is above noise: at least three
+  // rounds, each slower than the base run of its own round.
+  EXPECT_TRUE(slowerEveryRound({2, 3, 4}, {1, 1, 1}));
+  EXPECT_TRUE(slowerEveryRound({1.1, 1.2, 1.1, 1.3}, {1, 1, 1, 1}));
+  EXPECT_FALSE(slowerEveryRound({2, 3}, {1, 1}));
+  EXPECT_FALSE(slowerEveryRound({2, 1, 4}, {1, 1, 1}));
+  EXPECT_FALSE(slowerEveryRound({2, 3, 0.5}, {1, 1, 1}));
+  EXPECT_FALSE(slowerEveryRound({}, {}));
+  // The harness carries the verdict: two timed rounds are too few.
+  ExperimentOptions Opts;
+  Opts.Iterations = 2;
+  ExperimentResult R =
+      runExperiment(workloadByName("crypt", SuiteScale::Test), Opts);
+  for (const ToolMetrics &M : R.Tools)
+    EXPECT_FALSE(M.SlowerEveryRound) << M.Tool;
+}
+
 TEST(Harness, BenchArgsParsing) {
   const char *Argv[] = {"prog", "--small", "--iters=7", "--seed=42",
                         "--jobs=3"};

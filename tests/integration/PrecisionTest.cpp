@@ -634,6 +634,108 @@ thread {
                 "renamed designator before volatile read");
 }
 
+TEST(Precision, LengthBoundedLoopRaces) {
+  // n = len(a) records n = a.$len and 0 <= n; the loop's checks must still
+  // cover a[5], which the main thread writes unsynchronized.
+  checkAllTools(R"(
+class W {
+  fields pad;
+  method run(a) {
+    n = len(a);
+    i = 0;
+    while (i < n) {
+      v = a[i];
+      a[i] = v + 1;
+      i = i + 1;
+    }
+  }
+}
+thread {
+  a = new_array(16);
+  w = new W;
+  fork t = w.run(a);
+  a[5] = 9;
+  join t;
+}
+)",
+                "length-bounded loop");
+}
+
+TEST(Precision, LockWrapperMethodsAreClean) {
+  // c.lock() only acquires and c.unlock() only releases: the calls keep
+  // past checks and drop past accesses ([CALL] with an acquire-only
+  // callee), and the guarded read-modify-write does not race.
+  checkAllTools(R"(
+class Counter {
+  fields n;
+  method lock() {
+    acq(this);
+  }
+  method unlock() {
+    rel(this);
+  }
+}
+class W {
+  fields pad;
+  method run(c) {
+    c.lock();
+    v = c.n;
+    c.n = v + 1;
+    c.unlock();
+  }
+}
+thread {
+  c = new Counter;
+  w1 = new W;
+  w2 = new W;
+  fork t1 = w1.run(c);
+  fork t2 = w2.run(c);
+  join t1;
+  join t2;
+  total = c.n;
+  assert total == 2;
+}
+)",
+                "lock wrapper methods");
+}
+
+TEST(Precision, ReadOutsideLockWrapperMethodsRaces) {
+  // The same, with a read of c.n after each worker's unlock: whichever
+  // worker runs its critical section first reads c.n concurrently with
+  // the other's write.
+  checkAllTools(R"(
+class Counter {
+  fields n;
+  method lock() {
+    acq(this);
+  }
+  method unlock() {
+    rel(this);
+  }
+}
+class W {
+  fields pad;
+  method run(c) {
+    c.lock();
+    v = c.n;
+    c.n = v + 1;
+    c.unlock();
+    u = c.n;
+  }
+}
+thread {
+  c = new Counter;
+  w1 = new W;
+  w2 = new W;
+  fork t1 = w1.run(c);
+  fork t2 = w2.run(c);
+  join t1;
+  join t2;
+}
+)",
+                "read outside lock wrapper methods");
+}
+
 //===----------------------------------------------------------------------===
 // Randomized property sweep: generated programs, all tools, many seeds.
 //===----------------------------------------------------------------------===

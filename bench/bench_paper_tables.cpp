@@ -24,9 +24,9 @@
 // geometric for overheads and space ratios. A mean overhead is
 // meanOverhead's (the geomean of the slowdowns, minus 1), and the suite's
 // BF/FT is one value, printed in Figure 2, Table 1 and Figure 8. A
-// workload's own BF/FT cell reads "-" unless FastTrack ran slower than
-// the base run in each of at least three timed rounds: a ratio over an
-// overhead within noise of zero means nothing.
+// workload's own BF/FT cell reads "-" unless FastTrack's overhead is above
+// noise (overheadAboveNoise): a ratio over an overhead within noise of
+// zero means nothing.
 //
 //===----------------------------------------------------------------------===//
 
@@ -51,10 +51,10 @@ double meanOverheadOf(const Suite &Results, const char *Tool) {
 }
 
 /// \p R's BigFoot overhead over FastTrack's, or nullopt unless FastTrack's
-/// was above noise (ToolMetrics::SlowerEveryRound).
+/// was above noise (ToolMetrics::OverheadAboveNoise).
 std::optional<double> rowBfOverFt(const ExperimentResult &R) {
   const ToolMetrics &Ft = R.tool("fasttrack");
-  if (!Ft.SlowerEveryRound)
+  if (!Ft.OverheadAboveNoise)
     return std::nullopt;
   return relativeOverhead(R.tool("bigfoot").OverheadX, Ft.OverheadX);
 }

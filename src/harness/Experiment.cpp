@@ -195,7 +195,7 @@ std::vector<ExperimentResult> runWorkloads(const std::vector<Workload> &Suite,
         ToolMetrics &M = Out[I].Tools[T];
         M.Seconds = medianOf(Seconds[T + 1]);
         M.OverheadX = overheadOf(Seconds[T + 1], Seconds[0]);
-        M.SlowerEveryRound = slowerEveryRound(Seconds[T + 1], Seconds[0]);
+        M.OverheadAboveNoise = overheadAboveNoise(Seconds[T + 1], Seconds[0]);
       }
     }
   return Out;
@@ -266,14 +266,25 @@ double bigfoot::overheadOf(const std::vector<double> &LegSeconds,
   return Ratios.empty() ? 0 : medianOf(std::move(Ratios)) - 1;
 }
 
-bool bigfoot::slowerEveryRound(const std::vector<double> &LegSeconds,
-                               const std::vector<double> &BaseSeconds) {
+bool bigfoot::overheadAboveNoise(const std::vector<double> &LegSeconds,
+                                 const std::vector<double> &BaseSeconds) {
   if (LegSeconds.size() < 3 || LegSeconds.size() != BaseSeconds.size())
     return false;
-  for (size_t R = 0; R < LegSeconds.size(); ++R)
-    if (LegSeconds[R] <= BaseSeconds[R])
+  std::vector<double> Ratios;
+  for (size_t R = 0; R < LegSeconds.size(); ++R) {
+    if (BaseSeconds[R] <= 0 || LegSeconds[R] <= BaseSeconds[R])
       return false;
-  return true;
+    Ratios.push_back(LegSeconds[R] / BaseSeconds[R]);
+  }
+  // The quartiles are the medians of the lower and upper halves, each
+  // holding the middle round when the count is odd (Tukey's hinges).
+  std::sort(Ratios.begin(), Ratios.end());
+  auto Half = static_cast<ptrdiff_t>((Ratios.size() + 1) / 2);
+  double Lower =
+      medianOf(std::vector<double>(Ratios.begin(), Ratios.begin() + Half));
+  double Upper =
+      medianOf(std::vector<double>(Ratios.end() - Half, Ratios.end()));
+  return medianOf(Ratios) - 1 > 2 * (Upper - Lower);
 }
 
 double bigfoot::geomean(const std::vector<double> &Values) {

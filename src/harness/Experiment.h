@@ -35,9 +35,9 @@ struct ToolMetrics {
   double ArrayCheckRatio = 0; ///< array check events / heap accesses.
   double Seconds = 0;         ///< median instrumented run time.
   double OverheadX = 0;       ///< overheadOf(run times, base run times).
-  /// slowerEveryRound(run times, base run times): only then is OverheadX
-  /// above noise, so that a ratio over it means something.
-  bool SlowerEveryRound = false;
+  /// overheadAboveNoise(run times, base run times): only then does a
+  /// ratio over OverheadX mean something.
+  bool OverheadAboveNoise = false;
   uint64_t ShadowOps = 0;
   uint64_t Races = 0;
   uint64_t PeakShadowBytes = 0;
@@ -122,10 +122,14 @@ double medianOf(std::vector<double> Values);
 double overheadOf(const std::vector<double> &LegSeconds,
                   const std::vector<double> &BaseSeconds);
 
-/// True when there were at least three rounds and the leg ran longer than
-/// the base run of its own round in every one of them.
-bool slowerEveryRound(const std::vector<double> &LegSeconds,
-                      const std::vector<double> &BaseSeconds);
+/// True when there were at least three rounds, the leg ran longer than the
+/// base run of its own round in every one of them, and its overhead
+/// (overheadOf) is more than twice the distance between the quartiles of
+/// the rounds' leg / base ratios. From one run to the next a median ratio
+/// moves by about that distance (EXPERIMENTS.md, Figure 8), so an
+/// overhead within twice of it is too close to zero to divide by.
+bool overheadAboveNoise(const std::vector<double> &LegSeconds,
+                        const std::vector<double> &BaseSeconds);
 
 /// The geometric mean of \p Values, which must not be negative (a zero
 /// makes it zero); 1 for an empty list. Table 2 takes it of shadow-space
@@ -141,7 +145,7 @@ double meanOverhead(const std::vector<double> &Overheads);
 /// BigFoot's overhead relative to FastTrack's: \p Overhead over
 /// \p FastTrackOverhead, or 1 when FastTrack's is at most 1e-9 (as with
 /// no timed rounds). For the suite from meanOverhead; per workload only
-/// where FastTrack's ToolMetrics::SlowerEveryRound holds.
+/// where FastTrack's ToolMetrics::OverheadAboveNoise holds.
 double relativeOverhead(double Overhead, double FastTrackOverhead);
 
 /// Parses --small/--iters=N/--seed=N/--jobs=N/--detect-shards=N, the

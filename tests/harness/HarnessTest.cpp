@@ -217,23 +217,31 @@ TEST(Harness, MeanOverheadIsTheGeomeanOfSlowdowns) {
             1.0);
 }
 
-TEST(Harness, RowBfOverFtNeedsThreeRoundsEachSlowerThanBase) {
+TEST(Harness, RowBfOverFtNeedsFastTrackAboveNoise) {
   // A workload's BF/FT divides by FastTrack's overhead, so its table cell
   // prints a ratio only when that overhead is above noise: at least three
-  // rounds, each slower than the base run of its own round.
-  EXPECT_TRUE(slowerEveryRound({2, 3, 4}, {1, 1, 1}));
-  EXPECT_TRUE(slowerEveryRound({1.1, 1.2, 1.1, 1.3}, {1, 1, 1, 1}));
-  EXPECT_FALSE(slowerEveryRound({2, 3}, {1, 1}));
-  EXPECT_FALSE(slowerEveryRound({2, 1, 4}, {1, 1, 1}));
-  EXPECT_FALSE(slowerEveryRound({2, 3, 0.5}, {1, 1, 1}));
-  EXPECT_FALSE(slowerEveryRound({}, {}));
-  // The harness carries the verdict: two timed rounds are too few.
-  ExperimentOptions Opts;
-  Opts.Iterations = 2;
-  ExperimentResult R =
-      runExperiment(workloadByName("crypt", SuiteScale::Test), Opts);
-  for (const ToolMetrics &M : R.Tools)
-    EXPECT_FALSE(M.SlowerEveryRound) << M.Tool;
+  // rounds, each slower than the base run of its own round, and an
+  // overhead more than twice the distance between the quartiles of the
+  // rounds' ratios (the medians of the lower and upper halves, each with
+  // the middle round when the count is odd).
+  EXPECT_TRUE(overheadAboveNoise({3, 3.2, 3.4}, {1, 1, 1}));
+  EXPECT_TRUE(overheadAboveNoise({1.3, 1.4, 1.3, 1.35}, {1, 1, 1, 1}));
+  // One slow round moves neither quartile of five.
+  EXPECT_TRUE(overheadAboveNoise({1.5, 1.5, 3, 1.5, 1.5}, {1, 1, 1, 1, 1}));
+  // Rounds pair up with their own base run, not another round's.
+  EXPECT_TRUE(overheadAboveNoise({4, 2, 6}, {2, 1, 3}));
+  EXPECT_FALSE(overheadAboveNoise({2, 3}, {1, 1}));
+  EXPECT_FALSE(overheadAboveNoise({2, 1, 4}, {1, 1, 1}));
+  EXPECT_FALSE(overheadAboveNoise({2, 3, 0.5}, {1, 1, 1}));
+  EXPECT_FALSE(overheadAboveNoise({2, 3, 4}, {1, 0, 1}));
+  EXPECT_FALSE(overheadAboveNoise({}, {}));
+  // Slower every round, but the quartiles 1.2 and 1.8 are 0.6 apart and
+  // the overhead is 0.5.
+  EXPECT_FALSE(overheadAboveNoise({1.1, 1.9, 1.5, 1.2, 1.8}, {1, 1, 1, 1, 1}));
+  // series at Bench scale, in one of 30 measured sets of five rounds:
+  // FastTrack slower in all five, by 1.3%, with quartiles 1.008 and 1.020.
+  EXPECT_FALSE(overheadAboveNoise({1.020, 1.022, 1.002, 1.008, 1.013},
+                                  {1, 1, 1, 1, 1}));
 }
 
 TEST(Harness, BenchArgsParsing) {

@@ -187,6 +187,31 @@ thread {
   EXPECT_EQ(checkCount(*Rc.Prog), 2u) << printProgram(*Rc.Prog);
 }
 
+TEST(RedCardPlacement, SourceRenameMovesTheCoverageToItsTarget) {
+  // RedCard shares StaticBF's transfer, whose [RENAME] x := y moves the
+  // facts about y onto x and keeps none about y. A program may still read
+  // through y after a source-level x := y: the read through x is covered
+  // by the check through y, and the read through y is checked again.
+  // Both are sound.
+  auto Prog = parseProgramOrDie(R"(
+thread {
+  a = new_array(4);
+  y = 1;
+  v = a[y];
+  x := y;
+  w = a[x];
+  u = a[y];
+}
+)");
+  InstrumentedProgram Rc = instrumentRedCard(*Prog);
+  std::string Printed = printProgram(*Rc.Prog);
+  EXPECT_EQ(checkCount(*Rc.Prog), 2u) << Printed;
+  EXPECT_NE(Printed.find("  check(R a[y]);\n  v = a[y];\n  x := y;\n"
+                         "  w = a[x];\n  check(R a[y]);\n  u = a[y];\n"),
+            std::string::npos)
+      << Printed;
+}
+
 TEST(Placement, ToolConfigsMatchStrategies) {
   auto Prog = parseProgramOrDie(R"(
 class C { fields f; }

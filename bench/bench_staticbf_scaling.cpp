@@ -8,18 +8,133 @@
 // prepared for them, and Fourier-Motzkin refutations run. The counts are
 // deterministic, so they compare across machines where times do not.
 //
+// The suite's methods are small. --sizes=N[,N...] also places, for each N,
+// one seeded single-method program of N blocks (counted array loops,
+// stride-2 loops, lock-guarded field updates, if/else and field reads), to
+// show how placement grows with the size of a method.
+//
 //===----------------------------------------------------------------------===//
 
 #include "analysis/CheckPlacement.h"
 #include "bfj/Parser.h"
 #include "harness/Experiment.h"
+#include "support/ParseNumber.h"
+#include "support/Rng.h"
 #include "support/TablePrinter.h"
 
+#include <algorithm>
+#include <cstdio>
+#include <cstdlib>
+#include <cstring>
 #include <iostream>
+#include <sstream>
 
 using namespace bigfoot;
 
+namespace {
+
+/// Places a clone of \p Prog and keeps the fastest of \p Iterations
+/// placements; --iters=0 places once, as the other benches' untimed runs
+/// do, so the counts are always printed.
+PlacementStats placeBest(const Program &Prog, int Iterations) {
+  PlacementStats Stats = placeBigFootChecks(*Prog.clone());
+  for (int I = 1; I < Iterations; ++I) {
+    PlacementStats S = placeBigFootChecks(*Prog.clone());
+    if (S.AnalysisSeconds < Stats.AnalysisSeconds)
+      Stats = S;
+  }
+  return Stats;
+}
+
+/// One method of \p Blocks blocks drawn with \p Seed. Each block has its
+/// own locals, so the facts of finished blocks stay in the history the
+/// later ones are placed in, as in a long method of real code.
+std::string generateMethod(unsigned Blocks, uint64_t Seed) {
+  Rng R(Seed);
+  std::ostringstream OS;
+  OS << "class C {\n  fields f, g, h;\n"
+     << "  method big(a, b, o, lk, n) {\n";
+  for (unsigned K = 0; K < Blocks; ++K) {
+    switch (R.nextBelow(5)) {
+    case 0: // A counted loop over both arrays.
+      OS << "    i" << K << " = 0;\n"
+         << "    while (i" << K << " < n) {\n"
+         << "      v" << K << " = a[i" << K << "];\n"
+         << "      b[i" << K << "] = v" << K << " + 1;\n"
+         << "      i" << K << " = i" << K << " + 1;\n"
+         << "    }\n";
+      break;
+    case 1: // A stride-2 loop.
+      OS << "    j" << K << " = " << R.nextBelow(2) << ";\n"
+         << "    while (j" << K << " < n) {\n"
+         << "      a[j" << K << "] = j" << K << ";\n"
+         << "      j" << K << " = j" << K << " + 2;\n"
+         << "    }\n";
+      break;
+    case 2: // A lock-guarded field update.
+      OS << "    acq(lk);\n"
+         << "    t" << K << " = o.f;\n"
+         << "    o.f = t" << K << " + 1;\n"
+         << "    rel(lk);\n";
+      break;
+    case 3: // An if/else over a field and an array element.
+      OS << "    if (n < " << R.nextBelow(100) << ") {\n"
+         << "      o.g = " << K << ";\n"
+         << "    } else {\n"
+         << "      u" << K << " = b[" << R.nextBelow(8) << "];\n"
+         << "    }\n";
+      break;
+    default: // Field reads.
+      OS << "    r" << K << " = o.h;\n"
+         << "    s" << K << " = o.g;\n";
+      break;
+    }
+  }
+  OS << "  }\n}\n"
+     << "thread {\n  n = 64;\n  a = new_array(n);\n  b = new_array(n);\n"
+     << "  o = new C;\n  lk = new C;\n  c = new C;\n"
+     << "  c.big(a, b, o, lk, n);\n}\n";
+  return OS.str();
+}
+
+/// Takes --sizes=N[,N...] out of \p Argv (the other options are the
+/// shared bench options) and returns its block counts, empty without it.
+/// A malformed list prints an error and exits with status 1.
+std::vector<unsigned> takeSizes(int &Argc, char **Argv) {
+  static const char Flag[] = "--sizes=";
+  std::vector<unsigned> Sizes;
+  int Kept = 1;
+  for (int I = 1; I < Argc; ++I) {
+    if (std::strncmp(Argv[I], Flag, sizeof(Flag) - 1) != 0) {
+      Argv[Kept++] = Argv[I];
+      continue;
+    }
+    Sizes.clear();
+    std::string_view List = Argv[I] + sizeof(Flag) - 1;
+    while (true) {
+      size_t Comma = std::min(List.find(','), List.size());
+      unsigned N = 0;
+      if (!parseNumber(List.substr(0, Comma), N) || N == 0) {
+        std::fprintf(stderr,
+                     "%s: error: %s: expected a comma-separated list of "
+                     "positive block counts\n",
+                     Argv[0], Argv[I]);
+        std::exit(1);
+      }
+      Sizes.push_back(N);
+      if (Comma == List.size())
+        break;
+      List.remove_prefix(Comma + 1);
+    }
+  }
+  Argc = Kept;
+  return Sizes;
+}
+
+} // namespace
+
 int main(int Argc, char **Argv) {
+  std::vector<unsigned> Sizes = takeSizes(Argc, Argv);
   BenchArgs Args = parseBenchArgs(Argc, Argv);
 
   TablePrinter Table("StaticBF analysis time");
@@ -30,17 +145,8 @@ int main(int Argc, char **Argv) {
   EntailmentCounts Total;
   for (const Workload &W : standardSuite(Args.Scale)) {
     auto Prog = parseProgramOrDie(W.Source.c_str());
-    // Take the best of N to smooth noise; --iters=0 places once, as the
-    // other benches' untimed runs do, so the counts are always printed.
-    PlacementStats Stats = placeBigFootChecks(*Prog->clone());
+    PlacementStats Stats = placeBest(*Prog, Args.Opts.Iterations);
     double Best = Stats.AnalysisSeconds;
-    for (int I = 1; I < Args.Opts.Iterations; ++I) {
-      PlacementStats S = placeBigFootChecks(*Prog->clone());
-      if (S.AnalysisSeconds < Best) {
-        Best = S.AnalysisSeconds;
-        Stats = S;
-      }
-    }
     Table.addRow({W.Name, std::to_string(Stats.MethodsProcessed),
                   std::to_string(Stats.ChecksInserted),
                   std::to_string(Stats.RenamesInserted),
@@ -61,6 +167,28 @@ int main(int Argc, char **Argv) {
                 TablePrinter::num(TotalSec, 4),
                 TablePrinter::num(TotalSec / TotalMethods, 4)});
   Table.print(std::cout);
+
+  if (!Sizes.empty()) {
+    TablePrinter Grown("StaticBF on one generated method of N blocks (seed " +
+                       std::to_string(Args.Opts.Seed) + ")");
+    Grown.addRow({"Blocks", "Lines", "Checks", "Queries", "Systems",
+                  "Refutations", "Total(s)"});
+    for (unsigned N : Sizes) {
+      std::string Source = generateMethod(N, Args.Opts.Seed);
+      auto Prog = parseProgramOrDie(Source);
+      PlacementStats Stats = placeBest(*Prog, Args.Opts.Iterations);
+      Grown.addRow({std::to_string(N),
+                    std::to_string(std::count(Source.begin(), Source.end(),
+                                              '\n')),
+                    std::to_string(Stats.ChecksInserted),
+                    std::to_string(Stats.Entailment.Queries),
+                    std::to_string(Stats.Entailment.Systems),
+                    std::to_string(Stats.Entailment.Refutations),
+                    TablePrinter::num(Stats.AnalysisSeconds, 4)});
+    }
+    std::cout << "\n";
+    Grown.print(std::cout);
+  }
 
   std::cout << "\nPaper shape: analysis well under 0.2 s/method.\n";
   return 0;

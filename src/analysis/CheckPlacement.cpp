@@ -135,17 +135,21 @@ private:
     History Candidates = In;
     if (Opts.HoistLoopChecks)
       addInductionGuesses(Loop, In, Candidates);
-    Candidates = loopInvariant(Loop, In, std::move(Candidates), Table,
-                               [this](Stmt *Block, History H) {
-                                 return passA(Block, std::move(H));
-                               });
-    LoopInv[Loop] = Candidates;
-    // Final annotation run with the converged invariant.
-    History H1 = passA(Loop->preBody(), Candidates);
-    History Cont = H1;
-    Cont.addCondition(Loop->exitCond(), /*Negated=*/true);
-    passA(Loop->postBody(), std::move(Cont));
-    History Out = std::move(H1);
+    LoopInvariant Inv = loopInvariant(Loop, In, std::move(Candidates), Table,
+                                      [this](Stmt *Block, History H) {
+                                        return passA(Block, std::move(H));
+                                      });
+    LoopInv[Loop] = Inv.Head;
+    // The body's annotations are those of the last round passA ran. When
+    // refinement converged, that round ran with the invariant; otherwise
+    // annotate the body with it now.
+    if (!Inv.AtExitTest) {
+      Inv.AtExitTest = passA(Loop->preBody(), Inv.Head);
+      History Cont = *Inv.AtExitTest;
+      Cont.addCondition(Loop->exitCond(), /*Negated=*/true);
+      passA(Loop->postBody(), std::move(Cont));
+    }
+    History Out = std::move(*Inv.AtExitTest);
     Out.addCondition(Loop->exitCond(), /*Negated=*/false);
     return Out;
   }
@@ -651,9 +655,10 @@ History bigfoot::stepHistory(const History &In, const Stmt *S,
   return H;
 }
 
-History bigfoot::loopInvariant(const LoopStmt *Loop, const History &In,
-                               History Candidates, EntailmentTable &Table,
-                               const LoopBlockPass &Pass) {
+LoopInvariant bigfoot::loopInvariant(const LoopStmt *Loop, const History &In,
+                                     History Candidates,
+                                     EntailmentTable &Table,
+                                     const LoopBlockPass &Pass) {
   // Each round keeps a subset of the last, so equal sizes mean no fact
   // dropped out.
   auto SameFacts = [](const History &A, const History &B) {
@@ -663,7 +668,8 @@ History bigfoot::loopInvariant(const LoopStmt *Loop, const History &In,
            A.Checks.size() == B.Checks.size();
   };
   for (int Iter = 0; Iter < 6; ++Iter) {
-    History Cont = Pass(Loop->preBody(), Candidates);
+    History AtExitTest = Pass(Loop->preBody(), Candidates);
+    History Cont = AtExitTest;
     Cont.addCondition(Loop->exitCond(), /*Negated=*/true);
     History Back = Pass(Loop->postBody(), std::move(Cont));
 
@@ -680,10 +686,10 @@ History bigfoot::loopInvariant(const LoopStmt *Loop, const History &In,
            &History::addAccess);
     KeepIf(Candidates.Checks, &History::entailsCheck, &History::addCheck);
     if (SameFacts(Refined, Candidates))
-      break;
+      return {std::move(Candidates), std::move(AtExitTest)};
     Candidates = std::move(Refined);
   }
-  return Candidates;
+  return {std::move(Candidates), std::nullopt};
 }
 
 PlacementStats bigfoot::placeBigFootChecks(Program &P,

@@ -38,6 +38,7 @@
 
 #include <functional>
 #include <map>
+#include <optional>
 #include <string>
 
 namespace bigfoot {
@@ -95,14 +96,23 @@ History stepHistory(const History &In, const Stmt *S, const KillSets &Kills);
 /// Carries a history forward through one block of a loop.
 using LoopBlockPass = std::function<History(Stmt *, History)>;
 
+/// A loop's head invariant, and what the round run with it computed.
+struct LoopInvariant {
+  History Head;
+  /// The history after the pre-body in the round that carried Head around
+  /// the loop, which is the last round when refinement converged. Empty
+  /// when the round cap ended refinement, since no round ran with Head.
+  std::optional<History> AtExitTest;
+};
+
 /// The invariant at the head of \p Loop, entered with history \p In: the
 /// facts of \p Candidates (In's own, plus any guesses) that In and the
 /// back-edge history both entail, refined until no fact drops out or six
 /// rounds have run. Each round carries the candidates once around the loop
 /// with \p Pass; the refined histories share \p Table.
-History loopInvariant(const LoopStmt *Loop, const History &In,
-                      History Candidates, EntailmentTable &Table,
-                      const LoopBlockPass &Pass);
+LoopInvariant loopInvariant(const LoopStmt *Loop, const History &In,
+                            History Candidates, EntailmentTable &Table,
+                            const LoopBlockPass &Pass);
 
 } // namespace bigfoot
 

@@ -46,11 +46,8 @@ std::string AliasFact::str() const {
 //===----------------------------------------------------------------------===
 
 void History::addBool(BoolFact Fact) {
-  for (const BoolFact &Existing : Bools)
-    if (Existing == Fact)
-      return;
-  Bools.push_back(std::move(Fact));
-  factsChanged();
+  if (Bools.addNew(std::move(Fact)))
+    factsChanged();
 }
 
 void History::addCondition(const Expr *Cond, bool Negated) {
@@ -129,26 +126,13 @@ void History::addCondition(const Expr *Cond, bool Negated) {
 }
 
 void History::addAlias(AliasFact Fact) {
-  for (const AliasFact &Existing : Aliases)
-    if (Existing == Fact)
-      return;
-  Aliases.push_back(std::move(Fact));
-  factsChanged();
+  if (Aliases.addNew(std::move(Fact)))
+    factsChanged();
 }
 
-void History::addAccess(const Path &P) {
-  for (const Path &Existing : Accesses)
-    if (Existing == P)
-      return;
-  Accesses.push_back(P);
-}
+void History::addAccess(const Path &P) { Accesses.addNew(P); }
 
-void History::addCheck(const Path &P) {
-  for (const Path &Existing : Checks)
-    if (Existing == P)
-      return;
-  Checks.push_back(P);
-}
+void History::addCheck(const Path &P) { Checks.addNew(P); }
 
 //===----------------------------------------------------------------------===
 // Entailment.
@@ -230,8 +214,8 @@ EntailmentTable::systemFor(const std::vector<BoolFact> &Bools,
 
 ConstraintSystem &History::constraints() const {
   if (!System)
-    System = Table ? Table->systemFor(Bools, Aliases)
-                   : prepareSystem(Bools, Aliases, nullptr);
+    System = Table ? Table->systemFor(bools(), aliases())
+                   : prepareSystem(bools(), aliases(), nullptr);
   return *System;
 }
 
@@ -281,6 +265,13 @@ bool History::entailsAlias(const AliasFact &Fact) const {
 bool History::entailsPathIn(const std::vector<Path> &Facts,
                             const Path &P) const {
   countQuery();
+  // A fact that is the query itself entails it, so, as in entailsBool and
+  // entailsAlias, the question needs no system. The solver proves it too,
+  // unless the history's equalities rewrite the path's terms past int64,
+  // where it declines (ConstraintSystem.LiteralPathsNeedNoSystem).
+  for (const Path &Fact : Facts)
+    if (kindSatisfies(Fact.Access, P.Access) && Fact.sameLocations(P))
+      return true;
   ConstraintSystem &CS = constraints();
   // Inconsistent facts mark dead code, which entails everything; this is
   // what lets the rotated-loop's infeasible else arm drop out of merges.
@@ -395,6 +386,36 @@ bool History::entailsAnticipated(const Anticipated &A, const Path &P) const {
 // Structural operations.
 //===----------------------------------------------------------------------===
 
+namespace {
+
+/// True if \p Fact mentions variable \p V.
+bool mentions(const BoolFact &Fact, VarName V) {
+  return Fact.L.mentions(V) || Fact.R.mentions(V);
+}
+bool mentions(const AliasFact &Fact, VarName V) {
+  return Fact.X == V.name() || Fact.Base == V.name() ||
+         (Fact.IsArray && Fact.Index.mentions(V));
+}
+bool mentions(const Path &Fact, VarName V) { return Fact.mentions(V); }
+
+/// Replaces \p List by its facts renamed with \p Rename, which drops a
+/// fact by returning nothing, unless no fact in it mentions \p V: then the
+/// list stays as it is, shared. True if it was replaced.
+template <typename T, typename RenameFn>
+bool renameFacts(FactList<T> &List, VarName V, RenameFn Rename) {
+  auto About = [V](const T &Fact) { return mentions(Fact, V); };
+  if (std::none_of(List.begin(), List.end(), About))
+    return false;
+  std::vector<T> Renamed;
+  for (const T &Fact : List)
+    if (std::optional<T> R = Rename(Fact))
+      Renamed.push_back(std::move(*R));
+  List.assign(std::move(Renamed));
+  return true;
+}
+
+} // namespace
+
 History History::renamed(const std::string &From,
                          const std::string &To) const {
   // A boolean, alias or check fact whose renamed form overflows is
@@ -404,34 +425,45 @@ History History::renamed(const std::string &From,
   // rename pass first gives a mentioned target a fresh copy, and RedCard
   // first drops the facts that mention it
   // (CheckPlacement.RenameTargetIsCopiedBeforeItsRangeCouldOverflow).
-  History Out;
-  Out.Table = Table;
+  // A list with no fact about From stays shared, and so does the prepared
+  // system when neither of its lists changes.
+  History Out = *this;
   const VarName FromVar = VarName::intern(From);
   const VarName ToName = VarName::intern(To);
   const AffineExpr ToVar = AffineExpr::variable(ToName);
-  for (const BoolFact &Fact : Bools) {
-    BoolFact Renamed{Fact.Op, Fact.L.substitute(FromVar, ToVar),
-                     Fact.R.substitute(FromVar, ToVar), Fact.Mod};
-    if (!Renamed.L.overflowed() && !Renamed.R.overflowed())
-      Out.Bools.push_back(std::move(Renamed));
-  }
-  for (AliasFact Fact : Aliases) {
-    if (Fact.X == From)
-      Fact.X = To;
-    if (Fact.Base == From)
-      Fact.Base = To;
-    if (Fact.IsArray)
-      Fact.Index = Fact.Index.substitute(FromVar, ToVar);
-    if (!Fact.Index.overflowed())
-      Out.Aliases.push_back(std::move(Fact));
-  }
-  for (const Path &P : Accesses)
-    Out.Accesses.push_back(P.rename(FromVar, ToName));
-  for (const Path &P : Checks) {
-    Path Renamed = P.rename(FromVar, ToName);
-    if (!Renamed.Range.overflowed())
-      Out.Checks.push_back(std::move(Renamed));
-  }
+  bool Changed = renameFacts(
+      Out.Bools, FromVar, [&](const BoolFact &F) -> std::optional<BoolFact> {
+        BoolFact R{F.Op, F.L.substitute(FromVar, ToVar),
+                   F.R.substitute(FromVar, ToVar), F.Mod};
+        if (R.L.overflowed() || R.R.overflowed())
+          return std::nullopt;
+        return R;
+      });
+  Changed |= renameFacts(
+      Out.Aliases, FromVar, [&](AliasFact F) -> std::optional<AliasFact> {
+        if (F.X == From)
+          F.X = To;
+        if (F.Base == From)
+          F.Base = To;
+        if (F.IsArray)
+          F.Index = F.Index.substitute(FromVar, ToVar);
+        if (F.Index.overflowed())
+          return std::nullopt;
+        return F;
+      });
+  if (Changed)
+    Out.factsChanged();
+  renameFacts(Out.Accesses, FromVar,
+              [&](const Path &P) -> std::optional<Path> {
+                return P.rename(FromVar, ToName);
+              });
+  renameFacts(Out.Checks, FromVar,
+              [&](const Path &P) -> std::optional<Path> {
+                Path R = P.rename(FromVar, ToName);
+                if (R.Range.overflowed())
+                  return std::nullopt;
+                return R;
+              });
   return Out;
 }
 
@@ -453,32 +485,24 @@ History History::afterAcquire() const {
 }
 
 void History::invalidateAliasesForFieldWrite(const std::string &FieldName) {
-  if (std::erase_if(Aliases, [&FieldName](const AliasFact &Fact) {
+  if (Aliases.eraseIf([&FieldName](const AliasFact &Fact) {
         return !Fact.IsArray && Fact.Field == FieldName;
       }))
     factsChanged();
 }
 
 void History::invalidateAliasesForArrayWrite() {
-  if (std::erase_if(Aliases,
-                    [](const AliasFact &Fact) { return Fact.IsArray; }))
+  if (Aliases.eraseIf([](const AliasFact &Fact) { return Fact.IsArray; }))
     factsChanged();
 }
 
 void History::dropMentions(const std::string &Name) {
   const VarName Var = VarName::intern(Name);
-  size_t Dropped = std::erase_if(Bools, [Var](const BoolFact &F) {
-    return F.L.mentions(Var) || F.R.mentions(Var);
-  });
-  Dropped += std::erase_if(Aliases, [&Name, Var](const AliasFact &F) {
-    return F.X == Name || F.Base == Name ||
-           (F.IsArray && F.Index.mentions(Var));
-  });
-  if (Dropped)
+  auto About = [Var](const auto &Fact) { return mentions(Fact, Var); };
+  if (Bools.eraseIf(About) + Aliases.eraseIf(About))
     factsChanged();
-  auto DropPath = [Var](const Path &P) { return P.mentions(Var); };
-  std::erase_if(Accesses, DropPath);
-  std::erase_if(Checks, DropPath);
+  Accesses.eraseIf(About);
+  Checks.eraseIf(About);
 }
 
 History History::meet(const History &H1, const History &H2) {

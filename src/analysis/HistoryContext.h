@@ -25,6 +25,7 @@
 #include "entail/ConstraintSystem.h"
 #include "support/AffineExpr.h"
 
+#include <algorithm>
 #include <memory>
 #include <optional>
 #include <string>
@@ -78,6 +79,59 @@ inline bool kindSatisfies(AccessKind Fact, AccessKind Query) {
 /// acquire, on every continuation.
 using Anticipated = std::vector<Path>;
 
+/// One of a history's fact lists. Copies of a list share its storage; the
+/// first change to a shared list copies that list alone, so copying a
+/// History copies four pointers however many facts it holds. A list is
+/// used by one placement run, on one thread.
+template <typename T> class FactList {
+public:
+  const std::vector<T> &items() const { return Items ? *Items : none(); }
+  operator const std::vector<T> &() const { return items(); }
+  auto begin() const { return items().begin(); }
+  auto end() const { return items().end(); }
+  size_t size() const { return items().size(); }
+  bool empty() const { return items().empty(); }
+
+  /// The list to change, copied first if another list shares it.
+  std::vector<T> &edit() {
+    if (!Items)
+      Items = std::make_shared<std::vector<T>>();
+    else if (Items.use_count() > 1)
+      Items = std::make_shared<std::vector<T>>(*Items);
+    return *Items;
+  }
+
+  /// Appends \p Fact unless the list holds it; true if it was appended.
+  bool addNew(T Fact) {
+    if (std::find(begin(), end(), Fact) != end())
+      return false;
+    edit().push_back(std::move(Fact));
+    return true;
+  }
+
+  /// Erases the facts \p Drop matches, copying the list only if some do.
+  template <typename Pred> size_t eraseIf(Pred Drop) {
+    if (std::none_of(begin(), end(), Drop))
+      return 0;
+    return std::erase_if(edit(), Drop);
+  }
+
+  /// Replaces the list by \p Facts.
+  void assign(std::vector<T> Facts) {
+    Items = std::make_shared<std::vector<T>>(std::move(Facts));
+  }
+
+  void clear() { Items.reset(); }
+
+private:
+  static const std::vector<T> &none() {
+    static const std::vector<T> Empty;
+    return Empty;
+  }
+
+  std::shared_ptr<std::vector<T>> Items; ///< Null while empty.
+};
+
 /// The prepared constraint systems of one placement run, one per distinct
 /// ordered list of boolean and alias facts, so that a question asked of
 /// any history with those facts is answered once per run. The placement
@@ -117,8 +171,8 @@ public:
   /// count into its counters; histories derived from it inherit both.
   explicit History(EntailmentTable &Table) : Table(&Table) {}
 
-  std::vector<Path> Accesses; // p✁ facts; Path::Access is the kind.
-  std::vector<Path> Checks;   // p✓ facts.
+  FactList<Path> Accesses; // p✁ facts; Path::Access is the kind.
+  FactList<Path> Checks;   // p✓ facts.
 
   /// The boolean and alias facts change only through the methods below,
   /// which drop the history's prepared system.
@@ -178,8 +232,8 @@ public:
   std::string str() const;
 
 private:
-  std::vector<BoolFact> Bools;
-  std::vector<AliasFact> Aliases;
+  FactList<BoolFact> Bools;
+  FactList<AliasFact> Aliases;
   EntailmentTable *Table = nullptr;
   /// The prepared system of Bools + Aliases, or null until first queried.
   mutable std::shared_ptr<ConstraintSystem> System;
@@ -188,7 +242,9 @@ private:
   void factsChanged() { System.reset(); }
   void countQuery() const;
 
-  /// Shared machinery for access/check entailment with range chaining.
+  /// Shared machinery for access/check entailment with range chaining. A
+  /// path that is itself one of \p Facts, of a kind that covers the query,
+  /// is entailed without preparing the constraint system.
   bool entailsPathIn(const std::vector<Path> &Facts, const Path &P) const;
 };
 

@@ -137,10 +137,14 @@ struct Path {
     return Designator + Range.str();
   }
 
+  /// True if \p Other names the same locations, whatever its access kind.
+  bool sameLocations(const Path &Other) const {
+    return PathKind == Other.PathKind && Designator == Other.Designator &&
+           Fields == Other.Fields && Range == Other.Range;
+  }
+
   bool operator==(const Path &Other) const {
-    return PathKind == Other.PathKind && Access == Other.Access &&
-           Designator == Other.Designator && Fields == Other.Fields &&
-           Range == Other.Range;
+    return Access == Other.Access && sameLocations(Other);
   }
 
   bool operator<(const Path &Other) const {

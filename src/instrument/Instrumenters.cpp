@@ -95,19 +95,22 @@ private:
         H = History::meet(H1, H2);
       } else if (auto *Loop = dyn_cast<LoopStmt>(Child)) {
         // The invariant comes from throwaway passes; then one real pass.
+        // A throwaway pass needs no rerun of a converged round.
         auto Throwaway = [this](Stmt *Body, History In) {
           return processBlock(cast<BlockStmt>(Body), std::move(In),
                               /*Insert=*/false);
         };
-        History HB = processBlock(cast<BlockStmt>(Loop->preBody()),
-                                  loopInvariant(Loop, H, H, Table, Throwaway),
-                                  Insert);
-        History Exit = HB;
-        Exit.addCondition(Loop->exitCond(), /*Negated=*/false);
-        HB.addCondition(Loop->exitCond(), /*Negated=*/true);
-        processBlock(cast<BlockStmt>(Loop->postBody()), std::move(HB),
-                     Insert);
-        H = std::move(Exit);
+        LoopInvariant Inv = loopInvariant(Loop, H, H, Table, Throwaway);
+        if (Insert || !Inv.AtExitTest) {
+          Inv.AtExitTest = processBlock(cast<BlockStmt>(Loop->preBody()),
+                                        std::move(Inv.Head), Insert);
+          History Cont = *Inv.AtExitTest;
+          Cont.addCondition(Loop->exitCond(), /*Negated=*/true);
+          processBlock(cast<BlockStmt>(Loop->postBody()), std::move(Cont),
+                       Insert);
+        }
+        H = std::move(*Inv.AtExitTest);
+        H.addCondition(Loop->exitCond(), /*Negated=*/false);
       } else {
         // A plain access is checked unless an earlier check in the same
         // release-free span covers it; a volatile access is

@@ -12,9 +12,12 @@
 /// Both types are engineered for the detector's per-access hot path
 /// (DESIGN.md Sec. 8): an Epoch is one packed 64-bit word, so equality,
 /// bottom tests, and covers() are single-word operations; a VectorClock
-/// stores up to kInlineSlots entries inline (no heap allocation for the
-/// thread counts every committed workload uses) and joins in place
-/// without allocating unless it actually has to grow past its capacity.
+/// stores up to kInlineSlots entries inline and joins in place without
+/// allocating unless it actually has to grow past its capacity. Four
+/// slots do not cover every workload: crypt forks four workers and so
+/// runs five threads, and detbench's arrays and objects run five and its
+/// sync nine, so their thread clocks and read-shared clocks are on the
+/// heap.
 ///
 //===----------------------------------------------------------------------===//
 

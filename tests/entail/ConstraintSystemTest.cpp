@@ -443,3 +443,140 @@ TEST(ConstraintSystem, HistoryQueriesFollowFactChanges) {
   EXPECT_TRUE(Same.entailsBool(IBelowN));
   EXPECT_EQ(Table.Counts.Systems, Prepared);
 }
+
+namespace {
+
+/// A history with facts in all four lists, some about i, an alias of each
+/// kind, and a prepared system.
+History isolationHistory(EntailmentTable &Table) {
+  History H(Table);
+  H.addBool({RelOp::Le, c(0), v("i"), 0});
+  H.addBool({RelOp::Lt, v("i"), v("n"), 0});
+  H.addAlias({false, "x", "p", "f", AffineExpr()});
+  H.addAlias({true, "y", "a", "", v("i")});
+  H.addAccess(Path::arrayIndex(AccessKind::Read, "a", v("i")));
+  H.addAccess(Path::field(AccessKind::Write, "p", "g"));
+  H.addCheck(Path::field(AccessKind::Read, "x", "h"));
+  H.addCheck(Path::array(AccessKind::Write, "b",
+                         SymbolicRange(c(0), v("n"))));
+  H.entailsBool({RelOp::Le, v("i"), v("n"), 0});
+  return H;
+}
+
+/// What a history says: its printed facts and its answers to questions
+/// that every one of its lists decides.
+std::string facts(const History &H) {
+  std::string S = H.str();
+  auto Answer = [&S](bool B) { S += B ? " 1" : " 0"; };
+  Answer(H.entailsBool({RelOp::Le, v("i"), v("n"), 0}));
+  Answer(H.entailsAlias({false, "x", "p", "f", AffineExpr()}));
+  Answer(H.entailsAlias({true, "y", "a", "", v("i")}));
+  Answer(H.entailsAccess(Path::arrayIndex(AccessKind::Read, "a", v("i"))));
+  Answer(H.entailsAccess(Path::field(AccessKind::Read, "p", "g")));
+  Answer(H.entailsCheck(Path::field(AccessKind::Read, "x", "h")));
+  Answer(H.entailsCheck(Path::arrayIndex(AccessKind::Read, "b", v("i"))));
+  return S;
+}
+
+} // namespace
+
+TEST(ConstraintSystem, HistoryCopiesChangeIndependently) {
+  // Copies share their fact lists until one changes; every mutator must
+  // leave the other history's facts and answers as they were, whichever
+  // of the two it changes.
+  const std::vector<std::pair<const char *, std::function<void(History &)>>>
+      Mutators = {
+          {"addBool",
+           [](History &H) { H.addBool({RelOp::Le, v("n"), c(64), 0}); }},
+          {"addAlias",
+           [](History &H) {
+             H.addAlias({false, "z", "p", "g", AffineExpr()});
+           }},
+          {"addAccess",
+           [](History &H) {
+             H.addAccess(Path::field(AccessKind::Read, "q", "f"));
+           }},
+          {"addCheck",
+           [](History &H) {
+             H.addCheck(Path::arrayIndex(AccessKind::Read, "a", c(3)));
+           }},
+          {"dropMentions", [](History &H) { H.dropMentions("i"); }},
+          {"invalidateAliasesForFieldWrite",
+           [](History &H) { H.invalidateAliasesForFieldWrite("f"); }},
+          {"invalidateAliasesForArrayWrite",
+           [](History &H) { H.invalidateAliasesForArrayWrite(); }},
+          {"afterAcquire", [](History &H) { H = H.afterAcquire(); }},
+          {"afterRelease", [](History &H) { H = H.afterRelease(); }},
+          {"renamed", [](History &H) { H = H.renamed("i", "k"); }},
+          {"Accesses.edit",
+           [](History &H) {
+             H.Accesses.edit().push_back(
+                 Path::field(AccessKind::Write, "q", "g"));
+           }},
+          {"Checks.edit", [](History &H) { H.Checks.edit().pop_back(); }},
+          {"Accesses.clear", [](History &H) { H.Accesses.clear(); }},
+          {"Checks.clear", [](History &H) { H.Checks.clear(); }},
+      };
+  EntailmentTable Table;
+  const std::string Original = facts(isolationHistory(Table));
+  for (const auto &[Name, Mutate] : Mutators) {
+    History H = isolationHistory(Table);
+    History Copy = H;
+    Mutate(Copy);
+    EXPECT_NE(facts(Copy), Original) << Name << " changed nothing";
+    EXPECT_EQ(facts(H), Original) << Name << " on a copy";
+
+    History Source = isolationHistory(Table);
+    History Kept = Source;
+    Mutate(Source);
+    EXPECT_EQ(facts(Kept), Original) << Name << " on the original";
+  }
+}
+
+TEST(ConstraintSystem, LiteralPathsNeedNoSystem) {
+  // A path that is one of the facts, of a kind that covers the query, is
+  // entailed before any system is prepared; the solver agrees.
+  EntailmentTable Table;
+  History H(Table);
+  H.addBool({RelOp::Le, c(0), v("i"), 0});
+  H.addBool({RelOp::Lt, v("i"), v("n"), 0});
+  Path Row = Path::array(AccessKind::Write, "a", SymbolicRange(c(0), v("n")));
+  Path Field = Path::fieldGroup(AccessKind::Read, "o", {"f", "g"});
+  H.addAccess(Row);
+  H.addCheck(Row);
+  H.addCheck(Field);
+  Path RowRead = Row;
+  RowRead.Access = AccessKind::Read;
+  const EntailmentCounts Before = Table.Counts;
+  EXPECT_TRUE(H.entailsAccess(Row));
+  EXPECT_TRUE(H.entailsAccess(RowRead)); // A write fact covers a read.
+  EXPECT_TRUE(H.entailsCheck(Row));
+  EXPECT_TRUE(H.entailsCheck(Field));
+  EXPECT_TRUE(H.entailsAnticipated({Row}, RowRead));
+  EXPECT_EQ(Table.Counts.Queries, Before.Queries + 5);
+  EXPECT_EQ(Table.Counts.Systems, Before.Systems);
+  EXPECT_EQ(Table.Counts.Refutations, Before.Refutations);
+
+  // A covered range that is not a fact goes to the solver, which proves
+  // it, and a read fact does not answer for a write.
+  EXPECT_TRUE(
+      H.entailsAccess(Path::arrayIndex(AccessKind::Write, "a", v("i"))));
+  EXPECT_EQ(Table.Counts.Systems, Before.Systems + 1);
+  EXPECT_GT(Table.Counts.Refutations, Before.Refutations);
+  Path FieldWrite = Field;
+  FieldWrite.Access = AccessKind::Write;
+  EXPECT_FALSE(H.entailsCheck(FieldWrite));
+  EXPECT_TRUE(H.constraints().proveRangeSubset(Row.Range, Row.Range));
+
+  // The one case the solver declines: rewritten by the history's
+  // equalities, the path's terms overflow int64 (i = 2 turns 2^62 * i into
+  // 2^63), so it proves nothing about the path, while the fact still
+  // answers for itself.
+  History Big(Table);
+  Big.addBool({RelOp::Eq, v("i"), c(2), 0});
+  Path Far =
+      Path::arrayIndex(AccessKind::Read, "a", v("i") * 4611686018427387904);
+  Big.addAccess(Far);
+  EXPECT_TRUE(Big.entailsAccess(Far));
+  EXPECT_FALSE(Big.constraints().proveRangeSubset(Far.Range, Far.Range));
+}

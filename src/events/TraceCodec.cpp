@@ -96,7 +96,10 @@ void TraceWriter::putEvent(const Event &E, const uint32_t *Payload) {
     putSVar(static_cast<int64_t>(E.Obj - LastObj));
     LastObj = E.Obj;
     putByte(static_cast<uint8_t>(E.Access));
-    putSVar(E.Begin - LastBegin);
+    // The begin is a wrapping delta, like the object id, so any two int64
+    // begins have one.
+    putSVar(static_cast<int64_t>(static_cast<uint64_t>(E.Begin) -
+                                 static_cast<uint64_t>(LastBegin)));
     LastBegin = E.Begin;
     putSVar(E.End - E.Begin);
     putSVar(E.Stride);
@@ -374,11 +377,15 @@ bool TraceReader::getEvent(Event &E, std::vector<uint32_t> &Payload) {
     E.Access = static_cast<AccessKind>(Access);
     if (!getSVar(S))
       return false;
-    E.Begin = LastBegin + S;
+    E.Begin = static_cast<int64_t>(static_cast<uint64_t>(LastBegin) +
+                                   static_cast<uint64_t>(S));
     LastBegin = E.Begin;
     if (!getSVar(S))
       return false;
-    E.End = E.Begin + S;
+    // The width is End - Begin itself, so an end int64 can hold is also a
+    // width it can hold (StridedRange requires both).
+    if (__builtin_add_overflow(E.Begin, S, &E.End))
+      return fail("malformed trace: range end overflows int64");
     if (!getSVar(E.Stride))
       return false;
     if (E.Stride < 1) // StridedRange requires a positive stride.

@@ -152,14 +152,18 @@ ShadowOpResult ArrayShadow::apply(const StridedRange &R, AccessKind K,
   ShadowOpResult Result;
   if (R.empty() || Length == 0)
     return Result;
-  // Clip to the array bounds, preserving the stride phase (the begin only
-  // advances in whole strides).
-  int64_t B = R.begin();
-  if (B < 0)
-    B += ((-B + R.stride() - 1) / R.stride()) * R.stride();
-  StridedRange Clipped(B, std::min<int64_t>(R.end(), Length), R.stride());
-  if (Clipped.empty())
-    return Result;
+  // Clip to the array bounds, preserving the stride phase: a negative
+  // begin advances in whole strides to the range's first index at or above
+  // 0, which is its residue mod the stride. A range inside the array is
+  // already clipped.
+  StridedRange Clipped = R;
+  if (R.begin() < 0 || R.end() > Length) {
+    int64_t K = R.stride();
+    int64_t B = R.begin() < 0 ? (R.begin() % K + K) % K : R.begin();
+    Clipped = StridedRange(B, std::min<int64_t>(R.end(), Length), K);
+    if (Clipped.empty())
+      return Result;
+  }
 
   if (Coarse) {
     if (isWhole(Clipped)) {

@@ -13,11 +13,11 @@
 /// (DESIGN.md Sec. 8): an Epoch is one packed 64-bit word, so equality,
 /// bottom tests, and covers() are single-word operations; a VectorClock
 /// stores up to kInlineSlots entries inline and joins in place without
-/// allocating unless it actually has to grow past its capacity. Four
-/// slots do not cover every workload: crypt forks four workers and so
-/// runs five threads, and detbench's arrays and objects run five and its
-/// sync nine, so their thread clocks and read-shared clocks are on the
-/// heap.
+/// allocating unless it actually has to grow past its capacity. Eight
+/// slots cover every suite program and detbench's arrays and objects
+/// (five threads each: crypt forks four workers), so their thread and
+/// read-shared clocks never allocate; detbench's sync runs nine threads,
+/// so its clocks are still on the heap.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -72,7 +72,7 @@ private:
 /// object; only wider clocks spill to the heap.
 class VectorClock {
 public:
-  static constexpr uint32_t kInlineSlots = 4;
+  static constexpr uint32_t kInlineSlots = 8;
 
   VectorClock() = default;
 

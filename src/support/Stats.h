@@ -57,7 +57,9 @@ private:
 /// rather than at construction. Lazy binding matters twice: hot loops skip
 /// the per-bump string lookup, and counters that never fire stay out of
 /// the stats entirely — exactly the set of names a string-keyed bump at
-/// the same call sites would have produced.
+/// the same call sites would have produced. The lookup sits in a cold,
+/// out-of-line bind(), so bump() is a test and an add that inlines at
+/// every call site.
 class HotCounter {
 public:
   HotCounter(Stats &Counters, const char *Name)
@@ -65,7 +67,7 @@ public:
 
   void bump(uint64_t Delta = 1) {
     if (!Slot)
-      Slot = &Counters.slot(Name);
+      bind();
     *Slot += Delta;
   }
 
@@ -73,6 +75,8 @@ private:
   Stats &Counters;
   const char *Name;
   uint64_t *Slot = nullptr;
+
+  [[gnu::cold, gnu::noinline]] void bind() { Slot = &Counters.slot(Name); }
 };
 
 } // namespace bigfoot

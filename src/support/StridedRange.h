@@ -35,7 +35,9 @@ public:
   /// Builds the canonical empty range.
   StridedRange() : Begin(0), End(0), Stride(1) {}
 
-  /// Builds the range \p B..\p E : \p K and normalizes it.
+  /// Builds the range \p B..\p E : \p K and normalizes it. A non-empty
+  /// range's width E - B must fit in int64 (the VM fails a check whose
+  /// range does not, and the trace reader rejects one).
   StridedRange(int64_t B, int64_t E, int64_t K = 1) {
     assert(K >= 1 && "stride must be positive");
     if (B >= E) {
@@ -43,13 +45,19 @@ public:
       Stride = 1;
       return;
     }
+    assert(static_cast<uint64_t>(E) - static_cast<uint64_t>(B) <=
+               static_cast<uint64_t>(INT64_MAX) &&
+           "range width overflows int64");
     Begin = B;
-    Stride = K;
+    End = E;
+    Stride = 1;
+    if (K == 1)
+      return; // Already exact: the common case needs no division.
     // Trim End so it is exactly one past the last covered element.
-    int64_t Count = (E - B + K - 1) / K;
+    int64_t Count = (E - B - 1) / K + 1;
     End = B + (Count - 1) * K + 1;
-    if (Count == 1)
-      Stride = 1; // Canonical form for singletons.
+    if (Count > 1)
+      Stride = K; // A singleton keeps the canonical stride 1.
   }
 
   /// Builds the singleton range covering exactly \p Index.
@@ -67,7 +75,7 @@ public:
   int64_t size() const {
     if (empty())
       return 0;
-    return (End - Begin + Stride - 1) / Stride;
+    return (End - Begin - 1) / Stride + 1;
   }
 
   /// True if \p Index is a member of the denoted set.

@@ -21,8 +21,14 @@
 // condition, and a Loop spends one on its exit test each time around,
 // while block entry, loop entry and back-edges are free (Compiler.cpp).
 // The step count is therefore a property of the program and the seed,
-// and the event-stream golden pins it for every workload. All heap,
-// synchronization and detector effects live in the do* helpers.
+// and the event-stream golden pins it for every workload. One call of
+// the dispatch loop runs a budget of steps: the rest of the quantum, cut
+// at the thread's next commit point and at the run's step limit. All
+// heap, synchronization and detector effects live in the do* helpers.
+//
+// Objects, arrays and barriers draw their ids from one counter, so the
+// ids are dense and the heap is one table indexed by id: a lookup is a
+// bounds check and a test of the cell's kind.
 //
 //===----------------------------------------------------------------------===//
 
@@ -32,10 +38,11 @@
 #include "support/Timer.h"
 #include "vm/Compiler.h"
 
+#include <algorithm>
 #include <cassert>
 #include <cstdint>
 #include <optional>
-#include <unordered_map>
+#include <variant>
 
 using namespace bigfoot;
 
@@ -98,6 +105,9 @@ struct BarrierRec {
   uint64_t Generation = 0;
 };
 
+/// One entry of the heap table. Id 0 names nothing and stays empty.
+using HeapCell = std::variant<std::monostate, HeapObject, HeapArray, BarrierRec>;
+
 //===----------------------------------------------------------------------===
 // Threads and continuations.
 //===----------------------------------------------------------------------===
@@ -124,6 +134,13 @@ struct ThreadCtx {
 };
 
 enum class StepResult { Progress, Blocked };
+
+/// What one call of the dispatch loop did: the steps it retired, and
+/// whether it stopped on an operation that blocks (lock, join, barrier).
+struct StepRun {
+  uint64_t Steps = 0;
+  bool Blocked = false;
+};
 
 //===----------------------------------------------------------------------===
 // The interpreter.
@@ -192,10 +209,8 @@ private:
   SymId ThisSym = kNoSym;
   CompiledProgram CP;
 
-  std::unordered_map<ObjectId, HeapObject> Objects;
-  std::unordered_map<ObjectId, HeapArray> Arrays;
-  std::unordered_map<ObjectId, BarrierRec> Barriers;
-  ObjectId NextId = 1;
+  /// Indexed by ObjectId; the next id is the table's size.
+  std::vector<HeapCell> Heap;
   ObjectId GlobalObj = 0;
 
   std::vector<std::unique_ptr<ThreadCtx>> Threads;
@@ -211,6 +226,13 @@ private:
   void setError(const std::string &Message) {
     if (Error.empty())
       Error = Message;
+  }
+
+  /// Fails the run with "'<name of Var>'" followed by \p What. Out of
+  /// line, as the message is built, to keep the heap helpers small enough
+  /// to inline into the dispatch loop.
+  [[gnu::cold, gnu::noinline]] void failOperand(SymId Var, const char *What) {
+    setError("'" + Syms->name(Var) + "'" + What);
   }
 
   //===--- Event emission -------------------------------------------------------
@@ -281,8 +303,8 @@ private:
   }
 
   void setup() {
-    GlobalObj = NextId++;
-    Objects.emplace(GlobalObj, HeapObject());
+    Heap.emplace_back(); // Id 0.
+    GlobalObj = allocate(HeapObject());
     for (size_t I = 0; I < Prog.Threads.size(); ++I) {
       auto T = std::make_unique<ThreadCtx>();
       T->Tid = static_cast<ThreadId>(Threads.size());
@@ -310,27 +332,8 @@ private:
         if (T.Finished)
           continue;
         AnyAlive = true;
-        unsigned Quantum =
-            1 + static_cast<unsigned>(R.nextBelow(Opts.Quantum));
-        for (unsigned I = 0; I < Quantum && Error.empty(); ++I) {
-          if (T.Finished)
-            break;
-          if (step(T) == StepResult::Blocked)
-            break;
-          AnyProgress = true;
-          if (Opts.CommitIntervalSteps && EmitTool &&
-              ++T.StepCount % Opts.CommitIntervalSteps == 0) {
-            Event E;
-            E.Kind = EventKind::Commit;
-            E.Target = kTargetTool;
-            E.Tid = T.Tid;
-            Ring.emit(E);
-          }
-          if (++Steps > Opts.MaxSteps) {
-            setError("step budget exhausted (non-terminating program?)");
-            break;
-          }
-        }
+        uint64_t Quantum = 1 + R.nextBelow(Opts.Quantum);
+        AnyProgress |= runQuantum(T, Quantum);
       }
       if (!AnyAlive)
         break;
@@ -341,6 +344,41 @@ private:
       if (!Threads.empty())
         Cursor = (Cursor + 1) % Threads.size();
     }
+  }
+
+  /// Runs up to \p Quantum steps of \p T, stopping early when it blocks,
+  /// finishes or fails. Each call of the dispatch loop gets a budget that
+  /// ends at the thread's next commit point, where the Commit event goes
+  /// out after the step that reaches it, and at the step after the run's
+  /// limit, which fails the run. Returns whether any step retired.
+  bool runQuantum(ThreadCtx &T, uint64_t Quantum) {
+    const uint64_t Interval = EmitTool ? Opts.CommitIntervalSteps : 0;
+    bool Progress = false;
+    while (Quantum > 0 && Error.empty() && !T.Finished) {
+      uint64_t Budget = Quantum;
+      if (Interval)
+        Budget = std::min(Budget, Interval - T.StepCount % Interval);
+      uint64_t ToLimit = Opts.MaxSteps - Steps; // Steps <= MaxSteps here.
+      if (Budget > ToLimit)
+        Budget = ToLimit + 1; // The step past the limit fails the run.
+      StepRun Run = step(T, Budget);
+      if (Run.Steps == 0)
+        break; // Blocked before its first step.
+      Progress = true;
+      Quantum -= Run.Steps;
+      if (Interval && (T.StepCount += Run.Steps) % Interval == 0) {
+        Event E;
+        E.Kind = EventKind::Commit;
+        E.Target = kTargetTool;
+        E.Tid = T.Tid;
+        Ring.emit(E);
+      }
+      if ((Steps += Run.Steps) > Opts.MaxSteps)
+        setError("step budget exhausted (non-terminating program?)");
+      if (Run.Blocked)
+        break;
+    }
+    return Progress;
   }
 
   void finishThread(ThreadCtx &T) {
@@ -372,37 +410,41 @@ private:
 
   //===--- Heap helpers ------------------------------------------------------------
 
-  HeapObject *objectOf(Frame &F, SymId Var, ObjectId *IdOut = nullptr) {
-    const Value &V = local(F, Var);
-    if (V.K != Value::Kind::Ref) {
-      setError("'" + Syms->name(Var) + "' does not hold an object reference");
-      return nullptr;
-    }
-    auto It = Objects.find(static_cast<ObjectId>(V.I));
-    if (It == Objects.end()) {
-      setError("'" + Syms->name(Var) + "' is not an object");
-      return nullptr;
-    }
-    if (IdOut)
-      *IdOut = static_cast<ObjectId>(V.I);
-    return &It->second;
+  template <typename CellT> ObjectId allocate(CellT &&Cell) {
+    ObjectId Id = Heap.size();
+    Heap.emplace_back(std::forward<CellT>(Cell));
+    return Id;
   }
 
-  HeapArray *arrayOf(Frame &F, SymId Var, ObjectId *IdOut) {
-    const Value &V = local(F, Var);
-    if (V.K != Value::Kind::Ref) {
-      setError("'" + Syms->name(Var) + "' does not hold an array reference");
+  /// The cell \p V refers to if it holds a \p CellT, else null.
+  template <typename CellT> CellT *cellOf(const Value &V) {
+    uint64_t Id = static_cast<uint64_t>(V.I);
+    if (V.K != Value::Kind::Ref || Id >= Heap.size())
       return nullptr;
-    }
-    auto It = Arrays.find(static_cast<ObjectId>(V.I));
-    if (It == Arrays.end()) {
-      setError("'" + Syms->name(Var) + "' is not an array");
-      return nullptr;
-    }
-    if (IdOut)
-      *IdOut = static_cast<ObjectId>(V.I);
-    return &It->second;
+    return std::get_if<CellT>(&Heap[Id]);
   }
+
+  HeapObject *objectOf(const Value *Regs, SymId Var) {
+    const Value &V = Regs[Var];
+    HeapObject *Obj = cellOf<HeapObject>(V);
+    if (!Obj)
+      failOperand(Var, V.K != Value::Kind::Ref
+                           ? " does not hold an object reference"
+                           : " is not an object");
+    return Obj;
+  }
+
+  HeapArray *arrayOf(const Value *Regs, SymId Var) {
+    const Value &V = Regs[Var];
+    HeapArray *Arr = cellOf<HeapArray>(V);
+    if (!Arr)
+      failOperand(Var, V.K != Value::Kind::Ref
+                           ? " does not hold an array reference"
+                           : " is not an array");
+    return Arr;
+  }
+
+  static ObjectId idOf(const Value &V) { return static_cast<ObjectId>(V.I); }
 
   static Value fieldValue(const HeapObject &Obj, FieldId Field) {
     return Field < Obj.Fields.size() ? Obj.Fields[Field] : Value::intV(0);
@@ -420,16 +462,15 @@ private:
   // error wording and ordering — happens in these helpers; the bytecode
   // loop only decodes operands and moves the PC.
 
-  void doNew(ThreadCtx &T, SymId Target, const ClassDecl *Cls) {
+  void doNew(Value *Regs, SymId Target, const ClassDecl *Cls) {
     HeapObject Obj;
     Obj.Cls = Cls;
-    ObjectId Id = NextId++;
-    Objects.emplace(Id, std::move(Obj));
+    ObjectId Id = allocate(std::move(Obj));
     VmHeapBytesC.bump(64);
-    local(T.Frames.back(), Target) = Value::refV(Id);
+    Regs[Target] = Value::refV(Id);
   }
 
-  void doNewArray(ThreadCtx &T, SymId Target, Value Size) {
+  void doNewArray(Value *Regs, SymId Target, Value Size) {
     if (Size.K != Value::Kind::Int || Size.I < 0) {
       setError("invalid array size");
       return;
@@ -441,32 +482,28 @@ private:
     }
     HeapArray Arr;
     Arr.Elems.assign(static_cast<size_t>(Size.I), Value::intV(0));
-    ObjectId Id = NextId++;
-    Arrays.emplace(Id, std::move(Arr));
+    ObjectId Id = allocate(std::move(Arr));
     VmHeapBytesC.bump(32 + static_cast<uint64_t>(Size.I) * 16);
     emitSync(EventKind::ArrayAlloc, 0, Id, static_cast<uint64_t>(Size.I));
-    local(T.Frames.back(), Target) = Value::refV(Id);
+    Regs[Target] = Value::refV(Id);
   }
 
-  void doNewBarrier(ThreadCtx &T, SymId Target, Value Parties) {
+  void doNewBarrier(Value *Regs, SymId Target, Value Parties) {
     if (Parties.K != Value::Kind::Int || Parties.I < 1) {
       setError("invalid barrier party count");
       return;
     }
     BarrierRec B;
     B.Parties = Parties.I;
-    ObjectId Id = NextId++;
-    Barriers.emplace(Id, std::move(B));
-    local(T.Frames.back(), Target) = Value::refV(Id);
+    Regs[Target] = Value::refV(allocate(std::move(B)));
   }
 
-  void doFieldRead(ThreadCtx &T, SymId Target, SymId Object, FieldId Field,
-                   bool Volatile) {
-    Frame &F = T.Frames.back();
-    ObjectId Id = 0;
-    HeapObject *Obj = objectOf(F, Object, &Id);
+  void doFieldRead(ThreadCtx &T, Value *Regs, SymId Target, SymId Object,
+                   FieldId Field, bool Volatile) {
+    HeapObject *Obj = objectOf(Regs, Object);
     if (!Obj)
       return;
+    ObjectId Id = idOf(Regs[Object]);
     if (Volatile) {
       VmSyncOpsC.bump();
       emitVolatile(EventKind::VolatileRead, T.Tid, Id, Field);
@@ -476,16 +513,15 @@ private:
       if (EmitOracle)
         emitOracleField(T.Tid, Id, Field, AccessKind::Read);
     }
-    local(F, Target) = fieldValue(*Obj, Field);
+    Regs[Target] = fieldValue(*Obj, Field);
   }
 
-  void doFieldWrite(ThreadCtx &T, SymId Object, FieldId Field, Value V,
-                    bool Volatile) {
-    Frame &F = T.Frames.back();
-    ObjectId Id = 0;
-    HeapObject *Obj = objectOf(F, Object, &Id);
+  void doFieldWrite(ThreadCtx &T, const Value *Regs, SymId Object,
+                    FieldId Field, Value V, bool Volatile) {
+    HeapObject *Obj = objectOf(Regs, Object);
     if (!Obj)
       return;
+    ObjectId Id = idOf(Regs[Object]);
     if (Volatile) {
       VmSyncOpsC.bump();
       emitVolatile(EventKind::VolatileWrite, T.Tid, Id, Field);
@@ -498,10 +534,9 @@ private:
     setField(*Obj, Field, V);
   }
 
-  void doArrayRead(ThreadCtx &T, SymId Target, SymId Array, Value Idx) {
-    Frame &F = T.Frames.back();
-    ObjectId Id = 0;
-    HeapArray *Arr = arrayOf(F, Array, &Id);
+  void doArrayRead(ThreadCtx &T, Value *Regs, SymId Target, SymId Array,
+                   Value Idx) {
+    HeapArray *Arr = arrayOf(Regs, Array);
     if (!Arr)
       return;
     if (Idx.K != Value::Kind::Int || Idx.I < 0 ||
@@ -512,14 +547,13 @@ private:
     VmAccessesC.bump();
     VmAccessesArrayC.bump();
     if (EmitOracle)
-      emitOracleElem(T.Tid, Id, Idx.I, AccessKind::Read);
-    local(F, Target) = Arr->Elems[static_cast<size_t>(Idx.I)];
+      emitOracleElem(T.Tid, idOf(Regs[Array]), Idx.I, AccessKind::Read);
+    Regs[Target] = Arr->Elems[static_cast<size_t>(Idx.I)];
   }
 
-  void doArrayWrite(ThreadCtx &T, SymId Array, Value Idx, Value V) {
-    Frame &F = T.Frames.back();
-    ObjectId Id = 0;
-    HeapArray *Arr = arrayOf(F, Array, &Id);
+  void doArrayWrite(ThreadCtx &T, const Value *Regs, SymId Array, Value Idx,
+                    Value V) {
+    HeapArray *Arr = arrayOf(Regs, Array);
     if (!Arr)
       return;
     if (Idx.K != Value::Kind::Int || Idx.I < 0 ||
@@ -530,21 +564,19 @@ private:
     VmAccessesC.bump();
     VmAccessesArrayC.bump();
     if (EmitOracle)
-      emitOracleElem(T.Tid, Id, Idx.I, AccessKind::Write);
+      emitOracleElem(T.Tid, idOf(Regs[Array]), Idx.I, AccessKind::Write);
     Arr->Elems[static_cast<size_t>(Idx.I)] = V;
   }
 
-  void doArrayLen(ThreadCtx &T, SymId Target, SymId Array) {
-    Frame &F = T.Frames.back();
-    HeapArray *Arr = arrayOf(F, Array, nullptr);
+  void doArrayLen(Value *Regs, SymId Target, SymId Array) {
+    HeapArray *Arr = arrayOf(Regs, Array);
     if (!Arr)
       return;
-    local(F, Target) = Value::intV(static_cast<int64_t>(Arr->Elems.size()));
+    Regs[Target] = Value::intV(static_cast<int64_t>(Arr->Elems.size()));
   }
 
-  StepResult doAcquire(ThreadCtx &T, SymId Lock) {
-    ObjectId Id = 0;
-    HeapObject *Obj = objectOf(T.Frames.back(), Lock, &Id);
+  StepResult doAcquire(ThreadCtx &T, const Value *Regs, SymId Lock) {
+    HeapObject *Obj = objectOf(Regs, Lock);
     if (!Obj)
       return StepResult::Progress;
     if (Obj->LockOwner == static_cast<int32_t>(T.Tid)) {
@@ -556,13 +588,12 @@ private:
     Obj->LockOwner = static_cast<int32_t>(T.Tid);
     Obj->LockDepth = 1;
     VmSyncOpsC.bump();
-    emitSync(EventKind::Acquire, T.Tid, Id);
+    emitSync(EventKind::Acquire, T.Tid, idOf(Regs[Lock]));
     return StepResult::Progress;
   }
 
-  void doRelease(ThreadCtx &T, SymId Lock) {
-    ObjectId Id = 0;
-    HeapObject *Obj = objectOf(T.Frames.back(), Lock, &Id);
+  void doRelease(ThreadCtx &T, const Value *Regs, SymId Lock) {
+    HeapObject *Obj = objectOf(Regs, Lock);
     if (!Obj)
       return;
     if (Obj->LockOwner != static_cast<int32_t>(T.Tid)) {
@@ -573,11 +604,11 @@ private:
       return;
     Obj->LockOwner = -1;
     VmSyncOpsC.bump();
-    emitSync(EventKind::Release, T.Tid, Id);
+    emitSync(EventKind::Release, T.Tid, idOf(Regs[Lock]));
   }
 
-  StepResult doJoin(ThreadCtx &T, SymId Handle) {
-    Value H = local(T.Frames.back(), Handle);
+  StepResult doJoin(ThreadCtx &T, const Value *Regs, SymId Handle) {
+    const Value &H = Regs[Handle];
     if (H.K != Value::Kind::Int || H.I < 0 ||
         H.I >= static_cast<int64_t>(Threads.size())) {
       setError("join on an invalid thread handle");
@@ -591,16 +622,13 @@ private:
     return StepResult::Progress;
   }
 
-  StepResult doAwait(ThreadCtx &T, SymId Barrier) {
-    Value BV = local(T.Frames.back(), Barrier);
-    auto It = BV.K == Value::Kind::Ref
-                  ? Barriers.find(static_cast<ObjectId>(BV.I))
-                  : Barriers.end();
-    if (It == Barriers.end()) {
+  StepResult doAwait(ThreadCtx &T, const Value *Regs, SymId Barrier) {
+    BarrierRec *Rec = cellOf<BarrierRec>(Regs[Barrier]);
+    if (!Rec) {
       setError("await on a non-barrier");
       return StepResult::Progress;
     }
-    BarrierRec &B = It->second;
+    BarrierRec &B = *Rec;
     if (!T.InBarrier) {
       T.InBarrier = true;
       T.WaitGen = B.Generation;
@@ -625,9 +653,9 @@ private:
     return StepResult::Blocked;
   }
 
-  const MethodDecl *resolveMethod(Frame &F, SymId ReceiverVar,
+  const MethodDecl *resolveMethod(const Frame &F, SymId ReceiverVar,
                                   const std::string &Name) {
-    HeapObject *Obj = objectOf(F, ReceiverVar);
+    HeapObject *Obj = objectOf(F.Locals.data(), ReceiverVar);
     if (!Obj)
       return nullptr;
     if (Obj->Cls)
@@ -682,26 +710,30 @@ private:
       local(F, Op.TargetReg) = Value::intV(static_cast<int64_t>(ChildTid));
   }
 
-  /// One scheduler step over the compiled stream: free instructions run
-  /// until a Step-flagged instruction retires (every control-flow cycle
-  /// contains one — the loop exit test — so this cannot spin). Blocked
-  /// operations leave PC on themselves and retry; Call and Return exit
-  /// immediately because pushing or popping may move the frame vector.
-  ///
-  /// Forced inline into the scheduler's quantum loop: each effect helper
-  /// has this one call site, so the compiler folds them all in and would
-  /// otherwise keep the grown step() out of line, and a call per statement
-  /// costs 5-11% of base VM time.
-  [[gnu::always_inline]] StepResult step(ThreadCtx &T) {
-    if (T.Frames.empty()) {
-      finishThread(T);
-      return StepResult::Progress;
-    }
-    Frame &F = T.Frames.back();
-    const Chunk &Ch = *F.Ch;
-    const Insn *Code = Ch.Code.data();
-    Value *Regs = F.Locals.data();
-    uint32_t PC = F.PC;
+  /// Runs \p T for up to \p Budget steps over the compiled stream.
+  /// Free instructions run until a Step-flagged instruction retires, and
+  /// every control-flow cycle contains one (the loop exit test), so this
+  /// cannot spin. It stops early after a step that fails the run or ends
+  /// the thread, and before an operation that blocks, which leaves PC on
+  /// itself to retry. The frame, chunk and register pointers stay in
+  /// registers from one statement to the next; only Call and Return,
+  /// which push or pop a frame, load them again.
+  StepRun step(ThreadCtx &T, uint64_t Budget) {
+    assert(Budget > 0 && !T.Frames.empty() && "a live thread has a frame");
+    uint64_t Done = 0;
+    Frame *F = nullptr;
+    const Chunk *Ch = nullptr;
+    const Insn *Code = nullptr;
+    Value *Regs = nullptr;
+    uint32_t PC = 0;
+    auto EnterTopFrame = [&] {
+      F = &T.Frames.back();
+      Ch = F->Ch;
+      Code = Ch->Code.data();
+      Regs = F->Locals.data();
+      PC = F->PC;
+    };
+    EnterTopFrame();
     for (;;) {
       const Insn &I = Code[PC];
       uint32_t Next = PC + 1;
@@ -709,7 +741,7 @@ private:
       case Opcode::Nop:
         break;
       case Opcode::LoadInt:
-        Regs[I.A] = Value::intV(Ch.Ints[I.B]);
+        Regs[I.A] = Value::intV(Ch->Ints[I.B]);
         break;
       case Opcode::LoadNull:
         Regs[I.A] = Value::nullV();
@@ -822,77 +854,84 @@ private:
           Next = I.B;
         break;
       case Opcode::NewObject:
-        doNew(T, I.A, Ch.Classes[I.B]);
+        doNew(Regs, I.A, Ch->Classes[I.B]);
         break;
       case Opcode::NewArray:
-        doNewArray(T, I.A, Regs[I.B]);
+        doNewArray(Regs, I.A, Regs[I.B]);
         break;
       case Opcode::NewBarrier:
-        doNewBarrier(T, I.A, Regs[I.B]);
+        doNewBarrier(Regs, I.A, Regs[I.B]);
         break;
       case Opcode::FieldRead:
       case Opcode::FieldReadVol:
-        doFieldRead(T, I.A, I.B, I.C, I.Op == Opcode::FieldReadVol);
+        doFieldRead(T, Regs, I.A, I.B, I.C, I.Op == Opcode::FieldReadVol);
         break;
       case Opcode::FieldWrite:
       case Opcode::FieldWriteVol:
-        doFieldWrite(T, I.A, I.C, Regs[I.B], I.Op == Opcode::FieldWriteVol);
+        doFieldWrite(T, Regs, I.A, I.C, Regs[I.B],
+                     I.Op == Opcode::FieldWriteVol);
         break;
       case Opcode::ArrayRead:
-        doArrayRead(T, I.A, I.B, Regs[I.C]);
+        doArrayRead(T, Regs, I.A, I.B, Regs[I.C]);
         break;
       case Opcode::ArrayWrite:
-        doArrayWrite(T, I.A, Regs[I.B], Regs[I.C]);
+        doArrayWrite(T, Regs, I.A, Regs[I.B], Regs[I.C]);
         break;
       case Opcode::ArrayLen:
-        doArrayLen(T, I.A, I.B);
+        doArrayLen(Regs, I.A, I.B);
         break;
       case Opcode::Acquire:
-        if (doAcquire(T, I.A) == StepResult::Blocked) {
-          F.PC = PC;
-          return StepResult::Blocked;
+        if (doAcquire(T, Regs, I.A) == StepResult::Blocked) {
+          F->PC = PC;
+          return {Done, true};
         }
         break;
       case Opcode::Release:
-        doRelease(T, I.A);
+        doRelease(T, Regs, I.A);
         break;
       case Opcode::Call:
-        F.PC = Next;
-        doCall(T, Ch.Calls[I.A], /*IsFork=*/false);
-        return StepResult::Progress;
+        F->PC = Next;
+        doCall(T, Ch->Calls[I.A], /*IsFork=*/false);
+        if (++Done == Budget || !Error.empty())
+          return {Done, false};
+        EnterTopFrame(); // The callee, at its first instruction.
+        continue;
       case Opcode::Fork:
-        doCall(T, Ch.Calls[I.A], /*IsFork=*/true);
+        doCall(T, Ch->Calls[I.A], /*IsFork=*/true);
         break;
       case Opcode::Join:
-        if (doJoin(T, I.A) == StepResult::Blocked) {
-          F.PC = PC;
-          return StepResult::Blocked;
+        if (doJoin(T, Regs, I.A) == StepResult::Blocked) {
+          F->PC = PC;
+          return {Done, true};
         }
         break;
       case Opcode::Await:
-        if (doAwait(T, I.A) == StepResult::Blocked) {
-          F.PC = PC;
-          return StepResult::Blocked;
+        if (doAwait(T, Regs, I.A) == StepResult::Blocked) {
+          F->PC = PC;
+          return {Done, true};
         }
         break;
       case Opcode::Check:
-        execCheck(T, Ch.Checks[I.A]);
+        execCheck(T, *F, Ch->Checks[I.A]);
         break;
       case Opcode::Print:
         Result.Output.push_back(Regs[I.A].str());
         break;
       case Opcode::Assert:
         if (!Regs[I.A].truthy())
-          setError(Ch.Msgs[I.B]);
+          setError(Ch->Msgs[I.B]);
         break;
       case Opcode::Return:
         returnFromFrame(T);
-        return StepResult::Progress;
+        if (++Done == Budget || !Error.empty() || T.Finished)
+          return {Done, false};
+        EnterTopFrame(); // The caller, after its Call.
+        continue;
       }
       PC = Next;
-      if (I.Step) {
-        F.PC = PC;
-        return StepResult::Progress;
+      if (I.Step && (++Done == Budget || !Error.empty())) {
+        F->PC = PC;
+        return {Done, false};
       }
     }
   }
@@ -921,22 +960,22 @@ private:
     return V;
   }
 
-  /// Fails the run on a check range evalBound could not evaluate. Kept out
-  /// of line, as the message is built, so that execCheck and evalBound
-  /// still inline into the dispatch loop.
+  /// Fails the run on a check range evalBound could not evaluate, or one
+  /// whose width int64 cannot hold. Kept out of line, as the message is
+  /// built, so that execCheck and evalBound still inline into the dispatch
+  /// loop.
   [[gnu::cold, gnu::noinline]] void failCheckRange(const Path &P,
                                                    bool Overflowed) {
     setError(Overflowed ? "check range " + P.str() + " overflows int64"
                         : "check range bounds are not integers");
   }
 
-  void execCheck(ThreadCtx &T, const CheckOperand &Check) {
+  void execCheck(ThreadCtx &T, Frame &F, const CheckOperand &Check) {
     // Checks execute (bounds evaluated, errors raised) whenever a tool or
     // a recorder consumes the stream, so recording runs cannot diverge
     // from detector-attached ones.
     if (!EmitTool)
       return;
-    Frame &F = T.Frames.back();
     for (const CheckPath &P : Check.Paths) {
       const Value &D = local(F, P.DesignatorReg);
       if (D.K != Value::Kind::Ref) {
@@ -964,6 +1003,11 @@ private:
       }
       if (*Begin >= *End)
         continue; // Empty at run time (e.g. zero-trip invariant range).
+      int64_t Width = 0;
+      if (__builtin_sub_overflow(*End, *Begin, &Width)) {
+        failCheckRange(*P.Source, /*Overflowed=*/true);
+        return;
+      }
       StridedRange Concrete(*Begin, *End, P.Stride);
       Event E;
       E.Kind = EventKind::ArrayCheck;

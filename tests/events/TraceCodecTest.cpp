@@ -258,6 +258,34 @@ TEST(TraceCodec, RoundTripFuzz) {
   }
 }
 
+TEST(TraceCodec, BeginsRoundTripAcrossTheWholeInt64Range) {
+  // Consecutive begins further apart than INT64_MAX: the begin delta
+  // wraps like the object id's, so each begin decodes exactly.
+  std::vector<FuzzEvent> Stream;
+  for (int64_t Begin : {INT64_MIN, INT64_MAX - 1, INT64_MIN, int64_t(0)}) {
+    FuzzEvent F;
+    F.E.Kind = EventKind::ArrayCheck;
+    F.E.Target = kTargetTool;
+    F.E.Obj = 1;
+    F.E.Begin = Begin;
+    F.E.End = Begin + 1;
+    F.E.Stride = 1;
+    Stream.push_back(F);
+  }
+  Rng R(3);
+  SymbolTable Syms = fuzzSymbols(2);
+  std::vector<uint8_t> Buf =
+      encode(Stream, Syms, fuzzConfig(), fuzzSummary(), R);
+  TraceReader Reader;
+  ASSERT_TRUE(Reader.open(Buf.data(), Buf.size())) << Reader.error();
+  Event Batch[8];
+  std::vector<uint32_t> Payload;
+  ASSERT_EQ(Reader.nextBatch(Batch, 8, Payload), Stream.size())
+      << Reader.error();
+  for (size_t I = 0; I < Stream.size(); ++I)
+    expectEventEq(Batch[I], {}, Stream[I], I);
+}
+
 /// Drains a reader until it stops; returns true iff the stream decoded
 /// cleanly end to end (summary included).
 bool drainsCleanly(TraceReader &Reader) {
@@ -367,6 +395,32 @@ TEST(TraceCodec, TargetedCorruptionsFailCleanly) {
     EXPECT_EQ(Reader.nextBatch(Batch, 4, Payload), 0u);
     EXPECT_FALSE(Reader.ok());
     EXPECT_NE(Reader.error().find("array length"), std::string::npos)
+        << Reader.error();
+  }
+  // An ArrayCheck whose end int64 cannot hold (begin INT64_MAX, width 1)
+  // must be rejected: no range has it, and StridedRange requires its width
+  // to fit.
+  {
+    TraceWriter Writer(Syms, fuzzConfig());
+    std::vector<uint8_t> Bad = Writer.buffer(); // magic + header + EVENTS tag
+    Bad.push_back(static_cast<uint8_t>(
+        static_cast<unsigned>(EventKind::ArrayCheck) | (1u << 6)));
+    Bad.push_back(0); // tid
+    Bad.push_back(0); // obj delta
+    Bad.push_back(0); // access
+    uint64_t Begin = uint64_t(INT64_MAX) << 1; // zigzag(INT64_MAX), a varint
+    for (; Begin >= 0x80; Begin >>= 7)
+      Bad.push_back(static_cast<uint8_t>(Begin) | 0x80);
+    Bad.push_back(static_cast<uint8_t>(Begin));
+    Bad.push_back(2); // end - begin = 1
+    Bad.push_back(2); // stride 1
+    TraceReader Reader;
+    ASSERT_TRUE(Reader.open(Bad.data(), Bad.size())) << Reader.error();
+    Event Batch[4];
+    std::vector<uint32_t> Payload;
+    EXPECT_EQ(Reader.nextBatch(Batch, 4, Payload), 0u);
+    EXPECT_FALSE(Reader.ok());
+    EXPECT_NE(Reader.error().find("range end overflows"), std::string::npos)
         << Reader.error();
   }
   // Nonexistent file path.

@@ -107,6 +107,20 @@ TEST(GridShadow, NegativeBeginClippedPhaseCorrectly) {
   EXPECT_FALSE(R.Races.empty());
 }
 
+TEST(GridShadow, FarNegativeBeginClipsWithoutOverflow) {
+  // The range's begin is within one stride of INT64_MIN: clipping it to
+  // the array keeps the residue 1 mod 10 and touches a[1] alone.
+  Clocks C;
+  ArrayShadow S(8, false, C.Pool);
+  auto W = S.apply(StridedRange(INT64_MIN + 9, 8, 10), AccessKind::Write, 0,
+                   C.T0);
+  EXPECT_EQ(W.ShadowOps, 1u);
+  EXPECT_FALSE(S.apply(StridedRange(1, 2), AccessKind::Write, 1, C.T1)
+                   .Races.empty());
+  EXPECT_TRUE(S.apply(StridedRange(0, 1), AccessKind::Write, 1, C.T1)
+                  .Races.empty());
+}
+
 TEST(GridShadow, RefinementPreservesHistoryAcrossSplits) {
   Clocks C;
   ArrayShadow S(64, true, C.Pool);

@@ -38,6 +38,23 @@ TEST(StridedRange, EndTrimming) {
   EXPECT_EQ(R, StridedRange(0, 9, 4));
 }
 
+TEST(StridedRange, WidthOfInt64MaxCountsWithoutOverflow) {
+  // The widest range int64 allows: its end minus its begin is INT64_MAX,
+  // which E - B + K - 1 would overflow. The last element below 8 with
+  // begin's residue (1 mod 10) is 1, so the trimmed end is 2.
+  StridedRange R(INT64_MIN + 9, 8, 10);
+  EXPECT_EQ(R.begin(), INT64_MIN + 9);
+  EXPECT_EQ(R.end(), 2);
+  EXPECT_EQ(R.stride(), 10);
+  EXPECT_EQ(R.size(), 922337203685477581);
+  EXPECT_TRUE(R.contains(1));
+  EXPECT_FALSE(R.contains(0));
+  // Unit stride keeps the end as given.
+  StridedRange Unit(INT64_MIN, -1, 1);
+  EXPECT_EQ(Unit.end(), -1);
+  EXPECT_EQ(Unit.size(), INT64_MAX);
+}
+
 TEST(StridedRange, ContainsRespectsStrideAndBounds) {
   StridedRange R(2, 20, 3); // {2,5,8,11,14,17}
   for (int64_t I : {2, 5, 8, 11, 14, 17})

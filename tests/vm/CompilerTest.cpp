@@ -10,8 +10,9 @@
 // Each run is pinned per seed to its scheduler step count and the digest
 // of its whole event stream. The pins were recorded while a tree-walking
 // interpreter still ran beside the bytecode VM, and both produced them,
-// except the argument-precedence rows, which pin the VM's own rule. The
-// step count is the denominator of detbench's vm_ns_per_stmt.
+// except the argument-precedence and wrong-kind heap rows, which pin the
+// VM's own behaviour. The step count is the denominator of detbench's
+// vm_ns_per_stmt.
 //
 //===----------------------------------------------------------------------===//
 
@@ -320,6 +321,22 @@ TEST(Compiler, RuntimeErrorsMatchWalkerWording) {
        allSeeds({2, 0x3929c1cebfda2d98ull})},
       {"thread { b = 1; await b; }", "await on a non-barrier",
        allSeeds({2, 0x0843614f4b1ba91cull})},
+      // A reference to the wrong kind of heap cell: arrays, objects and
+      // barriers share one id space, and each use names the kind it needs.
+      {"thread { a = new_array(2); y = a.f; }", "'a' is not an object",
+       allSeeds({2, 0x88f5cb5b66ad226eull})},
+      {"thread { b = new_barrier(2); acq(b); }", "'b' is not an object",
+       allSeeds({2, 0xf392a64ba30fe4a6ull})},
+      {"class C { method m() { } }\nthread { a = new_array(2); a.m(); }",
+       "'a' is not an object", allSeeds({2, 0x5c751c5da9da6e0bull})},
+      {"class C { fields f; }\nthread { o = new C; x = o[0]; }",
+       "'o' is not an array", allSeeds({2, 0x74e9c8a09f8ef96aull})},
+      {"thread { b = new_barrier(2); n = len(b); }", "'b' is not an array",
+       allSeeds({2, 0x452d955f96a87fa5ull})},
+      {"class C { fields f; }\nthread { o = new C; await o; }",
+       "await on a non-barrier", allSeeds({2, 0x5c53b578c2433c00ull})},
+      {"thread { a = new_array(2); await a; }", "await on a non-barrier",
+       allSeeds({2, 0x7ed0da928fb5d67cull})},
       {"thread { assert 1 == 2; }", "assertion failed: (1 == 2)",
        allSeeds({1, 0xfa3f0029167c76efull})},
       // Calls and forks. An arity mismatch sets the error but still

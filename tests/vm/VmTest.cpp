@@ -7,6 +7,7 @@
 #include "vm/Vm.h"
 
 #include "bfj/Parser.h"
+#include "common/RecordedRun.h"
 #include "instrument/Instrumenters.h"
 #include "workloads/Workloads.h"
 
@@ -393,6 +394,28 @@ TEST(Vm, CheckBoundOverflowIsRuntimeError) {
   EXPECT_EQ(R.Error, "check range a[4611686018427387904*i] overflows int64");
 }
 
+TEST(Vm, CheckRangeWiderThanInt64IsRuntimeError) {
+  // Both bounds fit in int64 but the width hi - lo does not: the run fails
+  // naming the range under every tool, instead of checking nothing.
+  auto Prog = parseProgramOrDie(
+      "thread { a = new_array(4); lo = 0 - 9223372036854775807; "
+      "hi = 9223372036854775807; check(R a[lo..hi:2]); }");
+  for (const char *Tool : kToolNames) {
+    InstrumentedProgram IP = *instrumentNamed(*Prog, Tool);
+    VmResult R = runProgram(*IP.Prog, IP.Tool, VmOptions());
+    EXPECT_FALSE(R.Ok) << Tool;
+    EXPECT_EQ(R.Error, "check range a[lo..hi:2] overflows int64") << Tool;
+  }
+  // At the widest int64 allows, hi - lo = INT64_MAX, the range is
+  // checked: a[1] and a[3] lie in it.
+  auto Widest = parseProgramOrDie(
+      "thread { a = new_array(4); lo = 0 - 9223372036854775803; "
+      "hi = 4; check(R a[lo..hi:2]); }");
+  VmResult R = runProgram(*Widest, fastTrackConfig(), VmOptions());
+  ASSERT_TRUE(R.Ok) << R.Error;
+  EXPECT_EQ(R.Counters.get("tool.shadowOps"), 2u);
+}
+
 TEST(Vm, CheckOnNonReferenceDesignatorIsRuntimeError) {
   // FastTrack checks a[0] before the read, so the check fails first,
   // naming its designator; the base run fails on the access itself.
@@ -543,6 +566,99 @@ thread {
   VmResult R = runProgramBase(*Prog, Opts);
   EXPECT_FALSE(R.Ok);
   EXPECT_NE(R.Error.find("step budget"), std::string::npos) << R.Error;
+}
+
+TEST(Vm, StepBudgetAllowsExactlyMaxSteps) {
+  // Two threads, a call and a loop: the budget's last step falls in a
+  // different place for each quantum. MaxSteps is the number of steps a
+  // run may take, so a program of exactly N steps runs at N and fails at
+  // N - 1, after its last step.
+  auto Prog = parseProgramOrDie(R"(
+class W {
+  fields n;
+  method run(k) {
+    i = 0;
+    while (i < k) {
+      acq(this);
+      v = this.n;
+      this.n = v + 1;
+      rel(this);
+      i = i + 1;
+    }
+  }
+}
+thread {
+  w = new W;
+  fork t = w.run(5);
+  w.run(3);
+  join t;
+  v = w.n;
+  print v;
+}
+)");
+  const uint64_t N = 67;
+  for (unsigned Quantum : {1u, 4u, 24u}) {
+    SCOPED_TRACE("quantum " + std::to_string(Quantum));
+    VmOptions Opts;
+    Opts.Quantum = Quantum;
+    Opts.MaxSteps = N;
+    VmResult Exact = runProgramBase(*Prog, Opts);
+    ASSERT_TRUE(Exact.Ok) << Exact.Error;
+    EXPECT_EQ(Exact.StatementsExecuted, N);
+    EXPECT_EQ(Exact.Output, (std::vector<std::string>{"8"}));
+    Opts.MaxSteps = N - 1;
+    VmResult Short = runProgramBase(*Prog, Opts);
+    EXPECT_FALSE(Short.Ok);
+    EXPECT_EQ(Short.Error, "step budget exhausted (non-terminating program?)");
+    EXPECT_EQ(Short.StatementsExecuted, N);
+  }
+}
+
+TEST(Vm, CommitIntervalStreamsArePinned) {
+  // No golden runs a commit interval. Pin the BigFoot stream (oracle on,
+  // so every access is in it) of two suite programs for three intervals
+  // and two quanta: a Commit event lands after every Nth step of each
+  // thread, wherever the quantum ends.
+  struct Pin {
+    const char *Workload;
+    uint64_t Interval;
+    unsigned Quantum;
+    uint64_t Steps;
+    uint64_t Digest;
+  };
+  const Pin Pins[] = {
+      {"moldyn", 1, 1, 4199, 0xbd15c0d91a662b50ull},
+      {"moldyn", 1, 4, 4199, 0xf0695b1774f5e368ull},
+      {"moldyn", 3, 1, 4199, 0xcf3fbaef74b9dc00ull},
+      {"moldyn", 3, 4, 4199, 0x60d2df60b4bdca2aull},
+      {"moldyn", 7, 1, 4199, 0x96744296f7ab60ffull},
+      {"moldyn", 7, 4, 4199, 0xf3e2d48842345c1full},
+      {"tomcat", 1, 1, 797, 0x8991488c03452a9eull},
+      {"tomcat", 1, 4, 797, 0x50ff83dc91258f1cull},
+      {"tomcat", 3, 1, 797, 0x6e53b092177890a0ull},
+      {"tomcat", 3, 4, 797, 0x1c0075cdd0249118ull},
+      {"tomcat", 7, 1, 797, 0x1cc7b35c96013100ull},
+      {"tomcat", 7, 4, 797, 0xfd67d042391d19d6ull},
+  };
+  for (const Pin &P : Pins) {
+    SCOPED_TRACE(std::string(P.Workload) + " interval " +
+                 std::to_string(P.Interval) + " quantum " +
+                 std::to_string(P.Quantum));
+    auto Prog =
+        parseProgramOrDie(workloadByName(P.Workload, SuiteScale::Test).Source);
+    InstrumentedProgram IP = instrumentBigFoot(*Prog);
+    VmOptions Opts;
+    Opts.Seed = 5;
+    Opts.Quantum = P.Quantum;
+    Opts.CommitIntervalSteps = P.Interval;
+    Opts.EnableGroundTruth = true;
+    VmResult R;
+    uint64_t Digest =
+        test::streamDigest(test::encodedRun(*IP.Prog, &IP.Tool, Opts, R));
+    ASSERT_TRUE(R.Ok) << R.Error;
+    EXPECT_EQ(R.StatementsExecuted, P.Steps);
+    EXPECT_EQ(Digest, P.Digest);
+  }
 }
 
 TEST(Vm, JoinOnInvalidHandleIsError) {

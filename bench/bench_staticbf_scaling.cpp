@@ -19,7 +19,6 @@
 #include "bfj/Parser.h"
 #include "harness/Experiment.h"
 #include "support/ParseNumber.h"
-#include "support/Rng.h"
 #include "support/TablePrinter.h"
 
 #include <algorithm>
@@ -27,7 +26,6 @@
 #include <cstdlib>
 #include <cstring>
 #include <iostream>
-#include <sstream>
 
 using namespace bigfoot;
 
@@ -44,57 +42,6 @@ PlacementStats placeBest(const Program &Prog, int Iterations) {
       Stats = S;
   }
   return Stats;
-}
-
-/// One method of \p Blocks blocks drawn with \p Seed. Each block has its
-/// own locals, so the facts of finished blocks stay in the history the
-/// later ones are placed in, as in a long method of real code.
-std::string generateMethod(unsigned Blocks, uint64_t Seed) {
-  Rng R(Seed);
-  std::ostringstream OS;
-  OS << "class C {\n  fields f, g, h;\n"
-     << "  method big(a, b, o, lk, n) {\n";
-  for (unsigned K = 0; K < Blocks; ++K) {
-    switch (R.nextBelow(5)) {
-    case 0: // A counted loop over both arrays.
-      OS << "    i" << K << " = 0;\n"
-         << "    while (i" << K << " < n) {\n"
-         << "      v" << K << " = a[i" << K << "];\n"
-         << "      b[i" << K << "] = v" << K << " + 1;\n"
-         << "      i" << K << " = i" << K << " + 1;\n"
-         << "    }\n";
-      break;
-    case 1: // A stride-2 loop.
-      OS << "    j" << K << " = " << R.nextBelow(2) << ";\n"
-         << "    while (j" << K << " < n) {\n"
-         << "      a[j" << K << "] = j" << K << ";\n"
-         << "      j" << K << " = j" << K << " + 2;\n"
-         << "    }\n";
-      break;
-    case 2: // A lock-guarded field update.
-      OS << "    acq(lk);\n"
-         << "    t" << K << " = o.f;\n"
-         << "    o.f = t" << K << " + 1;\n"
-         << "    rel(lk);\n";
-      break;
-    case 3: // An if/else over a field and an array element.
-      OS << "    if (n < " << R.nextBelow(100) << ") {\n"
-         << "      o.g = " << K << ";\n"
-         << "    } else {\n"
-         << "      u" << K << " = b[" << R.nextBelow(8) << "];\n"
-         << "    }\n";
-      break;
-    default: // Field reads.
-      OS << "    r" << K << " = o.h;\n"
-         << "    s" << K << " = o.g;\n";
-      break;
-    }
-  }
-  OS << "  }\n}\n"
-     << "thread {\n  n = 64;\n  a = new_array(n);\n  b = new_array(n);\n"
-     << "  o = new C;\n  lk = new C;\n  c = new C;\n"
-     << "  c.big(a, b, o, lk, n);\n}\n";
-  return OS.str();
 }
 
 /// Takes --sizes=N[,N...] out of \p Argv (the other options are the
@@ -174,7 +121,7 @@ int main(int Argc, char **Argv) {
     Grown.addRow({"Blocks", "Lines", "Checks", "Queries", "Systems",
                   "Refutations", "Total(s)"});
     for (unsigned N : Sizes) {
-      std::string Source = generateMethod(N, Args.Opts.Seed);
+      std::string Source = generatedMethodProgram(N, Args.Opts.Seed);
       auto Prog = parseProgramOrDie(Source);
       PlacementStats Stats = placeBest(*Prog, Args.Opts.Iterations);
       Grown.addRow({std::to_string(N),

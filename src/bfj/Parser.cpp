@@ -429,10 +429,13 @@ private:
         int64_t Stride = 1;
         if (at(TokenKind::Colon)) {
           advance();
-          if (at(TokenKind::Int))
-            Stride = advance().IntValue;
-          else
+          if (!at(TokenKind::Int))
             error("stride must be an integer literal");
+          else
+            Stride = advance().IntValue;
+          // A strided range divides by its stride when it is checked.
+          if (Stride < 1)
+            error("stride must be at least 1");
         }
         expect(TokenKind::RBracket, "']'");
         return Path::array(Access, Designator,

@@ -7,10 +7,12 @@
 /// \file
 /// The analysis end of the event stream: drains batches into one or two
 /// RaceDetectors (the attached tool and the optional per-access
-/// ground-truth oracle) through a tight switch loop — the event tag
-/// dispatch runs once per event inside one call per batch, so detector
-/// caches (per-thread slot caches, the HB epoch cache) stay hot across
-/// the whole batch instead of being interleaved with interpreter state.
+/// ground-truth oracle) with one RaceDetector::applyBatch call each, so
+/// the event tag dispatch runs once per event inside one call per batch
+/// and detector caches (per-thread slot caches, the HB epoch cache) stay
+/// hot across the whole batch instead of being interleaved with
+/// interpreter state. The two detectors share no state, so draining the
+/// batch into one and then the other reports what interleaving them did.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -21,11 +23,6 @@
 #include "runtime/Detector.h"
 
 namespace bigfoot {
-
-/// Applies one event to \p D (payload resolved against \p Payload).
-/// The single definition of event → detector semantics; online dispatch,
-/// replay, and the dispatch benchmark all route through it.
-void applyEvent(RaceDetector &D, const Event &E, const uint32_t *Payload);
 
 /// Batch consumer feeding the tool and/or oracle detector. Either pointer
 /// may be null; events are routed by their target mask.
@@ -47,15 +44,10 @@ public:
 
   void consumeBatch(const Event *Events, size_t N,
                     const uint32_t *Payload) override {
-    for (size_t I = 0; I < N; ++I) {
-      const Event &E = Events[I];
-      if (Tool && (E.Target & kTargetTool)) {
-        applyEvent(*Tool, E, Payload);
-        ++ToolEvents;
-      }
-      if (Oracle && (E.Target & kTargetOracle))
-        applyEvent(*Oracle, E, Payload);
-    }
+    if (Tool)
+      ToolEvents += Tool->applyBatch(Events, N, Payload, kTargetTool);
+    if (Oracle)
+      Oracle->applyBatch(Events, N, Payload, kTargetOracle);
   }
 
 private:

@@ -64,18 +64,37 @@ public:
 
   /// Appends one payload-free event.
   void emit(const Event &E) {
-    Buf[N] = E;
-    if (++N == Cap)
-      flush();
+    next() = E;
+    commit();
   }
 
   /// Appends \p E with \p Count payload words copied from \p Words
   /// (field ids or thread ids; both are 32-bit).
   void emit(Event E, const uint32_t *Words, uint32_t Count) {
-    E.PayloadIndex = static_cast<uint32_t>(Payload.size());
+    E.PayloadIndex = addPayload(Words, Count);
     E.PayloadCount = Count;
-    Payload.insert(Payload.end(), Words, Words + Count);
     emit(E);
+  }
+
+  /// The slot the next event goes in, for a producer that writes an event
+  /// in place: it sets every field, then calls commit().
+  Event &next() { return Buf[N]; }
+
+  /// Appends the event written into next(); a full buffer flushes.
+  void commit() {
+    if (++N == Cap)
+      flush();
+  }
+
+  /// Copies \p Count payload words from \p Words into the batch's arena
+  /// and returns the index of the first, for an event written in place.
+  uint32_t addPayload(const uint32_t *Words, uint32_t Count) {
+    uint32_t Index = static_cast<uint32_t>(Payload.size());
+    // Word by word: a check carries one to four words, where a range
+    // insert calls memmove.
+    for (uint32_t I = 0; I < Count; ++I)
+      Payload.push_back(Words[I]);
+    return Index;
   }
 
   /// Delivers any buffered events to the sink and resets the batch.

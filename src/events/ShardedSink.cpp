@@ -7,7 +7,6 @@
 #include "events/ShardedSink.h"
 
 #include "events/DetectionPipeline.h"
-#include "events/DetectorSink.h"
 #include "support/ParseNumber.h"
 
 #include <algorithm>
@@ -231,7 +230,7 @@ void ShardedSink::laneLoop(Lane &L) {
       if (L.LastBroadcastSeq != B->Horizon[I])
         ++L.OrderViolations;
       D.setEventSeq(B->Seq[I]);
-      applyEvent(D, E, Words);
+      D.applyBatch(&E, 1, Words, kTargetTool);
     }
     while (MI < MN)
       applyMarker(L, *S, MI++);

@@ -92,13 +92,8 @@ void RaceDetector::resolveProxyTable() {
   }
 }
 
-FieldId RaceDetector::proxyOf(FieldId F) {
-  if (Config.FieldProxy.empty())
-    return F;
-  if (F < ProxyById.size()) // Resolved at attach time (the hot case).
-    return ProxyById[F];
-  // Cold path: an id interned after construction (string entry points,
-  // unseeded detectors). Extend in first-intern order as before.
+FieldId RaceDetector::extendProxyTable(FieldId F) {
+  // Extend in first-intern order, as resolveProxyTable does.
   while (ProxyById.size() <= F) {
     FieldId I = static_cast<FieldId>(ProxyById.size());
     auto It = Config.FieldProxy.find(Syms.name(I));
@@ -184,9 +179,9 @@ void RaceDetector::checkFields(ThreadId T, ObjectId Obj,
   }
 }
 
-void RaceDetector::checkFields(ThreadId T, ObjectId Obj,
-                               const FieldId *Fields, size_t NumFields,
-                               AccessKind K) {
+[[gnu::always_inline]] inline void
+RaceDetector::fieldCheck(ThreadId T, ObjectId Obj, const FieldId *Fields,
+                         size_t NumFields, AccessKind K) {
   CheckEventsFieldC.bump();
   ThreadCache &TC = cacheFor(T);
   auto [C, Cur] = Hb.current(T);
@@ -259,8 +254,15 @@ void RaceDetector::applyArray(ThreadId T, ObjectId Arr, const StridedRange &R,
   }
 }
 
-void RaceDetector::checkArrayRange(ThreadId T, ObjectId Arr,
-                                   const StridedRange &R, AccessKind K) {
+void RaceDetector::checkFields(ThreadId T, ObjectId Obj,
+                               const FieldId *Fields, size_t NumFields,
+                               AccessKind K) {
+  fieldCheck(T, Obj, Fields, NumFields, K);
+}
+
+[[gnu::always_inline]] inline void
+RaceDetector::arrayCheck(ThreadId T, ObjectId Arr, const StridedRange &R,
+                         AccessKind K) {
   CheckEventsArrayC.bump();
   if (!Config.DeferArrayChecks) {
     applyArray(T, Arr, R, K);
@@ -308,6 +310,68 @@ void RaceDetector::checkArrayRange(ThreadId T, ObjectId Arr,
     PendingBytes -= Frags * sizeof(StridedRange);
     EarlyCommitsC.bump();
   }
+}
+
+void RaceDetector::checkArrayRange(ThreadId T, ObjectId Arr,
+                                   const StridedRange &R, AccessKind K) {
+  arrayCheck(T, Arr, R, K);
+}
+
+size_t RaceDetector::applyBatch(const Event *Events, size_t N,
+                                const uint32_t *Payload, uint8_t Target) {
+  size_t Applied = 0;
+  for (const Event *E = Events, *End = Events + N; E != End; ++E) {
+    if (!(E->Target & Target))
+      continue;
+    ++Applied;
+    switch (E->Kind) {
+    case EventKind::FieldCheck:
+      fieldCheck(E->Tid, E->Obj, Payload + E->PayloadIndex, E->PayloadCount,
+                 E->Access);
+      break;
+    case EventKind::ArrayCheck:
+      arrayCheck(E->Tid, E->Obj, StridedRange(E->Begin, E->End, E->Stride),
+                 E->Access);
+      break;
+    case EventKind::ArrayAlloc:
+      onArrayAlloc(E->Obj, static_cast<int64_t>(E->Aux));
+      break;
+    case EventKind::Acquire:
+      onAcquire(E->Tid, E->Obj);
+      break;
+    case EventKind::Release:
+      onRelease(E->Tid, E->Obj);
+      break;
+    case EventKind::VolatileRead:
+      onVolatileRead(E->Tid, E->Obj, E->Field);
+      break;
+    case EventKind::VolatileWrite:
+      onVolatileWrite(E->Tid, E->Obj, E->Field);
+      break;
+    case EventKind::Fork:
+      onFork(E->Tid, static_cast<ThreadId>(E->Aux));
+      break;
+    case EventKind::Join:
+      onJoin(E->Tid, static_cast<ThreadId>(E->Aux));
+      break;
+    case EventKind::Barrier:
+      // Barriers are rare (one event per full round), so rebuilding the
+      // party vector from the payload stays off the hot path.
+      onBarrier(std::vector<ThreadId>(Payload + E->PayloadIndex,
+                                      Payload + E->PayloadIndex +
+                                          E->PayloadCount));
+      break;
+    case EventKind::ThreadBegin:
+      break; // Stream marker only; no detector effect.
+    case EventKind::ThreadExit:
+      onThreadExit(E->Tid);
+      break;
+    case EventKind::Commit:
+      periodicCommit(E->Tid);
+      break;
+    }
+  }
+  return Applied;
 }
 
 void RaceDetector::commitFootprints(ThreadId T) {

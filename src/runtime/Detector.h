@@ -38,6 +38,7 @@
 #ifndef BIGFOOT_RUNTIME_DETECTOR_H
 #define BIGFOOT_RUNTIME_DETECTOR_H
 
+#include "events/Event.h"
 #include "runtime/ArrayShadow.h"
 #include "runtime/ClockPool.h"
 #include "runtime/HbState.h"
@@ -120,6 +121,15 @@ public:
   /// The id of \p Name in this detector's symbol namespace (interning it
   /// if new) — for callers that build check field lists by hand.
   FieldId internField(std::string_view Name) { return Syms.intern(Name); }
+
+  //===--- The event stream ---------------------------------------------------
+  /// Applies, in order, each of the \p N events at \p Events whose target
+  /// mask includes \p Target (kTargetTool or kTargetOracle), resolving
+  /// payloads against \p Payload. The one definition of what each event
+  /// does to a detector: inline and threaded detection, replay and the
+  /// lanes all call it. Returns the number of events applied.
+  size_t applyBatch(const Event *Events, size_t N, const uint32_t *Payload,
+                    uint8_t Target);
 
   //===--- Check events ------------------------------------------------------
   /// A (possibly coalesced) field check on \p NumFields interned fields of
@@ -206,7 +216,7 @@ public:
   const std::vector<RaceOrder> &raceOrder() const { return RaceOrderKeys; }
 
   /// Stamps the global stream sequence of the event about to be applied
-  /// (called by the sharded workers before each applyEvent).
+  /// (called by the sharded workers before each applyBatch).
   void setEventSeq(uint64_t Seq) { CurrentEventSeq = Seq; }
 
   /// Racy locations as strings (for differential tests): "obj#N.f" or
@@ -393,11 +403,28 @@ private:
 
   /// The proxy representative for \p F: an indexed load when \p F was
   /// known at attach time, lazy resolution for later-interned ids.
-  FieldId proxyOf(FieldId F);
+  FieldId proxyOf(FieldId F) {
+    if (Config.FieldProxy.empty())
+      return F;
+    if (F < ProxyById.size()) [[likely]] // Resolved at attach time.
+      return ProxyById[F];
+    return extendProxyTable(F);
+  }
+
+  /// Resolves ProxyById up to \p F (an id interned after construction:
+  /// string entry points, unseeded detectors) and returns its entry.
+  FieldId extendProxyTable(FieldId F);
 
   /// Resolves ProxyById for every currently interned id (constructor,
   /// when seeded with the host program's symbol table).
   void resolveProxyTable();
+
+  /// The bodies of checkFields and checkArrayRange, folded into them and
+  /// into applyBatch, so the batch loop makes no call per check event.
+  void fieldCheck(ThreadId T, ObjectId Obj, const FieldId *Fields,
+                  size_t NumFields, AccessKind K);
+  void arrayCheck(ThreadId T, ObjectId Arr, const StridedRange &R,
+                  AccessKind K);
 
   /// One shadow operation on the slot for \p Rep of the object at dense
   /// index \p ObjIdx (already resolved).

@@ -66,9 +66,11 @@ public:
   /// The epoch-only transitions — all of FastTrack's common case — are
   /// inline: same-epoch is one packed-word compare, and the ordered
   /// read/write paths are a covers() each. Only inflation and the
-  /// inflated representations go out of line.
-  std::optional<RaceInfo> onRead(Epoch Cur, const VectorClock &C,
-                                 ClockPool &Pool) {
+  /// inflated representations go out of line. Inlining is forced: the
+  /// detector folds its check bodies into its batch loop, and there GCC's
+  /// growth limits would otherwise leave this fast path a call.
+  [[gnu::always_inline]] std::optional<RaceInfo>
+  onRead(Epoch Cur, const VectorClock &C, ClockPool &Pool) {
     if (ReadVc == ClockPool::kNone) {
       // WriteVc is only ever set together with ReadVc (DJIT+ forces
       // both), so this branch is the pure epoch representation.
@@ -86,8 +88,8 @@ public:
 
   /// Processes a write. Returns the race if it conflicts with an earlier
   /// write or any earlier read.
-  std::optional<RaceInfo> onWrite(Epoch Cur, const VectorClock &C,
-                                  ClockPool &Pool) {
+  [[gnu::always_inline]] std::optional<RaceInfo>
+  onWrite(Epoch Cur, const VectorClock &C, ClockPool &Pool) {
     if (WriteVc == ClockPool::kNone) {
       if (W == Cur)
         return std::nullopt;

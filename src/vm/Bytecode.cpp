@@ -88,8 +88,12 @@ const char *bigfoot::opcodeName(Opcode Op) {
     return "join";
   case Opcode::Await:
     return "await";
-  case Opcode::Check:
-    return "check";
+  case Opcode::CheckFields:
+    return "checkfields";
+  case Opcode::CheckElem:
+    return "checkelem";
+  case Opcode::CheckRange:
+    return "checkrange";
   case Opcode::Print:
     return "print";
   case Opcode::Assert:

@@ -12,10 +12,11 @@
 /// renaming pass and no translation at call boundaries), and registers
 /// from NumSyms up are per-statement expression temporaries.
 ///
-/// Everything the loop reads is here: operands, pools, each placed
-/// check's lowered paths (CheckOperand) and each method's parameter and
-/// return registers. The AST is consulted only for calls, which resolve
-/// by the receiver's class at run time, and for error text.
+/// Everything the loop reads is here: operands, pools, the operands of
+/// each placed check's paths that do not fit an instruction, and each
+/// method's parameter and return registers. The AST is consulted only for
+/// calls, which resolve by the receiver's class at run time, and for
+/// error text.
 ///
 /// Scheduler-step accounting is encoded in the instructions themselves:
 /// an instruction with Insn::Step set ends the current scheduler step
@@ -91,7 +92,11 @@ enum class Opcode : uint8_t {
   Fork,       ///< Calls[A]: spawn a thread
   Join,       ///< join R[A]; may block
   Await,      ///< await R[A]; may block
-  Check,      ///< check(Checks[A])
+  // One path of a placed check(C) each; a check of k paths is k of these
+  // and only the last ends the step. Access is the path's AccessKind.
+  CheckFields, ///< check R[A].f/g: CheckFieldIds[B, B + C)
+  CheckElem,   ///< check R[A][R[B] + ElemChecks[C].Offset]
+  CheckRange,  ///< check R[A][RangeChecks[B]]
   Print,      ///< print R[A]
   Assert,     ///< assert truthy(R[A]); error message Msgs[B]
   Return,     ///< pop the frame (implicit at every body's end)
@@ -103,6 +108,8 @@ struct Insn {
   Opcode Op = Opcode::Nop;
   /// Nonzero when retiring this instruction completes one scheduler step.
   uint8_t Step = 0;
+  /// Check opcodes: the AccessKind the path checks.
+  uint8_t Access = 0;
   uint32_t A = 0;
   uint32_t B = 0;
   uint32_t C = 0;
@@ -125,24 +132,20 @@ struct CompiledBound {
   std::vector<std::pair<uint32_t, int64_t>> Terms;
 };
 
-/// One path of a placed check(C), lowered: the field path x.f/g checks
-/// Fields of the object in DesignatorReg; the array path x[b..e:k] checks
-/// [Begin, End) by Stride of the array in DesignatorReg.
-struct CheckPath {
-  AccessKind Access = AccessKind::Read;
-  bool IsArray = false;
-  uint32_t DesignatorReg = 0;
-  std::vector<FieldId> Fields;
-  CompiledBound Begin, End;
-  int64_t Stride = 1;
-  /// The placed path, owned by the AST check node; read only to render a
-  /// failed check's error.
+/// Operand record for CheckElem, the path x[i + c]: the constant c. The
+/// placed path, owned by the AST check node, is read only to render a
+/// failed check's error.
+struct ElemCheck {
+  int64_t Offset = 0;
   const Path *Source = nullptr;
 };
 
-/// Operand record for Check: the check's paths, lowered, in order.
-struct CheckOperand {
-  std::vector<CheckPath> Paths;
+/// Operand record for CheckRange, the path x[b..e:k] of any other shape:
+/// [Begin, End) by Stride, with the placed path for a failed check's error.
+struct RangeCheck {
+  CompiledBound Begin, End;
+  int64_t Stride = 1;
+  const Path *Source = nullptr;
 };
 
 /// One compiled body (a method or a top-level thread). Borrows AST nodes
@@ -153,7 +156,10 @@ struct Chunk {
   std::vector<int64_t> Ints;
   std::vector<const ClassDecl *> Classes;
   std::vector<CallOperand> Calls;
-  std::vector<CheckOperand> Checks;
+  /// The field lists of every CheckFields, end to end.
+  std::vector<FieldId> CheckFieldIds;
+  std::vector<ElemCheck> ElemChecks;
+  std::vector<RangeCheck> RangeChecks;
   /// Pre-rendered assertion-failure messages ("assertion failed: <cond>"),
   /// so the failure path never renders expression syntax at run time.
   std::vector<std::string> Msgs;

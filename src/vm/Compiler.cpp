@@ -244,20 +244,45 @@ private:
     return Out;
   }
 
-  CheckPath lowerPath(const Path &P) const {
-    CheckPath Out;
-    Out.Access = P.Access;
-    Out.IsArray = P.isArray();
-    Out.DesignatorReg = reg(P.Designator);
-    for (const std::string &F : P.Fields)
-      Out.Fields.push_back(reg(F));
-    if (P.isArray()) {
-      Out.Begin = compileBound(P.Range.Begin);
-      Out.End = compileBound(P.Range.End);
-      Out.Stride = P.Range.Stride;
+  /// Emits the opcode that checks one path and returns its index. An
+  /// array path whose range is one element at one local plus a constant,
+  /// x[i + c], is CheckElem; every other array path is CheckRange.
+  size_t lowerPath(const Path &P) {
+    uint32_t Designator = reg(P.Designator);
+    size_t Idx;
+    if (!P.isArray()) {
+      uint32_t First = static_cast<uint32_t>(C.CheckFieldIds.size());
+      for (const std::string &F : P.Fields)
+        C.CheckFieldIds.push_back(reg(F));
+      Idx = emit(Opcode::CheckFields, Designator, First,
+                 static_cast<uint32_t>(P.Fields.size()));
+    } else if (std::optional<std::pair<uint32_t, int64_t>> Elem =
+                   elementAt(P.Range)) {
+      C.ElemChecks.push_back({Elem->second, &P});
+      Idx = emit(Opcode::CheckElem, Designator, Elem->first,
+                 static_cast<uint32_t>(C.ElemChecks.size() - 1));
+    } else {
+      C.RangeChecks.push_back({compileBound(P.Range.Begin),
+                               compileBound(P.Range.End), P.Range.Stride,
+                               &P});
+      Idx = emit(Opcode::CheckRange, Designator,
+                 static_cast<uint32_t>(C.RangeChecks.size() - 1));
     }
-    Out.Source = &P;
-    return Out;
+    C.Code[Idx].Access = static_cast<uint8_t>(P.Access);
+    return Idx;
+  }
+
+  /// The local and constant of a range that is the one element i + c, or
+  /// nothing for any other range.
+  std::optional<std::pair<uint32_t, int64_t>>
+  elementAt(const SymbolicRange &R) const {
+    assert(!R.Begin.overflowed() && !R.End.overflowed() &&
+           "compiling an overflowed check bound");
+    std::span<const AffineExpr::Term> Terms = R.Begin.terms();
+    if (Terms.size() != 1 || Terms[0].Coeff != 1 ||
+        (R.End - R.Begin).constantValue() != 1)
+      return std::nullopt;
+    return std::make_pair(reg(Terms[0].Var.name()), R.Begin.constantPart());
   }
 
   //===--- Statements ---------------------------------------------------------
@@ -418,11 +443,13 @@ private:
       step(emit(Opcode::Await, reg(cast<AwaitStmt>(S)->barrierVar())));
       return;
     case StmtKind::Check: {
-      CheckOperand Op;
-      for (const Path &P : cast<CheckStmt>(S)->paths())
-        Op.Paths.push_back(lowerPath(P));
-      C.Checks.push_back(std::move(Op));
-      step(emit(Opcode::Check, static_cast<uint32_t>(C.Checks.size() - 1)));
+      // One opcode per path; the last one ends the step. A check with no
+      // path is still one step.
+      const std::vector<Path> &Paths = cast<CheckStmt>(S)->paths();
+      size_t Last = Paths.empty() ? emit(Opcode::Nop) : 0;
+      for (const Path &P : Paths)
+        Last = lowerPath(P);
+      step(Last);
       return;
     }
     case StmtKind::Print: {

@@ -24,7 +24,8 @@
 // and the event-stream golden pins it for every workload. One call of
 // the dispatch loop runs a budget of steps: the rest of the quantum, cut
 // at the thread's next commit point and at the run's step limit. All
-// heap, synchronization and detector effects live in the do* helpers.
+// heap, synchronization and detector effects live in the do* helpers and
+// the check handlers.
 //
 // Objects, arrays and barriers draw their ids from one counter, so the
 // ids are dense and the heap is one table indexed by id: a lookup is a
@@ -911,8 +912,17 @@ private:
           return {Done, true};
         }
         break;
-      case Opcode::Check:
-        execCheck(T, *F, Ch->Checks[I.A]);
+      case Opcode::CheckFields:
+        if (!checkFields(T, Regs, I, *Ch)) [[unlikely]]
+          return failCheckStep(*F, Next, Done);
+        break;
+      case Opcode::CheckElem:
+        if (!checkElem(T, Regs, I, *Ch)) [[unlikely]]
+          return failCheckStep(*F, Next, Done);
+        break;
+      case Opcode::CheckRange:
+        if (!checkRange(T, Regs, I, *Ch)) [[unlikely]]
+          return failCheckStep(*F, Next, Done);
         break;
       case Opcode::Print:
         Result.Output.push_back(Regs[I.A].str());
@@ -937,17 +947,110 @@ private:
   }
 
   //===--- Check execution ------------------------------------------------------
+  //
+  // Each path of a placed check is one opcode. Its handler writes the
+  // path's event straight into the ring's next slot. The handlers stay
+  // out of line: folded into step(), they made the base run slower, and
+  // every slowdown is a ratio over it. A check executes (designator
+  // tested, bounds evaluated, errors raised) whenever a tool or a
+  // recorder consumes the stream, so recording runs cannot diverge from
+  // detector-attached ones. A handler that fails the run returns false
+  // and emits nothing; the check's later paths do not run.
+
+  /// Ends the step of a check whose path at Next - 1 failed the run: the
+  /// step retires, as a failing statement's does, and the loop stops.
+  static StepRun failCheckStep(Frame &F, uint32_t Next, uint64_t Done) {
+    F.PC = Next;
+    return {Done + 1, false};
+  }
+
+  /// Fails the run on a check designator that does not hold a reference.
+  [[gnu::cold, gnu::noinline]] void failCheckDesignator(SymId Var) {
+    setError("check designator '" + Syms->name(Var) + "' is not a reference");
+  }
+
+  /// Fails the run on a check range evalBound could not evaluate, or one
+  /// whose width int64 cannot hold.
+  [[gnu::cold, gnu::noinline]] void failCheckRange(const Path &P,
+                                                   bool Overflowed) {
+    setError(Overflowed ? "check range " + P.str() + " overflows int64"
+                        : "check range bounds are not integers");
+  }
+
+  /// The ring slot for a tool check event of thread \p T on \p Obj; the
+  /// caller sets the range or payload fields and commits.
+  Event &checkEvent(EventKind K, const ThreadCtx &T, ObjectId Obj,
+                    const Insn &I) {
+    Event &E = Ring.next();
+    E.Kind = K;
+    E.Target = kTargetTool;
+    E.Access = static_cast<AccessKind>(I.Access);
+    E.Tid = T.Tid;
+    E.Obj = Obj;
+    E.Aux = 0;
+    E.Field = kNoSym;
+    E.PayloadIndex = 0;
+    E.PayloadCount = 0;
+    E.Begin = 0;
+    E.End = 0;
+    E.Stride = 1;
+    return E;
+  }
+
+  /// CheckFields: one FieldCheck on the fields of the object in R[A].
+  [[gnu::noinline]] bool checkFields(const ThreadCtx &T, const Value *Regs,
+                                     const Insn &I, const Chunk &Ch) {
+    if (!EmitTool)
+      return true;
+    const Value &D = Regs[I.A];
+    if (D.K != Value::Kind::Ref) {
+      failCheckDesignator(I.A);
+      return false;
+    }
+    Event &E = checkEvent(EventKind::FieldCheck, T, idOf(D), I);
+    E.PayloadIndex = Ring.addPayload(Ch.CheckFieldIds.data() + I.B, I.C);
+    E.PayloadCount = I.C;
+    Ring.commit();
+    return true;
+  }
+
+  /// CheckElem: one ArrayCheck on the element R[B] + Offset of the array
+  /// in R[A]. Both ends of that element must fit int64.
+  [[gnu::noinline]] bool checkElem(const ThreadCtx &T, const Value *Regs,
+                                   const Insn &I, const Chunk &Ch) {
+    if (!EmitTool)
+      return true;
+    const Value &D = Regs[I.A];
+    if (D.K != Value::Kind::Ref) {
+      failCheckDesignator(I.A);
+      return false;
+    }
+    const ElemCheck &C = Ch.ElemChecks[I.C];
+    const Value &X = Regs[I.B];
+    int64_t Index = 0;
+    if (X.K != Value::Kind::Int ||
+        __builtin_add_overflow(X.I, C.Offset, &Index) || Index == INT64_MAX) {
+      failCheckRange(*C.Source, X.K == Value::Kind::Int);
+      return false;
+    }
+    Event &E = checkEvent(EventKind::ArrayCheck, T, idOf(D), I);
+    E.Begin = Index;
+    E.End = Index + 1;
+    Ring.commit();
+    return true;
+  }
 
   /// Evaluates a compiled affine bound (constant + sum of coefficient ×
-  /// local) over the frame's locals. Unset locals read as 0, like every
+  /// local) over the frame's registers. Unset locals read as 0, like every
   /// BFJ local; a local holding a reference or null makes the bound
   /// undefined, and so does a bound int64 cannot hold, which also sets
   /// \p Overflowed.
-  std::optional<int64_t> evalBound(Frame &F, const CompiledBound &B,
-                                   bool &Overflowed) {
+  static std::optional<int64_t> evalBound(const Value *Regs,
+                                          const CompiledBound &B,
+                                          bool &Overflowed) {
     int64_t V = B.Constant;
     for (const auto &[Reg, Coeff] : B.Terms) {
-      const Value &L = local(F, Reg);
+      const Value &L = Regs[Reg];
       if (L.K != Value::Kind::Int)
         return std::nullopt;
       int64_t Term = 0;
@@ -960,66 +1063,40 @@ private:
     return V;
   }
 
-  /// Fails the run on a check range evalBound could not evaluate, or one
-  /// whose width int64 cannot hold. Kept out of line, as the message is
-  /// built, so that execCheck and evalBound still inline into the dispatch
-  /// loop.
-  [[gnu::cold, gnu::noinline]] void failCheckRange(const Path &P,
-                                                   bool Overflowed) {
-    setError(Overflowed ? "check range " + P.str() + " overflows int64"
-                        : "check range bounds are not integers");
-  }
-
-  void execCheck(ThreadCtx &T, Frame &F, const CheckOperand &Check) {
-    // Checks execute (bounds evaluated, errors raised) whenever a tool or
-    // a recorder consumes the stream, so recording runs cannot diverge
-    // from detector-attached ones.
+  /// CheckRange: one ArrayCheck on [Begin, End) by Stride of the array in
+  /// R[A], or none when the range is empty at run time (a zero-trip
+  /// loop's invariant range, say).
+  [[gnu::noinline]] bool checkRange(const ThreadCtx &T, const Value *Regs,
+                                    const Insn &I, const Chunk &Ch) {
     if (!EmitTool)
-      return;
-    for (const CheckPath &P : Check.Paths) {
-      const Value &D = local(F, P.DesignatorReg);
-      if (D.K != Value::Kind::Ref) {
-        setError("check designator '" + P.Source->Designator +
-                 "' is not a reference");
-        return;
-      }
-      ObjectId Id = static_cast<ObjectId>(D.I);
-      if (!P.IsArray) {
-        Event E;
-        E.Kind = EventKind::FieldCheck;
-        E.Target = kTargetTool;
-        E.Tid = T.Tid;
-        E.Obj = Id;
-        E.Access = P.Access;
-        Ring.emit(E, P.Fields.data(), static_cast<uint32_t>(P.Fields.size()));
-        continue;
-      }
-      bool Overflowed = false;
-      std::optional<int64_t> Begin = evalBound(F, P.Begin, Overflowed);
-      std::optional<int64_t> End = evalBound(F, P.End, Overflowed);
-      if (!Begin || !End) {
-        failCheckRange(*P.Source, Overflowed);
-        return;
-      }
-      if (*Begin >= *End)
-        continue; // Empty at run time (e.g. zero-trip invariant range).
-      int64_t Width = 0;
-      if (__builtin_sub_overflow(*End, *Begin, &Width)) {
-        failCheckRange(*P.Source, /*Overflowed=*/true);
-        return;
-      }
-      StridedRange Concrete(*Begin, *End, P.Stride);
-      Event E;
-      E.Kind = EventKind::ArrayCheck;
-      E.Target = kTargetTool;
-      E.Tid = T.Tid;
-      E.Obj = Id;
-      E.Access = P.Access;
-      E.Begin = Concrete.begin();
-      E.End = Concrete.end();
-      E.Stride = Concrete.stride();
-      Ring.emit(E);
+      return true;
+    const Value &D = Regs[I.A];
+    if (D.K != Value::Kind::Ref) {
+      failCheckDesignator(I.A);
+      return false;
     }
+    const RangeCheck &C = Ch.RangeChecks[I.B];
+    bool Overflowed = false;
+    std::optional<int64_t> Begin = evalBound(Regs, C.Begin, Overflowed);
+    std::optional<int64_t> End = evalBound(Regs, C.End, Overflowed);
+    if (!Begin || !End) {
+      failCheckRange(*C.Source, Overflowed);
+      return false;
+    }
+    if (*Begin >= *End)
+      return true;
+    int64_t Width = 0;
+    if (__builtin_sub_overflow(*End, *Begin, &Width)) {
+      failCheckRange(*C.Source, /*Overflowed=*/true);
+      return false;
+    }
+    StridedRange Concrete(*Begin, *End, C.Stride);
+    Event &E = checkEvent(EventKind::ArrayCheck, T, idOf(D), I);
+    E.Begin = Concrete.begin();
+    E.End = Concrete.end();
+    E.Stride = Concrete.stride();
+    Ring.commit();
+    return true;
   }
 };
 

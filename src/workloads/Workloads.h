@@ -23,6 +23,7 @@
 #ifndef BIGFOOT_WORKLOADS_WORKLOADS_H
 #define BIGFOOT_WORKLOADS_WORKLOADS_H
 
+#include <cstdint>
 #include <string>
 #include <vector>
 
@@ -48,6 +49,14 @@ Workload workloadByName(const std::string &Name, SuiteScale Scale);
 /// Deliberately racy programs (used to validate that all detectors report
 /// the same races, Section 6).
 std::vector<Workload> racyVariants();
+
+/// A program whose one method has \p Blocks blocks drawn with \p Seed
+/// (counted array loops, stride-2 loops, lock-guarded field updates,
+/// if/else and field reads), to show how placement grows with the size of
+/// a method; bench_staticbf_scaling --sizes places it. Each block has its
+/// own locals, so the facts of finished blocks stay in the history the
+/// later ones are placed in, as in a long method of real code.
+std::string generatedMethodProgram(unsigned Blocks, uint64_t Seed);
 
 } // namespace bigfoot
 

@@ -14,6 +14,7 @@
 #include "bfj/Printer.h"
 #include "instrument/Instrumenters.h"
 #include "vm/Vm.h"
+#include "workloads/Workloads.h"
 
 #include <gtest/gtest.h>
 
@@ -772,4 +773,25 @@ thread {
   std::string Printed = printProgram(*Prog);
   ParseResult R = parseProgram(Printed);
   EXPECT_TRUE(R.ok()) << R.Error << "\n" << Printed;
+}
+
+TEST(CheckPlacement, GeneratedMethodCountsArePinned) {
+  // The programs bench_staticbf_scaling --sizes=20,40 places at its
+  // default seed: one method of 20 or 40 generated blocks. Placement is
+  // deterministic, so its checks and entailment work are pinned here, and
+  // a change to StaticBF or the solver that moves them shows up.
+  struct Pin {
+    unsigned Blocks, Checks, Queries, Systems, Refutations;
+  };
+  const Pin Pins[] = {{20, 20, 2700, 76, 320}, {40, 44, 7539, 178, 558}};
+  for (const Pin &P : Pins) {
+    SCOPED_TRACE(std::to_string(P.Blocks) + " blocks");
+    auto Prog = parseProgramOrDie(generatedMethodProgram(P.Blocks, 1));
+    PlacementStats S = placeBigFootChecks(*Prog);
+    EXPECT_EQ(S.MethodsProcessed, 2u); // The method and the thread body.
+    EXPECT_EQ(S.ChecksInserted, P.Checks);
+    EXPECT_EQ(S.Entailment.Queries, P.Queries);
+    EXPECT_EQ(S.Entailment.Systems, P.Systems);
+    EXPECT_EQ(S.Entailment.Refutations, P.Refutations);
+  }
 }

@@ -72,6 +72,8 @@ TEST(ParserErrors, DiagnosesCommonMistakes) {
       {"class C fields x; thread { skip; }", "'{'"},
       {"thread { check(x.f); }", "R or W"},
       {"thread { check(R x); }", "x.f or x[range]"},
+      {"thread { a = new_array(4); check(R a[0..4:0]); }",
+       "stride must be at least 1"},
       {"banana { }", "expected 'class' or 'thread'"},
       {"thread { x = 1 }", "';'"},
   };

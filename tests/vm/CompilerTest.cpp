@@ -136,6 +136,92 @@ thread {
   EXPECT_EQ(Text.find(" ? "), std::string::npos) << Text;
 }
 
+TEST(Compiler, FusedCheckOpcodesPerPathShape) {
+  // Each path of a check lowers to its own opcode: a field path to
+  // CheckFields, an array path of one element i + c to CheckElem, and any
+  // other array path to CheckRange. Only a check's last opcode ends its
+  // step, and a check with no path is one Nop step.
+  auto Prog = parseProgramOrDie(R"(
+class C { fields f, g; }
+thread {
+  o = new C;
+  a = new_array(8);
+  i = 1;
+  lo = 0;
+  hi = 4;
+  check(R o.f);
+  check(W o.f/g);
+  check(R a[i]);
+  check(W a[i - 1]);
+  check(R a[i + 3]);
+  check(R a[i..i + 1]);
+  check(R a[3]);
+  check(W a[2*i]);
+  check(R a[i + lo]);
+  check(R a[lo..hi]);
+  check(W a[lo..hi:2]);
+  check(R o.g, W a[i], R a[lo..hi]);
+  check();
+}
+)");
+  CompiledProgram CP = compileProgram(*Prog);
+  const Chunk &Ch = *CP.ThreadChunks[0];
+  const SymbolTable &Syms = Prog->symbols();
+  auto Reg = [&](const char *Name) { return *Syms.lookup(Name); };
+  struct Want {
+    Opcode Op;
+    AccessKind Access;
+    bool Step;
+    uint32_t B;  ///< First field, index register, or range record.
+    int64_t Arg; ///< Field count, element offset, or range stride.
+  };
+  const Want Wants[] = {
+      {Opcode::CheckFields, AccessKind::Read, true, 0, 1},
+      {Opcode::CheckFields, AccessKind::Write, true, 1, 2},
+      {Opcode::CheckElem, AccessKind::Read, true, Reg("i"), 0},
+      {Opcode::CheckElem, AccessKind::Write, true, Reg("i"), -1},
+      {Opcode::CheckElem, AccessKind::Read, true, Reg("i"), 3},
+      {Opcode::CheckElem, AccessKind::Read, true, Reg("i"), 0},
+      {Opcode::CheckRange, AccessKind::Read, true, 0, 1},
+      {Opcode::CheckRange, AccessKind::Write, true, 1, 1},
+      {Opcode::CheckRange, AccessKind::Read, true, 2, 1},
+      {Opcode::CheckRange, AccessKind::Read, true, 3, 1},
+      {Opcode::CheckRange, AccessKind::Write, true, 4, 2},
+      {Opcode::CheckFields, AccessKind::Read, false, 3, 1},
+      {Opcode::CheckElem, AccessKind::Write, false, Reg("i"), 0},
+      {Opcode::CheckRange, AccessKind::Read, true, 5, 1},
+  };
+  std::vector<const Insn *> Checks;
+  for (const Insn &I : Ch.Code)
+    if (I.Op == Opcode::CheckFields || I.Op == Opcode::CheckElem ||
+        I.Op == Opcode::CheckRange)
+      Checks.push_back(&I);
+  ASSERT_EQ(Checks.size(), std::size(Wants)) << disassemble(Ch);
+  for (size_t K = 0; K < Checks.size(); ++K) {
+    SCOPED_TRACE("check opcode " + std::to_string(K));
+    const Insn &I = *Checks[K];
+    const Want &W = Wants[K];
+    EXPECT_EQ(I.Op, W.Op);
+    EXPECT_EQ(static_cast<AccessKind>(I.Access), W.Access);
+    EXPECT_EQ(I.Step != 0, W.Step);
+    EXPECT_EQ(I.A, Reg(I.Op == Opcode::CheckFields ? "o" : "a"));
+    EXPECT_EQ(I.B, W.B);
+    if (I.Op == Opcode::CheckFields)
+      EXPECT_EQ(static_cast<int64_t>(I.C), W.Arg);
+    else if (I.Op == Opcode::CheckElem)
+      EXPECT_EQ(Ch.ElemChecks[I.C].Offset, W.Arg);
+    else
+      EXPECT_EQ(Ch.RangeChecks[I.B].Stride, W.Arg);
+  }
+  EXPECT_EQ(Ch.CheckFieldIds,
+            (std::vector<FieldId>{Reg("f"), Reg("f"), Reg("g"), Reg("g")}));
+  // The empty check: a Nop step right before the body's Return.
+  ASSERT_GE(Ch.Code.size(), 2u);
+  const Insn &Empty = Ch.Code[Ch.Code.size() - 2];
+  EXPECT_EQ(Empty.Op, Opcode::Nop);
+  EXPECT_TRUE(Empty.Step);
+}
+
 //===--- Pinned runs of structural edge cases ---------------------------------
 
 TEST(Compiler, EmptyThreadAndEmptyMethodBodies) {

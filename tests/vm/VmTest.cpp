@@ -26,6 +26,49 @@ VmResult runSource(const char *Source, VmOptions Opts = VmOptions()) {
   return runProgramBase(*Prog, Opts);
 }
 
+/// Renders the tool's check events of a run, in stream order: "R obj#2.f",
+/// "W obj#2.f/g", "R arr#3[4,5):1".
+class CheckEventLog final : public EventSink {
+public:
+  explicit CheckEventLog(const SymbolTable &Syms) : Syms(Syms) {}
+
+  std::vector<std::string> Events;
+
+  void consumeBatch(const Event *Batch, size_t N,
+                    const uint32_t *Payload) override {
+    for (const Event *E = Batch; E != Batch + N; ++E) {
+      if (!(E->Target & kTargetTool))
+        continue;
+      std::string S = E->Access == AccessKind::Read ? "R " : "W ";
+      if (E->Kind == EventKind::FieldCheck) {
+        S += "obj#" + std::to_string(E->Obj);
+        for (uint32_t I = 0; I < E->PayloadCount; ++I)
+          S += (I ? "/" : ".") + Syms.name(Payload[E->PayloadIndex + I]);
+      } else if (E->Kind == EventKind::ArrayCheck) {
+        S += "arr#" + std::to_string(E->Obj) + "[" + std::to_string(E->Begin) +
+             "," + std::to_string(E->End) + "):" + std::to_string(E->Stride);
+      } else {
+        continue;
+      }
+      Events.push_back(S);
+    }
+  }
+
+private:
+  const SymbolTable &Syms;
+};
+
+/// Runs \p Source, whose checks are written by hand, under FastTrack and
+/// returns the check events it emitted.
+std::vector<std::string> checkEventsOf(const char *Source, VmResult &Run) {
+  auto Prog = parseProgramOrDie(Source);
+  CheckEventLog Log(Prog->symbols());
+  VmOptions Opts;
+  Opts.RecordSink = &Log;
+  Run = runProgram(*Prog, fastTrackConfig(), Opts);
+  return Log.Events;
+}
+
 } // namespace
 
 TEST(Vm, ArithmeticAndPrint) {
@@ -437,6 +480,64 @@ TEST(Vm, CheckOnNonIntegerBoundIsRuntimeError) {
   EXPECT_FALSE(R.Ok);
   EXPECT_EQ(R.Error, "check range bounds are not integers");
   EXPECT_EQ(runProgramBase(*Prog).Error, "array index out of bounds: null");
+}
+
+TEST(Vm, EachCheckPathEmitsItsEvent) {
+  // Each path of a check is one opcode (CheckFields, CheckElem or
+  // CheckRange, Compiler.FusedCheckOpcodesPerPathShape) writing one event:
+  // object 2 is o and array 3 is a (id 1 is the global object). A range
+  // that is empty at run time emits nothing.
+  VmResult Run;
+  std::vector<std::string> Events = checkEventsOf(R"(
+class C { fields f, g; }
+thread {
+  o = new C;
+  a = new_array(8);
+  i = 4;
+  lo = 1;
+  hi = 6;
+  e = 1;
+  check(R o.f);
+  check(W o.f/g);
+  check(R a[i]);
+  check(W a[i - 1]);
+  check(R a[lo..hi]);
+  check(W a[lo..hi:2]);
+  check(R a[hi..e]);
+  check(W o.g, R a[i + 1]);
+  print i;
+}
+)",
+                                                  Run);
+  ASSERT_TRUE(Run.Ok) << Run.Error;
+  EXPECT_EQ(Events, (std::vector<std::string>{
+                        "R obj#2.f", "W obj#2.f/g", "R arr#3[4,5):1",
+                        "W arr#3[3,4):1", "R arr#3[1,6):1", "W arr#3[1,6):2",
+                        "W obj#2.g", "R arr#3[5,6):1"}));
+  // Each check is one step, however many paths it has.
+  EXPECT_EQ(Run.StatementsExecuted, 16u);
+  EXPECT_EQ(Run.Output, (std::vector<std::string>{"4"}));
+}
+
+TEST(Vm, FailingCheckPathStopsTheCheck) {
+  // The first path's event goes out; the second path's designator is null,
+  // so the run fails in that step and nothing after it runs.
+  VmResult Run;
+  std::vector<std::string> Events = checkEventsOf(R"(
+class C { fields f; }
+thread {
+  o = new C;
+  n = null;
+  check(W o.f, R n.f, R o.f);
+  print 1;
+}
+)",
+                                                  Run);
+  EXPECT_FALSE(Run.Ok);
+  EXPECT_EQ(Run.Error, "check designator 'n' is not a reference");
+  EXPECT_EQ(Events, (std::vector<std::string>{"W obj#2.f"}));
+  EXPECT_EQ(Run.StatementsExecuted, 3u);
+  EXPECT_TRUE(Run.Output.empty());
 }
 
 TEST(Vm, AssertFailureIsRuntimeError) {

@@ -16,9 +16,16 @@ stretches of machine load.
 
 For every end-to-end metric it prints each side's median and quartiles
 over the runs, the ratio of the medians (CHANGE / BASE), how many pairs
-CHANGE won (was better than BASE in the same pair), and whether the
-difference is resolved: CHANGE won at least nine pairs in ten, and its
-median lies further from BASE's median than BASE's quartile distance.
+CHANGE won (was better than BASE in the same pair), whether a gain is
+resolved (CHANGE won at least nine pairs in ten, and its median lies
+further from BASE's median than BASE's quartile distance), and a verdict
+against the metric's bound in BENCHMARK.json, a fraction of BASE's
+median:
+
+    worse       CHANGE's median is worse than BASE's by more than the bound
+    unresolved  BASE's quartile distance is wider than the bound
+    ok          neither
+
 Each run's metrics are echoed to stderr as they arrive.
 
 Exits 1 if a build or run fails or a run reports wrong output.
@@ -51,11 +58,11 @@ def git(*args):
     return proc.stdout.strip()
 
 
-def directions():
-    """Each end-to-end metric's better direction, from BENCHMARK.json."""
+def end_to_end():
+    """Each end-to-end metric's entry (better, bound) in BENCHMARK.json."""
     with open(os.path.join(ROOT, "BENCHMARK.json")) as f:
         spec = json.load(f)
-    return {m["name"]: m["better"] for m in spec["end_to_end"]}
+    return {m["name"]: m for m in spec["end_to_end"]}
 
 
 class Side:
@@ -92,14 +99,26 @@ def quartiles(values):
     return q[0], q[2]
 
 
-def report(workload, runs, better):
+def verdict(bmed, bq1, bq3, cmed, sign, bound):
+    """worse, unresolved or ok: the gating rule for one metric."""
+    if not bmed:
+        return "unresolved"
+    if sign * (cmed - bmed) / bmed > bound:
+        return "worse"
+    if (bq3 - bq1) / bmed > bound:
+        return "unresolved"
+    return "ok"
+
+
+def report(workload, runs, spec):
     """Prints one row per metric of one workload's pairs."""
     base, change = runs["base"], runs["change"]
     pairs = len(base)
     for metric in sorted(base[0]):
         b = [r[metric] for r in base]
         c = [r[metric] for r in change]
-        sign = 1 if better.get(metric, "lower") == "lower" else -1
+        entry = spec.get(metric, {})
+        sign = 1 if entry.get("better", "lower") == "lower" else -1
         won = sum(sign * (cv - bv) < 0 for bv, cv in zip(b, c))
         bmed, cmed = statistics.median(b), statistics.median(c)
         bq1, bq3 = quartiles(b)
@@ -107,11 +126,13 @@ def report(workload, runs, better):
         resolved = (won >= math.ceil(0.9 * pairs) and
                     abs(cmed - bmed) > bq3 - bq1)
         ratio = cmed / bmed if bmed else float("nan")
+        gate = ("-" if "bound" not in entry else
+                verdict(bmed, bq1, bq3, cmed, sign, entry["bound"]))
         print(f"{workload:8} {metric:20} "
               f"{f'{bmed:.4g} [{bq1:.4g}, {bq3:.4g}]':>30}  "
               f"{f'{cmed:.4g} [{cq1:.4g}, {cq3:.4g}]':>30}  "
               f"{ratio:6.3f}  {f'{won}/{pairs}':>5}  "
-              f"{'yes' if resolved else 'no'}")
+              f"{'yes' if resolved else 'no':>8}  {gate}")
 
 
 def main():
@@ -131,7 +152,7 @@ def main():
     scratch = tempfile.mkdtemp(prefix="bigfoot-ab-")
     sides = []
     try:
-        better = directions()
+        spec = end_to_end()
         for name, commit in (("base", args.base), ("change", args.change)):
             sides.append(Side(name, git("rev-parse", commit), scratch))
         print(f"ab: base {args.base} ({sides[0].commit[:10]}) vs change "
@@ -143,7 +164,7 @@ def main():
             side.run(workloads[0], args.seed, 0.01)
         print(f"{'workload':8} {'metric':20} {'base median [q1, q3]':>30}  "
               f"{'change median [q1, q3]':>30}  {'ratio':>6}  {'won':>5}  "
-              "resolved", flush=True)
+              f"{'resolved':>8}  verdict", flush=True)
         for workload in workloads:
             runs = {"base": [], "change": []}
             for pair in range(args.pairs):
@@ -155,7 +176,7 @@ def main():
                           " ".join(f"{k}={v:.4g}"
                                    for k, v in sorted(metrics.items())),
                           file=sys.stderr, flush=True)
-            report(workload, runs, better)
+            report(workload, runs, spec)
     except (AbError, OSError, ValueError, KeyError) as e:
         print(f"ab: {e}", file=sys.stderr)
         return 1

@@ -61,7 +61,6 @@ int main(int Argc, char **Argv) {
   const std::vector<Variant> Variants = variants();
   VmOptions VmOpts;
   VmOpts.Seed = Args.Opts.Seed;
-  VmOpts.DetectShards = Args.Opts.DetectShards;
 
   // Rows[V]: variant V's name, then its "check ratio/overhead" on each
   // workload.

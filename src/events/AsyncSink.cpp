@@ -10,16 +10,19 @@
 
 namespace bigfoot {
 
-AsyncSink::AsyncSink(EventSink &Downstream, size_t RingBatches)
-    : Downstream(Downstream), Ring(RingBatches) {
-  Worker = std::thread([this] { consumerLoop(); });
+AsyncSink::AsyncSink(std::vector<EventSink *> Sinks, size_t RingBatches)
+    : Downstreams(std::move(Sinks)), Ring(RingBatches, Downstreams.size()),
+      BusyNs(Downstreams.size(), 0) {
+  for (size_t C = 0; C < Downstreams.size(); ++C)
+    Workers.emplace_back([this, C] { consumerLoop(C); });
 }
 
 AsyncSink::~AsyncSink() {
   drain();
   Stop.store(true, std::memory_order_release);
   Ring.wakeConsumer();
-  Worker.join();
+  for (std::thread &W : Workers)
+    W.join();
 }
 
 void AsyncSink::consumeBatch(const Event *Events, size_t N,
@@ -33,19 +36,20 @@ void AsyncSink::consumeBatch(const Event *Events, size_t N,
 
 void AsyncSink::drain() { Ring.drain(); }
 
-void AsyncSink::consumerLoop() {
+void AsyncSink::consumerLoop(size_t C) {
   using Clock = std::chrono::steady_clock;
+  EventSink &Downstream = *Downstreams[C];
   for (;;) {
-    EventBatch *B = Ring.waitPeek(Stop);
+    EventBatch *B = Ring.waitPeek(Stop, C);
     if (!B)
-      return; // Stop observed with an empty ring: all batches applied.
+      return; // Stop observed with nothing left: all batches applied.
     auto T0 = Clock::now();
     Downstream.consumeBatch(B->Events.data(), B->Events.size(),
                             B->Payload.data());
-    BusyNs += uint64_t(
+    BusyNs[C] += uint64_t(
         std::chrono::duration_cast<std::chrono::nanoseconds>(Clock::now() - T0)
             .count());
-    Ring.pop();
+    Ring.pop(C);
   }
 }
 

@@ -7,14 +7,15 @@
 /// \file
 /// The detection end of a run, written once for live execution and for
 /// trace replay. A DetectionPipeline builds the tool and oracle
-/// detectors, picks by lane count where the tool consumes the event
-/// stream — inline (DetectorSink), on one detector thread
-/// (AsyncSink over the tool's DetectorSink), or on N >= 2
-/// location-partitioned lanes (ShardedSink) — and tees an optional
-/// recording sink onto the same stream. The per-access oracle is a test
-/// reference and is always applied inline. The producer (the VM's event
-/// ring, or the trace reader) feeds sink(); finish() drains every
-/// consumer and writes the detection half of the RunResult.
+/// detectors, applies the tool inline (a DetectorSink on the producer
+/// thread) or on N >= 1 lanes, and tees an optional recording sink onto
+/// the same stream. Lane i of N is a thread of one AsyncSink driving a
+/// DetectorSink whose RaceDetector owns the objects with laneOf(Obj, N)
+/// == i and applies every sync and lifecycle event itself (DESIGN.md
+/// Sec. 10 and 12); one lane owns every object. The per-access oracle is a test reference and
+/// is always applied inline. The producer (the VM's event ring, or the
+/// trace reader) feeds sink(); finish() drains every consumer, merges the
+/// lanes and writes the detection half of the RunResult.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -22,18 +23,36 @@
 #define BIGFOOT_EVENTS_DETECTIONPIPELINE_H
 
 #include "events/DetectorSink.h"
-#include "events/ShardedSink.h"
+#include "events/SpscBatchRing.h"
 #include "runtime/Detector.h"
 #include "support/Stats.h"
 
 #include <memory>
+#include <optional>
 #include <set>
 #include <string>
+#include <string_view>
 #include <vector>
 
 namespace bigfoot {
 
 class AsyncSink;
+
+/// Post-drain statistics for one detector lane.
+struct ShardLaneStats {
+  uint64_t Events = 0;  ///< Tool events the lane's detector applied.
+  uint64_t Batches = 0; ///< Batches the lane applied (every one).
+  uint64_t Stalls = 0;  ///< Producer blocked with this lane furthest behind.
+  uint64_t BusyNs = 0;  ///< Lane thread busy time (waits excluded).
+};
+
+/// The most lanes a run may ask for.
+inline constexpr size_t kMaxLanes = 64;
+
+/// Parses a lane count: a decimal integer from 0 to kMaxLanes. Anything
+/// else — a sign, trailing text, an empty string, a word, a larger
+/// number — is rejected with nullopt.
+std::optional<size_t> parseLaneCount(std::string_view Text);
 
 /// Everything a run produces, live or replayed. Reports and Counters are
 /// byte-identical across every consumer choice; the timing and lane
@@ -53,27 +72,17 @@ struct RunResult {
   uint64_t StatementsExecuted = 0;
   /// Lanes only: busy seconds (waits excluded) of the busiest lane.
   double DetectorSeconds = 0.0;
-  /// Lanes only: batches handed through the rings / times the producer
+  /// Lanes only: batches handed through the ring / times the producer
   /// blocked on a full ring.
   uint64_t AsyncBatches = 0;
   uint64_t AsyncStalls = 0;
-  /// Lanes only: one tally per lane (DESIGN.md Sec. 10 for one lane).
-  /// The fields after it stay zero for one lane. For N >= 2 (DESIGN.md
-  /// Sec. 12/13) they count checks routed to one lane, sync edges
-  /// applied once by the SyncClockTable writer (each reaching every lane
-  /// as one marker in a shared segment), markers applied summed over
-  /// lanes, and sync-horizon ordering-check failures (must be zero).
+  /// Lanes only: one tally per lane.
   std::vector<ShardLaneStats> ShardLanes;
-  uint64_t ShardRoutedEvents = 0;
-  uint64_t ShardBroadcastEvents = 0;
-  uint64_t ShardHorizonAdvances = 0;
-  /// Shipped clocks installed into lane views, summed over lanes.
+  /// Always zero: every lane applies every sync edge itself, so there is
+  /// no sync-clock table and no ordering check. Kept while detbench
+  /// reads them.
   uint64_t ShardTableReads = 0;
-  /// Post-edge thread clocks the writer shipped (one per changed thread
-  /// per edge).
   uint64_t ShardSyncPublishes = 0;
-  /// Resident bytes of the sync segments plus every lane's thread views:
-  /// bounded by the ring depth and the thread count, not the edge count.
   uint64_t ShardSyncTableBytes = 0;
   uint64_t ShardOrderViolations = 0;
 };
@@ -85,11 +94,11 @@ struct DetectionOptions {
   /// Attach the per-access ground-truth FastTrack oracle.
   bool Oracle = false;
   /// Threads that apply the tool detector: 0 = inline on the producer,
-  /// 1 = one detector thread (DESIGN.md Sec. 10), N >= 2 =
-  /// location-partitioned lanes (DESIGN.md Sec. 12). Ignored without a
-  /// tool; the oracle is inline whatever the count.
+  /// N >= 1 = N lanes, each owning a partition of the objects (DESIGN.md
+  /// Sec. 10 and 12). Ignored without a tool; the oracle is inline
+  /// whatever the count.
   size_t Lanes = 0;
-  /// Ring depth in batches per lane (clamped to >= 2).
+  /// Lane ring depth in batches (clamped to >= 2).
   size_t RingBatches = kDefaultAsyncRingBatches;
 };
 
@@ -117,24 +126,38 @@ public:
   void finish(RunResult &R);
 
 private:
-  /// The tool's private Stats: a detector thread must not share the map
-  /// the producer keeps bumping. finish() folds it into the result; the
-  /// tool.* names are disjoint from the producer's and the map is sorted,
-  /// so the merge equals one shared map. The oracle's are never reported.
+  /// One lane: a detector that owns one partition of the objects, and
+  /// the DetectorSink its thread drives. Counters and Samples precede the
+  /// detector that writes them.
+  struct Lane {
+    Stats Counters;
+    std::vector<RaceDetector::MemorySample> Samples;
+    RaceDetector Detector;
+    DetectorSink Sink;
+
+    Lane(const DetectorConfig &Tool, const SymbolTable *Symbols, size_t Index,
+         size_t Lanes);
+  };
+
+  /// Drains the lanes and merges them into \p R.
+  void mergeLanes(RunResult &R);
+
+  /// The inline tool's private Stats, folded into the result by finish();
+  /// the tool.* names are disjoint from the producer's and the map is
+  /// sorted, so the merge equals one shared map. The oracle's are never
+  /// reported.
   Stats ToolCounters;
   Stats OracleCounters;
-  /// The tool detector, unless N >= 2 lanes own its replicas.
+  /// The tool detector when it runs inline (Lanes == 0).
   std::unique_ptr<RaceDetector> Tool;
   std::unique_ptr<RaceDetector> Oracle;
   /// The detectors applied on the producer thread: the oracle, and the
-  /// tool when Lanes == 0.
+  /// inline tool.
   DetectorSink Inline;
-  /// The tool alone, applied on the one lane's thread.
-  DetectorSink LaneTool;
-  /// Declared after the detectors they feed, so destruction joins the
-  /// lane threads before anything they reference dies.
-  std::unique_ptr<AsyncSink> OneLane;
-  std::unique_ptr<ShardedSink> Lanes;
+  std::vector<std::unique_ptr<Lane>> Lanes;
+  /// The lanes' threads. Declared after the lanes they drive, so
+  /// destruction joins the threads before anything they touch dies.
+  std::unique_ptr<AsyncSink> LaneThreads;
   TeeSink Tee;
   EventSink *Head = nullptr;
 };

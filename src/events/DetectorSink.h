@@ -13,6 +13,8 @@
 /// hot across the whole batch instead of being interleaved with
 /// interpreter state. The two detectors share no state, so draining the
 /// batch into one and then the other reports what interleaving them did.
+/// A lane's tool detector of two or more (RaceDetector::partitioned())
+/// takes the batch through applyOwned instead.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -39,13 +41,16 @@ public:
 
   bool empty() const { return !Tool && !Oracle; }
 
-  /// Events applied to the tool detector so far.
+  /// Events applied to the tool detector so far (on a partitioned lane,
+  /// the sync and lifecycle events plus its own checks and allocations).
   uint64_t toolEvents() const { return ToolEvents; }
 
   void consumeBatch(const Event *Events, size_t N,
                     const uint32_t *Payload) override {
     if (Tool)
-      ToolEvents += Tool->applyBatch(Events, N, Payload, kTargetTool);
+      ToolEvents += Tool->partitioned()
+                        ? Tool->applyOwned(Events, N, Payload)
+                        : Tool->applyBatch(Events, N, Payload, kTargetTool);
     if (Oracle)
       Oracle->applyBatch(Events, N, Payload, kTargetOracle);
   }

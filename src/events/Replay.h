@@ -42,8 +42,8 @@ struct ReplayOptions {
   /// attached; without those events the oracle simply sees nothing).
   bool EnableGroundTruth = false;
   /// Threads that apply the tool detector (DetectionOptions::Lanes):
-  /// 0 = inline, 1 = one detector thread, N >= 2 = location-partitioned
-  /// lanes. A replay knob, never a trace property; results are
+  /// 0 = inline, N >= 1 = N lanes, each owning a partition of the
+  /// objects. A replay knob, never a trace property; results are
   /// byte-identical for every count.
   size_t DetectShards = 0;
 };

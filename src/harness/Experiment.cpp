@@ -40,7 +40,6 @@
 #include <cstdlib>
 #include <cstring>
 #include <memory>
-#include <optional>
 #include <thread>
 
 using namespace bigfoot;
@@ -99,7 +98,6 @@ TimedLeg measureLeg(const Workload &W, std::shared_ptr<const Program> Prog,
                     ExperimentResult &Out) {
   VmOptions VmOpts;
   VmOpts.Seed = Opts.Seed;
-  VmOpts.DetectShards = Opts.DetectShards;
   TimedLeg L;
   if (Leg == 0) {
     L.Name = "base";
@@ -331,12 +329,6 @@ BenchArgs bigfoot::parseBenchArgs(int Argc, char **Argv) {
     } else if (Valued("--jobs=")) {
       if (!parseNumber(V, Args.Opts.Jobs))
         Expected = "a non-negative integer";
-    } else if (Valued("--detect-shards=")) {
-      std::optional<size_t> Lanes = parseLaneCount(V);
-      if (Lanes)
-        Args.Opts.DetectShards = *Lanes;
-      else
-        Expected = "a lane count from 0 to 64";
     } else {
       std::fprintf(stderr, "%s: error: unknown option '%s'\n", Argv[0], Arg);
       std::exit(1);

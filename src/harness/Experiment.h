@@ -73,10 +73,6 @@ struct ExperimentOptions {
   /// serial on the quiesced pool afterwards — so Jobs changes neither the
   /// results nor their order, only the wall-clock spent.
   unsigned Jobs = 0;
-  /// Threads that apply each run's tool detector (VmOptions::DetectShards):
-  /// 0 = inline, 1 = one detector thread, N >= 2 = location-partitioned
-  /// lanes. Counters, races, and ratios are byte-identical for every count.
-  size_t DetectShards = 0;
 };
 
 /// Runs the base and all six detector configs on one workload: runSuite
@@ -148,10 +144,10 @@ double meanOverhead(const std::vector<double> &Overheads);
 /// where FastTrack's ToolMetrics::OverheadAboveNoise holds.
 double relativeOverhead(double Overhead, double FastTrackOverhead);
 
-/// Parses --small/--iters=N/--seed=N/--jobs=N/--detect-shards=N, the
-/// command-line options shared by the bench binaries. Numbers are strict
-/// decimals (support/ParseNumber.h). An unknown option or a malformed
-/// value prints "<argv0>: error: ..." and exits with status 1.
+/// Parses --small/--iters=N/--seed=N/--jobs=N, the command-line options
+/// shared by the bench binaries. Numbers are strict decimals
+/// (support/ParseNumber.h). An unknown option or a malformed value prints
+/// "<argv0>: error: ..." and exits with status 1.
 struct BenchArgs {
   SuiteScale Scale = SuiteScale::Bench;
   ExperimentOptions Opts;

@@ -9,8 +9,6 @@
 #include "runtime/ShadowCosts.h"
 #include "support/LocKey.h"
 
-#include <cassert>
-
 using namespace bigfoot;
 
 std::string ReportedRace::str() const {
@@ -374,6 +372,30 @@ size_t RaceDetector::applyBatch(const Event *Events, size_t N,
   return Applied;
 }
 
+size_t RaceDetector::applyOwned(const Event *Events, size_t N,
+                                const uint32_t *Payload) {
+  size_t Applied = 0;
+  for (const Event *E = Events, *End = Events + N; E != End; ++E) {
+    if (!(E->Target & kTargetTool))
+      continue;
+    // Every lane sees every tool event, so each numbers them alike.
+    ++CurrentEventSeq;
+    bool Located = E->Kind == EventKind::FieldCheck ||
+                   E->Kind == EventKind::ArrayCheck ||
+                   E->Kind == EventKind::ArrayAlloc;
+    if (Located && laneOf(E->Obj, NumLanes) != OwnLane) {
+      // Another lane's object. The check's HB read would have given the
+      // acting thread its first clock; deferred array checks read none.
+      if (E->Kind == EventKind::FieldCheck ||
+          (E->Kind == EventKind::ArrayCheck && !Config.DeferArrayChecks))
+        Hb.current(E->Tid);
+      continue;
+    }
+    Applied += applyBatch(E, 1, Payload, kTargetTool);
+  }
+  return Applied;
+}
+
 void RaceDetector::commitFootprints(ThreadId T) {
   if (!Config.DeferArrayChecks || T >= PendingByThread.size())
     return;
@@ -398,47 +420,40 @@ void RaceDetector::commitFootprints(ThreadId T) {
 }
 
 void RaceDetector::onAcquire(ThreadId T, ObjectId Lock) {
-  assert(!SyncMarkers && "marker mode takes sync edges as markers");
   commitFootprints(T);
   Hb.onAcquire(T, Lock);
   sampleMemory();
 }
 
 void RaceDetector::onRelease(ThreadId T, ObjectId Lock) {
-  assert(!SyncMarkers && "marker mode takes sync edges as markers");
   commitFootprints(T);
   Hb.onRelease(T, Lock);
 }
 
 void RaceDetector::onVolatileRead(ThreadId T, ObjectId Obj, FieldId Field) {
-  assert(!SyncMarkers && "marker mode takes sync edges as markers");
   commitFootprints(T);
   Hb.onVolatileRead(T, Obj, Field);
 }
 
 void RaceDetector::onVolatileWrite(ThreadId T, ObjectId Obj, FieldId Field) {
-  assert(!SyncMarkers && "marker mode takes sync edges as markers");
   commitFootprints(T);
   Hb.onVolatileWrite(T, Obj, Field);
 }
 
 void RaceDetector::onFork(ThreadId Parent, ThreadId Child) {
-  assert(!SyncMarkers && "marker mode takes sync edges as markers");
   commitFootprints(Parent);
   Hb.onFork(Parent, Child);
 }
 
 void RaceDetector::onJoin(ThreadId Joiner, ThreadId Joined) {
-  assert(!SyncMarkers && "marker mode takes sync edges as markers");
   commitFootprints(Joiner);
   Hb.onJoin(Joiner, Joined);
 }
 
 void RaceDetector::onBarrier(const std::vector<ThreadId> &Parties) {
-  assert(!SyncMarkers && "marker mode takes sync edges as markers");
   // Parties commit in party order; the index is the RaceOrder tiebreak
   // that keeps commit races from different parties mergeable in this
-  // exact order when the parties' arrays live in different shards.
+  // exact order when the parties' arrays live in different lanes.
   for (size_t I = 0; I < Parties.size(); ++I) {
     CurrentParty = I;
     commitFootprints(Parties[I]);
@@ -449,7 +464,6 @@ void RaceDetector::onBarrier(const std::vector<ThreadId> &Parties) {
 }
 
 void RaceDetector::onThreadExit(ThreadId T) {
-  assert(!SyncMarkers && "marker mode takes sync edges as markers");
   commitFootprints(T);
   Hb.onThreadExit(T);
   sampleMemoryNow();
@@ -505,14 +519,11 @@ void RaceDetector::sampleMemory() {
 }
 
 void RaceDetector::sampleMemoryNow() {
-  // In marker mode the HB component is the writer's census at the last
-  // marker — every lane carries the same value, exactly the bytes a
-  // single detector's HbState would hold at this stream point.
-  size_t HbB = SyncMarkers ? SharedHbBytes : Hb.memoryBytes();
+  size_t HbB = Hb.memoryBytes();
   if (SampleLog) {
-    // Sharded mode: defer the gauge to the merge, which needs the
-    // replicated (HB) and partitioned (shadow) components separately
-    // per sample point to reconstruct the undivided peak exactly.
+    // On lanes: defer the gauge to the merge, which needs the replicated
+    // (HB) and partitioned (shadow) components separately per sample
+    // point to reconstruct the undivided peak exactly.
     SampleLog->push_back({HbB, FieldBytes + ArrayBytes + PendingBytes,
                           shadowLocationCount()});
     return;
@@ -520,62 +531,6 @@ void RaceDetector::sampleMemoryNow() {
   Counters.gaugeMax("tool.peakShadowBytes",
                     HbB + FieldBytes + ArrayBytes + PendingBytes);
   Counters.gaugeMax("tool.peakShadowLocations", shadowLocationCount());
-}
-
-size_t RaceDetector::applySyncMarker(const SyncEdge &E,
-                                     uint64_t HbBytesAfter) {
-  assert(SyncMarkers && "markers only apply in marker mode");
-  // Commits run before the shipped clocks install, so deferred footprints
-  // resolve against pre-edge clocks — the owned-mode handlers commit
-  // before mutating HbState for the same reason. Order per kind mirrors
-  // the owned handlers exactly (commit, clock effect, memory sample).
-  size_t Installed = 0;
-  auto Install = [&] {
-    forEachShippedClock(E.Clocks, E.ClockWords,
-                        [&](ThreadId T, const uint64_t *Entries,
-                            uint32_t Width) {
-                          Hb.install(T, Entries, Width);
-                          ++Installed;
-                        });
-    SharedHbBytes = HbBytesAfter;
-  };
-  switch (E.Kind) {
-  case SyncEdgeKind::Acquire:
-    commitFootprints(E.Tid);
-    Install();
-    sampleMemory();
-    break;
-  case SyncEdgeKind::Release:
-  case SyncEdgeKind::VolatileRead:
-  case SyncEdgeKind::VolatileWrite:
-  case SyncEdgeKind::Fork:
-  case SyncEdgeKind::Join:
-  case SyncEdgeKind::Commit:
-    commitFootprints(E.Tid);
-    Install();
-    break;
-  case SyncEdgeKind::Barrier:
-    // Parties commit in party order with the RaceOrder tiebreak index,
-    // matching onBarrier.
-    for (size_t I = 0; I < E.NumParties; ++I) {
-      CurrentParty = I;
-      commitFootprints(E.Parties[I]);
-    }
-    CurrentParty = 0;
-    Install();
-    sampleMemory();
-    break;
-  case SyncEdgeKind::ThreadExit:
-    commitFootprints(E.Tid);
-    Install();
-    sampleMemoryNow();
-    break;
-  case SyncEdgeKind::ThreadBegin:
-  case SyncEdgeKind::None:
-    Install(); // Stream marker: no commit, nothing shipped.
-    break;
-  }
-  return Installed;
 }
 
 //===----------------------------------------------------------------------===

@@ -42,7 +42,6 @@
 #include "runtime/ArrayShadow.h"
 #include "runtime/ClockPool.h"
 #include "runtime/HbState.h"
-#include "runtime/SyncClockTable.h"
 #include "support/FlatMap.h"
 #include "support/Stats.h"
 #include "support/Symbol.h"
@@ -95,6 +94,17 @@ struct ReportedRace {
   std::string str() const;
 };
 
+/// The lane of \p Lanes that owns object \p Obj: splitmix64 of the id,
+/// modulo the lane count. Object granularity keeps a coalesced check on
+/// several fields of one object, and an array's shadow, in one lane.
+inline size_t laneOf(ObjectId Obj, size_t Lanes) {
+  uint64_t X = Obj + 0x9e3779b97f4a7c15ULL;
+  X = (X ^ (X >> 30)) * 0xbf58476d1ce4e5b9ULL;
+  X = (X ^ (X >> 27)) * 0x94d049bb133111ebULL;
+  X ^= X >> 31;
+  return size_t(X % Lanes);
+}
+
 /// The detector. The host VM feeds it check events and synchronization
 /// events; it updates shadow state and accumulates race reports and
 /// counters.
@@ -127,7 +137,8 @@ public:
   /// mask includes \p Target (kTargetTool or kTargetOracle), resolving
   /// payloads against \p Payload. The one definition of what each event
   /// does to a detector: inline and threaded detection, replay and the
-  /// lanes all call it. Returns the number of events applied.
+  /// lanes (through applyOwned) all call it. Returns the number of events
+  /// applied.
   size_t applyBatch(const Event *Events, size_t N, const uint32_t *Payload,
                     uint8_t Target);
 
@@ -165,47 +176,42 @@ public:
   /// earlier within the same release-free span.
   void periodicCommit(ThreadId T) { commitFootprints(T); }
 
-  //===--- Split-state mode (DESIGN.md Sec. 13) --------------------------------
-  /// Switches this detector to marker mode: one writer (a SyncClockTable)
-  /// applies the sync edges and ships post-edge thread clocks, so sync
-  /// edges must arrive as applySyncMarker calls — the on*() mutators
-  /// assert. The detector's HbState then holds only its views of the
-  /// thread clocks: {T:1} until a marker ships T's clock. Owned mode is
-  /// the default and keeps the single-detector behavior.
-  void useSyncMarkers() { SyncMarkers = true; }
+  //===--- Lanes (DESIGN.md Sec. 12) -------------------------------------------
+  /// Makes this detector lane \p Lane of \p Lanes. With two or more lanes
+  /// the detector owns the objects with laneOf(Obj, Lanes) == Lane, and
+  /// its sink feeds it through applyOwned(); one lane owns every object
+  /// and keeps applyBatch().
+  void ownPartition(size_t Lane, size_t Lanes) {
+    OwnLane = Lane;
+    NumLanes = Lanes;
+  }
 
-  /// Applies one sync-edge marker: commits the affected threads'
-  /// pending footprints against the pre-edge views, installs the clocks
-  /// shipped in E.Clocks, and samples memory at the same points the
-  /// owned-mode handler would. \p HbBytesAfter is
-  /// the writer's post-edge HB census, carried so lockstep memory
-  /// samples reproduce a single detector's byte-exactly. Returns the
-  /// number of clocks installed.
-  size_t applySyncMarker(const SyncEdge &E, uint64_t HbBytesAfter);
+  /// True for lane i of N >= 2 lanes.
+  bool partitioned() const { return NumLanes > 1; }
 
-  /// Refreshes the HB census for the run-end sample (the writer's state
-  /// may have grown after the last marker via first-touch inits on
-  /// trailing checks).
-  void syncSharedHbBytes(uint64_t Bytes) { SharedHbBytes = Bytes; }
-
-  /// Bytes of this detector's thread clocks; in marker mode, its views.
-  size_t threadViewBytes() const { return Hb.memoryBytes(); }
+  /// The lane's applyBatch over the tool events: numbers each of them (the
+  /// RaceOrder merge's EventSeq), applies every sync and lifecycle event
+  /// and the checks and allocations on objects this lane owns, and skips
+  /// the other lanes' ones. A skipped check still initializes the acting
+  /// thread's clock where an inline detector's would (a field check, or
+  /// an array check without DeferArrayChecks), so every lane's HB census
+  /// equals the inline detector's. Returns the number of events applied.
+  size_t applyOwned(const Event *Events, size_t N, const uint32_t *Payload);
 
   //===--- Results ------------------------------------------------------------
   const std::vector<ReportedRace> &races() const { return Races; }
 
-  /// Where a race sits in the stream, for the sharded merge (DESIGN.md
-  /// Sec. 12): the global sequence of the event whose application
-  /// reported it, plus two sub-event components that break ties when one
-  /// broadcast sync edge commits deferred footprints in several shards at
-  /// once — the barrier party index (threads commit in party order) and
-  /// the global sequence of the routed event that first inserted the
-  /// committed footprint entry (entries commit in insertion order, and
-  /// insertion order restricted to one shard's arrays equals the global
-  /// insertion order restricted to them). Sorting merged races by
-  /// (EventSeq, Party, EntrySeq) — stably, so same-shard same-key races
-  /// keep their apply order — reproduces the single-detector report
-  /// order exactly. All zeros outside sharded runs (setEventSeq unset).
+  /// Where a race sits in the stream, for the lane merge (DESIGN.md
+  /// Sec. 12): the sequence of the tool event whose application reported
+  /// it, plus two sub-event components that break ties when one sync
+  /// edge commits deferred footprints in several lanes at once — the
+  /// barrier party index (threads commit in party order) and the sequence
+  /// of the check that first inserted the committed footprint entry
+  /// (entries commit in insertion order, and insertion order restricted
+  /// to one lane's arrays equals the inline insertion order restricted to
+  /// them). Sorting merged races by (EventSeq, Party, EntrySeq) — stably,
+  /// so same-lane same-key races keep their apply order — reproduces the
+  /// inline report order exactly. All zeros unless partitioned.
   struct RaceOrder {
     uint64_t EventSeq = 0;
     uint64_t Party = 0;
@@ -214,10 +220,6 @@ public:
 
   /// Order keys parallel to races().
   const std::vector<RaceOrder> &raceOrder() const { return RaceOrderKeys; }
-
-  /// Stamps the global stream sequence of the event about to be applied
-  /// (called by the sharded workers before each applyBatch).
-  void setEventSeq(uint64_t Seq) { CurrentEventSeq = Seq; }
 
   /// Racy locations as strings (for differential tests): "obj#N.f" or
   /// "arr#N".
@@ -241,9 +243,9 @@ public:
   /// Unthrottled sample, for run end / thread exit.
   void sampleMemoryNow();
 
-  /// One memory sample, split the way the sharded merge needs it: the HB
-  /// component is replicated per shard (counted once, as a max), the
-  /// shadow component is partitioned (summed across shards).
+  /// One memory sample, split the way the lane merge needs it: the HB
+  /// component is replicated per lane (counted once, as a max), the
+  /// shadow component is partitioned (summed across lanes).
   struct MemorySample {
     size_t HbBytes = 0;      ///< HB census — the same in every lane.
     size_t PartialBytes = 0; ///< Field + array + pending — partitioned.
@@ -251,10 +253,10 @@ public:
   };
 
   /// Redirects memory sampling into \p Log instead of the gauge counters.
-  /// Sample points are driven entirely by broadcast synchronization events
-  /// plus the run-end sample, so every shard of a sharded run appends the
-  /// same number of samples at the same stream positions; the merge
-  /// recombines sample k across shards as max(HbBytes) + sum(PartialBytes)
+  /// Sample points are driven entirely by synchronization events, which
+  /// every lane applies, plus the run-end sample, so every lane appends
+  /// the same number of samples at the same stream positions; the merge
+  /// recombines sample k across lanes as max(HbBytes) + sum(PartialBytes)
   /// and takes the gauge max over k — byte-identical to a single detector
   /// sampling the undivided shadow state (DESIGN.md Sec. 12).
   void setMemorySampleLog(std::vector<MemorySample> *Log) {
@@ -276,13 +278,11 @@ private:
   /// table when seeded; detectors outlive no program but tests drive them
   /// bare).
   SymbolTable Syms;
-  /// HB state: every clock in owned mode; in marker mode only the thread
-  /// views, installed from shipped clocks.
+  /// Thread, lock, volatile and final clocks; every lane holds them all.
   HbState Hb;
-  /// Marker mode (sharded lanes): sync edges arrive as applySyncMarker.
-  bool SyncMarkers = false;
-  /// The writer's HB census at the last marker (for memory samples).
-  uint64_t SharedHbBytes = 0;
+  /// This detector's lane and the lane count (ownPartition).
+  size_t OwnLane = 0;
+  size_t NumLanes = 1;
   /// Arena for every inflated clock held by field, array, and footprint
   /// shadow state.
   ClockPool Pool;
@@ -312,8 +312,8 @@ private:
   struct Footprint {
     RangeSet Reads;
     RangeSet Writes;
-    /// Global sequence of the event that inserted this entry (sharded
-    /// runs; 0 otherwise). Not part of the shadow-byte cost model.
+    /// Sequence of the event that inserted this entry (partitioned lanes;
+    /// 0 otherwise). Not part of the shadow-byte cost model.
     uint64_t EntrySeq = 0;
   };
   /// Indexed by thread; each map is keyed by array id. Commit iterates in
@@ -365,9 +365,9 @@ private:
   std::set<RaceKey> RaceKeys;
   std::vector<RaceOrder> RaceOrderKeys; ///< Parallel to Races.
   uint64_t MemorySampleTick = 0;
-  /// Non-null in sharded runs: samples are logged, not gauged.
+  /// Non-null on lanes: samples are logged, not gauged.
   std::vector<MemorySample> *SampleLog = nullptr;
-  /// Stream position of the event being applied (sharded runs only).
+  /// Sequence of the tool event being applied (partitioned lanes only).
   uint64_t CurrentEventSeq = 0;
   /// Barrier party index while onBarrier commits its parties.
   uint64_t CurrentParty = 0;

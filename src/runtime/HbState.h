@@ -81,25 +81,6 @@ public:
     return {C, Epochs[T]};
   }
 
-  /// Thread \p T's clock, or null while it has none. Never initializes,
-  /// so reading a clock leaves the byte census alone.
-  const VectorClock *liveClock(ThreadId T) const {
-    return T < Threads.size() && !Epochs[T].isBottom() ? &Threads[T]
-                                                        : nullptr;
-  }
-
-  /// Replaces thread \p T's clock with the \p Width entries at \p Entries:
-  /// a detector lane installing a clock the sync writer shipped
-  /// (DESIGN.md Sec. 13).
-  void install(ThreadId T, const uint64_t *Entries, uint32_t Width) {
-    VectorClock &C = clockOf(T);
-    size_t Before = shadowcost::clockBytes(C);
-    C.assign(Entries, Width);
-    assert(C.get(T) != 0 && "a shipped clock always covers its own thread");
-    TrackedBytes += shadowcost::clockBytes(C) - Before;
-    Epochs[T] = Epoch(T, C.get(T));
-  }
-
   void onAcquire(ThreadId T, ObjectId Lock) {
     VectorClock &C = clockOf(T);
     joinInto(C, entry(LockClocks, Lock));

@@ -136,18 +136,6 @@ public:
 
   size_t size() const { return Size; }
 
-  /// Entries 0 .. size()-1, for copying the clock out word by word.
-  const uint64_t *entries() const { return data(); }
-
-  /// Replaces the entries with the \p N words at \p W. Allocation-free
-  /// when they fit the current capacity.
-  void assign(const uint64_t *W, uint32_t N) {
-    if (N > Cap)
-      growTo(N);
-    std::copy(W, W + N, data());
-    Size = N;
-  }
-
   /// Heap-allocated slots (0 while the clock is inline) — the byte-cost
   /// model in ShadowCosts.h charges exactly this beyond sizeof.
   size_t heapCapacity() const { return Cap > kInlineSlots ? Cap : 0; }

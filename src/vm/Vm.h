@@ -63,16 +63,15 @@ struct VmOptions {
   /// recording run is behaviorally identical to a detector-attached run.
   EventSink *RecordSink = nullptr;
   /// Threads that apply the tool detector (DetectionOptions::Lanes):
-  /// 0 = inline on the VM thread; 1 = one detector thread behind a
-  /// bounded batch ring (DESIGN.md Sec. 10); N >= 2 = N lanes partitioned
-  /// by location, with sync edges applied once and their post-edge clocks
-  /// shipped to every lane (DESIGN.md Sec. 12/13). Reports and counters
-  /// are byte-identical for every count.
+  /// 0 = inline on the VM thread; N >= 1 = N detector threads reading one
+  /// bounded batch ring, each owning a partition of the objects and
+  /// applying every sync edge (DESIGN.md Sec. 10 and 12).
+  /// Reports and counters are byte-identical for every count.
   size_t DetectShards = 0;
   /// Another spelling of DetectShards = 1, used only when DetectShards
   /// is 0. Kept for detbench, whose async leg sets it.
   bool AsyncDetect = false;
-  /// Ring depth in batches per lane (clamped to >= 2). The tests set it
+  /// Lane ring depth in batches (clamped to >= 2). The tests set it
   /// to 2 or 4 so that lane rings fill and backpressure fires at Test
   /// scale.
   size_t AsyncRingBatches = kDefaultAsyncRingBatches;

@@ -5,9 +5,9 @@
 // Golden differential for the execution/detection decoupling: every way a
 // detector can consume the event stream — per-event dispatch (ring
 // capacity 1), batched dispatch (the default ring), one detector lane,
-// N location-partitioned lanes, and offline replay of a recorded trace,
-// also under another config that shares the recording's placement —
-// must produce byte-identical results. Coverage grid matches the
+// N lanes that each own a partition of the objects, and offline replay
+// of a recorded trace, also under another config that shares the
+// recording's placement — must produce byte-identical results. Coverage grid matches the
 // interning golden test: every workload (standard suite at Test scale
 // plus the racy variants) × all six detector configurations × three
 // scheduler seeds, with the ground-truth oracle attached so
@@ -53,14 +53,47 @@ void expectSameRun(const std::string &Tag, const VmResult &A,
         << Tag << " oracle race " << I;
 }
 
-/// Counts the events a run sends to its tool detector.
-struct ToolEventCounter final : EventSink {
-  uint64_t Events = 0;
+/// Counts what each lane applies when a run's tool detector runs on N
+/// lanes, for each lane count asked for: every tool sync and lifecycle
+/// event, plus the tool's checks and allocations on the objects laneOf
+/// gives the lane.
+struct LaneEventCounter final : EventSink {
+  std::map<size_t, std::vector<uint64_t>> PerLane; ///< By lane count.
+  uint64_t Sync = 0;    ///< Tool sync and lifecycle events.
+  uint64_t Located = 0; ///< Tool checks and allocations.
+
+  explicit LaneEventCounter(std::initializer_list<size_t> LaneCounts) {
+    for (size_t N : LaneCounts)
+      PerLane[N].assign(N, 0);
+  }
+
   void consumeBatch(const Event *Batch, size_t N, const uint32_t *) override {
-    for (size_t I = 0; I < N; ++I)
-      Events += (Batch[I].Target & kTargetTool) != 0;
+    for (size_t I = 0; I < N; ++I) {
+      const Event &E = Batch[I];
+      if (!(E.Target & kTargetTool))
+        continue;
+      bool IsLocated = E.Kind == EventKind::FieldCheck ||
+                       E.Kind == EventKind::ArrayCheck ||
+                       E.Kind == EventKind::ArrayAlloc;
+      ++(IsLocated ? Located : Sync);
+      for (auto &[Lanes, Counts] : PerLane) {
+        if (IsLocated)
+          ++Counts[laneOf(E.Obj, Lanes)];
+        else
+          for (uint64_t &C : Counts)
+            ++C;
+      }
+    }
   }
 };
+
+/// Each lane of \p R applied exactly the events \p Want names.
+void expectLaneEvents(const std::string &Tag, const RunResult &R,
+                      const std::vector<uint64_t> &Want) {
+  ASSERT_EQ(R.ShardLanes.size(), Want.size()) << Tag;
+  for (size_t I = 0; I < Want.size(); ++I)
+    EXPECT_EQ(R.ShardLanes[I].Events, Want[I]) << Tag << " lane " << I;
+}
 
 void expectReplayMatches(const std::string &Tag, const VmResult &Run,
                          const ReplayResult &Rep) {
@@ -112,10 +145,15 @@ TEST(EventStreamEquivalence, DispatchModesAgreeEverywhere) {
         VmResult Inline = runProgram(*IP.Prog, IP.Tool, Opts);
 
         // Batched dispatch (the default), with a trace writer teeing off
-        // the same stream the detectors consume.
+        // the same stream the detectors consume, and the lane tallies
+        // the lane runs below must reproduce.
         TraceWriter Writer(IP.Prog->symbols(), IP.Tool);
+        LaneEventCounter LaneEvents({1, 2, 3});
+        TeeSink Record;
+        Record.add(&Writer);
+        Record.add(&LaneEvents);
         Opts.EventBatch = kDefaultEventBatch;
-        Opts.RecordSink = &Writer;
+        Opts.RecordSink = &Record;
         VmResult Batched = runProgram(*IP.Prog, IP.Tool, Opts);
         Writer.finish(summaryOf(Batched));
 
@@ -132,11 +170,12 @@ TEST(EventStreamEquivalence, DispatchModesAgreeEverywhere) {
         OneLaneOpts.AsyncRingBatches = 4;
         VmResult OneLane = runProgram(*IP.Prog, IP.Tool, OneLaneOpts);
         expectSameRun(Tag + " inline-vs-lanes1", Inline, OneLane);
+        expectLaneEvents(Tag + " lanes1", OneLane, LaneEvents.PerLane[1]);
 
-        // Sharded detection (DESIGN.md Sec. 12): the same stream fanned
-        // out to location-partitioned detector workers, merged back.
-        // Two shards at Test scale exercises routing, sync markers, and
-        // the merge on every cell of the grid.
+        // Two lanes (DESIGN.md Sec. 12): each applies every sync edge and
+        // its own partition's checks, and the merge restores the inline
+        // result. Two lanes at Test scale exercise the partition, the
+        // first-touch rule and the merge on every cell of the grid.
         VmOptions ShardOpts;
         ShardOpts.Seed = Seed;
         ShardOpts.EnableGroundTruth = true;
@@ -145,12 +184,7 @@ TEST(EventStreamEquivalence, DispatchModesAgreeEverywhere) {
         ShardOpts.AsyncRingBatches = 4;
         VmResult Sharded = runProgram(*IP.Prog, IP.Tool, ShardOpts);
         expectSameRun(Tag + " inline-vs-sharded2", Inline, Sharded);
-        EXPECT_EQ(Sharded.ShardOrderViolations, 0u) << Tag;
-        // Sync edges apply once to the shared SyncClockTable (DESIGN.md
-        // Sec. 13): each lane sees one horizon marker per sync edge.
-        EXPECT_EQ(Sharded.ShardHorizonAdvances,
-                  Sharded.ShardBroadcastEvents * 2)
-            << Tag;
+        expectLaneEvents(Tag + " lanes2", Sharded, LaneEvents.PerLane[2]);
 
         // Offline replay of the recorded trace, batched...
         ReplayOptions RO;
@@ -173,7 +207,7 @@ TEST(EventStreamEquivalence, DispatchModesAgreeEverywhere) {
         EXPECT_EQ(Rep.ToolRacyLocations, Rep1.ToolRacyLocations) << Tag;
         EXPECT_EQ(Rep.EventsReplayed, Rep1.EventsReplayed) << Tag;
 
-        // Sharded replay: the shard count is a replay knob, and any
+        // Replay on lanes: the lane count is a replay knob, and any
         // count must replay the trace byte-identically.
         TraceReader ShardReader;
         ASSERT_TRUE(ShardReader.open(Writer.buffer().data(),
@@ -186,7 +220,8 @@ TEST(EventStreamEquivalence, DispatchModesAgreeEverywhere) {
             replayTrace(ShardReader, ShardReader.config(), ShardRO);
         expectReplayMatches(Tag + " batched-vs-sharded-replay", Batched,
                             RepSharded);
-        EXPECT_EQ(RepSharded.ShardOrderViolations, 0u) << Tag;
+        expectLaneEvents(Tag + " replay-lanes3", RepSharded,
+                         LaneEvents.PerLane[3]);
 
         // Cross-config replay: the trace of the config whose placement
         // this one shares, replayed under this config, must reproduce
@@ -211,14 +246,13 @@ TEST(EventStreamEquivalence, DispatchModesAgreeEverywhere) {
 }
 
 // Deterministic race-report merging: seeded racy workloads put races on
-// locations that hash to different shards, and every lane count —
+// locations that hash to different lanes, and every lane count —
 // including repeated runs of the same count — must produce reports and
 // counters byte-identical to the inline path. The deferred-array
-// configs matter most here: their races surface while one sync edge's
-// markers commit footprints in several shards at once, which is exactly
-// the cross-shard ordering the RaceOrder merge keys exist for. One lane
-// is the plain detector on one thread: no routing, markers or sync
-// table.
+// configs matter most here: their races surface while one sync edge
+// commits footprints in several lanes at once, which is exactly the
+// cross-lane ordering the RaceOrder merge keys exist for. One lane is
+// the plain detector on one thread and owns every object.
 TEST(EventStreamEquivalence, ShardedMergeDeterministicAcrossShardCounts) {
   const size_t ShardCounts[] = {1, 2, 4, 8};
   for (const Workload &W : racyVariants()) {
@@ -231,8 +265,8 @@ TEST(EventStreamEquivalence, ShardedMergeDeterministicAcrossShardCounts) {
       VmOptions Opts;
       Opts.Seed = 2;
       Opts.EnableGroundTruth = true;
-      ToolEventCounter ToolEvents;
-      Opts.RecordSink = &ToolEvents;
+      LaneEventCounter LaneEvents({1, 2, 4, 8});
+      Opts.RecordSink = &LaneEvents;
       VmResult Sync = runProgram(*IP.Prog, IP.Tool, Opts); // Shards = 0.
       Opts.RecordSink = nullptr;
 
@@ -244,30 +278,11 @@ TEST(EventStreamEquivalence, ShardedMergeDeterministicAcrossShardCounts) {
         VmResult A = runProgram(*IP.Prog, IP.Tool, SO);
         expectSameRun(Tag + " inline-vs-shards" + std::to_string(Shards),
                       Sync, A);
-        EXPECT_EQ(A.ShardOrderViolations, 0u) << Tag;
-        ASSERT_EQ(A.ShardLanes.size(), Shards) << Tag;
-        if (Shards == 1) {
-          // The one lane applies every tool event itself and ships no
-          // clocks.
-          EXPECT_EQ(A.ShardLanes[0].Events, ToolEvents.Events) << Tag;
-          EXPECT_EQ(A.ShardSyncPublishes, 0u) << Tag;
-          EXPECT_EQ(A.ShardSyncTableBytes, 0u) << Tag;
-        } else {
-          // One horizon marker per lane per sync edge, and lane event
-          // tallies are exactly the routed partition.
-          EXPECT_EQ(A.ShardHorizonAdvances, A.ShardBroadcastEvents * Shards)
-              << Tag;
-          EXPECT_EQ(A.ShardRoutedEvents + A.ShardBroadcastEvents,
-                    ToolEvents.Events)
-              << Tag;
-          uint64_t LaneEvents = 0, LaneMarkers = 0;
-          for (const ShardLaneStats &L : A.ShardLanes) {
-            LaneEvents += L.Events;
-            LaneMarkers += L.Markers;
-          }
-          EXPECT_EQ(LaneEvents, A.ShardRoutedEvents) << Tag;
-          EXPECT_EQ(LaneMarkers, A.ShardHorizonAdvances) << Tag;
-        }
+        // One lane applies every tool event; each of N >= 2 applies every
+        // sync and lifecycle event plus its own partition's checks and
+        // allocations.
+        expectLaneEvents(Tag + " lanes" + std::to_string(Shards), A,
+                         LaneEvents.PerLane[Shards]);
 
         // Run-to-run determinism at the same count: the merge may not
         // depend on worker scheduling.
@@ -279,11 +294,11 @@ TEST(EventStreamEquivalence, ShardedMergeDeterministicAcrossShardCounts) {
 }
 
 // Lock-heavy leg of the differential grid: a synthetic lock-churn
-// program where sync edges outnumber checks by design — three workers
+// program where sync edges rival checks by design — three workers
 // ping-ponging over two locks and a volatile flag between barrier
-// phases. This is the workload shape the shared sync-clock table exists
-// for, so every dispatch mode must agree byte-for-byte, and the marker
-// path must carry essentially all of the traffic.
+// phases. Every lane applies every one of those edges, so every dispatch
+// mode must agree byte-for-byte with each lane's tally exactly the sync
+// edges plus its own partition.
 TEST(EventStreamEquivalence, LockChurnAgreesAcrossModesAndSyncState) {
   const char *Source = R"(
 class Shared {
@@ -344,7 +359,12 @@ thread {
       Opts.Seed = Seed;
       Opts.EnableGroundTruth = true;
       Opts.EventBatch = 1;
+      LaneEventCounter LaneEvents({2, 4});
+      Opts.RecordSink = &LaneEvents;
       VmResult Inline = runProgram(*IP.Prog, IP.Tool, Opts);
+      // Lock churn means the stream is mostly sync edges: the lanes'
+      // shared part must actually be exercised, heavily.
+      EXPECT_GT(LaneEvents.Sync, LaneEvents.Located / 4) << Tag;
 
       VmOptions OneLaneOpts;
       OneLaneOpts.Seed = Seed;
@@ -365,16 +385,7 @@ thread {
         VmResult Sharded = runProgram(*IP.Prog, IP.Tool, SO);
         std::string STag = Tag + "/shards" + std::to_string(Shards);
         expectSameRun(STag + " inline-vs-sharded", Inline, Sharded);
-        EXPECT_EQ(Sharded.ShardOrderViolations, 0u) << STag;
-        EXPECT_EQ(Sharded.ShardHorizonAdvances,
-                  Sharded.ShardBroadcastEvents * Shards)
-            << STag;
-        // Lock churn means the stream is mostly sync edges: the marker
-        // path must actually be exercised, heavily.
-        EXPECT_GT(Sharded.ShardBroadcastEvents, Sharded.ShardRoutedEvents / 4)
-            << STag;
-        EXPECT_GT(Sharded.ShardSyncPublishes, 0u) << STag;
-        EXPECT_GT(Sharded.ShardSyncTableBytes, 0u) << STag;
+        expectLaneEvents(STag, Sharded, LaneEvents.PerLane[Shards]);
       }
     }
   }
@@ -445,7 +456,6 @@ TEST(EventStreamEquivalence, AsyncDetectIsOneLane) {
     ASSERT_EQ(A.ShardLanes.size(), 1u) << Tag;
     ASSERT_EQ(B.ShardLanes.size(), 1u) << Tag;
     EXPECT_EQ(B.ShardLanes[0].Events, A.ShardLanes[0].Events) << Tag;
-    EXPECT_EQ(B.ShardSyncPublishes, 0u) << Tag;
     Alias.DetectShards = 2;
     EXPECT_EQ(runProgram(*IP.Prog, IP.Tool, Alias).ShardLanes.size(), 2u)
         << Tag;

@@ -6,15 +6,15 @@
 // (DESIGN.md Sec. 10 and 12) plus producer-side sink edges the differential
 // goldens never reach: the SPSC batch ring under a real producer/consumer
 // thread pair with randomized batch sizes, AsyncSink's drain and
-// backpressure protocol, EventRing capacity clamping and empty flushes,
-// and TeeSink fan-out / mid-stream rebinding.
+// backpressure protocol, a DetectionPipeline's lanes torn down and merged,
+// EventRing capacity clamping and empty flushes, and TeeSink fan-out /
+// mid-stream rebinding.
 //
 //===----------------------------------------------------------------------===//
 
 #include "events/AsyncSink.h"
 #include "events/DetectionPipeline.h"
 #include "events/EventSink.h"
-#include "events/ShardedSink.h"
 #include "events/SpscBatchRing.h"
 
 #include <gtest/gtest.h>
@@ -60,76 +60,88 @@ Event seqEvent(uint64_t Seq) {
 
 // The core stress: a real producer thread publishing batches of
 // randomized sizes through a shallow ring (so wraparound and full-ring
-// backpressure both happen constantly) while a consumer drains them. The
-// consumer must observe every event exactly once, in publication order,
-// with each event's payload intact.
+// backpressure both happen constantly) while one consumer, then three
+// (as three lanes do), drain them. Every consumer must observe every
+// event exactly once, in publication order, with each event's payload
+// intact.
 TEST(SpscBatchRing, StressRandomizedBatchesKeepOrder) {
   constexpr uint64_t kTotalEvents = 50000;
-  SpscBatchRing Ring(4);
-  std::atomic<bool> Stop{false};
+  for (size_t NumConsumers : {size_t(1), size_t(3)}) {
+    SpscBatchRing Ring(4, NumConsumers);
+    std::atomic<bool> Stop{false};
 
-  std::vector<uint64_t> Consumed;
-  Consumed.reserve(kTotalEvents);
-  std::vector<uint32_t> PayloadSums;
-  std::thread Consumer([&] {
-    for (;;) {
-      EventBatch *B = Ring.waitPeek(Stop);
-      if (!B)
-        return;
-      for (const Event &E : B->Events) {
-        Consumed.push_back(E.Aux);
-        uint32_t Sum = 0;
-        for (uint32_t I = 0; I < E.PayloadCount; ++I)
-          Sum += B->Payload[E.PayloadIndex + I];
-        PayloadSums.push_back(Sum);
+    std::vector<std::vector<uint64_t>> Consumed(NumConsumers);
+    std::vector<std::vector<uint32_t>> PayloadSums(NumConsumers);
+    std::vector<std::thread> Consumers;
+    for (size_t C = 0; C < NumConsumers; ++C)
+      Consumers.emplace_back([&, C] {
+        for (;;) {
+          EventBatch *B = Ring.waitPeek(Stop, C);
+          if (!B)
+            return;
+          for (const Event &E : B->Events) {
+            Consumed[C].push_back(E.Aux);
+            uint32_t Sum = 0;
+            for (uint32_t I = 0; I < E.PayloadCount; ++I)
+              Sum += B->Payload[E.PayloadIndex + I];
+            PayloadSums[C].push_back(Sum);
+          }
+          Ring.pop(C);
+        }
+      });
+
+    std::mt19937_64 Rng(42);
+    std::vector<Event> Batch;
+    std::vector<uint32_t> Payload;
+    uint64_t Seq = 0, BatchesSent = 0;
+    while (Seq < kTotalEvents) {
+      size_t N = 1 + Rng() % 97; // 1..97 events per batch.
+      if (N > kTotalEvents - Seq)
+        N = size_t(kTotalEvents - Seq);
+      Batch.clear();
+      Payload.clear();
+      for (size_t I = 0; I < N; ++I) {
+        Event E = seqEvent(Seq);
+        // Every third event carries payload: two words derived from Seq.
+        if (Seq % 3 == 0) {
+          E.PayloadIndex = uint32_t(Payload.size());
+          E.PayloadCount = 2;
+          Payload.push_back(uint32_t(Seq));
+          Payload.push_back(uint32_t(Seq >> 3));
+        }
+        Batch.push_back(E);
+        ++Seq;
       }
-      Ring.pop();
+      EventBatch &Slot = Ring.acquireSlot();
+      Slot.assign(Batch.data(), Batch.size(), Payload.data());
+      Ring.publish();
+      ++BatchesSent;
     }
-  });
+    Ring.drain();
+    Stop.store(true, std::memory_order_release);
+    Ring.wakeConsumer();
+    for (std::thread &T : Consumers)
+      T.join();
 
-  std::mt19937_64 Rng(42);
-  std::vector<Event> Batch;
-  std::vector<uint32_t> Payload;
-  uint64_t Seq = 0, BatchesSent = 0;
-  while (Seq < kTotalEvents) {
-    size_t N = 1 + Rng() % 97; // 1..97 events per batch.
-    if (N > kTotalEvents - Seq)
-      N = size_t(kTotalEvents - Seq);
-    Batch.clear();
-    Payload.clear();
-    for (size_t I = 0; I < N; ++I) {
-      Event E = seqEvent(Seq);
-      // Every third event carries payload: two words derived from Seq.
-      if (Seq % 3 == 0) {
-        E.PayloadIndex = uint32_t(Payload.size());
-        E.PayloadCount = 2;
-        Payload.push_back(uint32_t(Seq));
-        Payload.push_back(uint32_t(Seq >> 3));
+    // No lost, duplicated, or reordered events: each consumed sequence is
+    // exactly 0..N-1.
+    for (size_t C = 0; C < NumConsumers; ++C) {
+      ASSERT_EQ(Consumed[C].size(), kTotalEvents) << "consumer " << C;
+      for (uint64_t I = 0; I < kTotalEvents; ++I)
+        ASSERT_EQ(Consumed[C][size_t(I)], I) << "consumer " << C;
+      ASSERT_EQ(PayloadSums[C].size(), kTotalEvents);
+      for (uint64_t I = 0; I < kTotalEvents; ++I) {
+        uint32_t Want = I % 3 == 0 ? uint32_t(I) + uint32_t(I >> 3) : 0;
+        ASSERT_EQ(PayloadSums[C][size_t(I)], Want)
+            << "consumer " << C << " payload at " << I;
       }
-      Batch.push_back(E);
-      ++Seq;
     }
-    EventBatch &Slot = Ring.acquireSlot();
-    Slot.assign(Batch.data(), Batch.size(), Payload.data());
-    Ring.publish();
-    ++BatchesSent;
+    EXPECT_EQ(Ring.published(), BatchesSent);
+    uint64_t Attributed = 0;
+    for (size_t C = 0; C < NumConsumers; ++C)
+      Attributed += Ring.fullStallsOn(C);
+    EXPECT_EQ(Attributed, Ring.fullStalls());
   }
-  Ring.drain();
-  Stop.store(true, std::memory_order_release);
-  Ring.wakeConsumer();
-  Consumer.join();
-
-  // No lost, duplicated, or reordered events: the consumed sequence is
-  // exactly 0..N-1.
-  ASSERT_EQ(Consumed.size(), kTotalEvents);
-  for (uint64_t I = 0; I < kTotalEvents; ++I)
-    ASSERT_EQ(Consumed[size_t(I)], I) << "at index " << I;
-  ASSERT_EQ(PayloadSums.size(), kTotalEvents);
-  for (uint64_t I = 0; I < kTotalEvents; ++I) {
-    uint32_t Want = I % 3 == 0 ? uint32_t(I) + uint32_t(I >> 3) : 0;
-    ASSERT_EQ(PayloadSums[size_t(I)], Want) << "payload at " << I;
-  }
-  EXPECT_EQ(Ring.published(), BatchesSent);
 }
 
 // The shutdown edge under the sanitizers: the producer publishes its
@@ -230,7 +242,7 @@ TEST(SpscBatchRing, DrainOnEmptyAndCapacityClamp) {
 // result-sampling depends on.
 TEST(AsyncSink, DrainDeliversEverythingInOrder) {
   RecordingSink Downstream;
-  AsyncSink Async(Downstream, 4);
+  AsyncSink Async({&Downstream}, 4);
 
   constexpr uint64_t kEvents = 10000;
   std::vector<Event> Batch;
@@ -266,7 +278,7 @@ TEST(AsyncSink, BackpressureThrottlesWithoutLoss) {
   constexpr uint64_t kBatches = 32;
   uint64_t Sent = 0;
   {
-    AsyncSink Async(Downstream, 2);
+    AsyncSink Async({&Downstream}, 2);
     Event E = seqEvent(0);
     for (uint64_t B = 0; B < kBatches; ++B) {
       Async.consumeBatch(&E, 1, nullptr);
@@ -291,7 +303,7 @@ TEST(AsyncSink, DestructorRacesActiveConsumerManyRounds) {
     SlowSink Downstream;
     uint64_t Sent = 0;
     {
-      AsyncSink Async(Downstream, 2);
+      AsyncSink Async({&Downstream}, 2);
       Event E = seqEvent(0);
       for (int B = 0; B < 5; ++B) {
         Async.consumeBatch(&E, 1, nullptr);
@@ -307,7 +319,7 @@ TEST(AsyncSink, DestructorRacesActiveConsumerManyRounds) {
 TEST(AsyncSink, EmptyBatchesAndDestructorDrain) {
   RecordingSink Downstream;
   {
-    AsyncSink Async(Downstream, 4);
+    AsyncSink Async({&Downstream}, 4);
     Event E = seqEvent(1);
     Async.consumeBatch(&E, 0, nullptr); // No-op.
     Async.consumeBatch(&E, 1, nullptr);
@@ -316,103 +328,15 @@ TEST(AsyncSink, EmptyBatchesAndDestructorDrain) {
   EXPECT_EQ(Downstream.Events[0].Aux, 1u);
 }
 
-//===--- ShardedSink ----------------------------------------------------------
+//===--- Detection lanes ------------------------------------------------------
 
-// The fan-out sink's destructor without finish(): N worker lanes are
-// joined mid-stream, with shallow rings so teardown overlaps busy
-// workers. Exercised across lane counts (2 to 5) and many rounds
-// so the sanitizer jobs see every lane-shutdown interleaving; finish()'s
-// merge is deliberately skipped — abandoning a sharded run must still
-// shut down cleanly.
-TEST(ShardedSink, DestructorWithoutFinishJoinsAllLanes) {
-  const DetectorConfig Ft = fastTrackConfig();
-  for (int Round = 0; Round < 24; ++Round) {
-    ShardedSink Sink(Ft, nullptr, 2 + size_t(Round) % 4, 2);
-
-    // A mix of routed checks (spread over objects, so every lane gets
-    // work) and sync edges, in several small batches.
-    std::vector<Event> Batch;
-    std::vector<uint32_t> Payload;
-    for (int B = 0; B < 6; ++B) {
-      Batch.clear();
-      Payload.clear();
-      for (uint64_t I = 0; I < 16; ++I) {
-        Event E;
-        E.Tid = 1;
-        E.Target = kTargetBoth;
-        if (I % 8 == 7) {
-          E.Kind = I % 16 == 7 ? EventKind::Acquire : EventKind::Release;
-          E.Obj = 100;
-        } else {
-          E.Kind = EventKind::FieldCheck;
-          E.Obj = 1 + (uint64_t(B) * 16 + I) % 13;
-          E.PayloadIndex = uint32_t(Payload.size());
-          E.PayloadCount = 1;
-          Payload.push_back(uint32_t(I % 3));
-        }
-        Batch.push_back(E);
-      }
-      Sink.consumeBatch(Batch.data(), Batch.size(), Payload.data());
-    }
-  } // Destructor: drain + stop + join every lane, no finish().
-}
-
-// finish() after the same traffic is complete and deterministic: the
-// merged counters must partition-sum identically no matter how lane
-// scheduling interleaved, every sync edge must reach every lane as one
-// horizon marker, and the ordering invariant must hold.
-TEST(ShardedSink, FinishAfterBroadcastHeavyTrafficIsDeterministic) {
-  Stats Reference;
-  for (int Round = 0; Round < 8; ++Round) {
-    ShardedSink Sink(fastTrackConfig(), nullptr, 3, 2);
-    std::vector<Event> Batch;
-    std::vector<uint32_t> Payload;
-    for (int B = 0; B < 8; ++B) {
-      Batch.clear();
-      Payload.clear();
-      for (uint64_t I = 0; I < 12; ++I) {
-        Event E;
-        E.Tid = 1;
-        if (I % 4 == 3) {
-          E.Kind = I % 8 == 3 ? EventKind::Acquire : EventKind::Release;
-          E.Obj = 42;
-        } else {
-          E.Kind = EventKind::FieldCheck;
-          E.Obj = 1 + (uint64_t(B) * 12 + I) % 7;
-          E.PayloadIndex = uint32_t(Payload.size());
-          E.PayloadCount = 1;
-          Payload.push_back(uint32_t(I % 2));
-        }
-        Batch.push_back(E);
-      }
-      Sink.consumeBatch(Batch.data(), Batch.size(), Payload.data());
-    }
-    Sink.drain();
-    RunResult M;
-    Sink.finish(M);
-    EXPECT_EQ(M.ShardOrderViolations, 0u) << "round " << Round;
-    EXPECT_EQ(M.ShardHorizonAdvances, M.ShardBroadcastEvents * 3)
-        << "round " << Round;
-    EXPECT_GT(M.ShardSyncPublishes, 0u) << "round " << Round;
-    if (Round == 0)
-      Reference = M.Counters;
-    else
-      EXPECT_TRUE(M.Counters.all() == Reference.all())
-          << "round " << Round << ": merged counters diverged";
-  }
-}
-
-/// Builds batches of tool events for the sink tests below: field checks
-/// on one field and payload-free sync edges (volatiles on field 0).
+/// Builds batches of tool events for the lane tests below: field checks
+/// and payload-free lock edges.
 struct BatchBuilder {
   std::vector<Event> Events;
   std::vector<uint32_t> Payload;
 
-  void clear() {
-    Events.clear();
-    Payload.clear();
-  }
-  void check(ThreadId T, ObjectId Obj, AccessKind K, uint32_t Field = 0) {
+  void check(ThreadId T, ObjectId Obj, AccessKind K, uint32_t Field) {
     Event E;
     E.Kind = EventKind::FieldCheck;
     E.Access = K;
@@ -423,12 +347,11 @@ struct BatchBuilder {
     Payload.push_back(Field);
     Events.push_back(E);
   }
-  void sync(EventKind K, ThreadId T, ObjectId Obj) {
+  void sync(EventKind K, ThreadId T, ObjectId Lock) {
     Event E;
     E.Kind = K;
     E.Tid = T;
-    E.Obj = Obj;
-    E.Field = 0; // Volatiles name a field; locks ignore it.
+    E.Obj = Lock;
     Events.push_back(E);
   }
   void feed(EventSink &S) const {
@@ -436,12 +359,42 @@ struct BatchBuilder {
   }
 };
 
-/// Field names f0..f3 for the checks above: race reports render them.
-SymbolTable fieldNames() {
-  SymbolTable Syms;
-  for (const char *Name : {"f0", "f1", "f2", "f3"})
-    Syms.intern(Name);
-  return Syms;
+/// Checks spread over \p Objects objects with a lock edge every
+/// \p SyncEvery-th event, by two threads, in \p Batches batches of
+/// \p PerBatch events.
+std::vector<BatchBuilder> mixedTraffic(uint64_t Batches, uint64_t PerBatch,
+                                       uint64_t Objects, uint64_t SyncEvery) {
+  std::vector<BatchBuilder> Out(Batches);
+  for (uint64_t B = 0; B < Batches; ++B)
+    for (uint64_t I = 0; I < PerBatch; ++I) {
+      ThreadId T = ThreadId(1 + (B + I) % 2);
+      if (I % SyncEvery == SyncEvery - 1)
+        Out[B].sync(I % (2 * SyncEvery) == SyncEvery - 1 ? EventKind::Acquire
+                                                          : EventKind::Release,
+                    T, 100);
+      else
+        Out[B].check(T, 1 + (B * PerBatch + I) % Objects, AccessKind(I % 2),
+                     uint32_t(I % 2));
+    }
+  return Out;
+}
+
+// A pipeline's destructor without finish(): N lane threads are joined
+// mid-stream, with 2-slot rings so teardown overlaps busy lanes.
+// Exercised across lane counts (2 to 5) and many rounds so the sanitizer
+// jobs see every lane-shutdown interleaving; the merge is deliberately
+// skipped — abandoning a run on lanes must still shut down cleanly.
+TEST(ShardedSink, DestructorWithoutFinishJoinsAllLanes) {
+  const DetectorConfig Ft = fastTrackConfig();
+  const std::vector<BatchBuilder> Traffic = mixedTraffic(6, 16, 13, 8);
+  for (int Round = 0; Round < 24; ++Round) {
+    DetectionOptions O;
+    O.Lanes = 2 + size_t(Round) % 4;
+    O.RingBatches = 2;
+    DetectionPipeline Pipeline(&Ft, nullptr, O);
+    for (const BatchBuilder &B : Traffic)
+      B.feed(*Pipeline.sink());
+  } // Destructor: drain + stop + join every lane, no finish().
 }
 
 /// Race reports as text, in report order.
@@ -452,111 +405,50 @@ std::vector<std::string> raceText(const RunResult &R) {
   return Out;
 }
 
-// The sync state that crosses to the lanes is bounded (ROADMAP item 2):
-// two threads pass a lock back and forth for 10^7 acquire and release
-// edges, with a field check inside every critical section. The segments
-// and lane views reach their size within the first 10^5 edges and never
-// grow after, while reports and counters stay those of an inline
-// detector fed the same events.
-TEST(ShardedSink, SyncStateBytesPlateauOverTenMillionEdges) {
+// finish() after sync-heavy traffic on three lanes with 2-slot rings is
+// complete and deterministic: the merged counters and races equal an
+// inline detector's in every round however the lanes interleaved, and
+// each lane applied every lock edge plus the checks on its own objects.
+TEST(ShardedSink, FinishAfterBroadcastHeavyTrafficIsDeterministic) {
   const DetectorConfig Ft = fastTrackConfig();
-  const SymbolTable Syms = fieldNames();
-  DetectionOptions InlineOpts;
-  DetectionPipeline Inline(&Ft, &Syms, InlineOpts);
-  ShardedSink Sink(Ft, &Syms, 2);
-
-  // One unguarded write-write pair first, so there is a race to merge.
-  BatchBuilder B;
-  B.check(1, 99, AccessKind::Write);
-  B.check(2, 99, AccessKind::Write);
-  B.feed(*Inline.sink());
-  B.feed(Sink);
-
-  // One batch, fed over and over: 40 rounds of four edges, a check inside
-  // each critical section. Every segment then holds the same edges.
-  B.clear();
-  for (ObjectId Round = 0; Round < 40; ++Round)
-    for (ThreadId T : {ThreadId(1), ThreadId(2)}) {
-      B.sync(EventKind::Acquire, T, 7);
-      B.check(T, 10 + Round % 8, T == 1 ? AccessKind::Write : AccessKind::Read);
-      B.sync(EventKind::Release, T, 7);
+  SymbolTable Syms;
+  Syms.intern("f0");
+  Syms.intern("f1");
+  const std::vector<BatchBuilder> Traffic = mixedTraffic(8, 12, 7, 4);
+  constexpr size_t kLanes = 3;
+  std::vector<uint64_t> Want(kLanes, 0);
+  for (const BatchBuilder &B : Traffic)
+    for (const Event &E : B.Events) {
+      if (E.Kind == EventKind::FieldCheck)
+        ++Want[laneOf(E.Obj, kLanes)];
+      else
+        for (uint64_t &W : Want)
+          ++W;
     }
-  constexpr uint64_t kEdgesPerBatch = 160;
-  auto FeedEdges = [&](uint64_t From, uint64_t To) {
-    for (uint64_t Edges = From; Edges < To; Edges += kEdgesPerBatch) {
+
+  RunResult Ref;
+  {
+    DetectionPipeline Inline(&Ft, &Syms, DetectionOptions());
+    for (const BatchBuilder &B : Traffic)
       B.feed(*Inline.sink());
-      B.feed(Sink);
-    }
-  };
-  FeedEdges(0, 100'000);
-  Sink.drain();
-  size_t Early = Sink.syncStateBytes();
-  FeedEdges(100'000, 10'000'000);
-  Sink.drain();
-  EXPECT_GT(Early, 0u);
-  EXPECT_EQ(Sink.syncStateBytes(), Early);
-
-  RunResult Lanes, Ref;
-  Sink.finish(Lanes);
-  Inline.finish(Ref);
-  EXPECT_EQ(Lanes.ShardBroadcastEvents, 10'000'000u);
-  EXPECT_EQ(Lanes.ShardSyncTableBytes, Early);
-  EXPECT_EQ(Lanes.ShardOrderViolations, 0u);
-  EXPECT_TRUE(Lanes.Counters.all() == Ref.Counters.all());
-  EXPECT_EQ(raceText(Lanes), raceText(Ref));
-  EXPECT_EQ(Ref.ToolRaces.size(), 1u);
-}
-
-// Segment reuse at its tightest: 2-slot rings and 3 lanes, so a lane's
-// slot for sync batch k can only be taken once it retired its slot for
-// sync batch k - 2, which last read the segment batch k reuses. Sync
-// batches alternate with check-only batches on one object, which all go
-// to one lane, so the other lanes get slots only on sync batches and
-// fall behind or race ahead of the busy one. Under TSan this checks the
-// reuse edge itself; everywhere it checks the merged result against an
-// inline detector.
-TEST(ShardedSink, SegmentReuseWithTwoSlotRingsMatchesInline) {
-  const DetectorConfig Ft = fastTrackConfig();
-  const SymbolTable Syms = fieldNames();
-  for (int Round = 0; Round < 6; ++Round) {
-    DetectionOptions InlineOpts;
-    DetectionPipeline Inline(&Ft, &Syms, InlineOpts);
-    ShardedSink Sink(Ft, &Syms, 3, 2);
-    BatchBuilder B;
-    for (uint64_t Batch = 0; Batch < 300; ++Batch) {
-      B.clear();
-      if (Batch % 2 == 0) {
-        // Sync batch: lock hand-offs between threads 1..3, volatile
-        // writes and reads, and guarded checks spread over objects.
-        for (uint64_t I = 0; I < 8; ++I) {
-          ThreadId T = ThreadId(1 + (Batch / 2 + I) % 3);
-          B.sync(EventKind::Acquire, T, 7);
-          B.check(T, 20 + (Batch + I) % 11, AccessKind::Write);
-          B.sync(EventKind::Release, T, 7);
-          B.sync(I % 2 ? EventKind::VolatileRead : EventKind::VolatileWrite,
-                 T, 8);
-        }
-      } else {
-        // Check-only batch: every check on object 500, unguarded.
-        for (uint64_t I = 0; I < 24; ++I)
-          B.check(ThreadId(1 + (Batch + I) % 3), 500, AccessKind(I % 2),
-                  uint32_t(I % 4));
-      }
-      B.feed(*Inline.sink());
-      B.feed(Sink);
-    }
-    Sink.drain();
-    RunResult Lanes, Ref;
-    Sink.finish(Lanes);
     Inline.finish(Ref);
-    EXPECT_EQ(Lanes.ShardOrderViolations, 0u) << "round " << Round;
-    EXPECT_TRUE(Lanes.Counters.all() == Ref.Counters.all())
-        << "round " << Round;
-    EXPECT_EQ(raceText(Lanes), raceText(Ref)) << "round " << Round;
-    EXPECT_FALSE(Ref.ToolRaces.empty());
-    // Every sync edge reached all three lanes.
-    EXPECT_EQ(Lanes.ShardHorizonAdvances, Lanes.ShardBroadcastEvents * 3)
-        << "round " << Round;
+  }
+  ASSERT_FALSE(Ref.ToolRaces.empty());
+  for (int Round = 0; Round < 8; ++Round) {
+    DetectionOptions O;
+    O.Lanes = kLanes;
+    O.RingBatches = 2;
+    DetectionPipeline Pipeline(&Ft, &Syms, O);
+    for (const BatchBuilder &B : Traffic)
+      B.feed(*Pipeline.sink());
+    RunResult M;
+    Pipeline.finish(M);
+    EXPECT_TRUE(M.Counters.all() == Ref.Counters.all()) << "round " << Round;
+    EXPECT_EQ(raceText(M), raceText(Ref)) << "round " << Round;
+    ASSERT_EQ(M.ShardLanes.size(), kLanes);
+    for (size_t L = 0; L < kLanes; ++L)
+      EXPECT_EQ(M.ShardLanes[L].Events, Want[L])
+          << "round " << Round << " lane " << L;
   }
 }
 

@@ -109,17 +109,6 @@ TEST(Harness, SuiteResultsIdenticalAcrossJobCounts) {
     expectSameCounters(A[I], B[I]);
 }
 
-TEST(Harness, OneLaneMatchesInlineCounters) {
-  // --detect-shards=1 moves detection to another thread but must not
-  // change a single measured number.
-  Workload W = workloadByName("tomcat", SuiteScale::Test);
-  ExperimentOptions Inline;
-  Inline.Iterations = 0;
-  ExperimentOptions OneLane = Inline;
-  OneLane.DetectShards = 1;
-  expectSameCounters(runExperiment(W, Inline), runExperiment(W, OneLane));
-}
-
 TEST(Harness, TimedRoundsKeepTheReferenceCounters) {
   // Timing reruns every leg; it must time each one and change no counter.
   Workload W = workloadByName("crypt", SuiteScale::Test);
@@ -258,23 +247,9 @@ TEST(Harness, BenchArgsParsing) {
   // --iters=0 is a legitimate counters-only request, not clamped.
   const char *Zero[] = {"prog", "--iters=0"};
   EXPECT_EQ(parseBenchArgs(2, const_cast<char **>(Zero)).Opts.Iterations, 0);
-  // Lane counts: inline by default; a number sets them.
-  EXPECT_EQ(Defaults.Opts.DetectShards, 0u);
-  const char *Lanes[] = {"prog", "--detect-shards=3"};
-  EXPECT_EQ(parseBenchArgs(2, const_cast<char **>(Lanes)).Opts.DetectShards,
-            3u);
-  // A lane count parseLaneCount() rejects stops the bench binary with a
-  // message instead of running with a wrapped or silently dropped value.
-  // "auto" is no count either.
-  for (const char *Bad : {"--detect-shards=-1", "--detect-shards=abc",
-                          "--detect-shards=65", "--detect-shards=auto"}) {
-    const char *BadArgv[] = {"prog", Bad};
-    EXPECT_EXIT(parseBenchArgs(2, const_cast<char **>(BadArgv)),
-                ::testing::ExitedWithCode(1), "--detect-shards")
-        << Bad;
-  }
-  // So does any other malformed number, instead of running some other
-  // configuration ("abc" is not 0 iterations, "-1" is not 2^32-1 jobs).
+  // A malformed number stops the bench binary with a message instead of
+  // running some other configuration ("abc" is not 0 iterations, "-1" is
+  // not 2^32-1 jobs).
   for (const char *Bad : {"--iters=abc", "--iters=-1", "--iters=", "--jobs=-1",
                           "--jobs=2x", "--seed=x", "--seed=-3"}) {
     const char *BadArgv[] = {"prog", Bad};
@@ -284,12 +259,13 @@ TEST(Harness, BenchArgsParsing) {
   }
   // And any unknown option: a typo must not run with the setting
   // unchanged.
-  // --no-check-filter is gone with the dynamic check filter, and the
-  // replay knobs with the record/replay counters phase.
+  // --no-check-filter is gone with the dynamic check filter, the replay
+  // knobs with the record/replay counters phase, and --detect-shards
+  // with the benches' lane runs (the bigfoot CLI keeps its own).
   for (const char *Bad : {"--no-checkfilter", "--ast", "--workload=sor",
                           "--iters", "extra", "--async-detect",
                           "--no-check-filter", "--replay", "--no-replay",
-                          "--record-dir=D"}) {
+                          "--record-dir=D", "--detect-shards=1"}) {
     const char *BadArgv[] = {"prog", Bad};
     EXPECT_EXIT(parseBenchArgs(2, const_cast<char **>(BadArgv)),
                 ::testing::ExitedWithCode(1), "prog: error: unknown option")

@@ -297,3 +297,90 @@ TEST(Detector, MemorySamplingTracksPeak) {
   EXPECT_GT(S.get("tool.peakShadowBytes"), 0u);
   EXPECT_GE(S.get("tool.peakShadowLocations"), 1000u);
 }
+
+namespace {
+
+/// The first object id from \p From on that lane \p Lane of \p Lanes owns.
+ObjectId objectOfLane(size_t Lane, size_t Lanes, ObjectId From) {
+  while (laneOf(From, Lanes) != Lane)
+    ++From;
+  return From;
+}
+
+} // namespace
+
+// A thread that no sync edge has touched gets its first clock from its
+// first check's HB read. A lane that skips another lane's check must
+// still give it that clock, or its HB census — the replicated part of
+// every memory sample the lane merge takes the max of — falls short of
+// the inline detector's. Each lane here sees such a thread check a field
+// of another lane's object and, without deferred array checks, a range
+// of another lane's array; every lane's logged samples must carry the
+// unpartitioned detector's HB bytes, and their partitioned parts must
+// sum to its shadow bytes.
+TEST(Detector, LanesKeepTheInlineHbCensusOnFirstTouch) {
+  for (const DetectorConfig &Cfg : {fastTrackConfig(), bigFootConfig({})}) {
+    for (size_t Lanes : {size_t(2), size_t(3)}) {
+      std::string Tag = Cfg.Name + "/lanes" + std::to_string(Lanes);
+      SymbolTable Syms;
+      uint32_t F = Syms.intern("f");
+      std::vector<Event> Batch;
+      auto Add = [&Batch](EventKind K, ThreadId T, ObjectId Obj) {
+        Event E;
+        E.Kind = K;
+        E.Tid = T;
+        E.Obj = Obj;
+        Batch.push_back(E);
+        return &Batch.back();
+      };
+      // Thread 1's acquire is the first sync edge and the first sample.
+      Add(EventKind::Acquire, 1, 1000);
+      for (size_t L = 0; L < Lanes; ++L) {
+        size_t Other = (L + 1) % Lanes;
+        ObjectId Obj = objectOfLane(Other, Lanes, 10 * (L + 1));
+        ObjectId Arr = objectOfLane(Other, Lanes, 500 + 10 * L);
+        Add(EventKind::ArrayAlloc, 0, Arr)->Aux = 64;
+        Event *C = Add(EventKind::FieldCheck, ThreadId(10 + L), Obj);
+        C->Access = AccessKind::Write;
+        C->PayloadCount = 1; // Field id F at payload word 0.
+        Event *A = Add(EventKind::ArrayCheck, ThreadId(20 + L), Arr);
+        A->Access = AccessKind::Read;
+        A->Begin = 0;
+        A->End = 64;
+        A->Stride = 1;
+      }
+      // Thread exit samples unthrottled, after every first touch.
+      Add(EventKind::ThreadExit, 1, 0);
+      const uint32_t Payload[] = {F};
+
+      Stats RefCounters;
+      std::vector<RaceDetector::MemorySample> RefLog;
+      RaceDetector Ref(Cfg, RefCounters, &Syms);
+      Ref.setMemorySampleLog(&RefLog);
+      Ref.applyBatch(Batch.data(), Batch.size(), Payload, kTargetTool);
+      Ref.sampleMemoryNow();
+      ASSERT_EQ(RefLog.size(), 3u) << Tag;
+      ASSERT_GT(RefLog[1].HbBytes, RefLog[0].HbBytes) << Tag;
+
+      std::vector<size_t> Partial(RefLog.size(), 0);
+      for (size_t L = 0; L < Lanes; ++L) {
+        Stats Counters;
+        std::vector<RaceDetector::MemorySample> Log;
+        RaceDetector D(Cfg, Counters, &Syms);
+        D.ownPartition(L, Lanes);
+        D.setMemorySampleLog(&Log);
+        D.applyOwned(Batch.data(), Batch.size(), Payload);
+        D.sampleMemoryNow();
+        ASSERT_EQ(Log.size(), RefLog.size()) << Tag << " lane " << L;
+        for (size_t K = 0; K < Log.size(); ++K) {
+          EXPECT_EQ(Log[K].HbBytes, RefLog[K].HbBytes)
+              << Tag << " lane " << L << " sample " << K;
+          Partial[K] += Log[K].PartialBytes;
+        }
+      }
+      for (size_t K = 0; K < RefLog.size(); ++K)
+        EXPECT_EQ(Partial[K], RefLog[K].PartialBytes)
+            << Tag << " sample " << K;
+    }
+  }
+}

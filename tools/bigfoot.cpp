@@ -51,11 +51,10 @@ options:
                   Section 3.3 extension; 0 = only at synchronization)
   --detect-shards=N
                   run the detector on N threads, 0 to 64: 0 = inline
-                  (default), 1 = one detector thread behind a bounded
-                  batch ring, N >= 2 = N location-partitioned lanes.
+                  (default), N >= 1 = N lanes reading one bounded
+                  batch ring, each owning a partition of the objects.
                   Reports stay byte-identical for every N; [shards]
-                  lines show the vm/detector time split, each lane and,
-                  for N >= 2, the shared sync-clock table
+                  lines show the vm/detector time split and each lane
   --oracle        also run the per-access ground-truth detector
   --stats         dump all counters after the run
 
@@ -243,23 +242,12 @@ void reportLanes(const RunResult &Run,
   std::cerr << "detector " << Run.DetectorSeconds << "s, "
             << Run.AsyncBatches << " batch(es), " << Run.AsyncStalls
             << " stall(s)\n";
-  if (Run.ShardLanes.size() >= 2)
-    std::cerr << "[shards] sync table: " << Run.ShardRoutedEvents
-              << " routed + " << Run.ShardBroadcastEvents
-              << " broadcast event(s), " << Run.ShardSyncPublishes
-              << " clock(s) shipped, " << Run.ShardTableReads
-              << " view(s) installed, " << Run.ShardHorizonAdvances
-              << " horizon advance(s), " << Run.ShardSyncTableBytes
-              << " resident byte(s)\n";
   for (size_t I = 0; I < Run.ShardLanes.size(); ++I) {
     const ShardLaneStats &L = Run.ShardLanes[I];
     std::cerr << "[shards]   lane " << I << ": " << L.Events
               << " event(s), " << static_cast<double>(L.BusyNs) * 1e-9
               << "s busy, " << L.Stalls << " stall(s)\n";
   }
-  if (Run.ShardOrderViolations)
-    std::cerr << "[shards] WARNING: " << Run.ShardOrderViolations
-              << " ordering violation(s)\n";
 }
 
 /// The config \p Name replays a recorded trace under. Proxy maps are

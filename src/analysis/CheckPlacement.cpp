@@ -170,8 +170,8 @@ private:
     // Variables assigned anywhere in the body are "unstable".
     std::unordered_set<VarName> Assigned;
     auto CollectAssigned = [&Assigned](const Stmt *S) {
-      if (const std::string *X = definedVar(S))
-        Assigned.insert(VarName::intern(*X));
+      if (VarName X = definedVar(S))
+        Assigned.insert(X);
     };
     walkStmt(Loop->preBody(), CollectAssigned);
     walkStmt(Loop->postBody(), CollectAssigned);
@@ -187,7 +187,7 @@ private:
     std::unordered_map<VarName, VarName> RenameOf; // target -> source.
     auto CollectRenames = [&RenameOf](Stmt *S) {
       if (const auto *R = dyn_cast<RenameStmt>(S))
-        RenameOf[VarName::intern(R->target())] = VarName::intern(R->source());
+        RenameOf[R->target()] = R->source();
     };
     walkStmt(Loop->preBody(), CollectRenames);
     walkStmt(Loop->postBody(), CollectRenames);
@@ -207,7 +207,7 @@ private:
       if (Terms.size() != 1 || Terms[0].Coeff != 1)
         return;
       Induction Ind;
-      Ind.Var = VarName::intern(A->target());
+      Ind.Var = A->target();
       auto It = RenameOf.find(Terms[0].Var);
       if (It == RenameOf.end() || It->second != Ind.Var)
         return;
@@ -245,9 +245,9 @@ private:
       // Accumulated access ranges for each array access indexed by the
       // induction variable. A guess whose step or bounds overflow int64
       // is not made.
-      auto GuessForAccess = [&](const std::string &Array,
-                                const AffineExpr &Idx, AccessKind Kind) {
-        if (Assigned.count(VarName::intern(Array)))
+      auto GuessForAccess = [&](VarName Array, const AffineExpr &Idx,
+                                AccessKind Kind) {
+        if (Assigned.count(Array))
           return;
         int64_t M = Idx.coeff(Ind.Var);
         if (M == 0)
@@ -349,32 +349,55 @@ private:
     SyncKind Kind = syncKind(Kills, S);
     if (isAcquireSide(Kind))
       return Anticipated(); // [ACQ]: pre-anticipated must be empty.
+    // A path whose bounds have no affine (or no int64) form after a
+    // substitution or rename is dropped: anticipating less only keeps
+    // more checks. A set that mentions no variable S assigns stays shared.
     switch (S->kind()) {
     case StmtKind::Assign: {
+      // A[x := e]. A path on x itself is no longer expressible.
       const auto *A = cast<AssignStmt>(S);
-      return substituteAnticipated(Out, A->target(), toAffine(A->value()));
+      const VarName X = A->target();
+      const std::optional<AffineExpr> E = toAffine(A->value());
+      Out.renameFacts(X, [X, &E](const Path &P) -> std::optional<Path> {
+        if (P.Designator == X || !E)
+          return std::nullopt;
+        Path Substituted = P.substituteIndex(X, *E);
+        if (Substituted.Range.overflowed())
+          return std::nullopt;
+        return Substituted;
+      });
+      return Out;
     }
     case StmtKind::Rename: {
+      // [RENAME] t := s: A[t := s].
       const auto *R = cast<RenameStmt>(S);
-      return renameAnticipated(Out, R->target(), R->source());
+      Out.renameFacts(R->target(), [R](const Path &P) -> std::optional<Path> {
+        Path Renamed = P.rename(R->target(), R->source());
+        if (Renamed.Range.overflowed())
+          return std::nullopt;
+        return Renamed;
+      });
+      return Out;
     }
     default:
       break;
     }
-    if (const std::string *X = definedVar(S))
-      Out = removeVar(Out, *X);
+    // A \ x: the paths that mention the variable S assigns.
+    if (VarName X = definedVar(S))
+      Out.eraseIf([X](const Path &P) { return P.mentions(X); });
     // Releases do not kill anticipation, and add none: a volatile access
     // is never checked.
     if (Kind == SyncKind::None && Opts.UseAnticipation)
       if (std::optional<Path> Access = accessPath(S))
-        addAnticipated(Out, *Access);
+        Out.addNew(std::move(*Access));
     return Out;
   }
 
-  static bool sameAnticipated(Anticipated A, Anticipated B) {
-    std::sort(A.begin(), A.end());
-    std::sort(B.begin(), B.end());
-    return A == B;
+  static bool sameAnticipated(const Anticipated &A, const Anticipated &B) {
+    std::vector<Path> SortedA = A, SortedB = B;
+    std::sort(SortedA.begin(), SortedA.end());
+    std::sort(SortedB.begin(), SortedB.end());
+    return SortedA == SortedB;
   }
 
   Anticipated passBLoop(LoopStmt *Loop, const Anticipated &Aout) {
@@ -386,12 +409,12 @@ private:
     if (Opts.UseAnticipation) {
       auto Collect = [&Head](const Stmt *S) {
         if (std::optional<Path> Access = accessPath(S))
-          addAnticipated(Head, *Access);
+          Head.addNew(std::move(*Access));
       };
       walkStmt(Loop->preBody(), Collect);
       walkStmt(Loop->postBody(), Collect);
       for (const Path &P : Aout)
-        addAnticipated(Head, P);
+        Head.addNew(P);
     }
 
     History HPre = PostH[Loop->preBody()];
@@ -581,14 +604,14 @@ History bigfoot::stepHistory(const History &In, const Stmt *S,
   // or i reads x: then the fact would describe the old x.
   auto AddAlias = [&H](AliasFact Alias) {
     if (Alias.X == Alias.Base ||
-        (Alias.IsArray && Alias.Index.mentions(VarName::intern(Alias.X))))
+        (Alias.IsArray && Alias.Index.mentions(Alias.X)))
       return;
     H.addAlias(std::move(Alias));
   };
   switch (S->kind()) {
   case StmtKind::Assign: {
     const auto *A = cast<AssignStmt>(S);
-    const VarName Target = VarName::intern(A->target());
+    const VarName Target = A->target();
     if (auto E = toAffine(A->value()))
       if (!E->mentions(Target))
         H.addBool({RelOp::Eq, AffineExpr::variable(Target), *E});
@@ -628,15 +651,17 @@ History bigfoot::stepHistory(const History &In, const Stmt *S,
     H.invalidateAliasesForArrayWrite();
     break;
   case StmtKind::ArrayLen: {
+    // x = len(y) is the alias x = y.$len.
+    static const VarName Len = VarName::intern("$len");
     const auto *A = cast<ArrayLenStmt>(S);
     AliasFact Alias;
     Alias.IsArray = false;
     Alias.X = A->target();
     Alias.Base = A->array();
-    Alias.Field = "$len";
+    Alias.Field = Len;
     AddAlias(std::move(Alias));
     H.addBool({RelOp::Le, AffineExpr::constant(0),
-               AffineExpr::variable(VarName::intern(A->target()))});
+               AffineExpr::variable(A->target())});
     break;
   }
   case StmtKind::AssertStmt:

@@ -117,7 +117,7 @@ std::vector<Path> bigfoot::coalescePaths(const std::vector<Path> &Paths,
   struct Group {
     Path::Kind PathKind;
     AccessKind Access;
-    std::string Designator; // Representative.
+    VarName Designator; // Representative.
     std::vector<Path> Members;
   };
   std::vector<Group> Groups;
@@ -127,8 +127,7 @@ std::vector<Path> bigfoot::coalescePaths(const std::vector<Path> &Paths,
       if (G.PathKind != P.PathKind || G.Access != P.Access)
         continue;
       if (G.Designator == P.Designator ||
-          CS.equivVars(VarName::intern(G.Designator),
-                       VarName::intern(P.Designator))) {
+          CS.equivVars(G.Designator, P.Designator)) {
         Found = &G;
         break;
       }
@@ -144,9 +143,9 @@ std::vector<Path> bigfoot::coalescePaths(const std::vector<Path> &Paths,
   for (Group &G : Groups) {
     if (G.PathKind == Path::Kind::Field) {
       // All fields of the group merge into one coalesced field path.
-      std::vector<std::string> Fields;
+      std::vector<VarName> Fields;
       for (const Path &P : G.Members)
-        for (const std::string &F : P.Fields)
+        for (VarName F : P.Fields)
           if (std::find(Fields.begin(), Fields.end(), F) == Fields.end())
             Fields.push_back(F);
       Out.push_back(Path::fieldGroup(G.Access, G.Designator,

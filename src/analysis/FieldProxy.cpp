@@ -26,8 +26,10 @@ bigfoot::computeFieldProxies(const Program &P) {
     for (const Path &Pth : Check->paths()) {
       if (!Pth.isField())
         continue;
-      std::set<std::string> Group(Pth.Fields.begin(), Pth.Fields.end());
-      for (const std::string &F : Pth.Fields) {
+      std::set<std::string> Group;
+      for (VarName F : Pth.Fields)
+        Group.insert(F.name());
+      for (const std::string &F : Group) {
         Seen.insert(F);
         auto It = CoChecked.find(F);
         if (It == CoChecked.end()) {

@@ -37,8 +37,8 @@ std::string BoolFact::str() const {
 
 std::string AliasFact::str() const {
   if (IsArray)
-    return X + " = " + Base + "[" + Index.str() + "]";
-  return X + " = " + Base + "." + Field;
+    return X.name() + " = " + Base.name() + "[" + Index.str() + "]";
+  return X.name() + " = " + Base.name() + "." + Field.name();
 }
 
 //===----------------------------------------------------------------------===
@@ -167,11 +167,10 @@ prepareSystem(const std::vector<BoolFact> &Bools,
     }
   }
   for (const AliasFact &Fact : Aliases) {
-    VarName X = VarName::intern(Fact.X), Base = VarName::intern(Fact.Base);
     if (Fact.IsArray)
-      CS->addArrayAlias(X, Base, Fact.Index);
+      CS->addArrayAlias(Fact.X, Fact.Base, Fact.Index);
     else
-      CS->addFieldAlias(X, Base, VarName::intern(Fact.Field));
+      CS->addFieldAlias(Fact.X, Fact.Base, Fact.Field);
   }
   return CS;
 }
@@ -184,7 +183,6 @@ size_t EntailmentTable::hashFacts(const std::vector<BoolFact> &Bools,
   auto Mix = [&H](size_t V) {
     H ^= V + 0x9e3779b97f4a7c15ull + (H << 6) + (H >> 2);
   };
-  std::hash<std::string> HashString;
   for (const BoolFact &Fact : Bools) {
     Mix(static_cast<size_t>(Fact.Op));
     Mix(Fact.L.hash());
@@ -193,9 +191,9 @@ size_t EntailmentTable::hashFacts(const std::vector<BoolFact> &Bools,
   }
   for (const AliasFact &Fact : Aliases) {
     Mix(Fact.IsArray);
-    Mix(HashString(Fact.X));
-    Mix(HashString(Fact.Base));
-    Mix(Fact.IsArray ? Fact.Index.hash() : HashString(Fact.Field));
+    Mix(Fact.X.hash());
+    Mix(Fact.Base.hash());
+    Mix(Fact.IsArray ? Fact.Index.hash() : Fact.Field.hash());
   }
   return H;
 }
@@ -251,15 +249,16 @@ bool History::entailsAlias(const AliasFact &Fact) const {
     if (Existing == Fact)
       return true;
   // Query "x = y.f" holds iff x is congruent to a fresh variable aliased
-  // to y.f under the existing facts.
+  // to y.f under the existing facts. The probe must be no variable of the
+  // program, whose facts would then join the probe's class: no identifier
+  // contains '#'.
   ConstraintSystem CS = constraints();
-  static const VarName Probe = VarName::intern("$probe");
-  VarName Base = VarName::intern(Fact.Base);
+  static const VarName Probe = VarName::intern("$probe#");
   if (Fact.IsArray)
-    CS.addArrayAlias(Probe, Base, Fact.Index);
+    CS.addArrayAlias(Probe, Fact.Base, Fact.Index);
   else
-    CS.addFieldAlias(Probe, Base, VarName::intern(Fact.Field));
-  return CS.equivVars(VarName::intern(Fact.X), Probe);
+    CS.addFieldAlias(Probe, Fact.Base, Fact.Field);
+  return CS.equivVars(Fact.X, Probe);
 }
 
 bool History::entailsPathIn(const std::vector<Path> &Facts,
@@ -278,18 +277,17 @@ bool History::entailsPathIn(const std::vector<Path> &Facts,
   if (CS.inconsistent())
     return true;
 
-  // Designators stay strings; a differing pair is interned to ask the
-  // closure.
-  const VarName Designator = VarName::intern(P.Designator);
-  auto SameObject = [&CS, &P, Designator](const Path &Fact) {
+  // Two designators name one object when they are one handle, or when the
+  // closure equates them.
+  auto SameObject = [&CS, &P](const Path &Fact) {
     return Fact.Designator == P.Designator ||
-           CS.equivVars(VarName::intern(Fact.Designator), Designator);
+           CS.equivVars(Fact.Designator, P.Designator);
   };
 
   if (P.isField()) {
     // Every queried field must be covered by some fact on an equivalent
     // designator with sufficient kind.
-    for (const std::string &F : P.Fields) {
+    for (VarName F : P.Fields) {
       bool Covered = false;
       for (const Path &Fact : Facts) {
         if (!Fact.isField() || !kindSatisfies(Fact.Access, P.Access))
@@ -386,38 +384,7 @@ bool History::entailsAnticipated(const Anticipated &A, const Path &P) const {
 // Structural operations.
 //===----------------------------------------------------------------------===
 
-namespace {
-
-/// True if \p Fact mentions variable \p V.
-bool mentions(const BoolFact &Fact, VarName V) {
-  return Fact.L.mentions(V) || Fact.R.mentions(V);
-}
-bool mentions(const AliasFact &Fact, VarName V) {
-  return Fact.X == V.name() || Fact.Base == V.name() ||
-         (Fact.IsArray && Fact.Index.mentions(V));
-}
-bool mentions(const Path &Fact, VarName V) { return Fact.mentions(V); }
-
-/// Replaces \p List by its facts renamed with \p Rename, which drops a
-/// fact by returning nothing, unless no fact in it mentions \p V: then the
-/// list stays as it is, shared. True if it was replaced.
-template <typename T, typename RenameFn>
-bool renameFacts(FactList<T> &List, VarName V, RenameFn Rename) {
-  auto About = [V](const T &Fact) { return mentions(Fact, V); };
-  if (std::none_of(List.begin(), List.end(), About))
-    return false;
-  std::vector<T> Renamed;
-  for (const T &Fact : List)
-    if (std::optional<T> R = Rename(Fact))
-      Renamed.push_back(std::move(*R));
-  List.assign(std::move(Renamed));
-  return true;
-}
-
-} // namespace
-
-History History::renamed(const std::string &From,
-                         const std::string &To) const {
+History History::renamed(VarName From, VarName To) const {
   // A boolean, alias or check fact whose renamed form overflows is
   // dropped; that only forgets knowledge. An access fact is kept, since
   // dropping it would drop the obligation to check that access. Its range
@@ -428,42 +395,38 @@ History History::renamed(const std::string &From,
   // A list with no fact about From stays shared, and so does the prepared
   // system when neither of its lists changes.
   History Out = *this;
-  const VarName FromVar = VarName::intern(From);
-  const VarName ToName = VarName::intern(To);
-  const AffineExpr ToVar = AffineExpr::variable(ToName);
-  bool Changed = renameFacts(
-      Out.Bools, FromVar, [&](const BoolFact &F) -> std::optional<BoolFact> {
-        BoolFact R{F.Op, F.L.substitute(FromVar, ToVar),
-                   F.R.substitute(FromVar, ToVar), F.Mod};
+  const AffineExpr ToVar = AffineExpr::variable(To);
+  bool Changed = Out.Bools.renameFacts(
+      From, [&](const BoolFact &F) -> std::optional<BoolFact> {
+        BoolFact R{F.Op, F.L.substitute(From, ToVar),
+                   F.R.substitute(From, ToVar), F.Mod};
         if (R.L.overflowed() || R.R.overflowed())
           return std::nullopt;
         return R;
       });
-  Changed |= renameFacts(
-      Out.Aliases, FromVar, [&](AliasFact F) -> std::optional<AliasFact> {
+  Changed |= Out.Aliases.renameFacts(
+      From, [&](AliasFact F) -> std::optional<AliasFact> {
         if (F.X == From)
           F.X = To;
         if (F.Base == From)
           F.Base = To;
         if (F.IsArray)
-          F.Index = F.Index.substitute(FromVar, ToVar);
+          F.Index = F.Index.substitute(From, ToVar);
         if (F.Index.overflowed())
           return std::nullopt;
         return F;
       });
   if (Changed)
     Out.factsChanged();
-  renameFacts(Out.Accesses, FromVar,
-              [&](const Path &P) -> std::optional<Path> {
-                return P.rename(FromVar, ToName);
-              });
-  renameFacts(Out.Checks, FromVar,
-              [&](const Path &P) -> std::optional<Path> {
-                Path R = P.rename(FromVar, ToName);
-                if (R.Range.overflowed())
-                  return std::nullopt;
-                return R;
-              });
+  Out.Accesses.renameFacts(From, [&](const Path &P) -> std::optional<Path> {
+    return P.rename(From, To);
+  });
+  Out.Checks.renameFacts(From, [&](const Path &P) -> std::optional<Path> {
+    Path R = P.rename(From, To);
+    if (R.Range.overflowed())
+      return std::nullopt;
+    return R;
+  });
   return Out;
 }
 
@@ -484,9 +447,9 @@ History History::afterAcquire() const {
   return Out;
 }
 
-void History::invalidateAliasesForFieldWrite(const std::string &FieldName) {
-  if (Aliases.eraseIf([&FieldName](const AliasFact &Fact) {
-        return !Fact.IsArray && Fact.Field == FieldName;
+void History::invalidateAliasesForFieldWrite(VarName Field) {
+  if (Aliases.eraseIf([Field](const AliasFact &Fact) {
+        return !Fact.IsArray && Fact.Field == Field;
       }))
     factsChanged();
 }
@@ -496,8 +459,7 @@ void History::invalidateAliasesForArrayWrite() {
     factsChanged();
 }
 
-void History::dropMentions(const std::string &Name) {
-  const VarName Var = VarName::intern(Name);
+void History::dropMentions(VarName Var) {
   auto About = [Var](const auto &Fact) { return mentions(Fact, Var); };
   if (Bools.eraseIf(About) + Aliases.eraseIf(About))
     factsChanged();
@@ -573,13 +535,14 @@ std::string History::str() const {
 
 std::string Context::str() const {
   std::string S = H.str() + " • {";
-  for (size_t I = 0; I < A.size(); ++I) {
-    if (I)
-      S += ", ";
-    S += A[I].str();
+  const char *Sep = "";
+  for (const Path &P : A) {
+    S += Sep;
+    S += P.str();
     S += "✸";
-    if (A[I].Access == AccessKind::Write)
+    if (P.Access == AccessKind::Write)
       S += "w";
+    Sep = ", ";
   }
   S += "}";
   return S;
@@ -589,70 +552,16 @@ std::string Context::str() const {
 // Anticipated-set operations.
 //===----------------------------------------------------------------------===
 
-Anticipated bigfoot::substituteAnticipated(
-    const Anticipated &A, const std::string &X,
-    const std::optional<AffineExpr> &E) {
-  // A path whose bounds have no affine (or no int64) form after the
-  // substitution is dropped: anticipating less only keeps more checks.
-  const VarName XVar = VarName::intern(X);
-  Anticipated Out;
-  for (const Path &P : A) {
-    if (P.Designator == X)
-      continue; // Designator occurrences are not substitutable paths.
-    if (P.isArray() && P.Range.mentions(XVar)) {
-      if (!E)
-        continue;
-      Path Substituted = P.substituteIndex(XVar, *E);
-      if (!Substituted.Range.overflowed())
-        Out.push_back(std::move(Substituted));
-      continue;
-    }
-    Out.push_back(P);
-  }
-  return Out;
-}
-
-Anticipated bigfoot::removeVar(const Anticipated &A, const std::string &X) {
-  const VarName XVar = VarName::intern(X);
-  Anticipated Out;
-  for (const Path &P : A)
-    if (!P.mentions(XVar))
-      Out.push_back(P);
-  return Out;
-}
-
-Anticipated bigfoot::renameAnticipated(const Anticipated &A,
-                                       const std::string &From,
-                                       const std::string &To) {
-  const VarName FromVar = VarName::intern(From);
-  const VarName ToVar = VarName::intern(To);
-  Anticipated Out;
-  Out.reserve(A.size());
-  for (const Path &P : A) {
-    Path Renamed = P.rename(FromVar, ToVar);
-    if (!Renamed.Range.overflowed())
-      Out.push_back(std::move(Renamed));
-  }
-  return Out;
-}
-
-void bigfoot::addAnticipated(Anticipated &A, const Path &P) {
-  for (const Path &Existing : A)
-    if (Existing == P)
-      return;
-  A.push_back(P);
-}
-
 Anticipated bigfoot::meetAnticipated(const History &H1, const Anticipated &A1,
                                      const History &H2,
                                      const Anticipated &A2) {
   Anticipated Out;
   for (const Path &P : A1)
     if (H2.entailsAnticipated(A2, P))
-      addAnticipated(Out, P);
+      Out.addNew(P);
   for (const Path &P : A2)
     if (H1.entailsAnticipated(A1, P) && !H2.entailsAnticipated(Out, P))
-      addAnticipated(Out, P);
+      Out.addNew(P);
   return Out;
 }
 

@@ -57,10 +57,10 @@ struct BoolFact {
 /// trace is race free; invalidated by acquires and same-field writes.
 struct AliasFact {
   bool IsArray = false;
-  std::string X;
-  std::string Base;
-  std::string Field;  // Field alias.
-  AffineExpr Index;   // Array alias.
+  VarName X;
+  VarName Base;
+  VarName Field;    // Field alias.
+  AffineExpr Index; // Array alias.
 
   bool operator==(const AliasFact &O) const {
     return IsArray == O.IsArray && X == O.X && Base == O.Base &&
@@ -75,14 +75,22 @@ inline bool kindSatisfies(AccessKind Fact, AccessKind Query) {
   return Fact == AccessKind::Write || Query == AccessKind::Read;
 }
 
-/// The anticipated set A: paths that will be accessed, with no intervening
-/// acquire, on every continuation.
-using Anticipated = std::vector<Path>;
+/// True if \p Fact mentions variable \p V.
+inline bool mentions(const BoolFact &Fact, VarName V) {
+  return Fact.L.mentions(V) || Fact.R.mentions(V);
+}
+inline bool mentions(const AliasFact &Fact, VarName V) {
+  return Fact.X == V || Fact.Base == V ||
+         (Fact.IsArray && Fact.Index.mentions(V));
+}
+inline bool mentions(const Path &Fact, VarName V) { return Fact.mentions(V); }
 
-/// One of a history's fact lists. Copies of a list share its storage; the
-/// first change to a shared list copies that list alone, so copying a
-/// History copies four pointers however many facts it holds. A list is
-/// used by one placement run, on one thread.
+/// One of a history's fact lists, or an anticipated set. Copies of a list
+/// share its storage; the first change to a shared list copies that list
+/// alone, so copying a History copies four pointers however many facts it
+/// holds, and the backward pass stores one anticipated set per statement
+/// for the cost of a pointer while the statement changes nothing in it. A
+/// list is used by one placement run, on one thread.
 template <typename T> class FactList {
 public:
   const std::vector<T> &items() const { return Items ? *Items : none(); }
@@ -116,6 +124,25 @@ public:
     return std::erase_if(edit(), Drop);
   }
 
+  /// Replaces each fact that mentions \p V by what \p Rename makes of it,
+  /// or drops it when that is nothing; the other facts keep their places.
+  /// A list with no fact about V stays as it is, shared. True if it was
+  /// replaced.
+  template <typename RenameFn> bool renameFacts(VarName V, RenameFn Rename) {
+    auto About = [V](const T &Fact) { return mentions(Fact, V); };
+    if (std::none_of(begin(), end(), About))
+      return false;
+    std::vector<T> Renamed;
+    for (const T &Fact : items()) {
+      if (!About(Fact))
+        Renamed.push_back(Fact);
+      else if (std::optional<T> R = Rename(Fact))
+        Renamed.push_back(std::move(*R));
+    }
+    assign(std::move(Renamed));
+    return true;
+  }
+
   /// Replaces the list by \p Facts.
   void assign(std::vector<T> Facts) {
     Items = std::make_shared<std::vector<T>>(std::move(Facts));
@@ -131,6 +158,10 @@ private:
 
   std::shared_ptr<std::vector<T>> Items; ///< Null while empty.
 };
+
+/// The anticipated set A: paths that will be accessed, with no intervening
+/// acquire, on every continuation.
+using Anticipated = FactList<Path>;
 
 /// The prepared constraint systems of one placement run, one per distinct
 /// ordered list of boolean and alias facts, so that a question asked of
@@ -207,7 +238,7 @@ public:
 
   //===--- Structural operations -------------------------------------------
   /// H[From := To] for the [RENAME] rule.
-  History renamed(const std::string &From, const std::string &To) const;
+  History renamed(VarName From, VarName To) const;
 
   /// Removes all p✁ and p✓ facts ([REL] post-history), and the alias
   /// facts (conservative: lock hand-off may expose other threads' writes).
@@ -217,14 +248,14 @@ public:
   /// persist per [ACQ]).
   History afterAcquire() const;
 
-  /// Drops alias facts invalidated by a write to \p FieldName (all fields
-  /// may alias same-named fields) or by any array write (FieldName empty).
-  void invalidateAliasesForFieldWrite(const std::string &FieldName);
+  /// Drops the alias facts invalidated by a write to field \p Field (all
+  /// fields may alias same-named fields), or by any array write.
+  void invalidateAliasesForFieldWrite(VarName Field);
   void invalidateAliasesForArrayWrite();
 
-  /// Removes every fact that mentions \p Name (an assignment without a
+  /// Removes every fact that mentions \p Var (an assignment without a
   /// rename invalidates facts about the old value).
-  void dropMentions(const std::string &Name);
+  void dropMentions(VarName Var);
 
   /// The meet H1 ⊓ H2 = {h ∈ H1 ∪ H2 : H1 ⊢ h, H2 ⊢ h}.
   static History meet(const History &H1, const History &H2);
@@ -257,23 +288,6 @@ struct Context {
 };
 
 //===--- Anticipated-set operations -----------------------------------------
-
-/// A[x := e] — substitutes into index bounds; paths whose designator is x
-/// (no longer expressible) are dropped, as are paths whose bounds become
-/// non-affine (cannot happen here since e is affine — callers pass the
-/// affine form or drop).
-Anticipated substituteAnticipated(const Anticipated &A, const std::string &X,
-                                  const std::optional<AffineExpr> &E);
-
-/// A \ x — removes paths mentioning x.
-Anticipated removeVar(const Anticipated &A, const std::string &X);
-
-/// A[From := To] for [RENAME].
-Anticipated renameAnticipated(const Anticipated &A, const std::string &From,
-                              const std::string &To);
-
-/// Adds \p P to \p A without duplicates.
-void addAnticipated(Anticipated &A, const Path &P);
 
 /// H1•A1 ⊓ H2•A2 = {a ∈ A1 ∪ A2 : H1•A1 ⊢ a, H2•A2 ⊢ a}.
 Anticipated meetAnticipated(const History &H1, const Anticipated &A1,

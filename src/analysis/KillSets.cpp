@@ -72,17 +72,17 @@ SyncEffect KillSets::directEffect(const Stmt *S) const {
     break;
   case StmtKind::FieldRead: {
     const auto *F = cast<FieldReadStmt>(S);
-    if (Prog.isFieldVolatileAnywhere(F->field()))
+    if (Prog.isFieldVolatileAnywhere(F->field().name()))
       E.Acquires = true; // Volatile read = acquire.
-    else if (Model.GlobalFieldsSynchronize && F->object() == "$g")
+    else if (Model.GlobalFieldsSynchronize && F->object().name() == "$g")
       E.Acquires = E.Releases = true;
     break;
   }
   case StmtKind::FieldWrite: {
     const auto *F = cast<FieldWriteStmt>(S);
-    if (Prog.isFieldVolatileAnywhere(F->field()))
+    if (Prog.isFieldVolatileAnywhere(F->field().name()))
       E.Releases = true; // Volatile write = release.
-    else if (Model.GlobalFieldsSynchronize && F->object() == "$g")
+    else if (Model.GlobalFieldsSynchronize && F->object().name() == "$g")
       E.Acquires = E.Releases = true;
     break;
   }

@@ -127,8 +127,8 @@ void Expr::forEachVar(const VarVisitor &Visit) const {
   walkVars(this, Visit);
 }
 
-void Expr::renameVar(const std::string &From, const std::string &To) {
-  auto Rename = [&From, &To](std::string &Name) {
+void Expr::renameVar(VarName From, VarName To) {
+  auto Rename = [From, To](VarName &Name) {
     if (Name == From)
       Name = To;
   };
@@ -143,7 +143,7 @@ std::optional<AffineExpr> affineOf(const Expr *E) {
   case ExprKind::IntLit:
     return AffineExpr::constant(cast<IntLit>(E)->value());
   case ExprKind::VarRef:
-    return AffineExpr::variable(VarName::intern(cast<VarRef>(E)->name()));
+    return AffineExpr::variable(cast<VarRef>(E)->name());
   case ExprKind::Unary: {
     const auto *U = cast<UnaryExpr>(E);
     if (U->op() != UnaryOp::Neg)
@@ -212,7 +212,7 @@ std::unique_ptr<Expr> bigfoot::boolLit(bool V) {
   return std::make_unique<BoolLit>(V);
 }
 std::unique_ptr<Expr> bigfoot::nullLit() { return std::make_unique<NullLit>(); }
-std::unique_ptr<Expr> bigfoot::var(const std::string &Name) {
+std::unique_ptr<Expr> bigfoot::var(VarName Name) {
   return std::make_unique<VarRef>(Name);
 }
 std::unique_ptr<Expr> bigfoot::unary(UnaryOp Op,

@@ -9,7 +9,9 @@
 /// (Figure 5 of the paper leaves the expression language open; we provide
 /// integers, booleans, null, and the usual arithmetic/relational/logical
 /// operators). Heap reads are NOT expressions — BFJ is in A-normal form,
-/// so every heap access is its own statement.
+/// so every heap access is its own statement. A variable reference holds
+/// the interned handle of its name (support/VarName.h), which the parser
+/// interns once; toAffine and every pass use the handle as it is.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -60,9 +62,9 @@ bool isComparison(BinaryOp Op);
 /// The textual operator symbol, e.g. "+" or "<=".
 const char *binaryOpSpelling(BinaryOp Op);
 
-/// Called with the name of each variable a walk over an expression, a
-/// statement or a check path visits.
-using VarVisitor = std::function<void(const std::string &Name)>;
+/// Called with each variable a walk over an expression, a statement or a
+/// check path visits.
+using VarVisitor = std::function<void(VarName Var)>;
 
 /// Base class of all BFJ expressions.
 class Expr {
@@ -87,7 +89,7 @@ public:
 
   /// Renames every occurrence forEachVar visits of \p From to \p To, in
   /// place, through the same walk.
-  void renameVar(const std::string &From, const std::string &To);
+  void renameVar(VarName From, VarName To);
 
 private:
   const ExprKind Kind;
@@ -142,11 +144,10 @@ public:
 /// Reference to a local variable.
 class VarRef : public Expr {
 public:
-  explicit VarRef(std::string Name)
-      : Expr(ExprKind::VarRef), Name(std::move(Name)) {}
+  explicit VarRef(VarName Name) : Expr(ExprKind::VarRef), Name(Name) {}
 
-  const std::string &name() const { return Name; }
-  std::string &name() { return Name; }
+  VarName name() const { return Name; }
+  VarName &name() { return Name; }
 
   std::unique_ptr<Expr> clone() const override {
     return std::make_unique<VarRef>(Name);
@@ -155,7 +156,7 @@ public:
   static bool classof(const Expr *E) { return E->kind() == ExprKind::VarRef; }
 
 private:
-  std::string Name;
+  VarName Name;
 };
 
 /// Unary negation or logical not.
@@ -214,7 +215,7 @@ std::optional<AffineExpr> toAffine(const Expr *E);
 std::unique_ptr<Expr> intLit(int64_t V);
 std::unique_ptr<Expr> boolLit(bool V);
 std::unique_ptr<Expr> nullLit();
-std::unique_ptr<Expr> var(const std::string &Name);
+std::unique_ptr<Expr> var(VarName Name);
 std::unique_ptr<Expr> unary(UnaryOp Op, std::unique_ptr<Expr> Operand);
 std::unique_ptr<Expr> binary(BinaryOp Op, std::unique_ptr<Expr> LHS,
                              std::unique_ptr<Expr> RHS);

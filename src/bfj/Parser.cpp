@@ -47,6 +47,8 @@ private:
   std::vector<Token> Tokens;
   size_t Pos = 0;
   std::string ErrorMsg;
+  /// The target of a call or fork whose result is discarded.
+  const VarName Discarded = VarName::intern("_");
 
   bool failed() const { return !ErrorMsg.empty(); }
 
@@ -102,6 +104,15 @@ private:
     }
     error(std::string("expected ") + What);
     return "";
+  }
+
+  /// A local or field name, interned here once for every later pass; the
+  /// null handle after an error.
+  VarName expectName(const char *What) {
+    if (at(TokenKind::Ident))
+      return VarName::intern(advance().Text);
+    error(std::string("expected ") + What);
+    return VarName();
   }
 
   //===--------------------------------------------------------------------===
@@ -214,7 +225,7 @@ private:
       bool IsAcq = peek().Text == "acq";
       advance();
       expect(TokenKind::LParen, "'('");
-      std::string Var = expectIdent("lock variable");
+      VarName Var = expectName("lock variable");
       expect(TokenKind::RParen, "')'");
       expect(TokenKind::Semi, "';'");
       if (IsAcq)
@@ -225,13 +236,13 @@ private:
       return parseFork();
     if (atKeyword("join")) {
       advance();
-      std::string H = expectIdent("thread handle");
+      VarName H = expectName("thread handle");
       expect(TokenKind::Semi, "';'");
       return std::make_unique<JoinStmt>(H);
     }
     if (atKeyword("await")) {
       advance();
-      std::string B = expectIdent("barrier variable");
+      VarName B = expectName("barrier variable");
       expect(TokenKind::Semi, "';'");
       return std::make_unique<AwaitStmt>(B);
     }
@@ -331,14 +342,14 @@ private:
 
   StmtPtr parseFork() {
     expectKeyword("fork");
-    std::string Target = "_";
+    VarName Target = Discarded;
     // fork x = y.m(args);  or  fork y.m(args);
-    std::string First = expectIdent("identifier");
-    std::string Receiver;
+    VarName First = expectName("identifier");
+    VarName Receiver;
     if (at(TokenKind::Assign)) {
       advance();
       Target = First;
-      Receiver = expectIdent("receiver");
+      Receiver = expectName("receiver");
     } else {
       Receiver = First;
     }
@@ -409,14 +420,14 @@ private:
       error("check path must start with R or W");
       return Path();
     }
-    std::string Designator = expectIdent("path designator");
+    VarName Designator = expectName("path designator");
     if (at(TokenKind::Dot)) {
       advance();
-      std::vector<std::string> Fields;
-      Fields.push_back(expectIdent("field name"));
+      std::vector<VarName> Fields;
+      Fields.push_back(expectName("field name"));
       while (at(TokenKind::Slash)) {
         advance();
-        Fields.push_back(expectIdent("field name"));
+        Fields.push_back(expectName("field name"));
       }
       return Path::fieldGroup(Access, Designator, std::move(Fields));
     }
@@ -456,10 +467,10 @@ private:
   /// Statements beginning with an identifier: assignment forms, renames,
   /// heap writes, and target-less calls.
   StmtPtr parseIdentLedStmt() {
-    std::string First = expectIdent("identifier");
+    VarName First = expectName("identifier");
     if (at(TokenKind::ColonEq)) {
       advance();
-      std::string Source = expectIdent("rename source");
+      VarName Source = expectName("rename source");
       expect(TokenKind::Semi, "';'");
       return std::make_unique<RenameStmt>(First, Source);
     }
@@ -470,13 +481,13 @@ private:
         // Target-less call: y.m(args);
         auto Args = parseArgs();
         expect(TokenKind::Semi, "';'");
-        return std::make_unique<CallStmt>("_", First, Member,
+        return std::make_unique<CallStmt>(Discarded, First, Member,
                                           std::move(Args));
       }
       expect(TokenKind::Assign, "'='");
       auto Value = parseExpr();
       expect(TokenKind::Semi, "';'");
-      return std::make_unique<FieldWriteStmt>(First, Member,
+      return std::make_unique<FieldWriteStmt>(First, VarName::intern(Member),
                                               std::move(Value));
     }
     if (at(TokenKind::LBracket)) {
@@ -494,7 +505,7 @@ private:
   }
 
   /// The right-hand side of `x = ...`.
-  StmtPtr parseAssignRhs(const std::string &Target) {
+  StmtPtr parseAssignRhs(VarName Target) {
     if (atKeyword("new")) {
       advance();
       std::string ClassName = expectIdent("class name");
@@ -520,7 +531,7 @@ private:
     if (atKeyword("len") && peek(1).Kind == TokenKind::LParen) {
       advance();
       advance();
-      std::string Arr = expectIdent("array variable");
+      VarName Arr = expectName("array variable");
       expect(TokenKind::RParen, "')'");
       expect(TokenKind::Semi, "';'");
       return std::make_unique<ArrayLenStmt>(Target, Arr);
@@ -528,7 +539,7 @@ private:
     // Heap reads and calls start with IDENT '.' or IDENT '['.
     if (at(TokenKind::Ident)) {
       if (peek(1).Kind == TokenKind::Dot) {
-        std::string Receiver = advance().Text;
+        VarName Receiver = VarName::intern(advance().Text);
         advance(); // '.'
         std::string Member = expectIdent("member name");
         if (at(TokenKind::LParen)) {
@@ -538,10 +549,11 @@ private:
                                             std::move(Args));
         }
         expect(TokenKind::Semi, "';'");
-        return std::make_unique<FieldReadStmt>(Target, Receiver, Member);
+        return std::make_unique<FieldReadStmt>(Target, Receiver,
+                                               VarName::intern(Member));
       }
       if (peek(1).Kind == TokenKind::LBracket) {
-        std::string Arr = advance().Text;
+        VarName Arr = VarName::intern(advance().Text);
         advance(); // '['
         auto Index = parseExpr();
         expect(TokenKind::RBracket, "']'");
@@ -665,7 +677,7 @@ private:
       return nullLit();
     }
     if (at(TokenKind::Ident))
-      return var(advance().Text);
+      return var(VarName::intern(advance().Text));
     if (at(TokenKind::LParen)) {
       advance();
       auto E = parseExpr();

@@ -11,9 +11,11 @@
 /// bounds are affine in the method's locals. Each path carries whether it
 /// is a read or a write check (Section 5).
 ///
-/// A path is source data: names and symbolic bounds. The VM never reads
-/// one on its hot path; the compiler lowers each placed check into a
-/// check record of registers, field ids and compiled bounds
+/// A path is source data: the interned names of its designator and
+/// fields (support/VarName.h), and symbolic bounds over the same handles,
+/// so the analysis compares and renames paths without reading a name. The
+/// VM never reads one on its hot path; the compiler lowers each placed
+/// check into a check record of registers, field ids and compiled bounds
 /// (vm/Bytecode.h), and keeps the path only to render an error.
 ///
 //===----------------------------------------------------------------------===//
@@ -47,50 +49,43 @@ struct Path {
   AccessKind Access = AccessKind::Read;
 
   /// Local variable naming the object or array.
-  std::string Designator;
+  VarName Designator;
 
   /// Field path: one or more field names (more than one after coalescing,
   /// rendered x.f/g/h).
-  std::vector<std::string> Fields;
+  std::vector<VarName> Fields;
 
   /// Array path: the checked index range, bounds affine in locals.
   SymbolicRange Range;
 
-  static Path field(AccessKind Access, std::string Designator,
-                    std::string Field) {
-    Path P;
-    P.PathKind = Kind::Field;
-    P.Access = Access;
-    P.Designator = std::move(Designator);
-    P.Fields.push_back(std::move(Field));
-    return P;
+  static Path field(AccessKind Access, VarName Designator, VarName Field) {
+    return fieldGroup(Access, Designator, {Field});
   }
 
-  static Path fieldGroup(AccessKind Access, std::string Designator,
-                         std::vector<std::string> Fields) {
+  static Path fieldGroup(AccessKind Access, VarName Designator,
+                         std::vector<VarName> Fields) {
     assert(!Fields.empty() && "field group needs at least one field");
     Path P;
     P.PathKind = Kind::Field;
     P.Access = Access;
-    P.Designator = std::move(Designator);
+    P.Designator = Designator;
     P.Fields = std::move(Fields);
     return P;
   }
 
-  static Path array(AccessKind Access, std::string Designator,
+  static Path array(AccessKind Access, VarName Designator,
                     SymbolicRange Range) {
     Path P;
     P.PathKind = Kind::Array;
     P.Access = Access;
-    P.Designator = std::move(Designator);
+    P.Designator = Designator;
     P.Range = std::move(Range);
     return P;
   }
 
-  static Path arrayIndex(AccessKind Access, std::string Designator,
+  static Path arrayIndex(AccessKind Access, VarName Designator,
                          const AffineExpr &Index) {
-    return array(Access, std::move(Designator),
-                 SymbolicRange::singleton(Index));
+    return array(Access, Designator, SymbolicRange::singleton(Index));
   }
 
   bool isField() const { return PathKind == Kind::Field; }
@@ -98,9 +93,7 @@ struct Path {
 
   /// True if variable \p V appears as designator or in range bounds.
   bool mentions(VarName V) const {
-    if (Designator == V.name())
-      return true;
-    return isArray() && Range.mentions(V);
+    return Designator == V || (isArray() && Range.mentions(V));
   }
 
   /// Substitutes \p Replacement for \p V in index bounds. The designator
@@ -116,8 +109,8 @@ struct Path {
   /// Renames the designator and index-bound occurrences of \p From.
   Path rename(VarName From, VarName To) const {
     Path P = *this;
-    if (P.Designator == From.name())
-      P.Designator = To.name();
+    if (P.Designator == From)
+      P.Designator = To;
     if (P.isArray())
       P.Range = P.Range.substitute(From, AffineExpr::variable(To));
     return P;
@@ -125,16 +118,14 @@ struct Path {
 
   /// Renders e.g. "p.x/y/z" or "a[0..i]".
   std::string str() const {
-    if (isField()) {
-      std::string S = Designator + ".";
-      for (size_t I = 0; I < Fields.size(); ++I) {
-        if (I)
-          S += "/";
-        S += Fields[I];
-      }
-      return S;
+    std::string S = Designator.name();
+    if (isArray())
+      return S + Range.str();
+    for (size_t I = 0; I < Fields.size(); ++I) {
+      S += I ? "/" : ".";
+      S += Fields[I].name();
     }
-    return Designator + Range.str();
+    return S;
   }
 
   /// True if \p Other names the same locations, whatever its access kind.

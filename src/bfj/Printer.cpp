@@ -16,10 +16,12 @@ class PrinterImpl {
 public:
   explicit PrinterImpl(std::ostringstream &OS) : OS(OS) {}
 
-  void line(int Indent, const std::string &Text) {
+  /// One indented line: the \p Parts (strings and names) in order.
+  template <typename... PartsT>
+  void line(int Indent, const PartsT &...Parts) {
     for (int I = 0; I < Indent; ++I)
       OS << "  ";
-    OS << Text << "\n";
+    (OS << ... << Parts) << "\n";
   }
 
   std::string args(const std::vector<std::unique_ptr<Expr>> &Args) {
@@ -44,7 +46,7 @@ public:
     }
     case StmtKind::If: {
       const auto *If = cast<IfStmt>(S);
-      line(Indent, "if (" + If->cond()->str() + ") {");
+      line(Indent, "if (", If->cond()->str(), ") {");
       printInto(If->thenStmt(), Indent + 1);
       if (!isa<SkipStmt>(If->elseStmt()) &&
           !(isa<BlockStmt>(If->elseStmt()) &&
@@ -59,99 +61,98 @@ public:
       const auto *Loop = cast<LoopStmt>(S);
       line(Indent, "loop {");
       printInto(Loop->preBody(), Indent + 1);
-      line(Indent + 1, "exit_if (" + Loop->exitCond()->str() + ");");
+      line(Indent + 1, "exit_if (", Loop->exitCond()->str(), ");");
       printInto(Loop->postBody(), Indent + 1);
       line(Indent, "}");
       return;
     }
     case StmtKind::Assign: {
       const auto *A = cast<AssignStmt>(S);
-      line(Indent, A->target() + " = " + A->value()->str() + ";");
+      line(Indent, A->target(), " = ", A->value()->str(), ";");
       return;
     }
     case StmtKind::Rename: {
       const auto *R = cast<RenameStmt>(S);
-      line(Indent, R->target() + " := " + R->source() + ";");
+      line(Indent, R->target(), " := ", R->source(), ";");
       return;
     }
     case StmtKind::Acquire:
-      line(Indent, "acq(" + cast<AcquireStmt>(S)->lockVar() + ");");
+      line(Indent, "acq(", cast<AcquireStmt>(S)->lockVar(), ");");
       return;
     case StmtKind::Release:
-      line(Indent, "rel(" + cast<ReleaseStmt>(S)->lockVar() + ");");
+      line(Indent, "rel(", cast<ReleaseStmt>(S)->lockVar(), ");");
       return;
     case StmtKind::New: {
       const auto *N = cast<NewStmt>(S);
-      line(Indent, N->target() + " = new " + N->className() + ";");
+      line(Indent, N->target(), " = new ", N->className(), ";");
       return;
     }
     case StmtKind::NewArray: {
       const auto *N = cast<NewArrayStmt>(S);
-      line(Indent, N->target() + " = new_array(" + N->size()->str() + ");");
+      line(Indent, N->target(), " = new_array(", N->size()->str(), ");");
       return;
     }
     case StmtKind::FieldRead: {
       const auto *F = cast<FieldReadStmt>(S);
-      line(Indent, F->target() + " = " + F->object() + "." + F->field() + ";");
+      line(Indent, F->target(), " = ", F->object(), ".", F->field(), ";");
       return;
     }
     case StmtKind::FieldWrite: {
       const auto *F = cast<FieldWriteStmt>(S);
-      line(Indent,
-           F->object() + "." + F->field() + " = " + F->value()->str() + ";");
+      line(Indent, F->object(), ".", F->field(), " = ", F->value()->str(),
+           ";");
       return;
     }
     case StmtKind::ArrayRead: {
       const auto *A = cast<ArrayReadStmt>(S);
-      line(Indent,
-           A->target() + " = " + A->array() + "[" + A->index()->str() + "];");
+      line(Indent, A->target(), " = ", A->array(), "[", A->index()->str(),
+           "];");
       return;
     }
     case StmtKind::ArrayWrite: {
       const auto *A = cast<ArrayWriteStmt>(S);
-      line(Indent, A->array() + "[" + A->index()->str() +
-                       "] = " + A->value()->str() + ";");
+      line(Indent, A->array(), "[", A->index()->str(), "] = ",
+           A->value()->str(), ";");
       return;
     }
     case StmtKind::ArrayLen: {
       const auto *A = cast<ArrayLenStmt>(S);
-      line(Indent, A->target() + " = len(" + A->array() + ");");
+      line(Indent, A->target(), " = len(", A->array(), ");");
       return;
     }
     case StmtKind::Call: {
       const auto *C = cast<CallStmt>(S);
-      line(Indent, C->target() + " = " + C->receiver() + "." + C->method() +
-                       "(" + args(C->args()) + ");");
+      line(Indent, C->target(), " = ", C->receiver(), ".", C->method(), "(",
+           args(C->args()), ");");
       return;
     }
     case StmtKind::Check: {
       const auto *C = cast<CheckStmt>(S);
-      line(Indent, "check(" + printPaths(C->paths()) + ");");
+      line(Indent, "check(", printPaths(C->paths()), ");");
       return;
     }
     case StmtKind::Fork: {
       const auto *F = cast<ForkStmt>(S);
-      line(Indent, "fork " + F->target() + " = " + F->receiver() + "." +
-                       F->method() + "(" + args(F->args()) + ");");
+      line(Indent, "fork ", F->target(), " = ", F->receiver(), ".",
+           F->method(), "(", args(F->args()), ");");
       return;
     }
     case StmtKind::Join:
-      line(Indent, "join " + cast<JoinStmt>(S)->handle() + ";");
+      line(Indent, "join ", cast<JoinStmt>(S)->handle(), ";");
       return;
     case StmtKind::NewBarrier: {
       const auto *N = cast<NewBarrierStmt>(S);
-      line(Indent, N->target() + " = new_barrier(" + N->parties()->str() +
-                       ");");
+      line(Indent, N->target(), " = new_barrier(", N->parties()->str(), ");");
       return;
     }
     case StmtKind::Await:
-      line(Indent, "await " + cast<AwaitStmt>(S)->barrierVar() + ";");
+      line(Indent, "await ", cast<AwaitStmt>(S)->barrierVar(), ";");
       return;
     case StmtKind::Print:
-      line(Indent, "print " + cast<PrintStmt>(S)->value()->str() + ";");
+      line(Indent, "print ", cast<PrintStmt>(S)->value()->str(), ";");
       return;
     case StmtKind::AssertStmt:
-      line(Indent, "assert " + cast<AssertStmtNode>(S)->cond()->str() + ";");
+      line(Indent, "assert ", cast<AssertStmtNode>(S)->cond()->str(), ";");
       return;
     }
   }

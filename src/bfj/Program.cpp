@@ -92,26 +92,26 @@ std::unique_ptr<Program> Program::clone() const {
 
 void Program::internSymbols() {
   Symbols = SymbolTable();
-  const VarVisitor Intern = [this](const std::string &Name) {
-    Symbols.intern(Name);
-  };
+  // The declarations' names are strings; the statements' are handles.
+  auto InternName = [this](const std::string &Name) { Symbols.intern(Name); };
+  const VarVisitor Intern = [this](VarName V) { Symbols.intern(V.name()); };
   // Names every frame carries, interned first so they always exist.
   for (const char *Name : {"$g", "this", "_"})
-    Intern(Name);
+    InternName(Name);
   // Class fields next: FieldIds stay dense and small (they must fit the
   // LocId packing), and their order is the declaration order.
   for (const auto &C : Classes) {
     for (const std::string &F : C->Fields)
-      Intern(F);
+      InternName(F);
     for (const std::string &F : C->VolatileFields)
-      Intern(F);
+      InternName(F);
   }
   for (const auto &C : Classes)
     for (const auto &M : C->Methods) {
       for (const std::string &P : M->Params)
-        Intern(P);
+        InternName(P);
       if (!M->ReturnVar.empty())
-        Intern(M->ReturnVar);
+        InternName(M->ReturnVar);
     }
   // Then each statement's names in the order it reads them, a field name
   // right after the variable that holds its object (x = y.f interns x, y,
@@ -122,7 +122,7 @@ void Program::internSymbols() {
     if (const auto *Check = dyn_cast<CheckStmt>(S)) {
       for (const Path &P : Check->paths()) {
         Intern(P.Designator);
-        for (const std::string &F : P.Fields)
+        for (VarName F : P.Fields)
           Intern(F);
         forEachVar(P, Intern);
       }

@@ -138,10 +138,11 @@ StmtPtr AssertStmtNode::clone() const {
 }
 
 namespace {
-/// Call and fork: a discarded result ("" or "_") is no variable.
+/// Call and fork: a discarded result (a null target or "_") is no variable.
 template <typename InvokeT, typename Visitor>
 void visitInvoke(InvokeT *C, Visitor &V) {
-  if (!C->target().empty() && C->target() != "_")
+  static const VarName Discarded = VarName::intern("_");
+  if (C->target() && C->target() != Discarded)
     V.target(C->target());
   V.name(C->receiver());
   for (auto &Arg : C->args())
@@ -257,11 +258,11 @@ void visitVars(StmtT *S, Visitor &V) {
 }
 } // namespace
 
-const std::string *bigfoot::definedVar(const Stmt *S) {
+VarName bigfoot::definedVar(const Stmt *S) {
   struct {
-    const std::string *Target = nullptr;
-    void target(const std::string &X) { Target = &X; }
-    void name(const std::string &) {}
+    VarName Target;
+    void target(VarName X) { Target = X; }
+    void name(VarName) {}
     void expr(const Expr &) {}
     void path(const Path &) {}
   } Defined;
@@ -272,27 +273,24 @@ const std::string *bigfoot::definedVar(const Stmt *S) {
 void bigfoot::forEachVar(const Stmt *S, const VarVisitor &Visit) {
   struct {
     const VarVisitor &Visit;
-    void target(const std::string &X) { Visit(X); }
-    void name(const std::string &X) { Visit(X); }
+    void target(VarName X) { Visit(X); }
+    void name(VarName X) { Visit(X); }
     void expr(const Expr &E) { E.forEachVar(Visit); }
     void path(const Path &P) { forEachVar(P, Visit); }
   } All{Visit};
   visitVars(S, All);
 }
 
-void bigfoot::renameUses(Stmt *S, const std::string &From,
-                         const std::string &To) {
+void bigfoot::renameUses(Stmt *S, VarName From, VarName To) {
   struct {
-    const std::string &From, &To;
-    void target(const std::string &) {}
-    void name(std::string &X) {
+    VarName From, To;
+    void target(VarName) {}
+    void name(VarName &X) {
       if (X == From)
         X = To;
     }
     void expr(Expr &E) { E.renameVar(From, To); }
-    void path(Path &P) {
-      P = P.rename(VarName::intern(From), VarName::intern(To));
-    }
+    void path(Path &P) { P = P.rename(From, To); }
   } Uses{From, To};
   visitVars(S, Uses);
 }
@@ -303,7 +301,7 @@ void bigfoot::forEachVar(const Path &P, const VarVisitor &Visit) {
     return;
   for (const AffineExpr *Bound : {&P.Range.Begin, &P.Range.End})
     for (const AffineExpr::Term &T : Bound->terms())
-      Visit(T.Var.name());
+      Visit(T.Var);
 }
 
 std::optional<Path> bigfoot::accessPath(const Stmt *S) {

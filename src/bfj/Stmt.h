@@ -16,11 +16,14 @@
 /// Heap accesses are statements, never subexpressions, so each access site
 /// is a unique program point for check placement.
 ///
-/// Which local a statement assigns, which locals it reads and which heap
-/// location it accesses are answered once, by definedVar, forEachVar and
-/// accessPath at the end of this file; every pass asks them. renameUses
-/// rewrites the locals a statement reads, and it goes through the same list
-/// as definedVar and forEachVar, so what a pass counts is what it renames.
+/// Every local and field a statement names is an interned VarName handle
+/// (support/VarName.h), read once by the parser; class and method names
+/// stay strings. Which local a statement assigns, which locals it reads
+/// and which heap location it accesses are answered once, by definedVar,
+/// forEachVar and accessPath at the end of this file; every pass asks
+/// them. renameUses rewrites the locals a statement reads, and it goes
+/// through the same list as definedVar and forEachVar, so what a pass
+/// counts is what it renames.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -173,11 +176,10 @@ private:
 /// x = e (e side-effect free, heap-free).
 class AssignStmt : public Stmt {
 public:
-  AssignStmt(std::string Target, std::unique_ptr<Expr> Value)
-      : Stmt(StmtKind::Assign), Target(std::move(Target)),
-        Value(std::move(Value)) {}
+  AssignStmt(VarName Target, std::unique_ptr<Expr> Value)
+      : Stmt(StmtKind::Assign), Target(Target), Value(std::move(Value)) {}
 
-  const std::string &target() const { return Target; }
+  VarName target() const { return Target; }
   const Expr *value() const { return Value.get(); }
   Expr *value() { return Value.get(); }
 
@@ -185,7 +187,7 @@ public:
   static bool classof(const Stmt *S) { return S->kind() == StmtKind::Assign; }
 
 private:
-  std::string Target;
+  VarName Target;
   std::unique_ptr<Expr> Value;
 };
 
@@ -194,80 +196,77 @@ private:
 /// ([RENAME], Section 3.4). Operationally a plain copy.
 class RenameStmt : public Stmt {
 public:
-  RenameStmt(std::string Target, std::string Source)
-      : Stmt(StmtKind::Rename), Target(std::move(Target)),
-        Source(std::move(Source)) {}
+  RenameStmt(VarName Target, VarName Source)
+      : Stmt(StmtKind::Rename), Target(Target), Source(Source) {}
 
-  const std::string &target() const { return Target; }
-  const std::string &source() const { return Source; }
-  std::string &source() { return Source; }
+  VarName target() const { return Target; }
+  VarName source() const { return Source; }
+  VarName &source() { return Source; }
 
   StmtPtr clone() const override;
   static bool classof(const Stmt *S) { return S->kind() == StmtKind::Rename; }
 
 private:
-  std::string Target;
-  std::string Source;
+  VarName Target;
+  VarName Source;
 };
 
 /// acq(x): acquires the lock of the object named by x.
 class AcquireStmt : public Stmt {
 public:
-  explicit AcquireStmt(std::string LockVar)
-      : Stmt(StmtKind::Acquire), LockVar(std::move(LockVar)) {}
+  explicit AcquireStmt(VarName LockVar)
+      : Stmt(StmtKind::Acquire), LockVar(LockVar) {}
 
-  const std::string &lockVar() const { return LockVar; }
-  std::string &lockVar() { return LockVar; }
+  VarName lockVar() const { return LockVar; }
+  VarName &lockVar() { return LockVar; }
 
   StmtPtr clone() const override;
   static bool classof(const Stmt *S) { return S->kind() == StmtKind::Acquire; }
 
 private:
-  std::string LockVar;
+  VarName LockVar;
 };
 
 /// rel(x): releases the lock of the object named by x.
 class ReleaseStmt : public Stmt {
 public:
-  explicit ReleaseStmt(std::string LockVar)
-      : Stmt(StmtKind::Release), LockVar(std::move(LockVar)) {}
+  explicit ReleaseStmt(VarName LockVar)
+      : Stmt(StmtKind::Release), LockVar(LockVar) {}
 
-  const std::string &lockVar() const { return LockVar; }
-  std::string &lockVar() { return LockVar; }
+  VarName lockVar() const { return LockVar; }
+  VarName &lockVar() { return LockVar; }
 
   StmtPtr clone() const override;
   static bool classof(const Stmt *S) { return S->kind() == StmtKind::Release; }
 
 private:
-  std::string LockVar;
+  VarName LockVar;
 };
 
 /// x = new C.
 class NewStmt : public Stmt {
 public:
-  NewStmt(std::string Target, std::string ClassName)
-      : Stmt(StmtKind::New), Target(std::move(Target)),
-        ClassName(std::move(ClassName)) {}
+  NewStmt(VarName Target, std::string ClassName)
+      : Stmt(StmtKind::New), Target(Target), ClassName(std::move(ClassName)) {}
 
-  const std::string &target() const { return Target; }
+  VarName target() const { return Target; }
   const std::string &className() const { return ClassName; }
 
   StmtPtr clone() const override;
   static bool classof(const Stmt *S) { return S->kind() == StmtKind::New; }
 
 private:
-  std::string Target;
+  VarName Target;
   std::string ClassName;
 };
 
 /// x = new_array e.
 class NewArrayStmt : public Stmt {
 public:
-  NewArrayStmt(std::string Target, std::unique_ptr<Expr> Size)
-      : Stmt(StmtKind::NewArray), Target(std::move(Target)),
-        Size(std::move(Size)) {}
+  NewArrayStmt(VarName Target, std::unique_ptr<Expr> Size)
+      : Stmt(StmtKind::NewArray), Target(Target), Size(std::move(Size)) {}
 
-  const std::string &target() const { return Target; }
+  VarName target() const { return Target; }
   const Expr *size() const { return Size.get(); }
   Expr *size() { return Size.get(); }
 
@@ -277,21 +276,21 @@ public:
   }
 
 private:
-  std::string Target;
+  VarName Target;
   std::unique_ptr<Expr> Size;
 };
 
 /// x = y.f.
 class FieldReadStmt : public Stmt {
 public:
-  FieldReadStmt(std::string Target, std::string Object, std::string Field)
-      : Stmt(StmtKind::FieldRead), Target(std::move(Target)),
-        Object(std::move(Object)), Field(std::move(Field)) {}
+  FieldReadStmt(VarName Target, VarName Object, VarName Field)
+      : Stmt(StmtKind::FieldRead), Target(Target), Object(Object),
+        Field(Field) {}
 
-  const std::string &target() const { return Target; }
-  const std::string &object() const { return Object; }
-  std::string &object() { return Object; }
-  const std::string &field() const { return Field; }
+  VarName target() const { return Target; }
+  VarName object() const { return Object; }
+  VarName &object() { return Object; }
+  VarName field() const { return Field; }
 
   StmtPtr clone() const override;
   static bool classof(const Stmt *S) {
@@ -299,22 +298,22 @@ public:
   }
 
 private:
-  std::string Target;
-  std::string Object;
-  std::string Field;
+  VarName Target;
+  VarName Object;
+  VarName Field;
 };
 
 /// y.f = e.
 class FieldWriteStmt : public Stmt {
 public:
-  FieldWriteStmt(std::string Object, std::string Field,
+  FieldWriteStmt(VarName Object, VarName Field,
                  std::unique_ptr<Expr> Value)
-      : Stmt(StmtKind::FieldWrite), Object(std::move(Object)),
-        Field(std::move(Field)), Value(std::move(Value)) {}
+      : Stmt(StmtKind::FieldWrite), Object(Object), Field(Field),
+        Value(std::move(Value)) {}
 
-  const std::string &object() const { return Object; }
-  std::string &object() { return Object; }
-  const std::string &field() const { return Field; }
+  VarName object() const { return Object; }
+  VarName &object() { return Object; }
+  VarName field() const { return Field; }
   const Expr *value() const { return Value.get(); }
   Expr *value() { return Value.get(); }
 
@@ -324,8 +323,8 @@ public:
   }
 
 private:
-  std::string Object;
-  std::string Field;
+  VarName Object;
+  VarName Field;
   std::unique_ptr<Expr> Value;
 };
 
@@ -333,14 +332,14 @@ private:
 /// the paper's property that every access has an expressible check path.
 class ArrayReadStmt : public Stmt {
 public:
-  ArrayReadStmt(std::string Target, std::string Array,
+  ArrayReadStmt(VarName Target, VarName Array,
                 std::unique_ptr<Expr> Index)
-      : Stmt(StmtKind::ArrayRead), Target(std::move(Target)),
-        Array(std::move(Array)), Index(std::move(Index)) {}
+      : Stmt(StmtKind::ArrayRead), Target(Target), Array(Array),
+        Index(std::move(Index)) {}
 
-  const std::string &target() const { return Target; }
-  const std::string &array() const { return Array; }
-  std::string &array() { return Array; }
+  VarName target() const { return Target; }
+  VarName array() const { return Array; }
+  VarName &array() { return Array; }
   const Expr *index() const { return Index.get(); }
   Expr *index() { return Index.get(); }
 
@@ -350,21 +349,21 @@ public:
   }
 
 private:
-  std::string Target;
-  std::string Array;
+  VarName Target;
+  VarName Array;
   std::unique_ptr<Expr> Index;
 };
 
 /// y[e1] = e2. Same index restriction as ArrayReadStmt.
 class ArrayWriteStmt : public Stmt {
 public:
-  ArrayWriteStmt(std::string Array, std::unique_ptr<Expr> Index,
+  ArrayWriteStmt(VarName Array, std::unique_ptr<Expr> Index,
                  std::unique_ptr<Expr> Value)
-      : Stmt(StmtKind::ArrayWrite), Array(std::move(Array)),
+      : Stmt(StmtKind::ArrayWrite), Array(Array),
         Index(std::move(Index)), Value(std::move(Value)) {}
 
-  const std::string &array() const { return Array; }
-  std::string &array() { return Array; }
+  VarName array() const { return Array; }
+  VarName &array() { return Array; }
   const Expr *index() const { return Index.get(); }
   Expr *index() { return Index.get(); }
   const Expr *value() const { return Value.get(); }
@@ -376,7 +375,7 @@ public:
   }
 
 private:
-  std::string Array;
+  VarName Array;
   std::unique_ptr<Expr> Index;
   std::unique_ptr<Expr> Value;
 };
@@ -385,13 +384,12 @@ private:
 /// as Java array lengths are race-free.
 class ArrayLenStmt : public Stmt {
 public:
-  ArrayLenStmt(std::string Target, std::string Array)
-      : Stmt(StmtKind::ArrayLen), Target(std::move(Target)),
-        Array(std::move(Array)) {}
+  ArrayLenStmt(VarName Target, VarName Array)
+      : Stmt(StmtKind::ArrayLen), Target(Target), Array(Array) {}
 
-  const std::string &target() const { return Target; }
-  const std::string &array() const { return Array; }
-  std::string &array() { return Array; }
+  VarName target() const { return Target; }
+  VarName array() const { return Array; }
+  VarName &array() { return Array; }
 
   StmtPtr clone() const override;
   static bool classof(const Stmt *S) {
@@ -399,22 +397,21 @@ public:
   }
 
 private:
-  std::string Target;
-  std::string Array;
+  VarName Target;
+  VarName Array;
 };
 
 /// x = y.m(args).
 class CallStmt : public Stmt {
 public:
-  CallStmt(std::string Target, std::string Receiver, std::string Method,
+  CallStmt(VarName Target, VarName Receiver, std::string Method,
            std::vector<std::unique_ptr<Expr>> Args)
-      : Stmt(StmtKind::Call), Target(std::move(Target)),
-        Receiver(std::move(Receiver)), Method(std::move(Method)),
-        Args(std::move(Args)) {}
+      : Stmt(StmtKind::Call), Target(Target), Receiver(Receiver),
+        Method(std::move(Method)), Args(std::move(Args)) {}
 
-  const std::string &target() const { return Target; }
-  const std::string &receiver() const { return Receiver; }
-  std::string &receiver() { return Receiver; }
+  VarName target() const { return Target; }
+  VarName receiver() const { return Receiver; }
+  VarName &receiver() { return Receiver; }
   const std::string &method() const { return Method; }
   const std::vector<std::unique_ptr<Expr>> &args() const { return Args; }
   std::vector<std::unique_ptr<Expr>> &args() { return Args; }
@@ -423,8 +420,8 @@ public:
   static bool classof(const Stmt *S) { return S->kind() == StmtKind::Call; }
 
 private:
-  std::string Target;
-  std::string Receiver;
+  VarName Target;
+  VarName Receiver;
   std::string Method;
   std::vector<std::unique_ptr<Expr>> Args;
 };
@@ -456,15 +453,14 @@ private:
 /// child's start (Thread.start in Section 5).
 class ForkStmt : public Stmt {
 public:
-  ForkStmt(std::string Target, std::string Receiver, std::string Method,
+  ForkStmt(VarName Target, VarName Receiver, std::string Method,
            std::vector<std::unique_ptr<Expr>> Args)
-      : Stmt(StmtKind::Fork), Target(std::move(Target)),
-        Receiver(std::move(Receiver)), Method(std::move(Method)),
-        Args(std::move(Args)) {}
+      : Stmt(StmtKind::Fork), Target(Target), Receiver(Receiver),
+        Method(std::move(Method)), Args(std::move(Args)) {}
 
-  const std::string &target() const { return Target; }
-  const std::string &receiver() const { return Receiver; }
-  std::string &receiver() { return Receiver; }
+  VarName target() const { return Target; }
+  VarName receiver() const { return Receiver; }
+  VarName &receiver() { return Receiver; }
   const std::string &method() const { return Method; }
   const std::vector<std::unique_ptr<Expr>> &args() const { return Args; }
   std::vector<std::unique_ptr<Expr>> &args() { return Args; }
@@ -473,8 +469,8 @@ public:
   static bool classof(const Stmt *S) { return S->kind() == StmtKind::Fork; }
 
 private:
-  std::string Target;
-  std::string Receiver;
+  VarName Target;
+  VarName Receiver;
   std::string Method;
   std::vector<std::unique_ptr<Expr>> Args;
 };
@@ -483,27 +479,27 @@ private:
 /// acquire-like HB edge flows from the child's end into the joiner.
 class JoinStmt : public Stmt {
 public:
-  explicit JoinStmt(std::string Handle)
-      : Stmt(StmtKind::Join), Handle(std::move(Handle)) {}
+  explicit JoinStmt(VarName Handle)
+      : Stmt(StmtKind::Join), Handle(Handle) {}
 
-  const std::string &handle() const { return Handle; }
-  std::string &handle() { return Handle; }
+  VarName handle() const { return Handle; }
+  VarName &handle() { return Handle; }
 
   StmtPtr clone() const override;
   static bool classof(const Stmt *S) { return S->kind() == StmtKind::Join; }
 
 private:
-  std::string Handle;
+  VarName Handle;
 };
 
 /// x = new_barrier e: creates a cyclic barrier for e parties.
 class NewBarrierStmt : public Stmt {
 public:
-  NewBarrierStmt(std::string Target, std::unique_ptr<Expr> Parties)
-      : Stmt(StmtKind::NewBarrier), Target(std::move(Target)),
+  NewBarrierStmt(VarName Target, std::unique_ptr<Expr> Parties)
+      : Stmt(StmtKind::NewBarrier), Target(Target),
         Parties(std::move(Parties)) {}
 
-  const std::string &target() const { return Target; }
+  VarName target() const { return Target; }
   const Expr *parties() const { return Parties.get(); }
   Expr *parties() { return Parties.get(); }
 
@@ -513,7 +509,7 @@ public:
   }
 
 private:
-  std::string Target;
+  VarName Target;
   std::unique_ptr<Expr> Parties;
 };
 
@@ -523,17 +519,17 @@ private:
 /// barriers in several of them, which our native barrier models.
 class AwaitStmt : public Stmt {
 public:
-  explicit AwaitStmt(std::string BarrierVar)
-      : Stmt(StmtKind::Await), BarrierVar(std::move(BarrierVar)) {}
+  explicit AwaitStmt(VarName BarrierVar)
+      : Stmt(StmtKind::Await), BarrierVar(BarrierVar) {}
 
-  const std::string &barrierVar() const { return BarrierVar; }
-  std::string &barrierVar() { return BarrierVar; }
+  VarName barrierVar() const { return BarrierVar; }
+  VarName &barrierVar() { return BarrierVar; }
 
   StmtPtr clone() const override;
   static bool classof(const Stmt *S) { return S->kind() == StmtKind::Await; }
 
 private:
-  std::string BarrierVar;
+  VarName BarrierVar;
 };
 
 /// print e: writes a value to the VM's output channel (examples/tests).
@@ -576,10 +572,10 @@ private:
 //===----------------------------------------------------------------------===//
 
 /// The local the simple statement \p S assigns: the target of an
-/// assignment, rename, allocation, heap read, length, call or fork. Null
-/// for any other statement and for a discarded call or fork result ("" or
-/// "_").
-const std::string *definedVar(const Stmt *S);
+/// assignment, rename, allocation, heap read, length, call or fork. The
+/// null handle for any other statement and for a discarded call or fork
+/// result (a null target or "_").
+VarName definedVar(const Stmt *S);
 
 /// Calls \p Visit on every local \p S defines or reads, once per
 /// occurrence: definedVar(S) first, then its operands, including an If,
@@ -596,7 +592,7 @@ void forEachVar(const Path &P, const VarVisitor &Visit);
 /// visits after definedVar(S): S's name and expression operands, its
 /// condition and each check path's designator and bounds. The target
 /// stays, and so do the statements nested in a Block, If or Loop.
-void renameUses(Stmt *S, const std::string &From, const std::string &To);
+void renameUses(Stmt *S, VarName From, VarName To);
 
 /// The check path of a heap access statement (x = y.f, y.f = e, x = y[e]
 /// or y[e1] = e2), or nullopt for any other statement. A volatile field

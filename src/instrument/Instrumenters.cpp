@@ -34,7 +34,7 @@ void insertPerAccessChecks(const Program &P, Stmt *S) {
       if (!Pth)
         continue;
       // Volatile accesses are synchronization, never checked.
-      if (Pth->isField() && P.isFieldVolatileAnywhere(Pth->Fields[0]))
+      if (Pth->isField() && P.isFieldVolatileAnywhere(Pth->Fields[0].name()))
         continue;
       Stmts.insert(Stmts.begin() + static_cast<ptrdiff_t>(I),
                    std::make_unique<CheckStmt>(std::vector<Path>{*Pth}));
@@ -127,8 +127,8 @@ private:
         }
         // The body was never renamed, so facts about the variable Child
         // assigns describe its old value.
-        if (const std::string *X = definedVar(Child))
-          H.dropMentions(*X);
+        if (VarName X = definedVar(Child))
+          H.dropMentions(X);
         H = stepHistory(H, Child, Kills);
         H.Accesses.clear(); // RedCard asks only about checks.
       }

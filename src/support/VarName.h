@@ -5,8 +5,9 @@
 //===----------------------------------------------------------------------===//
 ///
 /// \file
-/// The names StaticBF's arithmetic ranges over, interned once per process:
-/// program variables, their renamed copies (i'2), probe variables, and the
+/// The one type of a local or field name, from the parser to StaticBF's
+/// solver, interned once per process: program variables and fields as the
+/// parser reads them, their renamed copies (i'2), the alias probe, and the
 /// entailment engine's alias-term and constant representatives. A VarName
 /// is a handle to one entry of a process-wide, append-only name table.
 ///
@@ -15,10 +16,12 @@
 /// printed fact keep the order they would have as strings, whatever order
 /// the names were interned in.
 ///
-/// Every placement run and every thread shares the table. Interning takes
-/// its one lock; reading a handle's name takes none, because an entry
-/// never moves or changes once published. The table keeps one copy of
-/// each distinct name and frees nothing before the process exits.
+/// Every parse, every placement run and every thread shares the table.
+/// Interning takes its one lock, once per identifier the parser reads and
+/// once per name the analysis or the engine makes; reading a handle's name
+/// takes none, because an entry never moves or changes once published. The
+/// table keeps one copy of each distinct name and frees nothing before the
+/// process exits.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -29,6 +32,7 @@
 #include <cstdint>
 #include <functional>
 #include <optional>
+#include <ostream>
 #include <string>
 #include <string_view>
 
@@ -45,6 +49,9 @@ public:
 
   /// A null handle, equal only to another null handle; it has no name.
   VarName() = default;
+
+  /// False for the null handle.
+  explicit operator bool() const { return E != nullptr; }
 
   /// The handle of \p Name, interned on first use. Thread-safe.
   static VarName intern(std::string_view Name);
@@ -71,6 +78,11 @@ private:
 
   const Entry *E = nullptr;
 };
+
+/// Writes \p V's name.
+inline std::ostream &operator<<(std::ostream &OS, VarName V) {
+  return OS << V.name();
+}
 
 } // namespace bigfoot
 

@@ -74,11 +74,15 @@ private:
     assert(Id && "name missing from the program's symbol table");
     return Id.value_or(kNoReg);
   }
+  uint32_t reg(VarName Name) const { return reg(Name.name()); }
 
   /// The register a call, fork or method result goes to: kNoReg when it is
-  /// discarded ("" or "_").
+  /// discarded ("", a null handle or "_").
   uint32_t resultReg(const std::string &Name) const {
     return Name.empty() || Name == "_" ? kNoReg : reg(Name);
+  }
+  uint32_t resultReg(VarName Name) const {
+    return Name ? resultReg(Name.name()) : kNoReg;
   }
 
   //===--- Emission helpers ---------------------------------------------------
@@ -240,7 +244,7 @@ private:
     CompiledBound Out;
     Out.Constant = E.constantPart();
     for (const auto &[Var, Coeff] : E.terms())
-      Out.Terms.emplace_back(reg(Var.name()), Coeff);
+      Out.Terms.emplace_back(reg(Var), Coeff);
     return Out;
   }
 
@@ -252,7 +256,7 @@ private:
     size_t Idx;
     if (!P.isArray()) {
       uint32_t First = static_cast<uint32_t>(C.CheckFieldIds.size());
-      for (const std::string &F : P.Fields)
+      for (VarName F : P.Fields)
         C.CheckFieldIds.push_back(reg(F));
       Idx = emit(Opcode::CheckFields, Designator, First,
                  static_cast<uint32_t>(P.Fields.size()));
@@ -282,7 +286,7 @@ private:
     if (Terms.size() != 1 || Terms[0].Coeff != 1 ||
         (R.End - R.Begin).constantValue() != 1)
       return std::nullopt;
-    return std::make_pair(reg(Terms[0].Var.name()), R.Begin.constantPart());
+    return std::make_pair(reg(Terms[0].Var), R.Begin.constantPart());
   }
 
   //===--- Statements ---------------------------------------------------------
@@ -296,9 +300,9 @@ private:
     return Regs;
   }
 
-  uint32_t callIdx(const std::string &Receiver, const std::string &Method,
+  uint32_t callIdx(VarName Receiver, const std::string &Method,
                    const std::vector<std::unique_ptr<Expr>> &Args,
-                   const std::string &Target) {
+                   VarName Target) {
     CallOperand Op;
     Op.ReceiverReg = reg(Receiver);
     Op.Method = &Method;
@@ -380,7 +384,7 @@ private:
     }
     case StmtKind::FieldRead: {
       const auto *Rd = cast<FieldReadStmt>(S);
-      step(emit(Prog.isFieldVolatileAnywhere(Rd->field())
+      step(emit(Prog.isFieldVolatileAnywhere(Rd->field().name())
                     ? Opcode::FieldReadVol
                     : Opcode::FieldRead,
                 reg(Rd->target()), reg(Rd->object()), reg(Rd->field())));
@@ -390,7 +394,7 @@ private:
       const auto *Wr = cast<FieldWriteStmt>(S);
       resetTemps();
       uint32_t V = exprVal(Wr->value());
-      step(emit(Prog.isFieldVolatileAnywhere(Wr->field())
+      step(emit(Prog.isFieldVolatileAnywhere(Wr->field().name())
                     ? Opcode::FieldWriteVol
                     : Opcode::FieldWrite,
                 reg(Wr->object()), V, reg(Wr->field())));

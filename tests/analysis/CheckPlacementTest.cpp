@@ -24,6 +24,8 @@ using namespace bigfoot;
 
 namespace {
 
+VarName n(std::string_view Name) { return VarName::intern(Name); }
+
 /// Collects every check statement in the program, in pre-order.
 std::vector<const CheckStmt *> allChecks(const Program &P) {
   std::vector<const CheckStmt *> Out;
@@ -83,7 +85,7 @@ thread {
   const Path &P = Checks[0]->paths()[0];
   EXPECT_EQ(P.Access, AccessKind::Write);
   EXPECT_TRUE(P.isField());
-  EXPECT_EQ(P.Designator, "this");
+  EXPECT_EQ(P.Designator, n("this"));
   EXPECT_EQ(P.Fields.size(), 3u) << printProgram(*Prog);
 }
 
@@ -164,7 +166,7 @@ thread {
   size_t FChecks = 0;
   for (const CheckStmt *C : Checks)
     for (const Path &P : C->paths())
-      if (P.isField() && P.Fields[0] == "f")
+      if (P.isField() && P.Fields[0] == n("f"))
         ++FChecks;
   EXPECT_EQ(FChecks, 1u) << printProgram(*Prog);
 }
@@ -202,9 +204,9 @@ thread {
       walkStmt(Branch, [&](const Stmt *Inner) {
         if (const auto *C = dyn_cast<CheckStmt>(Inner))
           for (const Path &P : C->paths()) {
-            if (P.isField() && P.Fields[0] == "g")
+            if (P.isField() && P.Fields[0] == n("g"))
               ++GChecks;
-            if (P.isField() && P.Fields[0] == "f")
+            if (P.isField() && P.Fields[0] == n("f"))
               ++FChecksInsideIf;
           }
       });
@@ -380,7 +382,7 @@ thread {
   size_t GPaths = 0;
   for (const CheckStmt *C : allChecks(*Prog))
     for (const Path &P : C->paths())
-      if (P.isField() && P.Fields[0] == "g")
+      if (P.isField() && P.Fields[0] == n("g"))
         ++GPaths;
   EXPECT_EQ(GPaths, 1u) << printProgram(*Prog);
 }
@@ -429,7 +431,7 @@ thread {
     if (isa<CheckStmt>(S))
       Order.push_back("check");
     else if (const auto *W = dyn_cast<FieldWriteStmt>(S))
-      Order.push_back(W->field());
+      Order.push_back(W->field().name());
   });
   // Expected order: write f, check, write ready.
   ASSERT_EQ(Order.size(), 3u) << printProgram(*Prog);
@@ -488,7 +490,7 @@ thread {
   size_t FPaths = 0;
   for (const CheckStmt *C : allChecks(*Prog))
     for (const Path &P : C->paths())
-      if (P.isField() && P.Fields[0] == "f")
+      if (P.isField() && P.Fields[0] == n("f"))
         ++FPaths;
   EXPECT_EQ(FPaths, 1u) << printProgram(*Prog);
 }
@@ -569,7 +571,7 @@ thread {
   size_t ArrayPaths = 0;
   for (const CheckStmt *C : allChecks(*Prog))
     for (const Path &P : C->paths())
-      if (P.isArray() && P.Designator == "a")
+      if (P.isArray() && P.Designator == n("a"))
         ++ArrayPaths;
   EXPECT_GE(ArrayPaths, 1u) << printProgram(*Prog);
 }
@@ -588,8 +590,8 @@ TEST(CheckPlacement, OverflowingFoldsAreDeclined) {
   EXPECT_FALSE(toAffine(sub(minInt(), intLit(1)).get()));
   EXPECT_FALSE(toAffine(mul(intLit(Max), intLit(2)).get()));
   EXPECT_FALSE(toAffine(unary(UnaryOp::Neg, minInt()).get()));
-  EXPECT_FALSE(toAffine(add(mul(var("i"), intLit(Max)), var("i")).get()));
-  EXPECT_FALSE(toAffine(sub(var("i"), mul(var("i"), minInt())).get()));
+  EXPECT_FALSE(toAffine(add(mul(var(n("i")), intLit(Max)), var(n("i"))).get()));
+  EXPECT_FALSE(toAffine(sub(var(n("i")), mul(var(n("i")), minInt())).get()));
 
   EXPECT_EQ(toAffine(add(intLit(Max), intLit(0)).get()),
             AffineExpr::constant(Max));
@@ -599,7 +601,7 @@ TEST(CheckPlacement, OverflowingFoldsAreDeclined) {
             AffineExpr::constant(-Max));
   EXPECT_EQ(toAffine(unary(UnaryOp::Neg, intLit(Max)).get()),
             AffineExpr::constant(-Max));
-  EXPECT_EQ(toAffine(sub(mul(var("i"), intLit(Max)), var("i")).get()),
+  EXPECT_EQ(toAffine(sub(mul(var(n("i")), intLit(Max)), var(n("i"))).get()),
             AffineExpr::variable(VarName::intern("i")) * (Max - 1));
 
   // A loop bounded by an overflowing sum still gets its checks placed.
@@ -616,7 +618,7 @@ thread {
   size_t ArrayPaths = 0;
   for (const CheckStmt *C : allChecks(*Prog))
     for (const Path &P : C->paths())
-      if (P.isArray() && P.Designator == "a")
+      if (P.isArray() && P.Designator == n("a"))
         ++ArrayPaths;
   EXPECT_GE(ArrayPaths, 1u) << printProgram(*Prog);
 }
@@ -652,7 +654,7 @@ thread {
     size_t ArrayPaths = 0;
     for (const CheckStmt *C : allChecks(*Prog))
       for (const Path &P : C->paths())
-        if (P.isArray() && P.Designator == "a")
+        if (P.isArray() && P.Designator == n("a"))
           ++ArrayPaths;
     EXPECT_GE(ArrayPaths, 1u) << printProgram(*Prog);
   }
@@ -679,7 +681,7 @@ TEST(CheckPlacement, IndexWithNoEndBoundIsRejected) {
 TEST(CheckPlacement, OverflowedCheckRangeIsNeverBuilt) {
   // An overflowed bound has no terms and a zero constant, so a check over
   // it would check nothing. Debug builds stop instead of building one.
-  Path P = Path::arrayIndex(AccessKind::Write, "a",
+  Path P = Path::arrayIndex(AccessKind::Write, n("a"),
                             AffineExpr::constant(INT64_MAX));
   ASSERT_TRUE(P.Range.overflowed());
   EXPECT_DEBUG_DEATH(CheckStmt(std::vector<Path>{P}),
@@ -710,7 +712,7 @@ thread {
       cast<BlockStmt>(Prog->Classes[0]->Methods[0]->Body.get())->stmts();
   auto IsRename = [](const Stmt *S, const char *Target, const char *Source) {
     const auto *R = dyn_cast<RenameStmt>(S);
-    return R && R->target() == Target && R->source() == Source;
+    return R && R->target() == n(Target) && R->source() == n(Source);
   };
   auto Source = std::find_if(Body.begin(), Body.end(), [&](const StmtPtr &S) {
     return IsRename(S.get(), "y", "x");

@@ -17,9 +17,8 @@
 using namespace bigfoot;
 
 namespace {
-AffineExpr v(const char *Name) {
-  return AffineExpr::variable(VarName::intern(Name));
-}
+VarName n(std::string_view Name) { return VarName::intern(Name); }
+AffineExpr v(const char *Name) { return AffineExpr::variable(n(Name)); }
 AffineExpr c(int64_t Value) { return AffineExpr::constant(Value); }
 } // namespace
 
@@ -118,27 +117,27 @@ TEST(MergeRanges, InterleavedStridesHalve) {
 TEST(CoalescePaths, FieldsGroupByDesignator) {
   History H;
   std::vector<Path> Paths = {
-      Path::field(AccessKind::Write, "p", "x"),
-      Path::field(AccessKind::Write, "p", "y"),
-      Path::field(AccessKind::Write, "q", "x"),
+      Path::field(AccessKind::Write, n("p"), n("x")),
+      Path::field(AccessKind::Write, n("p"), n("y")),
+      Path::field(AccessKind::Write, n("q"), n("x")),
   };
   std::vector<Path> Out = coalescePaths(Paths, H);
   ASSERT_EQ(Out.size(), 2u);
   EXPECT_EQ(Out[0].Fields.size(), 2u);
-  EXPECT_EQ(Out[1].Designator, "q");
+  EXPECT_EQ(Out[1].Designator, n("q"));
 }
 
 TEST(CoalescePaths, EquivalentDesignatorsMerge) {
   // x = a.f and y = a.f make x and y the same object, so x.g and y.g
   // coalesce.
   History H;
-  AliasFact A1{false, "x", "a", "f", AffineExpr()};
-  AliasFact A2{false, "y", "a", "f", AffineExpr()};
+  AliasFact A1{false, n("x"), n("a"), n("f"), AffineExpr()};
+  AliasFact A2{false, n("y"), n("a"), n("f"), AffineExpr()};
   H.addAlias(A1);
   H.addAlias(A2);
   std::vector<Path> Paths = {
-      Path::field(AccessKind::Read, "x", "g"),
-      Path::field(AccessKind::Read, "y", "h"),
+      Path::field(AccessKind::Read, n("x"), n("g")),
+      Path::field(AccessKind::Read, n("y"), n("h")),
   };
   std::vector<Path> Out = coalescePaths(Paths, H);
   ASSERT_EQ(Out.size(), 1u);
@@ -150,8 +149,8 @@ TEST(CoalescePaths, ReadAndWriteNeverMerge) {
   // R and W paths on the same object stay separate.
   History H;
   std::vector<Path> Paths = {
-      Path::field(AccessKind::Read, "p", "x"),
-      Path::field(AccessKind::Write, "p", "y"),
+      Path::field(AccessKind::Read, n("p"), n("x")),
+      Path::field(AccessKind::Write, n("p"), n("y")),
   };
   std::vector<Path> Out = coalescePaths(Paths, H);
   EXPECT_EQ(Out.size(), 2u);
@@ -162,8 +161,8 @@ TEST(CoalescePaths, ArrayChainMerges) {
   H.addBool({RelOp::Le, c(0), v("m"), 0});
   H.addBool({RelOp::Le, v("m"), v("n"), 0});
   std::vector<Path> Paths = {
-      Path::array(AccessKind::Read, "a", SymbolicRange(c(0), v("m"))),
-      Path::array(AccessKind::Read, "a", SymbolicRange(v("m"), v("n"))),
+      Path::array(AccessKind::Read, n("a"), SymbolicRange(c(0), v("m"))),
+      Path::array(AccessKind::Read, n("a"), SymbolicRange(v("m"), v("n"))),
   };
   std::vector<Path> Out = coalescePaths(Paths, H);
   ASSERT_EQ(Out.size(), 1u);
@@ -174,8 +173,8 @@ TEST(CoalescePaths, ArrayChainMerges) {
 TEST(CoalescePaths, DistinctArraysStaySeparate) {
   History H;
   std::vector<Path> Paths = {
-      Path::array(AccessKind::Read, "a", SymbolicRange(c(0), c(10))),
-      Path::array(AccessKind::Read, "b", SymbolicRange(c(10), c(20))),
+      Path::array(AccessKind::Read, n("a"), SymbolicRange(c(0), c(10))),
+      Path::array(AccessKind::Read, n("b"), SymbolicRange(c(10), c(20))),
   };
   EXPECT_EQ(coalescePaths(Paths, H).size(), 2u);
 }
@@ -334,7 +333,7 @@ thread {
   bool Found = false;
   Prog->forEachStmt([&Found](const Stmt *S) {
     if (const auto *R = dyn_cast<RenameStmt>(S))
-      Found |= R->source() == "i";
+      Found |= R->source() == n("i");
   });
   EXPECT_TRUE(Found) << printProgram(*Prog);
 }
@@ -392,6 +391,24 @@ thread {
   EXPECT_EQ(Printed.find("y'"), std::string::npos) << Printed;
 }
 
+TEST(Rename, CleanupCountsFollowEachRemoval) {
+  // Deleting the dead t := s leaves s two uses, its rename's target and
+  // x = s, so s := w folds into x = s. Counts taken before the deletion
+  // would still see three uses of s and keep s := w.
+  auto Prog = parseProgramOrDie(R"(
+thread {
+  w = 2;
+  t := s;
+  s := w;
+  x = s;
+  print x;
+}
+)");
+  normalizeBody(Prog->Threads[0]);
+  EXPECT_EQ(cleanupRenames(Prog->Threads[0]), 2u);
+  EXPECT_EQ(printStmt(Prog->Threads[0].get()), "w = 2;\nx = w;\nprint x;\n");
+}
+
 TEST(Rename, RenameUsesLeavesTargetAlone) {
   auto Prog = parseProgramOrDie(R"(
 thread {
@@ -399,10 +416,10 @@ thread {
 }
 )");
   auto *Block = cast<BlockStmt>(Prog->Threads[0].get());
-  renameUses(Block->stmts()[0].get(), "x", "y");
+  renameUses(Block->stmts()[0].get(), n("x"), n("y"));
   const auto *A = cast<AssignStmt>(Block->stmts()[0].get());
-  EXPECT_EQ(A->target(), "x");
-  std::vector<std::string> Vars;
-  A->value()->forEachVar([&Vars](const std::string &V) { Vars.push_back(V); });
-  EXPECT_EQ(Vars, std::vector<std::string>{"y"}); // y, and not x.
+  EXPECT_EQ(A->target(), n("x"));
+  std::vector<VarName> Vars;
+  A->value()->forEachVar([&Vars](VarName V) { Vars.push_back(V); });
+  EXPECT_EQ(Vars, std::vector<VarName>{n("y")}); // y, and not x.
 }

@@ -17,6 +17,21 @@ using namespace bigfoot;
 
 namespace {
 
+VarName n(std::string_view Name) { return VarName::intern(Name); }
+
+/// The name \p S defines, or "<none>".
+std::string definedName(const Stmt *S) {
+  VarName X = definedVar(S);
+  return X ? X.name() : "<none>";
+}
+
+/// The names forEachVar visits in \p S, in order.
+std::vector<std::string> varNames(const Stmt *S) {
+  std::vector<std::string> Vars;
+  forEachVar(S, [&Vars](VarName V) { Vars.push_back(V.name()); });
+  return Vars;
+}
+
 const char *PointSource = R"(
 class Point {
   fields x, y, z;
@@ -198,8 +213,8 @@ thread {
   const auto *Block = cast<BlockStmt>(R.Prog->Threads[0].get());
   const auto *Ren = dyn_cast<RenameStmt>(Block->stmts()[1].get());
   ASSERT_NE(Ren, nullptr);
-  EXPECT_EQ(Ren->target(), "i'");
-  EXPECT_EQ(Ren->source(), "i");
+  EXPECT_EQ(Ren->target(), n("i'"));
+  EXPECT_EQ(Ren->source(), n("i"));
 }
 
 TEST(BfjParser, RejectsNonAffineIndex) {
@@ -252,10 +267,10 @@ TEST(BfjAst, CloneIsDeepAndPreservesIds) {
 }
 
 TEST(BfjAst, ExprMentions) {
-  auto E = binary(BinaryOp::Add, var("i"), intLit(3));
-  std::vector<std::string> Vars;
-  E->forEachVar([&Vars](const std::string &V) { Vars.push_back(V); });
-  EXPECT_EQ(Vars, std::vector<std::string>{"i"}); // i, and not j.
+  auto E = binary(BinaryOp::Add, var(n("i")), intLit(3));
+  std::vector<VarName> Vars;
+  E->forEachVar([&Vars](VarName V) { Vars.push_back(V); });
+  EXPECT_EQ(Vars, std::vector<VarName>{n("i")}); // i, and not j.
 }
 
 TEST(BfjAst, StatementVarsAndAccessPaths) {
@@ -281,15 +296,6 @@ thread {
 )");
   const auto &Body = cast<BlockStmt>(Prog->Threads[0].get())->stmts();
   ASSERT_EQ(Body.size(), 10u);
-  auto VarsOf = [](const Stmt *S) {
-    std::vector<std::string> Vars;
-    forEachVar(S, [&Vars](const std::string &V) { Vars.push_back(V); });
-    return Vars;
-  };
-  auto DefinedOf = [](const Stmt *S) -> std::string {
-    const std::string *X = definedVar(S);
-    return X ? *X : "<none>";
-  };
   auto PathOf = [](const Stmt *S) -> std::string {
     std::optional<Path> P = accessPath(S);
     return P ? std::string(accessKindName(P->Access)) + " " + P->str()
@@ -297,24 +303,24 @@ thread {
   };
   using Names = std::vector<std::string>;
   // x = a[i + i]: the target first, then each occurrence it reads.
-  EXPECT_EQ(DefinedOf(Body[2].get()), "x");
-  EXPECT_EQ(VarsOf(Body[2].get()), (Names{"x", "a", "i", "i"}));
+  EXPECT_EQ(definedName(Body[2].get()), "x");
+  EXPECT_EQ(varNames(Body[2].get()), (Names{"x", "a", "i", "i"}));
   EXPECT_EQ(PathOf(Body[2].get()), "read a[2*i]");
   // a[i] = x + 2 assigns no local.
-  EXPECT_EQ(DefinedOf(Body[3].get()), "<none>");
-  EXPECT_EQ(VarsOf(Body[3].get()), (Names{"a", "i", "x"}));
+  EXPECT_EQ(definedName(Body[3].get()), "<none>");
+  EXPECT_EQ(varNames(Body[3].get()), (Names{"a", "i", "x"}));
   EXPECT_EQ(PathOf(Body[3].get()), "write a[i]");
   EXPECT_EQ(PathOf(Body[5].get()), "write o.f");
   // A discarded call result is no variable; a kept one is.
-  EXPECT_EQ(DefinedOf(Body[6].get()), "<none>");
-  EXPECT_EQ(VarsOf(Body[6].get()), (Names{"o", "i"}));
-  EXPECT_EQ(DefinedOf(Body[7].get()), "r");
-  EXPECT_EQ(VarsOf(Body[7].get()), (Names{"r", "o", "x"}));
+  EXPECT_EQ(definedName(Body[6].get()), "<none>");
+  EXPECT_EQ(varNames(Body[6].get()), (Names{"o", "i"}));
+  EXPECT_EQ(definedName(Body[7].get()), "r");
+  EXPECT_EQ(varNames(Body[7].get()), (Names{"r", "o", "x"}));
   EXPECT_EQ(PathOf(Body[7].get()), "<none>");
   // A check names its designator and its bounds' variables.
-  EXPECT_EQ(VarsOf(Body[8].get()), (Names{"a", "i", "x"}));
-  EXPECT_EQ(VarsOf(Body[9].get()), (Names{"i", "x"}));
-  EXPECT_EQ(DefinedOf(Body[9].get()), "<none>");
+  EXPECT_EQ(varNames(Body[8].get()), (Names{"a", "i", "x"}));
+  EXPECT_EQ(varNames(Body[9].get()), (Names{"i", "x"}));
+  EXPECT_EQ(definedName(Body[9].get()), "<none>");
 }
 
 TEST(BfjAst, RenameUsesRenamesWhatForEachVarReads) {
@@ -360,22 +366,17 @@ thread {
 }
 )");
   auto Reads = [](const Stmt *S) {
-    std::vector<std::string> Vars;
-    forEachVar(S, [&Vars](const std::string &V) { Vars.push_back(V); });
+    std::vector<std::string> Vars = varNames(S);
     if (definedVar(S))
       Vars.erase(Vars.begin());
     return Vars;
-  };
-  auto DefinedOf = [](const Stmt *S) -> std::string {
-    const std::string *X = definedVar(S);
-    return X ? *X : "<none>";
   };
   const std::regex Z("\\bz\\b");
   std::set<StmtKind> Kinds;
   walkStmt(Prog->Threads[0].get(), [&](const Stmt *S) {
     Kinds.insert(S->kind());
     StmtPtr Copy = S->clone();
-    renameUses(Copy.get(), "x", "z");
+    renameUses(Copy.get(), n("x"), n("z"));
     std::vector<std::string> Expected = Reads(S);
     size_t Renamed = std::count(Expected.begin(), Expected.end(), "x");
     std::replace(Expected.begin(), Expected.end(), std::string("x"),
@@ -383,7 +384,7 @@ thread {
     std::string Before = printStmt(S);
     std::string After = printStmt(Copy.get());
     EXPECT_EQ(Reads(Copy.get()), Expected) << Before;
-    EXPECT_EQ(DefinedOf(Copy.get()), DefinedOf(S)) << Before;
+    EXPECT_EQ(definedName(Copy.get()), definedName(S)) << Before;
     // Nothing else changed: z stands exactly where those reads were.
     EXPECT_EQ(static_cast<size_t>(std::distance(
                   std::sregex_iterator(After.begin(), After.end(), Z),
@@ -397,16 +398,16 @@ thread {
 
 TEST(BfjAst, ToAffineHandlesLinearForms) {
   auto E = binary(BinaryOp::Add,
-                  binary(BinaryOp::Mul, intLit(2), var("i")),
-                  binary(BinaryOp::Sub, var("j"), intLit(1)));
+                  binary(BinaryOp::Mul, intLit(2), var(n("i"))),
+                  binary(BinaryOp::Sub, var(n("j")), intLit(1)));
   auto A = toAffine(E.get());
   ASSERT_TRUE(A.has_value());
-  EXPECT_EQ(*A, AffineExpr::variable(VarName::intern("i")) * 2 +
-                    AffineExpr::variable(VarName::intern("j")) - 1);
+  EXPECT_EQ(*A, AffineExpr::variable(n("i")) * 2 +
+                    AffineExpr::variable(n("j")) - 1);
 }
 
 TEST(BfjAst, ToAffineRejectsProducts) {
-  auto E = binary(BinaryOp::Mul, var("i"), var("j"));
+  auto E = binary(BinaryOp::Mul, var(n("i")), var(n("j")));
   EXPECT_FALSE(toAffine(E.get()).has_value());
 }
 

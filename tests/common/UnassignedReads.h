@@ -45,9 +45,9 @@ namespace bigfoot::test {
 /// outside that set.
 inline void walkAssigned(const Stmt *S, std::set<std::string> &Assigned,
                          std::set<std::string> &Unassigned) {
-  auto Read = [&Assigned, &Unassigned](const std::string &V) {
-    if (!Assigned.count(V))
-      Unassigned.insert(V);
+  auto Read = [&Assigned, &Unassigned](VarName V) {
+    if (!Assigned.count(V.name()))
+      Unassigned.insert(V.name());
   };
   if (const auto *Block = dyn_cast<BlockStmt>(S)) {
     for (const StmtPtr &Child : Block->stmts())
@@ -60,23 +60,23 @@ inline void walkAssigned(const Stmt *S, std::set<std::string> &Assigned,
     Assigned.insert(ElseAssigned.begin(), ElseAssigned.end());
   } else if (const auto *Loop = dyn_cast<LoopStmt>(S)) {
     walkStmt(Loop, [&Assigned](const Stmt *Inner) {
-      if (const std::string *Target = definedVar(Inner))
-        Assigned.insert(*Target);
+      if (VarName Target = definedVar(Inner))
+        Assigned.insert(Target.name());
     });
     walkAssigned(Loop->preBody(), Assigned, Unassigned);
     Loop->exitCond()->forEachVar(Read);
     walkAssigned(Loop->postBody(), Assigned, Unassigned);
   } else {
     // forEachVar visits the target first; every later visit is a read.
-    const std::string *Target = definedVar(S);
-    bool AtTarget = Target != nullptr;
-    forEachVar(S, [&AtTarget, &Read](const std::string &V) {
+    VarName Target = definedVar(S);
+    bool AtTarget = static_cast<bool>(Target);
+    forEachVar(S, [&AtTarget, &Read](VarName V) {
       if (!AtTarget)
         Read(V);
       AtTarget = false;
     });
     if (Target)
-      Assigned.insert(*Target);
+      Assigned.insert(Target.name());
   }
 }
 

@@ -416,7 +416,7 @@ TEST(ConstraintSystem, HistoryQueriesFollowFactChanges) {
   H.addBool({RelOp::Le, v("m"), v("n"), 0});
   History BeforeDrop = H;
   EXPECT_TRUE(H.entailsBool(IBelowN)); // Added fact flips it.
-  H.dropMentions("m");
+  H.dropMentions(n("m"));
   EXPECT_FALSE(H.entailsBool(IBelowN)); // Dropped fact flips it back.
   EXPECT_TRUE(BeforeDrop.entailsBool(IBelowN));
 
@@ -424,12 +424,12 @@ TEST(ConstraintSystem, HistoryQueriesFollowFactChanges) {
   // acquire drops the aliases (the check itself persists, per [ACQ]).
   // With q = p they also entail x = q.f, which the alias query proves by
   // adding a probe alias to a copy of a system that has already answered.
-  H.addAlias({false, "x", "p", "f", AffineExpr()});
-  H.addAlias({false, "y", "p", "f", AffineExpr()});
+  H.addAlias({false, n("x"), n("p"), n("f"), AffineExpr()});
+  H.addAlias({false, n("y"), n("p"), n("f"), AffineExpr()});
   H.addBool({RelOp::Eq, v("q"), v("p"), 0});
-  H.addCheck(Path::field(AccessKind::Read, "x", "g"));
-  Path YG = Path::field(AccessKind::Read, "y", "g");
-  AliasFact XIsQF{false, "x", "q", "f", AffineExpr()};
+  H.addCheck(Path::field(AccessKind::Read, n("x"), n("g")));
+  Path YG = Path::field(AccessKind::Read, n("y"), n("g"));
+  AliasFact XIsQF{false, n("x"), n("q"), n("f"), AffineExpr()};
   EXPECT_TRUE(H.entailsCheck(YG));
   EXPECT_TRUE(H.entailsAlias(XIsQF));
   History Acquired = H.afterAcquire();
@@ -454,12 +454,12 @@ History isolationHistory(EntailmentTable &Table) {
   History H(Table);
   H.addBool({RelOp::Le, c(0), v("i"), 0});
   H.addBool({RelOp::Lt, v("i"), v("n"), 0});
-  H.addAlias({false, "x", "p", "f", AffineExpr()});
-  H.addAlias({true, "y", "a", "", v("i")});
-  H.addAccess(Path::arrayIndex(AccessKind::Read, "a", v("i")));
-  H.addAccess(Path::field(AccessKind::Write, "p", "g"));
-  H.addCheck(Path::field(AccessKind::Read, "x", "h"));
-  H.addCheck(Path::array(AccessKind::Write, "b",
+  H.addAlias({false, n("x"), n("p"), n("f"), AffineExpr()});
+  H.addAlias({true, n("y"), n("a"), VarName(), v("i")});
+  H.addAccess(Path::arrayIndex(AccessKind::Read, n("a"), v("i")));
+  H.addAccess(Path::field(AccessKind::Write, n("p"), n("g")));
+  H.addCheck(Path::field(AccessKind::Read, n("x"), n("h")));
+  H.addCheck(Path::array(AccessKind::Write, n("b"),
                          SymbolicRange(c(0), v("n"))));
   H.entailsBool({RelOp::Le, v("i"), v("n"), 0});
   return H;
@@ -471,12 +471,12 @@ std::string facts(const History &H) {
   std::string S = H.str();
   auto Answer = [&S](bool B) { S += B ? " 1" : " 0"; };
   Answer(H.entailsBool({RelOp::Le, v("i"), v("n"), 0}));
-  Answer(H.entailsAlias({false, "x", "p", "f", AffineExpr()}));
-  Answer(H.entailsAlias({true, "y", "a", "", v("i")}));
-  Answer(H.entailsAccess(Path::arrayIndex(AccessKind::Read, "a", v("i"))));
-  Answer(H.entailsAccess(Path::field(AccessKind::Read, "p", "g")));
-  Answer(H.entailsCheck(Path::field(AccessKind::Read, "x", "h")));
-  Answer(H.entailsCheck(Path::arrayIndex(AccessKind::Read, "b", v("i"))));
+  Answer(H.entailsAlias({false, n("x"), n("p"), n("f"), AffineExpr()}));
+  Answer(H.entailsAlias({true, n("y"), n("a"), VarName(), v("i")}));
+  Answer(H.entailsAccess(Path::arrayIndex(AccessKind::Read, n("a"), v("i"))));
+  Answer(H.entailsAccess(Path::field(AccessKind::Read, n("p"), n("g"))));
+  Answer(H.entailsCheck(Path::field(AccessKind::Read, n("x"), n("h"))));
+  Answer(H.entailsCheck(Path::arrayIndex(AccessKind::Read, n("b"), v("i"))));
   return S;
 }
 
@@ -492,28 +492,28 @@ TEST(ConstraintSystem, HistoryCopiesChangeIndependently) {
            [](History &H) { H.addBool({RelOp::Le, v("n"), c(64), 0}); }},
           {"addAlias",
            [](History &H) {
-             H.addAlias({false, "z", "p", "g", AffineExpr()});
+             H.addAlias({false, n("z"), n("p"), n("g"), AffineExpr()});
            }},
           {"addAccess",
            [](History &H) {
-             H.addAccess(Path::field(AccessKind::Read, "q", "f"));
+             H.addAccess(Path::field(AccessKind::Read, n("q"), n("f")));
            }},
           {"addCheck",
            [](History &H) {
-             H.addCheck(Path::arrayIndex(AccessKind::Read, "a", c(3)));
+             H.addCheck(Path::arrayIndex(AccessKind::Read, n("a"), c(3)));
            }},
-          {"dropMentions", [](History &H) { H.dropMentions("i"); }},
+          {"dropMentions", [](History &H) { H.dropMentions(n("i")); }},
           {"invalidateAliasesForFieldWrite",
-           [](History &H) { H.invalidateAliasesForFieldWrite("f"); }},
+           [](History &H) { H.invalidateAliasesForFieldWrite(n("f")); }},
           {"invalidateAliasesForArrayWrite",
            [](History &H) { H.invalidateAliasesForArrayWrite(); }},
           {"afterAcquire", [](History &H) { H = H.afterAcquire(); }},
           {"afterRelease", [](History &H) { H = H.afterRelease(); }},
-          {"renamed", [](History &H) { H = H.renamed("i", "k"); }},
+          {"renamed", [](History &H) { H = H.renamed(n("i"), n("k")); }},
           {"Accesses.edit",
            [](History &H) {
              H.Accesses.edit().push_back(
-                 Path::field(AccessKind::Write, "q", "g"));
+                 Path::field(AccessKind::Write, n("q"), n("g")));
            }},
           {"Checks.edit", [](History &H) { H.Checks.edit().pop_back(); }},
           {"Accesses.clear", [](History &H) { H.Accesses.clear(); }},
@@ -542,19 +542,22 @@ TEST(ConstraintSystem, LiteralPathsNeedNoSystem) {
   History H(Table);
   H.addBool({RelOp::Le, c(0), v("i"), 0});
   H.addBool({RelOp::Lt, v("i"), v("n"), 0});
-  Path Row = Path::array(AccessKind::Write, "a", SymbolicRange(c(0), v("n")));
-  Path Field = Path::fieldGroup(AccessKind::Read, "o", {"f", "g"});
+  Path Row =
+      Path::array(AccessKind::Write, n("a"), SymbolicRange(c(0), v("n")));
+  Path Field = Path::fieldGroup(AccessKind::Read, n("o"), {n("f"), n("g")});
   H.addAccess(Row);
   H.addCheck(Row);
   H.addCheck(Field);
   Path RowRead = Row;
   RowRead.Access = AccessKind::Read;
+  Anticipated Ahead;
+  Ahead.addNew(Row);
   const EntailmentCounts Before = Table.Counts;
   EXPECT_TRUE(H.entailsAccess(Row));
   EXPECT_TRUE(H.entailsAccess(RowRead)); // A write fact covers a read.
   EXPECT_TRUE(H.entailsCheck(Row));
   EXPECT_TRUE(H.entailsCheck(Field));
-  EXPECT_TRUE(H.entailsAnticipated({Row}, RowRead));
+  EXPECT_TRUE(H.entailsAnticipated(Ahead, RowRead));
   EXPECT_EQ(Table.Counts.Queries, Before.Queries + 5);
   EXPECT_EQ(Table.Counts.Systems, Before.Systems);
   EXPECT_EQ(Table.Counts.Refutations, Before.Refutations);
@@ -562,7 +565,7 @@ TEST(ConstraintSystem, LiteralPathsNeedNoSystem) {
   // A covered range that is not a fact goes to the solver, which proves
   // it, and a read fact does not answer for a write.
   EXPECT_TRUE(
-      H.entailsAccess(Path::arrayIndex(AccessKind::Write, "a", v("i"))));
+      H.entailsAccess(Path::arrayIndex(AccessKind::Write, n("a"), v("i"))));
   EXPECT_EQ(Table.Counts.Systems, Before.Systems + 1);
   EXPECT_GT(Table.Counts.Refutations, Before.Refutations);
   Path FieldWrite = Field;
@@ -577,7 +580,7 @@ TEST(ConstraintSystem, LiteralPathsNeedNoSystem) {
   History Big(Table);
   Big.addBool({RelOp::Eq, v("i"), c(2), 0});
   Path Far =
-      Path::arrayIndex(AccessKind::Read, "a", v("i") * 4611686018427387904);
+      Path::arrayIndex(AccessKind::Read, n("a"), v("i") * 4611686018427387904);
   Big.addAccess(Far);
   EXPECT_TRUE(Big.entailsAccess(Far));
   EXPECT_FALSE(Big.constraints().proveRangeSubset(Far.Range, Far.Range));

@@ -344,11 +344,40 @@ TEST(Placement, NoToolReadsAnUnassignedLocal) {
   }
 }
 
+TEST(Placement, PlacedProgramsPrintAndParseBack) {
+  // A placed program holds names no source wrote (renamed copies such as
+  // i'2), coalesced field paths (x.f/g) and ranged checks (a[0..n:2]).
+  // Each of the five tools' placements of every suite workload at both
+  // scales and of every racy variant must print, parse back and print to
+  // the same text.
+  std::vector<std::pair<std::string, std::string>> Programs;
+  for (SuiteScale Scale : {SuiteScale::Test, SuiteScale::Bench})
+    for (Workload &W : standardSuite(Scale))
+      Programs.emplace_back(
+          W.Name + (Scale == SuiteScale::Test ? " (test)" : " (bench)"),
+          std::move(W.Source));
+  for (Workload &W : racyVariants())
+    Programs.emplace_back(W.Name, std::move(W.Source));
+  for (const auto &[Label, Source] : Programs) {
+    auto Prog = parseProgramOrDie(Source);
+    for (const InstrumentedProgram &IP : instrumentAll(*Prog)) {
+      std::string Printed = printProgram(*IP.Prog);
+      ParseResult Again = parseProgram(Printed);
+      ASSERT_TRUE(Again.ok()) << Label << " (tool " << IP.Tool.Name
+                              << "): " << Again.Error << "\n"
+                              << Printed;
+      EXPECT_EQ(printProgram(*Again.Prog), Printed)
+          << Label << " (tool " << IP.Tool.Name << ")";
+    }
+  }
+}
+
 TEST(ConcurrentPlacement, FourThreadsPlaceWhatOneThreadPlaces) {
-  // Every placement shares one process-wide table of interned variable
-  // names. Four threads place the Test-scale suite at once, each starting
-  // at a different program so that they intern the same names together,
-  // and every printed program must match a serial placement's.
+  // Every parse and every placement shares one process-wide table of
+  // interned variable names. Four threads parse and place the Test-scale
+  // suite at once, each starting at a different program so that they
+  // intern the same names together, and every printed program must match
+  // a serial placement's.
   std::vector<Workload> Suite = standardSuite(SuiteScale::Test);
   auto PlaceAll = [&Suite](size_t First, std::vector<std::string> &Out) {
     Out.assign(Suite.size() * 2, "");

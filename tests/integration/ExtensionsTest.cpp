@@ -44,7 +44,7 @@ thread {
     bool SeenGlobal = false;
     P.forEachStmt([&](const Stmt *S) {
       if (const auto *F = dyn_cast<FieldReadStmt>(S))
-        if (F->object() == "$g")
+        if (F->object().name() == "$g")
           SeenGlobal = true;
       if (isa<CheckStmt>(S) && !SeenGlobal)
         ++Before;

@@ -661,6 +661,46 @@ thread {
                 "length-bounded loop");
 }
 
+TEST(Precision, LocalNamedLikeTheAliasProbeStillRaces) {
+  // The merge after the if asks whether x = b.g holds on both arms. The
+  // else arm knows x = a.f and $probe = a.f; had the entailment engine's
+  // probe variable shared this local's name, asking the question would
+  // equate x with b.g there, x = b.g would survive the merge, y.h would
+  // look covered by x.h's check, and the race on q.h would go unreported.
+  checkAllTools(R"(
+class Box { fields f, g, h; }
+class W {
+  fields pad;
+  method run(a, b, c) {
+    if (c == 0) {
+      x = b.g;
+    } else {
+      x = a.f;
+      $probe = a.f;
+    }
+    y = b.g;
+    x.h = 1;
+    y.h = 2;
+  }
+}
+thread {
+  a = new Box;
+  b = new Box;
+  p = new Box;
+  q = new Box;
+  a.f = p;
+  b.g = q;
+  w1 = new W;
+  w2 = new W;
+  fork t1 = w1.run(a, b, 1);
+  fork t2 = w2.run(a, b, 1);
+  join t1;
+  join t2;
+}
+)",
+                "local named $probe");
+}
+
 TEST(Precision, LockWrapperMethodsAreClean) {
   // c.lock() only acquires and c.unlock() only releases: the calls keep
   // past checks and drop past accesses ([CALL] with an acquire-only
